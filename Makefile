@@ -3,6 +3,7 @@
 # named steps job by job, so every pipeline stage reproduces locally:
 #
 #   make build vet test   - compile, vet, full test suite
+#   make fmt              - fail on any file gofmt would rewrite
 #   make race             - test suite under the race detector
 #   make fuzz-smoke       - 10s fresh-input fuzz of the instance parsers
 #   make bench-gate       - bench smoke + committed-snapshot drift gate
@@ -10,6 +11,8 @@
 #   make serve-smoke      - dsfserve self-test: closed-loop trace over HTTP
 #   make chaos-smoke      - dsfserve robustness self-test: deterministic
 #                           panic/deadline/cancel-storm fault injection
+#   make perf-selfcheck   - perfbench self-check: every workload twice
+#                           against a live dsfserve, exact repeats required
 
 GO ?= go
 
@@ -25,15 +28,20 @@ TOLERANCE ?= 25
 # past this.
 MEMTOLERANCE ?= 25
 
-.PHONY: ci build vet test race fuzz-smoke bench baseline snapshot bench-smoke bench-compare bench-gate smoke serve-smoke chaos-smoke
+.PHONY: ci build vet fmt test race fuzz-smoke bench baseline snapshot bench-smoke bench-compare bench-gate smoke serve-smoke chaos-smoke perf-selfcheck
 
-ci: build vet test race fuzz-smoke smoke serve-smoke chaos-smoke bench-gate
+ci: build vet fmt test race fuzz-smoke smoke serve-smoke chaos-smoke bench-gate perf-selfcheck
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The source directories are named explicitly: perfbench/run.sh leaves a
+# Go build cache under .bench_build/ that gofmt must not walk.
+fmt:
+	test -z "$$(gofmt -l *.go cmd examples internal perfbench)"
 
 # Explicit -timeout: the default 10m hides a wedged cancellation or
 # shutdown path behind a long hang; a deadlock in these suites should
@@ -132,3 +140,11 @@ serve-smoke:
 # bit-identical to a chaos-free reference.
 chaos-smoke:
 	$(GO) run ./cmd/dsfserve -chaos-smoke
+
+# Benchmark self-check: builds dsfserve and perfbench from this checkout
+# (artifacts under .bench_build/), runs every workload twice, and fails
+# unless the count metrics repeat exactly and no answer was wrong. It
+# catches a serve change that breaks a statsz or wire field the benchmark
+# reads.
+perf-selfcheck:
+	bash perfbench/run.sh --selfcheck --seed 7 --seconds 4

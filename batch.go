@@ -56,8 +56,7 @@ func SolveBatch(instances []*Instance, spec Spec, workers int) ([]*Result, error
 // Spec (algorithm, epsilon, seed, ...). Because each slot's seed is
 // pinned in its Spec rather than derived from a shared base, slot i is
 // bit-identical to a standalone Solve(instances[i], specs[i]) at every
-// worker count and in any batch composition — the property the serve
-// layer's request coalescing is built on. A slot's Spec.Arena flows
+// worker count and in any batch composition. A slot's Spec.Arena flows
 // through unchanged, so concurrent slots solving the same resident graph
 // share one warm arena pool (each run borrows an arena exclusively;
 // results stay bit-identical, pooled or not). The error contract matches

@@ -26,7 +26,7 @@ import (
 //     streak (503 quarantined), and its neighbor instance must keep
 //     serving answers bit-identical to a chaos-free reference server.
 //  2. deadline-aware admission: a request whose deadline expires while
-//     it waits out the batch linger must be evicted and answered 504
+//     it waits behind a stalled worker must be evicted and answered 504
 //     deadline_exceeded without any solver time spent on it.
 //  3. cancel storm: clients replay a seed-deterministic cancel schedule;
 //     every response must be a well-formed success/cancelled/deadline
@@ -56,18 +56,16 @@ type chaosServer struct {
 	srv     *serve.Server
 	httpSrv *http.Server
 	url     string
-	names   []string // resident instance names, [gnp, planted]
+	names   []string // resident instance names: the families gnp, planted
 }
 
 func startChaosServer(cfg serve.Config) (*chaosServer, error) {
 	srv := serve.New(cfg)
-	var names []string
-	for _, fam := range []string{"gnp", "planted"} {
-		info, err := srv.GenerateInstance("", fam, workload.Params{N: 48, K: 3, MaxW: 64, Seed: 7})
-		if err != nil {
+	names := []string{"gnp", "planted"}
+	for _, fam := range names {
+		if _, err := srv.GenerateInstance(fam, fam, workload.Params{N: 48, K: 3, MaxW: 64, Seed: 7}); err != nil {
 			return nil, err
 		}
-		names = append(names, info.Name)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -129,7 +127,7 @@ func sameAnswer(a, b serve.SolveResponse) bool {
 }
 
 func chaosQuarantinePhase(seed int64) error {
-	ref, err := startChaosServer(serve.Config{BatchWindow: -1, DisableCache: true})
+	ref, err := startChaosServer(serve.Config{DisableCache: true})
 	if err != nil {
 		return err
 	}
@@ -137,9 +135,10 @@ func chaosQuarantinePhase(seed int64) error {
 
 	// Every slot that solves the gnp instance panics; planted is spared.
 	const quarantineAfter = 2
-	inj := chaos.New(chaos.Config{Seed: seed, PanicEvery: 1, PanicTarget: ""})
+	target, healthy := ref.names[0], ref.names[1]
+	inj := chaos.New(chaos.Config{Seed: seed, PanicEvery: 1, PanicTarget: target})
 	chs, err := startChaosServer(serve.Config{
-		BatchWindow: -1, DisableCache: true,
+		DisableCache:    true,
 		QuarantineAfter: quarantineAfter,
 		Chaos:           inj,
 	})
@@ -147,25 +146,11 @@ func chaosQuarantinePhase(seed int64) error {
 		return err
 	}
 	defer chs.stop()
-	target, healthy := chs.names[0], chs.names[1]
-	// Retarget the injector at the actual generated name (not known
-	// before registration).
-	inj2 := chaos.New(chaos.Config{Seed: seed, PanicEvery: 1, PanicTarget: target})
-	chs2, err := startChaosServer(serve.Config{
-		BatchWindow: -1, DisableCache: true,
-		QuarantineAfter: quarantineAfter,
-		Chaos:           inj2,
-	})
-	if err != nil {
-		return err
-	}
-	defer chs2.stop()
-	chs.stop() // first chaos server only existed to learn the names
 
 	// The target instance panics on every solve: each must be its own
 	// 500 internal, and the streak must quarantine it.
 	for i := 0; i < quarantineAfter; i++ {
-		ans, err := chaosSolve(nil, chs2.url, target, int64(100+i), 0)
+		ans, err := chaosSolve(nil, chs.url, target, int64(100+i), 0)
 		if err != nil {
 			return err
 		}
@@ -174,7 +159,7 @@ func chaosQuarantinePhase(seed int64) error {
 				i, ans.status, ans.errEnv.Error.Code)
 		}
 	}
-	ans, err := chaosSolve(nil, chs2.url, target, 200, 0)
+	ans, err := chaosSolve(nil, chs.url, target, 200, 0)
 	if err != nil {
 		return err
 	}
@@ -186,7 +171,7 @@ func chaosQuarantinePhase(seed int64) error {
 	// The healthy neighbor keeps serving, bit-identical to the
 	// chaos-free reference server.
 	for _, s := range []int64{301, 302, 303} {
-		got, err := chaosSolve(nil, chs2.url, healthy, s, 0)
+		got, err := chaosSolve(nil, chs.url, healthy, s, 0)
 		if err != nil {
 			return err
 		}
@@ -204,7 +189,7 @@ func chaosQuarantinePhase(seed int64) error {
 		}
 	}
 
-	st := chs2.srv.Statsz()
+	st := chs.srv.Statsz()
 	if st.SolverPanics < uint64(quarantineAfter) || st.Quarantined != 1 {
 		return fmt.Errorf("statsz: solver_panics=%d quarantined=%d, want >=%d and 1",
 			st.SolverPanics, st.Quarantined, quarantineAfter)
@@ -215,13 +200,26 @@ func chaosQuarantinePhase(seed int64) error {
 }
 
 func chaosDeadlinePhase() error {
-	// A long batch linger guarantees the 10ms deadline expires while the
-	// request is still queued — the eviction path, deterministically.
-	chs, err := startChaosServer(serve.Config{BatchWindow: 250 * time.Millisecond, DisableCache: true})
+	// Every solve stalls 250ms and a blocker occupies the only worker, so
+	// the 10ms deadline expires while the request is still queued — the
+	// eviction path, deterministically.
+	inj := chaos.New(chaos.Config{Seed: 1, StallEvery: 1, Stall: 250 * time.Millisecond})
+	chs, err := startChaosServer(serve.Config{Workers: 1, DisableCache: true, Chaos: inj})
 	if err != nil {
 		return err
 	}
 	defer chs.stop()
+	blocker := make(chan error, 1)
+	go func() {
+		_, err := chaosSolve(nil, chs.url, chs.names[0], 2, 0)
+		blocker <- err
+	}()
+	for i := 0; chs.srv.Statsz().Accepted < 1; i++ {
+		if i == 1000 {
+			return fmt.Errorf("blocker solve never admitted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	ans, err := chaosSolve(nil, chs.url, chs.names[0], 1, 10)
 	if err != nil {
 		return err
@@ -230,7 +228,10 @@ func chaosDeadlinePhase() error {
 		return fmt.Errorf("expired request: got status %d code %q, want 504 deadline_exceeded",
 			ans.status, ans.errEnv.Error.Code)
 	}
-	// Give the dispatcher its linger so the eviction is recorded.
+	if err := <-blocker; err != nil {
+		return fmt.Errorf("blocker solve: %w", err)
+	}
+	// The worker evicts the expired job right after the blocker.
 	deadlineSeen := false
 	for i := 0; i < 40 && !deadlineSeen; i++ {
 		st := chs.srv.Statsz()
@@ -248,12 +249,12 @@ func chaosDeadlinePhase() error {
 }
 
 func chaosCancelStormPhase(seed int64) error {
-	ref, err := startChaosServer(serve.Config{BatchWindow: -1, DisableCache: true})
+	ref, err := startChaosServer(serve.Config{DisableCache: true})
 	if err != nil {
 		return err
 	}
 	defer ref.stop()
-	chs, err := startChaosServer(serve.Config{BatchWindow: -1, DisableCache: true})
+	chs, err := startChaosServer(serve.Config{DisableCache: true})
 	if err != nil {
 		return err
 	}

@@ -1,13 +1,14 @@
 // Command dsfserve runs the long-lived solver service: workload families
 // and parsed instances stay resident, solve requests are admitted into a
-// bounded queue (429 + Retry-After on overflow), compatible requests are
-// coalesced into batches on the solver worker pool, and per-request
-// latency/throughput/rejection metrics are exposed on /statsz.
+// bounded queue (429 + Retry-After on overflow), -workers long-lived
+// workers each take one request at a time off the queue and run it, and
+// per-request latency/throughput/rejection metrics are exposed on
+// /statsz.
 //
 // Usage:
 //
-//	dsfserve [-addr :8080] [-depth 64] [-batch 16] [-window 2ms]
-//	         [-workers N] [-retryafter 1s] [-cachemb 64] [-nocache]
+//	dsfserve [-addr :8080] [-depth 64] [-workers N] [-retryafter 1s]
+//	         [-cachemb 64] [-nocache] [-policy full]
 //	         [-deadline 0] [-quarantine-after 3] [-shutdown-timeout 30s]
 //	         [-preload gnp,planted] [-n 64] [-k 3] [-maxw 64] [-seed 1]
 //	         [-in a.sfi,b.sfi]
@@ -25,13 +26,15 @@
 //	                                    "k": 8, "seed": 3}
 //	GET  /v1/healthz                   200 ok / 503 draining
 //	GET  /v1/statsz                    queue depth, in-flight, p50/p99
-//	                                    latency, throughput, admission and
-//	                                    batch counters, cache and arena
-//	                                    gauges, demand-update counters
+//	                                    latency, throughput, admission
+//	                                    counters, cache and arena gauges,
+//	                                    demand-update counters
 //
 // Demand updates run under -policy (full|repair|every-k:<k>, the same
-// registry the other CLIs parse) and apply atomically between solve
-// batches; the instance's result cache is invalidated on every update.
+// registry the other CLIs parse) and apply atomically; updates on one
+// instance never overlap, and the instance's result cache is invalidated
+// on every update. An update answered before another is admitted applies
+// first; a solve sees the demand state applied at its admission.
 // All error responses share one JSON envelope:
 // {"error":{"code","message","retry_after_s"}}.
 //
@@ -39,7 +42,7 @@
 // (the X-Request-Deadline-Ms header, or the -deadline default), or the
 // shutdown force-abort stops the solve at its next simulated round
 // boundary (504 deadline_exceeded / 503 cancelled). A solver panic is
-// isolated to its batch slot (500 internal); -quarantine-after
+// isolated to its own request (500 internal); -quarantine-after
 // consecutive panics quarantine the instance (503 quarantined; negative
 // disables).
 //
@@ -90,9 +93,7 @@ func main() {
 func run() int {
 	addr := flag.String("addr", ":8080", "listen address")
 	depth := flag.Int("depth", 64, "admission queue depth (overflow is answered 429)")
-	maxBatch := flag.Int("batch", 16, "max requests coalesced into one solver batch")
-	window := flag.Duration("window", 2*time.Millisecond, "how long the dispatcher lingers for a batch to form")
-	workers := flag.Int("workers", runtime.NumCPU(), "solver pool workers per batch")
+	workers := flag.Int("workers", runtime.NumCPU(), "requests solved concurrently (long-lived workers)")
 	retryAfter := flag.Duration("retryafter", time.Second, "Retry-After hint on 429 responses")
 	cacheMB := flag.Int64("cachemb", 64, "per-instance result cache budget in MiB (hits answer without re-solving)")
 	noCache := flag.Bool("nocache", false, "disable the result cache and singleflight collapse (every request solves)")
@@ -127,8 +128,6 @@ func run() int {
 
 	srv := serve.New(serve.Config{
 		QueueDepth:      *depth,
-		MaxBatch:        *maxBatch,
-		BatchWindow:     *window,
 		Workers:         *workers,
 		RetryAfter:      *retryAfter,
 		CacheBytes:      *cacheMB << 20,
@@ -170,8 +169,7 @@ func run() int {
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Printf("dsfserve listening on %s (depth=%d batch=%d window=%s workers=%d)\n",
-		*addr, *depth, *maxBatch, *window, *workers)
+	fmt.Printf("dsfserve listening on %s (depth=%d workers=%d)\n", *addr, *depth, *workers)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -225,9 +223,8 @@ func runSmoke(srv *serve.Server, reqs int, maxP99 float64) int {
 		return 1
 	}
 	res := bench.ClosedLoopLoad(url, bench.ServeTrace(names, reqs), 8)
-	st := srv.Statsz()
-	fmt.Printf("smoke: %d requests, %d ok, %d rejected, %d errors, p50 %.2fms p99 %.2fms, %.1f req/s, mean batch %.2f\n",
-		res.Requests, res.OK, res.Rejected, res.Errors, res.P50, res.P99, res.PerSec, st.MeanBatch)
+	fmt.Printf("smoke: %d requests, %d ok, %d rejected, %d errors, p50 %.2fms p99 %.2fms, %.1f req/s\n",
+		res.Requests, res.OK, res.Rejected, res.Errors, res.P50, res.P99, res.PerSec)
 
 	demandErr := smokeDemandUpdate(url, srv.Instances()[0])
 

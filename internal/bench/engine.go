@@ -37,7 +37,7 @@ func E1(sc Scale) *Table {
 			out := make([]congest.Send, h.Degree())
 			for r := 0; r < rounds; r++ {
 				for p := 0; p < h.Degree(); p++ {
-					out[p] = congest.Send{Port: p, Msg: floodMsg{v: int64(r + h.ID())}}
+					out[p] = congest.Send{Port: p, Wire: congest.Wire{Kind: benchWireKind, C: int64(r + h.ID())}}
 				}
 				h.Exchange(out)
 			}
@@ -78,10 +78,6 @@ func E1(sc Scale) *Table {
 		fmt.Sprintf("sharded = WithParallelism(%d); 'identical' asserts bit-exact Stats across schedulers", workers))
 	return tab
 }
-
-type floodMsg struct{ v int64 }
-
-func (floodMsg) Bits() int { return 64 }
 
 // E2 measures the event-driven scheduler end to end: every distributed
 // solver runs the same instances with the idle/sleep fast paths on and
@@ -220,8 +216,8 @@ func E2(sc Scale) *Table {
 	return tab
 }
 
-// benchWireKind is the test payload kind of the E2 idle workload (64-bit
-// value, matching floodMsg's accounting).
+// benchWireKind is the 64-bit payload kind of the E1 flood and the E2
+// idle workload.
 const benchWireKind uint16 = 100
 
 func init() { congest.RegisterWireKind(benchWireKind, 64) }

@@ -117,6 +117,9 @@ func R1(sc Scale) *Table {
 
 	// --- wasted-work A/B: a storm of immediately-cancelled requests,
 	// with cancellation enabled vs severed (Config.DisableCancellation).
+	// Every solve is preceded by a 20ms chaos stall (a held-up worker,
+	// not solver time), so the storm's cancels land while its requests
+	// are queued or stalled — the overload case cancellation exists for.
 	wasted := map[bool]float64{}
 	for _, disabled := range []bool{false, true} {
 		mode := "cancel on"
@@ -124,8 +127,9 @@ func R1(sc Scale) *Table {
 			mode = "cancel off"
 		}
 		srv := serve.New(serve.Config{
-			QueueDepth: 2 * storm, MaxBatch: 8, BatchWindow: 5 * time.Millisecond,
-			Workers: runtime.NumCPU(), DisableCache: true, DisableCancellation: disabled,
+			QueueDepth: 2 * storm, Workers: runtime.NumCPU(),
+			DisableCache: true, DisableCancellation: disabled,
+			Chaos: chaos.New(chaos.Config{Seed: 1, StallEvery: 1, Stall: 20 * time.Millisecond}),
 		})
 		ins, err := robustRegister(srv, "r1", n)
 		if err != nil {
@@ -156,10 +160,9 @@ func R1(sc Scale) *Table {
 		}
 		wg.Wait()
 
-		// A sentinel solve admitted after the storm: the FIFO dispatcher
-		// answers it only once every storm job has been dealt with, and
-		// its answer doubles as the result-neutrality check (the warm
-		// arenas it reuses just lived through aborted runs).
+		// A sentinel solve admitted after the storm: its answer is the
+		// result-neutrality check (the warm arenas it reuses just lived
+		// through aborted runs).
 		sentinelReq := serve.SolveRequest{Algorithm: "det", Seed: 7777, NoCert: true}
 		sentinel := robustSolve(nil, ts.URL+"/v1/instances/r1", sentinelReq, 0)
 		ok := true
@@ -186,6 +189,9 @@ func R1(sc Scale) *Table {
 				fail("%s: storm request %d: unexpected status %d code %q", mode, i, a.status, a.code)
 			}
 		}
+		// Storm jobs may still be solving on other workers: Shutdown
+		// drains them, so the wasted-time sum is complete.
+		srv.Shutdown()
 		st := srv.Statsz()
 		wasted[disabled] = float64(st.WastedSolveNs) / 1e6
 		tab.Rows = append(tab.Rows, []string{
@@ -196,7 +202,6 @@ func R1(sc Scale) *Table {
 			tab.Failed = true
 		}
 		ts.Close()
-		srv.Shutdown()
 	}
 	// The gate: severing cancellation must cost >=5x the wasted solver
 	// time (floor the on-side at 0.1ms so full eviction doesn't divide
@@ -216,7 +221,7 @@ func R1(sc Scale) *Table {
 		const quarantineAfter = 3
 		inj := chaos.New(chaos.Config{Seed: 5, PanicEvery: 1, PanicTarget: "poisoned"})
 		srv := serve.New(serve.Config{
-			BatchWindow: -1, DisableCache: true, QuarantineAfter: quarantineAfter, Chaos: inj,
+			DisableCache: true, QuarantineAfter: quarantineAfter, Chaos: inj,
 		})
 		_, err1 := robustRegister(srv, "poisoned", n)
 		healthyIns, err2 := robustRegister(srv, "healthy", n)
@@ -282,8 +287,7 @@ func R1(sc Scale) *Table {
 	// answer bit-identically to standalone Solve. p99 is the survivors'.
 	{
 		srv := serve.New(serve.Config{
-			QueueDepth: 4 * storm, MaxBatch: 8, BatchWindow: time.Millisecond,
-			Workers: runtime.NumCPU(), DisableCache: true,
+			QueueDepth: 4 * storm, Workers: runtime.NumCPU(), DisableCache: true,
 		})
 		ins, err := robustRegister(srv, "r1", n)
 		ok := err == nil
@@ -368,13 +372,14 @@ func R1(sc Scale) *Table {
 		srv.Shutdown()
 	}
 
-	// --- deadline-aware admission: a long batch linger guarantees the
-	// per-request deadlines expire while queued; every miss must be a 504
-	// eviction, not a solved-then-discarded answer.
+	// --- deadline-aware admission: every solve stalls 30ms (an injected
+	// chaos stall), so the per-request 5ms deadlines expire while the
+	// requests wait behind busy workers or stall; every miss must be a
+	// 504, not a solved-then-discarded answer.
 	{
+		inj := chaos.New(chaos.Config{Seed: 1, StallEvery: 1, Stall: 30 * time.Millisecond})
 		srv := serve.New(serve.Config{
-			QueueDepth: 2 * storm, MaxBatch: 8, BatchWindow: 30 * time.Millisecond,
-			Workers: runtime.NumCPU(), DisableCache: true,
+			QueueDepth: 2 * storm, Workers: runtime.NumCPU(), DisableCache: true, Chaos: inj,
 		})
 		_, err := robustRegister(srv, "r1", n)
 		ok := err == nil
@@ -407,7 +412,7 @@ func R1(sc Scale) *Table {
 		}
 		if missed == 0 {
 			ok = false
-			fail("deadline: no request missed its 5ms deadline under a 30ms batch linger")
+			fail("deadline: no request missed its 5ms deadline under a 30ms solve stall")
 		}
 		tab.Rows = append(tab.Rows, []string{
 			"deadline", "5ms", d(storm), d(answered), d(missed), "0",

@@ -21,7 +21,7 @@ import (
 
 // LoadResult summarizes one load-generator run against a serve endpoint.
 // Latencies are client-measured milliseconds over real HTTP (loopback),
-// so they include the full admission/batching/solve path.
+// so they include the full admission/queueing/solve path.
 type LoadResult struct {
 	Requests  int
 	OK        int
@@ -33,8 +33,8 @@ type LoadResult struct {
 	PerSec    float64 // OK / elapsed
 
 	// Responses holds the parsed answer per request index (nil where the
-	// request was rejected or failed), so callers can assert batched
-	// serving bit-identical to standalone solving.
+	// request was rejected or failed), so callers can assert served
+	// answers bit-identical to standalone solving.
 	Responses []*serve.SolveResponse
 }
 
@@ -241,9 +241,8 @@ func OpenLoopLoadRetry(url string, reqs []serve.SolveRequest, interval time.Dura
 var serveTraceFamilies = []string{"gnp", "planted", "grid2d", "geometric"}
 
 // ServeTrace builds a deterministic request trace over the named resident
-// instances: algorithms, epsilons, and seeds cycle with coprime strides
-// so consecutive requests rarely share a batch key, which exercises the
-// dispatcher's grouping.
+// instances: algorithms, epsilons, and seeds cycle with coprime strides,
+// so consecutive requests rarely share a spec.
 func ServeTrace(instances []string, count int) []serve.SolveRequest {
 	algos := []struct {
 		algo string
@@ -286,7 +285,7 @@ func registerServeInstances(srv *serve.Server, n int) ([]string, map[string]*ste
 
 // checkIdentity asserts every collected response bit-identical to a
 // standalone Solve of the same instance and Spec — the serve layer's
-// batching contract. Expected results are memoized per unique request.
+// determinism contract. Expected results are memoized per unique request.
 func checkIdentity(reqs []serve.SolveRequest, responses []*serve.SolveResponse,
 	local map[string]*steiner.Instance) (bool, string) {
 	type expectKey struct {
@@ -335,13 +334,13 @@ func checkIdentity(reqs []serve.SolveRequest, responses []*serve.SolveResponse,
 // wall-clock (gated by -tolerance like every timing column); ok/rejected
 // depend on real-time load and are classified load columns; the
 // "identical" column asserts every served answer bit-identical to a
-// standalone Solve of the same request — batching must change latency,
-// never answers.
+// standalone Solve of the same request — concurrency must change
+// latency, never answers.
 func S1(sc Scale) *Table {
 	tab := &Table{
 		ID:    "S1",
 		Title: "serve mode: trace-driven load, closed- and open-loop",
-		Claim: "engineering: bounded admission (429 + Retry-After) degrades gracefully under overload; batched serving stays bit-identical to per-request solving",
+		Claim: "engineering: bounded admission (429 + Retry-After) degrades gracefully under overload; concurrent serving stays bit-identical to per-request solving",
 		Header: []string{"mode", "load", "depth", "requests", "ok", "rejected", "retries",
 			"ms(p50)", "ms(p99)", "req/s", "identical"},
 	}
@@ -407,8 +406,7 @@ func S1(sc Scale) *Table {
 		}
 	}
 
-	closedCfg := serve.Config{QueueDepth: 64, MaxBatch: 8, BatchWindow: time.Millisecond,
-		Workers: runtime.NumCPU()}
+	closedCfg := serve.Config{QueueDepth: 64, Workers: runtime.NumCPU()}
 	rowClosed := func(clients int) {
 		row("closed", fmt.Sprintf("c=%d", clients), closedCfg,
 			func(url string, reqs []serve.SolveRequest) LoadResult {
@@ -424,7 +422,7 @@ func S1(sc Scale) *Table {
 	// honor Retry-After with jittered exponential backoff (capped to the
 	// run's timescale); sustained overload still exhausts retries, so the
 	// rejection regime survives.
-	openCfg := serve.Config{QueueDepth: 4, MaxBatch: 4, BatchWindow: time.Millisecond, Workers: 1}
+	openCfg := serve.Config{QueueDepth: 4, Workers: 1}
 	openPol := RetryPolicy{Max: 2, Base: 2 * time.Millisecond, Cap: 8 * time.Millisecond, Seed: 11}
 	rowOpen := func(interval time.Duration, load string) {
 		row("open", load, openCfg,

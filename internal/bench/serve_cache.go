@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
-	"time"
 
 	"steinerforest/internal/serve"
 )
@@ -88,8 +87,7 @@ func S2(sc Scale) *Table {
 
 	row := func(cacheOn bool) {
 		cfg := serve.Config{
-			QueueDepth: 64, MaxBatch: 8, BatchWindow: time.Millisecond,
-			Workers: runtime.NumCPU(), DisableCache: !cacheOn,
+			QueueDepth: 64, Workers: runtime.NumCPU(), DisableCache: !cacheOn,
 		}
 		srv := serve.New(cfg)
 		defer srv.Shutdown()

@@ -1,6 +1,6 @@
 // Package chaos provides seed-deterministic fault injectors for the
 // serve layer's robustness harness: solver stalls and injected panics at
-// the batch-slot boundary, slow-round delays inside the engine, and the
+// the solve-slot boundary, slow-round delays inside the engine, and the
 // cancel-delay schedules client-side storm drivers replay. Every decision
 // is a pure function of (seed, site, counter), so a chaos run is exactly
 // reproducible — the R1 bench table, the `dsfserve -chaos-smoke` CI
@@ -25,13 +25,14 @@ type Config struct {
 	// Seed drives the phase offsets and jitter (0 = 1).
 	Seed int64
 
-	// StallEvery makes every Nth batch slot stall for Stall before
-	// solving — a slow solver run (0 = never). Stalls respect the slot's
-	// context: a cancelled slot stops stalling immediately.
+	// StallEvery makes every Nth solve slot stall for Stall before
+	// solving — a held-up worker (0 = never); the serve layer does not
+	// count the stall as solver time. Stalls respect the slot's context:
+	// a cancelled slot stops stalling immediately.
 	StallEvery int
 	Stall      time.Duration
 
-	// PanicEvery makes every Nth batch slot panic instead of solving
+	// PanicEvery makes every Nth solve slot panic instead of solving
 	// (0 = never), exercising the recover-at-slot-boundary path.
 	// PanicTarget restricts panics to slots solving the named instance
 	// ("" = all instances) — the quarantine tests use this to poison one
@@ -55,10 +56,10 @@ type Stats struct {
 }
 
 // Injector hands out fault decisions. Safe for concurrent use: the
-// decision counters are atomic, so concurrent batch slots take distinct
-// decisions (which decision lands on which slot follows dispatch order —
-// deterministic whenever the harness serializes dispatch, as the R1
-// rows and the smoke tests do).
+// decision counters are atomic, so concurrent solve slots take distinct
+// decisions (which decision lands on which slot follows the order the
+// workers reach them — deterministic whenever the harness serializes
+// its solves, as the quarantine rows and tests do).
 type Injector struct {
 	cfg        Config
 	stallPhase int64
@@ -90,7 +91,7 @@ func New(cfg Config) *Injector {
 	return in
 }
 
-// SlotAction is the decision for one batch slot: stall this long (0 =
+// SlotAction is the decision for one solve slot: stall this long (0 =
 // don't), then panic instead of solving (false = solve normally).
 type SlotAction struct {
 	Stall time.Duration

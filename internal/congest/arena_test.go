@@ -15,10 +15,10 @@ func arenaProgram(g *graph.Graph, out []int64) Program {
 		for r := 0; r < 6; r++ {
 			sends := make([]Send, 0, h.Degree())
 			for p := 0; p < h.Degree(); p++ {
-				sends = append(sends, Send{Port: p, Msg: msg(x)})
+				sends = append(sends, Send{Port: p, Wire: msg(x)})
 			}
 			for _, rc := range h.Exchange(sends) {
-				x = (x*31 + rc.Msg.(testMsg).val) % 1000003
+				x = (x*31 + rc.Wire.C) % 1000003
 			}
 		}
 		out[h.ID()] = x

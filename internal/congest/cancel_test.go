@@ -24,10 +24,10 @@ func floodProgram(rounds int, onRound func(r int)) Program {
 			}
 			out := make([]Send, 0, h.Degree())
 			for p := 0; p < h.Degree(); p++ {
-				out = append(out, Send{Port: p, Msg: msg(x)})
+				out = append(out, Send{Port: p, Wire: msg(x)})
 			}
 			for _, rc := range h.Exchange(out) {
-				x = (x*31 + rc.Msg.(testMsg).val) % 1000003
+				x = (x*31 + rc.Wire.C) % 1000003
 			}
 		}
 	}

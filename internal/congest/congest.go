@@ -33,9 +33,8 @@
 // message arrives (messages to a sleeping node wake it that same round,
 // via a generation-stamped wake queue), and when every live node is parked
 // the engine advances the round counter in bulk to the next deadline —
-// rounds in which nobody speaks cost no channel traffic at all. Fixed-shape
-// protocol messages travel as inline Wire values instead of boxed
-// interfaces, return ports come from a table precomputed at Run setup
+// rounds in which nobody speaks cost no channel traffic at all. Messages
+// travel as inline Wire values, never boxed, return ports come from a table precomputed at Run setup
 // rather than a per-message binary search, and duplicate-send/liveness
 // tracking uses generation-stamped arrays, so a steady-state round
 // performs no heap allocation. The fast paths are observationally
@@ -67,28 +66,20 @@ import (
 	"steinerforest/internal/graph"
 )
 
-// Message is a CONGEST payload. Bits must return an upper bound on the
-// encoded size; the engine enforces it against the bandwidth option.
-type Message interface {
-	Bits() int
-}
-
-// Send is an outgoing message on one of the sender's ports: either a boxed
-// Message or an inline Wire value (exactly one of the two must be set).
+// Send is an outgoing message on one of the sender's ports. Its payload
+// is an inline Wire value of a registered kind, whose width table entry
+// the engine enforces against the bandwidth option.
 type Send struct {
 	Port int
-	Msg  Message
 	Wire Wire
 }
 
 // Recv is a received message, annotated with the local port it arrived on;
 // the sender is always the far endpoint of that port, Host.Neighbor(Port).
-// Wire.Kind != 0 marks a wire-carried payload (Msg is nil in that case).
 // The struct is copied for every delivered message and its slots persist
 // per (node, port), so it carries nothing derivable.
 type Recv struct {
 	Port int
-	Msg  Message
 	Wire Wire
 }
 
@@ -622,7 +613,7 @@ func (h *Host) relay(srcPort int, dstPorts []int, endKind uint16, through bool) 
 			}
 			for _, rc := range in {
 				for _, p := range dstPorts {
-					fwd = append(fwd, Send{Port: p, Msg: rc.Msg, Wire: rc.Wire})
+					fwd = append(fwd, Send{Port: p, Wire: rc.Wire})
 				}
 				acc = append(acc, rc)
 				if through && rc.Wire.Kind == endKind {
@@ -676,14 +667,14 @@ type submission struct {
 }
 
 type subExt struct {
-	wakeAt    int // subPark: resume at this completed-round count; -1 = none
-	wakeOnMsg bool
-	hbPort    int    // subStand: heartbeat port
-	hbWire    Wire   // subStand: heartbeat payload
-	hbN       int    // subStand: expected echoes per heartbeat round
-	hbMask    uint64 // subStand: ramp-up beat mask
-	hbMaskLen int    // subStand: number of masked heartbeat rounds
-	hbWait    bool   // subStand: waiting order (no beats; wake on full count)
+	wakeAt       int // subPark: resume at this completed-round count; -1 = none
+	wakeOnMsg    bool
+	hbPort       int    // subStand: heartbeat port
+	hbWire       Wire   // subStand: heartbeat payload
+	hbN          int    // subStand: expected echoes per heartbeat round
+	hbMask       uint64 // subStand: ramp-up beat mask
+	hbMaskLen    int    // subStand: number of masked heartbeat rounds
+	hbWait       bool   // subStand: waiting order (no beats; wake on full count)
 	relayDst     []int  // subRelay: forwarding ports, ascending
 	relayEnd     uint16 // subRelay: stream-terminating wire kind
 	relayThrough bool   // subRelay: forward the end marker too (RelayStream)
@@ -692,7 +683,6 @@ type subExt struct {
 // routed is a validated message en route to its destination shard.
 type routed struct {
 	dst, dstPort int32
-	msg          Message
 	wire         Wire
 }
 
@@ -749,7 +739,6 @@ type relaying struct {
 	finalPend bool // the pending forward is the end marker (through only)
 	finalSent bool // the end marker went out this round: wake at round end
 	pendBits  int32
-	pendMsg   Message
 	pendWire  Wire
 	dsts      []relayDest
 	buf       []Recv
@@ -762,7 +751,6 @@ type winFwd struct {
 	v     int32
 	final bool // the forward is a through order's end marker: wake v after
 	bits  int32
-	msg   Message
 	wire  Wire
 }
 
@@ -844,10 +832,10 @@ type engine struct {
 	parkStamp []uint32 // bumped on every park/wake; validates wake entries
 	wakeAt    []int    // parked node's deadline (-1 = none)
 	wake      wakeHeap
-	stand    []standing // per node: heartbeat order (valid when modeStand); lazy
-	standIdx []int32    // beating stander's position in its emit list (-1 waiting)
-	emit     [2][]int32 // beating standers by heartbeat parity: the due lists
-	hitStand []int32    // standers delivered to this round — together with the
+	stand     []standing // per node: heartbeat order (valid when modeStand); lazy
+	standIdx  []int32    // beating stander's position in its emit list (-1 waiting)
+	emit      [2][]int32 // beating standers by heartbeat parity: the due lists
+	hitStand  []int32    // standers delivered to this round — together with the
 	//                      round parity's due list, the only ones checkStanders
 	//                      must visit
 	relays   []relaying // per node: relay order (valid when modeRelay); lazy
@@ -1283,7 +1271,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 				h := &e.hosts[v]
 				outs := e.subs[v].out
 				for si := range outs {
-					snd := &outs[si] // by pointer: Send is 6 words
+					snd := &outs[si] // by pointer: Send is 5 words
 					if snd.Port < 0 || snd.Port >= len(h.ports) {
 						return fail(fmt.Errorf("congest: node %d sent on invalid port %d", v, snd.Port))
 					}
@@ -1292,25 +1280,18 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 						return fail(fmt.Errorf("congest: node %d sent twice on port %d in one round", v, snd.Port))
 					}
 					e.sentGen[pb] = e.gen
-					var b int
-					switch {
-					case snd.Msg != nil && snd.Wire.Kind != 0:
-						return fail(fmt.Errorf("congest: node %d sent both Msg and Wire on port %d", v, snd.Port))
-					case snd.Msg != nil:
-						b = snd.Msg.Bits()
-					case snd.Wire.Kind != 0:
-						var ok bool
-						if b, ok = wireBits(snd.Wire); !ok {
-							return fail(fmt.Errorf("congest: node %d sent unregistered wire kind %d", v, snd.Wire.Kind))
-						}
-					default:
+					if snd.Wire.Kind == 0 {
 						return fail(fmt.Errorf("congest: node %d sent nil message", v))
+					}
+					b, ok := wireBits(snd.Wire)
+					if !ok {
+						return fail(fmt.Errorf("congest: node %d sent unregistered wire kind %d", v, snd.Wire.Kind))
 					}
 					if b > o.bandwidth {
 						return fail(fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, o.bandwidth, v))
 					}
 					e.deliver(int(h.ports[snd.Port].To), int(e.returnPort[pb]),
-						int(h.ports[snd.Port].Index), b, snd.Msg, &snd.Wire)
+						int(h.ports[snd.Port].Index), b, &snd.Wire)
 				}
 			}
 		}
@@ -1375,7 +1356,7 @@ func (e *engine) emitHeartbeats() {
 		if i := (stats.Rounds - st.beatBase) / 2; i < int(st.maskLen) && st.mask>>uint(i)&1 == 0 {
 			continue // masked-out ramp-up heartbeat: this slot stays silent
 		}
-		e.deliver(int(st.dst), int(st.dstPort), int(st.edge), int(st.bits), nil, &st.wire)
+		e.deliver(int(st.dst), int(st.dstPort), int(st.edge), int(st.bits), &st.wire)
 	}
 }
 
@@ -1386,7 +1367,7 @@ func (e *engine) emitHeartbeats() {
 // when serial, via the destination shard's bucket otherwise). Every
 // delivery path — node sends, standing-order heartbeats, relay forwards —
 // funnels through here so the accounting can never diverge between them.
-func (e *engine) deliver(dst, dstPort, edge, bits int, msg Message, wire *Wire) {
+func (e *engine) deliver(dst, dstPort, edge, bits int, wire *Wire) {
 	stats := e.stats
 	stats.Messages++
 	stats.Bits += int64(bits)
@@ -1421,11 +1402,11 @@ func (e *engine) deliver(dst, dstPort, edge, bits int, msg Message, wire *Wire) 
 		e.hitStand = append(e.hitStand, int32(dst))
 	}
 	if e.o.parallelism == 1 {
-		e.place(dst, dstPort, msg, wire)
+		e.place(dst, dstPort, wire)
 	} else {
 		sh := e.shardOf[dst]
 		e.buckets[sh] = append(e.buckets[sh], routed{
-			dst: int32(dst), dstPort: int32(dstPort), msg: msg, wire: *wire,
+			dst: int32(dst), dstPort: int32(dstPort), wire: *wire,
 		})
 	}
 }
@@ -1467,9 +1448,8 @@ func (e *engine) emitRelays() {
 		e.relPend--
 		for i := range rl.dsts {
 			d := &rl.dsts[i]
-			e.deliver(int(d.dst), int(d.dstPort), int(d.edge), int(rl.pendBits), rl.pendMsg, &rl.pendWire)
+			e.deliver(int(d.dst), int(d.dstPort), int(d.edge), int(rl.pendBits), &rl.pendWire)
 		}
-		rl.pendMsg = nil
 		if rl.finalPend {
 			// A through order's end marker went out: the node wakes at the
 			// end of this round, its stream complete; put it in front of
@@ -1558,7 +1538,7 @@ func (e *engine) relayWindow() (int, error) {
 					break scan
 				}
 			}
-			emit = append(emit, winFwd{v: v32, final: rl.finalPend, bits: rl.pendBits, msg: rl.pendMsg, wire: rl.pendWire})
+			emit = append(emit, winFwd{v: v32, final: rl.finalPend, bits: rl.pendBits, wire: rl.pendWire})
 		}
 		e.winEmit = emit
 		if !clean {
@@ -1579,7 +1559,6 @@ func (e *engine) relayWindow() (int, error) {
 			rl := &e.relays[emit[i].v]
 			rl.hasPend = false
 			rl.finalPend = false
-			rl.pendMsg = nil
 			e.relPend--
 			if emit[i].final {
 				wake = append(wake, emit[i].v)
@@ -1606,11 +1585,11 @@ func (e *engine) relayWindow() (int, error) {
 					// Discarded unread.
 				default: // modeRelay, clean by the scan pass
 					dl := &e.relays[dst.dst]
-					dl.buf = append(dl.buf, Recv{Port: int(dl.srcPort), Msg: wf.msg, Wire: wf.wire})
+					dl.buf = append(dl.buf, Recv{Port: int(dl.srcPort), Wire: wf.wire})
 					isEnd := wf.wire.Kind == dl.endKind // through, by the scan pass
 					if len(dl.dsts) > 0 {
 						dl.pendBits = wf.bits
-						dl.pendMsg, dl.pendWire = wf.msg, wf.wire
+						dl.pendWire = wf.wire
 						dl.hasPend = true
 						dl.finalPend = isEnd
 						e.relPend++
@@ -1620,7 +1599,6 @@ func (e *engine) relayWindow() (int, error) {
 					}
 				}
 			}
-			wf.msg = nil // drop the scratch reference for the GC
 		}
 		e.winWake = wake
 		stats.Rounds++
@@ -1644,7 +1622,6 @@ func (e *engine) relayWindow() (int, error) {
 	windowRounds.Add(int64(done))
 	return done, nil
 }
-
 
 // windowRounds counts rounds driven by the window relay across all runs —
 // a test-only observability hook (see TestRelayWindowDrain).
@@ -1675,14 +1652,9 @@ func (e *engine) checkRelayers() {
 			if !isEnd || rl.through {
 				rl.buf = append(rl.buf, rc)
 				if len(rl.dsts) > 0 {
-					var b int
-					if rc.Msg != nil {
-						b = rc.Msg.Bits()
-					} else {
-						b, _ = wireBits(rc.Wire)
-					}
+					b, _ := wireBits(rc.Wire)
 					rl.pendBits = int32(b)
-					rl.pendMsg, rl.pendWire = rc.Msg, rc.Wire
+					rl.pendWire = rc.Wire
 					rl.hasPend = true
 					rl.finalPend = isEnd
 					e.relPend++
@@ -1714,7 +1686,6 @@ func (e *engine) checkRelayers() {
 			rl.hasPend = false
 			rl.finalPend = false
 			e.relPend--
-			rl.pendMsg = nil
 		}
 		e.hosts[v].relayLastN = len(final)
 		e.wakeRun(v, e.stats.Rounds, out)
@@ -1836,13 +1807,13 @@ func (e *engine) wakeValid(w wakeEntry) bool {
 // message reaches a given (node, port) per round — ports pair distinct
 // senders and a sender sends once per port — so the touch region never
 // outgrows its arena slice.
-func (e *engine) place(dst, dstPort int, msg Message, wire *Wire) {
+func (e *engine) place(dst, dstPort int, wire *Wire) {
 	if e.tGen[dst] != e.gen {
 		e.tGen[dst] = e.gen
 		e.touchN[dst] = 0
 	}
 	b := e.base[dst]
-	e.slots[b+int32(dstPort)] = Recv{Port: dstPort, Msg: msg, Wire: *wire}
+	e.slots[b+int32(dstPort)] = Recv{Port: dstPort, Wire: *wire}
 	e.slotGen[b+int32(dstPort)] = e.gen
 	e.touchBuf[b+e.touchN[dst]] = int32(dstPort)
 	e.touchN[dst]++
@@ -1899,7 +1870,7 @@ func (e *engine) inbox(v int) []Recv {
 // touch disjoint state.
 func (e *engine) runShard(w int) {
 	for _, rt := range e.buckets[w] {
-		e.place(int(rt.dst), int(rt.dstPort), rt.msg, &rt.wire)
+		e.place(int(rt.dst), int(rt.dstPort), &rt.wire)
 	}
 	cur := e.stats.Rounds
 	if e.coro {

@@ -8,15 +8,13 @@ import (
 	"steinerforest/internal/graph"
 )
 
-// testMsg is a fixed-size payload for engine tests.
-type testMsg struct {
-	val  int64
-	bits int
-}
+// testWireVal is the 64-bit value payload of the engine tests; msg
+// carries v in its C slot.
+const testWireVal uint16 = 104
 
-func (m testMsg) Bits() int { return m.bits }
+func init() { RegisterWireKind(testWireVal, 64) }
 
-func msg(v int64) testMsg { return testMsg{val: v, bits: 64} }
+func msg(v int64) Wire { return Wire{Kind: testWireVal, C: v} }
 
 func TestFloodMaxID(t *testing.T) {
 	// Every node floods the max ID it has seen; after D rounds all agree.
@@ -27,10 +25,10 @@ func TestFloodMaxID(t *testing.T) {
 		for r := 0; r < g.N(); r++ {
 			out := make([]Send, 0, h.Degree())
 			for p := 0; p < h.Degree(); p++ {
-				out = append(out, Send{Port: p, Msg: msg(best)})
+				out = append(out, Send{Port: p, Wire: msg(best)})
 			}
 			for _, rc := range h.Exchange(out) {
-				if v := rc.Msg.(testMsg).val; v > best {
+				if v := rc.Wire.C; v > best {
 					best = v
 				}
 			}
@@ -61,10 +59,10 @@ func TestDeterminism(t *testing.T) {
 		for r := 0; r < 5; r++ {
 			out := make([]Send, 0, h.Degree())
 			for p := 0; p < h.Degree(); p++ {
-				out = append(out, Send{Port: p, Msg: msg(x)})
+				out = append(out, Send{Port: p, Wire: msg(x)})
 			}
 			for _, rc := range h.Exchange(out) {
-				x = (x + rc.Msg.(testMsg).val) % 1000003
+				x = (x + rc.Wire.C) % 1000003
 			}
 		}
 	}
@@ -102,7 +100,7 @@ func TestInboxSortedByPort(t *testing.T) {
 		if !ok {
 			panic("leaf lacks port to center")
 		}
-		h.Exchange([]Send{{Port: p, Msg: msg(int64(h.ID()))}})
+		h.Exchange([]Send{{Port: p, Wire: msg(int64(h.ID()))}})
 	}
 	if _, err := Run(g, program); err != nil {
 		t.Fatal(err)
@@ -149,7 +147,7 @@ func TestBandwidthEnforced(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
 	program := func(h *Host) {
 		if h.ID() == 0 {
-			h.Exchange([]Send{{Port: 0, Msg: testMsg{bits: 100000}}})
+			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireDyn, C: 100000}}})
 		} else {
 			h.Exchange(nil)
 		}
@@ -164,7 +162,7 @@ func TestDuplicatePortSendFails(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
 	program := func(h *Host) {
 		if h.ID() == 0 {
-			h.Exchange([]Send{{Port: 0, Msg: msg(1)}, {Port: 0, Msg: msg(2)}})
+			h.Exchange([]Send{{Port: 0, Wire: msg(1)}, {Port: 0, Wire: msg(2)}})
 		} else {
 			h.Exchange(nil)
 		}
@@ -177,7 +175,7 @@ func TestDuplicatePortSendFails(t *testing.T) {
 func TestInvalidPortFails(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
 	program := func(h *Host) {
-		h.Exchange([]Send{{Port: 5, Msg: msg(1)}})
+		h.Exchange([]Send{{Port: 5, Wire: msg(1)}})
 	}
 	if _, err := Run(g, program); err == nil || !strings.Contains(err.Error(), "invalid port") {
 		t.Fatalf("err = %v", err)
@@ -219,7 +217,7 @@ func TestStaggeredTerminationDropsMail(t *testing.T) {
 			return
 		}
 		for r := 0; r < 3; r++ {
-			h.Exchange([]Send{{Port: 0, Msg: msg(9)}})
+			h.Exchange([]Send{{Port: 0, Wire: msg(9)}})
 		}
 	}
 	stats, err := Run(g, program)
@@ -235,7 +233,7 @@ func TestEdgeTracking(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights)
 	program := func(h *Host) {
 		if h.ID() == 0 {
-			h.Exchange([]Send{{Port: 0, Msg: msg(1)}})
+			h.Exchange([]Send{{Port: 0, Wire: msg(1)}})
 			return
 		}
 		h.Exchange(nil)
@@ -303,7 +301,7 @@ func TestPerNodeRandDiffers(t *testing.T) {
 func TestNilMessageFails(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
 	program := func(h *Host) {
-		h.Exchange([]Send{{Port: 0, Msg: nil}})
+		h.Exchange([]Send{{Port: 0}})
 	}
 	if _, err := Run(g, program); err == nil || !strings.Contains(err.Error(), "nil message") {
 		t.Fatalf("err = %v", err)

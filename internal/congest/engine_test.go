@@ -19,11 +19,11 @@ func chatterProgram(rounds int) Program {
 			out := make([]Send, 0, h.Degree())
 			for p := 0; p < h.Degree(); p++ {
 				if (r+p+h.ID())%3 != 0 {
-					out = append(out, Send{Port: p, Msg: msg(x)})
+					out = append(out, Send{Port: p, Wire: msg(x)})
 				}
 			}
 			for _, rc := range h.Exchange(out) {
-				x = (x + rc.Msg.(testMsg).val) % 1000003
+				x = (x + rc.Wire.C) % 1000003
 			}
 		}
 	}
@@ -85,11 +85,11 @@ func TestDeliveredContentAcrossParallelism(t *testing.T) {
 				out := make([]Send, 0, h.Degree())
 				for q := 0; q < h.Degree(); q++ {
 					if (r+q)%2 == 0 {
-						out = append(out, Send{Port: q, Msg: msg(acc)})
+						out = append(out, Send{Port: q, Wire: msg(acc)})
 					}
 				}
 				for _, rc := range h.Exchange(out) {
-					acc = acc*31 + rc.Msg.(testMsg).val + int64(rc.Port) + int64(h.Neighbor(rc.Port))
+					acc = acc*31 + rc.Wire.C + int64(rc.Port) + int64(h.Neighbor(rc.Port))
 					acc %= 1_000_000_007
 				}
 			}
@@ -155,7 +155,7 @@ func TestDroppedToTerminatedAccounting(t *testing.T) {
 			for r := 0; r < 4; r++ {
 				out := make([]Send, 0, h.Degree())
 				for q := 0; q < h.Degree(); q++ {
-					out = append(out, Send{Port: q, Msg: msg(1)})
+					out = append(out, Send{Port: q, Wire: msg(1)})
 				}
 				if in := h.Exchange(out); len(in) != 0 {
 					panic("terminated neighbors delivered mail")
@@ -208,7 +208,7 @@ func BenchmarkEngineFlood(b *testing.B) {
 		out := make([]Send, h.Degree())
 		for r := 0; r < 30; r++ {
 			for p := 0; p < h.Degree(); p++ {
-				out[p] = Send{Port: p, Msg: msg(int64(r))}
+				out[p] = Send{Port: p, Wire: msg(int64(r))}
 			}
 			h.Exchange(out)
 		}
@@ -231,7 +231,7 @@ func BenchmarkEngineFloodGoroutines(b *testing.B) {
 		out := make([]Send, h.Degree())
 		for r := 0; r < 30; r++ {
 			for p := 0; p < h.Degree(); p++ {
-				out[p] = Send{Port: p, Msg: msg(int64(r))}
+				out[p] = Send{Port: p, Wire: msg(int64(r))}
 			}
 			h.Exchange(out)
 		}
@@ -252,7 +252,7 @@ func BenchmarkEngineFloodParallel(b *testing.B) {
 		out := make([]Send, h.Degree())
 		for r := 0; r < 30; r++ {
 			for p := 0; p < h.Degree(); p++ {
-				out[p] = Send{Port: p, Msg: msg(int64(r))}
+				out[p] = Send{Port: p, Wire: msg(int64(r))}
 			}
 			h.Exchange(out)
 		}
@@ -310,7 +310,7 @@ func init() {
 	RegisterWireKind(benchEndWire, 2)
 }
 
-func BenchmarkRelayDrainWindow(b *testing.B)  { benchDrain(b, 1024, 64) }
+func BenchmarkRelayDrainWindow(b *testing.B) { benchDrain(b, 1024, 64) }
 func BenchmarkRelayDrainPerRound(b *testing.B) {
 	benchDrain(b, 1024, 64, WithWindowRelay(false))
 }

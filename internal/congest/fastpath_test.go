@@ -157,7 +157,7 @@ func TestBandwidthValidatedAtSetup(t *testing.T) {
 	}
 }
 
-// TestWireSendValidation: unregistered kinds and ambiguous sends fail.
+// TestWireSendValidation: unregistered kinds fail.
 func TestWireSendValidation(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
 	_, err := Run(g, func(h *Host) {
@@ -165,12 +165,6 @@ func TestWireSendValidation(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "unregistered wire kind") {
 		t.Fatalf("unregistered kind: %v", err)
-	}
-	_, err = Run(g, func(h *Host) {
-		h.Exchange([]Send{{Port: 0, Msg: msg(1), Wire: Wire{Kind: testWireFixed}}})
-	})
-	if err == nil || !strings.Contains(err.Error(), "both Msg and Wire") {
-		t.Fatalf("ambiguous send: %v", err)
 	}
 }
 

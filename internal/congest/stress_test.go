@@ -139,7 +139,7 @@ func TestSchedulerStress(t *testing.T) {
 // behavior across the configuration grid.
 func TestSchedulerStressStandingOrders(t *testing.T) {
 	const leaves = 9
-	g := graph.Star(leaves + 1, graph.UnitWeights)
+	g := graph.Star(leaves+1, graph.UnitWeights)
 	beat := Wire{Kind: stressWireKind, C: 1}
 	for seed := int64(1); seed <= 3; seed++ {
 		program := func(trace []uint64) Program {

@@ -2,11 +2,10 @@ package congest
 
 import "fmt"
 
-// Wire is the zero-boxing value message of the hot path. A Send or Recv
-// carries it inline (field Wire, active when Kind != 0), so the frequent
-// fixed-shape protocol messages — control markers, counters, distance
-// offers — cross the engine without the heap allocation that boxing a
-// struct into the Message interface would cost.
+// Wire is the engine's one message type: a Send or Recv carries it
+// inline (field Wire; Kind 0 means "no message"), so protocol messages —
+// control markers, counters, distance offers — cross the engine without
+// a heap allocation.
 //
 // The payload slots are deliberately asymmetric: A and B hold node ids,
 // ports, labels or denominator exponents (anything that fits 32 bits), C
@@ -14,7 +13,6 @@ import "fmt"
 // holds a second wide value — typically a packed pair of 32-bit node ids,
 // which is what lets the collect pipelines' candidate items (a dyadic
 // weight plus an inducing edge plus a terminal pair) travel inline.
-// Protocols needing more than that keep using the Message interface.
 //
 // Every Kind must be registered before use (RegisterWireKind /
 // RegisterWireKindFunc); its entry in the width table defines Bits().
@@ -74,8 +72,8 @@ func checkWireReg(kind uint16) {
 	}
 }
 
-// Bits implements Message, so a Wire can also travel boxed where
-// convenient (tests, cold paths). It panics on unregistered kinds.
+// Bits returns the registered encoded width of w. It panics on
+// unregistered kinds.
 func (w Wire) Bits() int {
 	if b, ok := wireBits(w); ok {
 		return b

@@ -18,8 +18,7 @@ import (
 // strict total order with content tie-breaking); direction needs no
 // encoding, since a non-root node receives the down stream only on its
 // parent port and up streams only on child ports. Carrying the items
-// inline — instead of boxing them through a Message envelope per hop —
-// is what keeps the deterministic solver's candidate collection, its
+// inline, never boxed per hop, is what keeps the deterministic solver's candidate collection, its
 // round-dominant phase, allocation-free.
 //
 // newFilter, when non-nil, is called once per node to create that node's

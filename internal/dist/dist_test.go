@@ -30,11 +30,10 @@ func intItemCmp(a, b congest.Wire) int {
 	}
 }
 
-// tokMsg is a boxed RunQuiet payload (the quiescence driver still carries
-// arbitrary Messages).
-type tokMsg struct{ v int }
+// testTokKind is the 32-bit token payload of the RunQuiet test.
+const testTokKind uint16 = 121
 
-func (tokMsg) Bits() int { return 32 }
+func init() { congest.RegisterWireKind(testTokKind, 32) }
 
 type results struct {
 	mu    sync.Mutex
@@ -255,7 +254,7 @@ func TestRunQuietTokenDiffusion(t *testing.T) {
 		has := h.ID() == 0
 		step := func(_ int, in []congest.Recv) ([]congest.Send, bool) {
 			for _, rc := range in {
-				if _, ok := rc.Msg.(tokMsg); ok {
+				if rc.Wire.Kind == testTokKind {
 					has = true
 				}
 			}
@@ -264,7 +263,7 @@ func TestRunQuietTokenDiffusion(t *testing.T) {
 			}
 			if p, ok := h.PortOf(h.ID() + 1); ok {
 				has = false
-				return []congest.Send{{Port: p, Msg: tokMsg{v: 1}}}, false
+				return []congest.Send{{Port: p, Wire: congest.Wire{Kind: testTokKind, C: 1}}}, false
 			}
 			return nil, false // right end: keep it
 		}

@@ -21,7 +21,7 @@ const (
 
 // flight is one in-progress solve all identical concurrent requests
 // attach to: the first requester (the leader) carries the job through
-// admission and the batcher; followers just wait on done. Followers
+// admission and onto a worker; followers just wait on done. Followers
 // attach before the leader is admitted, so collapsed requests never
 // consume queue depth — and if the leader is rejected, every follower
 // shares that rejection (they arrived during the same overload).
@@ -30,7 +30,6 @@ type flight struct {
 	outcome flightOutcome
 	res     *steinerforest.Result
 	err     error
-	batch   int // batch size the leader's solve rode in (flightSolved)
 }
 
 // cacheEntry is one cached result plus its LRU bookkeeping.
@@ -92,14 +91,14 @@ func (c *solveCache) lookup(key steinerforest.Spec) (res *steinerforest.Result, 
 // LRU (evicting from the cold end until it fits), and every waiter is
 // released. Errors and admission failures are never cached — the next
 // identical request starts a fresh flight.
-func (c *solveCache) complete(key steinerforest.Spec, fl *flight, outcome flightOutcome, res *steinerforest.Result, err error, batch int) {
+func (c *solveCache) complete(key steinerforest.Spec, fl *flight, outcome flightOutcome, res *steinerforest.Result, err error) {
 	c.mu.Lock()
 	delete(c.flights, key)
 	if outcome == flightSolved {
 		c.insertLocked(key, res)
 	}
 	c.mu.Unlock()
-	fl.outcome, fl.res, fl.err, fl.batch = outcome, res, err, batch
+	fl.outcome, fl.res, fl.err = outcome, res, err
 	close(fl.done)
 }
 

@@ -16,12 +16,12 @@ import (
 
 // TestCacheHitBitIdentical is the cache's correctness property: for every
 // registered algorithm over every workload family, the second identical
-// request must answer from the cache (Cached=true, Batch=0) and be
+// request must answer from the cache (Cached=true) and be
 // bit-identical — weight, edges, rounds, messages, bits — to a fresh
 // standalone Solve of the same spec.
 func TestCacheHitBitIdentical(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		QueueDepth: 16, MaxBatch: 4, BatchWindow: -1, Workers: 2,
+		QueueDepth: 16, Workers: 2,
 	})
 	families := []string{"planted", "grid2d", "geometric"}
 	for _, fam := range families {
@@ -46,8 +46,8 @@ func TestCacheHitBitIdentical(t *testing.T) {
 			if first.Cached {
 				t.Errorf("%s/%s: first request was already cached", fam, algo)
 			}
-			if !second.Cached || second.Batch != 0 {
-				t.Errorf("%s/%s: second identical request not a cache hit: cached=%v batch=%d", fam, algo, second.Cached, second.Batch)
+			if !second.Cached {
+				t.Errorf("%s/%s: second identical request not a cache hit", fam, algo)
 			}
 			spec := steinerforest.Spec{Algorithm: algo, Seed: 5, NoCertificate: true}
 			want, err := steinerforest.Solve(ins, spec.Canonical())
@@ -89,7 +89,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	defer unblock() // a failed poll must still unblock the stub before cleanup's Shutdown
 
 	srv, ts := newTestServer(t, Config{
-		QueueDepth: 2, MaxBatch: 4, BatchWindow: -1, Workers: 1,
+		QueueDepth: 2, Workers: 1,
 	})
 	srv.solveSlots = func(ins []*steinerforest.Instance, specs []steinerforest.Spec, ctxs []context.Context, workers int, run steinerforest.SlotFunc) ([]steinerforest.SlotResult, error) {
 		calls.Add(1)
@@ -182,7 +182,7 @@ func TestSingleflightCollapse(t *testing.T) {
 // request (a miss, not an error).
 func TestCacheEviction(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		QueueDepth: 16, MaxBatch: 1, BatchWindow: -1, Workers: 1,
+		QueueDepth: 16, Workers: 1,
 		CacheBytes: 400, // resultBytes is 256 fixed + payload: one entry fits, two never do
 	})
 	for seed := int64(1); seed <= 3; seed++ {

@@ -33,9 +33,10 @@ func demandsFromInstance(ins *steiner.Instance) (*steinerforest.DemandSet, error
 }
 
 // updateJob is the payload of a demand-update request riding the
-// admission queue: it shares overload semantics (429/503) with solves,
-// and the single dispatcher applies it between solve batches, so no
-// solver run ever observes a half-applied update.
+// admission queue: it shares overload semantics (429/503) with solves.
+// A worker applies it under the instance's update lock and publishes the
+// result with one entry swap, so no solver run ever observes a
+// half-applied update.
 type updateJob struct {
 	name   string
 	events []workload.TimelineEvent
@@ -53,18 +54,21 @@ func (u *updateJob) fail(code string, format string, args ...any) {
 	u.done <- updateAnswer{err: fmt.Errorf(format, args...), code: code}
 }
 
-// applyDemandUpdate runs one admitted update job on the dispatcher
-// goroutine. The whole event list is validated against a scratch copy
-// first (an update applies atomically or not at all), then the policy
-// steps through the events with the entry's warm arena pool, and
-// finally a replacement entry — new cumulative instance, updated
-// standing forest, fresh empty result cache — is swapped in under the
-// instance lock. Cached results for the pre-update demand set die with
+// applyDemandUpdate runs one admitted update job on a worker. It holds
+// the instance's update lock throughout, so updates on one instance
+// never overlap and each starts from the entry the previous one swapped
+// in (a worker waiting for the lock is held meanwhile); updates on
+// different instances run concurrently (the policies are stateless and
+// the arena pool is safe for concurrent use). The whole event list is
+// validated against a scratch copy first (an update applies atomically
+// or not at all), then the policy steps through the events with the
+// entry's warm arena pool, and finally a replacement entry — new
+// cumulative instance, updated standing forest, fresh empty result
+// cache — is swapped in under the instance map lock. Cached results for the pre-update demand set die with
 // the orphaned old entry: a post-update solve can only miss and re-run,
 // which is the cache-invalidation correctness contract the pinning test
 // holds.
-func (s *Server) applyDemandUpdate(j *job) {
-	u := j.update
+func (s *Server) applyDemandUpdate(u *updateJob) {
 	if s.policyErr != nil {
 		u.fail("internal", "policy %q: %v", s.cfg.Policy, s.policyErr)
 		return
@@ -74,6 +78,11 @@ func (s *Server) applyDemandUpdate(j *job) {
 		u.fail("not_found", "no resident instance %q (see GET /v1/instances)", u.name)
 		return
 	}
+	e.state.update.Lock()
+	defer e.state.update.Unlock()
+	// Instances are never unregistered, so the re-read is the entry the
+	// last update on this instance swapped in.
+	e = s.lookup(u.name)
 
 	ds := e.demands.Clone()
 	for i, ev := range u.events {
@@ -148,7 +157,7 @@ func (s *Server) applyDemandUpdate(j *job) {
 			K: newIns.NumComponents(), Terminals: newIns.NumTerminals(),
 			Family: e.info.Family, Pairs: replay.Len(), Events: e.events + len(u.events),
 		},
-		ins: newIns, pool: e.pool, health: e.health,
+		ins: newIns, pool: e.pool, state: e.state,
 		demands: replay, standing: standing, events: e.events + len(u.events),
 	}
 	if !s.cfg.DisableCache {

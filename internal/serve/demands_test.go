@@ -43,7 +43,7 @@ func decodeEnvelope(t *testing.T, body []byte) ErrorDetail {
 // run on the new cumulative demand set, bit-identical to a standalone
 // Solve on it, not the cached pre-update forest.
 func TestDemandUpdateInvalidatesCache(t *testing.T) {
-	srv, ts := newTestServer(t, Config{BatchWindow: -1})
+	srv, ts := newTestServer(t, Config{})
 	req := SolveRequest{Algorithm: "det", Seed: 3}
 
 	resp1, body1 := postJSON(t, ts.URL+"/v1/instances/path/solve", req)
@@ -128,7 +128,7 @@ func TestDemandUpdateInvalidatesCache(t *testing.T) {
 // nothing — 400 with the bad_request code, same pair count, and a
 // subsequent solve identical to the pre-update answer.
 func TestDemandUpdateAtomicity(t *testing.T) {
-	srv, ts := newTestServer(t, Config{BatchWindow: -1})
+	srv, ts := newTestServer(t, Config{})
 	pre := srv.lookup("path")
 	prePairs := pre.info.Pairs
 
@@ -167,7 +167,7 @@ func TestDemandUpdateAtomicity(t *testing.T) {
 // TestDemandUpdateValidation pins the request-side status codes and
 // envelope codes for the demands route.
 func TestDemandUpdateValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1})
+	_, ts := newTestServer(t, Config{})
 
 	cases := []struct {
 		name     string
@@ -203,7 +203,7 @@ func TestDemandUpdateValidation(t *testing.T) {
 // handlers (identical solver answers for identical requests), and the
 // scoped solve rejects a body that names a different instance.
 func TestV1RoutingEquivalence(t *testing.T) {
-	srv, ts := newTestServer(t, Config{BatchWindow: -1})
+	srv, ts := newTestServer(t, Config{})
 
 	// Scoped vs legacy solve: same spec, same answer.
 	req := SolveRequest{Algorithm: "det", Seed: 11, NoCert: true}
@@ -293,7 +293,7 @@ func TestV1RoutingEquivalence(t *testing.T) {
 // updates ride the same admission queue as solves, so a solve admitted
 // after an update observes the post-update instance.
 func TestDemandUpdateSerializedWithSolves(t *testing.T) {
-	srv, ts := newTestServer(t, Config{BatchWindow: -1, Policy: "repair"})
+	srv, ts := newTestServer(t, Config{Policy: "repair"})
 	pre := srv.lookup("path")
 	var u, v int
 	u, v = -1, -1

@@ -20,7 +20,7 @@ import (
 // plus the strict epsilon parser), so malformed requests fail with 400
 // and a precise message instead of a late solver error.
 type SolveRequest struct {
-	Instance    string `json:"instance,omitempty"` // redundant on the /v1 path-scoped route
+	Instance    string `json:"instance,omitempty"`  // redundant on the /v1 path-scoped route
 	Algorithm   string `json:"algorithm,omitempty"` // "" = det
 	Eps         string `json:"eps,omitempty"`       // "num/den", e.g. "1/2"
 	Seed        int64  `json:"seed,omitempty"`
@@ -30,9 +30,9 @@ type SolveRequest struct {
 	NoCert      bool   `json:"nocert,omitempty"`
 }
 
-// Spec translates the request into the Spec its batch slot will carry.
-// The request's seed is used verbatim — this is what makes serving
-// bit-identical to standalone Solve calls regardless of batching.
+// Spec translates the request into the Spec its solve will carry. The
+// request's seed is used verbatim — this is what makes serving
+// bit-identical to standalone Solve calls however loaded the server is.
 func (r SolveRequest) Spec() (steinerforest.Spec, error) {
 	spec := steinerforest.Spec{
 		Algorithm:     r.Algorithm,
@@ -66,7 +66,6 @@ type SolveResponse struct {
 	Rounds     int     `json:"rounds,omitempty"`
 	Messages   int64   `json:"messages,omitempty"`
 	Bits       int64   `json:"bits,omitempty"`
-	Batch      int     `json:"batch"`            // size of the batch this request rode in (0 = cache hit)
 	Cached     bool    `json:"cached,omitempty"` // answered from the result cache, no solver run
 	ElapsedMS  float64 `json:"elapsed_ms"`       // admission to completion, server-side
 }
@@ -155,7 +154,7 @@ var errForceAbort = errors.New("serve: force-aborted at shutdown deadline")
 // (deadlineHeader, else Config.DefaultDeadline; 0 = none), and the
 // server's force-abort. The returned cancel must be called when the
 // handler exits — which is itself the "client is gone" signal the
-// dispatcher's eviction and the engine's round-boundary abort observe.
+// worker's eviction and the engine's round-boundary abort observe.
 // A malformed header yields an error (the handler answers 400).
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
 	deadline := s.cfg.DefaultDeadline
@@ -295,7 +294,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 	// The canonical spec is both the cache key and what actually gets
 	// solved: Canonical only folds knobs the equivalence suite pins as
 	// result-neutral, so every observationally-identical request shares
-	// one cache slot, one singleflight, and one batch-compatible key.
+	// one cache slot and one singleflight.
 	canon := spec.Canonical()
 	if !slices.Contains(steinerforest.Algorithms(), canon.Algorithm) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "unknown algorithm %q (registered: %v)", canon.Algorithm, steinerforest.Algorithms())
@@ -309,7 +308,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server draining")
 		return
 	}
-	if e.health != nil && e.health.quarantined.Load() {
+	if e.state.quarantined.Load() {
 		writeError(w, http.StatusServiceUnavailable, codeQuarantined,
 			"instance %q quarantined after repeated solver panics", req.Instance)
 		return
@@ -328,7 +327,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 		case res != nil:
 			s.metrics.incHit()
 			s.metrics.recordDone(time.Since(start), false)
-			s.writeSolveResult(w, req.Instance, res, 0, true, start)
+			s.writeSolveResult(w, req.Instance, res, true, start)
 			return
 		case !leader:
 			// Collapse onto the identical in-flight miss: wait for its
@@ -349,9 +348,8 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 	j := &job{
 		ins:      e.ins,
 		spec:     solveSpec,
-		key:      batchKey{algorithm: canon.Algorithm, noCert: canon.NoCertificate, parallelism: canon.Parallelism},
 		admitted: start,
-		done:     make(chan jobResult, 1),
+		done:     make(chan steinerforest.SlotResult, 1),
 		ctx:      ctx,
 		entry:    e,
 	}
@@ -361,13 +359,13 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 	switch s.admit(j) {
 	case admitFull:
 		if fl != nil {
-			e.cache.complete(canon, fl, flightRejected, nil, nil, 0)
+			e.cache.complete(canon, fl, flightRejected, nil, nil)
 		}
 		s.writeRejected(w)
 		return
 	case admitDraining:
 		if fl != nil {
-			e.cache.complete(canon, fl, flightDrained, nil, nil, 0)
+			e.cache.complete(canon, fl, flightDrained, nil, nil)
 		}
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server draining")
 		return
@@ -375,22 +373,22 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 
 	select {
 	case out := <-j.done:
-		if out.err != nil {
-			s.writeSolveError(w, out.err)
+		if out.Err != nil {
+			s.writeSolveError(w, out.Err)
 			return
 		}
-		s.writeSolveResult(w, req.Instance, out.res, out.batch, false, start)
+		s.writeSolveResult(w, req.Instance, out.Res, false, start)
 	case <-ctx.Done():
 		// Request over (client gone, deadline, or force-abort). The
-		// deferred cancel propagates into j.ctx, so the dispatcher evicts
-		// the job if it is still queued, or the engine aborts the run at
-		// its next round boundary; the buffered done channel lets the
-		// dispatcher finish the slot (and resolve the flight) either way.
+		// deferred cancel propagates into j.ctx, so a worker evicts the
+		// job if it is still queued, or the engine aborts the run at its
+		// next round boundary; the buffered done channel lets the worker
+		// finish the job (and resolve the flight) either way.
 		s.writeCtxError(w, ctx)
 	}
 }
 
-// writeSolveError maps a dispatcher-reported solve error onto the
+// writeSolveError maps a worker-reported solve error onto the
 // envelope: quarantine and cancellation are service conditions (503/504),
 // everything else — including recovered solver panics — is a 500.
 func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
@@ -424,8 +422,8 @@ func (s *Server) writeCtxError(w http.ResponseWriter, ctx context.Context) {
 
 // handleDemands serves POST /v1/instances/{name}/demands: the event
 // stream is admitted through the same bounded queue as solves (full
-// queue and draining answers match), and the single dispatcher applies
-// it atomically between solve batches.
+// queue and draining answers match), and a worker applies it atomically
+// under the instance's update lock.
 func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	name := r.PathValue("name")
@@ -499,8 +497,8 @@ func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
 		ans.res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000.0
 		writeJSON(w, http.StatusOK, ans.res)
 	case <-r.Context().Done():
-		// The dispatcher still applies the admitted update; only the
-		// response is lost (the buffered channel keeps apply non-blocking).
+		// A worker still applies the admitted update; only the response
+		// is lost (the buffered channel keeps apply non-blocking).
 		writeError(w, http.StatusServiceUnavailable, codeCancelled, "client cancelled")
 	}
 }
@@ -521,7 +519,7 @@ func (s *Server) waitFlight(w http.ResponseWriter, ctx context.Context, instance
 	switch fl.outcome {
 	case flightSolved:
 		s.metrics.recordDone(time.Since(start), false)
-		s.writeSolveResult(w, instance, fl.res, fl.batch, false, start)
+		s.writeSolveResult(w, instance, fl.res, false, start)
 	case flightError, flightCancelled:
 		s.metrics.recordDone(time.Since(start), true)
 		s.writeSolveError(w, fl.err)
@@ -547,12 +545,12 @@ func (s *Server) writeRejected(w http.ResponseWriter) {
 	}})
 }
 
-func (s *Server) writeSolveResult(w http.ResponseWriter, instance string, res *steinerforest.Result, batch int, cached bool, start time.Time) {
+func (s *Server) writeSolveResult(w http.ResponseWriter, instance string, res *steinerforest.Result, cached bool, start time.Time) {
 	resp := SolveResponse{
 		Instance: instance, Algorithm: res.Algorithm,
 		Weight: res.Weight, Edges: res.Solution.Size(),
 		LowerBound: res.LowerBound, Certified: res.Certified,
-		Batch: batch, Cached: cached,
+		Cached:    cached,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000.0,
 	}
 	if res.Stats != nil {

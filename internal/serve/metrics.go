@@ -10,8 +10,7 @@ import (
 // Stats is the /statsz snapshot: admission counters, live gauges, and the
 // latency distribution of completed requests since the last reset. All
 // latency figures are admission-to-response milliseconds measured
-// server-side, so they include queueing and batching delay, not just
-// solver time.
+// server-side, so they include queueing delay, not just solver time.
 type Stats struct {
 	// Admission counters.
 	Accepted  uint64 `json:"accepted"`  // admitted into the queue
@@ -33,7 +32,7 @@ type Stats struct {
 
 	// Request-lifecycle robustness: cancellations observed at response
 	// time (client gone or force-abort), deadline misses, queue evictions
-	// (jobs dropped before batching because their context had already
+	// (jobs dropped before solving because their context had already
 	// fired), recovered solver panics, and quarantined instances (gauge,
 	// filled by Statsz). SolveNs/WastedSolveNs split wall-clock solver
 	// time by whether anyone could still use the answer — the R1 table's
@@ -61,14 +60,8 @@ type Stats struct {
 	ArenaColdSetupNs int64  `json:"arena_cold_setup_ns"`
 
 	// Live gauges.
-	QueueDepth int `json:"queue_depth"` // requests admitted but not yet dispatched
-	InFlight   int `json:"in_flight"`   // requests inside a running batch
-
-	// Batching.
-	Batches     uint64  `json:"batches"`       // dispatched batches
-	BatchedReqs uint64  `json:"batched_reqs"`  // requests across all batches
-	MeanBatch   float64 `json:"mean_batch"`    // BatchedReqs / Batches
-	MaxBatchLen int     `json:"max_batch_len"` // largest batch dispatched
+	QueueDepth int `json:"queue_depth"` // requests admitted but not yet taken by a worker
+	InFlight   int `json:"in_flight"`   // solves a worker is running
 
 	// Latency of completed requests (ms) and throughput since the last
 	// reset.
@@ -106,10 +99,6 @@ type metrics struct {
 	demandUpdates atomic.Uint64
 	demandEvents  atomic.Uint64
 
-	batches     atomic.Uint64
-	batchedReqs atomic.Uint64
-	maxBatchLen atomic.Int64
-
 	mu        sync.Mutex
 	latencies []float64 // ms, completed requests only
 	stride    int       // keep every stride-th sample (decimation)
@@ -142,9 +131,6 @@ func (m *metrics) reset() {
 	m.wastedSolveNs.Store(0)
 	m.demandUpdates.Store(0)
 	m.demandEvents.Store(0)
-	m.batches.Store(0)
-	m.batchedReqs.Store(0)
-	m.maxBatchLen.Store(0)
 	m.mu.Lock()
 	m.latencies = m.latencies[:0]
 	m.stride, m.skip = 1, 0
@@ -177,17 +163,6 @@ func (m *metrics) addSolveNs(ns int64, wasted bool) {
 func (m *metrics) incDemandUpdate(events int) {
 	m.demandUpdates.Add(1)
 	m.demandEvents.Add(uint64(events))
-}
-
-func (m *metrics) recordBatch(size int) {
-	m.batches.Add(1)
-	m.batchedReqs.Add(uint64(size))
-	for {
-		cur := m.maxBatchLen.Load()
-		if int64(size) <= cur || m.maxBatchLen.CompareAndSwap(cur, int64(size)) {
-			return
-		}
-	}
 }
 
 // recordDone records one finished request: its latency when it succeeded,
@@ -239,7 +214,6 @@ func (m *metrics) snapshot(queueDepth, inFlight int) Stats {
 	sort.Float64s(sorted)
 	up := time.Since(start).Seconds()
 	completed := m.completed.Load()
-	batches, batchedReqs := m.batches.Load(), m.batchedReqs.Load()
 	s := Stats{
 		Accepted: m.accepted.Load(), Rejected: m.rejected.Load(), Drained: m.drained.Load(),
 		Completed: completed, Errors: m.errors.Load(),
@@ -249,15 +223,11 @@ func (m *metrics) snapshot(queueDepth, inFlight int) Stats {
 		SolveNs: m.solveNs.Load(), WastedSolveNs: m.wastedSolveNs.Load(),
 		DemandUpdates: m.demandUpdates.Load(), DemandEvents: m.demandEvents.Load(),
 		QueueDepth: queueDepth, InFlight: inFlight,
-		Batches: batches, BatchedReqs: batchedReqs, MaxBatchLen: int(m.maxBatchLen.Load()),
 		P50ms: quantile(sorted, 0.50), P99ms: quantile(sorted, 0.99),
 		UptimeSec: up,
 	}
 	if len(sorted) > 0 {
 		s.MaxMs = sorted[len(sorted)-1]
-	}
-	if batches > 0 {
-		s.MeanBatch = float64(batchedReqs) / float64(batches)
 	}
 	if up > 0 {
 		s.PerSec = float64(completed) / up

@@ -82,7 +82,7 @@ func wantStandalone(t *testing.T, srv *Server, name string, req SolveRequest, go
 // arenas survived the aborts.
 func TestCancelStormStress(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		QueueDepth: 256, MaxBatch: 8, BatchWindow: 2 * time.Millisecond, Workers: 4,
+		QueueDepth: 256, Workers: 4,
 	})
 
 	const storm = 32
@@ -118,8 +118,8 @@ func TestCancelStormStress(t *testing.T) {
 		}
 	}
 
-	// Drain the queue: a sentinel solve admitted after the storm answers
-	// only once the FIFO dispatcher has dealt with every storm job.
+	// A sentinel solve admitted after the storm: the FIFO queue hands it
+	// to a worker only after every storm job has been taken.
 	if st, _, _ := postSolveCtx(t, nil, ts.URL, SolveRequest{Instance: "path", Algorithm: "det", Seed: 9999, NoCert: true}, 0); st != http.StatusOK {
 		t.Fatalf("post-storm sentinel solve: status %d", st)
 	}
@@ -144,15 +144,31 @@ func TestCancelStormStress(t *testing.T) {
 // the same spec runs the solver (Cached=false) and only then populates
 // the cache.
 func TestCancelledRunNeverCached(t *testing.T) {
+	// Every solve stalls 150ms, and the only worker is busy with a
+	// blocker, so the 10ms-deadline request expires while queued.
+	inj := chaos.New(chaos.Config{Seed: 1, StallEvery: 1, Stall: 150 * time.Millisecond})
 	srv, ts := newTestServer(t, Config{
-		QueueDepth: 8, BatchWindow: 150 * time.Millisecond, Workers: 2,
+		QueueDepth: 8, Workers: 1, Chaos: inj,
 	})
+	blocked := make(chan struct{})
+	go func() {
+		defer close(blocked)
+		postSolveCtx(t, nil, ts.URL, SolveRequest{Instance: "path", Algorithm: "det", Seed: 1, NoCert: true}, 0)
+	}()
+	defer func() { <-blocked }()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Statsz().Accepted < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	req := SolveRequest{Instance: "path", Algorithm: "det", Seed: 424, NoCert: true}
 	status, _, env := postSolveCtx(t, nil, ts.URL, req, 10)
 	if status != http.StatusGatewayTimeout || env.Error.Code != codeDeadline {
 		t.Fatalf("expired request: status %d code %q, want 504 deadline_exceeded", status, env.Error.Code)
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for srv.Statsz().Evicted < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("eviction never recorded")
@@ -180,8 +196,10 @@ func TestCancelledRunNeverCached(t *testing.T) {
 // its own context fires — without cancelling the leader, whose answer
 // must still land bit-identically.
 func TestFollowerDetachesOnOwnContext(t *testing.T) {
+	// The leader's solve stalls 300ms, long past the follower's detach.
+	inj := chaos.New(chaos.Config{Seed: 1, StallEvery: 1, Stall: 300 * time.Millisecond})
 	srv, ts := newTestServer(t, Config{
-		QueueDepth: 16, MaxBatch: 4, BatchWindow: 300 * time.Millisecond, Workers: 2,
+		QueueDepth: 16, Workers: 2, Chaos: inj,
 	})
 	req := SolveRequest{Instance: "path", Algorithm: "det", Seed: 77, NoCert: true}
 
@@ -235,7 +253,7 @@ func TestFollowerDetachesOnOwnContext(t *testing.T) {
 func TestQuarantineAfterPanicStreak(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 3, PanicEvery: 1, PanicTarget: "path"})
 	srv, ts := newTestServer(t, Config{
-		BatchWindow: -1, DisableCache: true, QuarantineAfter: 2, Chaos: inj,
+		DisableCache: true, QuarantineAfter: 2, Chaos: inj,
 	})
 	for i := 0; i < 2; i++ {
 		status, _, env := postSolveCtx(t, nil, ts.URL, SolveRequest{Instance: "path", Seed: int64(i), NoCert: true}, 0)
@@ -258,7 +276,7 @@ func TestQuarantineAfterPanicStreak(t *testing.T) {
 func TestPanicStreakResetsOnSuccess(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 3, PanicEvery: 2, PanicTarget: "path"})
 	srv, ts := newTestServer(t, Config{
-		BatchWindow: -1, DisableCache: true, QuarantineAfter: 2, Chaos: inj,
+		DisableCache: true, QuarantineAfter: 2, Chaos: inj,
 	})
 	saw500 := 0
 	for i := 0; i < 6; i++ {
@@ -284,16 +302,25 @@ func TestPanicStreakResetsOnSuccess(t *testing.T) {
 }
 
 // TestDeadlineEviction pins deadline-aware admission: a request whose
-// deadline expires while it waits out the batch linger is answered 504
+// deadline expires while it waits behind a busy worker is answered 504
 // deadline_exceeded and evicted from the queue without a solver run.
 func TestDeadlineEviction(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		QueueDepth: 8, BatchWindow: 200 * time.Millisecond, DisableCache: true,
+		QueueDepth: 8, Workers: 1, DisableCache: true,
 	})
+	started, release := blockSolves(t, srv)
+	blocked := make(chan struct{})
+	go func() {
+		defer close(blocked)
+		postSolveCtx(t, nil, ts.URL, SolveRequest{Instance: "path", Seed: 2, NoCert: true}, 0)
+	}()
+	<-started // the only worker is held; the next request stays queued
 	status, _, env := postSolveCtx(t, nil, ts.URL, SolveRequest{Instance: "path", Seed: 1, NoCert: true}, 10)
 	if status != http.StatusGatewayTimeout || env.Error.Code != codeDeadline {
 		t.Fatalf("expired request: status %d code %q, want 504 deadline_exceeded", status, env.Error.Code)
 	}
+	release()
+	<-blocked
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := srv.Statsz()
@@ -313,7 +340,7 @@ func TestDeadlineEviction(t *testing.T) {
 // TestInvalidDeadlineHeaderRejected pins the 400 path for a malformed
 // X-Request-Deadline-Ms.
 func TestInvalidDeadlineHeaderRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1})
+	_, ts := newTestServer(t, Config{})
 	for _, bad := range []string{"zero", "0", "-5", "1.5"} {
 		hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/solve",
 			bytes.NewReader([]byte(`{"instance":"path","nocert":true}`)))
@@ -336,7 +363,7 @@ func TestInvalidDeadlineHeaderRejected(t *testing.T) {
 // instead of waiting out the stall.
 func TestShutdownTimeoutForceAborts(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 1, StallEvery: 1, Stall: 30 * time.Second})
-	srv := New(Config{BatchWindow: -1, DisableCache: true, Chaos: inj})
+	srv := New(Config{DisableCache: true, Chaos: inj})
 	if err := srv.RegisterInstance("path", testInstance(t), "gnp"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,20 @@
 // Package serve is the long-lived solver service behind cmd/dsfserve: it
-// keeps workload families and parsed instances resident, admits solve
-// requests into a bounded queue (429 + Retry-After on overflow), coalesces
-// compatible requests into batches dispatched onto the root package's
-// SolveBatchSpecs worker pool, and exposes the results — plus queue/
-// latency/throughput metrics — over HTTP/JSON.
+// keeps workload families and parsed instances resident, admits solve and
+// demand-update requests into a bounded queue (429 + Retry-After on
+// overflow), runs them on Config.Workers long-lived workers that each
+// pull one job at a time straight off the queue, and exposes the results
+// — plus queue/latency/throughput metrics — over HTTP/JSON.
 //
 // The serving contract is bit-determinism end to end: a request's seed is
-// used verbatim in its per-slot Spec, so the response is identical to a
-// standalone Solve(ins, spec) no matter how requests were coalesced, how
-// loaded the server was, or which batch composition they landed in
-// (SolveBatchSpecs pins slot i to Solve(instances[i], specs[i]) at every
-// worker count). Batching changes latency, never answers.
+// used verbatim in its Spec, so the response is identical to a standalone
+// Solve(ins, spec) no matter how loaded the server was or which worker
+// ran it. Concurrency changes latency, never answers.
+//
+// Demand updates on one instance are serialized by a per-instance lock,
+// and each builds on the entry the previous one swapped in; updates on
+// different instances run concurrently. An update answered before
+// another is admitted applies first, and a solve sees the demand state
+// applied at its admission (the handler binds the entry then).
 package serve
 
 import (
@@ -37,18 +41,9 @@ type Config struct {
 	// Retry-After hint rather than blocking the handler.
 	QueueDepth int
 
-	// MaxBatch caps how many compatible requests one dispatch coalesces
-	// (default 16).
-	MaxBatch int
-
-	// BatchWindow is how long the dispatcher lingers after the first
-	// queued request to let a batch form (default 2ms; negative disables
-	// the linger, so batches only form from requests that queued while a
-	// previous batch was solving).
-	BatchWindow time.Duration
-
-	// Workers sizes the solver pool a batch is dispatched onto
-	// (default runtime.NumCPU()).
+	// Workers is how many admitted jobs run at once: each worker pulls
+	// one job off the queue and runs it to completion (default, and for
+	// any value below 1, runtime.NumCPU()).
 	Workers int
 
 	// RetryAfter is the hint returned with 429 responses, rounded up to
@@ -74,14 +69,14 @@ type Config struct {
 
 	// DefaultDeadline bounds every solve request that does not carry its
 	// own X-Request-Deadline-Ms header (0 = no server-side deadline). A
-	// request past its deadline is evicted from the queue before
-	// batching, or aborted at the solver's next round boundary, and
+	// request past its deadline is evicted from the queue before it is
+	// solved, or aborted at the solver's next round boundary, and
 	// answered 504 deadline_exceeded.
 	DefaultDeadline time.Duration
 
 	// QuarantineAfter is how many consecutive solver panics on one
 	// resident instance flip it to quarantined (refusing further solves
-	// with 503 quarantined instead of risking the dispatcher). Default 3;
+	// with 503 quarantined instead of risking a worker). Default 3;
 	// negative disables quarantining. A successful solve resets the
 	// streak; quarantine survives demand-update entry swaps.
 	QuarantineAfter int
@@ -94,8 +89,8 @@ type Config struct {
 	DisableCancellation bool
 
 	// Chaos, when non-nil, injects deterministic faults (solver stalls,
-	// panics at the batch-slot boundary, slow engine rounds) into every
-	// dispatch — the test-only hook behind the chaos harness and
+	// panics at the solve-slot boundary, slow engine rounds) into every
+	// solve — the test-only hook behind the chaos harness and
 	// `dsfserve -chaos-smoke`. Production configs leave it nil.
 	Chaos *chaos.Injector
 }
@@ -104,13 +99,7 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 16
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.Workers == 0 {
+	if c.Workers < 1 {
 		c.Workers = runtime.NumCPU()
 	}
 	if c.RetryAfter == 0 {
@@ -140,28 +129,30 @@ type InstanceInfo struct {
 	Events    int    `json:"events,omitempty"` // demand-update events absorbed so far
 }
 
-// instanceHealth tracks panic quarantining for one resident instance.
-// It is shared by pointer across demand-update entry swaps (like the
-// arena pool), so a poisoned instance stays quarantined through updates.
-// streak is only touched from the dispatcher goroutine; quarantined is
-// atomic because handlers read it without the dispatcher's cadence.
-type instanceHealth struct {
+// instanceState is the per-instance state every entry generation shares:
+// demand-update swaps carry the pointer over (like the arena pool), so a
+// poisoned instance stays quarantined through updates and updates stay
+// serialized across swaps. Workers and handlers touch it concurrently.
+type instanceState struct {
+	// update serializes demand updates on the instance, so each one
+	// builds on the entry the previous one swapped in.
+	update      sync.Mutex
 	quarantined atomic.Bool
-	streak      int // consecutive solver panics (dispatcher-only)
+	streak      atomic.Int64 // consecutive solver panics
 }
 
 // entry is one resident instance. Demand updates never mutate an entry
-// in place: the dispatcher builds a replacement (new cumulative
+// in place: the updating worker builds a replacement (new cumulative
 // instance, fresh result cache, same warm arena pool) and swaps the map
 // slot, so a solve racing an update sees either the complete old state
 // or the complete new one — and a singleflight completing late inserts
 // into the orphaned old cache, where no future lookup can find it.
 type entry struct {
-	info   InstanceInfo
-	ins    *steiner.Instance
-	cache  *solveCache        // nil when Config.DisableCache
-	pool   *congest.ArenaPool // warm engine arenas for this instance's CSR shape
-	health *instanceHealth    // panic-quarantine state, shared across swaps
+	info  InstanceInfo
+	ins   *steiner.Instance
+	cache *solveCache        // nil when Config.DisableCache
+	pool  *congest.ArenaPool // warm engine arenas for this instance's CSR shape
+	state *instanceState     // quarantine and update lock, shared across swaps
 
 	// demands is the live pair multiset the instance's labels encode;
 	// standing is the policy-maintained forest (nil until the first
@@ -176,9 +167,8 @@ type entry struct {
 // stop with Shutdown.
 type Server struct {
 	cfg     Config
-	queue   chan *job
-	stop    chan struct{}
-	batcher sync.WaitGroup
+	queue   chan *job // closed by beginDrain once admission has stopped
+	workers sync.WaitGroup
 	metrics *metrics
 
 	// admitMu guards the draining flag against in-progress admissions:
@@ -188,9 +178,8 @@ type Server struct {
 	admitMu  sync.RWMutex
 	draining bool
 
-	// inFlight counts requests inside a running batch (gauge only).
-	inFlightMu sync.Mutex
-	inFlight   int
+	// inFlight counts solves a worker is running (gauge only).
+	inFlight atomic.Int64
 
 	instMu    sync.RWMutex
 	instances map[string]*entry
@@ -207,26 +196,27 @@ type Server struct {
 	abortCtx    context.Context
 	abortCancel context.CancelFunc
 
-	// solveSlots is the dispatch function; tests swap it to control
-	// batch timing without a real solver run.
+	// solveSlots runs one solve as a one-slot batch; tests swap it to
+	// hold a worker without a real solver run.
 	solveSlots func(ins []*steinerforest.Instance, specs []steinerforest.Spec, ctxs []context.Context, workers int, run steinerforest.SlotFunc) ([]steinerforest.SlotResult, error)
 }
 
-// New returns a started Server (its dispatcher is running; requests can
+// New returns a started Server (its workers are running; requests can
 // be admitted as soon as an instance is resident).
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg.withDefaults(),
 		metrics:    newMetrics(),
-		stop:       make(chan struct{}),
 		instances:  make(map[string]*entry),
 		solveSlots: steinerforest.SolveBatchSlots,
 	}
 	s.abortCtx, s.abortCancel = context.WithCancel(context.Background())
 	s.policy, s.policyErr = steinerforest.ParsePolicy(s.cfg.Policy)
 	s.queue = make(chan *job, s.cfg.QueueDepth)
-	s.batcher.Add(1)
-	go s.dispatchLoop()
+	s.workers.Add(s.cfg.Workers)
+	for range s.cfg.Workers {
+		go s.work()
+	}
 	return s
 }
 
@@ -250,7 +240,7 @@ func (s *Server) RegisterInstance(name string, ins *steiner.Instance, family str
 		K: ins.NumComponents(), Terminals: ins.NumTerminals(), Family: family,
 		Pairs: demands.Len(),
 	}
-	e := &entry{info: info, ins: ins, pool: congest.NewArenaPool(), demands: demands, health: &instanceHealth{}}
+	e := &entry{info: info, ins: ins, pool: congest.NewArenaPool(), demands: demands, state: &instanceState{}}
 	if !s.cfg.DisableCache {
 		e.cache = newSolveCache(s.cfg.CacheBytes)
 	}
@@ -303,14 +293,11 @@ func (s *Server) Instances() []InstanceInfo {
 // Statsz snapshots the metrics (the /statsz payload). The cache and
 // arena gauges aggregate over every resident instance.
 func (s *Server) Statsz() Stats {
-	s.inFlightMu.Lock()
-	inFlight := s.inFlight
-	s.inFlightMu.Unlock()
-	st := s.metrics.snapshot(len(s.queue), inFlight)
+	st := s.metrics.snapshot(len(s.queue), int(s.inFlight.Load()))
 	s.instMu.RLock()
 	var warm, cold congest.ArenaPoolStats
 	for _, e := range s.instances {
-		if e.health != nil && e.health.quarantined.Load() {
+		if e.state.quarantined.Load() {
 			st.Quarantined++
 		}
 		if e.cache != nil {
@@ -348,17 +335,17 @@ func (s *Server) Draining() bool {
 }
 
 // Shutdown stops admission (new requests get 503), drains every admitted
-// request through the solver, and waits for the dispatcher to exit. It
+// request through the solver, and waits for the workers to exit. It
 // is idempotent; concurrent handlers that already admitted their request
 // receive their response before Shutdown returns.
 func (s *Server) Shutdown() {
 	s.beginDrain()
-	s.batcher.Wait()
+	s.workers.Wait()
 }
 
 // ShutdownWithTimeout is Shutdown with a drain budget: it stops
 // admission, then waits up to timeout for admitted requests to finish
-// naturally. If the dispatcher is still busy when the budget expires,
+// naturally. If the workers are still busy when the budget expires,
 // every in-flight solve is force-aborted (the abort context merged into
 // each request fires; runs stop at their next simulated round boundary
 // and answer 503 cancelled) and the drain completes. timeout <= 0
@@ -367,7 +354,7 @@ func (s *Server) ShutdownWithTimeout(timeout time.Duration) {
 	s.beginDrain()
 	done := make(chan struct{})
 	go func() {
-		s.batcher.Wait()
+		s.workers.Wait()
 		close(done)
 	}()
 	if timeout > 0 {
@@ -383,8 +370,8 @@ func (s *Server) ShutdownWithTimeout(timeout time.Duration) {
 	<-done
 }
 
-// beginDrain flips the draining flag and stops the dispatcher's linger
-// (idempotent). After it returns, no new job can reach the queue.
+// beginDrain flips the draining flag and closes the queue (idempotent):
+// the workers finish every job already admitted, then exit.
 func (s *Server) beginDrain() {
 	s.admitMu.Lock()
 	already := s.draining
@@ -393,6 +380,6 @@ func (s *Server) beginDrain() {
 	if !already {
 		// After the exclusive section above, no handler can still be
 		// inside check-then-enqueue: everything in the queue is final.
-		close(s.stop)
+		close(s.queue)
 	}
 }

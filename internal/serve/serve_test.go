@@ -13,6 +13,7 @@ import (
 	"time"
 
 	steinerforest "steinerforest"
+	"steinerforest/internal/chaos"
 	"steinerforest/internal/graph"
 	"steinerforest/internal/steiner"
 )
@@ -47,6 +48,37 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// blockSolves swaps srv's solver for a stub that holds every worker:
+// each solve signals started, waits for release, and answers with an
+// empty forest without running a solver (so solve_ns stays 0). Jobs
+// admitted meanwhile stay queued. release is idempotent and also runs at
+// cleanup, ahead of newTestServer's Shutdown.
+func blockSolves(t *testing.T, srv *Server) (started chan struct{}, release func()) {
+	t.Helper()
+	// started is buffered: after release nobody reads it any more.
+	started = make(chan struct{}, 16)
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	srv.solveSlots = func(ins []*steinerforest.Instance, specs []steinerforest.Spec, ctxs []context.Context, workers int, run steinerforest.SlotFunc) ([]steinerforest.SlotResult, error) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-gate
+		results := make([]steinerforest.SlotResult, len(ins))
+		for i := range ins {
+			results[i] = steinerforest.SlotResult{Res: &steinerforest.Result{
+				Solution:  steiner.NewSolution(ins[i].G),
+				Algorithm: specs[i].Algorithm,
+			}}
+		}
+		return results, nil
+	}
+	return started, release
+}
+
 func postSolve(t *testing.T, url string, req SolveRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, _ := json.Marshal(req)
@@ -63,37 +95,22 @@ func postSolve(t *testing.T, url string, req SolveRequest) (*http.Response, []by
 }
 
 // TestOverflowReturns429WithoutBlocking pins the bounded-admission
-// contract: with depth 1 and a solver stalled mid-batch, the first
-// request is dispatched, the second fills the queue, and the third must
+// contract: with depth 1 and the only worker stalled, the first request
+// occupies the worker, the second fills the queue, and the third must
 // get an immediate 429 with a Retry-After header — the handler may not
 // block waiting for capacity.
 func TestOverflowReturns429WithoutBlocking(t *testing.T) {
-	// started is buffered: the stub runs once per dispatched batch, and
-	// after release only the first signal has a reader.
-	started := make(chan struct{}, 4)
-	release := make(chan struct{})
 	// DisableCache: the three requests are identical, and with the result
 	// cache on they would collapse onto one flight instead of exercising
 	// the queue. This test pins the raw admission contract.
 	srv, ts := newTestServer(t, Config{
-		QueueDepth: 1, MaxBatch: 1, BatchWindow: -1, Workers: 1,
+		QueueDepth: 1, Workers: 1,
 		RetryAfter: 3 * time.Second, DisableCache: true,
 	})
-	// Stall the solver so the first request occupies the dispatcher and
-	// the second stays queued. Fabricated results keep the handler path
+	// Stall the solver so the first request occupies the worker and the
+	// second stays queued. Fabricated results keep the handler path
 	// (response encoding) realistic without a real solve.
-	srv.solveSlots = func(ins []*steinerforest.Instance, specs []steinerforest.Spec, ctxs []context.Context, workers int, run steinerforest.SlotFunc) ([]steinerforest.SlotResult, error) {
-		started <- struct{}{}
-		<-release
-		results := make([]steinerforest.SlotResult, len(ins))
-		for i := range ins {
-			results[i] = steinerforest.SlotResult{Res: &steinerforest.Result{
-				Solution:  steiner.NewSolution(ins[i].G),
-				Algorithm: specs[i].Algorithm,
-			}}
-		}
-		return results, nil
-	}
+	started, release := blockSolves(t, srv)
 
 	codes := make(chan int, 2)
 	var wg sync.WaitGroup
@@ -104,7 +121,7 @@ func TestOverflowReturns429WithoutBlocking(t *testing.T) {
 	}
 	wg.Add(1)
 	go solve()
-	<-started // request 1 is inside the stalled batch; the queue is empty
+	<-started // request 1 is inside the stalled solve; the queue is empty
 
 	wg.Add(1)
 	go solve()
@@ -132,7 +149,7 @@ func TestOverflowReturns429WithoutBlocking(t *testing.T) {
 		t.Errorf("rejected counter = %d, want 1", st.Rejected)
 	}
 
-	close(release)
+	release()
 	wg.Wait()
 	close(codes)
 	for code := range codes {
@@ -142,13 +159,13 @@ func TestOverflowReturns429WithoutBlocking(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescingBitIdentical is the serving determinism contract:
-// requests coalesced into one batch (a long linger window forces them
-// together) must answer bit-identically to standalone Solve calls with
-// the same instance and spec.
-func TestBatchCoalescingBitIdentical(t *testing.T) {
+// TestConcurrentSolvesBitIdentical is the serving determinism contract:
+// requests solved concurrently on several workers must answer
+// bit-identically to standalone Solve calls with the same instance and
+// spec.
+func TestConcurrentSolvesBitIdentical(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		QueueDepth: 64, MaxBatch: 8, BatchWindow: 100 * time.Millisecond, Workers: 2,
+		QueueDepth: 64, Workers: 2,
 	})
 	ins := srv.lookup("path").ins
 
@@ -191,13 +208,10 @@ func TestBatchCoalescingBitIdentical(t *testing.T) {
 			got.Certified != want.Certified || got.LowerBound != want.LowerBound ||
 			got.Rounds != want.Stats.Rounds || got.Messages != want.Stats.Messages ||
 			got.Bits != want.Stats.Bits {
-			t.Errorf("seed %d: batched response diverges from standalone Solve:\n got %+v\nwant weight=%d edges=%d cert=%v lb=%v rounds=%d msgs=%d bits=%d",
+			t.Errorf("seed %d: served response diverges from standalone Solve:\n got %+v\nwant weight=%d edges=%d cert=%v lb=%v rounds=%d msgs=%d bits=%d",
 				a.seed, got, want.Weight, want.Solution.Size(), want.Certified,
 				want.LowerBound, want.Stats.Rounds, want.Stats.Messages, want.Stats.Bits)
 		}
-	}
-	if st := srv.Statsz(); st.MaxBatchLen < 2 {
-		t.Errorf("max batch len = %d; the linger window should have coalesced concurrent requests", st.MaxBatchLen)
 	}
 }
 
@@ -205,8 +219,11 @@ func TestBatchCoalescingBitIdentical(t *testing.T) {
 // shutdown: every admitted request is answered 200, requests after
 // Shutdown get 503, and /healthz flips to draining.
 func TestShutdownDrainsInFlight(t *testing.T) {
+	// Every solve stalls briefly, so most jobs are still queued when
+	// Shutdown begins.
+	inj := chaos.New(chaos.Config{Seed: 1, StallEvery: 1, Stall: 20 * time.Millisecond})
 	srv, ts := newTestServer(t, Config{
-		QueueDepth: 16, MaxBatch: 8, BatchWindow: 50 * time.Millisecond, Workers: 2,
+		QueueDepth: 16, Workers: 2, Chaos: inj,
 	})
 
 	const reqs = 8
@@ -230,7 +247,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	srv.Shutdown() // races the linger window on purpose: drain must still answer all 8
+	srv.Shutdown() // races the stalled workers on purpose: drain must still answer all 8
 	wg.Wait()
 	close(codes)
 	for code := range codes {
@@ -261,7 +278,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 // instances are 404, malformed specs (bad epsilon, unknown algorithm,
 // negative knobs) are 400 with the strict parser/validator messages.
 func TestSolveValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1})
+	_, ts := newTestServer(t, Config{})
 
 	cases := []struct {
 		name string
@@ -298,7 +315,7 @@ func TestSolveValidation(t *testing.T) {
 // POST /solve against the generated instance, and checks duplicate names
 // are refused.
 func TestInstancesEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1})
+	_, ts := newTestServer(t, Config{})
 
 	gen := GenerateRequest{Family: "gnp", N: 48, K: 3, MaxW: 32, Seed: 5}
 	body, _ := json.Marshal(gen)
@@ -353,7 +370,7 @@ func TestInstancesEndpoint(t *testing.T) {
 // TestRegisterInstanceValidates pins server-side instance hygiene: empty
 // names and invalid instances are refused before becoming resident.
 func TestRegisterInstanceValidates(t *testing.T) {
-	srv := New(Config{BatchWindow: -1})
+	srv := New(Config{})
 	defer srv.Shutdown()
 	if err := srv.RegisterInstance("", testInstance(t), ""); err == nil {
 		t.Error("empty name accepted")

@@ -120,8 +120,8 @@ func (h detourHeap) Less(i, j int) bool {
 	}
 	return h[i].node < h[j].node
 }
-func (h detourHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *detourHeap) Push(x any)        { *h = append(*h, x.(detourItem)) }
+func (h detourHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *detourHeap) Push(x any)   { *h = append(*h, x.(detourItem)) }
 func (h *detourHeap) Pop() any {
 	old := *h
 	n := len(old)
