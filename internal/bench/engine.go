@@ -211,7 +211,7 @@ func E2(sc Scale) *Table {
 		})
 	}
 	tab.Notes = append(tab.Notes,
-		"fast off = WithFastPath(false): Idle/Sleep/Standby/Relay degrade to per-round exchanges; identical=true pins bit-equal Stats",
+		"fast off = WithFastPath(false): Idle/Sleep/Relay degrade to per-round exchanges; identical=true pins bit-equal Stats",
 		"allocs/node-rnd is the fast run's whole-process malloc count per simulated node-round (engine + solver + GC noise)")
 	return tab
 }

@@ -105,9 +105,9 @@ func (p *ArenaPool) recordSetup(warm bool, ns int64) {
 
 // arena owns every run-spanning engine allocation whose shape depends
 // only on (n, P): the n-sized per-node tables, the P-sized per-port
-// tables over the CSR offsets, the lazily grown standing/relay tables,
-// and the growable round buffers (capacity kept across runs, length
-// reset). The generation counters persist so reuse never has to clear
+// tables over the CSR offsets, the lazily grown relay table, and the
+// growable round buffers (capacity kept across runs, length reset). The
+// generation counters persist so reuse never has to clear
 // the stamped arrays: a fresh run continues the count, and every stale
 // cell is dead because its stamp can no longer equal the live generation.
 type arena struct {
@@ -128,8 +128,6 @@ type arena struct {
 	subs      []submission
 	next      []func() (submission, bool)
 	stopFn    []func()
-	stand     []standing
-	standIdx  []int32
 	relays    []relaying
 
 	// P-sized per-(node, port) tables.
@@ -141,8 +139,6 @@ type arena struct {
 
 	// Growable round buffers: length reset on reuse, capacity kept.
 	wake       wakeHeap
-	emit       [2][]int32
-	hitStand   []int32
 	hitRelay   []int32
 	pendList   []int32
 	pendFree   []int32
@@ -197,9 +193,6 @@ func (ar *arena) reset() {
 		ar.winGen = 0
 	}
 	ar.wake = ar.wake[:0]
-	ar.emit[0] = ar.emit[0][:0]
-	ar.emit[1] = ar.emit[1][:0]
-	ar.hitStand = ar.hitStand[:0]
 	ar.hitRelay = ar.hitRelay[:0]
 	ar.pendList = ar.pendList[:0]
 	ar.pendFree = ar.pendFree[:0]
@@ -216,11 +209,10 @@ func (ar *arena) attach(e *engine) {
 	e.hosts, e.mode, e.parkStamp, e.wakeAt = ar.hosts, ar.mode, ar.parkStamp, ar.wakeAt
 	e.touchN, e.tGen, e.winStamp, e.shardOf = ar.touchN, ar.tGen, ar.winStamp, ar.shardOf
 	e.subs, e.next, e.stopFn = ar.subs, ar.next, ar.stopFn
-	e.stand, e.standIdx, e.relays = ar.stand, ar.standIdx, ar.relays
+	e.relays = ar.relays
 	e.sentGen, e.slots, e.slotGen = ar.sentGen, ar.slots, ar.slotGen
 	e.touchBuf, e.outArena, e.returnPort = ar.touchBuf, ar.outArena, ar.returnPort
-	e.wake, e.emit = ar.wake, ar.emit
-	e.hitStand, e.hitRelay = ar.hitStand, ar.hitRelay
+	e.wake, e.hitRelay = ar.wake, ar.hitRelay
 	e.pendList, e.pendFree = ar.pendList, ar.pendFree
 	e.winEmit, e.winWake = ar.winEmit, ar.winWake
 	e.collected, e.serialPend = ar.collected, ar.serialPend
@@ -230,13 +222,12 @@ func (ar *arena) attach(e *engine) {
 
 // detach stores the run's final state back: the growable buffers (their
 // backing arrays may have been reallocated by append), the lazily
-// allocated standing/relay tables, and the generation high-water marks
-// the next reuse will continue from.
+// allocated relay table, and the generation high-water marks the next
+// reuse will continue from.
 func (ar *arena) detach(e *engine) {
 	ar.next, ar.stopFn = e.next, e.stopFn
-	ar.stand, ar.standIdx, ar.relays = e.stand, e.standIdx, e.relays
-	ar.wake, ar.emit = e.wake, e.emit
-	ar.hitStand, ar.hitRelay = e.hitStand, e.hitRelay
+	ar.relays = e.relays
+	ar.wake, ar.hitRelay = e.wake, e.hitRelay
 	ar.pendList, ar.pendFree = e.pendList, e.pendFree
 	ar.winEmit, ar.winWake = e.winEmit, e.winWake
 	ar.collected, ar.serialPend = e.collected, e.serialPend

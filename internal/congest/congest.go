@@ -13,12 +13,12 @@
 //
 // Execution is continuation-based, not goroutine-based: each node program
 // runs inside a runtime coroutine (iter.Pull) and every blocking call —
-// Exchange, Idle, Sleep, the standing orders — yields an explicit
-// continuation state back to the scheduler: the submission, carrying what
-// the node sent plus its resume condition (round reply, wake deadline,
-// wake-on-mail, heartbeat order, relay order). The scheduler drives all
-// runnable nodes for a round in-place by switching directly into their
-// suspended stacks, so an active node-round costs two coroutine switches
+// Exchange, Idle, Sleep, SleepUntil, the relay orders — yields an
+// explicit continuation state back to the scheduler: the submission,
+// carrying what the node sent plus its resume condition (round reply, wake
+// deadline, wake-on-mail, relay order). The scheduler drives all runnable
+// nodes for a round in-place by switching directly into their suspended
+// stacks, so an active node-round costs two coroutine switches
 // and no channel operations, no runtime-scheduler wakeups, and no futex
 // traffic; with WithParallelism(p) a fixed pool of p workers drives
 // disjoint node ranges. WithGoroutines(true) selects the legacy transport
@@ -29,13 +29,14 @@
 //
 // The round scheduler is event-driven and allocation-free on its hot path.
 // Nodes that have nothing to say park instead of spinning: Host.Idle(k)
-// registers a wake round, Host.Sleep and Host.SleepUntil park until a
-// message arrives (messages to a sleeping node wake it that same round,
-// via a generation-stamped wake queue), and when every live node is parked
-// the engine advances the round counter in bulk to the next deadline —
-// rounds in which nobody speaks cost no channel traffic at all. Messages
-// travel as inline Wire values, never boxed, return ports come from a table precomputed at Run setup
-// rather than a per-message binary search, and duplicate-send/liveness
+// registers a wake round, Host.Sleep parks until a message arrives and
+// Host.SleepUntil until a message or a deadline (messages to a sleeping
+// node wake it that same round, via a generation-stamped wake queue), and
+// when every live node is parked the engine advances the round counter in
+// bulk to the next deadline — rounds in which nobody speaks cost no
+// channel traffic at all. Messages travel as inline Wire values, never
+// boxed, return ports come from a table precomputed at Run setup rather
+// than a per-message binary search, and duplicate-send/liveness
 // tracking uses generation-stamped arrays, so a steady-state round
 // performs no heap allocation. The fast paths are observationally
 // identical to plain Exchange loops (WithFastPath(false) forces the
@@ -268,7 +269,7 @@ type Host struct {
 	// ext is the reusable parameter block for this node's parking
 	// submissions. The engine consumes a submission before resuming its
 	// node and each node has at most one in flight, so one block per host
-	// replaces a heap allocation per park/stand/relay call.
+	// replaces a heap allocation per park/relay call.
 	ext subExt
 
 	// Continuation transport (the default): yield suspends the program
@@ -424,105 +425,6 @@ func (h *Host) SleepUntil(round int) []Recv {
 	return h.park(round, true)
 }
 
-// Standby parks the node on a two-round heartbeat, the steady state of a
-// convergecast control plane (dist.RunQuiet): starting next round the
-// engine sends beat on port every second round on the node's behalf, and
-// the node stays parked while the off rounds deliver nothing and each
-// heartbeat round delivers exactly expect messages of beat's kind (its
-// own children's heartbeats, consumed silently). The first deviating
-// inbox wakes the node and is returned — it is exactly what the loop
-//
-//	for i := 0; ; i++ {
-//	    if in := h.Exchange(nil); len(in) > 0 { return in }
-//	    var out []Send
-//	    if i >= maskLen || mask>>i&1 == 1 { out = []Send{{Port: port, Wire: beat}} }
-//	    in := h.Exchange(out)
-//	    if len(in) != expect { return in }
-//	    for _, rc := range in { if rc.Wire.Kind != beat.Kind { return in } }
-//	}
-//
-// would have returned, at the same round, with the same messages sent.
-// The mask covers a ramp-up: heartbeat round i < maskLen beats only if
-// mask bit i is set, and every round from maskLen on beats — so a node
-// whose report window still carries a few active slots can park
-// immediately and let the engine replay the window's exact tail.
-//
-// Unlike Sleep, a standing node keeps costing the engine one table-driven
-// emission per heartbeat round — but no goroutine wakeups and no channel
-// traffic, so a quiescent subtree is pure arithmetic.
-func (h *Host) Standby(port int, beat Wire, expect int, mask uint64, maskLen int) []Recv {
-	if !h.fast {
-		for i := 0; ; i++ {
-			if in := h.Exchange(nil); len(in) > 0 {
-				return in
-			}
-			var out []Send
-			if i >= maskLen || mask>>uint(i)&1 == 1 {
-				out = []Send{{Port: port, Wire: beat}}
-			}
-			in := h.Exchange(out)
-			if len(in) != expect {
-				return in
-			}
-			for _, rc := range in {
-				if rc.Wire.Kind != beat.Kind {
-					return in
-				}
-			}
-		}
-	}
-	h.ext = subExt{hbPort: port, hbWire: beat, hbN: expect, hbMask: mask, hbMaskLen: maskLen}
-	in := h.transact(submission{node: h.id, kind: subStand, ext: &h.ext})
-	h.round = h.wokeRound
-	return in
-}
-
-// Await is Standby's waiting counterpart for a node whose convergecast
-// role is blocked — it reports nothing until all expect children echo in
-// one heartbeat round. The node parks sending nothing; heartbeat rounds
-// delivering fewer than expect messages of the given kind are consumed
-// silently (they leave the node's observable state unchanged: any partial
-// count keeps it silent), and the first round delivering payload mail, a
-// full echo set, or any other kind wakes it with that inbox. Equivalent
-// to:
-//
-//	for {
-//	    if in := h.Exchange(nil); len(in) > 0 { return in }
-//	    in := h.Exchange(nil)
-//	    if len(in) >= expect { return in }
-//	    for _, rc := range in { if rc.Wire.Kind != kind { return in } }
-//	}
-func (h *Host) Await(kind uint16, expect int) []Recv {
-	if !h.fast {
-		for {
-			if in := h.Exchange(nil); len(in) > 0 {
-				return in
-			}
-			in := h.Exchange(nil)
-			if len(in) >= expect {
-				return in
-			}
-			for _, rc := range in {
-				if rc.Wire.Kind != kind {
-					return in
-				}
-			}
-		}
-	}
-	if expect <= 0 {
-		// Degenerate order: the defining loop always returns by its second
-		// exchange, so run it inline instead of parking.
-		if in := h.Exchange(nil); len(in) > 0 {
-			return in
-		}
-		return h.Exchange(nil)
-	}
-	h.ext = subExt{hbWire: Wire{Kind: kind}, hbN: expect, hbWait: true}
-	in := h.transact(submission{node: h.id, kind: subStand, ext: &h.ext})
-	h.round = h.wokeRound
-	return in
-}
-
 // Relay parks the node as a broadcast pipeline stage: every message
 // arriving on srcPort is re-sent by the engine on every port in dstPorts
 // one round later, with the node itself parked. A CONGEST port delivers at
@@ -625,7 +527,7 @@ func (h *Host) relay(srcPort int, dstPorts []int, endKind uint16, through bool) 
 			}
 		}
 	}
-	h.ext = subExt{hbPort: srcPort, relayDst: dstPorts, relayEnd: endKind, relayThrough: through}
+	h.ext = subExt{relaySrc: srcPort, relayDst: dstPorts, relayEnd: endKind, relayThrough: through}
 	in := h.transact(submission{node: h.id, kind: subRelay, ext: &h.ext})
 	h.round = h.wokeRound
 	cut := len(in) - h.relayLastN
@@ -646,7 +548,6 @@ type abortSentinel struct{}
 const (
 	subExchange = uint8(iota)
 	subPark
-	subStand
 	subRelay
 	subDone
 	subErr
@@ -662,19 +563,14 @@ type submission struct {
 	node int
 	kind uint8
 	out  []Send
-	ext  *subExt // park/stand/relay parameters; nil for exchanges
+	ext  *subExt // park/relay parameters; nil for exchanges
 	err  error
 }
 
 type subExt struct {
 	wakeAt       int // subPark: resume at this completed-round count; -1 = none
 	wakeOnMsg    bool
-	hbPort       int    // subStand: heartbeat port
-	hbWire       Wire   // subStand: heartbeat payload
-	hbN          int    // subStand: expected echoes per heartbeat round
-	hbMask       uint64 // subStand: ramp-up beat mask
-	hbMaskLen    int    // subStand: number of masked heartbeat rounds
-	hbWait       bool   // subStand: waiting order (no beats; wake on full count)
+	relaySrc     int    // subRelay: the port whose stream is forwarded
 	relayDst     []int  // subRelay: forwarding ports, ascending
 	relayEnd     uint16 // subRelay: stream-terminating wire kind
 	relayThrough bool   // subRelay: forward the end marker too (RelayStream)
@@ -694,30 +590,9 @@ const (
 	modeRun   nodeMode = iota
 	modeIdle           // parked; inbound mail is discarded unread
 	modeSleep          // parked; inbound mail wakes it that round
-	modeStand          // parked on a standing heartbeat order
 	modeRelay          // parked as a forwarding pipeline stage
 	modeDone
 )
-
-// standing is a parked node's heartbeat order: every round with parity
-// phase, the engine sends wire on port for it (dst/dstPort/bits/edge are
-// precomputed at park time), and any inbox other than exactly expectN
-// messages of wire's kind on a heartbeat round — or any mail at all on an
-// off round — wakes the node.
-type standing struct {
-	port     int32
-	dst      int32
-	dstPort  int32
-	edge     int32
-	bits     int32
-	expectN  int32
-	phase    uint8
-	maskLen  uint8
-	waiting  bool   // no beats; heartbeat rounds below expectN are consumed
-	mask     uint64 // heartbeat i beats iff i >= maskLen or bit i is set
-	beatBase int    // round index of heartbeat 0
-	wire     Wire
-}
 
 // relayDest is one precomputed forwarding target of a relay order.
 type relayDest struct {
@@ -832,17 +707,11 @@ type engine struct {
 	parkStamp []uint32 // bumped on every park/wake; validates wake entries
 	wakeAt    []int    // parked node's deadline (-1 = none)
 	wake      wakeHeap
-	stand     []standing // per node: heartbeat order (valid when modeStand); lazy
-	standIdx  []int32    // beating stander's position in its emit list (-1 waiting)
-	emit      [2][]int32 // beating standers by heartbeat parity: the due lists
-	hitStand  []int32    // standers delivered to this round — together with the
-	//                      round parity's due list, the only ones checkStanders
-	//                      must visit
-	relays   []relaying // per node: relay order (valid when modeRelay); lazy
-	relPend  int        // relayers holding a forward due next round
-	pendList []int32    // those relayers, in staging order (= relPend entries)
-	pendFree []int32    // spare buffer pendList rotates through per round
-	hitRelay []int32    // relayers delivered to this round, plus final-forward
+	relays    []relaying // per node: relay order (valid when modeRelay); lazy
+	relPend   int        // relayers holding a forward due next round
+	pendList  []int32    // those relayers, in staging order (= relPend entries)
+	pendFree  []int32    // spare buffer pendList rotates through per round
+	hitRelay  []int32    // relayers delivered to this round, plus final-forward
 	//                      completions — the only ones checkRelayers must visit
 	runnable int // live nodes that will submit this round
 	live     int
@@ -946,7 +815,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		buckets:   make([][]routed, p),
 	}
 	// The engine's per-port tables are flat arenas over the graph's CSR
-	// offsets; the standing/relay order tables are allocated lazily, on the
+	// offsets; the relay order table is allocated lazily, on the
 	// first protocol that parks a node that way. With WithArenaPool the
 	// whole arena is recycled across runs (reset by generation bump, not
 	// reallocation) — except on the legacy goroutine transport, whose
@@ -1075,6 +944,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		}
 	}
 
+	resumes := 0 // one submission per node resume; published on success
 	for e.live > 0 {
 		// Round-boundary abort: shared by both schedulers (the legacy
 		// transport reaches here once per round too). The nil-channel
@@ -1090,6 +960,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 			o.hooks.Round(stats.Rounds)
 		}
 		subsIn := e.collect(subCh)
+		resumes += len(subsIn)
 		exch := 0
 		for si := range subsIn {
 			s := subsIn[si]
@@ -1117,68 +988,18 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 				if x.wakeAt >= 0 {
 					e.wake.push(wakeEntry{round: x.wakeAt, node: int32(s.node), stamp: e.parkStamp[s.node]})
 				}
-			case subStand:
-				v := s.node
-				x := s.ext
-				if x.hbMaskLen < 0 || x.hbMaskLen > 64 {
-					return fail(fmt.Errorf("congest: node %d standing by with mask length %d", v, x.hbMaskLen))
-				}
-				if e.stand == nil {
-					e.stand = make([]standing, n)
-					e.standIdx = make([]int32, n)
-				}
-				st := standing{
-					expectN:  int32(x.hbN),
-					phase:    uint8((stats.Rounds + 1) % 2),
-					waiting:  x.hbWait,
-					maskLen:  uint8(x.hbMaskLen),
-					mask:     x.hbMask,
-					beatBase: stats.Rounds + 1,
-					wire:     x.hbWire,
-				}
-				if !x.hbWait {
-					// An emitting order sends on the node's behalf: validate
-					// everything now that the engine will not re-check per
-					// round.
-					h := &e.hosts[v]
-					if x.hbPort < 0 || x.hbPort >= len(h.ports) {
-						return fail(fmt.Errorf("congest: node %d standing by on invalid port %d", v, x.hbPort))
-					}
-					b, ok := wireBits(x.hbWire)
-					if !ok {
-						return fail(fmt.Errorf("congest: node %d standing by with unregistered wire kind %d", v, x.hbWire.Kind))
-					}
-					if b > o.bandwidth {
-						return fail(fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, o.bandwidth, v))
-					}
-					st.port = int32(x.hbPort)
-					st.dst = h.ports[x.hbPort].To
-					st.dstPort = e.returnPort[e.base[v]+int32(x.hbPort)]
-					st.edge = h.ports[x.hbPort].Index
-					st.bits = int32(b)
-				}
-				e.runnable--
-				e.mode[v] = modeStand
-				e.parkStamp[v]++
-				e.stand[v] = st
-				if st.waiting {
-					e.standIdx[v] = -1
-				} else {
-					e.standIdx[v] = int32(len(e.emit[st.phase]))
-					e.emit[st.phase] = append(e.emit[st.phase], int32(v))
-				}
 			case subRelay:
 				v := s.node
 				x := s.ext
 				h := &e.hosts[v]
-				if x.hbPort < 0 || x.hbPort >= len(h.ports) {
-					return fail(fmt.Errorf("congest: node %d relaying from invalid port %d", v, x.hbPort))
+				if x.relaySrc < 0 || x.relaySrc >= len(h.ports) {
+					return fail(fmt.Errorf("congest: node %d relaying from invalid port %d", v, x.relaySrc))
 				}
 				if e.relays == nil {
 					e.relays = make([]relaying, n)
 				}
 				rl := &e.relays[v]
-				rl.srcPort = int32(x.hbPort)
+				rl.srcPort = int32(x.relaySrc)
 				rl.endKind = x.relayEnd
 				rl.through = x.relayThrough
 				rl.hasPend = false
@@ -1208,23 +1029,15 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 				exch++
 			}
 		}
-		beating := e.relPend > 0 || e.heartbeatsDue()
-		if exch == 0 && !beating {
+		if exch == 0 && e.relPend == 0 {
 			if e.live == 0 {
 				break
 			}
-			// Every live node is parked and no standing order fires this
+			// Every live node is parked and no relay forward is due this
 			// round: jump the clock to the next event. The skipped rounds
 			// are exactly the rounds in which every node would have
 			// exchanged nothing.
 			r, ok := e.nextWake()
-			if len(e.emit[0])+len(e.emit[1]) > 0 && (!ok || r > stats.Rounds+1) {
-				// All beating orders are off-parity this round, so the
-				// next heartbeat fires one round from now. (Waiting orders
-				// never fire: silent rounds cannot deviate them, so they
-				// are safe to jump across.)
-				r, ok = stats.Rounds+1, true
-			}
 			if !ok {
 				return fail(ErrAsleep)
 			}
@@ -1238,7 +1051,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		if stats.Rounds >= o.maxRounds {
 			return fail(fmt.Errorf("%w (%d)", ErrRoundLimit, o.maxRounds))
 		}
-		if exch == 0 && e.relPend > 0 && len(e.emit[0])+len(e.emit[1]) == 0 && e.window {
+		if exch == 0 && e.window {
 			// Relay-only rounds: every message this round is a forward
 			// between parked pipeline stages. Drive the whole window of
 			// in-flight items engine-side, one internal pass per round,
@@ -1253,10 +1066,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 				continue
 			}
 		}
-		if beating {
-			e.emitRelays()
-			e.emitHeartbeats()
-		}
+		e.emitRelays()
 		// Serial pass: validate, account, and route every send. All stats
 		// are order-independent sums and maxima and every message lands in
 		// a slot keyed by (destination, port), so the arrival order of
@@ -1323,7 +1133,6 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		if p > 1 {
 			e.wg.Wait()
 		}
-		e.checkStanders()
 		e.checkRelayers()
 		for w := 0; w < p; w++ {
 			e.buckets[w] = e.buckets[w][:0]
@@ -1334,30 +1143,8 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		e.gen++
 		e.wakeDue(stats.Rounds)
 	}
+	nodeResumes.Add(int64(resumes))
 	return stats, nil
-}
-
-// heartbeatsDue reports whether any standing order fires in the round
-// about to be processed: exactly when the round parity's due list is
-// non-empty. The per-parity due lists replace a scan over every stander.
-func (e *engine) heartbeatsDue() bool {
-	return len(e.emit[e.stats.Rounds%2]) > 0
-}
-
-// emitHeartbeats performs the standing orders of this round — the round
-// parity's due list, so the cost is proportional to the orders that fire,
-// not to the number of parked standers. Accounting and routing happen as
-// if the parked node had sent the beat itself. Runs in the serial pass,
-// so sleeping destinations are woken deterministically.
-func (e *engine) emitHeartbeats() {
-	stats := e.stats
-	for _, v32 := range e.emit[stats.Rounds%2] {
-		st := &e.stand[v32]
-		if i := (stats.Rounds - st.beatBase) / 2; i < int(st.maskLen) && st.mask>>uint(i)&1 == 0 {
-			continue // masked-out ramp-up heartbeat: this slot stays silent
-		}
-		e.deliver(int(st.dst), int(st.dstPort), int(st.edge), int(st.bits), &st.wire)
-	}
 }
 
 // deliver accounts one validated message and routes it to its
@@ -1365,7 +1152,7 @@ func (e *engine) emitHeartbeats() {
 // discard unread, sleeping ones are flipped awake (their inbox follows in
 // the shard pass), and everything else lands in an inbox slot (directly
 // when serial, via the destination shard's bucket otherwise). Every
-// delivery path — node sends, standing-order heartbeats, relay forwards —
+// delivery path — node sends and relay forwards —
 // funnels through here so the accounting can never diverge between them.
 func (e *engine) deliver(dst, dstPort, edge, bits int, wire *Wire) {
 	stats := e.stats
@@ -1393,13 +1180,6 @@ func (e *engine) deliver(dst, dstPort, edge, bits int, wire *Wire) {
 		// its actual traffic. (Duplicate hits are fine — a woken node is
 		// skipped by its mode.)
 		e.hitRelay = append(e.hitRelay, int32(dst))
-	case modeStand:
-		// Queue the stander for checkStanders, which otherwise visits only
-		// the round parity's due list — a parked control plane costs
-		// nothing on rounds that leave it untouched. (Duplicate hits are
-		// fine — the check is idempotent and woken nodes are skipped by
-		// their mode.)
-		e.hitStand = append(e.hitStand, int32(dst))
 	}
 	if e.o.parallelism == 1 {
 		e.place(dst, dstPort, wire)
@@ -1482,10 +1262,9 @@ func (e *engine) shardBusy(w int) bool {
 //
 // The window ends — with the pending round left untouched for the normal
 // path — as soon as a forward would do anything a parked stage cannot
-// absorb silently: reach a sleeper or a standing order, arrive off the
-// destination's source port, carry a plain (non-through) destination's end
-// kind, or collide with a second delivery. (Heartbeat emitters are checked
-// by the caller and cannot appear mid-window.) A node waking inside the
+// absorb silently: reach a sleeper, arrive off the destination's source
+// port, carry a plain (non-through) destination's end kind, or collide
+// with a second delivery. A node waking inside the
 // window — a through stage completing its stream, or an idle deadline
 // firing — ends it after that round, since the woken node submits next
 // round. Returns the number of rounds performed.
@@ -1532,8 +1311,8 @@ func (e *engine) relayWindow() (int, error) {
 					}
 					e.winStamp[d] = e.winGen
 				default:
-					// A sleeper, a standing order, or (impossibly here) a
-					// runnable node: the delivery would wake or deviate it.
+					// A sleeper or (impossibly here) a runnable node: the
+					// delivery would wake it.
 					clean = false
 					break scan
 				}
@@ -1627,6 +1406,11 @@ func (e *engine) relayWindow() (int, error) {
 // a test-only observability hook (see TestRelayWindowDrain).
 var windowRounds atomic.Int64
 
+// nodeResumes counts node-program resumes (one per submission) across all
+// completed runs — a test-only observability hook for the parking paths,
+// published once per Run.
+var nodeResumes atomic.Int64
+
 // checkRelayers advances every relaying node after a round: a clean
 // arrival (one message, on the source port, not a waking end kind) is
 // accumulated and scheduled for forwarding next round; a deviating inbox —
@@ -1691,80 +1475,6 @@ func (e *engine) checkRelayers() {
 		e.wakeRun(v, e.stats.Rounds, out)
 	}
 	e.hitRelay = e.hitRelay[:0]
-}
-
-// checkStanders wakes every standing node whose inbox deviated from its
-// heartbeat expectation this round; clean heartbeat echoes are consumed
-// silently (the generation bump retires them). Runs after the shard pass,
-// when all placements of the round are visible. Only two sets of standers
-// can deviate: those delivered mail this round (hitStand, fed by deliver),
-// and the beating standers whose heartbeat round this was — they must see
-// exactly expectN echoes, so an empty inbox wakes them too. Every other
-// stander is provably clean and is not visited at all.
-func (e *engine) checkStanders() {
-	parity := uint8((e.stats.Rounds - 1) % 2)
-	for _, v32 := range e.hitStand {
-		e.checkStander(int(v32), parity)
-	}
-	e.hitStand = e.hitStand[:0]
-	// The completed round's due list; checkStander swap-removes a waking
-	// stander from it via standIdx, replacing position i with the previous
-	// tail, so i only advances when v survives.
-	due := e.emit[parity]
-	for i := 0; i < len(e.emit[parity]); {
-		v := due[i]
-		e.checkStander(int(v), parity)
-		if i < len(e.emit[parity]) && due[i] == v {
-			i++
-		}
-	}
-}
-
-// checkStander applies one stander's deviation check for the completed
-// round, waking it (and retiring its due-list entry) on any inbox other
-// than its standing expectation.
-func (e *engine) checkStander(v int, parity uint8) {
-	if e.mode[v] != modeStand {
-		return // woken by an earlier duplicate hit this round
-	}
-	st := &e.stand[v]
-	var touched []int32
-	if e.tGen[v] == e.gen {
-		touched = e.touchedOf(v)
-	}
-	ok := false
-	if st.phase == parity {
-		if st.waiting {
-			ok = len(touched) < int(st.expectN)
-		} else {
-			ok = len(touched) == int(st.expectN)
-		}
-		if ok {
-			b := e.base[v]
-			for _, q := range touched {
-				if e.slots[b+q].Wire.Kind != st.wire.Kind {
-					ok = false
-					break
-				}
-			}
-		}
-	} else {
-		ok = len(touched) == 0
-	}
-	if ok {
-		return
-	}
-	if !st.waiting {
-		// Swap-remove from the parity due list, keeping standIdx exact.
-		lst := e.emit[st.phase]
-		i := e.standIdx[v]
-		last := int32(len(lst) - 1)
-		moved := lst[last]
-		lst[i] = moved
-		e.standIdx[moved] = i
-		e.emit[st.phase] = lst[:last]
-	}
-	e.wakeRun(v, e.stats.Rounds, e.inbox(v))
 }
 
 // nextWake peeks the earliest still-valid deadline, discarding entries for

@@ -1,0 +1,5 @@
+package congest
+
+// NodeResumes reports the node-program resumes of every completed run so
+// far (see nodeResumes), for the external tests that drive dist protocols.
+func NodeResumes() int64 { return nodeResumes.Load() }

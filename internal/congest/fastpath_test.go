@@ -183,121 +183,6 @@ func TestAllAsleepFails(t *testing.T) {
 	}
 }
 
-// TestStandbyHeartbeat: a chain of standing nodes keeps per-slot quiet
-// bits flowing without waking, deviations wake exactly the right nodes,
-// and the message accounting matches the exchange-loop equivalent.
-func TestStandbyHeartbeat(t *testing.T) {
-	// Path 0-1-2: node 2 stands by beating toward 1; node 1 stands by
-	// beating toward 0 expecting 2's echo; node 0 collects, then sends a
-	// payload to wake the chain.
-	g := graph.Path(3, graph.UnitWeights)
-	beat := Wire{Kind: testWireFixed}
-	stats := both(t, g, func(h *Host) {
-		switch h.ID() {
-		case 2:
-			in := h.Standby(0, beat, 0, 0, 0)
-			if len(in) != 1 || in[0].Wire.Kind != testWireRelay {
-				panic("leaf woke on the wrong inbox")
-			}
-		case 1:
-			in := h.Standby(0, beat, 1, 0, 0)
-			// Woken by the payload from 0 in an off round.
-			if len(in) != 1 || in[0].Wire.Kind != testWireRelay || h.Neighbor(in[0].Port) != 0 {
-				panic("middle woke on the wrong inbox")
-			}
-			// Pass the wake downstream in the next off round.
-			h.Idle(1)
-			h.Exchange([]Send{{Port: 1, Wire: Wire{Kind: testWireRelay}}})
-		case 0:
-			// Let 4 heartbeat slots elapse, counting echoes from node 1.
-			echoes := 0
-			for h.Round() < 8 {
-				for _, rc := range h.SleepUntil(8) {
-					if rc.Wire.Kind == testWireFixed {
-						echoes++
-					}
-				}
-			}
-			if echoes != 4 {
-				panic("missing heartbeats at the root")
-			}
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay}}})
-		}
-	})
-	// Heartbeats: node 2 beats rounds 1,3,5,7 then wakes at 8 and..., node
-	// 1 beats rounds 1,3,5,7, plus the two relay payloads.
-	if stats.Messages < 8 {
-		t.Fatalf("heartbeats not emitted: %+v", stats)
-	}
-}
-
-// TestStandbyMaskRampUp: mask bits suppress exactly the flagged ramp-up
-// heartbeats.
-func TestStandbyMaskRampUp(t *testing.T) {
-	g := graph.Path(2, graph.UnitWeights)
-	stats := both(t, g, func(h *Host) {
-		if h.ID() == 1 {
-			// Beat rounds are 1,3,5,7,...; mask 0b101 over 3 slots drops
-			// the second beat. Wake comes from node 0's payload.
-			in := h.Standby(0, Wire{Kind: testWireFixed}, 0, 0b101, 3)
-			if len(in) != 1 || in[0].Wire.Kind != testWireRelay {
-				panic("masked standby woke wrongly")
-			}
-			return
-		}
-		beats := 0
-		for h.Round() < 9 {
-			for _, rc := range h.SleepUntil(9) {
-				if rc.Wire.Kind == testWireFixed {
-					beats++
-				}
-			}
-		}
-		// Slots 0,2,3 beat (mask bit 1 clear, everything past the mask
-		// beats): rounds 1,5,7 within the first 9 rounds.
-		if beats != 3 {
-			panic("mask did not shape the beats")
-		}
-		h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay}}})
-	})
-	// Beats land in rounds 1, 5, 7 and in round 9 (emitted before the
-	// payload's deviation wakes the stander), plus the payload itself.
-	if stats.Messages != 5 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-// TestAwaitFullCount: partial echo sets are consumed in place; the full
-// set wakes the waiter.
-func TestAwaitFullCount(t *testing.T) {
-	g := graph.Star(4, graph.UnitWeights) // 4 nodes: center 0, leaves 1..3
-	stats := both(t, g, func(h *Host) {
-		if h.ID() == 0 {
-			in := h.Await(testWireFixed, 3)
-			if len(in) != 3 {
-				panic("await woke early or late")
-			}
-			if h.Round() != 6 {
-				panic("await woke at the wrong round")
-			}
-			return
-		}
-		// Leaves send staggered partial echoes on heartbeat rounds 1, 3,
-		// 5: round 1 has one echo, round 3 two, round 5 all three.
-		for _, r := range []int{1, 3, 5} {
-			h.SleepUntil(r)
-			if h.ID() <= (r+1)/2 {
-				h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireFixed}}})
-			} else {
-				h.Idle(1)
-			}
-		}
-	})
-	if stats.Messages != 6 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
 // TestRelayPipeline: a chain relays a stream end to end inside the engine,
 // every hop adding one round of latency, with the data intact.
 func TestRelayPipeline(t *testing.T) {

@@ -14,13 +14,19 @@ import (
 // and off, serial and sharded routing. Every configuration must produce
 // identical Stats AND an identical per-node observation trace (a digest of
 // every delivered message with its round, port, sender and payload), so a
-// divergence anywhere in the park/wake/standing-order machinery is caught
+// divergence anywhere in the park/wake/relay-order machinery is caught
 // at the exact node it corrupts. The whole test runs under -race in CI,
 // which additionally checks the worker-pool handoffs of both transports.
 
-const stressWireKind uint16 = 110 // 64-bit stress payload
+const (
+	stressWireKind uint16 = 110 // 64-bit stress payload
+	stressEndKind  uint16 = 111 // stream end marker of the relay stress
+)
 
-func init() { RegisterWireKind(stressWireKind, 64) }
+func init() {
+	RegisterWireKind(stressWireKind, 64)
+	RegisterWireKind(stressEndKind, 2)
+}
 
 // stressProgram follows a per-node seeded random schedule of exchanges,
 // idles and interruptible sleeps, folding everything it observes — inbox
@@ -133,15 +139,31 @@ func TestSchedulerStress(t *testing.T) {
 	}
 }
 
-// TestSchedulerStressStandingOrders drives the standing-order machinery —
-// Standby heartbeats, Await echo counting, Relay forwarding — through a
-// randomized convergecast shape on a star, again requiring identical
-// behavior across the configuration grid.
+// TestSchedulerStressStandingOrders drives the relay orders — Relay and
+// RelayStream stages, window-relay drains, and deviation wakes — through a
+// randomized tree broadcast interleaved with stray pokes (over tree and
+// cross edges), again requiring
+// identical behavior across the configuration grid.
 func TestSchedulerStressStandingOrders(t *testing.T) {
-	const leaves = 9
-	g := graph.Star(leaves+1, graph.UnitWeights)
-	beat := Wire{Kind: stressWireKind, C: 1}
+	const n = 24
+	end := Wire{Kind: stressEndKind}
 	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.New(n)
+		parent := make([]int, n)
+		parent[0] = -1
+		for v := 1; v < n; v++ {
+			parent[v] = v - 1 - rng.Intn(min(v, 3)) // deep: long drains
+			g.AddEdge(parent[v], v, 1)
+		}
+		// Cross edges carry no stream, only pokes that deviate stages.
+		for i := 0; i < n/2; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				if _, ok := g.EdgeBetween(u, v); !ok {
+					g.AddEdge(u, v, 1)
+				}
+			}
+		}
 		program := func(trace []uint64) Program {
 			return func(h *Host) {
 				rng := rand.New(rand.NewSource(seed + int64(h.ID())*7919))
@@ -152,29 +174,75 @@ func TestSchedulerStressStandingOrders(t *testing.T) {
 						acc = acc*1099511628211 ^ uint64(rc.Port)<<32 ^ uint64(h.Neighbor(rc.Port))<<16 ^ uint64(rc.Wire.C)
 					}
 				}
-				if h.ID() == 0 {
-					// Hub: await the full echo set a few times (the waits
-					// drift across beat parities, exercising both Await
-					// wake conditions), then poke every leaf to break its
-					// standing order so the network can terminate.
-					for i := 0; i < 3; i++ {
-						fold(h.Await(stressWireKind, leaves))
+				var down []int // ports to children, ascending
+				src := -1
+				for p := 0; p < h.Degree(); p++ {
+					switch w := h.Neighbor(p); {
+					case w == parent[h.ID()]:
+						src = p
+					case parent[w] == h.ID():
+						down = append(down, p)
 					}
-					poke := make([]Send, leaves)
-					for p := 0; p < leaves; p++ {
-						poke[p] = Send{Port: p, Wire: Wire{Kind: stressWireKind, C: int64(90 + rng.Intn(9))}}
+				}
+				resend := func(in []Recv) (fwd []Send, done bool) {
+					for _, rc := range in {
+						if rc.Port != src {
+							continue
+						}
+						for _, p := range down {
+							fwd = append(fwd, Send{Port: p, Wire: rc.Wire})
+						}
+						done = done || rc.Wire == end
 					}
-					fold(h.Exchange(poke))
-					h.Idle(2)
+					return fwd, done
+				}
+				if src < 0 {
+					// Root: the stream source.
+					for i := 4 + rng.Intn(12); i >= 0; i-- {
+						item := Wire{Kind: stressWireKind, C: int64(rng.Intn(1 << 16))}
+						fold(h.Exchange(sendAll(down, item)))
+					}
+					fold(h.Exchange(sendAll(down, end)))
 				} else {
-					// Leaves: beat toward the hub on a standing order until
-					// something (the poke) deviates, with a random masked
-					// ramp-up.
-					maskLen := rng.Intn(4)
-					mask := uint64(rng.Intn(1 << uint(maskLen+1)))
-					in := h.Standby(0, beat, 0, mask, maskLen)
-					fold(in)
-					h.Idle(1 + rng.Intn(3))
+					// A stage: relay until the end marker has gone through,
+					// forwarding whatever a deviation wake left pending.
+					// Some stages open with a poke, which deviates a parked
+					// neighbor that is not its child.
+					var last []Recv
+					if rng.Intn(3) == 0 {
+						last = h.Exchange([]Send{{Port: rng.Intn(h.Degree()), Wire: poke(rng)}})
+						fold(last)
+					}
+					through := rng.Intn(4) > 0
+					for done := false; ; {
+						for {
+							fwd, fin := resend(last)
+							done = done || fin
+							if len(fwd) == 0 {
+								break
+							}
+							last = h.Exchange(fwd)
+							fold(last)
+						}
+						if done {
+							break
+						}
+						var relayed []Recv
+						if through {
+							relayed, last = h.RelayStream(src, down, end.Kind)
+							done = len(relayed) > 0 && relayed[len(relayed)-1].Wire == end
+						} else {
+							relayed, last = h.Relay(src, down, end.Kind)
+						}
+						fold(relayed)
+						fold(last)
+					}
+				}
+				// Stray pokes at random neighbors: deviations for stages
+				// still relaying, drops for finished ones.
+				for i := rng.Intn(4); i > 0; i-- {
+					h.Idle(rng.Intn(2 * n))
+					fold(h.Exchange([]Send{{Port: rng.Intn(h.Degree()), Wire: poke(rng)}}))
 				}
 				trace[h.ID()] = acc
 			}
@@ -203,4 +271,18 @@ func TestSchedulerStressStandingOrders(t *testing.T) {
 			}
 		})
 	}
+}
+
+// poke is a stray stress message, distinguishable from stream items.
+func poke(rng *rand.Rand) Wire {
+	return Wire{Kind: stressWireKind, C: int64(1<<20 + rng.Intn(9))}
+}
+
+// sendAll addresses w to every port of ports.
+func sendAll(ports []int, w Wire) []Send {
+	out := make([]Send, len(ports))
+	for i, p := range ports {
+		out[i] = Send{Port: p, Wire: w}
+	}
+	return out
 }

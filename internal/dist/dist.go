@@ -17,9 +17,10 @@
 //
 // The primitives are written against the engine's event-driven fast paths:
 // a node whose role in the current phase is over (an unjoined BFS node, a
-// subtree that finished its upcast, a settled Bellman-Ford region between
-// control slots) parks with Host.Sleep/SleepUntil/Idle instead of spinning
-// through empty exchanges. The message schedule is exactly the one the
+// subtree that finished its upcast, a settled Bellman-Ford region, which
+// sleeps straight to the next quiescence-control slot it must drive)
+// parks with Host.Sleep/SleepUntil/Idle instead of spinning through empty
+// exchanges. The message schedule is exactly the one the
 // plain Exchange loops would produce — the parked rounds are rounds the
 // node would have spent exchanging nothing — so round counts, message
 // counts and bit counts are unchanged by the fast paths.

@@ -29,13 +29,17 @@ type Step func(round int, in []congest.Recv) ([]congest.Send, bool)
 // quiet subtree stops paying one message per control slot: in a steady
 // state, control traffic is zero.
 //
-// The edge-triggering is also what lets nodes park for free: a node whose
-// reporting window is uniformly quiet and whose latest transition is on
-// the wire has nothing to say until mail arrives — payload, a child's
-// transition, or the exit wave — so it sleeps unboundedly instead of
-// driving empty slots. The root sleeps the same way while some child latch
-// is off; the arrival that completes the latch set is also the wake that
-// lets it detect.
+// The edge-triggering is also what lets nodes park: between transitions a
+// node has nothing to send. A payload-quiet node computes the next control
+// slot it must drive assuming no mail arrives — its next bit transition
+// as its reporting window drains, or, at the root, the detection slot —
+// and sleeps until that slot's payload round, instead of stepping through
+// the empty slots before it. Mail (payload, a child's transition, the exit
+// wave) wakes it early; it marks the parked slots quiet and plans again.
+// With no due slot at all it sleeps unboundedly: a quiet subtree whose
+// latest transition is on the wire costs nothing until something changes,
+// and a root with some child latch off waits for the arrival that
+// completes the set, which is also the wake that lets it detect.
 //
 // The step's round counter counts payload rounds only.
 func RunQuiet(h *congest.Host, t *Tree, step Step) {
@@ -66,10 +70,10 @@ func RunQuiet(h *congest.Host, t *Tree, step Step) {
 	chq := make([]bool, nc) // per-child latched quiet bit
 	count := 0              // = number of set latches
 	sent := false           // the bit our parent currently latches for us
-	qStreak := 0            // consecutive quiet payload slots ending at s
-	detected := false       // root: a globally quiet round was observed
+	// exitAt is the slot this node returns at, set once the exit wave
+	// arrives (or, at the root, on detection); from then on the node
+	// reports nothing.
 	sendExitAt, exitAt := -1, -1
-	suppress := false // stop reporting once the exit wave arrived
 	sawExit := false
 	r0 := h.Round()
 	var ctrl []congest.Send
@@ -95,34 +99,51 @@ func RunQuiet(h *congest.Host, t *Tree, step Step) {
 		}
 	}
 
+	// nextDue returns the first slot t >= s whose control round this node
+	// must drive, assuming no mail arrives and every payload slot after s
+	// is quiet, or -1 if there is none: for a non-root node its next bit
+	// transition, for the root its detection slot. Control slot t reports
+	// payload slot t-d, and nextDue is only asked at a quiet slot s, so
+	// from slot s+d on the reported bit is constant and the scan is
+	// bounded.
+	d := lag
+	if root {
+		d = height - 1 // depth-1 children report payload slot t-height+1
+	}
+	nextDue := func(s int) int {
+		full := count == nc
+		for t := max(s, d); t <= s+d; t++ {
+			bit := full && hist[(t-d)%(lag+1)]
+			if root && bit || !root && bit != sent {
+				return t
+			}
+		}
+		return -1
+	}
+
 	out, active := step(0, nil)
 	for s := 0; ; s++ {
 		// Payload slot s: out/active were produced by step(s, ...).
 		quiet := len(out) == 0 && !active
 		hist[s%(lag+1)] = quiet
-		if quiet {
-			qStreak++
-		} else {
-			qStreak = 0
-		}
 		var pin []congest.Recv
-		// Steady state: a payload-quiet node parks until mail — payload, a
-		// child's transition, or the exit wave — whenever its conceptual
-		// bit stream is constant under empty input. That holds in two
-		// cases: the transmitted bit is false and some child latch is off
-		// (the bit is pinned false whatever the history window holds, and
-		// the count change that would unpin it arrives as a wake — so
-		// folding a transition and re-parking is one cycle, not a window
-		// replay), or the whole reporting window is quiet and the
-		// transmitted bit already matches it. The root parks while a latch
-		// is off; the arrival that completes the set is also its wake. (A
-		// set latch chain always bottoms out at a driving node or an
-		// in-flight transition, so the network as a whole never deadlocks.)
-		if quiet && !suppress && exitAt < 0 &&
-			((root && count < nc) ||
-				(!root && !sent && count < nc) ||
-				(!root && qStreak > lag && sent == (count == nc))) {
-			in := h.Sleep()
+		// Steady state: a payload-quiet node parks until the next control
+		// round it must drive — its next bit transition, or the root's
+		// detection — or until mail (payload, a child's transition, the
+		// exit wave) changes that schedule. Every slot in between would be
+		// an empty payload round and a silent control round, so sleeping
+		// through them is exactly the loop's behavior.
+		due := s
+		if quiet && exitAt < 0 {
+			due = nextDue(s)
+		}
+		if due != s {
+			var in []congest.Recv
+			if due < 0 {
+				in = h.Sleep()
+			} else {
+				in = h.SleepUntil(r0 + 2*due + 1)
+			}
 			rel := h.Round() - r0 - 1 // the deviating round, relative
 			sw := rel / 2
 			// Parked slots were payload-silent: mark them quiet, keeping
@@ -130,24 +151,21 @@ func RunQuiet(h *congest.Host, t *Tree, step Step) {
 			for j := s + 1; j <= sw && j <= s+lag+1; j++ {
 				hist[j%(lag+1)] = true
 			}
-			qStreak += sw - s
 			s = sw
 			if rel%2 == 1 {
 				// Woken in the control round of slot s (a child's
-				// transition, or the exit wave): our own bit for this slot
-				// was constant, so nothing of ours was due; latch the
-				// arrivals, which take effect from slot s+1.
+				// transition, or the exit wave): s precedes our due slot,
+				// so nothing of ours was due; latch the arrivals, which
+				// take effect from slot s+1.
 				fold(in)
 				if sawExit {
 					sawExit = false
-					suppress = true
 					exitAt = s + lag
 					sendExitAt = s + 1
 				}
-				if root && !detected {
+				if root && exitAt < 0 {
 					rrc := s - height + 1
 					if rrc >= 0 && count == nc && hist[rrc%(lag+1)] {
-						detected = true
 						sendExitAt = s + 1
 						exitAt = s + height
 					}
@@ -158,7 +176,8 @@ func RunQuiet(h *congest.Host, t *Tree, step Step) {
 				out, active = nil, false
 				continue
 			}
-			// Woken in the payload round of slot s: in is payload input.
+			// Woken in the payload round of slot s, by payload mail or at
+			// the deadline (in == nil): in is payload input.
 			pin = in
 		} else if len(out) > 0 {
 			pin = h.Exchange(out)
@@ -174,7 +193,7 @@ func RunQuiet(h *congest.Host, t *Tree, step Step) {
 		// Control slot s: transmit our bit's transition, if any.
 		ctrl = ctrl[:0]
 		rr := s - lag
-		if !root && !suppress && rr >= 0 {
+		if !root && exitAt < 0 && rr >= 0 {
 			bit := hist[rr%(lag+1)] && count == nc
 			if bit != sent {
 				sent = bit
@@ -199,15 +218,13 @@ func RunQuiet(h *congest.Host, t *Tree, step Step) {
 		fold(cin)
 		if sawExit {
 			sawExit = false
-			suppress = true
 			exitAt = s + height - depth
 			sendExitAt = s + 1
 		}
-		if root && !detected {
+		if root && exitAt < 0 {
 			// Children (depth 1) report payload round s-(height-1) at slot s.
 			rrc := s - height + 1
 			if rrc >= 0 && count == nc && hist[rrc%(lag+1)] {
-				detected = true
 				sendExitAt = s + 1
 				exitAt = s + height
 			}

@@ -1,0 +1,231 @@
+package dist
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"steinerforest/internal/congest"
+	"steinerforest/internal/graph"
+)
+
+// runQuietRef is RunQuiet's defining loop: the same edge-triggered
+// convergecast, but every node exchanges in every payload and control
+// round — no parking, no window reconstruction, no idle-out. RunQuiet
+// must be observationally identical to it: the same Stats, the same exit
+// round, and the same step calls with the same inputs.
+func runQuietRef(h *congest.Host, t *Tree, step Step) {
+	root, nc := t.IsRoot(), len(t.ChildPorts)
+	lag := t.Height - t.Depth
+	var hist []bool // own quiet bit per payload slot
+	latched := map[int]bool{}
+	sent := false
+	exitAt, sendExitAt := -1, -1
+	out, active := step(0, nil)
+	for s := 0; ; s++ {
+		quiet := len(out) == 0 && !active
+		hist = append(hist, quiet)
+		pin := h.Exchange(out)
+		if quiet && len(pin) == 0 {
+			out, active = nil, false
+		} else {
+			out, active = step(s+1, pin)
+		}
+		var ctrl []congest.Send
+		if !root && exitAt < 0 && s >= lag {
+			if bit := hist[s-lag] && len(latched) == nc; bit != sent {
+				sent = bit
+				k := wireQuietOff
+				if bit {
+					k = wireQuiet
+				}
+				ctrl = append(ctrl, congest.Send{Port: t.ParentPort, Wire: congest.Wire{Kind: k}})
+			}
+		}
+		if s == sendExitAt {
+			for _, p := range t.ChildPorts {
+				ctrl = append(ctrl, congest.Send{Port: p, Wire: congest.Wire{Kind: wireExit}})
+			}
+		}
+		for _, rc := range h.Exchange(ctrl) {
+			switch rc.Wire.Kind {
+			case wireQuiet:
+				latched[rc.Port] = true
+			case wireQuietOff:
+				delete(latched, rc.Port)
+			case wireExit:
+				exitAt, sendExitAt = s+lag, s+1
+			}
+		}
+		if root && exitAt < 0 && s >= t.Height-1 && len(latched) == nc && hist[s-t.Height+1] {
+			exitAt, sendExitAt = s+t.Height, s+1
+		}
+		if exitAt >= 0 && s >= exitAt {
+			return
+		}
+	}
+}
+
+// stepCall is one observed call of a bursty step: its slot and engine
+// round, a digest of its input, and its output.
+type stepCall struct {
+	slot, round int
+	in          uint64
+	sends       int
+	active      bool
+}
+
+// burstyStep returns a node's Step for the equivalence test. Mail carries
+// a hop budget; a node holding budget stays active (silent) for 1-3 slots
+// and then scatters the decremented budget to random neighbors, so nodes
+// switch between active and quiet several times within one reporting
+// window and are reactivated by mail. Every node has a few charges, which
+// bounds the run. Seed 0 is the degenerate case of a lone root burst. The
+// Step contract holds: with nothing held, empty input keeps the node
+// quiet.
+func burstyStep(h *congest.Host, seed int64, calls *[]stepCall) Step {
+	rng := rand.New(rand.NewSource(seed*7919 + int64(h.ID())))
+	hold, budget, charges := 0, int64(0), 4
+	switch {
+	case seed == 0:
+		// Only the root is ever active, silently: detection waits on the
+		// root's own window.
+		if h.ID() == 0 {
+			hold, budget = 3, 1
+		}
+	case rng.Intn(6) == 0:
+		hold, budget = 1+rng.Intn(3), 5
+	}
+	return func(s int, in []congest.Recv) ([]congest.Send, bool) {
+		dig := uint64(len(in))
+		for _, rc := range in {
+			dig = dig*1099511628211 ^ uint64(rc.Port)<<20 ^ uint64(rc.Wire.C)
+			if rc.Wire.C > 0 && charges > 0 {
+				charges--
+				hold, budget = 1+rng.Intn(3), max(budget, rc.Wire.C)
+			}
+		}
+		var out []congest.Send
+		switch {
+		case hold > 1:
+			hold--
+		case hold == 1:
+			hold = 0
+			for p := 0; p < h.Degree() && budget > 1; p++ {
+				if rng.Intn(3) == 0 {
+					out = append(out, congest.Send{Port: p, Wire: congest.Wire{Kind: testTokKind, C: budget - 1}})
+				}
+			}
+			budget = 0
+		}
+		*calls = append(*calls, stepCall{slot: s, round: h.Round(), in: dig, sends: len(out), active: hold > 0})
+		return out, hold > 0
+	}
+}
+
+// quietRun is one node-by-node observation of a RunQuiet execution.
+type quietRun struct {
+	stats *congest.Stats
+	exit  []int
+	calls [][]stepCall
+	trees []*Tree
+}
+
+func observeQuiet(t *testing.T, g *graph.Graph, seed int64, run func(*congest.Host, *Tree, Step), opts ...congest.Option) quietRun {
+	t.Helper()
+	r := quietRun{exit: make([]int, g.N()), calls: make([][]stepCall, g.N()), trees: make([]*Tree, g.N())}
+	stats, err := congest.Run(g, func(h *congest.Host) {
+		tr := BuildBFS(h)
+		run(h, tr, burstyStep(h, seed, &r.calls[h.ID()]))
+		r.exit[h.ID()], r.trees[h.ID()] = h.Round(), tr
+	}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.stats = stats
+	return r
+}
+
+// reactivatedTwiceInWindow reports whether some node went from quiet to
+// active twice within one reporting window of its own, i.e. its bit
+// stream toggled several times inside one lag.
+func (r quietRun) reactivatedTwiceInWindow() bool {
+	for v, calls := range r.calls {
+		lag := r.trees[v].Height - r.trees[v].Depth
+		prevSlot, prevQuiet := -1, true
+		var wakes []int
+		for _, c := range calls {
+			quiet := c.sends == 0 && !c.active
+			if (prevQuiet || c.slot > prevSlot+1) && !quiet {
+				wakes = append(wakes, c.slot)
+			}
+			prevSlot, prevQuiet = c.slot, quiet
+		}
+		for i := 1; i < len(wakes); i++ {
+			if wakes[i]-wakes[i-1] < lag {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestRunQuietMultiTransitionEquivalence drives bursty steps whose bits
+// toggle several times per reporting window, on broom, grid and GNP
+// graphs, and requires RunQuiet to match its defining loop exactly under
+// the default engine, the per-round engine (WithFastPath(false)) and the
+// sharded engine (WithParallelism(4)).
+func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
+	broom := graph.New(45) // a 24-edge handle off node 0 plus 20 leaves
+	for v := 1; v < 45; v++ {
+		if v <= 24 {
+			broom.AddEdge(v-1, v, 1)
+		} else {
+			broom.AddEdge(0, v, 1)
+		}
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"broom", broom},
+		{"grid6x7", graph.Grid(6, 7, graph.UnitWeights)},
+		{"gnp40", graph.GNP(40, 0.08, graph.UnitWeights, rand.New(rand.NewSource(5)))},
+	}
+	configs := []struct {
+		name string
+		opts []congest.Option
+	}{
+		{"default", nil},
+		{"nofast", []congest.Option{congest.WithFastPath(false)}},
+		{"p4", []congest.Option{congest.WithParallelism(4)}},
+	}
+	for _, tg := range graphs {
+		toggled := false
+		for seed := int64(0); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", tg.name, seed), func(t *testing.T) {
+				ref := observeQuiet(t, tg.g, seed, runQuietRef)
+				toggled = toggled || ref.reactivatedTwiceInWindow()
+				for _, cfg := range configs {
+					got := observeQuiet(t, tg.g, seed, RunQuiet, cfg.opts...)
+					if !reflect.DeepEqual(got.stats, ref.stats) {
+						t.Fatalf("%s: stats %+v, reference %+v", cfg.name, *got.stats, *ref.stats)
+					}
+					for v := range ref.exit {
+						if got.exit[v] != ref.exit[v] {
+							t.Fatalf("%s: node %d exited at round %d, reference %d", cfg.name, v, got.exit[v], ref.exit[v])
+						}
+						if !slices.Equal(got.calls[v], ref.calls[v]) {
+							t.Fatalf("%s: node %d step calls diverged:\n got %v\nwant %v", cfg.name, v, got.calls[v], ref.calls[v])
+						}
+					}
+				}
+			})
+		}
+		if !toggled {
+			t.Errorf("%s: no node reactivated twice within one reporting window; the test lost its coverage", tg.name)
+		}
+	}
+}

@@ -13,6 +13,7 @@
 package moat
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -69,7 +70,16 @@ func (r *Result) Approx() float64 {
 // forest. Singleton input components are ignored (the instance is
 // minimalized first, as Lemma 2.4 licenses).
 func SolveAKR(ins *steiner.Instance) (*Result, error) {
-	return solve(ins, nil)
+	return SolveAKRCtx(context.Background(), ins)
+}
+
+// SolveAKRCtx is SolveAKR under a context, checked between the
+// per-terminal shortest-path runs of the setup and between merge events:
+// a fired context stops the oracle within one event and returns an error
+// wrapping the context's cause. A context that never fires leaves the
+// result bit-identical to SolveAKR's.
+func SolveAKRCtx(ctx context.Context, ins *steiner.Instance) (*Result, error) {
+	return solve(ctx, ins, nil)
 }
 
 // SolveRounded runs Algorithm 2 with ε = epsNum/epsDen, deferring merges to
@@ -80,7 +90,7 @@ func SolveRounded(ins *steiner.Instance, epsNum, epsDen int64) (*Result, error) 
 	if epsNum <= 0 || epsDen <= 0 {
 		return nil, fmt.Errorf("moat: invalid epsilon %d/%d", epsNum, epsDen)
 	}
-	return solve(ins, &thresholds{num: epsNum, den: epsDen, current: 1})
+	return solve(context.Background(), ins, &thresholds{num: epsNum, den: epsDen, current: 1})
 }
 
 // thresholds implements Algorithm 2's rounded radii; nil means Algorithm 1.
@@ -112,12 +122,21 @@ type moatState struct {
 	connF *graph.UnionFind // node connectivity under the selected forest
 }
 
-func solve(ins *steiner.Instance, th *thresholds) (*Result, error) {
+// cancelled reports a fired context as the oracle's error, wrapping its
+// cause.
+func cancelled(ctx context.Context) error {
+	return fmt.Errorf("moat: oracle cancelled: %w", context.Cause(ctx))
+}
+
+func solve(ctx context.Context, ins *steiner.Instance, th *thresholds) (*Result, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
 	work := ins.Minimalize()
-	st := newMoatState(work, th != nil)
+	st, err := newMoatState(ctx, work, th != nil)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		Raw:        steiner.NewSolution(ins.G),
 		FinalRadii: make(map[int]rational.Q),
@@ -132,7 +151,10 @@ func solve(ins *steiner.Instance, th *thresholds) (*Result, error) {
 	}
 	total := rational.Q{} // Σ µ so far
 	for st.anyActive() {
-		mu, v, w, bothActive, ok := st.nextEvent()
+		if ctx.Err() != nil {
+			return nil, cancelled(ctx)
+		}
+		mu, v, w, ok := st.nextEvent()
 		if th != nil {
 			cap := rational.FromInt(th.current).Sub(total)
 			// With rounded radii, a lone surviving moat has no merge
@@ -155,7 +177,6 @@ func solve(ins *steiner.Instance, th *thresholds) (*Result, error) {
 		st.grow(mu)
 		res.DualSum = res.DualSum.Add(mu.MulInt(int64(act)))
 		total = total.Add(mu)
-		_ = bothActive
 		changed := st.merge(v, w, res.Raw)
 		res.Merges = append(res.Merges, MergeEvent{
 			V:           st.terminals[v],
@@ -179,7 +200,7 @@ func solve(ins *steiner.Instance, th *thresholds) (*Result, error) {
 	return res, nil
 }
 
-func newMoatState(ins *steiner.Instance, rounded bool) *moatState {
+func newMoatState(ctx context.Context, ins *steiner.Instance, rounded bool) (*moatState, error) {
 	ts := ins.Terminals()
 	termLabels := make([]int, len(ts))
 	for i, v := range ts {
@@ -202,6 +223,9 @@ func newMoatState(ins *steiner.Instance, rounded bool) *moatState {
 	st.wd = make([][]int64, len(ts))
 	st.paths = make([]*graph.SSSPResult, len(ts))
 	for i, v := range ts {
+		if ctx.Err() != nil {
+			return nil, cancelled(ctx)
+		}
 		sp := ins.G.Dijkstra(v)
 		st.paths[i] = sp
 		st.wd[i] = make([]int64, len(ts))
@@ -209,7 +233,7 @@ func newMoatState(ins *steiner.Instance, rounded bool) *moatState {
 			st.wd[i][j] = sp.Dist[w]
 		}
 	}
-	return st
+	return st, nil
 }
 
 // checkFeasible verifies every input component lives in one connected
@@ -236,8 +260,8 @@ func (st *moatState) anyActive() bool { return st.book.AnyActive() }
 func (st *moatState) activeCount() int { return st.book.ActiveCount() }
 
 // nextEvent scans all terminal pairs for the earliest meeting event,
-// breaking ties by terminal node IDs. bothActive reports the event type.
-func (st *moatState) nextEvent() (mu rational.Q, v, w int, bothActive, ok bool) {
+// breaking ties by terminal node IDs.
+func (st *moatState) nextEvent() (mu rational.Q, v, w int, ok bool) {
 	found := false
 	for i := range st.terminals {
 		for j := i + 1; j < len(st.terminals); j++ {
@@ -260,11 +284,11 @@ func (st *moatState) nextEvent() (mu rational.Q, v, w int, bothActive, ok bool) 
 			}
 			if !found || cand.Less(mu) {
 				found = true
-				mu, v, w, bothActive = cand, i, j, ai && aj
+				mu, v, w = cand, i, j
 			}
 		}
 	}
-	return mu, v, w, bothActive, found
+	return mu, v, w, found
 }
 
 func (st *moatState) grow(mu rational.Q) {

@@ -1,12 +1,17 @@
 package moat
 
 import (
+	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"steinerforest/internal/graph"
 	"steinerforest/internal/steiner"
+	"steinerforest/internal/workload"
 )
 
 // randomInstance builds a connected random instance with k components of
@@ -328,5 +333,69 @@ func TestMergeEventsAreConsistent(t *testing.T) {
 	// Merge count: at most t-1.
 	if len(res.Merges) > ins.NumTerminals()-1 {
 		t.Errorf("merges = %d > t-1", len(res.Merges))
+	}
+}
+
+// countingCtx fires after a fixed number of Err checks, making the
+// oracle's cancellation points observable and deterministic: checks
+// counts the calls that found the context live.
+type countingCtx struct {
+	context.Context
+	checks, fireAt int
+}
+
+func (c *countingCtx) Err() error {
+	if c.checks >= c.fireAt {
+		return context.Canceled
+	}
+	c.checks++
+	return nil
+}
+
+// TestSolveAKRCtxCancelsWithinOneEvent pins the oracle's cancellation
+// contract: a live context leaves the result identical to SolveAKR's, the
+// context is checked at least once per merge event (and per setup
+// shortest-path run), and a check that finds it fired returns an error
+// wrapping the cause — so a cancelled oracle stops within one event.
+func TestSolveAKRCtxCancelsWithinOneEvent(t *testing.T) {
+	gen, err := workload.Generate("planted", workload.Params{N: 400, K: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := gen.Instance
+	start := time.Now()
+	want, err := SolveAKR(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+
+	live := &countingCtx{Context: context.Background(), fireAt: math.MaxInt}
+	got, err := SolveAKRCtx(live, ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a live context changed the oracle's result")
+	}
+	if events := len(want.Merges) + len(ins.Terminals()); live.checks < events {
+		t.Fatalf("%d context checks for %d merge events and setup runs", live.checks, events)
+	}
+	for _, fireAt := range []int{0, live.checks / 10, live.checks / 2, live.checks - 1} {
+		ctx := &countingCtx{Context: context.Background(), fireAt: fireAt}
+		if _, err := SolveAKRCtx(ctx, ins); !errors.Is(err, context.Canceled) {
+			t.Fatalf("fired at check %d: err = %v, want context.Canceled", fireAt, err)
+		}
+	}
+
+	// Wall clock: cancelled 5 ms into a ~100 ms run, the oracle returns
+	// within one event, far before it would have finished.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(5*time.Millisecond, cancel)
+	start = time.Now()
+	_, err = SolveAKRCtx(ctx, ins)
+	if elapsed := time.Since(start); !errors.Is(err, context.Canceled) || elapsed > full/2 {
+		t.Fatalf("cancelled at 5ms: err = %v after %v (uncancelled run: %v)", err, elapsed, full)
 	}
 }

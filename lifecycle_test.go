@@ -3,6 +3,7 @@ package steinerforest_test
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,6 +50,43 @@ func TestSolveCtxCancelled(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, does not wrap context.Canceled", err)
+	}
+}
+
+// countingCtx fires after a fixed number of Err checks: checks counts the
+// calls that found the context live.
+type countingCtx struct {
+	context.Context
+	checks, fireAt int
+}
+
+func (c *countingCtx) Err() error {
+	if c.checks >= c.fireAt {
+		return context.Canceled
+	}
+	c.checks++
+	return nil
+}
+
+// TestSolveCtxCancelsCertificate pins the oracle half of the abort
+// surface: a context firing inside the certificate oracle stops it with
+// an error matching both the engine sentinel and the context's cause, as
+// a context firing before the oracle does.
+func TestSolveCtxCancelsCertificate(t *testing.T) {
+	ins := batchInstances(t, 1)[0]
+	spec := steinerforest.Spec{Algorithm: "det", Seed: 9}
+	live := &countingCtx{Context: context.Background(), fireAt: math.MaxInt}
+	if _, err := steinerforest.SolveCtx(live, ins, spec); err != nil {
+		t.Fatal(err)
+	}
+	// The last check of a live run is the oracle's last merge event.
+	ctx := &countingCtx{Context: context.Background(), fireAt: live.checks - 1}
+	_, err := steinerforest.SolveCtx(ctx, ins, spec)
+	if !errors.Is(err, congest.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want congest.ErrCancelled wrapping context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "certificate cancelled") {
+		t.Errorf("err = %v, want the certificate stage named", err)
 	}
 }
 

@@ -277,20 +277,19 @@ func Solve(ins *Instance, spec Spec) (*Result, error) {
 
 // SolveCtx is Solve with request-lifecycle cancellation: the context is
 // threaded into the solver run (round-boundary aborts in the simulator;
-// see congest.WithContext) and checked between the solver and the
-// certificate oracle, so a cancelled call stops consuming CPU within one
-// simulated round and returns an error wrapping ctx's cause. A context
-// that never fires is result-neutral: the run is bit-identical to
-// Solve's (the equivalence suite pins this).
+// see congest.WithContext), checked between the solver and the
+// certificate oracle, and threaded into the oracle (checked between its
+// merge events; see moat.SolveAKRCtx), so a cancelled call stops
+// consuming CPU within one simulated round or one merge event and returns
+// an error wrapping congest.ErrCancelled and ctx's cause. A context that
+// never fires is result-neutral: the run is bit-identical to Solve's (the
+// equivalence suite pins this).
 func SolveCtx(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if ctx.Err() != nil {
-		// Wrap the engine sentinel too, so callers can match cancelled
-		// solves uniformly no matter how early the context fired.
-		return nil, fmt.Errorf("steinerforest: solve not started: %w: %w",
-			congest.ErrCancelled, context.Cause(ctx))
+		return nil, cancelled(ctx, "solve not started")
 	}
 	name := spec.Algorithm
 	if name == "" {
@@ -308,20 +307,27 @@ func SolveCtx(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
 	}
 	res.Algorithm = name
 	if !spec.NoCertificate && !res.Certified {
-		// The oracle is centralized (no simulated rounds to abort at), so
-		// the boundary before it is the last cancellation point.
 		if ctx.Err() != nil {
-			return nil, fmt.Errorf("steinerforest: certificate skipped: %w: %w",
-				congest.ErrCancelled, context.Cause(ctx))
+			return nil, cancelled(ctx, "certificate skipped")
 		}
-		oracle, err := moat.SolveAKR(ins)
+		oracle, err := moat.SolveAKRCtx(ctx, ins)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, cancelled(ctx, "certificate cancelled")
+			}
 			return nil, err
 		}
 		res.LowerBound = oracle.DualSum.Float()
 		res.Certified = true
 	}
 	return res, nil
+}
+
+// cancelled reports a fired context at the named stage of a solve,
+// wrapping the engine sentinel as well as ctx's cause, so callers match
+// cancelled solves uniformly no matter which stage the context stopped.
+func cancelled(ctx context.Context, stage string) error {
+	return fmt.Errorf("steinerforest: %s: %w: %w", stage, congest.ErrCancelled, context.Cause(ctx))
 }
 
 func mustRegister(name string, fn SolverFunc) {
@@ -369,8 +375,11 @@ func init() {
 	mustRegister("trunc", randomized(randforest.ModeTruncated))
 	mustRegister("khan", randomized(randforest.ModeKhanBaseline))
 	mustRegister("central", func(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
-		r, err := moat.SolveAKR(ins)
+		r, err := moat.SolveAKRCtx(ctx, ins)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, cancelled(ctx, "oracle cancelled")
+			}
 			return nil, err
 		}
 		return &Result{Solution: r.Pruned, Weight: r.Weight,
