@@ -54,11 +54,13 @@ race:
 
 # Short fuzz smoke: the instance parser and the wire item codec must
 # survive fresh fuzz input on every CI run, not just the checked-in
-# corpus and seeds.
+# corpus and seeds, and the scheduler-driven RunQuiet must match the
+# per-round engine on fresh networks and activity schedules.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadInstance -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzCandWire -fuzztime 5s ./internal/detforest
 	$(GO) test -run xxx -fuzz FuzzFreezeAddEdge -fuzztime 5s ./internal/graph
+	$(GO) test -run xxx -fuzz FuzzRunQuiet -fuzztime 5s ./internal/dist
 
 # Benchmark suite: experiment tables at reduced scale plus the engine
 # allocation profile (BenchmarkEngineFlood reports allocs/op; the

@@ -11,11 +11,9 @@ import (
 
 	steinerforest "steinerforest"
 	"steinerforest/internal/bench"
-	"steinerforest/internal/congest"
 	"steinerforest/internal/graph"
 	"steinerforest/internal/moat"
 	"steinerforest/internal/steiner"
-	"steinerforest/internal/workload"
 )
 
 func benchTable(b *testing.B, run func(bench.Scale) *bench.Table) {
@@ -90,34 +88,5 @@ func BenchmarkExactSteinerTree(b *testing.B) {
 		if _, err := moat.ExactSteinerTree(g, ts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSolveRoadmesh times the distributed solvers on one fixed
-// roadmesh instance (n=1024, k=4, seed 1: a single-phase instance of the
-// kind the solve-det workload serves) through a warm arena pool and
-// without the certificate oracle, so the figure is simulator and solver
-// time only — the A/B handle for scheduler changes such as RunQuiet's
-// parking.
-func BenchmarkSolveRoadmesh(b *testing.B) {
-	gen, err := workload.Generate("roadmesh", workload.Params{N: 1024, K: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, algo := range []string{"det", "rand", "rounded"} {
-		b.Run(algo, func(b *testing.B) {
-			spec := steinerforest.Spec{Algorithm: algo, NoCertificate: true, Arena: congest.NewArenaPool()}
-			res, err := steinerforest.Solve(gen.Instance, spec) // warms the pool
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := steinerforest.Solve(gen.Instance, spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Stats.Rounds), "rounds/op")
-		})
 	}
 }

@@ -215,7 +215,7 @@ func (ar *arena) attach(e *engine) {
 	e.wake, e.hitRelay = ar.wake, ar.hitRelay
 	e.pendList, e.pendFree = ar.pendList, ar.pendFree
 	e.winEmit, e.winWake = ar.winEmit, ar.winWake
-	e.collected, e.serialPend = ar.collected, ar.serialPend
+	e.collected, e.serial.subs = ar.collected, ar.serialPend
 	e.gen = ar.gen + 1
 	e.winGen = ar.winGen
 }
@@ -223,14 +223,21 @@ func (ar *arena) attach(e *engine) {
 // detach stores the run's final state back: the growable buffers (their
 // backing arrays may have been reallocated by append), the lazily
 // allocated relay table, and the generation high-water marks the next
-// reuse will continue from.
+// reuse will continue from. It also drops the run's references into node
+// programs — the host blocks' coroutine hooks and driver, and the stale
+// submissions, whose send slices point into protocol state — so a pooled
+// arena keeps none of a finished run's memory alive.
 func (ar *arena) detach(e *engine) {
 	ar.next, ar.stopFn = e.next, e.stopFn
 	ar.relays = e.relays
 	ar.wake, ar.hitRelay = e.wake, e.hitRelay
 	ar.pendList, ar.pendFree = e.pendList, e.pendFree
 	ar.winEmit, ar.winWake = e.winEmit, e.winWake
-	ar.collected, ar.serialPend = e.collected, e.serialPend
+	ar.collected, ar.serialPend = e.collected, e.serial.subs
 	ar.gen = e.gen
 	ar.winGen = e.winGen
+	clear(ar.hosts)
+	clear(ar.subs)
+	clear(ar.collected[:cap(ar.collected)])
+	clear(ar.serialPend[:cap(ar.serialPend)])
 }

@@ -1,7 +1,10 @@
 package congest
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"steinerforest/internal/graph"
 )
@@ -200,4 +203,47 @@ func BenchmarkArenaSetup(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestArenaPoolDropsRunState pins that a pooled arena keeps nothing of a
+// finished run alive: each node's last exchange sends from a buffer inside
+// node state reachable only through that send and the node's driver, and
+// after the run every such state must be collectable while the pool still
+// holds the arena.
+func TestArenaPoolDropsRunState(t *testing.T) {
+	type nodeState struct{ sends [2]Send }
+	g := graph.Grid(3, 3, graph.UnitWeights)
+	pool := NewArenaPool()
+	var freed atomic.Int32
+	_, err := Run(g, func(h *Host) {
+		st := &nodeState{}
+		runtime.SetFinalizer(st, func(*nodeState) { freed.Add(1) })
+		st.sends[0] = Send{Port: 0, Wire: msg(1)}
+		h.Drive(Exchange(st.sends[:1]), &lastExchange{out: st.sends[:1]})
+	}, WithArenaPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50 && int(freed.Load()) < g.N(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := int(freed.Load()); got < g.N() {
+		t.Fatalf("%d of %d node states collected; the pooled arena retains the rest", got, g.N())
+	}
+	runtime.KeepAlive(pool)
+}
+
+// lastExchange is a Driver that sends out once more and then finishes.
+type lastExchange struct {
+	out  []Send
+	sent bool
+}
+
+func (d *lastExchange) Next([]Recv) (Request, bool) {
+	if d.sent {
+		return Request{}, false
+	}
+	d.sent = true
+	return Exchange(d.out), true
 }

@@ -18,14 +18,25 @@
 // carrying what the node sent plus its resume condition (round reply, wake
 // deadline, wake-on-mail, relay order). The scheduler drives all runnable
 // nodes for a round in-place by switching directly into their suspended
-// stacks, so an active node-round costs two coroutine switches
-// and no channel operations, no runtime-scheduler wakeups, and no futex
-// traffic; with WithParallelism(p) a fixed pool of p workers drives
+// stacks, so a coroutine-hosted active node-round costs two coroutine
+// switches and no channel operations, no runtime-scheduler wakeups, and no
+// futex traffic; with WithParallelism(p) a fixed pool of p workers drives
 // disjoint node ranges. WithGoroutines(true) selects the legacy transport
 // instead — one goroutine per node, blocking on channels — kept as the
 // compatibility shim for hosting blocking programs off the engine's stack
 // and as the reference the stress and equivalence suites compare against:
 // both schedulers produce bit-identical Stats and deliveries.
+//
+// A program can go further and hand a stretch of itself to the scheduler
+// as data: Host.Drive(first, d) runs a Driver, whose Next returns the
+// node's next blocking call as a Request (Exchange, SleepUntil, Sleep or
+// Idle). The scheduler then calls Next directly each time a request
+// completes — a driven node-round costs a method call, not a coroutine
+// switch — and switches back into the program only when Next reports
+// done. dist.RunQuiet, the quiescence loop under Bellman-Ford and the
+// other run-to-quiescence primitives, runs this way. Drive is defined as
+// the blocking loop over those requests, which is also how it runs with
+// the fast paths off or on the goroutine transport.
 //
 // The round scheduler is event-driven and allocation-free on its hot path.
 // Nodes that have nothing to say park instead of spinning: Host.Idle(k)
@@ -279,6 +290,13 @@ type Host struct {
 	yield    func(submission) bool
 	resumeIn []Recv
 
+	// Driven continuation (Drive): while drv is set the scheduler calls
+	// drv.Next itself instead of switching into the program; drvExch
+	// records whether the pending request is an exchange (the clock
+	// advances by one) or a park (it syncs to the wake round).
+	drv     Driver
+	drvExch bool
+
 	// Legacy goroutine transport (WithGoroutines): the program runs on its
 	// own goroutine and blocks on a channel round trip per submission.
 	submit chan<- submission
@@ -295,6 +313,9 @@ type Host struct {
 // false yield (or a closed abort channel) means the run is failing; the
 // program unwinds via the abort sentinel.
 func (h *Host) transact(sub submission) []Recv {
+	if h.drv != nil {
+		panic(errBlockingInNext)
+	}
 	if h.coro {
 		if !h.yield(sub) {
 			panic(abortSentinel{})
@@ -545,6 +566,10 @@ func (h *Host) park(wakeAt int, wakeOnMsg bool) []Recv {
 
 type abortSentinel struct{}
 
+// errBlockingInNext is the panic of a Driver whose Next calls a blocking
+// Host method instead of returning it as a Request.
+const errBlockingInNext = "congest: blocking Host call inside Driver.Next"
+
 const (
 	subExchange = uint8(iota)
 	subPark
@@ -693,15 +718,15 @@ type engine struct {
 	hosts []Host // host arena: one in-place block per node
 
 	// Continuation transport: per-node resume/stop handles of the
-	// suspended programs, the per-shard submissions recorded by the drive
-	// passes, the submissions recorded by serial wakes, and the reusable
-	// collection buffer the round loop processes.
-	coro       bool
-	next       []func() (submission, bool)
-	stopFn     []func()
-	pend       [][]submission
-	serialPend []submission
-	collected  []submission
+	// suspended programs, the per-shard lanes the drive passes record
+	// into, the lane of the serial wakes, and the reusable collection
+	// buffer the round loop processes.
+	coro      bool
+	next      []func() (submission, bool)
+	stopFn    []func()
+	lanes     []lane
+	serial    lane
+	collected []submission
 
 	mode      []nodeMode
 	parkStamp []uint32 // bumped on every park/wake; validates wake entries
@@ -846,7 +871,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	}
 	ar.attach(e)
 	if coro {
-		e.pend = make([][]submission, p)
+		e.lanes = make([]lane, p)
 		// Belt and braces: release any still-suspended continuation on the
 		// way out (normal exits and fails have already done so; this keeps
 		// an engine bug from leaking parked coroutine stacks). Joins any
@@ -940,7 +965,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		// From here on the nodes are suspended continuations that the
 		// round loop resumes in-place.
 		for v := 0; v < n; v++ {
-			e.resume(v, 0, nil, &e.serialPend)
+			e.resume(v, 0, nil, &e.serial)
 		}
 	}
 
@@ -1144,6 +1169,13 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		e.wakeDue(stats.Rounds)
 	}
 	nodeResumes.Add(int64(resumes))
+	if coro {
+		switches := e.serial.switches
+		for w := range e.lanes {
+			switches += e.lanes[w].switches
+		}
+		coroSwitches.Add(int64(switches))
+	}
 	return stats, nil
 }
 
@@ -1200,7 +1232,7 @@ func (e *engine) wakeRun(v int, wokeRound int, in []Recv) {
 	e.parkStamp[v]++
 	e.runnable++
 	if e.coro {
-		e.resume(v, wokeRound, in, &e.serialPend)
+		e.resume(v, wokeRound, in, &e.serial)
 		return
 	}
 	e.hosts[v].wokeRound = wokeRound
@@ -1411,6 +1443,12 @@ var windowRounds atomic.Int64
 // published once per Run.
 var nodeResumes atomic.Int64
 
+// coroSwitches counts the resumes that switched into a node's coroutine —
+// every submission a Driver did not produce — across all completed runs:
+// the test-only companion of nodeResumes, accumulated per lane and
+// published once per Run.
+var coroSwitches atomic.Int64
+
 // checkRelayers advances every relaying node after a round: a clean
 // arrival (one message, on the source port, not a waking end kind) is
 // accumulated and scheduled for forwarding next round; a deviating inbox —
@@ -1584,14 +1622,14 @@ func (e *engine) runShard(w int) {
 	}
 	cur := e.stats.Rounds
 	if e.coro {
-		sink := &e.pend[w]
+		l := &e.lanes[w]
 		for _, v32 := range e.shardSubs[w] {
 			v := int(v32)
-			e.resume(v, cur, e.inbox(v), sink)
+			e.resume(v, cur, e.inbox(v), l)
 		}
 		for _, v32 := range e.woken[w] {
 			v := int(v32)
-			e.resume(v, cur, e.inbox(v), sink)
+			e.resume(v, cur, e.inbox(v), l)
 		}
 		return
 	}
@@ -1615,12 +1653,12 @@ func (e *engine) runShard(w int) {
 func (e *engine) collect(subCh <-chan submission) []submission {
 	buf := e.collected[:0]
 	if e.coro {
-		for w := range e.pend {
-			buf = append(buf, e.pend[w]...)
-			e.pend[w] = e.pend[w][:0]
+		for w := range e.lanes {
+			buf = append(buf, e.lanes[w].subs...)
+			e.lanes[w].subs = e.lanes[w].subs[:0]
 		}
-		buf = append(buf, e.serialPend...)
-		e.serialPend = e.serialPend[:0]
+		buf = append(buf, e.serial.subs...)
+		e.serial.subs = e.serial.subs[:0]
 	} else {
 		for i, expect := 0, e.runnable; i < expect; i++ {
 			buf = append(buf, <-subCh)
@@ -1630,18 +1668,36 @@ func (e *engine) collect(subCh <-chan submission) []submission {
 	return buf
 }
 
-// resume switches into node v's suspended program with the given inbox and
-// records the submission it yields next. wokeRound is the completed-round
-// count a park wake syncs the node's clock to (Exchange returns ignore it
-// and count rounds themselves). The ok=false branch is unreachable while
-// the run is live: the node sequence always yields a terminal subDone or
-// subErr before returning, and finished nodes are never resumed.
-func (e *engine) resume(v, wokeRound int, in []Recv, sink *[]submission) {
+// lane is one drive pass's output — a shard worker's or the serial
+// wakes': the submissions its resumes recorded and the coroutine switches
+// they took.
+type lane struct {
+	subs     []submission
+	switches int
+}
+
+// resume hands node v the given inbox and records into l the submission
+// it makes next. A driven node's Driver produces it directly, without a
+// coroutine switch; otherwise — or once the Driver is done — resume
+// switches into the node's suspended program. wokeRound is the
+// completed-round count a park wake syncs the node's clock to (Exchange
+// returns ignore it and count rounds themselves). The ok=false branch is
+// unreachable while the run is live: the node sequence always yields a
+// terminal subDone or subErr before returning, and finished nodes are
+// never resumed.
+func (e *engine) resume(v, wokeRound int, in []Recv, l *lane) {
 	h := &e.hosts[v]
+	if h.drv != nil {
+		if sub, more := h.driveNext(wokeRound, in); more {
+			l.subs = append(l.subs, sub)
+			return
+		}
+	}
 	h.wokeRound = wokeRound
 	h.resumeIn = in
+	l.switches++
 	if sub, ok := e.next[v](); ok {
-		*sink = append(*sink, sub)
+		l.subs = append(l.subs, sub)
 	}
 }
 

@@ -39,6 +39,32 @@ func resumesOf(t *testing.T, g *graph.Graph, program congest.Program) (int64, *c
 	return congest.NodeResumes() - before, stats
 }
 
+// switchesOf runs program on g and returns its coroutine switches.
+func switchesOf(t *testing.T, g *graph.Graph, program congest.Program) int64 {
+	t.Helper()
+	before := congest.CoroSwitches()
+	if _, err := congest.Run(g, program); err != nil {
+		t.Fatal(err)
+	}
+	return congest.CoroSwitches() - before
+}
+
+// burstQuiet is one RunQuiet call after the BFS: every node floods one
+// burst in slot 0 and stays quiet from then on.
+func burstQuiet(h *congest.Host) {
+	tr := dist.BuildBFS(h)
+	dist.RunQuiet(h, tr, func(s int, _ []congest.Recv) ([]congest.Send, bool) {
+		if s > 0 {
+			return nil, false
+		}
+		out := make([]congest.Send, h.Degree())
+		for p := range out {
+			out[p] = congest.Send{Port: p, Wire: congest.Wire{Kind: burstKind}}
+		}
+		return out, false
+	})
+}
+
 // TestRunQuietResumeBudget pins what a quiet stretch costs the scheduler:
 // after one burst, RunQuiet parks every node until the next control slot
 // it must drive, instead of resuming it once per slot while its reporting
@@ -47,23 +73,26 @@ func resumesOf(t *testing.T, g *graph.Graph, program congest.Program) (int64, *c
 func TestRunQuietResumeBudget(t *testing.T) {
 	g := broom()
 	bfsOnly, _ := resumesOf(t, g, func(h *congest.Host) { dist.BuildBFS(h) })
-	total, stats := resumesOf(t, g, func(h *congest.Host) {
-		tr := dist.BuildBFS(h)
-		dist.RunQuiet(h, tr, func(s int, _ []congest.Recv) ([]congest.Send, bool) {
-			if s > 0 {
-				return nil, false
-			}
-			out := make([]congest.Send, h.Degree())
-			for p := range out {
-				out[p] = congest.Send{Port: p, Wire: congest.Wire{Kind: burstKind}}
-			}
-			return out, false
-		})
-	})
+	total, stats := resumesOf(t, g, burstQuiet)
 	quiet := total - bfsOnly
 	t.Logf("RunQuiet: %d resumes (%.1f per node); run: %d rounds, %d messages",
 		quiet, float64(quiet)/float64(g.N()), stats.Rounds, stats.Messages)
 	if budget := int64(16 * g.N()); quiet > budget {
 		t.Fatalf("RunQuiet cost %d resumes, budget %d (16 per node)", quiet, budget)
+	}
+}
+
+// TestRunQuietDrivenSwitchBudget pins what RunQuiet costs in coroutine
+// switches: the scheduler drives its slots through the Driver, so a node
+// switches into its program once, at the exit, however many submissions
+// the call makes. With a switch per submission (~8 per node on the broom)
+// the budget of 2 per node fails.
+func TestRunQuietDrivenSwitchBudget(t *testing.T) {
+	g := broom()
+	bfsOnly := switchesOf(t, g, func(h *congest.Host) { dist.BuildBFS(h) })
+	quiet := switchesOf(t, g, burstQuiet) - bfsOnly
+	t.Logf("RunQuiet: %d coroutine switches (%.1f per node)", quiet, float64(quiet)/float64(g.N()))
+	if budget := int64(2 * g.N()); quiet > budget {
+		t.Fatalf("RunQuiet cost %d coroutine switches, budget %d (2 per node)", quiet, budget)
 	}
 }

@@ -1,0 +1,44 @@
+package congest_test
+
+import (
+	"testing"
+
+	steinerforest "steinerforest"
+	"steinerforest/internal/congest"
+	"steinerforest/internal/workload"
+)
+
+// BenchmarkSolveRoadmesh times the distributed solvers on one fixed
+// roadmesh instance (n=1024, k=4, seed 1: a single-phase instance of the
+// kind the solve-det workload serves) through a warm arena pool and
+// without the certificate oracle, so the figure is simulator and solver
+// time only — the A/B handle for scheduler changes such as RunQuiet's
+// parking and driving. Besides rounds it reports the scheduler's work per
+// solve: submissions (one per blocking call) and the coroutine switches
+// they took (submissions a Driver produced take none).
+func BenchmarkSolveRoadmesh(b *testing.B) {
+	gen, err := workload.Generate("roadmesh", workload.Params{N: 1024, K: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, algo := range []string{"det", "rand", "rounded"} {
+		b.Run(algo, func(b *testing.B) {
+			spec := steinerforest.Spec{Algorithm: algo, NoCertificate: true, Arena: congest.NewArenaPool()}
+			res, err := steinerforest.Solve(gen.Instance, spec) // warms the pool
+			if err != nil {
+				b.Fatal(err)
+			}
+			subs0, sw0 := congest.NodeResumes(), congest.CoroSwitches()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := steinerforest.Solve(gen.Instance, spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(res.Stats.Rounds), "rounds/op")
+			b.ReportMetric(float64(congest.NodeResumes()-subs0)/float64(b.N), "submissions/op")
+			b.ReportMetric(float64(congest.CoroSwitches()-sw0)/float64(b.N), "switches/op")
+		})
+	}
+}

@@ -475,8 +475,7 @@ func (ns *nodeState) markEdges(out *sharedOutput) {
 	h := ns.h
 	fmin := out.fmin(ns.terms, ns.allMerges)
 
-	tokens := 0 // pending token sends up the parent chain
-	seen := false
+	w := &tokenWalk{ns: ns, out: out}
 	for _, c := range fmin {
 		if h.ID() == c.EU || h.ID() == c.EV {
 			other := c.EU
@@ -486,34 +485,45 @@ func (ns *nodeState) markEdges(out *sharedOutput) {
 			if p, ok := h.PortOf(other); ok {
 				out.mark(h.EdgeIndex(p))
 			}
-			if !seen {
-				seen = true
-				tokens++
+			if !w.seen {
+				w.seen = true
+				w.tokens++
 			}
 		}
 	}
-	var sendBuf [1]congest.Send
-	step := func(r int, in []congest.Recv) ([]congest.Send, bool) {
-		got := false
-		for _, rc := range in {
-			if rc.Wire.Kind == wireToken {
-				got = true
-			}
+	dist.RunQuiet(h, ns.t, w.step)
+}
+
+// tokenWalk is markEdges' RunQuiet step: the first token to reach a node
+// (or to start there) moves one hop up its region tree per round, marking
+// every edge it crosses; later tokens are absorbed.
+type tokenWalk struct {
+	ns     *nodeState
+	out    *sharedOutput
+	tokens int // pending token sends up the parent chain
+	seen   bool
+	send   [1]congest.Send
+}
+
+func (w *tokenWalk) step(_ int, in []congest.Recv) ([]congest.Send, bool) {
+	got := false
+	for _, rc := range in {
+		if rc.Wire.Kind == wireToken {
+			got = true
 		}
-		if got && !seen {
-			seen = true
-			tokens++
-		}
-		if tokens > 0 && ns.parentPort >= 0 {
-			tokens = 0
-			out.mark(h.EdgeIndex(ns.parentPort))
-			sendBuf[0] = congest.Send{Port: ns.parentPort, Wire: congest.Wire{Kind: wireToken}}
-			return sendBuf[:], true
-		}
-		tokens = 0
-		return nil, got
 	}
-	dist.RunQuiet(h, ns.t, step)
+	if got && !w.seen {
+		w.seen = true
+		w.tokens++
+	}
+	if pp := w.ns.parentPort; w.tokens > 0 && pp >= 0 {
+		w.tokens = 0
+		w.out.mark(w.ns.h.EdgeIndex(pp))
+		w.send[0] = congest.Send{Port: pp, Wire: congest.Wire{Kind: wireToken}}
+		return w.send[:], true
+	}
+	w.tokens = 0
+	return nil, got
 }
 
 // minimalSubforest computes Fmin: the subset of accepted merges whose

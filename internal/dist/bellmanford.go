@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"slices"
+
 	"steinerforest/internal/congest"
 	"steinerforest/internal/rational"
 )
@@ -34,73 +36,112 @@ type BFResult struct {
 // node learns its distance to the nearest source, the source's identity,
 // and its parent port on the winning path. Ties are broken by smaller
 // (distance, source id, predecessor id), so the result is deterministic.
-// All nodes enter and leave in the same round.
+// All nodes enter and leave in the same round. EdgeWeight and UsePort are
+// evaluated once per port, on entry.
 //
 // Offers travel as wire values (source id plus the dyadic distance packed
 // into the denominator-exponent/numerator slots) and the flush reuses one
-// send buffer, so the relaxation loop does not allocate; settled nodes
-// park between control slots.
+// send buffer; the relaxation state is cached on t, so repeated runs on
+// one tree allocate nothing. Settled nodes park between control slots.
 func BellmanFord(h *congest.Host, t *Tree, cfg BFConfig) BFResult {
 	deg := h.Degree()
-	ew := cfg.EdgeWeight
-	if ew == nil {
-		ew = func(port int) rational.Q { return rational.FromInt(h.Weight(port)) }
+	bf := t.bf
+	if bf == nil {
+		bf = &bellmanFord{h: h, out: make([]congest.Send, 0, deg)}
+		bf.stepFn = bf.step
+		t.bf = bf
 	}
-	usable := make([]bool, deg)
-	for p := 0; p < deg; p++ {
-		usable[p] = cfg.UsePort == nil || cfg.UsePort(p)
-	}
-	res := BFResult{Source: -1, ParentPort: -1}
-	bestFrom := -1 // predecessor node id of the adopted offer
-	pending := false
-	if cfg.IsSource {
-		res = BFResult{Reached: true, Source: cfg.SourceID, ParentPort: -1}
-		pending = true
-	}
-	outBuf := make([]congest.Send, 0, deg)
-
-	step := func(_ int, in []congest.Recv) ([]congest.Send, bool) {
-		for _, rc := range in {
-			if rc.Wire.Kind != wireBF || !usable[rc.Port] || cfg.IsSource {
-				continue
-			}
-			src := int(int32(rc.Wire.A))
-			cand := DecodeQ(rc.Wire.B, rc.Wire.C).Add(ew(rc.Port))
-			from := h.Neighbor(rc.Port)
-			better := !res.Reached
-			if !better {
-				switch c := cand.Cmp(res.Dist); {
-				case c < 0:
-					better = true
-				case c == 0 && src < res.Source:
-					better = true
-				case c == 0 && src == res.Source && from < bestFrom:
-					better = true
-				}
-			}
-			if better {
-				res.Reached = true
-				res.Dist = cand
-				res.Source = src
-				res.ParentPort = rc.Port
-				bestFrom = from
-				pending = true
-			}
-		}
-		if !pending {
-			return nil, false
-		}
-		pending = false
-		b, c := EncodeQ(res.Dist)
-		offer := congest.Wire{Kind: wireBF, A: uint32(int32(res.Source)), B: b, C: c}
-		outBuf = outBuf[:0]
+	bf.usable, bf.weight = bf.usable[:0], bf.weight[:0]
+	if cfg.UsePort != nil {
+		bf.usable = slices.Grow(bf.usable, deg)
 		for p := 0; p < deg; p++ {
-			if usable[p] {
-				outBuf = append(outBuf, congest.Send{Port: p, Wire: offer})
+			bf.usable = append(bf.usable, cfg.UsePort(p))
+		}
+	}
+	if cfg.EdgeWeight != nil {
+		bf.weight = slices.Grow(bf.weight, deg)
+		for p := 0; p < deg; p++ {
+			var w rational.Q
+			if bf.usablePort(p) {
+				w = cfg.EdgeWeight(p)
+			}
+			bf.weight = append(bf.weight, w)
+		}
+	}
+	bf.isSource = cfg.IsSource
+	bf.res = BFResult{Source: -1, ParentPort: -1}
+	bf.bestFrom = -1
+	bf.pending = false
+	if cfg.IsSource {
+		bf.res = BFResult{Reached: true, Source: cfg.SourceID, ParentPort: -1}
+		bf.pending = true
+	}
+	RunQuiet(h, t, bf.stepFn)
+	return bf.res
+}
+
+// bellmanFord is one node's relaxation state: BellmanFord's RunQuiet
+// step, cached on the node's tree.
+type bellmanFord struct {
+	h        *congest.Host
+	isSource bool
+	usable   []bool       // per port: relax over it; empty = every port
+	weight   []rational.Q // per usable port: the weight; empty = the graph's
+	res      BFResult
+	bestFrom int  // predecessor node id of the adopted offer
+	pending  bool // res changed since the last flush
+	out      []congest.Send
+	stepFn   Step // step, bound once
+}
+
+// step adopts the best improving offer of in and, when the distance
+// changed, offers it on every usable port.
+func (bf *bellmanFord) step(_ int, in []congest.Recv) ([]congest.Send, bool) {
+	res := &bf.res
+	for _, rc := range in {
+		if rc.Wire.Kind != wireBF || !bf.usablePort(rc.Port) || bf.isSource {
+			continue
+		}
+		src := int(int32(rc.Wire.A))
+		w := rational.FromInt(bf.h.Weight(rc.Port))
+		if len(bf.weight) > 0 {
+			w = bf.weight[rc.Port]
+		}
+		cand := DecodeQ(rc.Wire.B, rc.Wire.C).Add(w)
+		from := bf.h.Neighbor(rc.Port)
+		better := !res.Reached
+		if !better {
+			switch c := cand.Cmp(res.Dist); {
+			case c < 0:
+				better = true
+			case c == 0 && src < res.Source:
+				better = true
+			case c == 0 && src == res.Source && from < bf.bestFrom:
+				better = true
 			}
 		}
-		return outBuf, false
+		if better {
+			res.Reached = true
+			res.Dist = cand
+			res.Source = src
+			res.ParentPort = rc.Port
+			bf.bestFrom = from
+			bf.pending = true
+		}
 	}
-	RunQuiet(h, t, step)
-	return res
+	if !bf.pending {
+		return nil, false
+	}
+	bf.pending = false
+	b, c := EncodeQ(res.Dist)
+	offer := congest.Wire{Kind: wireBF, A: uint32(int32(res.Source)), B: b, C: c}
+	bf.out = bf.out[:0]
+	for p := 0; p < bf.h.Degree(); p++ {
+		if bf.usablePort(p) {
+			bf.out = append(bf.out, congest.Send{Port: p, Wire: offer})
+		}
+	}
+	return bf.out, false
 }
+
+func (bf *bellmanFord) usablePort(p int) bool { return len(bf.usable) == 0 || bf.usable[p] }

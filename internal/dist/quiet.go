@@ -7,7 +7,8 @@ import "steinerforest/internal/congest"
 // activity flag. A step that returns no sends and reports inactive must
 // stay that way under empty input (no spontaneous reactivation) — receipt
 // of a message may reactivate it. The driver relies on this contract to
-// skip step calls (and park the node) through quiet stretches.
+// skip step calls (and park the node) through quiet stretches. A step
+// computes locally: it must not call the Host's blocking methods.
 type Step func(round int, in []congest.Recv) ([]congest.Send, bool)
 
 // RunQuiet drives step until the whole network is quiescent — every node
@@ -41,6 +42,17 @@ type Step func(round int, in []congest.Recv) ([]congest.Send, bool)
 // and a root with some child latch off waits for the arrival that
 // completes the set, which is also the wake that lets it detect.
 //
+// The slot loop is written as a congest.Driver — a four-state machine
+// (parked, payload, control, idle) whose Next returns each slot's blocking
+// call as a request — and run with Host.Drive. On the continuation
+// scheduler the node's program therefore suspends once, on entry, and is
+// switched back into once, at the exit; every payload, control and park
+// round in between is a direct Next call from the scheduler, so step runs
+// there too and must not call the Host's blocking methods. Rounds,
+// messages and step calls are those of the plain Exchange loop under
+// every engine configuration. The driver and its buffers are cached on t,
+// so repeated calls on one tree allocate nothing of their own.
+//
 // The step's round counter counts payload rounds only.
 func RunQuiet(h *congest.Host, t *Tree, step Step) {
 	if h.N() <= 1 {
@@ -54,192 +66,233 @@ func RunQuiet(h *congest.Host, t *Tree, step Step) {
 			}
 		}
 	}
+	q := t.quietDriver(h)
+	q.step = step
+	q.out, q.active = step(0, nil)
+	h.Drive(q.slot(), q)
+	q.step, q.out = nil, nil // release the step's captures
+}
 
-	height, depth := t.Height, t.Depth
-	root := t.IsRoot()
-	nc := len(t.ChildPorts)
-	lag := height - depth
-	hist := make([]bool, lag+1) // ownQuiet for payload slots s-lag..s
-	childOf := make([]int, h.Degree())
-	for p := range childOf {
-		childOf[p] = -1
-	}
-	for i, p := range t.ChildPorts {
-		childOf[p] = i
-	}
-	chq := make([]bool, nc) // per-child latched quiet bit
-	count := 0              // = number of set latches
-	sent := false           // the bit our parent currently latches for us
+// quietDriver states: the request the node is waiting on.
+const (
+	qParked  = uint8(iota) // a park through quiet slots
+	qPayload               // slot s's payload round
+	qControl               // slot s's control round
+	qIdle                  // the idle-out to the common exit round
+)
+
+// quietDriver is RunQuiet's per-node state machine: the slot loop of its
+// defining Exchange loop, split at its four blocking points. The fields
+// up to ctrlBuf depend on the tree only and are reused by every call; the
+// rest is reset per call.
+type quietDriver struct {
+	h    *congest.Host
+	t    *Tree
+	step Step
+
+	lag     int             // height - depth: the reporting delay of own bits
+	d       int             // the delay nextDue scans: lag, or height-1 at the root
+	hist    []bool          // ownQuiet for payload slots s-lag..s
+	chq     []bool          // per port: the child's latched quiet bit
+	ctrl    []congest.Send  // the control round's sends
+	ctrlBuf [4]congest.Send // ctrl's initial backing
+
+	state  uint8
+	r0     int
+	s      int
+	out    []congest.Send // step(s, ...)'s sends and activity
+	active bool
+	quiet  bool // slot s's own quiet bit
+	count  int  // = number of set latches
+	sent   bool // the bit our parent currently latches for us
 	// exitAt is the slot this node returns at, set once the exit wave
 	// arrives (or, at the root, on detection); from then on the node
 	// reports nothing.
-	sendExitAt, exitAt := -1, -1
-	sawExit := false
-	r0 := h.Round()
-	var ctrl []congest.Send
+	sendExitAt, exitAt int
+}
 
-	// fold latches a control inbox: child transitions update the per-child
-	// bits, the exit wave is flagged for the caller (who knows the slot).
-	fold := func(in []congest.Recv) {
-		for _, rc := range in {
-			switch rc.Wire.Kind {
-			case wireQuiet:
-				if ci := childOf[rc.Port]; !chq[ci] {
-					chq[ci] = true
-					count++
-				}
-			case wireQuietOff:
-				if ci := childOf[rc.Port]; chq[ci] {
-					chq[ci] = false
-					count--
-				}
-			case wireExit:
-				sawExit = true
+// quietDriver returns t's cached RunQuiet driver, reset for a call
+// starting now.
+func (t *Tree) quietDriver(h *congest.Host) *quietDriver {
+	q := t.quiet
+	if q == nil {
+		q = &quietDriver{h: h, t: t, lag: t.Height - t.Depth}
+		bits := make([]bool, q.lag+1+h.Degree())
+		q.hist, q.chq = bits[:q.lag+1], bits[q.lag+1:]
+		q.ctrl = q.ctrlBuf[:0]
+		q.d = q.lag
+		if t.IsRoot() {
+			q.d = t.Height - 1 // depth-1 children report payload slot t-height+1
+		}
+		t.quiet = q
+	} else {
+		clear(q.hist)
+		clear(q.chq)
+	}
+	q.r0, q.s = h.Round(), 0
+	q.count, q.sent = 0, false
+	q.sendExitAt, q.exitAt = -1, -1
+	return q
+}
+
+// Next completes the request the node was waiting on and returns the
+// next one.
+func (q *quietDriver) Next(in []congest.Recv) (congest.Request, bool) {
+	switch q.state {
+	case qParked:
+		return q.woke(in)
+	case qPayload:
+		return q.payload(in), true
+	case qControl:
+		if q.control(in) {
+			return congest.Request{}, false
+		}
+		if q.exitAt >= 0 && q.s >= q.sendExitAt && len(q.out) == 0 && !q.active {
+			// The exit wave is forwarded and the network is globally
+			// quiet: the remaining slots are pure waiting for the deepest
+			// nodes to be reached. Idle straight to the common exit round
+			// — stray child transitions arriving meanwhile are discarded
+			// unread, which is what the loop would have done with them.
+			q.state = qIdle
+			return congest.Idle(q.r0 + 2*q.exitAt + 2 - q.h.Round()), true
+		}
+		q.s++
+		return q.slot(), true
+	}
+	return congest.Request{}, false // qIdle: the common exit round
+}
+
+// slot opens payload slot s, whose step output is already in out/active,
+// and returns the request for its payload round.
+//
+// Steady state: a payload-quiet node parks until the next control round
+// it must drive — its next bit transition, or the root's detection — or
+// until mail (payload, a child's transition, the exit wave) changes that
+// schedule. Every slot in between would be an empty payload round and a
+// silent control round, so sleeping through them is exactly the loop's
+// behavior.
+func (q *quietDriver) slot() congest.Request {
+	q.quiet = len(q.out) == 0 && !q.active
+	q.hist[q.s%(q.lag+1)] = q.quiet
+	due := q.s
+	if q.quiet && q.exitAt < 0 {
+		due = q.nextDue(q.s)
+	}
+	if due != q.s {
+		q.state = qParked
+		if due < 0 {
+			return congest.Sleep()
+		}
+		return congest.SleepUntil(q.r0 + 2*due + 1)
+	}
+	q.state = qPayload
+	if len(q.out) > 0 {
+		return congest.Exchange(q.out)
+	}
+	return congest.SleepUntil(q.h.Round() + 1)
+}
+
+// woke resumes a parked node in the round that ended its park.
+func (q *quietDriver) woke(in []congest.Recv) (congest.Request, bool) {
+	rel := q.h.Round() - q.r0 - 1 // the deviating round, relative
+	sw := rel / 2
+	// Parked slots were payload-silent: mark them quiet, keeping the
+	// surviving older window entries.
+	for j := q.s + 1; j <= sw && j <= q.s+q.lag+1; j++ {
+		q.hist[j%(q.lag+1)] = true
+	}
+	q.s = sw
+	if rel%2 == 0 {
+		// Woken in the payload round of slot s, by payload mail or at the
+		// deadline (in == nil): in is payload input.
+		return q.payload(in), true
+	}
+	// Woken in the control round of slot s (a child's transition, or the
+	// exit wave): s precedes our due slot, so nothing of ours was due;
+	// latch the arrivals, which take effect from slot s+1. The node parked
+	// quiet, so out/active still say so.
+	if q.control(in) {
+		return congest.Request{}, false
+	}
+	q.s++
+	return q.slot(), true
+}
+
+// payload consumes slot s's payload inbox — stepping unless the Step
+// contract says a quiet node stays quiet — and returns the request for
+// slot s's control round: our bit's transition, if any, and the exit wave
+// when it is due.
+func (q *quietDriver) payload(pin []congest.Recv) congest.Request {
+	if q.quiet && len(pin) == 0 {
+		q.out, q.active = nil, false
+	} else {
+		q.out, q.active = q.step(q.s+1, pin)
+	}
+	q.state = qControl
+	q.ctrl = q.ctrl[:0]
+	if rr := q.s - q.lag; !q.t.IsRoot() && q.exitAt < 0 && rr >= 0 {
+		if bit := q.hist[rr%(q.lag+1)] && q.count == len(q.t.ChildPorts); bit != q.sent {
+			q.sent = bit
+			k := wireQuietOff
+			if bit {
+				k = wireQuiet
 			}
+			q.ctrl = append(q.ctrl, congest.Send{Port: q.t.ParentPort, Wire: congest.Wire{Kind: k}})
 		}
 	}
-
-	// nextDue returns the first slot t >= s whose control round this node
-	// must drive, assuming no mail arrives and every payload slot after s
-	// is quiet, or -1 if there is none: for a non-root node its next bit
-	// transition, for the root its detection slot. Control slot t reports
-	// payload slot t-d, and nextDue is only asked at a quiet slot s, so
-	// from slot s+d on the reported bit is constant and the scan is
-	// bounded.
-	d := lag
-	if root {
-		d = height - 1 // depth-1 children report payload slot t-height+1
-	}
-	nextDue := func(s int) int {
-		full := count == nc
-		for t := max(s, d); t <= s+d; t++ {
-			bit := full && hist[(t-d)%(lag+1)]
-			if root && bit || !root && bit != sent {
-				return t
-			}
-		}
-		return -1
-	}
-
-	out, active := step(0, nil)
-	for s := 0; ; s++ {
-		// Payload slot s: out/active were produced by step(s, ...).
-		quiet := len(out) == 0 && !active
-		hist[s%(lag+1)] = quiet
-		var pin []congest.Recv
-		// Steady state: a payload-quiet node parks until the next control
-		// round it must drive — its next bit transition, or the root's
-		// detection — or until mail (payload, a child's transition, the
-		// exit wave) changes that schedule. Every slot in between would be
-		// an empty payload round and a silent control round, so sleeping
-		// through them is exactly the loop's behavior.
-		due := s
-		if quiet && exitAt < 0 {
-			due = nextDue(s)
-		}
-		if due != s {
-			var in []congest.Recv
-			if due < 0 {
-				in = h.Sleep()
-			} else {
-				in = h.SleepUntil(r0 + 2*due + 1)
-			}
-			rel := h.Round() - r0 - 1 // the deviating round, relative
-			sw := rel / 2
-			// Parked slots were payload-silent: mark them quiet, keeping
-			// the surviving older window entries.
-			for j := s + 1; j <= sw && j <= s+lag+1; j++ {
-				hist[j%(lag+1)] = true
-			}
-			s = sw
-			if rel%2 == 1 {
-				// Woken in the control round of slot s (a child's
-				// transition, or the exit wave): s precedes our due slot,
-				// so nothing of ours was due; latch the arrivals, which
-				// take effect from slot s+1.
-				fold(in)
-				if sawExit {
-					sawExit = false
-					exitAt = s + lag
-					sendExitAt = s + 1
-				}
-				if root && exitAt < 0 {
-					rrc := s - height + 1
-					if rrc >= 0 && count == nc && hist[rrc%(lag+1)] {
-						sendExitAt = s + 1
-						exitAt = s + height
-					}
-				}
-				if exitAt >= 0 && s >= exitAt {
-					return
-				}
-				out, active = nil, false
-				continue
-			}
-			// Woken in the payload round of slot s, by payload mail or at
-			// the deadline (in == nil): in is payload input.
-			pin = in
-		} else if len(out) > 0 {
-			pin = h.Exchange(out)
-		} else {
-			pin = h.SleepUntil(h.Round() + 1)
-		}
-		if quiet && len(pin) == 0 {
-			out, active = nil, false // the Step contract: quiet stays quiet
-		} else {
-			out, active = step(s+1, pin)
-		}
-
-		// Control slot s: transmit our bit's transition, if any.
-		ctrl = ctrl[:0]
-		rr := s - lag
-		if !root && exitAt < 0 && rr >= 0 {
-			bit := hist[rr%(lag+1)] && count == nc
-			if bit != sent {
-				sent = bit
-				k := wireQuietOff
-				if bit {
-					k = wireQuiet
-				}
-				ctrl = append(ctrl, congest.Send{Port: t.ParentPort, Wire: congest.Wire{Kind: k}})
-			}
-		}
-		if s == sendExitAt {
-			for _, p := range t.ChildPorts {
-				ctrl = append(ctrl, congest.Send{Port: p, Wire: congest.Wire{Kind: wireExit}})
-			}
-		}
-		var cin []congest.Recv
-		if len(ctrl) > 0 {
-			cin = h.Exchange(ctrl)
-		} else {
-			cin = h.SleepUntil(h.Round() + 1)
-		}
-		fold(cin)
-		if sawExit {
-			sawExit = false
-			exitAt = s + height - depth
-			sendExitAt = s + 1
-		}
-		if root && exitAt < 0 {
-			// Children (depth 1) report payload round s-(height-1) at slot s.
-			rrc := s - height + 1
-			if rrc >= 0 && count == nc && hist[rrc%(lag+1)] {
-				sendExitAt = s + 1
-				exitAt = s + height
-			}
-		}
-		if exitAt >= 0 && s >= exitAt {
-			return
-		}
-		if exitAt >= 0 && sendExitAt >= 0 && s >= sendExitAt && len(out) == 0 && !active {
-			// The exit wave is forwarded and the network is globally quiet:
-			// the remaining slots are pure waiting for the deepest nodes to
-			// be reached. Idle straight to the common exit round — stray
-			// child transitions arriving meanwhile are discarded unread,
-			// which is what the loop would have done with them.
-			h.Idle(r0 + 2*exitAt + 2 - h.Round())
-			return
+	if q.s == q.sendExitAt {
+		for _, p := range q.t.ChildPorts {
+			q.ctrl = append(q.ctrl, congest.Send{Port: p, Wire: congest.Wire{Kind: wireExit}})
 		}
 	}
+	if len(q.ctrl) > 0 {
+		return congest.Exchange(q.ctrl)
+	}
+	return congest.SleepUntil(q.h.Round() + 1)
+}
+
+// control latches slot s's control inbox — child transitions update the
+// per-child bits, the exit wave schedules the exit — runs the root's
+// detection, and reports whether the node returns now.
+func (q *quietDriver) control(in []congest.Recv) bool {
+	for _, rc := range in {
+		switch rc.Wire.Kind {
+		case wireQuiet:
+			if !q.chq[rc.Port] {
+				q.chq[rc.Port] = true
+				q.count++
+			}
+		case wireQuietOff:
+			if q.chq[rc.Port] {
+				q.chq[rc.Port] = false
+				q.count--
+			}
+		case wireExit:
+			q.exitAt, q.sendExitAt = q.s+q.lag, q.s+1
+		}
+	}
+	if q.t.IsRoot() && q.exitAt < 0 {
+		// Children (depth 1) report payload round s-(height-1) at slot s.
+		if rrc := q.s - q.d; rrc >= 0 && q.count == len(q.t.ChildPorts) && q.hist[rrc%(q.lag+1)] {
+			q.sendExitAt, q.exitAt = q.s+1, q.s+q.t.Height
+		}
+	}
+	return q.exitAt >= 0 && q.s >= q.exitAt
+}
+
+// nextDue returns the first slot t >= s whose control round this node
+// must drive, assuming no mail arrives and every payload slot after s is
+// quiet, or -1 if there is none: for a non-root node its next bit
+// transition, for the root its detection slot. Control slot t reports
+// payload slot t-d, and nextDue is only asked at a quiet slot s, so from
+// slot s+d on the reported bit is constant and the scan is bounded.
+func (q *quietDriver) nextDue(s int) int {
+	full, root := q.count == len(q.t.ChildPorts), q.t.IsRoot()
+	for t := max(s, q.d); t <= s+q.d; t++ {
+		bit := full && q.hist[(t-q.d)%(q.lag+1)]
+		if root && bit || !root && bit != q.sent {
+			return t
+		}
+	}
+	return -1
 }

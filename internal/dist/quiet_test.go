@@ -86,10 +86,19 @@ type stepCall struct {
 // Step contract holds: with nothing held, empty input keeps the node
 // quiet.
 func burstyStep(h *congest.Host, seed int64, calls *[]stepCall) Step {
-	rng := rand.New(rand.NewSource(seed*7919 + int64(h.ID())))
+	return burstyStepFrom(h, rand.New(rand.NewSource(seed*7919+int64(h.ID()))), seed == 0, calls)
+}
+
+// intner is the randomness burstyStepFrom draws: a *rand.Rand, or a fuzz
+// input's byte schedule.
+type intner interface{ Intn(n int) int }
+
+// burstyStepFrom is burstyStep drawing from rng; lone selects the lone
+// root burst.
+func burstyStepFrom(h *congest.Host, rng intner, lone bool, calls *[]stepCall) Step {
 	hold, budget, charges := 0, int64(0), 4
 	switch {
-	case seed == 0:
+	case lone:
 		// Only the root is ever active, silently: detection waits on the
 		// root's own window.
 		if h.ID() == 0 {
@@ -135,10 +144,17 @@ type quietRun struct {
 
 func observeQuiet(t *testing.T, g *graph.Graph, seed int64, run func(*congest.Host, *Tree, Step), opts ...congest.Option) quietRun {
 	t.Helper()
+	return observeSteps(t, g, func(h *congest.Host, calls *[]stepCall) Step { return burstyStep(h, seed, calls) }, run, opts...)
+}
+
+// observeSteps runs BuildBFS and then run with the step mk builds on every
+// node of g, recording each node's step calls and exit round.
+func observeSteps(t *testing.T, g *graph.Graph, mk func(*congest.Host, *[]stepCall) Step, run func(*congest.Host, *Tree, Step), opts ...congest.Option) quietRun {
+	t.Helper()
 	r := quietRun{exit: make([]int, g.N()), calls: make([][]stepCall, g.N()), trees: make([]*Tree, g.N())}
 	stats, err := congest.Run(g, func(h *congest.Host) {
 		tr := BuildBFS(h)
-		run(h, tr, burstyStep(h, seed, &r.calls[h.ID()]))
+		run(h, tr, mk(h, &r.calls[h.ID()]))
 		r.exit[h.ID()], r.trees[h.ID()] = h.Round(), tr
 	}, opts...)
 	if err != nil {
@@ -146,6 +162,23 @@ func observeQuiet(t *testing.T, g *graph.Graph, seed int64, run func(*congest.Ho
 	}
 	r.stats = stats
 	return r
+}
+
+// sameRun fails unless got matches want: Stats, every node's exit round,
+// and every node's step calls.
+func sameRun(t *testing.T, name string, got, want quietRun) {
+	t.Helper()
+	if !reflect.DeepEqual(got.stats, want.stats) {
+		t.Fatalf("%s: stats %+v, reference %+v", name, *got.stats, *want.stats)
+	}
+	for v := range want.exit {
+		if got.exit[v] != want.exit[v] {
+			t.Fatalf("%s: node %d exited at round %d, reference %d", name, v, got.exit[v], want.exit[v])
+		}
+		if !slices.Equal(got.calls[v], want.calls[v]) {
+			t.Fatalf("%s: node %d step calls diverged:\n got %v\nwant %v", name, v, got.calls[v], want.calls[v])
+		}
+	}
 }
 
 // reactivatedTwiceInWindow reports whether some node went from quiet to
@@ -175,8 +208,9 @@ func (r quietRun) reactivatedTwiceInWindow() bool {
 // TestRunQuietMultiTransitionEquivalence drives bursty steps whose bits
 // toggle several times per reporting window, on broom, grid and GNP
 // graphs, and requires RunQuiet to match its defining loop exactly under
-// the default engine, the per-round engine (WithFastPath(false)) and the
-// sharded engine (WithParallelism(4)).
+// the default engine (RunQuiet driven by the scheduler), the per-round
+// engine (WithFastPath(false)), the sharded engine (WithParallelism(4))
+// and the goroutine transport (WithGoroutines(true)).
 func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 	broom := graph.New(45) // a 24-edge handle off node 0 plus 20 leaves
 	for v := 1; v < 45; v++ {
@@ -201,6 +235,7 @@ func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 		{"default", nil},
 		{"nofast", []congest.Option{congest.WithFastPath(false)}},
 		{"p4", []congest.Option{congest.WithParallelism(4)}},
+		{"goroutines", []congest.Option{congest.WithGoroutines(true)}},
 	}
 	for _, tg := range graphs {
 		toggled := false
@@ -209,23 +244,46 @@ func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 				ref := observeQuiet(t, tg.g, seed, runQuietRef)
 				toggled = toggled || ref.reactivatedTwiceInWindow()
 				for _, cfg := range configs {
-					got := observeQuiet(t, tg.g, seed, RunQuiet, cfg.opts...)
-					if !reflect.DeepEqual(got.stats, ref.stats) {
-						t.Fatalf("%s: stats %+v, reference %+v", cfg.name, *got.stats, *ref.stats)
-					}
-					for v := range ref.exit {
-						if got.exit[v] != ref.exit[v] {
-							t.Fatalf("%s: node %d exited at round %d, reference %d", cfg.name, v, got.exit[v], ref.exit[v])
-						}
-						if !slices.Equal(got.calls[v], ref.calls[v]) {
-							t.Fatalf("%s: node %d step calls diverged:\n got %v\nwant %v", cfg.name, v, got.calls[v], ref.calls[v])
-						}
-					}
+					sameRun(t, cfg.name, observeQuiet(t, tg.g, seed, RunQuiet, cfg.opts...), ref)
 				}
 			})
 		}
 		if !toggled {
 			t.Errorf("%s: no node reactivated twice within one reporting window; the test lost its coverage", tg.name)
+		}
+	}
+}
+
+// TestRunQuietStepPanic pins the driven path's failure mode: a step that
+// panics mid-RunQuiet — on the program's stack in slot 0, or inside the
+// scheduler's Driver call later — fails the run with the same error text
+// under every engine configuration.
+func TestRunQuietStepPanic(t *testing.T) {
+	g := graph.Grid(4, 5, graph.UnitWeights)
+	configs := []struct {
+		name string
+		opts []congest.Option
+	}{
+		{"default", nil},
+		{"nofast", []congest.Option{congest.WithFastPath(false)}},
+		{"p4", []congest.Option{congest.WithParallelism(4)}},
+		{"goroutines", []congest.Option{congest.WithGoroutines(true)}},
+	}
+	for _, slot := range []int{0, 3} {
+		const want = "congest: node 7 panicked: dist test: step panic"
+		for _, cfg := range configs {
+			_, err := congest.Run(g, func(h *congest.Host) {
+				tr := BuildBFS(h)
+				RunQuiet(h, tr, func(s int, _ []congest.Recv) ([]congest.Send, bool) {
+					if h.ID() == 7 && s == slot {
+						panic("dist test: step panic")
+					}
+					return nil, s < 5 // active through slot 4, sending nothing
+				})
+			}, cfg.opts...)
+			if err == nil || err.Error() != want {
+				t.Errorf("slot %d, %s: err = %v, want %q", slot, cfg.name, err, want)
+			}
 		}
 	}
 }

@@ -12,6 +12,11 @@ type Tree struct {
 	Height     int   // maximum depth over all nodes (global knowledge)
 	ParentPort int   // port toward the parent; -1 at the root
 	ChildPorts []int // ports of the children, ascending
+
+	// Per-node state of the tree's primitives, built on first use and
+	// reused by every later call.
+	quiet *quietDriver
+	bf    *bellmanFord
 }
 
 // IsRoot reports whether this node is the tree root.

@@ -214,84 +214,104 @@ func buildS(h *congest.Host, t *dist.Tree, emb *Embedding) {
 // accepted or improved entry is queued and re-announced to all neighbors,
 // one entry per edge per round.
 func runLELists(h *congest.Host, t *dist.Tree, emb *Embedding) {
-	type listEntry struct {
-		rank Rank
-		dist int64
-		port int
+	le := &leLists{
+		h:      h,
+		emb:    emb,
+		list:   map[int]listEntry{h.ID(): {rank: emb.Rank, dist: 0, port: -1}},
+		queue:  []int{h.ID()},
+		queued: map[int]bool{h.ID(): true},
+		out:    make([]congest.Send, 0, h.Degree()),
 	}
-	list := map[int]listEntry{h.ID(): {rank: emb.Rank, dist: 0, port: -1}}
 	emb.NextHop[h.ID()] = -1
-	queue := []int{h.ID()}
-	queued := map[int]bool{h.ID(): true}
+	dist.RunQuiet(h, t, le.step)
 
-	censored := func(d int64) bool { return emb.Truncated && d >= emb.DistS && d > 0 }
-
-	// dominated reports whether candidate (rank, dist) is dominated by the
-	// current list: some entry at distance <= dist with rank >= rank.
-	dominated := func(rank Rank, d int64) bool {
-		for _, ent := range list {
-			if ent.dist <= d && rank.Less(ent.rank) {
-				return true
-			}
-		}
-		return false
-	}
-
-	step := func(r int, in []congest.Recv) ([]congest.Send, bool) {
-		for _, rc := range in {
-			if rc.Wire.Kind != wireLE {
-				continue
-			}
-			node := int(rc.Wire.A)
-			cand := listEntry{
-				rank: Rank{Value: rc.Wire.C, Node: node},
-				dist: rc.Wire.D + h.Weight(rc.Port),
-				port: rc.Port,
-			}
-			if censored(cand.dist) {
-				continue
-			}
-			cur, present := list[node]
-			if present && cur.dist <= cand.dist {
-				continue
-			}
-			if dominated(cand.rank, cand.dist) {
-				continue
-			}
-			// Accept: insert/improve, prune entries it dominates.
-			list[node] = cand
-			emb.NextHop[node] = cand.port
-			for id, ent := range list {
-				if id != node && cand.dist <= ent.dist && ent.rank.Less(cand.rank) {
-					delete(list, id)
-				}
-			}
-			if !queued[node] {
-				queued[node] = true
-				queue = append(queue, node)
-			}
-		}
-		if len(queue) == 0 {
-			return nil, false
-		}
-		id := queue[0]
-		queue = queue[1:]
-		queued[id] = false
-		ent, ok := list[id]
-		if !ok {
-			return nil, true // pruned while queued; stay active to flush queue
-		}
-		out := make([]congest.Send, 0, h.Degree())
-		for p := 0; p < h.Degree(); p++ {
-			out = append(out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireLE, A: uint32(id), C: ent.rank.Value, D: ent.dist}})
-		}
-		return out, true
-	}
-	dist.RunQuiet(h, t, step)
-
-	emb.List = make([]Entry, 0, len(list))
-	for id, ent := range list {
+	emb.List = make([]Entry, 0, len(le.list))
+	for id, ent := range le.list {
 		emb.List = append(emb.List, Entry{Node: id, Rank: ent.rank, Dist: ent.dist, NextHop: ent.port})
 	}
 	sort.Slice(emb.List, func(i, j int) bool { return emb.List[i].Dist < emb.List[j].Dist })
+}
+
+type listEntry struct {
+	rank Rank
+	dist int64
+	port int
+}
+
+// leLists is a node's LE-list relaxation state, runLELists' RunQuiet
+// step.
+type leLists struct {
+	h      *congest.Host
+	emb    *Embedding
+	list   map[int]listEntry
+	queue  []int // entries to re-announce, one per round
+	queued map[int]bool
+	out    []congest.Send // reused announcement buffer
+}
+
+func (le *leLists) censored(d int64) bool {
+	return le.emb.Truncated && d >= le.emb.DistS && d > 0
+}
+
+// dominated reports whether candidate (rank, dist) is dominated by the
+// current list: some entry at distance <= dist with rank >= rank.
+func (le *leLists) dominated(rank Rank, d int64) bool {
+	for _, ent := range le.list {
+		if ent.dist <= d && rank.Less(ent.rank) {
+			return true
+		}
+	}
+	return false
+}
+
+func (le *leLists) step(_ int, in []congest.Recv) ([]congest.Send, bool) {
+	h, list := le.h, le.list
+	for _, rc := range in {
+		if rc.Wire.Kind != wireLE {
+			continue
+		}
+		node := int(rc.Wire.A)
+		cand := listEntry{
+			rank: Rank{Value: rc.Wire.C, Node: node},
+			dist: rc.Wire.D + h.Weight(rc.Port),
+			port: rc.Port,
+		}
+		if le.censored(cand.dist) {
+			continue
+		}
+		cur, present := list[node]
+		if present && cur.dist <= cand.dist {
+			continue
+		}
+		if le.dominated(cand.rank, cand.dist) {
+			continue
+		}
+		// Accept: insert/improve, prune entries it dominates.
+		list[node] = cand
+		le.emb.NextHop[node] = cand.port
+		for id, ent := range list {
+			if id != node && cand.dist <= ent.dist && ent.rank.Less(cand.rank) {
+				delete(list, id)
+			}
+		}
+		if !le.queued[node] {
+			le.queued[node] = true
+			le.queue = append(le.queue, node)
+		}
+	}
+	if len(le.queue) == 0 {
+		return nil, false
+	}
+	id := le.queue[0]
+	le.queue = le.queue[1:]
+	le.queued[id] = false
+	ent, ok := list[id]
+	if !ok {
+		return nil, true // pruned while queued; stay active to flush queue
+	}
+	le.out = le.out[:0]
+	for p := 0; p < h.Degree(); p++ {
+		le.out = append(le.out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireLE, A: uint32(id), C: ent.rank.Value, D: ent.dist}})
+	}
+	return le.out, true
 }

@@ -163,6 +163,7 @@ type nodeState struct {
 	labels  []int            // global sorted label set
 	sendBuf []congest.Send   // reused per-round flush buffer
 	queues  [][]congest.Wire // per-port pending sends, reused across levels
+	rt      *router          // stageOne's routing state, reused across levels
 }
 
 func (ns *nodeState) run() {
@@ -256,7 +257,6 @@ func sortedLabels(m map[int]bool) []int {
 // label set (ascending) and marks all traversed edges into F.
 func (ns *nodeState) stageOne(l []int) {
 	h := ns.h
-	deg := h.Degree()
 	for i := 0; i <= ns.emb.L; i++ {
 		// Step 3a: drop labels held by a single node. The collected stream
 		// is (lbl, node)-sorted, so the census is a run-length pass and the
@@ -294,117 +294,157 @@ func (ns *nodeState) stageOne(l []int) {
 
 		// Step 3b: aim each held label at the level-i ancestor.
 		anc, _ := ns.emb.Ancestor(i)
-		type chainKey struct{ lbl, dst int }
-		firstFrom := map[chainKey]int{} // first-receipt port per chain
-		originated := map[chainKey]bool{}
-		gathered := map[int]bool{} // l̂: labels gathered here as ancestor
-		var gatherOrder []chainKey // self chains arriving here, in order
-		for p := range ns.queues {
-			ns.queues[p] = ns.queues[p][:0]
-		}
-		push := func(port int, w congest.Wire) { ns.queues[port] = append(ns.queues[port], w) }
-		// flushQueues emits the head of every nonempty port queue, in port
-		// order, into the reused send buffer.
-		flushQueues := func(markF bool) []congest.Send {
-			out := ns.sendBuf[:0]
-			for p := 0; p < deg; p++ {
-				q := ns.queues[p]
-				if len(q) == 0 {
-					continue
-				}
-				out = append(out, congest.Send{Port: p, Wire: q[0]})
-				ns.queues[p] = q[1:]
-				if markF {
-					ns.markPort(p)
-				}
-			}
-			ns.sendBuf = out
-			return out
-		}
-
+		rt := ns.router()
 		for _, lbl := range l {
 			key := chainKey{lbl: lbl, dst: anc.Node}
-			originated[key] = true
+			rt.originated[key] = true
 			if anc.Node == h.ID() {
-				if !gathered[lbl] {
-					gathered[lbl] = true
-					gatherOrder = append(gatherOrder, key)
-				}
+				rt.gather(key)
 				continue
 			}
-			push(ns.routePort(anc.Node, anc.NextHop),
+			rt.push(ns.routePort(anc.Node, anc.NextHop),
 				congest.Wire{Kind: wireRoute, A: uint32(anc.Node), C: int64(lbl)})
 		}
 
 		// Step 3c: route with per-chain dedup until quiescence.
-		handled := map[chainKey]bool{}
-		for k := range originated {
-			handled[k] = true
-		}
-		step := func(r int, in []congest.Recv) ([]congest.Send, bool) {
-			for _, rc := range in {
-				if rc.Wire.Kind != wireRoute {
-					continue
-				}
-				lbl, dst := int(rc.Wire.C), int(rc.Wire.A)
-				// The edge was traversed, so both endpoints record it in F.
-				ns.markPort(rc.Port)
-				key := chainKey{lbl: lbl, dst: dst}
-				if _, dup := firstFrom[key]; dup || handled[key] {
-					continue
-				}
-				firstFrom[key] = rc.Port
-				if dst == h.ID() {
-					if !gathered[lbl] {
-						gathered[lbl] = true
-						gatherOrder = append(gatherOrder, key)
-					}
-					continue
-				}
-				push(ns.routePort(dst, -2), rc.Wire)
-			}
-			out := flushQueues(true)
-			return out, len(out) > 0
-		}
-		dist.RunQuiet(h, ns.t, step)
+		dist.RunQuiet(h, ns.t, rt.routeStep)
 
 		// Step 3d: each ancestor delegates its gathered labels to the
 		// originator of the first chain that reached it.
-		var next []int
-		if len(gatherOrder) > 0 {
-			pick := gatherOrder[0]
-			if originated[pick] {
-				next = append(next, sortedLabels(gathered)...)
+		if len(rt.gatherOrder) > 0 {
+			pick := rt.gatherOrder[0]
+			if rt.originated[pick] {
+				rt.next = append(rt.next, sortedLabels(rt.gathered)...)
 			} else {
-				back := firstFrom[pick]
-				for _, lbl := range sortedLabels(gathered) {
-					push(back, delegWire(pick.lbl, pick.dst, lbl))
+				back := rt.firstFrom[pick]
+				for _, lbl := range sortedLabels(rt.gathered) {
+					rt.push(back, delegWire(pick.lbl, pick.dst, lbl))
 				}
 			}
 		}
-		stepBack := func(r int, in []congest.Recv) ([]congest.Send, bool) {
-			for _, rc := range in {
-				if rc.Wire.Kind != wireDeleg {
-					continue
-				}
-				key := chainKey{lbl: int(rc.Wire.B), dst: int(rc.Wire.A)}
-				if originated[key] {
-					next = append(next, int(rc.Wire.C))
-					continue
-				}
-				back, ok2 := firstFrom[key]
-				if !ok2 {
-					panic("randforest: delegation chain broken")
-				}
-				push(back, rc.Wire)
-			}
-			out := flushQueues(false)
-			return out, len(out) > 0
-		}
-		dist.RunQuiet(h, ns.t, stepBack)
-		sort.Ints(next)
-		l = next
+		dist.RunQuiet(h, ns.t, rt.backStep)
+		l = rt.next
+		sort.Ints(l)
 	}
+}
+
+// chainKey names one routing chain: a label aimed at an ancestor.
+type chainKey struct{ lbl, dst int }
+
+// router is a node's Step 3c/3d state for one level of stageOne. It is
+// built once per node and reset per level, and its two RunQuiet steps
+// are bound once, so a level allocates only what its maps outgrow.
+type router struct {
+	ns          *nodeState
+	firstFrom   map[chainKey]int  // first-receipt port per chain
+	originated  map[chainKey]bool // chains this node started
+	gathered    map[int]bool      // l̂: labels gathered here as ancestor
+	gatherOrder []chainKey        // self chains arriving here, in order
+	next        []int             // the labels this node holds next level
+	routeStep   dist.Step
+	backStep    dist.Step
+}
+
+// router returns the node's router, reset for a new level: empty maps,
+// empty port queues.
+func (ns *nodeState) router() *router {
+	rt := ns.rt
+	if rt == nil {
+		rt = &router{
+			ns:         ns,
+			firstFrom:  map[chainKey]int{},
+			originated: map[chainKey]bool{},
+			gathered:   map[int]bool{},
+		}
+		rt.routeStep, rt.backStep = rt.route, rt.back
+		ns.rt = rt
+	}
+	clear(rt.firstFrom)
+	clear(rt.originated)
+	clear(rt.gathered)
+	rt.gatherOrder = rt.gatherOrder[:0]
+	rt.next = nil // becomes the caller's label set
+	for p := range ns.queues {
+		ns.queues[p] = ns.queues[p][:0]
+	}
+	return rt
+}
+
+func (rt *router) push(port int, w congest.Wire) {
+	rt.ns.queues[port] = append(rt.ns.queues[port], w)
+}
+
+// gather records a chain that reached its ancestor here.
+func (rt *router) gather(key chainKey) {
+	if !rt.gathered[key.lbl] {
+		rt.gathered[key.lbl] = true
+		rt.gatherOrder = append(rt.gatherOrder, key)
+	}
+}
+
+// flush emits the head of every nonempty port queue, in port order, into
+// the reused send buffer, marking the edges into F when markF is set.
+func (rt *router) flush(markF bool) ([]congest.Send, bool) {
+	ns := rt.ns
+	out := ns.sendBuf[:0]
+	for p, q := range ns.queues {
+		if len(q) == 0 {
+			continue
+		}
+		out = append(out, congest.Send{Port: p, Wire: q[0]})
+		ns.queues[p] = q[1:]
+		if markF {
+			ns.markPort(p)
+		}
+	}
+	ns.sendBuf = out
+	return out, len(out) > 0
+}
+
+// route is Step 3c: forward each chain's first arrival toward its
+// ancestor, recording the traversed edges in F.
+func (rt *router) route(_ int, in []congest.Recv) ([]congest.Send, bool) {
+	ns := rt.ns
+	for _, rc := range in {
+		if rc.Wire.Kind != wireRoute {
+			continue
+		}
+		lbl, dst := int(rc.Wire.C), int(rc.Wire.A)
+		// The edge was traversed, so both endpoints record it in F.
+		ns.markPort(rc.Port)
+		key := chainKey{lbl: lbl, dst: dst}
+		if _, dup := rt.firstFrom[key]; dup || rt.originated[key] {
+			continue
+		}
+		rt.firstFrom[key] = rc.Port
+		if dst == ns.h.ID() {
+			rt.gather(key)
+			continue
+		}
+		rt.push(ns.routePort(dst, -2), rc.Wire)
+	}
+	return rt.flush(true)
+}
+
+// back is Step 3d: walk each delegation back along its chain to the
+// originator, which adopts the delegated label.
+func (rt *router) back(_ int, in []congest.Recv) ([]congest.Send, bool) {
+	for _, rc := range in {
+		if rc.Wire.Kind != wireDeleg {
+			continue
+		}
+		key := chainKey{lbl: int(rc.Wire.B), dst: int(rc.Wire.A)}
+		if rt.originated[key] {
+			rt.next = append(rt.next, int(rc.Wire.C))
+			continue
+		}
+		back, ok := rt.firstFrom[key]
+		if !ok {
+			panic("randforest: delegation chain broken")
+		}
+		rt.push(back, rc.Wire)
+	}
+	return rt.flush(false)
 }
 
 // delegWire encodes a delegation. Like the 24-bit id accounting it
