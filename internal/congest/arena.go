@@ -225,8 +225,9 @@ func (ar *arena) attach(e *engine) {
 // allocated relay table, and the generation high-water marks the next
 // reuse will continue from. It also drops the run's references into node
 // programs — the host blocks' coroutine hooks and driver, and the stale
-// submissions, whose send slices point into protocol state — so a pooled
-// arena keeps none of a finished run's memory alive.
+// submissions, whose send slices point into protocol state — and the relay
+// stream buffers, keeping only their capacities as sizing hints, so a
+// pooled arena keeps none of a finished run's memory alive.
 func (ar *arena) detach(e *engine) {
 	ar.next, ar.stopFn = e.next, e.stopFn
 	ar.relays = e.relays
@@ -238,6 +239,11 @@ func (ar *arena) detach(e *engine) {
 	ar.winGen = e.winGen
 	clear(ar.hosts)
 	clear(ar.subs)
+	for i := range ar.relays {
+		rl := &ar.relays[i]
+		rl.bufHint = max(rl.bufHint, cap(rl.buf))
+		rl.buf = nil
+	}
 	clear(ar.collected[:cap(ar.collected)])
 	clear(ar.serialPend[:cap(ar.serialPend)])
 }

@@ -247,3 +247,56 @@ func (d *lastExchange) Next([]Recv) (Request, bool) {
 	d.sent = true
 	return Exchange(d.out), true
 }
+
+// TestRelayBufferReuse: a stage's relay orders in one run refill one
+// stream buffer, and a pooled arena hands none of it to the next run —
+// only its capacity, which sizes the next run's first buffer.
+func TestRelayBufferReuse(t *testing.T) {
+	g := graph.Path(3, graph.UnitWeights)
+	sizes := []int{3, 9, 2} // items per stream: grow, then refill
+	pool := NewArenaPool()
+	run := func() (heads []*Recv, caps []int) {
+		_, err := Run(g, func(h *Host) {
+			switch h.ID() {
+			case 0:
+				for _, k := range sizes {
+					for i := 0; i < k; i++ {
+						h.Exchange([]Send{{Port: 0, Wire: msg(int64(i))}})
+					}
+					h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireEnd}}})
+					h.Idle(3) // until both stages have placed their next order
+				}
+			case 1:
+				for _, k := range sizes {
+					stream, _ := h.RelayStream(0, []int{1}, testWireEnd)
+					if len(stream) != k+1 || stream[k-1].Wire.C != int64(k-1) {
+						panic("relay stream corrupted")
+					}
+					heads, caps = append(heads, &stream[0]), append(caps, cap(stream))
+				}
+			case 2:
+				for _, k := range sizes {
+					if stream, _ := h.RelayStream(0, nil, testWireEnd); len(stream) != k+1 {
+						panic("relay stream corrupted")
+					}
+				}
+			}
+		}, WithArenaPool(pool))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return heads, caps
+	}
+	heads, caps := run()
+	if heads[2] != heads[1] {
+		t.Fatal("the stage's third relay order did not reuse its stream buffer")
+	}
+	for i, rl := range pool.free[0].relays {
+		if rl.buf != nil {
+			t.Fatalf("the pooled arena keeps node %d's stream buffer", i)
+		}
+	}
+	if _, warm := run(); warm[0] != caps[1] {
+		t.Fatalf("warm first buffer has capacity %d, want the previous run's %d", warm[0], caps[1])
+	}
+}

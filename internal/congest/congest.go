@@ -476,6 +476,8 @@ func (h *Host) SleepUntil(round int) []Recv {
 //
 // dstPorts must be strictly ascending (which also guarantees one send per
 // port per round); both schedulers reject violations by failing the run.
+// Like Exchange's inbox, relayed and last alias engine-owned buffers that
+// are reused: they are valid only until this node's next blocking call.
 func (h *Host) Relay(srcPort int, dstPorts []int, endKind uint16) (relayed, last []Recv) {
 	return h.relay(srcPort, dstPorts, endKind, false)
 }
@@ -641,7 +643,12 @@ type relaying struct {
 	pendBits  int32
 	pendWire  Wire
 	dsts      []relayDest
-	buf       []Recv
+	// buf accumulates the stream. The node reads it before its next
+	// blocking call, so every later order of the run refills the same
+	// buffer; bufHint carries its capacity over to the arena's next run,
+	// whose first order allocates that much at once.
+	buf     []Recv
+	bufHint int
 }
 
 // winFwd is one round's worth of a relay's pending forward, snapshotted by
@@ -1030,7 +1037,10 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 				rl.hasPend = false
 				rl.finalPend = false
 				rl.finalSent = false
-				rl.buf = nil // the previous buffer was handed to the node
+				if rl.buf == nil && rl.bufHint > 0 {
+					rl.buf = make([]Recv, 0, rl.bufHint)
+				}
+				rl.buf = rl.buf[:0]
 				rl.dsts = rl.dsts[:0]
 				prev := -1
 				for _, p := range x.relayDst {
@@ -1417,10 +1427,8 @@ func (e *engine) relayWindow() (int, error) {
 		for _, v32 := range wake {
 			v := int(v32)
 			rl := &e.relays[v]
-			out := rl.buf
-			rl.buf = nil
 			e.hosts[v].relayLastN = 0
-			e.wakeRun(v, stats.Rounds, out)
+			e.wakeRun(v, stats.Rounds, rl.buf)
 		}
 		// Deadline wake-ups are processed exactly as the normal round end
 		// would; any node woken this round submits next round, ending the
@@ -1488,20 +1496,18 @@ func (e *engine) checkRelayers() {
 				}
 				// Through order with nothing to forward: the stream is
 				// complete on arrival; wake with it and no extra mail.
-				out := rl.buf
-				rl.buf = nil
 				e.hosts[v].relayLastN = 0
-				e.wakeRun(v, e.stats.Rounds, out)
+				e.wakeRun(v, e.stats.Rounds, rl.buf)
 				continue
 			}
 		}
 		// Deviation, a plain order's end of stream, or a through order's
 		// completed final forward: hand over the accumulated messages plus
-		// this round's inbox, ownership of the buffer included.
+		// this round's inbox.
 		rl.finalSent = false
 		final := e.inbox(v)
 		out := append(rl.buf, final...)
-		rl.buf = nil
+		rl.buf = out
 		if rl.hasPend {
 			// Unreachable (a pend set last round was emitted before this
 			// round's check), kept as defensive bookkeeping.

@@ -264,9 +264,9 @@ func (ns *nodeState) installTerms(all []congest.Wire) {
 	for _, x := range all {
 		counts[int(x.B)]++
 	}
-	ns.terms = ns.terms[:0]
+	ns.terms = slices.Grow(ns.terms[:0], len(all))
 	ns.tIdx = make(map[int]int, len(all))
-	var labels []int
+	labels := make([]int, 0, len(all))
 	for _, x := range all {
 		ti := termInfo{node: int(x.A), label: int(x.B)}
 		if counts[ti.label] < 2 {
@@ -424,6 +424,7 @@ func (ns *nodeState) runPhase() {
 
 	// (f) Replay on the local replica; µ(j) is the phase-ender's weight.
 	mu := dist.EdgeItemFromWire(accepted[len(accepted)-1]).Weight
+	ns.allMerges = slices.Grow(ns.allMerges, len(accepted))
 	for _, x := range accepted {
 		c := dist.EdgeItemFromWire(x)
 		ns.book.Merge(c.U, c.V)
@@ -475,7 +476,7 @@ func (ns *nodeState) markEdges(out *sharedOutput) {
 	h := ns.h
 	fmin := out.fmin(ns.terms, ns.allMerges)
 
-	w := &tokenWalk{ns: ns, out: out}
+	w := &tokenWalk{h: h, out: out, parentPort: ns.parentPort}
 	for _, c := range fmin {
 		if h.ID() == c.EU || h.ID() == c.EV {
 			other := c.EU
@@ -496,13 +497,16 @@ func (ns *nodeState) markEdges(out *sharedOutput) {
 
 // tokenWalk is markEdges' RunQuiet step: the first token to reach a node
 // (or to start there) moves one hop up its region tree per round, marking
-// every edge it crosses; later tokens are absorbed.
+// every edge it crosses; later tokens are absorbed. It copies what it
+// reads of the node state instead of pointing at it, so the driver that
+// holds the step does not move the node state to the heap.
 type tokenWalk struct {
-	ns     *nodeState
-	out    *sharedOutput
-	tokens int // pending token sends up the parent chain
-	seen   bool
-	send   [1]congest.Send
+	h          *congest.Host
+	out        *sharedOutput
+	parentPort int
+	tokens     int // pending token sends up the parent chain
+	seen       bool
+	send       [1]congest.Send
 }
 
 func (w *tokenWalk) step(_ int, in []congest.Recv) ([]congest.Send, bool) {
@@ -516,9 +520,9 @@ func (w *tokenWalk) step(_ int, in []congest.Recv) ([]congest.Send, bool) {
 		w.seen = true
 		w.tokens++
 	}
-	if pp := w.ns.parentPort; w.tokens > 0 && pp >= 0 {
+	if pp := w.parentPort; w.tokens > 0 && pp >= 0 {
 		w.tokens = 0
-		w.out.mark(w.ns.h.EdgeIndex(pp))
+		w.out.mark(w.h.EdgeIndex(pp))
 		w.send[0] = congest.Send{Port: pp, Wire: congest.Wire{Kind: wireToken}}
 		return w.send[:], true
 	}

@@ -251,6 +251,7 @@ func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, ne
 			process(h.Exchange(out))
 		} else {
 			stream, last := h.RelayStream(t.ParentPort, t.ChildPorts, wireDownEnd)
+			result = slices.Grow(result, len(stream))
 			ended := false
 			for _, rc := range stream {
 				// Already forwarded by the engine: record, don't queue.
@@ -331,6 +332,9 @@ func BroadcastList(h *congest.Host, t *Tree, items []congest.Wire) []congest.Wir
 	// drain is pure window-relay traffic.
 	var result []congest.Wire
 	stream, _ := h.RelayStream(t.ParentPort, t.ChildPorts, wireBcastEnd)
+	if len(stream) > 1 {
+		result = make([]congest.Wire, 0, len(stream)-1) // all but the marker
+	}
 	for _, rc := range stream {
 		if rc.Wire.Kind == wireBcastEnd {
 			break
