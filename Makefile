@@ -64,7 +64,7 @@ fuzz-smoke:
 
 # Benchmark suite: experiment tables at reduced scale plus the engine
 # allocation profile (BenchmarkEngineFlood reports allocs/op; the
-# ...Goroutines variant is the legacy-transport A/B).
+# ...Parallel variant runs the same flood on the sharded router).
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 1x ./...
 
@@ -79,11 +79,11 @@ snapshot:
 	$(GO) run ./cmd/dsfbench -json > BENCH_pr10.json
 
 # Short-mode run of the scheduler experiments: asserts the fast paths
-# (E2) and the continuation scheduler (E3) stay bit-identical to their
-# exchange-loop / goroutine-transport references on every solver.
+# (E2) and the window relay (E4) stay bit-identical to their per-round
+# references (WithFastPath(false), WithWindowRelay(false)).
 bench-smoke:
 	$(GO) run ./cmd/dsfbench -quick -table e2 -json -memprofile bench-e2-heap.pprof >/dev/null
-	$(GO) run ./cmd/dsfbench -quick -table e3 -json -memprofile bench-e3-heap.pprof >/dev/null
+	$(GO) run ./cmd/dsfbench -quick -table e4 -json -memprofile bench-e4-heap.pprof >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table e5 -json -memprofile bench-e5-heap.pprof >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table s1 -json >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table s2 -json >/dev/null

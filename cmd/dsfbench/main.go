@@ -50,7 +50,7 @@ func run() int {
 	table := flag.String("table", "all",
 		"experiment to run (all, "+strings.Join(keys, ", ")+")")
 	quick := flag.Bool("quick", false, "shrink instance sizes for a fast smoke run")
-	large := flag.Bool("large", false, "add the opt-in large-scale rows (n=2048+) to the E2/E3 scheduler tables")
+	large := flag.Bool("large", false, "add the opt-in large-scale rows (n=2048+) to the E2 scheduler table")
 	huge := flag.Bool("huge", false, "add the opt-in n=10^6 rows to the E5 scale table")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	compare := flag.Bool("compare", false, "compare two -json snapshots (old.json new.json) instead of running")

@@ -3,7 +3,7 @@
 // bounded queue (429 + Retry-After on overflow), -workers long-lived
 // workers each take one request at a time off the queue and run it, and
 // per-request latency/throughput/rejection metrics are exposed on
-// /statsz.
+// /v1/statsz.
 //
 // Usage:
 //
@@ -159,7 +159,7 @@ func run() int {
 			name, path, ins.G.N(), ins.G.M(), ins.NumComponents())
 	}
 	if len(srv.Instances()) == 0 {
-		fmt.Fprintln(os.Stderr, "dsfserve: nothing resident (set -preload or -in; instances can also be added later via POST /instances)")
+		fmt.Fprintln(os.Stderr, "dsfserve: nothing resident (set -preload or -in; instances can also be added later via POST /v1/instances)")
 	}
 
 	if *smoke {
@@ -218,7 +218,7 @@ func runSmoke(srv *serve.Server, reqs int, maxP99 float64) int {
 		return 1
 	}
 
-	if resp, err := http.Get(url + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+	if resp, err := http.Get(url + "/v1/healthz"); err != nil || resp.StatusCode != http.StatusOK {
 		fmt.Fprintf(os.Stderr, "dsfserve: healthz not ok (err=%v)\n", err)
 		return 1
 	}

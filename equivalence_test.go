@@ -10,15 +10,14 @@ import (
 )
 
 // TestFastPathEquivalence pins the engine's core contract: the idle/sleep/
-// standby/relay fast paths, the window relay, and the choice of node
-// transport (continuation scheduler vs legacy goroutines) may change how
-// fast simulated rounds pass, but never what happens in them. Every
-// registered distributed solver, run over a sample of workload families,
-// must produce identical Stats (Rounds, Messages, Bits, MaxMessageBits)
-// and an identical forest with the fast paths forced off and on, the
-// window relay batched and per-round, and under both schedulers, at
-// parallelism 1 and 8. The reference run is the legacy goroutine scheduler
-// with fast paths off — the engine's plainest definition.
+// relay/drive fast paths, the window relay, the sharded router and a warm
+// arena pool may change how fast simulated rounds pass, but never what
+// happens in them. Every registered distributed solver, run over a sample
+// of workload families, must produce identical Stats (Rounds, Messages,
+// Bits, MaxMessageBits) and an identical forest with the fast paths forced
+// off and on and the window relay batched and per-round, at parallelism 1
+// and 8. The reference run has the fast paths off at parallelism 1 — plain
+// per-round Exchange loops, the engine's definition of the model.
 func TestFastPathEquivalence(t *testing.T) {
 	families := []string{"planted", "grid2d", "geometric"}
 	algos := []string{"det", "rounded", "rand", "trunc", "khan"}
@@ -35,34 +34,31 @@ func TestFastPathEquivalence(t *testing.T) {
 		for _, algo := range algos {
 			t.Run(fam+"/"+algo, func(t *testing.T) {
 				base := steinerforest.Spec{Algorithm: algo, Seed: 7, NoCertificate: true}
-				ref, err := steinerforest.Solve(ins, withKnobs(base, true, 1, true, false))
+				ref, err := steinerforest.Solve(ins, withKnobs(base, true, 1, false))
 				if err != nil {
 					t.Fatalf("reference run: %v", err)
 				}
 				for _, v := range []struct {
 					noFast bool
 					par    int
-					legacy bool
 					noWin  bool
 					pooled bool
 				}{
-					{false, 1, false, false, false}, {false, 8, false, false, false}, // continuation × par
-					{false, 1, false, true, false}, {false, 8, false, true, false}, // window relay per-round
-					{true, 1, false, false, false}, {true, 8, false, false, false}, // continuation, fast off
-					{false, 1, true, false, false}, {false, 8, true, false, false}, // goroutines, fast on
-					{true, 8, true, false, false},
-					{false, 1, false, false, true}, {false, 8, false, false, true}, // warm arena pool × par
-					{true, 1, false, false, true}, // warm arena pool, fast off
+					{false, 1, false, false}, {false, 8, false, false}, // fast on × par
+					{false, 1, true, false}, {false, 8, true, false}, // window relay per-round
+					{true, 8, false, false},                          // fast off, sharded
+					{false, 1, false, true}, {false, 8, false, true}, // warm arena pool × par
+					{true, 1, false, true}, // warm arena pool, fast off
 				} {
-					spec := withKnobs(base, v.noFast, v.par, v.legacy, v.noWin)
+					spec := withKnobs(base, v.noFast, v.par, v.noWin)
 					if v.pooled {
 						spec.Arena = pool
 					}
+					name := fmt.Sprintf("noFast=%v par=%d noWin=%v pooled=%v", v.noFast, v.par, v.noWin, v.pooled)
 					res, err := steinerforest.Solve(ins, spec)
 					if err != nil {
-						t.Fatalf("noFast=%v par=%d legacy=%v noWin=%v pooled=%v: %v", v.noFast, v.par, v.legacy, v.noWin, v.pooled, err)
+						t.Fatalf("%s: %v", name, err)
 					}
-					name := fmt.Sprintf("noFast=%v par=%d legacy=%v noWin=%v pooled=%v", v.noFast, v.par, v.legacy, v.noWin, v.pooled)
 					if a, b := ref.Stats, res.Stats; a.Rounds != b.Rounds ||
 						a.Messages != b.Messages || a.Bits != b.Bits ||
 						a.MaxMessageBits != b.MaxMessageBits ||
@@ -90,10 +86,9 @@ func TestFastPathEquivalence(t *testing.T) {
 	}
 }
 
-func withKnobs(s steinerforest.Spec, noFast bool, par int, legacy, noWin bool) steinerforest.Spec {
+func withKnobs(s steinerforest.Spec, noFast bool, par int, noWin bool) steinerforest.Spec {
 	s.NoFastPath = noFast
 	s.Parallelism = par
-	s.LegacyScheduler = legacy
 	s.NoWindowRelay = noWin
 	return s
 }

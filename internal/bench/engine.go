@@ -221,124 +221,3 @@ func E2(sc Scale) *Table {
 const benchWireKind uint16 = 100
 
 func init() { congest.RegisterWireKind(benchWireKind, 64) }
-
-// E3 measures the continuation scheduler against the legacy goroutine
-// transport on active-dense workloads — the regime where every node-round
-// used to pay two channel operations and two runtime-scheduler wakeups.
-// Both sides run the identical program with identical options except the
-// transport; "identical" asserts bit-equal Stats, so the speedup column is
-// a pure scheduling delta.
-func E3(sc Scale) *Table {
-	tab := &Table{
-		ID:    "E3",
-		Title: "continuation scheduler: ns/node-round vs legacy goroutine transport",
-		Claim: "engineering: driving suspended node programs in-place removes the per-round channel hops and wakeups of goroutine hosting",
-		Header: []string{"workload", "n", "rounds", "ms(cont)", "ms(goro)",
-			"ns/node-rnd(cont)", "ns/node-rnd(goro)", "speedup", "identical"},
-	}
-	shrink := func(n int) int {
-		n /= int(sc)
-		if n < 24 {
-			n = 24
-		}
-		return n
-	}
-	addRow := func(name string, n int, run func(legacy bool) (*congest.Stats, error)) {
-		timed := func(legacy bool) (*congest.Stats, float64, error) {
-			start := time.Now()
-			stats, err := run(legacy)
-			return stats, float64(time.Since(start).Microseconds()) / 1000.0, err
-		}
-		// A transport erroring outright is a failed identity assertion, not
-		// just a dropped row — this table is the CI scheduler gate.
-		cont, msCont, err := timed(false)
-		if err != nil {
-			tab.Notes = append(tab.Notes, name+": "+err.Error())
-			tab.Failed = true
-			return
-		}
-		goro, msGoro, err := timed(true)
-		if err != nil {
-			tab.Notes = append(tab.Notes, name+": "+err.Error())
-			tab.Failed = true
-			return
-		}
-		same := cont.Rounds == goro.Rounds && cont.Messages == goro.Messages &&
-			cont.Bits == goro.Bits && cont.MaxMessageBits == goro.MaxMessageBits &&
-			cont.DroppedToTerminated == goro.DroppedToTerminated
-		if !same {
-			tab.Failed = true
-		}
-		perNodeRound := func(ms float64, rounds int) string {
-			return fmt.Sprintf("%.0f", ms*1e6/float64(rounds)/float64(n))
-		}
-		tab.Rows = append(tab.Rows, []string{
-			name, d(n), d(cont.Rounds), f(msCont), f(msGoro),
-			perNodeRound(msCont, cont.Rounds), perNodeRound(msGoro, goro.Rounds), f(msGoro / msCont),
-			fmt.Sprintf("%v", same),
-		})
-	}
-
-	// Raw engine rows: a dense full-degree flood (every node active every
-	// round, the worst case for per-round scheduling overhead), serial and
-	// sharded.
-	const floodRounds = 60
-	floodProgram := func(h *congest.Host) {
-		out := make([]congest.Send, h.Degree())
-		for r := 0; r < floodRounds; r++ {
-			for p := 0; p < h.Degree(); p++ {
-				out[p] = congest.Send{Port: p, Wire: congest.Wire{Kind: benchWireKind, C: int64(r + h.ID())}}
-			}
-			h.Exchange(out)
-		}
-	}
-	floodN := shrink(1600)
-	side := 1
-	for side*side < floodN {
-		side++
-	}
-	g := graph.Grid(side, side, graph.UnitWeights)
-	addRow("dense-flood", g.N(), func(legacy bool) (*congest.Stats, error) {
-		return congest.Run(g, floodProgram, congest.WithGoroutines(legacy))
-	})
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
-	addRow(fmt.Sprintf("dense-flood/p%d", workers), g.N(), func(legacy bool) (*congest.Stats, error) {
-		return congest.Run(g, floodProgram, congest.WithGoroutines(legacy), congest.WithParallelism(workers))
-	})
-
-	// Solver rows: end-to-end runs whose dense phases dominated the
-	// goroutine scheduler's profile.
-	solverRow := func(algo string, n, k int) {
-		n = shrink(n)
-		gen, err := workload.Generate("planted", workload.Params{N: n, K: k, Seed: 9})
-		if err != nil {
-			tab.Notes = append(tab.Notes, algo+": "+err.Error())
-			return
-		}
-		addRow(algo, n, func(legacy bool) (*congest.Stats, error) {
-			res, err := steinerforest.Solve(gen.Instance, steinerforest.Spec{
-				Algorithm: algo, Seed: 5, NoCertificate: true, LegacyScheduler: legacy,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return res.Stats, nil
-		})
-	}
-	solverRow("det", 512, 4)
-	solverRow("rand", 192, 6)
-	solverRow("khan", 96, 4)
-	if Large {
-		// Opt-in n=2048 row (dsfbench -large): the continuation-vs-
-		// goroutine gap grows with n, and the goroutine side pays one
-		// stack + two channels per node at this scale.
-		solverRow("det", 2048, 6)
-	}
-	tab.Notes = append(tab.Notes,
-		"goro = WithGoroutines(true): the legacy one-goroutine-per-node channel transport; identical=true pins bit-equal Stats",
-		"ns/node-rnd divides wall time by rounds x n: on solver rows many node-rounds are parked (engine-side), so cross-row values are not comparable — the cont/goro delta within a row is the point")
-	return tab
-}

@@ -71,6 +71,12 @@ func (p RetryPolicy) delay(reqIdx, attempt, hintS int) time.Duration {
 	return d/2 + time.Duration(j%uint64(d))
 }
 
+// solveURL is the v1 solve route of the named instance on the server at
+// base.
+func solveURL(base, instance string) string {
+	return base + "/v1/instances/" + instance + "/solve"
+}
+
 // postSolve sends one request and classifies the outcome; on non-200 the
 // parsed Retry-After hint (whole seconds, 0 when absent) rides along.
 func postSolve(client *http.Client, url string, req serve.SolveRequest) (*serve.SolveResponse, int, int, error) {
@@ -78,7 +84,7 @@ func postSolve(client *http.Client, url string, req serve.SolveRequest) (*serve.
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	resp, err := client.Post(url+"/solve", "application/json", bytes.NewReader(body))
+	resp, err := client.Post(solveURL(url, req.Instance), "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, 0, err
 	}

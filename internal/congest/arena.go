@@ -19,9 +19,7 @@ import (
 // The pool is safe for concurrent Runs (each run owns its arena
 // exclusively between get and put) and is opt-in via WithArenaPool; the
 // results of pooled runs are bit-identical to fresh-arena runs, which the
-// equivalence tests pin. The legacy goroutine transport bypasses the
-// pool: an aborted run's node goroutines can outlive Run, so their Host
-// blocks must not be recycled.
+// equivalence tests pin.
 type ArenaPool struct {
 	mu   sync.Mutex
 	free []*arena
@@ -38,7 +36,7 @@ type ArenaPool struct {
 func NewArenaPool() *ArenaPool { return &ArenaPool{} }
 
 // WithArenaPool makes Run acquire its scheduler tables from p and return
-// them when the run ends. Ignored under WithGoroutines (see ArenaPool).
+// them when the run ends.
 func WithArenaPool(p *ArenaPool) Option { return func(o *options) { o.pool = p } }
 
 // ArenaPoolStats counts the pool's traffic: how many runs found a warm
@@ -164,6 +162,8 @@ func newArena(n, P int) *arena {
 		winStamp:   make([]uint32, n),
 		shardOf:    make([]int32, n),
 		subs:       make([]submission, n),
+		next:       make([]func() (submission, bool), n),
+		stopFn:     make([]func(), n),
 		sentGen:    make([]uint32, P),
 		slots:      make([]Recv, P),
 		slotGen:    make([]uint32, P),
@@ -229,7 +229,6 @@ func (ar *arena) attach(e *engine) {
 // stream buffers, keeping only their capacities as sizing hints, so a
 // pooled arena keeps none of a finished run's memory alive.
 func (ar *arena) detach(e *engine) {
-	ar.next, ar.stopFn = e.next, e.stopFn
 	ar.relays = e.relays
 	ar.wake, ar.hitRelay = e.wake, e.hitRelay
 	ar.pendList, ar.pendFree = e.pendList, e.pendFree

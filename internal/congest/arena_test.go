@@ -154,21 +154,6 @@ func TestArenaPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestArenaPoolLegacyBypass pins the goroutine-transport exclusion: an
-// aborted legacy run's node goroutines can outlive Run holding Host
-// pointers, so WithGoroutines must ignore the pool entirely.
-func TestArenaPoolLegacyBypass(t *testing.T) {
-	g := graph.Path(6, graph.UnitWeights)
-	pool := NewArenaPool()
-	out := make([]int64, g.N())
-	if _, err := Run(g, arenaProgram(g, out), WithArenaPool(pool), WithGoroutines(true)); err != nil {
-		t.Fatal(err)
-	}
-	if ps := pool.Stats(); ps.WarmGets+ps.ColdGets != 0 || ps.Free != 0 {
-		t.Errorf("legacy transport touched the pool: %+v", ps)
-	}
-}
-
 // benchSetupProgram returns immediately: the run is pure engine setup and
 // teardown, which is exactly what the warm/cold A/B below measures.
 func benchSetupProgram(h *Host) {}

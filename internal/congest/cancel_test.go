@@ -13,8 +13,7 @@ import (
 // floodProgram is a deterministic long-running program: rounds of
 // neighbor flooding with a per-node accumulator. onRound (may be nil) is
 // called by node 0 at the top of each round — the cancellation tests use
-// it to fire a context from inside the run, which works identically
-// under both schedulers.
+// it to fire a context from inside the run.
 func floodProgram(rounds int, onRound func(r int)) Program {
 	return func(h *Host) {
 		x := int64(h.ID() + 1)
@@ -33,6 +32,8 @@ func floodProgram(rounds int, onRound func(r int)) Program {
 	}
 }
 
+// TestCancelAbortsBothSchedulers cancels a run mid-flood on the serial
+// and the sharded scheduler.
 func TestCancelAbortsBothSchedulers(t *testing.T) {
 	g := graph.Grid(4, 4, graph.UnitWeights)
 	for _, tc := range []struct {
@@ -40,7 +41,7 @@ func TestCancelAbortsBothSchedulers(t *testing.T) {
 		opts []Option
 	}{
 		{"continuation", nil},
-		{"goroutines", []Option{WithGoroutines(true)}},
+		{"continuation/p8", []Option{WithParallelism(8)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -92,7 +93,7 @@ func TestDeadlineAbortsRun(t *testing.T) {
 
 // TestContextNeutralWhenNotFired pins the WithContext contract: a run
 // carrying a context that never fires is bit-identical to a run without
-// one, under both schedulers.
+// one, serial and sharded.
 func TestContextNeutralWhenNotFired(t *testing.T) {
 	g := graph.Grid(5, 5, graph.UnitWeights)
 	for _, tc := range []struct {
@@ -100,7 +101,7 @@ func TestContextNeutralWhenNotFired(t *testing.T) {
 		opts []Option
 	}{
 		{"continuation", nil},
-		{"goroutines", []Option{WithGoroutines(true)}},
+		{"continuation/p8", []Option{WithParallelism(8)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := append([]Option{WithSeed(11), WithMaxRounds(1000)}, tc.opts...)

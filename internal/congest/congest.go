@@ -21,11 +21,7 @@
 // stacks, so a coroutine-hosted active node-round costs two coroutine
 // switches and no channel operations, no runtime-scheduler wakeups, and no
 // futex traffic; with WithParallelism(p) a fixed pool of p workers drives
-// disjoint node ranges. WithGoroutines(true) selects the legacy transport
-// instead — one goroutine per node, blocking on channels — kept as the
-// compatibility shim for hosting blocking programs off the engine's stack
-// and as the reference the stress and equivalence suites compare against:
-// both schedulers produce bit-identical Stats and deliveries.
+// disjoint node ranges.
 //
 // A program can go further and hand a stretch of itself to the scheduler
 // as data: Host.Drive(first, d) runs a Driver, whose Next returns the
@@ -36,7 +32,7 @@
 // done. dist.RunQuiet, the quiescence loop under Bellman-Ford and the
 // other run-to-quiescence primitives, runs this way. Drive is defined as
 // the blocking loop over those requests, which is also how it runs with
-// the fast paths off or on the goroutine transport.
+// the fast paths off.
 //
 // The round scheduler is event-driven and allocation-free on its hot path.
 // Nodes that have nothing to say park instead of spinning: Host.Idle(k)
@@ -134,9 +130,8 @@ var ErrRoundLimit = errors.New("congest: round limit exceeded")
 var ErrAsleep = errors.New("congest: every live node is asleep with nothing to wake it")
 
 // ErrCancelled is returned when the run's context (WithContext) is
-// cancelled: the engine aborts cooperatively at the next round boundary,
-// under both the continuation and the legacy goroutine scheduler. The
-// returned error wraps both this sentinel and the context's own error,
+// cancelled: the engine aborts cooperatively at the next round boundary.
+// The returned error wraps both this sentinel and the context's own error,
 // so errors.Is matches either ErrCancelled or context.Canceled/
 // context.DeadlineExceeded.
 var ErrCancelled = errors.New("congest: run cancelled")
@@ -148,7 +143,6 @@ type options struct {
 	trackEdges  bool
 	parallelism int
 	noFastPath  bool
-	goroutines  bool
 	noWindow    bool
 	pool        *ArenaPool
 	ctx         context.Context
@@ -209,23 +203,15 @@ func WithFastPath(on bool) Option { return func(o *options) { o.noFastPath = !on
 // exist without the fast paths).
 func WithWindowRelay(on bool) Option { return func(o *options) { o.noWindow = !on } }
 
-// WithGoroutines selects the legacy node transport: one goroutine per node
-// blocking on channels, instead of the default continuation scheduler that
-// drives suspended node programs in-place. The observable behavior — Stats
-// and every delivered message — is bit-identical under both transports
-// (the scheduler stress and equivalence tests pin this); the goroutine
-// path remains as the compatibility shim and the A/B reference.
-func WithGoroutines(on bool) Option { return func(o *options) { o.goroutines = on } }
-
 // WithContext attaches a cancellation context to the run. The engine
 // checks it at every round boundary — including inside the bulk
 // window-relay and clock-jump paths — and aborts with ErrCancelled
-// (wrapping ctx's cause) when it fires, under both schedulers. A run
-// that is never cancelled is bit-identical to one without a context:
-// the check reads a channel non-blockingly and touches no engine state
-// (the equivalence suite pins this). Cancellation is cooperative at
-// round granularity: a node program blocked inside one round's work is
-// not preempted, exactly like the MaxRounds budget.
+// (wrapping ctx's cause) when it fires. A run that is never cancelled is
+// bit-identical to one without a context: the check reads a channel
+// non-blockingly and touches no engine state (the equivalence suite pins
+// this). Cancellation is cooperative at round granularity: a node program
+// blocked inside one round's work is not preempted, exactly like the
+// MaxRounds budget.
 func WithContext(ctx context.Context) Option {
 	return func(o *options) {
 		if ctx != nil && ctx.Done() != nil {
@@ -283,10 +269,8 @@ type Host struct {
 	// replaces a heap allocation per park/relay call.
 	ext subExt
 
-	// Continuation transport (the default): yield suspends the program
-	// mid-call, handing the submission to the scheduler; resumeIn carries
-	// the inbox of the resume that follows.
-	coro     bool
+	// yield suspends the program mid-call, handing the submission to the
+	// scheduler; resumeIn carries the inbox of the resume that follows.
 	yield    func(submission) bool
 	resumeIn []Recv
 
@@ -296,41 +280,23 @@ type Host struct {
 	// advances by one) or a park (it syncs to the wake round).
 	drv     Driver
 	drvExch bool
-
-	// Legacy goroutine transport (WithGoroutines): the program runs on its
-	// own goroutine and blocks on a channel round trip per submission.
-	submit chan<- submission
-	reply  chan []Recv
-	abort  <-chan struct{}
 }
 
 // transact hands one submission to the scheduler and suspends the node's
-// program until the engine resumes it, returning the resume inbox. On the
-// continuation transport this is a direct coroutine switch: yield parks the
-// program's whole stack as the continuation and returns the submission to
-// the scheduler's next(); the engine writes the inbox into resumeIn before
-// switching back in. On the legacy transport it is a channel round trip. A
-// false yield (or a closed abort channel) means the run is failing; the
-// program unwinds via the abort sentinel.
+// program until the engine resumes it, returning the resume inbox. This is
+// a direct coroutine switch: yield parks the program's whole stack as the
+// continuation and returns the submission to the scheduler's next(); the
+// engine writes the inbox into resumeIn before switching back in. A false
+// yield means the run is failing; the program unwinds via the abort
+// sentinel.
 func (h *Host) transact(sub submission) []Recv {
 	if h.drv != nil {
 		panic(errBlockingInNext)
 	}
-	if h.coro {
-		if !h.yield(sub) {
-			panic(abortSentinel{})
-		}
-		return h.resumeIn
-	}
-	// The submit channel holds one slot per node and every node has at most
-	// one submission in flight, so this send never blocks.
-	h.submit <- sub
-	select {
-	case in := <-h.reply:
-		return in
-	case <-h.abort:
+	if !h.yield(sub) {
 		panic(abortSentinel{})
 	}
+	return h.resumeIn
 }
 
 // ID returns this node's identifier.
@@ -475,7 +441,7 @@ func (h *Host) SleepUntil(round int) []Recv {
 // that is neither the stream's source nor a point of deviation.
 //
 // dstPorts must be strictly ascending (which also guarantees one send per
-// port per round); both schedulers reject violations by failing the run.
+// port per round); the run fails on a violation.
 // Like Exchange's inbox, relayed and last alias engine-owned buffers that
 // are reused: they are valid only until this node's next blocking call.
 func (h *Host) Relay(srcPort int, dstPorts []int, endKind uint16) (relayed, last []Recv) {
@@ -583,9 +549,9 @@ const (
 // submission is one node's per-round message to the scheduler: the
 // continuation state a suspended program yields — what it sent plus its
 // resume condition. The hot case (an exchange) must stay small — it is
-// copied by value for every node round (and through a channel on the
-// legacy transport) — so the parameters of the rare parking kinds live
-// behind a pointer into the host's reusable parameter block.
+// copied by value for every node round — so the parameters of the rare
+// parking kinds live behind a pointer into the host's reusable parameter
+// block.
 type submission struct {
 	node int
 	kind uint8
@@ -724,11 +690,9 @@ type engine struct {
 	stats *Stats
 	hosts []Host // host arena: one in-place block per node
 
-	// Continuation transport: per-node resume/stop handles of the
-	// suspended programs, the per-shard lanes the drive passes record
-	// into, the lane of the serial wakes, and the reusable collection
-	// buffer the round loop processes.
-	coro      bool
+	// Per-node resume/stop handles of the suspended programs, the
+	// per-shard lanes the drive passes record into, the lane of the serial
+	// wakes, and the reusable collection buffer the round loop processes.
 	next      []func() (submission, bool)
 	stopFn    []func()
 	lanes     []lane
@@ -820,25 +784,10 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	}
 	o.parallelism = p
 
-	coro := !o.goroutines
-	var subCh chan submission
-	var abort chan struct{}
-	aborted := false
-	if !coro {
-		subCh = make(chan submission, n)
-		abort = make(chan struct{})
-		defer func() {
-			if !aborted {
-				close(abort)
-			}
-		}()
-	}
-
 	e := &engine{
 		n:         n,
 		o:         o,
 		stats:     stats,
-		coro:      coro,
 		runnable:  n,
 		live:      n,
 		shardSubs: make([][]int32, p),
@@ -850,17 +799,12 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	// offsets; the relay order table is allocated lazily, on the
 	// first protocol that parks a node that way. With WithArenaPool the
 	// whole arena is recycled across runs (reset by generation bump, not
-	// reallocation) — except on the legacy goroutine transport, whose
-	// aborted node goroutines can outlive Run and must never see their
-	// Host blocks handed to a later run.
+	// reallocation).
 	base := g.Offsets()
 	e.base = base
 	P := int(base[n])
 	setupStart := time.Now()
 	pool := o.pool
-	if !coro {
-		pool = nil
-	}
 	var ar *arena
 	warmArena := false
 	if pool != nil {
@@ -872,24 +816,18 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	} else {
 		ar = newArena(n, P)
 	}
-	if coro && ar.next == nil {
-		ar.next = make([]func() (submission, bool), n)
-		ar.stopFn = make([]func(), n)
-	}
 	ar.attach(e)
-	if coro {
-		e.lanes = make([]lane, p)
-		// Belt and braces: release any still-suspended continuation on the
-		// way out (normal exits and fails have already done so; this keeps
-		// an engine bug from leaking parked coroutine stacks). Joins any
-		// in-flight shard workers first — a panic between dispatch and the
-		// round's wg.Wait must not let stopAll race a worker's resume of
-		// the same coroutine.
-		defer func() {
-			e.wg.Wait()
-			e.stopAll()
-		}()
-	}
+	e.lanes = make([]lane, p)
+	// Belt and braces: release any still-suspended continuation on the way
+	// out (normal exits and fails have already done so; this keeps an
+	// engine bug from leaking parked coroutine stacks). Joins any in-flight
+	// shard workers first — a panic between dispatch and the round's
+	// wg.Wait must not let stopAll race a worker's resume of the same
+	// coroutine.
+	defer func() {
+		e.wg.Wait()
+		e.stopAll()
+	}()
 	for v := 0; v < n; v++ {
 		e.shardOf[v] = int32(v * p / n)
 	}
@@ -924,16 +862,8 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 			ports:   g.Neighbors(v),
 			rngSeed: o.seed + int64(v)*0x9E3779B9,
 			fast:    !o.noFastPath,
-			coro:    coro,
 		}
-		if coro {
-			e.next[v], e.stopFn[v] = iter.Pull(nodeSeq(h, program))
-		} else {
-			h.submit = subCh
-			h.reply = make(chan []Recv, 1)
-			h.abort = abort
-			go runNode(h, program, subCh)
-		}
+		e.next[v], e.stopFn[v] = iter.Pull(nodeSeq(h, program))
 	}
 	if p > 1 {
 		e.start = make([]chan struct{}, p)
@@ -958,29 +888,21 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	}
 
 	fail := func(err error) (*Stats, error) {
-		aborted = true
-		if coro {
-			e.stopAll()
-		} else {
-			close(abort)
-		}
+		e.stopAll()
 		return nil, err
 	}
 
-	if coro {
-		// Start every program, running each up to its first submission.
-		// From here on the nodes are suspended continuations that the
-		// round loop resumes in-place.
-		for v := 0; v < n; v++ {
-			e.resume(v, 0, nil, &e.serial)
-		}
+	// Start every program, running each up to its first submission. From
+	// here on the nodes are suspended continuations that the round loop
+	// resumes in-place.
+	for v := 0; v < n; v++ {
+		e.resume(v, 0, nil, &e.serial)
 	}
 
 	resumes := 0 // one submission per node resume; published on success
 	for e.live > 0 {
-		// Round-boundary abort: shared by both schedulers (the legacy
-		// transport reaches here once per round too). The nil-channel
-		// guard keeps context-free runs on the exact pre-context path.
+		// Round-boundary abort. The nil-channel guard keeps context-free
+		// runs on the exact pre-context path.
 		if o.ctxDone != nil {
 			select {
 			case <-o.ctxDone:
@@ -991,7 +913,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		if o.hooks != nil && o.hooks.Round != nil {
 			o.hooks.Round(stats.Rounds)
 		}
-		subsIn := e.collect(subCh)
+		subsIn := e.collect()
 		resumes += len(subsIn)
 		exch := 0
 		for si := range subsIn {
@@ -1004,9 +926,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 				e.runnable--
 				e.mode[s.node] = modeDone
 				e.parkStamp[s.node]++
-				if coro {
-					e.release(s.node)
-				}
+				e.release(s.node)
 			case subPark:
 				x := s.ext
 				e.runnable--
@@ -1179,13 +1099,11 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		e.wakeDue(stats.Rounds)
 	}
 	nodeResumes.Add(int64(resumes))
-	if coro {
-		switches := e.serial.switches
-		for w := range e.lanes {
-			switches += e.lanes[w].switches
-		}
-		coroSwitches.Add(int64(switches))
+	switches := e.serial.switches
+	for w := range e.lanes {
+		switches += e.lanes[w].switches
 	}
+	coroSwitches.Add(int64(switches))
 	return stats, nil
 }
 
@@ -1241,12 +1159,7 @@ func (e *engine) wakeRun(v int, wokeRound int, in []Recv) {
 	e.mode[v] = modeRun
 	e.parkStamp[v]++
 	e.runnable++
-	if e.coro {
-		e.resume(v, wokeRound, in, &e.serial)
-		return
-	}
-	e.hosts[v].wokeRound = wokeRound
-	e.hosts[v].reply <- in
+	e.resume(v, wokeRound, in, &e.serial)
 }
 
 // emitRelays performs the relay orders' forwards due this round — the
@@ -1616,60 +1529,40 @@ func (e *engine) inbox(v int) []Recv {
 
 // runShard places the shard's routed messages into destination inbox slots
 // and delivers each exchanging node's port-ordered inbox, plus the inboxes
-// of sleepers its mail woke up. On the continuation transport delivery IS
-// execution: the worker switches into each node's suspended program with
-// its inbox and records the submission the program yields next, so node
-// code for this shard runs here, on the worker's stack. Shards own
-// disjoint destination ranges (and disjoint continuations), so workers
-// touch disjoint state.
+// of sleepers its mail woke up. Delivery IS execution: the worker switches
+// into each node's suspended program with its inbox and records the
+// submission the program yields next, so node code for this shard runs
+// here, on the worker's stack. Shards own disjoint destination ranges (and
+// disjoint continuations), so workers touch disjoint state.
 func (e *engine) runShard(w int) {
 	for _, rt := range e.buckets[w] {
 		e.place(int(rt.dst), int(rt.dstPort), &rt.wire)
 	}
 	cur := e.stats.Rounds
-	if e.coro {
-		l := &e.lanes[w]
-		for _, v32 := range e.shardSubs[w] {
-			v := int(v32)
-			e.resume(v, cur, e.inbox(v), l)
-		}
-		for _, v32 := range e.woken[w] {
-			v := int(v32)
-			e.resume(v, cur, e.inbox(v), l)
-		}
-		return
-	}
+	l := &e.lanes[w]
 	for _, v32 := range e.shardSubs[w] {
 		v := int(v32)
-		e.hosts[v].reply <- e.inbox(v)
+		e.resume(v, cur, e.inbox(v), l)
 	}
 	for _, v32 := range e.woken[w] {
 		v := int(v32)
-		e.hosts[v].wokeRound = cur
-		e.hosts[v].reply <- e.inbox(v)
+		e.resume(v, cur, e.inbox(v), l)
 	}
 }
 
-// collect gathers the round's submissions into the reusable processing
-// buffer: on the continuation transport they were already recorded by the
-// resume passes (per shard in drive order, then the serial wakes); on the
-// legacy transport one is received per runnable node, in channel-arrival
-// order. All submission processing is order-independent in its observable
-// effects, so the two orders yield identical runs.
-func (e *engine) collect(subCh <-chan submission) []submission {
+// collect gathers the round's submissions, already recorded by the resume
+// passes (per shard in drive order, then the serial wakes), into the
+// reusable processing buffer. All submission processing is
+// order-independent in its observable effects, so the lane order does not
+// matter.
+func (e *engine) collect() []submission {
 	buf := e.collected[:0]
-	if e.coro {
-		for w := range e.lanes {
-			buf = append(buf, e.lanes[w].subs...)
-			e.lanes[w].subs = e.lanes[w].subs[:0]
-		}
-		buf = append(buf, e.serial.subs...)
-		e.serial.subs = e.serial.subs[:0]
-	} else {
-		for i, expect := 0, e.runnable; i < expect; i++ {
-			buf = append(buf, <-subCh)
-		}
+	for w := range e.lanes {
+		buf = append(buf, e.lanes[w].subs...)
+		e.lanes[w].subs = e.lanes[w].subs[:0]
 	}
+	buf = append(buf, e.serial.subs...)
+	e.serial.subs = e.serial.subs[:0]
 	e.collected = buf
 	return buf
 }
@@ -1730,8 +1623,7 @@ func (e *engine) stopAll() {
 // exits without a terminal submission.
 var errAborted = errors.New("congest: aborted")
 
-// nodeSeq adapts a node program to the continuation transport: the program
-// runs inside a runtime coroutine, yielding one submission per blocking
+// nodeSeq adapts a node program to the scheduler: the program runs inside a runtime coroutine, yielding one submission per blocking
 // call, plus a terminal subDone (or subErr) when it returns (or panics).
 func nodeSeq(h *Host, program Program) func(func(submission) bool) {
 	return func(yield func(submission) bool) {
@@ -1761,17 +1653,4 @@ func runProtected(h *Host, program Program) (err error) {
 	}()
 	program(h)
 	return nil
-}
-
-// runNode hosts a node program on its own goroutine — the legacy
-// transport's per-node loop.
-func runNode(h *Host, program Program, subCh chan<- submission) {
-	switch err := runProtected(h, program); {
-	case err == nil:
-		subCh <- submission{node: h.id, kind: subDone}
-	case errors.Is(err, errAborted):
-		// Engine already failing; exit quietly.
-	default:
-		subCh <- submission{node: h.id, kind: subErr, err: err}
-	}
 }

@@ -53,16 +53,15 @@ type Driver interface {
 //	    if req, more = d.Next(in); !more { return }
 //	}
 //
-// which is also its implementation with the fast paths off or on the
-// goroutine transport. On the continuation scheduler the node's coroutine
-// instead suspends once, handing first to the scheduler, which then
-// calls Next itself each time the request completes — no coroutine
-// switch per request — and switches back into the program only when Next
-// reports done. Rounds, messages and every Next call are identical on
-// both paths; a panic in Next fails the run exactly as a panic in the
-// program would.
+// which is also its implementation with the fast paths off. With them on,
+// the node's coroutine instead suspends once, handing first to the
+// scheduler, which then calls Next itself each time the request completes
+// — no coroutine switch per request — and switches back into the program
+// only when Next reports done. Rounds, messages and every Next call are
+// identical on both paths; a panic in Next fails the run exactly as a
+// panic in the program would.
 func (h *Host) Drive(first Request, d Driver) {
-	if !h.coro || !h.fast {
+	if !h.fast {
 		for req, more := first, true; more; {
 			req, more = d.Next(h.do(req))
 		}

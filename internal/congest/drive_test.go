@@ -57,9 +57,8 @@ func (d *scriptDriver) Next(in []Recv) (Request, bool) {
 // TestDriveMatchesBlockingLoop pins Drive to its definition: on the
 // continuation scheduler, where Next runs from the scheduler without a
 // coroutine switch, every Next call sees the same round and inbox as
-// under the blocking loop (WithFastPath(false)), the goroutine transport
-// and the sharded engine, the program resumes after Drive at the same
-// round, and Stats match.
+// under the blocking loop (WithFastPath(false)) and the sharded engine,
+// the program resumes after Drive at the same round, and Stats match.
 func TestDriveMatchesBlockingLoop(t *testing.T) {
 	g := graph.GNP(30, 0.12, graph.UnitWeights, newRand(3))
 	type observed struct {
@@ -87,7 +86,6 @@ func TestDriveMatchesBlockingLoop(t *testing.T) {
 		opts []Option
 	}{
 		{"default", nil},
-		{"goroutines", []Option{WithGoroutines(true)}},
 		{"p3", []Option{WithParallelism(3)}},
 	} {
 		if got := observe(cfg.opts...); !reflect.DeepEqual(got, ref) {

@@ -222,29 +222,6 @@ func BenchmarkEngineFlood(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFloodGoroutines is the same workload on the legacy
-// goroutine transport — the A/B for the continuation scheduler's per-round
-// channel hops and wakeups.
-func BenchmarkEngineFloodGoroutines(b *testing.B) {
-	g := graph.Grid(20, 20, graph.UnitWeights)
-	program := func(h *Host) {
-		out := make([]Send, h.Degree())
-		for r := 0; r < 30; r++ {
-			for p := 0; p < h.Degree(); p++ {
-				out[p] = Send{Port: p, Wire: msg(int64(r))}
-			}
-			h.Exchange(out)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, program, WithGoroutines(true)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEngineFloodParallel is the same workload with a sharded router.
 func BenchmarkEngineFloodParallel(b *testing.B) {
 	g := graph.Grid(20, 20, graph.UnitWeights)

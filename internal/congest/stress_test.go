@@ -9,14 +9,14 @@ import (
 )
 
 // Scheduler stress: randomized wake/park/send interleavings across many
-// nodes and rounds, replayed under every scheduler configuration — the
-// continuation transport and the legacy goroutine transport, fast paths on
-// and off, serial and sharded routing. Every configuration must produce
-// identical Stats AND an identical per-node observation trace (a digest of
-// every delivered message with its round, port, sender and payload), so a
-// divergence anywhere in the park/wake/relay-order machinery is caught
-// at the exact node it corrupts. The whole test runs under -race in CI,
-// which additionally checks the worker-pool handoffs of both transports.
+// nodes and rounds, replayed under every scheduler configuration — fast
+// paths on and off, window relay on and off, serial and sharded routing.
+// Every configuration must produce identical Stats AND an identical
+// per-node observation trace (a digest of every delivered message with its
+// round, port, sender and payload), so a divergence anywhere in the
+// park/wake/relay-order machinery is caught at the exact node it
+// corrupts. The whole test runs under -race in CI, which additionally
+// checks the worker-pool handoffs.
 
 const (
 	stressWireKind uint16 = 110 // 64-bit stress payload
@@ -87,10 +87,6 @@ var stressConfigs = []struct {
 	{"cont/fast/nowin/p8", []Option{WithWindowRelay(false), WithParallelism(8)}},
 	{"cont/nofast/p1", []Option{WithFastPath(false)}},
 	{"cont/nofast/p8", []Option{WithFastPath(false), WithParallelism(8)}},
-	{"goro/fast/p1", []Option{WithGoroutines(true)}},
-	{"goro/fast/p8", []Option{WithGoroutines(true), WithParallelism(8)}},
-	{"goro/nofast/p1", []Option{WithGoroutines(true), WithFastPath(false)}},
-	{"goro/nofast/p8", []Option{WithGoroutines(true), WithFastPath(false), WithParallelism(8)}},
 }
 
 // TestSchedulerStress replays random interleavings on several topologies

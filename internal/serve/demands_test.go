@@ -199,29 +199,30 @@ func TestDemandUpdateValidation(t *testing.T) {
 }
 
 // TestV1RoutingEquivalence pins the versioned API surface: every v1
-// route answers, the legacy unversioned paths alias onto the same
-// handlers (identical solver answers for identical requests), and the
-// scoped solve rejects a body that names a different instance.
+// route answers, a body naming the path's own instance gets the same
+// answer as one naming none, the scoped solve rejects a body that names a
+// different instance, and the retired unversioned paths answer 404.
 func TestV1RoutingEquivalence(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 
-	// Scoped vs legacy solve: same spec, same answer.
+	// A body naming the path's instance is the same request as one naming
+	// none: same spec, same answer.
 	req := SolveRequest{Algorithm: "det", Seed: 11, NoCert: true}
-	_, scopedBody := postJSON(t, ts.URL+"/v1/instances/path/solve", req)
-	var scoped SolveResponse
-	if err := json.Unmarshal(scopedBody, &scoped); err != nil {
-		t.Fatalf("scoped solve decode: %v (body %s)", err, scopedBody)
+	named := req
+	named.Instance = "path"
+	var answers [2]SolveResponse
+	for i, r := range []SolveRequest{req, named} {
+		resp, body := postJSON(t, ts.URL+"/v1/instances/path/solve", r)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("scoped solve %d: status %d (body %s)", i, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &answers[i]); err != nil {
+			t.Fatalf("scoped solve %d decode: %v (body %s)", i, err, body)
+		}
 	}
-	legacyReq := req
-	legacyReq.Instance = "path"
-	_, legacyBody := postJSON(t, ts.URL+"/solve", legacyReq)
-	var legacy SolveResponse
-	if err := json.Unmarshal(legacyBody, &legacy); err != nil {
-		t.Fatalf("legacy solve decode: %v (body %s)", err, legacyBody)
-	}
-	if scoped.Weight != legacy.Weight || scoped.Rounds != legacy.Rounds || scoped.Messages != legacy.Messages {
-		t.Errorf("scoped (w=%d r=%d) and legacy (w=%d r=%d) answers diverge for the same request",
-			scoped.Weight, scoped.Rounds, legacy.Weight, legacy.Rounds)
+	if a, b := answers[0], answers[1]; a.Weight != b.Weight || a.Rounds != b.Rounds || a.Messages != b.Messages {
+		t.Errorf("unnamed (w=%d r=%d) and named (w=%d r=%d) answers diverge for the same request",
+			a.Weight, a.Rounds, b.Weight, b.Rounds)
 	}
 
 	// Body naming a different instance than the path: refused, not overridden.
@@ -234,47 +235,46 @@ func TestV1RoutingEquivalence(t *testing.T) {
 		t.Errorf("path/body mismatch code = %q, want %q", det.Code, codeBadRequest)
 	}
 
-	// 404 uses the envelope on both route generations.
-	for _, url := range []string{"/v1/instances/ghost/solve", "/solve"} {
-		r := SolveRequest{Instance: "ghost", NoCert: true}
-		resp, body := postJSON(t, ts.URL+url, r)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s unknown instance: status %d, want 404 (body %s)", url, resp.StatusCode, body)
-			continue
+	// An unknown instance is a 404 in the envelope.
+	resp, body = postJSON(t, ts.URL+"/v1/instances/ghost/solve", SolveRequest{NoCert: true})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown instance: status %d, want 404 (body %s)", resp.StatusCode, body)
+	} else if det := decodeEnvelope(t, body); det.Code != codeNotFound {
+		t.Errorf("unknown instance code = %q, want %q", det.Code, codeNotFound)
+	}
+
+	for _, p := range []string{"/v1/instances", "/v1/healthz", "/v1/statsz"} {
+		r, err := http.Get(ts.URL + p)
+		if err != nil {
+			t.Fatalf("GET %s: %v", p, err)
 		}
-		if det := decodeEnvelope(t, body); det.Code != codeNotFound {
-			t.Errorf("%s unknown instance code = %q, want %q", url, det.Code, codeNotFound)
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", p, r.StatusCode)
 		}
 	}
 
-	// GET aliases: same payloads on /v1 and legacy paths.
-	for _, pair := range [][2]string{
-		{"/v1/instances", "/instances"},
-		{"/v1/healthz", "/healthz"},
-		{"/v1/statsz", "/statsz"},
+	// The unversioned aliases are gone.
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/solve"},
+		{http.MethodGet, "/instances"},
+		{http.MethodPost, "/instances"},
+		{http.MethodGet, "/healthz"},
+		{http.MethodGet, "/statsz"},
 	} {
-		var bodies [2][]byte
-		for i, p := range pair {
-			r, err := http.Get(ts.URL + p)
-			if err != nil {
-				t.Fatalf("GET %s: %v", p, err)
-			}
-			if r.StatusCode != http.StatusOK {
-				t.Errorf("GET %s: status %d, want 200", p, r.StatusCode)
-			}
-			var buf bytes.Buffer
-			buf.ReadFrom(r.Body)
-			r.Body.Close()
-			bodies[i] = buf.Bytes()
+		hreq, _ := http.NewRequest(route.method, ts.URL+route.path,
+			bytes.NewReader([]byte(`{"instance":"path","nocert":true}`)))
+		r, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatalf("%s %s: %v", route.method, route.path, err)
 		}
-		// statsz carries uptime/latency gauges that move between calls;
-		// equality is only pinned for the structural listings.
-		if pair[0] == "/v1/instances" && !bytes.Equal(bodies[0], bodies[1]) {
-			t.Errorf("GET %s and %s diverge:\n%s\n%s", pair[0], pair[1], bodies[0], bodies[1])
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", route.method, route.path, r.StatusCode)
 		}
 	}
 
-	// POST /v1/instances generates and registers, same as legacy.
+	// POST /v1/instances generates and registers.
 	gen := GenerateRequest{Family: "gnp", N: 40, K: 2, MaxW: 16, Seed: 9}
 	genResp, genBody := postJSON(t, ts.URL+"/v1/instances", gen)
 	if genResp.StatusCode != http.StatusCreated {

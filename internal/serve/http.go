@@ -14,13 +14,13 @@ import (
 	"steinerforest/internal/workload"
 )
 
-// SolveRequest is the solve body (POST /v1/instances/{name}/solve, or
-// the legacy POST /solve with Instance set). Every field maps onto the
-// corresponding Spec knob and is validated at admission (Spec.Validate
-// plus the strict epsilon parser), so malformed requests fail with 400
-// and a precise message instead of a late solver error.
+// SolveRequest is the solve body of POST /v1/instances/{name}/solve.
+// Every field maps onto the corresponding Spec knob and is validated at
+// admission (Spec.Validate plus the strict epsilon parser), so malformed
+// requests fail with 400 and a precise message instead of a late solver
+// error.
 type SolveRequest struct {
-	Instance    string `json:"instance,omitempty"`  // redundant on the /v1 path-scoped route
+	Instance    string `json:"instance,omitempty"`  // optional; must match the path's instance
 	Algorithm   string `json:"algorithm,omitempty"` // "" = det
 	Eps         string `json:"eps,omitempty"`       // "num/den", e.g. "1/2"
 	Seed        int64  `json:"seed,omitempty"`
@@ -206,10 +206,7 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 //	GET  /v1/healthz                   200 "ok", 503 "draining" once Shutdown began
 //	GET  /v1/statsz                    metrics snapshot (queue depth, in-flight, p50/p99, ...)
 //
-// The pre-versioning paths (POST /solve with the instance named in the
-// body, /instances, /healthz, /statsz) remain as thin aliases onto the
-// same handlers; the routing test pins the equivalence. All error
-// responses share the ErrorEnvelope shape.
+// All error responses share the ErrorEnvelope shape.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/instances/{name}/solve", s.handleSolveScoped)
@@ -218,13 +215,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/instances", s.handleGenerate)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
-
-	// Legacy unversioned aliases.
-	mux.HandleFunc("POST /solve", s.handleSolveLegacy)
-	mux.HandleFunc("GET /instances", s.handleList)
-	mux.HandleFunc("POST /instances", s.handleGenerate)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /statsz", s.handleStatsz)
 	return mux
 }
 
@@ -261,22 +251,6 @@ func (s *Server) handleSolveScoped(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Instance = name
-	s.serveSolve(w, r, req, start)
-}
-
-// handleSolveLegacy serves the pre-versioning POST /solve, where the
-// body names the instance.
-func (s *Server) handleSolveLegacy(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Instance == "" {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "missing instance name")
-		return
-	}
 	s.serveSolve(w, r, req, start)
 }
 

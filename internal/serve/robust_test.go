@@ -25,7 +25,7 @@ func postSolveCtx(t *testing.T, ctx context.Context, url string, req SolveReques
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/solve", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, solveURL(url, req.Instance), bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("build request: %v", err)
 	}
@@ -342,7 +342,7 @@ func TestDeadlineEviction(t *testing.T) {
 func TestInvalidDeadlineHeaderRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, bad := range []string{"zero", "0", "-5", "1.5"} {
-		hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/solve",
+		hreq, _ := http.NewRequest(http.MethodPost, solveURL(ts.URL, "path"),
 			bytes.NewReader([]byte(`{"instance":"path","nocert":true}`)))
 		hreq.Header.Set(deadlineHeader, bad)
 		resp, err := http.DefaultClient.Do(hreq)

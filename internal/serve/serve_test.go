@@ -79,12 +79,18 @@ func blockSolves(t *testing.T, srv *Server) (started chan struct{}, release func
 	return started, release
 }
 
+// solveURL is the v1 solve route of the named instance on the server at
+// base.
+func solveURL(base, instance string) string {
+	return base + "/v1/instances/" + instance + "/solve"
+}
+
 func postSolve(t *testing.T, url string, req SolveRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/solve", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(solveURL(url, req.Instance), "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /solve: %v", err)
+		t.Fatalf("POST solve: %v", err)
 	}
 	defer resp.Body.Close()
 	var out bytes.Buffer
@@ -217,7 +223,7 @@ func TestConcurrentSolvesBitIdentical(t *testing.T) {
 
 // TestShutdownDrainsInFlight (run under -race in CI) pins graceful
 // shutdown: every admitted request is answered 200, requests after
-// Shutdown get 503, and /healthz flips to draining.
+// Shutdown get 503, and /v1/healthz flips to draining.
 func TestShutdownDrainsInFlight(t *testing.T) {
 	// Every solve stalls briefly, so most jobs are still queued when
 	// Shutdown begins.
@@ -260,13 +266,13 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-shutdown solve status = %d, want 503 (body %s)", resp.StatusCode, body)
 	}
-	health, err := http.Get(ts.URL + "/healthz")
+	health, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
+		t.Fatalf("GET /v1/healthz: %v", err)
 	}
 	health.Body.Close()
 	if health.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("draining /healthz status = %d, want 503", health.StatusCode)
+		t.Errorf("draining /v1/healthz status = %d, want 503", health.StatusCode)
 	}
 	if !srv.Draining() {
 		t.Error("Draining() = false after Shutdown")
@@ -286,7 +292,6 @@ func TestSolveValidation(t *testing.T) {
 		want int
 	}{
 		{"unknown instance", SolveRequest{Instance: "nope"}, http.StatusNotFound},
-		{"missing instance", SolveRequest{}, http.StatusBadRequest},
 		{"bad eps", SolveRequest{Instance: "path", Eps: "1/2junk"}, http.StatusBadRequest},
 		{"zero-den eps", SolveRequest{Instance: "path", Eps: "1/0"}, http.StatusBadRequest},
 		{"unknown algorithm", SolveRequest{Instance: "path", Algorithm: "magic"}, http.StatusBadRequest},
@@ -301,7 +306,7 @@ func TestSolveValidation(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/solve", "application/json", bytes.NewReader([]byte("{not json")))
+	resp, err := http.Post(solveURL(ts.URL, "path"), "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatalf("POST bad body: %v", err)
 	}
@@ -311,17 +316,17 @@ func TestSolveValidation(t *testing.T) {
 	}
 }
 
-// TestInstancesEndpoint round-trips POST /instances -> GET /instances ->
-// POST /solve against the generated instance, and checks duplicate names
-// are refused.
+// TestInstancesEndpoint round-trips POST /v1/instances -> GET
+// /v1/instances -> a solve against the generated instance, and checks
+// duplicate names are refused.
 func TestInstancesEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	gen := GenerateRequest{Family: "gnp", N: 48, K: 3, MaxW: 32, Seed: 5}
 	body, _ := json.Marshal(gen)
-	resp, err := http.Post(ts.URL+"/instances", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/instances", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /instances: %v", err)
+		t.Fatalf("POST /v1/instances: %v", err)
 	}
 	var info InstanceInfo
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
@@ -329,15 +334,15 @@ func TestInstancesEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("POST /instances status = %d, want 201", resp.StatusCode)
+		t.Fatalf("POST /v1/instances status = %d, want 201", resp.StatusCode)
 	}
 	if info.Name != fmt.Sprintf("gnp-n%d-k%d-s5", info.Nodes, info.K) {
 		t.Errorf("default instance name %q does not encode its parameters", info.Name)
 	}
 
-	listResp, err := http.Get(ts.URL + "/instances")
+	listResp, err := http.Get(ts.URL + "/v1/instances")
 	if err != nil {
-		t.Fatalf("GET /instances: %v", err)
+		t.Fatalf("GET /v1/instances: %v", err)
 	}
 	var infos []InstanceInfo
 	if err := json.NewDecoder(listResp.Body).Decode(&infos); err != nil {
@@ -349,7 +354,7 @@ func TestInstancesEndpoint(t *testing.T) {
 		names[i.Name] = true
 	}
 	if !names["path"] || !names[info.Name] {
-		t.Errorf("GET /instances = %v, want both %q and %q resident", names, "path", info.Name)
+		t.Errorf("GET /v1/instances = %v, want both %q and %q resident", names, "path", info.Name)
 	}
 
 	if solveResp, sbody := postSolve(t, ts.URL, SolveRequest{Instance: info.Name, NoCert: true}); solveResp.StatusCode != http.StatusOK {
@@ -357,9 +362,9 @@ func TestInstancesEndpoint(t *testing.T) {
 	}
 
 	// Same generate again: the default name collides and must be refused.
-	dupResp, err := http.Post(ts.URL+"/instances", "application/json", bytes.NewReader(body))
+	dupResp, err := http.Post(ts.URL+"/v1/instances", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /instances dup: %v", err)
+		t.Fatalf("POST /v1/instances dup: %v", err)
 	}
 	dupResp.Body.Close()
 	if dupResp.StatusCode != http.StatusBadRequest {

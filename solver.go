@@ -66,14 +66,6 @@ type Spec struct {
 	// runs.
 	NoWindowRelay bool
 
-	// LegacyScheduler hosts every node program on its own goroutine (the
-	// simulator's channel-based compatibility transport) instead of the
-	// default continuation scheduler that drives suspended programs
-	// in-place. Results are bit-identical either way (the equivalence and
-	// stress tests pin this); the knob exists for those tests and for
-	// perf A/B runs.
-	LegacyScheduler bool
-
 	// NoCertificate skips the centralized dual-oracle run that computes
 	// Result.LowerBound — useful for large perf sweeps where the oracle
 	// would dominate the runtime.
@@ -141,10 +133,10 @@ var builtinAlgorithms = map[string]bool{
 //     every other builtin ignores the flag);
 //   - epsilon zeroed for builtins other than "rounded" (they never read it);
 //   - the result-neutral scheduler knobs folded out: Parallelism,
-//     NoFastPath, NoWindowRelay, and LegacyScheduler change how the
-//     simulator schedules work, never what it computes — the equivalence
-//     suite pins Stats, forests, and per-node traces bit-identical across
-//     all of them — and Arena only recycles allocations.
+//     NoFastPath and NoWindowRelay change how the simulator schedules
+//     work, never what it computes — the equivalence suite pins Stats,
+//     forests, and per-node traces bit-identical across all of them — and
+//     Arena only recycles allocations.
 //
 // Result-determining fields are untouched: Algorithm, Seed, epsilon (for
 // "rounded"), Bandwidth, MaxRounds, EdgeTracking, and NoCertificate all
@@ -176,7 +168,6 @@ func (s Spec) Canonical() Spec {
 	c.Parallelism = 0
 	c.NoFastPath = false
 	c.NoWindowRelay = false
-	c.LegacyScheduler = false
 	c.Arena = nil
 	c.Hooks = nil
 	return c
@@ -215,9 +206,6 @@ func (s Spec) options(ctx context.Context) []congest.Option {
 	}
 	if s.NoWindowRelay {
 		opts = append(opts, congest.WithWindowRelay(false))
-	}
-	if s.LegacyScheduler {
-		opts = append(opts, congest.WithGoroutines(true))
 	}
 	if s.Arena != nil {
 		opts = append(opts, congest.WithArenaPool(s.Arena))
