@@ -54,13 +54,15 @@ race:
 
 # Short fuzz smoke: the instance parser and the wire item codec must
 # survive fresh fuzz input on every CI run, not just the checked-in
-# corpus and seeds, and the scheduler-driven RunQuiet must match the
-# per-round engine on fresh networks and activity schedules.
+# corpus and seeds, and the scheduler-driven RunQuiet and the collect
+# pipelines must match the per-round engine on fresh networks, activity
+# schedules and item sets.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadInstance -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzCandWire -fuzztime 5s ./internal/detforest
 	$(GO) test -run xxx -fuzz FuzzFreezeAddEdge -fuzztime 5s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzRunQuiet -fuzztime 5s ./internal/dist
+	$(GO) test -run xxx -fuzz FuzzCollect -fuzztime 5s ./internal/dist
 
 # Benchmark suite: experiment tables at reduced scale plus the engine
 # allocation profile (BenchmarkEngineFlood reports allocs/op; the
@@ -79,11 +81,10 @@ snapshot:
 	$(GO) run ./cmd/dsfbench -json > BENCH_pr10.json
 
 # Short-mode run of the scheduler experiments: asserts the fast paths
-# (E2) and the window relay (E4) stay bit-identical to their per-round
-# references (WithFastPath(false), WithWindowRelay(false)).
+# (E2) stay bit-identical to their per-round reference
+# (WithFastPath(false)).
 bench-smoke:
 	$(GO) run ./cmd/dsfbench -quick -table e2 -json -memprofile bench-e2-heap.pprof >/dev/null
-	$(GO) run ./cmd/dsfbench -quick -table e4 -json -memprofile bench-e4-heap.pprof >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table e5 -json -memprofile bench-e5-heap.pprof >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table s1 -json >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table s2 -json >/dev/null

@@ -20,7 +20,6 @@ func TestCanonicalFoldsNeutralKnobs(t *testing.T) {
 		{Seed: 1},          // explicit default seed
 		{Algorithm: "det", Seed: 1, Parallelism: 8},
 		{Algorithm: "det", Seed: 1, NoFastPath: true},
-		{Algorithm: "det", Seed: 1, NoWindowRelay: true},
 		{Algorithm: "det", Seed: 1, Truncate: true},       // det ignores Truncate
 		{Algorithm: "det", Seed: 1, EpsNum: 1, EpsDen: 2}, // det ignores eps
 		{Algorithm: "det", Seed: 1, Arena: congest.NewArenaPool()},
@@ -88,7 +87,7 @@ func TestCanonicalResultNeutral(t *testing.T) {
 	specs := []steinerforest.Spec{
 		{NoCertificate: true, Parallelism: 4, NoFastPath: true},
 		{Algorithm: "rounded", NoCertificate: true, Parallelism: 8},
-		{Algorithm: "rand", Seed: 5, NoCertificate: true, NoWindowRelay: true},
+		{Algorithm: "rand", Seed: 5, NoCertificate: true, NoFastPath: true},
 		{Algorithm: "rand", Truncate: true, Seed: 5, NoCertificate: true},
 		{Algorithm: "khan", Seed: 3, NoCertificate: true, Parallelism: 2},
 		{Algorithm: "central"},

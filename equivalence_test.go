@@ -10,13 +10,12 @@ import (
 )
 
 // TestFastPathEquivalence pins the engine's core contract: the idle/sleep/
-// relay/drive fast paths, the window relay, the sharded router and a warm
-// arena pool may change how fast simulated rounds pass, but never what
-// happens in them. Every registered distributed solver, run over a sample
-// of workload families, must produce identical Stats (Rounds, Messages,
-// Bits, MaxMessageBits) and an identical forest with the fast paths forced
-// off and on and the window relay batched and per-round, at parallelism 1
-// and 8. The reference run has the fast paths off at parallelism 1 — plain
+// relay/drive fast paths, the sharded router and a warm arena pool may
+// change how fast simulated rounds pass, but never what happens in them.
+// Every registered distributed solver, run over a sample of workload
+// families, must produce identical Stats (Rounds, Messages, Bits,
+// MaxMessageBits) and an identical forest with the fast paths forced off
+// and on, at parallelism 1 and 8, pooled and unpooled. The reference run has the fast paths off at parallelism 1 — plain
 // per-round Exchange loops, the engine's definition of the model.
 func TestFastPathEquivalence(t *testing.T) {
 	families := []string{"planted", "grid2d", "geometric"}
@@ -34,27 +33,25 @@ func TestFastPathEquivalence(t *testing.T) {
 		for _, algo := range algos {
 			t.Run(fam+"/"+algo, func(t *testing.T) {
 				base := steinerforest.Spec{Algorithm: algo, Seed: 7, NoCertificate: true}
-				ref, err := steinerforest.Solve(ins, withKnobs(base, true, 1, false))
+				ref, err := steinerforest.Solve(ins, withKnobs(base, true, 1))
 				if err != nil {
 					t.Fatalf("reference run: %v", err)
 				}
 				for _, v := range []struct {
 					noFast bool
 					par    int
-					noWin  bool
 					pooled bool
 				}{
-					{false, 1, false, false}, {false, 8, false, false}, // fast on × par
-					{false, 1, true, false}, {false, 8, true, false}, // window relay per-round
-					{true, 8, false, false},                          // fast off, sharded
-					{false, 1, false, true}, {false, 8, false, true}, // warm arena pool × par
-					{true, 1, false, true}, // warm arena pool, fast off
+					{false, 1, false}, {false, 8, false}, // fast on × par
+					{true, 8, false},                   // fast off, sharded
+					{false, 1, true}, {false, 8, true}, // warm arena pool × par
+					{true, 1, true}, // warm arena pool, fast off
 				} {
-					spec := withKnobs(base, v.noFast, v.par, v.noWin)
+					spec := withKnobs(base, v.noFast, v.par)
 					if v.pooled {
 						spec.Arena = pool
 					}
-					name := fmt.Sprintf("noFast=%v par=%d noWin=%v pooled=%v", v.noFast, v.par, v.noWin, v.pooled)
+					name := fmt.Sprintf("noFast=%v par=%d pooled=%v", v.noFast, v.par, v.pooled)
 					res, err := steinerforest.Solve(ins, spec)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -86,9 +83,8 @@ func TestFastPathEquivalence(t *testing.T) {
 	}
 }
 
-func withKnobs(s steinerforest.Spec, noFast bool, par int, noWin bool) steinerforest.Spec {
+func withKnobs(s steinerforest.Spec, noFast bool, par int) steinerforest.Spec {
 	s.NoFastPath = noFast
 	s.Parallelism = par
-	s.NoWindowRelay = noWin
 	return s
 }

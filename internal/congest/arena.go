@@ -9,7 +9,7 @@ import (
 // generation stamps, staging buffers, return ports, host blocks — across
 // runs instead of reallocating them per Run. A run acquires an arena at
 // setup and returns it on exit; a warm arena is reset by continuing its
-// generation counters (stale stamped cells can then never match the live
+// generation counter (stale stamped cells can then never match the live
 // generation) plus one memclr of the per-node mode bytes, so warm setup
 // does no O(n+m) allocation at all. The return-port table is keyed by the
 // frozen graph's CSR offset slice: reuse on the same graph skips the
@@ -105,7 +105,7 @@ func (p *ArenaPool) recordSetup(warm bool, ns int64) {
 // only on (n, P): the n-sized per-node tables, the P-sized per-port
 // tables over the CSR offsets, the lazily grown relay table, and the
 // growable round buffers (capacity kept across runs, length reset). The
-// generation counters persist so reuse never has to clear
+// generation counter persists so reuse never has to clear
 // the stamped arrays: a fresh run continues the count, and every stale
 // cell is dead because its stamp can no longer equal the live generation.
 type arena struct {
@@ -121,7 +121,6 @@ type arena struct {
 	wakeAt    []int
 	touchN    []int32
 	tGen      []uint32
-	winStamp  []uint32
 	shardOf   []int32
 	subs      []submission
 	next      []func() (submission, bool)
@@ -140,14 +139,11 @@ type arena struct {
 	hitRelay   []int32
 	pendList   []int32
 	pendFree   []int32
-	winEmit    []winFwd
-	winWake    []int32
 	collected  []submission
 	serialPend []submission
 
-	// Persisted generation high-water marks (see reset).
-	gen    uint32
-	winGen uint32
+	// Persisted generation high-water mark (see reset).
+	gen uint32
 }
 
 func newArena(n, P int) *arena {
@@ -159,7 +155,6 @@ func newArena(n, P int) *arena {
 		wakeAt:     make([]int, n),
 		touchN:     make([]int32, n),
 		tGen:       make([]uint32, n),
-		winStamp:   make([]uint32, n),
 		shardOf:    make([]int32, n),
 		subs:       make([]submission, n),
 		next:       make([]func() (submission, bool), n),
@@ -176,8 +171,8 @@ func newArena(n, P int) *arena {
 
 // reset prepares a warm arena for its next run: clear the per-node mode
 // bytes (every node must start runnable), empty the round buffers, and
-// let the generation counters stand — continuing the count is what
-// invalidates every stamped cell of the previous run. The counters are
+// let the generation counter stand — continuing the count is what
+// invalidates every stamped cell of the previous run. The counter is
 // uint32; past the halfway mark the stamped tables are cleared outright
 // so a wrapped counter can never resurrect an ancient stamp.
 func (ar *arena) reset() {
@@ -188,16 +183,10 @@ func (ar *arena) reset() {
 		clear(ar.tGen)
 		ar.gen = 0
 	}
-	if ar.winGen > 1<<31 {
-		clear(ar.winStamp)
-		ar.winGen = 0
-	}
 	ar.wake = ar.wake[:0]
 	ar.hitRelay = ar.hitRelay[:0]
 	ar.pendList = ar.pendList[:0]
 	ar.pendFree = ar.pendFree[:0]
-	ar.winEmit = ar.winEmit[:0]
-	ar.winWake = ar.winWake[:0]
 	ar.collected = ar.collected[:0]
 	ar.serialPend = ar.serialPend[:0]
 }
@@ -207,22 +196,20 @@ func (ar *arena) reset() {
 // every cell stamped by a previous run is already dead.
 func (ar *arena) attach(e *engine) {
 	e.hosts, e.mode, e.parkStamp, e.wakeAt = ar.hosts, ar.mode, ar.parkStamp, ar.wakeAt
-	e.touchN, e.tGen, e.winStamp, e.shardOf = ar.touchN, ar.tGen, ar.winStamp, ar.shardOf
+	e.touchN, e.tGen, e.shardOf = ar.touchN, ar.tGen, ar.shardOf
 	e.subs, e.next, e.stopFn = ar.subs, ar.next, ar.stopFn
 	e.relays = ar.relays
 	e.sentGen, e.slots, e.slotGen = ar.sentGen, ar.slots, ar.slotGen
 	e.touchBuf, e.outArena, e.returnPort = ar.touchBuf, ar.outArena, ar.returnPort
 	e.wake, e.hitRelay = ar.wake, ar.hitRelay
 	e.pendList, e.pendFree = ar.pendList, ar.pendFree
-	e.winEmit, e.winWake = ar.winEmit, ar.winWake
 	e.collected, e.serial.subs = ar.collected, ar.serialPend
 	e.gen = ar.gen + 1
-	e.winGen = ar.winGen
 }
 
 // detach stores the run's final state back: the growable buffers (their
 // backing arrays may have been reallocated by append), the lazily
-// allocated relay table, and the generation high-water marks the next
+// allocated relay table, and the generation high-water mark the next
 // reuse will continue from. It also drops the run's references into node
 // programs — the host blocks' coroutine hooks and driver, and the stale
 // submissions, whose send slices point into protocol state — and the relay
@@ -232,10 +219,8 @@ func (ar *arena) detach(e *engine) {
 	ar.relays = e.relays
 	ar.wake, ar.hitRelay = e.wake, e.hitRelay
 	ar.pendList, ar.pendFree = e.pendList, e.pendFree
-	ar.winEmit, ar.winWake = e.winEmit, e.winWake
 	ar.collected, ar.serialPend = e.collected, e.serial.subs
 	ar.gen = e.gen
-	ar.winGen = e.winGen
 	clear(ar.hosts)
 	clear(ar.subs)
 	for i := range ar.relays {

@@ -143,7 +143,6 @@ type options struct {
 	trackEdges  bool
 	parallelism int
 	noFastPath  bool
-	noWindow    bool
 	pool        *ArenaPool
 	ctx         context.Context
 	ctxDone     <-chan struct{} // o.ctx.Done(), hoisted out of the round loop
@@ -190,23 +189,10 @@ func WithParallelism(p int) Option { return func(o *options) { o.parallelism = p
 // messages — is identical either way, which the equivalence tests pin.
 func WithFastPath(on bool) Option { return func(o *options) { o.noFastPath = !on } }
 
-// WithWindowRelay enables (default) or disables the window relay: when a
-// round's only traffic is relay forwards between parked pipeline stages,
-// the engine carries the whole in-flight window of per-edge items round by
-// round in one internal pass — no submission collection, no inbox
-// machinery, no worker dispatch — and resumes the downstream stages once
-// per batch (at the end marker or a deviation) instead of paying the full
-// round loop once per item. The observable behavior — Stats and every
-// delivered message — is identical either way, which the equivalence and
-// stress suites pin; the knob exists for those tests and for perf A/B
-// runs. WithFastPath(false) implies the per-round path (no relay orders
-// exist without the fast paths).
-func WithWindowRelay(on bool) Option { return func(o *options) { o.noWindow = !on } }
-
 // WithContext attaches a cancellation context to the run. The engine
-// checks it at every round boundary — including inside the bulk
-// window-relay and clock-jump paths — and aborts with ErrCancelled
-// (wrapping ctx's cause) when it fires. A run that is never cancelled is
+// checks it at every round boundary — a clock jump over parked rounds
+// counts as one — and aborts with ErrCancelled (wrapping ctx's cause)
+// when it fires. A run that is never cancelled is
 // bit-identical to one without a context: the check reads a channel
 // non-blockingly and touches no engine state (the equivalence suite pins
 // this). Cancellation is cooperative at round granularity: a node program
@@ -479,8 +465,8 @@ func (h *Host) Relay(srcPort int, dstPorts []int, endKind uint16) (relayed, last
 // (stragglers during the marker's forward round, or a deviating inbox as
 // in Relay). Because the stage neither wakes nor exchanges per stream
 // element — marker included — an entire pipelined broadcast whose source
-// has gone quiet is relay-only traffic, which the engine's window relay
-// drives in batched internal rounds.
+// has gone quiet is relay-only traffic: the engine forwards it hop by hop
+// without resuming a single stage until its stream ends.
 func (h *Host) RelayStream(srcPort int, dstPorts []int, endKind uint16) (relayed, last []Recv) {
 	return h.relay(srcPort, dstPorts, endKind, true)
 }
@@ -617,16 +603,6 @@ type relaying struct {
 	bufHint int
 }
 
-// winFwd is one round's worth of a relay's pending forward, snapshotted by
-// the window relay's scan pass so chained stages can hand items to each
-// other within one batched round without ordering hazards.
-type winFwd struct {
-	v     int32
-	final bool // the forward is a through order's end marker: wake v after
-	bits  int32
-	wire  Wire
-}
-
 // wakeEntry schedules a parked node's deadline wake-up. Entries are lazily
 // invalidated: stamp must still match the node's park generation when the
 // entry surfaces, so a node woken early (by a message) simply leaves a
@@ -712,12 +688,6 @@ type engine struct {
 	runnable int // live nodes that will submit this round
 	live     int
 
-	window   bool     // window relay enabled (fast path on, not opted out)
-	winGen   uint32   // per-batched-round stamp for multi-delivery detection
-	winStamp []uint32 // stamped when a batched round already delivers to a node
-	winEmit  []winFwd // reusable snapshot of one batched round's forwards
-	winWake  []int32  // reusable list of stages completed by a batched round
-
 	subs      []submission // this round's submission, indexed by node
 	shardSubs [][]int32    // per shard: nodes that exchanged this round
 	woken     [][]int32    // per shard: sleepers woken by mail this round
@@ -792,7 +762,6 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		live:      n,
 		shardSubs: make([][]int32, p),
 		woken:     make([][]int32, p),
-		window:    !o.noWindow && !o.noFastPath,
 		buckets:   make([][]routed, p),
 	}
 	// The engine's per-port tables are flat arenas over the graph's CSR
@@ -1006,21 +975,6 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		if stats.Rounds >= o.maxRounds {
 			return fail(fmt.Errorf("%w (%d)", ErrRoundLimit, o.maxRounds))
 		}
-		if exch == 0 && e.window {
-			// Relay-only rounds: every message this round is a forward
-			// between parked pipeline stages. Drive the whole window of
-			// in-flight items engine-side, one internal pass per round,
-			// until something deviates (an end marker, a sleeper, a wake
-			// deadline) — that round, untouched, falls through to the
-			// normal path below on the next loop iteration.
-			done, err := e.relayWindow()
-			if err != nil {
-				return fail(err)
-			}
-			if done > 0 {
-				continue
-			}
-		}
 		e.emitRelays()
 		// Serial pass: validate, account, and route every send. All stats
 		// are order-independent sums and maxima and every message lands in
@@ -1164,7 +1118,7 @@ func (e *engine) wakeRun(v int, wokeRound int, in []Recv) {
 
 // emitRelays performs the relay orders' forwards due this round — the
 // pends staged last round, consumed from the staging-order list so the
-// cost is proportional to the in-flight window, not to the number of
+// cost is proportional to the items in flight, not to the number of
 // parked stages. New pends staged later this round land in the rotated-in
 // empty list.
 func (e *engine) emitRelays() {
@@ -1202,162 +1156,6 @@ func (e *engine) emitRelays() {
 func (e *engine) shardBusy(w int) bool {
 	return len(e.buckets[w]) > 0 || len(e.shardSubs[w]) > 0 || len(e.woken[w]) > 0
 }
-
-// relayWindow drives rounds in which the only traffic is relay forwards
-// between parked pipeline stages — the drain of a pipelined broadcast,
-// where every tree edge connects two parked stages. Each such round is a
-// pure table pass: the window's in-flight items advance one stage, each
-// hop accounted exactly as the per-round path would (messages, bits,
-// maxima, per-edge counters, drops), items landing on a downstream relay
-// are placed straight into its accumulation buffer, and none of the round
-// machinery runs — no submission collection, no inbox assembly, no worker
-// dispatch, no generation bump. A stage is resumed once per batch — when
-// its through order's end marker has been forwarded, or by the deviating
-// round that ends the window — instead of once per item.
-//
-// The window ends — with the pending round left untouched for the normal
-// path — as soon as a forward would do anything a parked stage cannot
-// absorb silently: reach a sleeper, arrive off the destination's source
-// port, carry a plain (non-through) destination's end kind, or collide
-// with a second delivery. A node waking inside the
-// window — a through stage completing its stream, or an idle deadline
-// firing — ends it after that round, since the woken node submits next
-// round. Returns the number of rounds performed.
-func (e *engine) relayWindow() (int, error) {
-	done := 0
-	stats := e.stats
-	for e.relPend > 0 {
-		if stats.Rounds >= e.o.maxRounds {
-			return done, fmt.Errorf("%w (%d)", ErrRoundLimit, e.o.maxRounds)
-		}
-		// The window drives many rounds without returning to the main
-		// loop, so the cancellation check must ride along: each internal
-		// round is a round boundary.
-		if e.o.ctxDone != nil {
-			select {
-			case <-e.o.ctxDone:
-				return done, cancelErr(e.o.ctx)
-			default:
-			}
-		}
-		// Scan pass: snapshot this round's forwards and check that every
-		// delivery lands cleanly on a parked stage. No engine state is
-		// mutated, so a dirty round is simply handed back to the caller.
-		e.winGen++
-		emit := e.winEmit[:0]
-		clean := true
-	scan:
-		for _, v32 := range e.pendList {
-			rl := &e.relays[v32]
-			if !rl.hasPend {
-				continue
-			}
-			for i := range rl.dsts {
-				d := rl.dsts[i].dst
-				switch e.mode[d] {
-				case modeDone, modeIdle:
-					// Dropped or discarded unread: always silent.
-				case modeRelay:
-					dl := &e.relays[d]
-					if rl.dsts[i].dstPort != dl.srcPort || e.winStamp[d] == e.winGen ||
-						(rl.pendWire.Kind == dl.endKind && !dl.through) {
-						clean = false
-						break scan
-					}
-					e.winStamp[d] = e.winGen
-				default:
-					// A sleeper or (impossibly here) a runnable node: the
-					// delivery would wake it.
-					clean = false
-					break scan
-				}
-			}
-			emit = append(emit, winFwd{v: v32, final: rl.finalPend, bits: rl.pendBits, wire: rl.pendWire})
-		}
-		e.winEmit = emit
-		if !clean {
-			break
-		}
-		before := e.runnable
-		// Apply pass. All sends of the round are retired first — and the
-		// due list rotated out — so that a stage both forwarding and
-		// receiving within the round (a full pipeline chain) stages its
-		// next item without clobbering the current one. Stages completed
-		// by the round — a final forward emitted, or an end marker
-		// arriving with nothing to forward — are woken after the round
-		// counter advances, exactly when checkRelayers would have woken
-		// them.
-		e.pendList, e.pendFree = e.pendFree[:0], e.pendList
-		wake := e.winWake[:0]
-		for i := range emit {
-			rl := &e.relays[emit[i].v]
-			rl.hasPend = false
-			rl.finalPend = false
-			e.relPend--
-			if emit[i].final {
-				wake = append(wake, emit[i].v)
-			}
-		}
-		for i := range emit {
-			wf := &emit[i]
-			rl := &e.relays[wf.v]
-			bits := int64(wf.bits)
-			for j := range rl.dsts {
-				dst := &rl.dsts[j]
-				stats.Messages++
-				stats.Bits += bits
-				if int(wf.bits) > stats.MaxMessageBits {
-					stats.MaxMessageBits = int(wf.bits)
-				}
-				if stats.EdgeBits != nil {
-					stats.EdgeBits[dst.edge] += bits
-				}
-				switch e.mode[dst.dst] {
-				case modeDone:
-					stats.DroppedToTerminated++
-				case modeIdle:
-					// Discarded unread.
-				default: // modeRelay, clean by the scan pass
-					dl := &e.relays[dst.dst]
-					dl.buf = append(dl.buf, Recv{Port: int(dl.srcPort), Wire: wf.wire})
-					isEnd := wf.wire.Kind == dl.endKind // through, by the scan pass
-					if len(dl.dsts) > 0 {
-						dl.pendBits = wf.bits
-						dl.pendWire = wf.wire
-						dl.hasPend = true
-						dl.finalPend = isEnd
-						e.relPend++
-						e.pendList = append(e.pendList, dst.dst)
-					} else if isEnd {
-						wake = append(wake, dst.dst)
-					}
-				}
-			}
-		}
-		e.winWake = wake
-		stats.Rounds++
-		done++
-		for _, v32 := range wake {
-			v := int(v32)
-			rl := &e.relays[v]
-			e.hosts[v].relayLastN = 0
-			e.wakeRun(v, stats.Rounds, rl.buf)
-		}
-		// Deadline wake-ups are processed exactly as the normal round end
-		// would; any node woken this round submits next round, ending the
-		// window.
-		e.wakeDue(stats.Rounds)
-		if e.runnable > before {
-			break
-		}
-	}
-	windowRounds.Add(int64(done))
-	return done, nil
-}
-
-// windowRounds counts rounds driven by the window relay across all runs —
-// a test-only observability hook (see TestRelayWindowDrain).
-var windowRounds atomic.Int64
 
 // nodeResumes counts node-program resumes (one per submission) across all
 // completed runs — a test-only observability hook for the parking paths,

@@ -243,10 +243,11 @@ func BenchmarkEngineFloodParallel(b *testing.B) {
 	}
 }
 
-// benchDrain builds the window relay's target shape: a deep chain of
-// parked RelayStream stages draining a stream whose source has gone quiet.
-func benchDrain(b *testing.B, hops, items int, opts ...Option) {
-	b.Helper()
+// BenchmarkRelayDrain times a deep chain of parked RelayStream stages
+// draining a stream whose source has gone quiet: rounds whose only traffic
+// is relay forwards.
+func BenchmarkRelayDrain(b *testing.B) {
+	const hops, items = 1024, 64
 	g := graph.Path(hops, graph.UnitWeights)
 	exitRound := items + hops
 	program := func(h *Host) {
@@ -271,7 +272,7 @@ func benchDrain(b *testing.B, hops, items int, opts ...Option) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, program, opts...); err != nil {
+		if _, err := Run(g, program); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -285,9 +286,4 @@ const (
 func init() {
 	RegisterWireKind(benchWire, 64)
 	RegisterWireKind(benchEndWire, 2)
-}
-
-func BenchmarkRelayDrainWindow(b *testing.B) { benchDrain(b, 1024, 64) }
-func BenchmarkRelayDrainPerRound(b *testing.B) {
-	benchDrain(b, 1024, 64, WithWindowRelay(false))
 }

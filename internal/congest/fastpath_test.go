@@ -23,20 +23,13 @@ func init() {
 	RegisterWireKind(testWireEnd, 2)
 }
 
-// both runs a program with the fast paths on (window relay batched and
-// per-round) and off, requiring identical Stats everywhere.
+// both runs a program with the fast paths on and off, requiring identical
+// Stats.
 func both(t *testing.T, g *graph.Graph, program Program, opts ...Option) *Stats {
 	t.Helper()
 	fast, err := Run(g, program, opts...)
 	if err != nil {
 		t.Fatalf("fast: %v", err)
-	}
-	nowin, err := Run(g, program, append(opts, WithWindowRelay(false))...)
-	if err != nil {
-		t.Fatalf("no-window: %v", err)
-	}
-	if !statsEqual(fast, nowin) {
-		t.Fatalf("window relay changed the run: %+v vs %+v", fast, nowin)
 	}
 	slow, err := Run(g, program, append(opts, WithFastPath(false))...)
 	if err != nil {
@@ -230,14 +223,13 @@ func TestRelayPipeline(t *testing.T) {
 	}
 }
 
-// TestRelayWindowDrain: once the stream source goes quiet, the in-flight
-// window drains through a chain of parked relays — the regime the engine
-// batches into internal relay-only rounds. The three variants pin the
-// window's exits: a clean drain to the end marker, a sleeper at the chain's
-// end whose wake dirties every round mid-stream, and an idle deadline
-// firing inside the window. Stats must be identical with the window relay
-// on, off, and with the fast paths off entirely (via both).
-func TestRelayWindowDrain(t *testing.T) {
+// TestRelayDrain: once the stream source goes quiet, the in-flight items
+// drain through a chain of parked relays in rounds whose only traffic is
+// relay forwards. The three variants mix other events into those rounds:
+// none (a clean drain to the end marker), a sleeper at the chain's end
+// that wakes on every arrival, and an idle deadline firing every drain
+// round. Stats must be identical with the fast paths off (via both).
+func TestRelayDrain(t *testing.T) {
 	const hops = 12
 	items := make([]int64, 8)
 	for i := range items {
@@ -256,7 +248,7 @@ func TestRelayWindowDrain(t *testing.T) {
 			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireEnd}}})
 			if rootNaps {
 				// One-round naps: every drain round ends with a deadline
-				// wake, so the window breaks after each internal round.
+				// wake.
 				for h.Round() < exitRound {
 					h.Idle(1)
 				}
@@ -265,7 +257,7 @@ func TestRelayWindowDrain(t *testing.T) {
 			}
 		case h.ID() == hops-1 && lastSleeps:
 			// The chain's end consumes the stream awake: every arrival is
-			// a sleeper wake, dirtying the window mid-stream.
+			// a sleeper wake.
 			got := 0
 			for got <= len(items) {
 				got += len(h.Sleep())
@@ -279,11 +271,11 @@ func TestRelayWindowDrain(t *testing.T) {
 			src, _ := h.PortOf(h.ID() - 1)
 			stream, last := h.RelayStream(src, dst, testWireEnd)
 			if len(stream) != len(items)+1 || stream[len(stream)-1].Wire.Kind != testWireEnd {
-				panic("window drain lost the stream")
+				panic("relay drain lost the stream")
 			}
 			for i, rc := range stream[:len(items)] {
 				if rc.Wire.C != items[i] {
-					panic("window drain reordered items")
+					panic("relay drain reordered items")
 				}
 			}
 			if len(last) != 0 {
@@ -296,7 +288,7 @@ func TestRelayWindowDrain(t *testing.T) {
 				wantRound--
 			}
 			if h.Round() != wantRound {
-				panic("window drain latency wrong")
+				panic("relay drain latency wrong")
 			}
 			h.Idle(exitRound - h.Round())
 		}
@@ -310,16 +302,12 @@ func TestRelayWindowDrain(t *testing.T) {
 		{"deadline-breaks", false, true},
 	} {
 		t.Run(v.name, func(t *testing.T) {
-			winBefore := windowRounds.Load()
 			stats := both(t, g, func(h *Host) { chain(h, v.lastSleeps, v.rootNaps) })
 			if stats.Messages != int64((len(items)+1)*(hops-1)) {
 				t.Fatalf("stats = %+v", stats)
 			}
 			if stats.Rounds != exitRound {
 				t.Fatalf("rounds = %d, want %d", stats.Rounds, exitRound)
-			}
-			if !v.lastSleeps && windowRounds.Load() == winBefore {
-				t.Fatal("window relay never engaged on a pure drain")
 			}
 		})
 	}

@@ -10,7 +10,7 @@ import (
 
 // Scheduler stress: randomized wake/park/send interleavings across many
 // nodes and rounds, replayed under every scheduler configuration — fast
-// paths on and off, window relay on and off, serial and sharded routing.
+// paths on and off, serial and sharded routing.
 // Every configuration must produce identical Stats AND an identical
 // per-node observation trace (a digest of every delivered message with its
 // round, port, sender and payload), so a divergence anywhere in the
@@ -83,8 +83,6 @@ var stressConfigs = []struct {
 }{
 	{"cont/fast/p1", nil},
 	{"cont/fast/p8", []Option{WithParallelism(8)}},
-	{"cont/fast/nowin/p1", []Option{WithWindowRelay(false)}},
-	{"cont/fast/nowin/p8", []Option{WithWindowRelay(false), WithParallelism(8)}},
 	{"cont/nofast/p1", []Option{WithFastPath(false)}},
 	{"cont/nofast/p8", []Option{WithFastPath(false), WithParallelism(8)}},
 }
@@ -136,10 +134,10 @@ func TestSchedulerStress(t *testing.T) {
 }
 
 // TestSchedulerStressStandingOrders drives the relay orders — Relay and
-// RelayStream stages, window-relay drains, and deviation wakes — through a
+// RelayStream stages, relay-only drains, and deviation wakes — through a
 // randomized tree broadcast interleaved with stray pokes (over tree and
-// cross edges), again requiring
-// identical behavior across the configuration grid.
+// cross edges), again requiring identical behavior across the
+// configuration grid.
 func TestSchedulerStressStandingOrders(t *testing.T) {
 	const n = 24
 	end := Wire{Kind: stressEndKind}

@@ -31,8 +31,8 @@ import (
 // whenever the pipeline gives them nothing to say: while blocked on a
 // lagging child stream, after their subtree's stream is exhausted, and
 // (at the root) until the upcast completes. Parked stretches of the down
-// stream run as engine-side relay orders, whose drains the window relay
-// batches.
+// stream run as engine-side relay orders, which forward each item without
+// resuming the stage.
 func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) []congest.Wire {
 	slices.SortStableFunc(local, cmp)
 	var filter Filter
@@ -235,10 +235,9 @@ func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, ne
 	// Wait for the broadcast to reach us and relay it, end marker included,
 	// toward the children. With nothing queued the whole pipeline stage
 	// runs inside the engine: a RelayStream order forwards the parent's
-	// stream — waking us once, after the marker's own forward — and its
-	// drains batch through the window relay. Only a straggler's upcast item
-	// (possible after a stopAfter cut) wakes us early, whose round we
-	// handle by hand before parking again.
+	// stream, waking us once, after the marker's own forward. Only a
+	// straggler's upcast item (possible after a stopAfter cut) wakes us
+	// early, whose round we handle by hand before parking again.
 	dnBuf := make([]congest.Send, 0, nc)
 	for exitRound < 0 {
 		if len(fwd) > 0 {
@@ -302,7 +301,7 @@ func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, ne
 // exit in the same round. Non-root callers pass nil (their argument is
 // ignored); every node returns the root's list in order. Nodes sleep until
 // the stream reaches them; fully parked stretches of the pipeline drain
-// through the engine's window relay.
+// as engine-side relay forwards.
 func BroadcastList(h *congest.Host, t *Tree, items []congest.Wire) []congest.Wire {
 	if h.N() <= 1 {
 		return items
@@ -329,7 +328,7 @@ func BroadcastList(h *congest.Host, t *Tree, items []congest.Wire) []congest.Wir
 	// The whole stage runs inside the engine: one RelayStream order
 	// forwards the parent's stream, end marker included, and wakes us once
 	// it has passed — deviations cannot occur in this primitive, so the
-	// drain is pure window-relay traffic.
+	// drain is pure relay traffic.
 	var result []congest.Wire
 	stream, _ := h.RelayStream(t.ParentPort, t.ChildPorts, wireBcastEnd)
 	if len(stream) > 1 {

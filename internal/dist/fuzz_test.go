@@ -2,6 +2,8 @@ package dist
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"steinerforest/internal/congest"
@@ -51,4 +53,98 @@ func FuzzRunQuiet(f *testing.F) {
 		want := observeSteps(t, g, mk, RunQuiet, congest.WithFastPath(false))
 		sameRun(t, "driven", observeSteps(t, g, mk, RunQuiet), want)
 	})
+}
+
+// FuzzCollect decodes its input into a small network — a random tree or a
+// GNP graph, n <= 24 — and random per-node items, and runs one collect
+// pipeline on it: UpcastBroadcast without a filter, with a count-cap
+// filter, or with the filter plus a stopAfter cut, or BroadcastList of
+// the root's items. The fast-path run must match the per-round engine
+// (WithFastPath(false)) exactly: Stats, every node's exit round, and every
+// node's received items.
+func FuzzCollect(f *testing.F) {
+	f.Add([]byte{0, 10, 1, 3, 7, 1, 200, 40})     // tree, no filter
+	f.Add([]byte{3, 22, 5, 4, 0, 0, 9, 2, 6})     // GNP, filter
+	f.Add([]byte{4, 16, 90, 2, 2, 2, 150, 60, 3}) // tree, filter + stop
+	f.Add([]byte{5, 23, 120, 12, 200, 31, 7})     // GNP, filter + stop
+	f.Add([]byte{7, 23, 9, 3, 255, 255, 0, 0, 3}) // GNP, broadcast
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 2 + int(data[1])%23
+		rng := rand.New(rand.NewSource(int64(data[2])))
+		g := graph.RandomTree(n, graph.UnitWeights, rng)
+		if data[0]%2 == 1 {
+			g = graph.GNP(n, 0.15, graph.UnitWeights, rng)
+		}
+		mode := (data[0] >> 1) % 4
+		stopAt := int64(data[2])
+		sched := data[3:]
+		program := func(h *congest.Host, tr *Tree) []congest.Wire {
+			s := &byteSched{b: sched, i: 7 * h.ID()}
+			local := make([]congest.Wire, s.Intn(4))
+			for i := range local {
+				local[i] = intItem(s.Intn(256))
+			}
+			if mode == 3 {
+				if !tr.IsRoot() {
+					local = nil
+				}
+				return BroadcastList(h, tr, local)
+			}
+			var newFilter func() Filter
+			var stop func(congest.Wire) bool
+			if mode >= 1 {
+				// At most two items per residue class mod 5: a count cap,
+				// hence monotone.
+				newFilter = func() Filter {
+					var seen [5]int
+					return func(x congest.Wire) bool {
+						seen[x.C%5]++
+						return seen[x.C%5] <= 2
+					}
+				}
+			}
+			if mode == 2 {
+				stop = func(x congest.Wire) bool { return x.C >= stopAt }
+			}
+			return UpcastBroadcast(h, tr, local, intItemCmp, newFilter, stop)
+		}
+		want := observeCollect(t, g, program, congest.WithFastPath(false))
+		got := observeCollect(t, g, program)
+		if !reflect.DeepEqual(got.stats, want.stats) {
+			t.Fatalf("stats %+v, reference %+v", *got.stats, *want.stats)
+		}
+		for v := range want.exit {
+			if got.exit[v] != want.exit[v] {
+				t.Fatalf("node %d exited at round %d, reference %d", v, got.exit[v], want.exit[v])
+			}
+			if !slices.Equal(got.items[v], want.items[v]) {
+				t.Fatalf("node %d received items diverged:\n got %v\nwant %v", v, got.items[v], want.items[v])
+			}
+		}
+	})
+}
+
+type collectRun struct {
+	stats *congest.Stats
+	exit  []int
+	items [][]congest.Wire
+}
+
+// observeCollect runs program after a BFS tree build on every node of g
+// and records Stats, each node's exit round and the items it returned.
+func observeCollect(t *testing.T, g *graph.Graph, program func(*congest.Host, *Tree) []congest.Wire, opts ...congest.Option) collectRun {
+	t.Helper()
+	r := collectRun{exit: make([]int, g.N()), items: make([][]congest.Wire, g.N())}
+	stats, err := congest.Run(g, func(h *congest.Host) {
+		got := program(h, BuildBFS(h))
+		r.exit[h.ID()], r.items[h.ID()] = h.Round(), slices.Clone(got)
+	}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.stats = stats
+	return r
 }

@@ -131,6 +131,7 @@ type DemandUpdateResponse struct {
 // {"error":{"code","message","retry_after_s"}}.
 const (
 	codeBadRequest  = "bad_request"       // 400: malformed body, unknown knob, invalid event
+	codeTooLarge    = "payload_too_large" // 413: request body over maxBodyBytes
 	codeNotFound    = "not_found"         // 404: no resident instance by that name
 	codeQueueFull   = "queue_full"        // 429: admission queue full; retry_after_s set
 	codeDraining    = "draining"          // 503: shutdown in progress
@@ -196,6 +197,35 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	writeJSON(w, status, ErrorEnvelope{Error: ErrorDetail{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
+// maxBodyBytes caps every JSON request body. The largest legitimate body
+// is a demand update of workload.MaxEvents events: at the widest node ids
+// an event encodes in about 40 bytes, so such an update is about 40 MiB.
+const maxBodyBytes = 64 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes;
+// a body whose declared length is over the limit is refused unread. On
+// failure it answers 413 payload_too_large or 400 bad_request and returns
+// false. Every route passes maxBodyBytes; the limit is a parameter so the
+// streamed-body cut can be tested without buffering 64 MiB.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // Handler returns the service's HTTP routes, versioned and
 // instance-scoped:
 //
@@ -206,7 +236,8 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 //	GET  /v1/healthz                   200 "ok", 503 "draining" once Shutdown began
 //	GET  /v1/statsz                    metrics snapshot (queue depth, in-flight, p50/p99, ...)
 //
-// All error responses share the ErrorEnvelope shape.
+// All error responses share the ErrorEnvelope shape. Request bodies over
+// maxBodyBytes answer 413 payload_too_large.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/instances/{name}/solve", s.handleSolveScoped)
@@ -241,8 +272,7 @@ func (s *Server) handleSolveScoped(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	name := r.PathValue("name")
 	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req, maxBodyBytes) {
 		return
 	}
 	if req.Instance != "" && req.Instance != name {
@@ -402,8 +432,7 @@ func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	name := r.PathValue("name")
 	var req DemandUpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req, maxBodyBytes) {
 		return
 	}
 	if len(req.Events) == 0 {
@@ -537,8 +566,7 @@ func (s *Server) writeSolveResult(w http.ResponseWriter, instance string, res *s
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req GenerateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req, maxBodyBytes) {
 		return
 	}
 	if req.Family == "" {

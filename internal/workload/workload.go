@@ -66,6 +66,11 @@ func (p Params) validate() error {
 	if p.N < 2 {
 		return fmt.Errorf("workload: N %d < 2", p.N)
 	}
+	// The instance-file cap: generation allocates O(N) up front, so a
+	// request must not be able to name an absurd size.
+	if p.N > MaxNodes {
+		return fmt.Errorf("workload: N %d exceeds the %d cap", p.N, MaxNodes)
+	}
 	if p.K < 1 {
 		return fmt.Errorf("workload: K %d < 1", p.K)
 	}

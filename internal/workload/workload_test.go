@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"steinerforest/internal/steiner"
@@ -54,6 +55,24 @@ func TestGenerateRejectsBadParams(t *testing.T) {
 	} {
 		if _, err := Generate("gnp", p); err == nil {
 			t.Errorf("params %+v accepted", p)
+		}
+	}
+}
+
+// TestGenerateRejectsOversizedN: every family refuses N above MaxNodes,
+// the cap instance files already enforce, before allocating anything.
+func TestGenerateRejectsOversizedN(t *testing.T) {
+	for _, name := range Names() {
+		for _, n := range []int{MaxNodes + 1, 2_000_000_000} {
+			_, err := Generate(name, Params{N: n, K: 1})
+			if err == nil || !strings.Contains(err.Error(), "cap") {
+				t.Errorf("%s with N=%d: err = %v, want the node cap", name, n, err)
+			}
+		}
+	}
+	for _, name := range TimelineNames() {
+		if _, err := GenerateTimeline(name, TimelineParams{Params: Params{N: MaxNodes + 1, K: 1}}); err == nil {
+			t.Errorf("timeline %s with N above the cap accepted", name)
 		}
 	}
 }

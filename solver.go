@@ -58,14 +58,6 @@ type Spec struct {
 	// exists for those tests and for perf A/B runs.
 	NoFastPath bool
 
-	// NoWindowRelay forces the engine's window relay off: rounds whose only
-	// traffic is relay forwards between parked pipeline stages are then
-	// processed one full round at a time instead of as one batched window.
-	// Results are bit-identical either way (the equivalence and stress
-	// tests pin this); the knob exists for those tests and for perf A/B
-	// runs.
-	NoWindowRelay bool
-
 	// NoCertificate skips the centralized dual-oracle run that computes
 	// Result.LowerBound — useful for large perf sweeps where the oracle
 	// would dominate the runtime.
@@ -132,11 +124,11 @@ var builtinAlgorithms = map[string]bool{
 //   - Truncate folded into the algorithm name ("rand"+Truncate ≡ "trunc";
 //     every other builtin ignores the flag);
 //   - epsilon zeroed for builtins other than "rounded" (they never read it);
-//   - the result-neutral scheduler knobs folded out: Parallelism,
-//     NoFastPath and NoWindowRelay change how the simulator schedules
-//     work, never what it computes — the equivalence suite pins Stats,
-//     forests, and per-node traces bit-identical across all of them — and
-//     Arena only recycles allocations.
+//   - the result-neutral scheduler knobs folded out: Parallelism and
+//     NoFastPath change how the simulator schedules work, never what it
+//     computes — the equivalence suite pins Stats, forests, and per-node
+//     traces bit-identical across all of them — and Arena only recycles
+//     allocations.
 //
 // Result-determining fields are untouched: Algorithm, Seed, epsilon (for
 // "rounded"), Bandwidth, MaxRounds, EdgeTracking, and NoCertificate all
@@ -167,7 +159,6 @@ func (s Spec) Canonical() Spec {
 	}
 	c.Parallelism = 0
 	c.NoFastPath = false
-	c.NoWindowRelay = false
 	c.Arena = nil
 	c.Hooks = nil
 	return c
@@ -203,9 +194,6 @@ func (s Spec) options(ctx context.Context) []congest.Option {
 	}
 	if s.NoFastPath {
 		opts = append(opts, congest.WithFastPath(false))
-	}
-	if s.NoWindowRelay {
-		opts = append(opts, congest.WithWindowRelay(false))
 	}
 	if s.Arena != nil {
 		opts = append(opts, congest.WithArenaPool(s.Arena))
