@@ -65,8 +65,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCollect -fuzztime 5s ./internal/dist
 
 # Benchmark suite: experiment tables at reduced scale plus the engine
-# allocation profile (BenchmarkEngineFlood reports allocs/op; the
-# ...Parallel variant runs the same flood on the sharded router).
+# allocation profile (BenchmarkEngineFlood reports allocs/op).
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 1x ./...
 

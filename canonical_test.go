@@ -18,9 +18,7 @@ func TestCanonicalFoldsNeutralKnobs(t *testing.T) {
 		{},                 // all defaults: "" = det, seed 0 = 1
 		{Algorithm: "det"}, // explicit algorithm
 		{Seed: 1},          // explicit default seed
-		{Algorithm: "det", Seed: 1, Parallelism: 8},
 		{Algorithm: "det", Seed: 1, NoFastPath: true},
-		{Algorithm: "det", Seed: 1, Truncate: true},       // det ignores Truncate
 		{Algorithm: "det", Seed: 1, EpsNum: 1, EpsDen: 2}, // det ignores eps
 		{Algorithm: "det", Seed: 1, Arena: congest.NewArenaPool()},
 	}
@@ -32,12 +30,6 @@ func TestCanonicalFoldsNeutralKnobs(t *testing.T) {
 	}
 	if c := want.Canonical(); c != want {
 		t.Errorf("Canonical not idempotent: %+v -> %+v", want, c)
-	}
-	// rand+Truncate is the trunc solver by definition.
-	a := steinerforest.Spec{Algorithm: "rand", Truncate: true}.Canonical()
-	b := steinerforest.Spec{Algorithm: "trunc"}.Canonical()
-	if a != b {
-		t.Errorf("rand+Truncate canonical %+v != trunc canonical %+v", a, b)
 	}
 	// The rounded solver's default epsilon is 1/2, explicit or implicit.
 	r1 := steinerforest.Spec{Algorithm: "rounded"}.Canonical()
@@ -58,7 +50,7 @@ func TestCanonicalKeepsDistinguishing(t *testing.T) {
 		a, b steinerforest.Spec
 	}{
 		{"algorithm", steinerforest.Spec{Algorithm: "det"}, steinerforest.Spec{Algorithm: "rand"}},
-		{"rand vs trunc", steinerforest.Spec{Algorithm: "rand"}, steinerforest.Spec{Algorithm: "rand", Truncate: true}},
+		{"rand vs trunc", steinerforest.Spec{Algorithm: "rand"}, steinerforest.Spec{Algorithm: "trunc"}},
 		{"seed", steinerforest.Spec{Algorithm: "rand", Seed: 1}, steinerforest.Spec{Algorithm: "rand", Seed: 2}},
 		{"seed default vs 2", steinerforest.Spec{Algorithm: "rand"}, steinerforest.Spec{Algorithm: "rand", Seed: 2}},
 		{"eps", steinerforest.Spec{Algorithm: "rounded", EpsNum: 1, EpsDen: 2}, steinerforest.Spec{Algorithm: "rounded", EpsNum: 1, EpsDen: 4}},
@@ -85,11 +77,11 @@ func TestCanonicalResultNeutral(t *testing.T) {
 	}
 	ins := gen.Instance
 	specs := []steinerforest.Spec{
-		{NoCertificate: true, Parallelism: 4, NoFastPath: true},
-		{Algorithm: "rounded", NoCertificate: true, Parallelism: 8},
+		{NoCertificate: true, NoFastPath: true},
+		{Algorithm: "rounded", NoCertificate: true},
 		{Algorithm: "rand", Seed: 5, NoCertificate: true, NoFastPath: true},
-		{Algorithm: "rand", Truncate: true, Seed: 5, NoCertificate: true},
-		{Algorithm: "khan", Seed: 3, NoCertificate: true, Parallelism: 2},
+		{Algorithm: "trunc", Seed: 5, NoCertificate: true},
+		{Algorithm: "khan", Seed: 3, NoCertificate: true},
 		{Algorithm: "central"},
 	}
 	for _, spec := range specs {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	dsfrun [-n 40] [-k 3] [-maxw 64] [-seed 1] [-algo det] [-eps 1/2]
-//	       [-parallel 1] [-nocert] [-gen family] [-in file] [-out file]
+//	       [-nocert] [-gen family] [-in file] [-out file]
 //	dsfrun -timeline family [-events 24] [-policy full] [-tlout file]
 //	dsfrun -tlin file [-policy repair]
 //
@@ -59,7 +59,6 @@ func main() {
 	algo := flag.String("algo", "det",
 		"algorithm: one of "+strings.Join(steinerforest.Algorithms(), ", "))
 	eps := flag.String("eps", "1/2", "epsilon for -algo rounded, as num/den")
-	parallel := flag.Int("parallel", 1, "simulator routing workers")
 	nocert := flag.Bool("nocert", false, "skip the dual-oracle certificate (faster on large instances)")
 	gen := flag.String("gen", "",
 		"generate from this workload family: one of "+strings.Join(workload.Names(), ", "))
@@ -76,7 +75,6 @@ func main() {
 	spec := steinerforest.Spec{
 		Algorithm:     *algo,
 		Seed:          *seed,
-		Parallelism:   *parallel,
 		NoCertificate: *nocert,
 	}
 	// Strict epsilon parse at flag time (shared with dsfserve's request

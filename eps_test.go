@@ -47,7 +47,7 @@ func TestSpecValidate(t *testing.T) {
 		{},
 		{Algorithm: "rounded", EpsNum: 1, EpsDen: 2},
 		{Algorithm: "det", EpsNum: 2, EpsDen: 1}, // eps set on a non-rounded solver is fine
-		{Parallelism: 8, Bandwidth: 512, MaxRounds: 100000, Seed: -3},
+		{Bandwidth: 512, MaxRounds: 100000, Seed: -3},
 	}
 	for i, spec := range valid {
 		if err := spec.Validate(); err != nil {
@@ -55,7 +55,6 @@ func TestSpecValidate(t *testing.T) {
 		}
 	}
 	invalid := []steinerforest.Spec{
-		{Parallelism: -1},
 		{Bandwidth: -64},
 		{MaxRounds: -5},
 		{EpsNum: 0, EpsDen: 2},  // the half-set epsilon of the bug report
@@ -82,7 +81,6 @@ func TestSolveRejectsInvalidSpec(t *testing.T) {
 	ins.SetComponent(0, 0, 3)
 	for _, spec := range []steinerforest.Spec{
 		{Algorithm: "rounded", EpsDen: 2},
-		{Algorithm: "det", Parallelism: -4},
 		{Algorithm: "det", Bandwidth: -1},
 		{Algorithm: "det", MaxRounds: -1},
 	} {

@@ -10,12 +10,12 @@ import (
 )
 
 // TestFastPathEquivalence pins the engine's core contract: the idle/sleep/
-// relay/drive fast paths, the sharded router and a warm arena pool may
-// change how fast simulated rounds pass, but never what happens in them.
-// Every registered distributed solver, run over a sample of workload
-// families, must produce identical Stats (Rounds, Messages, Bits,
-// MaxMessageBits) and an identical forest with the fast paths forced off
-// and on, at parallelism 1 and 8, pooled and unpooled. The reference run has the fast paths off at parallelism 1 — plain
+// relay/drive fast paths and a warm arena pool may change how fast
+// simulated rounds pass, but never what happens in them. Every registered
+// distributed solver, run over a sample of workload families, must produce
+// identical Stats (Rounds, Messages, Bits, MaxMessageBits) and an
+// identical forest with the fast paths forced off and on, pooled and
+// unpooled. The reference run has the fast paths off and no pool — plain
 // per-round Exchange loops, the engine's definition of the model.
 func TestFastPathEquivalence(t *testing.T) {
 	families := []string{"planted", "grid2d", "geometric"}
@@ -33,25 +33,26 @@ func TestFastPathEquivalence(t *testing.T) {
 		for _, algo := range algos {
 			t.Run(fam+"/"+algo, func(t *testing.T) {
 				base := steinerforest.Spec{Algorithm: algo, Seed: 7, NoCertificate: true}
-				ref, err := steinerforest.Solve(ins, withKnobs(base, true, 1))
+				refSpec := base
+				refSpec.NoFastPath = true
+				ref, err := steinerforest.Solve(ins, refSpec)
 				if err != nil {
 					t.Fatalf("reference run: %v", err)
 				}
 				for _, v := range []struct {
 					noFast bool
-					par    int
 					pooled bool
 				}{
-					{false, 1, false}, {false, 8, false}, // fast on × par
-					{true, 8, false},                   // fast off, sharded
-					{false, 1, true}, {false, 8, true}, // warm arena pool × par
-					{true, 1, true}, // warm arena pool, fast off
+					{false, false}, // fast on
+					{false, true},  // warm arena pool
+					{true, true},   // warm arena pool, fast off
 				} {
-					spec := withKnobs(base, v.noFast, v.par)
+					spec := base
+					spec.NoFastPath = v.noFast
 					if v.pooled {
 						spec.Arena = pool
 					}
-					name := fmt.Sprintf("noFast=%v par=%d pooled=%v", v.noFast, v.par, v.pooled)
+					name := fmt.Sprintf("noFast=%v pooled=%v", v.noFast, v.pooled)
 					res, err := steinerforest.Solve(ins, spec)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -81,10 +82,4 @@ func TestFastPathEquivalence(t *testing.T) {
 			t.Errorf("%s: arena pool never reused a warm arena across the pooled variants (stats %+v)", fam, ps)
 		}
 	}
-}
-
-func withKnobs(s steinerforest.Spec, noFast bool, par int) steinerforest.Spec {
-	s.NoFastPath = noFast
-	s.Parallelism = par
-	return s
 }

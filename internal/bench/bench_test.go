@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -48,14 +49,18 @@ func TestB1ResultsIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestE1StatsIdenticalAcrossSchedulers(t *testing.T) {
+// TestE1FloodCountsExact: every E1 row floods each edge in both
+// directions for 40 rounds, so its round and message counts are fixed by
+// the grid alone.
+func TestE1FloodCountsExact(t *testing.T) {
 	tab := E1(Scale(4))
 	if len(tab.Rows) == 0 {
 		t.Fatalf("E1 produced no rows (notes: %v)", tab.Notes)
 	}
 	for _, row := range tab.Rows {
-		if row[len(row)-1] != "true" {
-			t.Errorf("serial and sharded schedulers diverged: %v", row)
+		m, _ := strconv.Atoi(row[1])
+		if row[2] != "40" || row[3] != strconv.Itoa(2*m*40) {
+			t.Errorf("E1 row %v: want 40 rounds and %d messages", row, 2*m*40)
 		}
 	}
 }

@@ -12,19 +12,15 @@ import (
 )
 
 // E1 measures the raw engine: a dense full-degree flood on grid networks of
-// growing size, serial versus sharded routing. It is the scaling experiment
-// the allocation-free scheduler exists for — the paper's bounds only
-// separate at node counts the old per-round-map engine could not reach.
+// growing size. It is the scaling experiment the allocation-free scheduler
+// exists for — the paper's bounds only separate at node counts the old
+// per-round-map engine could not reach.
 func E1(sc Scale) *Table {
 	tab := &Table{
 		ID:     "E1",
-		Title:  "engine throughput: flood msgs/sec vs n, serial and sharded",
-		Claim:  "engineering: the round scheduler is allocation-free and shards across workers deterministically",
-		Header: []string{"n", "m", "rounds", "messages", "ms(serial)", "ms(sharded)", "Mmsg/s(serial)", "Mmsg/s(sharded)", "identical"},
-	}
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
+		Title:  "engine throughput: flood msgs/sec vs n",
+		Claim:  "engineering: the round scheduler is allocation-free",
+		Header: []string{"n", "m", "rounds", "messages", "ms", "Mmsg/s"},
 	}
 	const rounds = 40
 	for _, side := range []int{32, 64, 128} {
@@ -42,40 +38,21 @@ func E1(sc Scale) *Table {
 				h.Exchange(out)
 			}
 		}
-		run := func(par int) (*congest.Stats, float64, error) {
-			start := time.Now()
-			stats, err := congest.Run(g, program, congest.WithParallelism(par))
-			return stats, float64(time.Since(start).Microseconds()) / 1000.0, err
-		}
-		serial, msSerial, err := run(1)
+		start := time.Now()
+		stats, err := congest.Run(g, program)
+		ms := float64(time.Since(start).Microseconds()) / 1000.0
 		if err != nil {
 			tab.Notes = append(tab.Notes, err.Error())
 			continue
 		}
-		sharded, msSharded, err := run(workers)
-		if err != nil {
-			tab.Notes = append(tab.Notes, err.Error())
-			continue
-		}
-		same := serial.Messages == sharded.Messages && serial.Bits == sharded.Bits &&
-			serial.Rounds == sharded.Rounds
-		if !same {
-			tab.Failed = true
-		}
-		rate := func(ms float64) string {
-			if ms <= 0 {
-				return "-"
-			}
-			return f(float64(serial.Messages) / ms / 1000.0)
+		rate := "-"
+		if ms > 0 {
+			rate = f(float64(stats.Messages) / ms / 1000.0)
 		}
 		tab.Rows = append(tab.Rows, []string{
-			d(g.N()), d(g.M()), d(serial.Rounds), d64(serial.Messages),
-			f(msSerial), f(msSharded), rate(msSerial), rate(msSharded),
-			fmt.Sprintf("%v", same),
+			d(g.N()), d(g.M()), d(stats.Rounds), d64(stats.Messages), f(ms), rate,
 		})
 	}
-	tab.Notes = append(tab.Notes,
-		fmt.Sprintf("sharded = WithParallelism(%d); 'identical' asserts bit-exact Stats across schedulers", workers))
 	return tab
 }
 

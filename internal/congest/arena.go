@@ -121,7 +121,6 @@ type arena struct {
 	wakeAt    []int
 	touchN    []int32
 	tGen      []uint32
-	shardOf   []int32
 	subs      []submission
 	next      []func() (submission, bool)
 	stopFn    []func()
@@ -135,12 +134,11 @@ type arena struct {
 	outArena []Recv
 
 	// Growable round buffers: length reset on reuse, capacity kept.
-	wake       wakeHeap
-	hitRelay   []int32
-	pendList   []int32
-	pendFree   []int32
-	collected  []submission
-	serialPend []submission
+	wake     wakeHeap
+	hitRelay []int32
+	pendList []int32
+	pendFree []int32
+	pending  []submission
 
 	// Persisted generation high-water mark (see reset).
 	gen uint32
@@ -155,7 +153,6 @@ func newArena(n, P int) *arena {
 		wakeAt:     make([]int, n),
 		touchN:     make([]int32, n),
 		tGen:       make([]uint32, n),
-		shardOf:    make([]int32, n),
 		subs:       make([]submission, n),
 		next:       make([]func() (submission, bool), n),
 		stopFn:     make([]func(), n),
@@ -165,7 +162,7 @@ func newArena(n, P int) *arena {
 		touchBuf:   make([]int32, P),
 		outArena:   make([]Recv, P),
 		returnPort: make([]int32, P),
-		collected:  make([]submission, 0, n),
+		pending:    make([]submission, 0, n),
 	}
 }
 
@@ -187,8 +184,7 @@ func (ar *arena) reset() {
 	ar.hitRelay = ar.hitRelay[:0]
 	ar.pendList = ar.pendList[:0]
 	ar.pendFree = ar.pendFree[:0]
-	ar.collected = ar.collected[:0]
-	ar.serialPend = ar.serialPend[:0]
+	ar.pending = ar.pending[:0]
 }
 
 // attach hands the arena's storage to a run's engine. The engine's
@@ -196,14 +192,14 @@ func (ar *arena) reset() {
 // every cell stamped by a previous run is already dead.
 func (ar *arena) attach(e *engine) {
 	e.hosts, e.mode, e.parkStamp, e.wakeAt = ar.hosts, ar.mode, ar.parkStamp, ar.wakeAt
-	e.touchN, e.tGen, e.shardOf = ar.touchN, ar.tGen, ar.shardOf
+	e.touchN, e.tGen = ar.touchN, ar.tGen
 	e.subs, e.next, e.stopFn = ar.subs, ar.next, ar.stopFn
 	e.relays = ar.relays
 	e.sentGen, e.slots, e.slotGen = ar.sentGen, ar.slots, ar.slotGen
 	e.touchBuf, e.outArena, e.returnPort = ar.touchBuf, ar.outArena, ar.returnPort
 	e.wake, e.hitRelay = ar.wake, ar.hitRelay
 	e.pendList, e.pendFree = ar.pendList, ar.pendFree
-	e.collected, e.serial.subs = ar.collected, ar.serialPend
+	e.pending = ar.pending
 	e.gen = ar.gen + 1
 }
 
@@ -219,7 +215,7 @@ func (ar *arena) detach(e *engine) {
 	ar.relays = e.relays
 	ar.wake, ar.hitRelay = e.wake, e.hitRelay
 	ar.pendList, ar.pendFree = e.pendList, e.pendFree
-	ar.collected, ar.serialPend = e.collected, e.serial.subs
+	ar.pending = e.pending
 	ar.gen = e.gen
 	clear(ar.hosts)
 	clear(ar.subs)
@@ -228,6 +224,5 @@ func (ar *arena) detach(e *engine) {
 		rl.bufHint = max(rl.bufHint, cap(rl.buf))
 		rl.buf = nil
 	}
-	clear(ar.collected[:cap(ar.collected)])
-	clear(ar.serialPend[:cap(ar.serialPend)])
+	clear(ar.pending[:cap(ar.pending)])
 }

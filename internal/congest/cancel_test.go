@@ -32,8 +32,7 @@ func floodProgram(rounds int, onRound func(r int)) Program {
 	}
 }
 
-// TestCancelAbortsBothSchedulers cancels a run mid-flood on the serial
-// and the sharded scheduler.
+// TestCancelAbortsBothSchedulers cancels a run mid-flood.
 func TestCancelAbortsBothSchedulers(t *testing.T) {
 	g := graph.Grid(4, 4, graph.UnitWeights)
 	for _, tc := range []struct {
@@ -41,7 +40,6 @@ func TestCancelAbortsBothSchedulers(t *testing.T) {
 		opts []Option
 	}{
 		{"continuation", nil},
-		{"continuation/p8", []Option{WithParallelism(8)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -93,7 +91,7 @@ func TestDeadlineAbortsRun(t *testing.T) {
 
 // TestContextNeutralWhenNotFired pins the WithContext contract: a run
 // carrying a context that never fires is bit-identical to a run without
-// one, serial and sharded.
+// one.
 func TestContextNeutralWhenNotFired(t *testing.T) {
 	g := graph.Grid(5, 5, graph.UnitWeights)
 	for _, tc := range []struct {
@@ -101,7 +99,6 @@ func TestContextNeutralWhenNotFired(t *testing.T) {
 		opts []Option
 	}{
 		{"continuation", nil},
-		{"continuation/p8", []Option{WithParallelism(8)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := append([]Option{WithSeed(11), WithMaxRounds(1000)}, tc.opts...)

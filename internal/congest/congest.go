@@ -20,8 +20,9 @@
 // nodes for a round in-place by switching directly into their suspended
 // stacks, so a coroutine-hosted active node-round costs two coroutine
 // switches and no channel operations, no runtime-scheduler wakeups, and no
-// futex traffic; with WithParallelism(p) a fixed pool of p workers drives
-// disjoint node ranges.
+// futex traffic. All node programs of one run execute on the goroutine
+// that called Run, one at a time: each round the scheduler validates and
+// delivers every send, then resumes the recipients, in a single pass.
 //
 // A program can go further and hand a stretch of itself to the scheduler
 // as data: Host.Drive(first, d) runs a Driver, whose Next returns the
@@ -49,12 +50,6 @@
 // identical to plain Exchange loops (WithFastPath(false) forces the
 // loops): Stats and every delivered message are bit-for-bit the same.
 //
-// With WithParallelism(p) the placement and delivery work is sharded
-// across p workers by destination node; because validation and statistics
-// run in a deterministic serial pass and each shard owns a disjoint node
-// range, a run's Stats and every delivered message are bit-for-bit
-// identical for any parallelism level.
-//
 // Runs are deterministic: inboxes are sorted by port, per-node RNGs are
 // seeded from (seed, node ID), and node programs see only local information
 // (their ID, n, their incident edges) plus whatever messages they receive.
@@ -67,7 +62,6 @@ import (
 	"iter"
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -137,16 +131,15 @@ var ErrAsleep = errors.New("congest: every live node is asleep with nothing to w
 var ErrCancelled = errors.New("congest: run cancelled")
 
 type options struct {
-	bandwidth   int
-	maxRounds   int
-	seed        int64
-	trackEdges  bool
-	parallelism int
-	noFastPath  bool
-	pool        *ArenaPool
-	ctx         context.Context
-	ctxDone     <-chan struct{} // o.ctx.Done(), hoisted out of the round loop
-	hooks       *RunHooks
+	bandwidth  int
+	maxRounds  int
+	seed       int64
+	trackEdges bool
+	noFastPath bool
+	pool       *ArenaPool
+	ctx        context.Context
+	ctxDone    <-chan struct{} // o.ctx.Done(), hoisted out of the round loop
+	hooks      *RunHooks
 }
 
 // cancelErr builds the abort error for a fired context: ErrCancelled
@@ -176,12 +169,6 @@ func WithSeed(s int64) Option { return func(o *options) { o.seed = s } }
 
 // WithEdgeTracking enables per-edge bit counters in Stats.EdgeBits.
 func WithEdgeTracking() Option { return func(o *options) { o.trackEdges = true } }
-
-// WithParallelism shards message placement and delivery across p workers
-// (default 1 = serial). Determinism is preserved exactly: for a fixed seed
-// the run delivers identical messages and returns identical Stats at every
-// parallelism level.
-func WithParallelism(p int) Option { return func(o *options) { o.parallelism = p } }
 
 // WithFastPath enables (default) or disables the idle/sleep scheduler fast
 // paths. Disabled, Idle/Sleep/SleepUntil degrade to their defining
@@ -555,12 +542,6 @@ type subExt struct {
 	relayThrough bool   // subRelay: forward the end marker too (RelayStream)
 }
 
-// routed is a validated message en route to its destination shard.
-type routed struct {
-	dst, dstPort int32
-	wire         Wire
-}
-
 // nodeMode is a node's scheduler state. Every live node is either runnable
 // (it submits one submission per round) or parked (idle or sleeping).
 type nodeMode uint8
@@ -667,13 +648,12 @@ type engine struct {
 	hosts []Host // host arena: one in-place block per node
 
 	// Per-node resume/stop handles of the suspended programs, the
-	// per-shard lanes the drive passes record into, the lane of the serial
-	// wakes, and the reusable collection buffer the round loop processes.
-	next      []func() (submission, bool)
-	stopFn    []func()
-	lanes     []lane
-	serial    lane
-	collected []submission
+	// submissions the resumes record (in resume order) for the next round
+	// loop pass to process, and the coroutine switches those resumes took.
+	next     []func() (submission, bool)
+	stopFn   []func()
+	pending  []submission
+	switches int
 
 	mode      []nodeMode
 	parkStamp []uint32 // bumped on every park/wake; validates wake entries
@@ -689,8 +669,8 @@ type engine struct {
 	live     int
 
 	subs      []submission // this round's submission, indexed by node
-	shardSubs [][]int32    // per shard: nodes that exchanged this round
-	woken     [][]int32    // per shard: sleepers woken by mail this round
+	exchanged []int32      // nodes that exchanged this round
+	woken     []int32      // sleepers woken by mail this round
 
 	// Per-(node, port) engine tables, arena-backed: one flat array each,
 	// indexed base[v]+port over the graph's CSR offsets (base, length n+1).
@@ -707,11 +687,7 @@ type engine struct {
 	outArena []Recv   // [base[v]:base[v+1]]: reusable delivery buffer
 	gen      uint32
 
-	returnPort []int32    // [base[v]+port]: the far endpoint's port back to v
-	shardOf    []int32    // dst node -> shard
-	buckets    [][]routed // per shard: validated messages of this round (p > 1)
-	start      []chan struct{}
-	wg         sync.WaitGroup
+	returnPort []int32 // [base[v]+port]: the far endpoint's port back to v
 }
 
 // Run executes program on every node of g and returns aggregate statistics.
@@ -719,9 +695,8 @@ type engine struct {
 // duplicate port sends, bad port), or the round cap is reached.
 func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	o := options{
-		maxRounds:   2_000_000,
-		seed:        1,
-		parallelism: 1,
+		maxRounds: 2_000_000,
+		seed:      1,
 	}
 	for _, fn := range opts {
 		fn(&o)
@@ -745,24 +720,12 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	if n == 0 {
 		return stats, nil
 	}
-	p := o.parallelism
-	if p < 1 {
-		p = 1
-	}
-	if p > n {
-		p = n
-	}
-	o.parallelism = p
-
 	e := &engine{
-		n:         n,
-		o:         o,
-		stats:     stats,
-		runnable:  n,
-		live:      n,
-		shardSubs: make([][]int32, p),
-		woken:     make([][]int32, p),
-		buckets:   make([][]routed, p),
+		n:        n,
+		o:        o,
+		stats:    stats,
+		runnable: n,
+		live:     n,
 	}
 	// The engine's per-port tables are flat arenas over the graph's CSR
 	// offsets; the relay order table is allocated lazily, on the
@@ -786,20 +749,10 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		ar = newArena(n, P)
 	}
 	ar.attach(e)
-	e.lanes = make([]lane, p)
 	// Belt and braces: release any still-suspended continuation on the way
 	// out (normal exits and fails have already done so; this keeps an
-	// engine bug from leaking parked coroutine stacks). Joins any in-flight
-	// shard workers first — a panic between dispatch and the round's
-	// wg.Wait must not let stopAll race a worker's resume of the same
-	// coroutine.
-	defer func() {
-		e.wg.Wait()
-		e.stopAll()
-	}()
-	for v := 0; v < n; v++ {
-		e.shardOf[v] = int32(v * p / n)
-	}
+	// engine bug from leaking parked coroutine stacks).
+	defer e.stopAll()
 	// Precompute the return-port table: for the edge at (v, port), the port
 	// of the far endpoint that leads back to v. One pass over all halves,
 	// pairing the two sides of each edge by its index, replaces the
@@ -834,24 +787,6 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		}
 		e.next[v], e.stopFn[v] = iter.Pull(nodeSeq(h, program))
 	}
-	if p > 1 {
-		e.start = make([]chan struct{}, p)
-		for w := 1; w < p; w++ {
-			w := w
-			e.start[w] = make(chan struct{})
-			go func() {
-				for range e.start[w] {
-					e.runShard(w)
-					e.wg.Done()
-				}
-			}()
-		}
-		defer func() {
-			for w := 1; w < p; w++ {
-				close(e.start[w])
-			}
-		}()
-	}
 	if pool != nil {
 		pool.recordSetup(warmArena, int64(time.Since(setupStart)))
 	}
@@ -865,7 +800,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	// here on the nodes are suspended continuations that the round loop
 	// resumes in-place.
 	for v := 0; v < n; v++ {
-		e.resume(v, 0, nil, &e.serial)
+		e.resume(v, 0, nil)
 	}
 
 	resumes := 0 // one submission per node resume; published on success
@@ -882,7 +817,10 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 		if o.hooks != nil && o.hooks.Round != nil {
 			o.hooks.Round(stats.Rounds)
 		}
-		subsIn := e.collect()
+		// The resumes below refill pending; this pass over its current
+		// contents finishes before the first of them.
+		subsIn := e.pending
+		e.pending = e.pending[:0]
 		resumes += len(subsIn)
 		exch := 0
 		for si := range subsIn {
@@ -948,8 +886,7 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 				e.parkStamp[v]++
 			default:
 				e.subs[s.node] = s
-				sh := e.shardOf[s.node]
-				e.shardSubs[sh] = append(e.shardSubs[sh], int32(s.node))
+				e.exchanged = append(e.exchanged, int32(s.node))
 				exch++
 			}
 		}
@@ -976,97 +913,66 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 			return fail(fmt.Errorf("%w (%d)", ErrRoundLimit, o.maxRounds))
 		}
 		e.emitRelays()
-		// Serial pass: validate, account, and route every send. All stats
-		// are order-independent sums and maxima and every message lands in
-		// a slot keyed by (destination, port), so the arrival order of
-		// submissions cannot influence the outcome. With p == 1 messages
-		// are placed immediately; otherwise they are handed to the
-		// destination shard's bucket. Sleeping destinations are flipped to
-		// runnable here (serially, hence deterministically); their inbox is
-		// delivered by the shard pass below.
-		for w := 0; w < p; w++ {
-			for _, v32 := range e.shardSubs[w] {
-				v := int(v32)
-				h := &e.hosts[v]
-				outs := e.subs[v].out
-				for si := range outs {
-					snd := &outs[si] // by pointer: Send is 5 words
-					if snd.Port < 0 || snd.Port >= len(h.ports) {
-						return fail(fmt.Errorf("congest: node %d sent on invalid port %d", v, snd.Port))
-					}
-					pb := e.base[v] + int32(snd.Port)
-					if e.sentGen[pb] == e.gen {
-						return fail(fmt.Errorf("congest: node %d sent twice on port %d in one round", v, snd.Port))
-					}
-					e.sentGen[pb] = e.gen
-					if snd.Wire.Kind == 0 {
-						return fail(fmt.Errorf("congest: node %d sent nil message", v))
-					}
-					b, ok := wireBits(snd.Wire)
-					if !ok {
-						return fail(fmt.Errorf("congest: node %d sent unregistered wire kind %d", v, snd.Wire.Kind))
-					}
-					if b > o.bandwidth {
-						return fail(fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, o.bandwidth, v))
-					}
-					e.deliver(int(h.ports[snd.Port].To), int(e.returnPort[pb]),
-						int(h.ports[snd.Port].Index), b, &snd.Wire)
+		// Validate, account, and place every send. All stats are
+		// order-independent sums and maxima and every message lands in a
+		// slot keyed by (destination, port), so the order of submissions
+		// cannot influence the outcome. Sleeping destinations are flipped
+		// to runnable here; their inbox is delivered below.
+		for _, v32 := range e.exchanged {
+			v := int(v32)
+			h := &e.hosts[v]
+			outs := e.subs[v].out
+			for si := range outs {
+				snd := &outs[si] // by pointer: Send is 5 words
+				if snd.Port < 0 || snd.Port >= len(h.ports) {
+					return fail(fmt.Errorf("congest: node %d sent on invalid port %d", v, snd.Port))
 				}
+				pb := e.base[v] + int32(snd.Port)
+				if e.sentGen[pb] == e.gen {
+					return fail(fmt.Errorf("congest: node %d sent twice on port %d in one round", v, snd.Port))
+				}
+				e.sentGen[pb] = e.gen
+				if snd.Wire.Kind == 0 {
+					return fail(fmt.Errorf("congest: node %d sent nil message", v))
+				}
+				b, ok := wireBits(snd.Wire)
+				if !ok {
+					return fail(fmt.Errorf("congest: node %d sent unregistered wire kind %d", v, snd.Wire.Kind))
+				}
+				if b > o.bandwidth {
+					return fail(fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, o.bandwidth, v))
+				}
+				e.deliver(int(h.ports[snd.Port].To), int(e.returnPort[pb]),
+					int(h.ports[snd.Port].Index), b, &snd.Wire)
 			}
 		}
 		stats.Rounds++
-		// Sharded placement + delivery; shard 0 runs on this goroutine.
-		// Workers whose shard has nothing this round — no placements, no
-		// exchanging nodes, no woken sleepers — are not signaled at all:
-		// through a deep sparse phase an idle shard's worker sits on its
-		// start channel across the whole stretch instead of paying two
-		// channel operations per round, which is what makes p > 1 cheap
-		// on the paper's mostly-quiet round structure.
-		if p > 1 {
-			busy := 0
-			for w := 1; w < p; w++ {
-				if e.shardBusy(w) {
-					busy++
-				}
-			}
-			if busy > 0 {
-				e.wg.Add(busy)
-				for w := 1; w < p; w++ {
-					if e.shardBusy(w) {
-						e.start[w] <- struct{}{}
-					}
-				}
-			}
+		// Delivery is execution: switch into each exchanging node, then each
+		// sleeper this round's mail woke, with its port-ordered inbox, and
+		// record the submission it yields next.
+		for _, v32 := range e.exchanged {
+			e.resume(int(v32), stats.Rounds, e.inbox(int(v32)))
 		}
-		e.runShard(0)
-		if p > 1 {
-			e.wg.Wait()
+		for _, v32 := range e.woken {
+			e.resume(int(v32), stats.Rounds, e.inbox(int(v32)))
 		}
 		e.checkRelayers()
-		for w := 0; w < p; w++ {
-			e.buckets[w] = e.buckets[w][:0]
-			e.shardSubs[w] = e.shardSubs[w][:0]
-			e.runnable += len(e.woken[w])
-			e.woken[w] = e.woken[w][:0]
-		}
+		e.exchanged = e.exchanged[:0]
+		e.runnable += len(e.woken)
+		e.woken = e.woken[:0]
 		e.gen++
 		e.wakeDue(stats.Rounds)
 	}
 	nodeResumes.Add(int64(resumes))
-	switches := e.serial.switches
-	for w := range e.lanes {
-		switches += e.lanes[w].switches
-	}
-	coroSwitches.Add(int64(switches))
+	coroSwitches.Add(int64(e.switches))
 	return stats, nil
 }
 
 // deliver accounts one validated message and routes it to its
 // destination: terminated destinations count as dropped, idling ones
-// discard unread, sleeping ones are flipped awake (their inbox follows in
-// the shard pass), and everything else lands in an inbox slot (directly
-// when serial, via the destination shard's bucket otherwise). Every
-// delivery path — node sends and relay forwards —
+// discard unread, sleeping ones are flipped awake (their inbox follows
+// once the round's sends are placed), and everything else lands in an
+// inbox slot. Every delivery path — node sends and relay forwards —
 // funnels through here so the accounting can never diverge between them.
 func (e *engine) deliver(dst, dstPort, edge, bits int, wire *Wire) {
 	stats := e.stats
@@ -1087,7 +993,7 @@ func (e *engine) deliver(dst, dstPort, edge, bits int, wire *Wire) {
 	case modeSleep:
 		e.mode[dst] = modeRun
 		e.parkStamp[dst]++
-		e.woken[e.shardOf[dst]] = append(e.woken[e.shardOf[dst]], int32(dst))
+		e.woken = append(e.woken, int32(dst))
 	case modeRelay:
 		// Queue the stage for checkRelayers: only hit stages are visited,
 		// so a deep chain of parked relays costs nothing per round beyond
@@ -1095,25 +1001,17 @@ func (e *engine) deliver(dst, dstPort, edge, bits int, wire *Wire) {
 		// skipped by its mode.)
 		e.hitRelay = append(e.hitRelay, int32(dst))
 	}
-	if e.o.parallelism == 1 {
-		e.place(dst, dstPort, wire)
-	} else {
-		sh := e.shardOf[dst]
-		e.buckets[sh] = append(e.buckets[sh], routed{
-			dst: int32(dst), dstPort: int32(dstPort), wire: *wire,
-		})
-	}
+	e.place(dst, dstPort, wire)
 }
 
 // wakeRun flips a parked node back to runnable and resumes it with in.
-// Only for the serial passes — shard workers deliver to message-woken
-// sleepers themselves, with the mode flip and runnable bookkeeping done
-// elsewhere.
+// Sleepers woken by mail are not resumed here: deliver flips their mode
+// and the round loop resumes them with their inbox.
 func (e *engine) wakeRun(v int, wokeRound int, in []Recv) {
 	e.mode[v] = modeRun
 	e.parkStamp[v]++
 	e.runnable++
-	e.resume(v, wokeRound, in, &e.serial)
+	e.resume(v, wokeRound, in)
 }
 
 // emitRelays performs the relay orders' forwards due this round — the
@@ -1150,13 +1048,6 @@ func (e *engine) emitRelays() {
 	}
 }
 
-// shardBusy reports whether shard w has any work this round: routed
-// placements, exchanging nodes awaiting their inboxes, or sleepers woken
-// by this round's mail.
-func (e *engine) shardBusy(w int) bool {
-	return len(e.buckets[w]) > 0 || len(e.shardSubs[w]) > 0 || len(e.woken[w]) > 0
-}
-
 // nodeResumes counts node-program resumes (one per submission) across all
 // completed runs — a test-only observability hook for the parking paths,
 // published once per Run.
@@ -1164,8 +1055,7 @@ var nodeResumes atomic.Int64
 
 // coroSwitches counts the resumes that switched into a node's coroutine —
 // every submission a Driver did not produce — across all completed runs:
-// the test-only companion of nodeResumes, accumulated per lane and
-// published once per Run.
+// the test-only companion of nodeResumes, published once per Run.
 var coroSwitches atomic.Int64
 
 // checkRelayers advances every relaying node after a round: a clean
@@ -1325,56 +1215,8 @@ func (e *engine) inbox(v int) []Recv {
 	return buf
 }
 
-// runShard places the shard's routed messages into destination inbox slots
-// and delivers each exchanging node's port-ordered inbox, plus the inboxes
-// of sleepers its mail woke up. Delivery IS execution: the worker switches
-// into each node's suspended program with its inbox and records the
-// submission the program yields next, so node code for this shard runs
-// here, on the worker's stack. Shards own disjoint destination ranges (and
-// disjoint continuations), so workers touch disjoint state.
-func (e *engine) runShard(w int) {
-	for _, rt := range e.buckets[w] {
-		e.place(int(rt.dst), int(rt.dstPort), &rt.wire)
-	}
-	cur := e.stats.Rounds
-	l := &e.lanes[w]
-	for _, v32 := range e.shardSubs[w] {
-		v := int(v32)
-		e.resume(v, cur, e.inbox(v), l)
-	}
-	for _, v32 := range e.woken[w] {
-		v := int(v32)
-		e.resume(v, cur, e.inbox(v), l)
-	}
-}
-
-// collect gathers the round's submissions, already recorded by the resume
-// passes (per shard in drive order, then the serial wakes), into the
-// reusable processing buffer. All submission processing is
-// order-independent in its observable effects, so the lane order does not
-// matter.
-func (e *engine) collect() []submission {
-	buf := e.collected[:0]
-	for w := range e.lanes {
-		buf = append(buf, e.lanes[w].subs...)
-		e.lanes[w].subs = e.lanes[w].subs[:0]
-	}
-	buf = append(buf, e.serial.subs...)
-	e.serial.subs = e.serial.subs[:0]
-	e.collected = buf
-	return buf
-}
-
-// lane is one drive pass's output — a shard worker's or the serial
-// wakes': the submissions its resumes recorded and the coroutine switches
-// they took.
-type lane struct {
-	subs     []submission
-	switches int
-}
-
-// resume hands node v the given inbox and records into l the submission
-// it makes next. A driven node's Driver produces it directly, without a
+// resume hands node v the given inbox and records in pending the
+// submission it makes next. A driven node's Driver produces it directly, without a
 // coroutine switch; otherwise — or once the Driver is done — resume
 // switches into the node's suspended program. wokeRound is the
 // completed-round count a park wake syncs the node's clock to (Exchange
@@ -1382,19 +1224,19 @@ type lane struct {
 // unreachable while the run is live: the node sequence always yields a
 // terminal subDone or subErr before returning, and finished nodes are
 // never resumed.
-func (e *engine) resume(v, wokeRound int, in []Recv, l *lane) {
+func (e *engine) resume(v, wokeRound int, in []Recv) {
 	h := &e.hosts[v]
 	if h.drv != nil {
 		if sub, more := h.driveNext(wokeRound, in); more {
-			l.subs = append(l.subs, sub)
+			e.pending = append(e.pending, sub)
 			return
 		}
 	}
 	h.wokeRound = wokeRound
 	h.resumeIn = in
-	l.switches++
+	e.switches++
 	if sub, ok := e.next[v](); ok {
-		l.subs = append(l.subs, sub)
+		e.pending = append(e.pending, sub)
 	}
 }
 

@@ -57,8 +57,8 @@ func (d *scriptDriver) Next(in []Recv) (Request, bool) {
 // TestDriveMatchesBlockingLoop pins Drive to its definition: on the
 // continuation scheduler, where Next runs from the scheduler without a
 // coroutine switch, every Next call sees the same round and inbox as
-// under the blocking loop (WithFastPath(false)) and the sharded engine,
-// the program resumes after Drive at the same round, and Stats match.
+// under the blocking loop (WithFastPath(false)), the program resumes after
+// Drive at the same round, and Stats match.
 func TestDriveMatchesBlockingLoop(t *testing.T) {
 	g := graph.GNP(30, 0.12, graph.UnitWeights, newRand(3))
 	type observed struct {
@@ -81,16 +81,8 @@ func TestDriveMatchesBlockingLoop(t *testing.T) {
 		return o
 	}
 	ref := observe(WithFastPath(false))
-	for _, cfg := range []struct {
-		name string
-		opts []Option
-	}{
-		{"default", nil},
-		{"p3", []Option{WithParallelism(3)}},
-	} {
-		if got := observe(cfg.opts...); !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: driven run differs from the blocking loop:\n got %+v\nwant %+v", cfg.name, got, ref)
-		}
+	if got := observe(); !reflect.DeepEqual(got, ref) {
+		t.Errorf("driven run differs from the blocking loop:\n got %+v\nwant %+v", got, ref)
 	}
 }
 

@@ -53,125 +53,61 @@ func TestDeterminismGoldenAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossParallelism: the sharded scheduler must be
-// bit-exact: identical Stats for every parallelism level.
-func TestDeterminismAcrossParallelism(t *testing.T) {
-	g := graph.Grid(6, 6, graph.UnitWeights)
-	serial, err := Run(g, chatterProgram(15), WithSeed(9), WithParallelism(1))
+// TestZeroAndSingleNode covers the degenerate graphs.
+func TestZeroAndSingleNode(t *testing.T) {
+	stats, err := Run(graph.New(0), func(h *Host) { t.Error("program ran on empty graph") })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{2, 3, 8, 64} {
-		sharded, err := Run(g, chatterProgram(15), WithSeed(9), WithParallelism(p))
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
-		}
-		if !statsEqual(serial, sharded) {
-			t.Fatalf("parallelism %d diverged: %+v vs %+v", p, serial, sharded)
-		}
+	if stats.Rounds != 0 || stats.Messages != 0 {
+		t.Errorf("empty graph stats: %+v", stats)
 	}
-}
-
-// TestDeliveredContentAcrossParallelism checks that not only the aggregate
-// Stats but every delivered message is identical under sharding, by
-// folding all received values into a per-node digest.
-func TestDeliveredContentAcrossParallelism(t *testing.T) {
-	g := graph.GNP(30, 0.2, graph.UnitWeights, newRand(11))
-	run := func(p int) []int64 {
-		digest := make([]int64, g.N())
-		program := func(h *Host) {
-			var acc int64 = int64(h.ID())
-			for r := 0; r < 10; r++ {
-				out := make([]Send, 0, h.Degree())
-				for q := 0; q < h.Degree(); q++ {
-					if (r+q)%2 == 0 {
-						out = append(out, Send{Port: q, Wire: msg(acc)})
-					}
-				}
-				for _, rc := range h.Exchange(out) {
-					acc = acc*31 + rc.Wire.C + int64(rc.Port) + int64(h.Neighbor(rc.Port))
-					acc %= 1_000_000_007
-				}
-			}
-			digest[h.ID()] = acc
+	ran := false
+	stats, err = Run(graph.New(1), func(h *Host) {
+		ran = true
+		if h.Degree() != 0 || h.N() != 1 {
+			t.Error("wrong topology view")
 		}
-		if _, err := Run(g, program, WithSeed(3), WithParallelism(p)); err != nil {
-			t.Fatal(err)
-		}
-		return digest
+		h.Idle(3)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := run(1)
-	for _, p := range []int{4, 16} {
-		got := run(p)
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("parallelism %d: node %d digest %d != %d", p, v, got[v], want[v])
-			}
-		}
+	if !ran {
+		t.Fatal("single-node program did not run")
 	}
-}
-
-// TestZeroAndSingleNode covers the degenerate graphs, serial and sharded.
-func TestZeroAndSingleNode(t *testing.T) {
-	for _, p := range []int{1, 4} {
-		stats, err := Run(graph.New(0), func(h *Host) { t.Error("program ran on empty graph") },
-			WithParallelism(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Rounds != 0 || stats.Messages != 0 {
-			t.Errorf("empty graph stats: %+v", stats)
-		}
-		ran := false
-		stats, err = Run(graph.New(1), func(h *Host) {
-			ran = true
-			if h.Degree() != 0 || h.N() != 1 {
-				t.Error("wrong topology view")
-			}
-			h.Idle(3)
-		}, WithParallelism(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ran {
-			t.Fatal("single-node program did not run")
-		}
-		if stats.Rounds != 3 || stats.Messages != 0 {
-			t.Errorf("single node stats: %+v", stats)
-		}
+	if stats.Rounds != 3 || stats.Messages != 0 {
+		t.Errorf("single node stats: %+v", stats)
 	}
 }
 
 // TestDroppedToTerminatedAccounting: mail to terminated nodes is counted
-// per message, still accounted in Messages/Bits, and never delivered —
-// identically at every parallelism level.
+// per message, still accounted in Messages/Bits, and never delivered.
 func TestDroppedToTerminatedAccounting(t *testing.T) {
 	g := graph.Star(5, graph.UnitWeights)
-	for _, p := range []int{1, 4} {
-		program := func(h *Host) {
-			if h.ID() != 0 {
-				return // leaves terminate immediately
+	program := func(h *Host) {
+		if h.ID() != 0 {
+			return // leaves terminate immediately
+		}
+		for r := 0; r < 4; r++ {
+			out := make([]Send, 0, h.Degree())
+			for q := 0; q < h.Degree(); q++ {
+				out = append(out, Send{Port: q, Wire: msg(1)})
 			}
-			for r := 0; r < 4; r++ {
-				out := make([]Send, 0, h.Degree())
-				for q := 0; q < h.Degree(); q++ {
-					out = append(out, Send{Port: q, Wire: msg(1)})
-				}
-				if in := h.Exchange(out); len(in) != 0 {
-					panic("terminated neighbors delivered mail")
-				}
+			if in := h.Exchange(out); len(in) != 0 {
+				panic("terminated neighbors delivered mail")
 			}
 		}
-		stats, err := Run(g, program, WithParallelism(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.DroppedToTerminated != 16 {
-			t.Errorf("parallelism %d: dropped = %d, want 16", p, stats.DroppedToTerminated)
-		}
-		if stats.Messages != 16 || stats.Bits != 16*64 {
-			t.Errorf("parallelism %d: dropped mail not accounted: %+v", p, stats)
-		}
+	}
+	stats, err := Run(g, program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.DroppedToTerminated != 16 {
+		t.Errorf("dropped = %d, want 16", stats.DroppedToTerminated)
+	}
+	if stats.Messages != 16 || stats.Bits != 16*64 {
+		t.Errorf("dropped mail not accounted: %+v", stats)
 	}
 }
 
@@ -217,27 +153,6 @@ func BenchmarkEngineFlood(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(g, program); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineFloodParallel is the same workload with a sharded router.
-func BenchmarkEngineFloodParallel(b *testing.B) {
-	g := graph.Grid(20, 20, graph.UnitWeights)
-	program := func(h *Host) {
-		out := make([]Send, h.Degree())
-		for r := 0; r < 30; r++ {
-			for p := 0; p < h.Degree(); p++ {
-				out[p] = Send{Port: p, Wire: msg(int64(r))}
-			}
-			h.Exchange(out)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, program, WithParallelism(8)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 
 const (
 	failFloodRounds = 20
-	failNode        = 6 // an Exchange-loop node, in shard 1 of 8 on the 6x6 grid
+	failNode        = 6 // an Exchange-loop node
 	failRound       = 8
 )
 
@@ -74,11 +74,10 @@ func faultProgram(fault func(h *Host) []Send, tail func(h *Host)) Program {
 
 // TestFailPathsReleaseEverything drives every way a run can fail — a node
 // panic, a bandwidth violation, a duplicate port send, the round limit and
-// ErrAsleep — serially and on 8 shard workers, with nodes suspended in
-// Exchange, in Drive and parked when the fault fires. Each failed run must
-// return its error, leave no goroutine behind (node coroutines and shard
-// workers alike), and hand its arena back to the pool; a clean run on that
-// warm arena must then match a cold one.
+// ErrAsleep — with nodes suspended in Exchange, in Drive and parked when
+// the fault fires. Each failed run must return its error, leave no node
+// coroutine behind, and hand its arena back to the pool; a clean run on
+// that warm arena must then match a cold one.
 func TestFailPathsReleaseEverything(t *testing.T) {
 	g := graph.Grid(6, 6, graph.UnitWeights)
 	cases := []struct {
@@ -126,39 +125,37 @@ func TestFailPathsReleaseEverything(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, p := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/p%d", tc.name, p), func(t *testing.T) {
-				baseline := runtime.NumGoroutine()
-				pool := NewArenaPool()
-				opts := append([]Option{WithParallelism(p), WithArenaPool(pool)}, tc.opts...)
-				if _, err := Run(g, faultProgram(tc.fault, tc.tail), opts...); !tc.want(err) {
-					t.Fatalf("err = %v", err)
-				}
-				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
-				if n := runtime.NumGoroutine(); n > baseline {
-					t.Fatalf("%d goroutines after the failed run, baseline %d: programs or workers leaked", n, baseline)
-				}
-				if free := pool.Stats().Free; free != 1 {
-					t.Fatalf("pool holds %d arenas after the failed run, want 1", free)
-				}
-				warm, err := Run(g, faultProgram(nil, nil), WithParallelism(p), WithArenaPool(pool))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ps := pool.Stats(); ps.WarmGets != 1 {
-					t.Fatalf("follow-up run did not reuse the failed run's arena: %+v", ps)
-				}
-				cold, err := Run(g, faultProgram(nil, nil), WithParallelism(p))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(warm, cold) {
-					t.Errorf("warm run after the failure diverged:\nwarm %+v\ncold %+v", warm, cold)
-				}
-			})
-		}
+		t.Run(tc.name+"/p1", func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			pool := NewArenaPool()
+			opts := append([]Option{WithArenaPool(pool)}, tc.opts...)
+			if _, err := Run(g, faultProgram(tc.fault, tc.tail), opts...); !tc.want(err) {
+				t.Fatalf("err = %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Fatalf("%d goroutines after the failed run, baseline %d: programs leaked", n, baseline)
+			}
+			if free := pool.Stats().Free; free != 1 {
+				t.Fatalf("pool holds %d arenas after the failed run, want 1", free)
+			}
+			warm, err := Run(g, faultProgram(nil, nil), WithArenaPool(pool))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ps := pool.Stats(); ps.WarmGets != 1 {
+				t.Fatalf("follow-up run did not reuse the failed run's arena: %+v", ps)
+			}
+			cold, err := Run(g, faultProgram(nil, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(warm, cold) {
+				t.Errorf("warm run after the failure diverged:\nwarm %+v\ncold %+v", warm, cold)
+			}
+		})
 	}
 }

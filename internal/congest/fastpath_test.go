@@ -341,42 +341,3 @@ func TestRelayDeviation(t *testing.T) {
 		}
 	})
 }
-
-// TestFastPathParallelism: the fast paths compose with sharded routing
-// bit-exactly.
-func TestFastPathParallelism(t *testing.T) {
-	g := graph.Grid(5, 5, graph.UnitWeights)
-	program := func(h *Host) {
-		// Mix of sleeping, idling and flooding driven by node id.
-		switch h.ID() % 3 {
-		case 0:
-			h.Idle(3)
-			out := make([]Send, 0, h.Degree())
-			for p := 0; p < h.Degree(); p++ {
-				out = append(out, Send{Port: p, Wire: Wire{Kind: testWireFixed, C: int64(h.ID())}})
-			}
-			h.Exchange(out)
-			h.Idle(2)
-		default:
-			total := 0
-			for h.Round() < 6 {
-				total += len(h.SleepUntil(6))
-			}
-			_ = total
-		}
-	}
-	var ref *Stats
-	for _, p := range []int{1, 4, 8} {
-		for _, fastOn := range []bool{true, false} {
-			stats, err := Run(g, program, WithParallelism(p), WithFastPath(fastOn))
-			if err != nil {
-				t.Fatalf("p=%d fast=%v: %v", p, fastOn, err)
-			}
-			if ref == nil {
-				ref = stats
-			} else if !statsEqual(ref, stats) {
-				t.Fatalf("p=%d fast=%v diverged: %+v vs %+v", p, fastOn, ref, stats)
-			}
-		}
-	}
-}

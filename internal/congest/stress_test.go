@@ -9,14 +9,12 @@ import (
 )
 
 // Scheduler stress: randomized wake/park/send interleavings across many
-// nodes and rounds, replayed under every scheduler configuration — fast
-// paths on and off, serial and sharded routing.
-// Every configuration must produce identical Stats AND an identical
-// per-node observation trace (a digest of every delivered message with its
-// round, port, sender and payload), so a divergence anywhere in the
+// nodes and rounds, replayed with the fast paths on and off. Both
+// configurations must produce identical Stats AND an identical per-node
+// observation trace (a digest of every delivered message with its round,
+// port, sender and payload), so a divergence anywhere in the
 // park/wake/relay-order machinery is caught at the exact node it
-// corrupts. The whole test runs under -race in CI, which additionally
-// checks the worker-pool handoffs.
+// corrupts.
 
 const (
 	stressWireKind uint16 = 110 // 64-bit stress payload
@@ -82,9 +80,7 @@ var stressConfigs = []struct {
 	opts []Option
 }{
 	{"cont/fast/p1", nil},
-	{"cont/fast/p8", []Option{WithParallelism(8)}},
 	{"cont/nofast/p1", []Option{WithFastPath(false)}},
-	{"cont/nofast/p8", []Option{WithFastPath(false), WithParallelism(8)}},
 }
 
 // TestSchedulerStress replays random interleavings on several topologies

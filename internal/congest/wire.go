@@ -98,7 +98,7 @@ func widestWireKind() (uint16, int) {
 }
 
 // wireBits is the engine-side lookup; the engine turns a false return into
-// a run error instead of panicking a worker.
+// a run error instead of panicking the run.
 func wireBits(w Wire) (int, bool) {
 	if w.Kind == 0 || w.Kind >= maxWireKinds {
 		return 0, false

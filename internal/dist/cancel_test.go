@@ -24,7 +24,6 @@ func TestCancelWhileDriven(t *testing.T) {
 		opts []congest.Option
 	}{
 		{"serial", nil},
-		{"p2", []congest.Option{congest.WithParallelism(2)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()

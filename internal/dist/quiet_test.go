@@ -208,8 +208,8 @@ func (r quietRun) reactivatedTwiceInWindow() bool {
 // TestRunQuietMultiTransitionEquivalence drives bursty steps whose bits
 // toggle several times per reporting window, on broom, grid and GNP
 // graphs, and requires RunQuiet to match its defining loop exactly under
-// the default engine (RunQuiet driven by the scheduler), the per-round
-// engine (WithFastPath(false)) and the sharded engine (WithParallelism(4)).
+// the default engine (RunQuiet driven by the scheduler) and the per-round
+// engine (WithFastPath(false)).
 func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 	broom := graph.New(45) // a 24-edge handle off node 0 plus 20 leaves
 	for v := 1; v < 45; v++ {
@@ -233,7 +233,6 @@ func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 	}{
 		{"default", nil},
 		{"nofast", []congest.Option{congest.WithFastPath(false)}},
-		{"p4", []congest.Option{congest.WithParallelism(4)}},
 	}
 	for _, tg := range graphs {
 		toggled := false
@@ -264,7 +263,6 @@ func TestRunQuietStepPanic(t *testing.T) {
 	}{
 		{"default", nil},
 		{"nofast", []congest.Option{congest.WithFastPath(false)}},
-		{"p4", []congest.Option{congest.WithParallelism(4)}},
 	}
 	for _, slot := range []int{0, 3} {
 		const want = "congest: node 7 panicked: dist test: step panic"

@@ -20,14 +20,13 @@ import (
 // requests fail with 400 and a precise message instead of a late solver
 // error.
 type SolveRequest struct {
-	Instance    string `json:"instance,omitempty"`  // optional; must match the path's instance
-	Algorithm   string `json:"algorithm,omitempty"` // "" = det
-	Eps         string `json:"eps,omitempty"`       // "num/den", e.g. "1/2"
-	Seed        int64  `json:"seed,omitempty"`
-	Bandwidth   int    `json:"bandwidth,omitempty"`
-	Parallelism int    `json:"parallelism,omitempty"`
-	MaxRounds   int    `json:"max_rounds,omitempty"`
-	NoCert      bool   `json:"nocert,omitempty"`
+	Instance  string `json:"instance,omitempty"`  // optional; must match the path's instance
+	Algorithm string `json:"algorithm,omitempty"` // "" = det
+	Eps       string `json:"eps,omitempty"`       // "num/den", e.g. "1/2"
+	Seed      int64  `json:"seed,omitempty"`
+	Bandwidth int    `json:"bandwidth,omitempty"`
+	MaxRounds int    `json:"max_rounds,omitempty"`
+	NoCert    bool   `json:"nocert,omitempty"`
 }
 
 // Spec translates the request into the Spec its solve will carry. The
@@ -38,7 +37,6 @@ func (r SolveRequest) Spec() (steinerforest.Spec, error) {
 		Algorithm:     r.Algorithm,
 		Seed:          r.Seed,
 		Bandwidth:     r.Bandwidth,
-		Parallelism:   r.Parallelism,
 		MaxRounds:     r.MaxRounds,
 		NoCertificate: r.NoCert,
 	}

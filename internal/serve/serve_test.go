@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -295,7 +297,6 @@ func TestSolveValidation(t *testing.T) {
 		{"bad eps", SolveRequest{Instance: "path", Eps: "1/2junk"}, http.StatusBadRequest},
 		{"zero-den eps", SolveRequest{Instance: "path", Eps: "1/0"}, http.StatusBadRequest},
 		{"unknown algorithm", SolveRequest{Instance: "path", Algorithm: "magic"}, http.StatusBadRequest},
-		{"negative parallelism", SolveRequest{Instance: "path", Parallelism: -2}, http.StatusBadRequest},
 		{"negative max rounds", SolveRequest{Instance: "path", MaxRounds: -1}, http.StatusBadRequest},
 		{"ok", SolveRequest{Instance: "path", NoCert: true}, http.StatusOK},
 	}
@@ -313,6 +314,39 @@ func TestSolveValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed JSON: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSolveIgnoresRetiredParallelism: bodies from clients that still send
+// the retired "parallelism" field, with any value, answer 200 with the same
+// forest as a body without it (encoding/json skips unknown fields).
+func TestSolveIgnoresRetiredParallelism(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	answer := func(body string) SolveResponse {
+		t.Helper()
+		resp, err := http.Post(solveURL(ts.URL, "path"), "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", body, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", body, resp.StatusCode)
+		}
+		var out SolveResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("%s: decode: %v", body, err)
+		}
+		out.Cached, out.ElapsedMS = false, 0
+		return out
+	}
+	want := answer(`{"algorithm":"rand","seed":3}`)
+	for _, body := range []string{
+		`{"algorithm":"rand","seed":3,"parallelism":8}`,
+		`{"algorithm":"rand","seed":3,"parallelism":-2}`,
+	} {
+		if got := answer(body); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s answered %+v, want %+v", body, got, want)
+		}
 	}
 }
 

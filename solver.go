@@ -31,20 +31,12 @@ type Spec struct {
 	// EpsNum/EpsDen set ε for the rounded solver (default 1/2).
 	EpsNum, EpsDen int64
 
-	// Truncate switches the randomized solver to its truncated variant
-	// (equivalent to Algorithm "trunc").
-	Truncate bool
-
 	// Seed fixes the simulation randomness; 0 means the default seed 1.
 	Seed int64
 
 	// Bandwidth overrides the per-edge per-round bit budget (0 = default
 	// O(log n) budget, see congest.DefaultBandwidth).
 	Bandwidth int
-
-	// Parallelism shards the simulator's message routing across this many
-	// workers (0 or 1 = serial). Results are bit-identical at every level.
-	Parallelism int
 
 	// MaxRounds overrides the simulator's round safety cap (0 = default).
 	MaxRounds int
@@ -89,9 +81,6 @@ type Spec struct {
 // it on every request, so the CLIs, SolveBatch, and the serve layer all
 // reject nonsense at the entry point.
 func (s Spec) Validate() error {
-	if s.Parallelism < 0 {
-		return fmt.Errorf("steinerforest: negative Parallelism %d (want 0 for serial or a positive worker count)", s.Parallelism)
-	}
 	if s.Bandwidth < 0 {
 		return fmt.Errorf("steinerforest: negative Bandwidth %d (want 0 for the default O(log n) budget or a positive bit count)", s.Bandwidth)
 	}
@@ -121,14 +110,12 @@ var builtinAlgorithms = map[string]bool{
 //
 //   - defaults made explicit: Algorithm "" → "det", Seed 0 → 1, and the
 //     rounded solver's epsilon 0/0 → 1/2;
-//   - Truncate folded into the algorithm name ("rand"+Truncate ≡ "trunc";
-//     every other builtin ignores the flag);
 //   - epsilon zeroed for builtins other than "rounded" (they never read it);
-//   - the result-neutral scheduler knobs folded out: Parallelism and
-//     NoFastPath change how the simulator schedules work, never what it
-//     computes — the equivalence suite pins Stats, forests, and per-node
-//     traces bit-identical across all of them — and Arena only recycles
-//     allocations.
+//   - the result-neutral scheduler knob folded out: NoFastPath changes how
+//     the simulator schedules work, never what it computes — the
+//     equivalence suite pins Stats, forests, and per-node traces
+//     bit-identical with it on and off — and Arena and Hooks only recycle
+//     allocations and observe.
 //
 // Result-determining fields are untouched: Algorithm, Seed, epsilon (for
 // "rounded"), Bandwidth, MaxRounds, EdgeTracking, and NoCertificate all
@@ -141,11 +128,7 @@ func (s Spec) Canonical() Spec {
 	if c.Algorithm == "" {
 		c.Algorithm = "det"
 	}
-	if c.Algorithm == "rand" && c.Truncate {
-		c.Algorithm = "trunc"
-	}
 	if builtinAlgorithms[c.Algorithm] {
-		c.Truncate = false
 		if c.Algorithm == "rounded" {
 			if c.EpsNum == 0 && c.EpsDen == 0 {
 				c.EpsNum, c.EpsDen = 1, 2
@@ -157,7 +140,6 @@ func (s Spec) Canonical() Spec {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	c.Parallelism = 0
 	c.NoFastPath = false
 	c.Arena = nil
 	c.Hooks = nil
@@ -182,9 +164,6 @@ func (s Spec) options(ctx context.Context) []congest.Option {
 	}
 	if s.Bandwidth != 0 {
 		opts = append(opts, congest.WithBandwidth(s.Bandwidth))
-	}
-	if s.Parallelism > 1 {
-		opts = append(opts, congest.WithParallelism(s.Parallelism))
 	}
 	if s.MaxRounds > 0 {
 		opts = append(opts, congest.WithMaxRounds(s.MaxRounds))
@@ -335,11 +314,7 @@ func init() {
 	})
 	randomized := func(mode randforest.Mode) SolverFunc {
 		return func(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
-			m := mode
-			if m == randforest.ModeFull && spec.Truncate {
-				m = randforest.ModeTruncated
-			}
-			r, err := randforest.Solve(ins, m, spec.options(ctx)...)
+			r, err := randforest.Solve(ins, mode, spec.options(ctx)...)
 			if err != nil {
 				return nil, err
 			}

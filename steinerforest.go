@@ -97,7 +97,11 @@ func SolveDeterministicRounded(ins *Instance, epsNum, epsDen int64, opts ...Opti
 // the virtual tree is cut at the √n highest-rank nodes and the F-reduced
 // second stage runs (the paper's s > √n regime).
 func SolveRandomized(ins *Instance, truncate bool, opts ...Option) (*Result, error) {
-	return Solve(ins, build(Spec{Algorithm: "rand", Truncate: truncate}, opts))
+	algo := "rand"
+	if truncate {
+		algo = "trunc"
+	}
+	return Solve(ins, build(Spec{Algorithm: algo}, opts))
 }
 
 // SolveCentralized runs the centralized moat-growing 2-approximation
@@ -134,9 +138,4 @@ func WithBandwidth(bits int) Option {
 // WithEdgeTracking records per-edge traffic in Stats.EdgeBits.
 func WithEdgeTracking() Option {
 	return func(s *Spec) { s.EdgeTracking = true }
-}
-
-// WithParallelism shards the simulator's routing across p workers.
-func WithParallelism(p int) Option {
-	return func(s *Spec) { s.Parallelism = p }
 }
