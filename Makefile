@@ -5,7 +5,8 @@
 #   make build vet test   - compile, vet, full test suite
 #   make fmt              - fail on any file gofmt would rewrite
 #   make race             - test suite under the race detector
-#   make fuzz-smoke       - 10s fresh-input fuzz of the instance parsers
+#   make fuzz-smoke       - ~30s fresh-input fuzz of five targets: instance
+#                           parser, wire codec, graph freeze, RunQuiet, collect
 #   make bench-gate       - bench smoke + committed-snapshot drift gate
 #   make smoke            - end-to-end CLI smoke (local ci only)
 #   make serve-smoke      - dsfserve self-test: closed-loop trace over HTTP

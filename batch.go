@@ -1,9 +1,7 @@
 package steinerforest
 
 import (
-	"context"
 	"fmt"
-	"runtime/debug"
 	"sync"
 )
 
@@ -43,31 +41,11 @@ func BatchSeed(base int64, i int) int64 {
 // fails, the error of the lowest-indexed failure is returned and the
 // results are discarded.
 func SolveBatch(instances []*Instance, spec Spec, workers int) ([]*Result, error) {
-	specs := make([]Spec, len(instances))
-	for i := range instances {
-		specs[i] = spec
-		specs[i].Seed = BatchSeed(spec.Seed, i)
-	}
-	return SolveBatchSpecs(instances, specs, workers)
-}
-
-// SolveBatchSpecs is the worker-pool primitive under SolveBatch: it
-// solves instances[i] with specs[i], so every slot carries its own full
-// Spec (algorithm, epsilon, seed, ...). Because each slot's seed is
-// pinned in its Spec rather than derived from a shared base, slot i is
-// bit-identical to a standalone Solve(instances[i], specs[i]) at every
-// worker count and in any batch composition. A slot's Spec.Arena flows
-// through unchanged, so concurrent slots solving the same resident graph
-// share one warm arena pool (each run borrows an arena exclusively;
-// results stay bit-identical, pooled or not). The error contract matches
-// SolveBatch: lowest-indexed failure wins and results are discarded.
-func SolveBatchSpecs(instances []*Instance, specs []Spec, workers int) ([]*Result, error) {
-	if len(instances) != len(specs) {
-		return nil, fmt.Errorf("steinerforest: %d instances but %d specs", len(instances), len(specs))
-	}
 	results := make([]*Result, len(instances))
 	solveAt := func(i int) error {
-		res, err := Solve(instances[i], specs[i])
+		s := spec
+		s.Seed = BatchSeed(spec.Seed, i)
+		res, err := Solve(instances[i], s)
 		if err != nil {
 			return fmt.Errorf("steinerforest: batch instance %d: %w", i, err)
 		}
@@ -126,107 +104,4 @@ func SolveBatchSpecs(instances []*Instance, specs []Spec, workers int) ([]*Resul
 		return nil, firstErr
 	}
 	return results, nil
-}
-
-// ErrSolverPanic wraps a panic recovered at a batch-slot boundary: the
-// panicking slot's request fails with this error (carrying the panic
-// value and stack) while every other slot completes normally. It is the
-// serve layer's panic-isolation seam — a bad solver run becomes one 500,
-// not a crashed process.
-var ErrSolverPanic = fmt.Errorf("steinerforest: solver panicked")
-
-// SlotResult is one slot's outcome from SolveBatchSlots: exactly one of
-// Res/Err is meaningful (Err == nil ⇒ Res != nil).
-type SlotResult struct {
-	Res *Result
-	Err error
-}
-
-// SlotFunc runs one batch slot. SolveBatchSlots uses SolveCtx when given
-// nil; the serve layer's chaos harness substitutes a wrapper that injects
-// stalls and panics around the real solve. The slot index identifies the
-// batch position (fault injectors target slots deterministically by it).
-type SlotFunc func(ctx context.Context, slot int, ins *Instance, spec Spec) (*Result, error)
-
-// SolveBatchSlots is the robust sibling of SolveBatchSpecs: it solves
-// instances[i] with specs[i] under ctxs[i] and reports one SlotResult per
-// slot instead of collapsing the batch to a single error. Slots are
-// independent end to end — a slot that fails, is cancelled (its context
-// fires; the run aborts at the next simulated round boundary), or panics
-// (recovered here, wrapped in ErrSolverPanic) never disturbs the others,
-// and every successful slot is bit-identical to a standalone
-// SolveCtx(ctxs[i], instances[i], specs[i]) at any worker count. ctxs may
-// be nil (every slot runs uncancellable) and individual entries may be
-// nil (that slot runs uncancellable). run selects the per-slot solve
-// (nil = SolveCtx); the panic recovery wraps whatever run does.
-func SolveBatchSlots(instances []*Instance, specs []Spec, ctxs []context.Context, workers int, run SlotFunc) ([]SlotResult, error) {
-	if len(instances) != len(specs) {
-		return nil, fmt.Errorf("steinerforest: %d instances but %d specs", len(instances), len(specs))
-	}
-	if ctxs != nil && len(ctxs) != len(instances) {
-		return nil, fmt.Errorf("steinerforest: %d instances but %d contexts", len(instances), len(ctxs))
-	}
-	if run == nil {
-		run = func(ctx context.Context, _ int, ins *Instance, spec Spec) (*Result, error) {
-			return SolveCtx(ctx, ins, spec)
-		}
-	}
-	results := make([]SlotResult, len(instances))
-	solveAt := func(i int) {
-		ctx := context.Background()
-		if ctxs != nil && ctxs[i] != nil {
-			ctx = ctxs[i]
-		}
-		res, err := runSlotProtected(run, ctx, i, instances[i], specs[i])
-		if err != nil {
-			results[i] = SlotResult{Err: fmt.Errorf("steinerforest: batch slot %d: %w", i, err)}
-			return
-		}
-		results[i] = SlotResult{Res: res}
-	}
-	if workers <= 1 || len(instances) <= 1 {
-		for i := range instances {
-			solveAt(i)
-		}
-		return results, nil
-	}
-	if workers > len(instances) {
-		workers = len(instances)
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(instances) {
-					return
-				}
-				solveAt(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return results, nil
-}
-
-// runSlotProtected executes one slot with a panic barrier: a panic
-// anywhere under the slot's solve is recovered and converted to an
-// ErrSolverPanic-wrapped error carrying the panic value and stack, so it
-// fails one request instead of the process.
-func runSlotProtected(run SlotFunc, ctx context.Context, slot int, ins *Instance, spec Spec) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v\n%s", ErrSolverPanic, r, debug.Stack())
-		}
-	}()
-	return run(ctx, slot, ins, spec)
 }

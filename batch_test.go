@@ -126,76 +126,6 @@ func TestSolveBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestSolveBatchSpecsSlotIndependence pins the serving contract behind
-// SolveBatchSpecs: slot i answers exactly like a standalone
-// Solve(instances[i], specs[i]) at every worker count, with mixed
-// algorithms, seeds, and epsilons across the batch.
-func TestSolveBatchSpecsSlotIndependence(t *testing.T) {
-	instances := batchInstances(t, 8)
-	specs := make([]steinerforest.Spec, len(instances))
-	for i := range specs {
-		specs[i] = steinerforest.Spec{
-			Algorithm:     []string{"det", "rand", "rounded", "trunc"}[i%4],
-			Seed:          int64(3 + i%3),
-			NoCertificate: i%2 == 0,
-		}
-		if specs[i].Algorithm == "rounded" {
-			specs[i].EpsNum, specs[i].EpsDen = 1, int64(2+i%3)
-		}
-	}
-
-	reference := make([]*steinerforest.Result, len(instances))
-	for i, ins := range instances {
-		res, err := steinerforest.Solve(ins, specs[i])
-		if err != nil {
-			t.Fatalf("slot %d: %v", i, err)
-		}
-		reference[i] = res
-	}
-	for _, workers := range []int{0, 1, 3, 8} {
-		got, err := steinerforest.SolveBatchSpecs(instances, specs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, reference) {
-			t.Errorf("workers=%d: batched slots differ from standalone Solve", workers)
-		}
-	}
-}
-
-// TestSolveBatchSpecsLengthMismatch: instances and specs must pair up.
-func TestSolveBatchSpecsLengthMismatch(t *testing.T) {
-	instances := batchInstances(t, 3)
-	specs := make([]steinerforest.Spec, 2)
-	if _, err := steinerforest.SolveBatchSpecs(instances, specs, 2); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-// TestSolveBatchMatchesSpecsExpansion checks that SolveBatch is exactly
-// SolveBatchSpecs over the documented BatchSeed expansion, so the two
-// entry points can never drift apart.
-func TestSolveBatchMatchesSpecsExpansion(t *testing.T) {
-	instances := batchInstances(t, 5)
-	spec := steinerforest.Spec{Algorithm: "rand", Seed: 11, NoCertificate: true}
-	specs := make([]steinerforest.Spec, len(instances))
-	for i := range specs {
-		specs[i] = spec
-		specs[i].Seed = steinerforest.BatchSeed(spec.Seed, i)
-	}
-	viaBatch, err := steinerforest.SolveBatch(instances, spec, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpecs, err := steinerforest.SolveBatchSpecs(instances, specs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaBatch, viaSpecs) {
-		t.Error("SolveBatch diverges from SolveBatchSpecs over the BatchSeed expansion")
-	}
-}
-
 func TestBatchSeedProperties(t *testing.T) {
 	seen := map[int64]bool{}
 	for i := 0; i < 1000; i++ {

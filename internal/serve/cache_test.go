@@ -79,10 +79,10 @@ func TestCacheHitBitIdentical(t *testing.T) {
 
 // TestSingleflightCollapse (run under -race in CI) pins the collapse
 // contract: N concurrent identical requests cause exactly one solver
-// invocation with one batch slot; every client gets the same answer; the
+// invocation; every client gets the same answer; the
 // followers never consume queue depth.
 func TestSingleflightCollapse(t *testing.T) {
-	var calls, slots atomic.Int64
+	var calls atomic.Int64
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	unblock := func() { releaseOnce.Do(func() { close(release) }) }
@@ -91,20 +91,15 @@ func TestSingleflightCollapse(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		QueueDepth: 2, Workers: 1,
 	})
-	srv.solveSlots = func(ins []*steinerforest.Instance, specs []steinerforest.Spec, ctxs []context.Context, workers int, run steinerforest.SlotFunc) ([]steinerforest.SlotResult, error) {
+	srv.solveFn = func(_ context.Context, ins *steinerforest.Instance, spec steinerforest.Spec) (*steinerforest.Result, error) {
 		calls.Add(1)
-		slots.Add(int64(len(ins)))
 		<-release
-		results := make([]steinerforest.SlotResult, len(ins))
-		for i := range ins {
-			results[i] = steinerforest.SlotResult{Res: &steinerforest.Result{
-				Solution:  steiner.NewSolution(ins[i].G),
-				Algorithm: specs[i].Algorithm,
-				Weight:    42,
-				Stats:     &steinerforest.Stats{Rounds: 7, Messages: 11, Bits: 13},
-			}}
-		}
-		return results, nil
+		return &steinerforest.Result{
+			Solution:  steiner.NewSolution(ins.G),
+			Algorithm: spec.Algorithm,
+			Weight:    42,
+			Stats:     &steinerforest.Stats{Rounds: 7, Messages: 11, Bits: 13},
+		}, nil
 	}
 
 	const n = 6
@@ -147,8 +142,8 @@ func TestSingleflightCollapse(t *testing.T) {
 			t.Errorf("collapsed response diverged from the leader's: %+v", out)
 		}
 	}
-	if c, s := calls.Load(), slots.Load(); c != 1 || s != 1 {
-		t.Errorf("solver ran %d times over %d slots, want exactly 1 over 1", c, s)
+	if c := calls.Load(); c != 1 {
+		t.Errorf("solver ran %d times, want exactly 1", c)
 	}
 	st := srv.Statsz()
 	if st.CacheMisses != 1 || st.Collapsed != n-1 || st.Accepted != 1 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -141,8 +142,12 @@ const (
 
 // deadlineHeader carries a per-request deadline in whole milliseconds,
 // overriding Config.DefaultDeadline. The clock starts at admission, so
-// queue wait counts against it.
-const deadlineHeader = "X-Request-Deadline-Ms"
+// queue wait counts against it. Values above maxDeadlineMs would
+// overflow a time.Duration and are rejected.
+const (
+	deadlineHeader = "X-Request-Deadline-Ms"
+	maxDeadlineMs  = math.MaxInt64 / int64(time.Millisecond)
+)
 
 // errForceAbort is the cancellation cause ShutdownWithTimeout's
 // force-abort propagates into every in-flight request context.
@@ -158,9 +163,9 @@ var errForceAbort = errors.New("serve: force-aborted at shutdown deadline")
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
 	deadline := s.cfg.DefaultDeadline
 	if h := r.Header.Get(deadlineHeader); h != "" {
-		ms, err := strconv.Atoi(h)
-		if err != nil || ms <= 0 {
-			return nil, nil, fmt.Errorf("invalid %s %q (want a positive integer millisecond count)", deadlineHeader, h)
+		ms, err := strconv.ParseInt(h, 10, 64)
+		if err != nil || ms <= 0 || ms > maxDeadlineMs {
+			return nil, nil, fmt.Errorf("invalid %s %q (want a positive integer millisecond count up to %d)", deadlineHeader, h, maxDeadlineMs)
 		}
 		deadline = time.Duration(ms) * time.Millisecond
 	}
@@ -351,7 +356,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 		ins:      e.ins,
 		spec:     solveSpec,
 		admitted: start,
-		done:     make(chan steinerforest.SlotResult, 1),
+		done:     make(chan solveResult, 1),
 		ctx:      ctx,
 		entry:    e,
 	}
@@ -375,11 +380,11 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 
 	select {
 	case out := <-j.done:
-		if out.Err != nil {
-			s.writeSolveError(w, out.Err)
+		if out.err != nil {
+			s.writeSolveError(w, out.err)
 			return
 		}
-		s.writeSolveResult(w, req.Instance, out.Res, false, start)
+		s.writeSolveResult(w, req.Instance, out.res, false, start)
 	case <-ctx.Done():
 		// Request over (client gone, deadline, or force-abort). The
 		// deferred cancel propagates into j.ctx, so a worker evicts the

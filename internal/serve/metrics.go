@@ -149,7 +149,7 @@ func (m *metrics) incDeadline()  { m.deadlineExceeded.Add(1) }
 func (m *metrics) incEvicted()   { m.evicted.Add(1) }
 func (m *metrics) incPanic()     { m.solverPanics.Add(1) }
 
-// addSolveNs attributes one slot's wall-clock solver time: wasted when
+// addSolveNs attributes one solve's wall-clock solver time: wasted when
 // the requester was already gone (cancelled/aborted runs and completed
 // runs nobody waited for), useful otherwise.
 func (m *metrics) addSolveNs(ns int64, wasted bool) {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -271,6 +273,81 @@ func TestQuarantineAfterPanicStreak(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a bytes.Buffer safe to write from server goroutines
+// and read from the test.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestPanicAnswersValueNotStack pins the panic barrier's two audiences:
+// the client of a panicking solve gets 500 internal carrying the panic
+// value and no goroutine stack, the server log gets the stack with the
+// instance name, and a concurrent solve of another instance answers
+// bit-identical to a standalone Solve.
+func TestPanicAnswersValueNotStack(t *testing.T) {
+	logs := &lockedBuffer{}
+	prev := log.Writer()
+	log.SetOutput(logs)
+	t.Cleanup(func() { log.SetOutput(prev) })
+
+	inj := chaos.New(chaos.Config{Seed: 5, PanicEvery: 1, PanicTarget: "path"})
+	srv, ts := newTestServer(t, Config{Workers: 2, DisableCache: true, Chaos: inj})
+	if err := srv.RegisterInstance("other", testInstance(t), "gnp"); err != nil {
+		t.Fatal(err)
+	}
+
+	healthy := SolveRequest{Instance: "other", Algorithm: "det", Seed: 11, NoCert: true}
+	var (
+		wg                    sync.WaitGroup
+		panicStatus, okStatus int
+		panicEnv              *ErrorEnvelope
+		okRes                 *SolveResponse
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		panicStatus, _, panicEnv = postSolveCtx(t, nil, ts.URL, SolveRequest{Instance: "path", Seed: 3, NoCert: true}, 0)
+	}()
+	go func() {
+		defer wg.Done()
+		okStatus, okRes, _ = postSolveCtx(t, nil, ts.URL, healthy, 0)
+	}()
+	wg.Wait()
+
+	if panicStatus != http.StatusInternalServerError || panicEnv.Error.Code != codeInternal {
+		t.Fatalf("panicking solve: status %d, want 500 internal", panicStatus)
+	}
+	msg := panicEnv.Error.Message
+	if !strings.Contains(msg, "solver panicked") || !strings.Contains(msg, `chaos: injected panic (instance "path")`) {
+		t.Errorf("500 message %q does not carry the panic value", msg)
+	}
+	for _, leak := range []string{"goroutine ", "batch slot"} {
+		if strings.Contains(msg, leak) {
+			t.Errorf("500 message leaks %q: %q", leak, msg)
+		}
+	}
+	if got := logs.String(); !strings.Contains(got, `instance "path"`) || !strings.Contains(got, "goroutine ") {
+		t.Errorf("server log lacks the instance name or the stack: %q", got)
+	}
+	if okStatus != http.StatusOK {
+		t.Fatalf("healthy neighbor: status %d, want 200", okStatus)
+	}
+	wantStandalone(t, srv, "other", healthy, okRes)
+}
+
 // TestPanicStreakResetsOnSuccess checks the streak is consecutive, not
 // cumulative: panic, success, panic must not quarantine at threshold 2.
 func TestPanicStreakResetsOnSuccess(t *testing.T) {
@@ -325,8 +402,11 @@ func TestDeadlineEviction(t *testing.T) {
 	for {
 		st := srv.Statsz()
 		if st.DeadlineExceeded >= 1 && st.Evicted >= 1 {
-			if st.SolveNs != 0 {
-				t.Errorf("solve_ns = %d, want 0 — the evicted request must not have reached the solver", st.SolveNs)
+			// The blocked request's stub wait counts as solver time, so
+			// the evicted request's absence shows as no wasted solver
+			// time (its context had fired) and no second stub call.
+			if st.WastedSolveNs != 0 || len(started) != 0 {
+				t.Errorf("wasted_solve_ns = %d, stub calls after the first = %d, want 0 and 0 — the evicted request must not have reached the solver", st.WastedSolveNs, len(started))
 			}
 			break
 		}
@@ -338,10 +418,11 @@ func TestDeadlineEviction(t *testing.T) {
 }
 
 // TestInvalidDeadlineHeaderRejected pins the 400 path for a malformed
-// X-Request-Deadline-Ms.
+// X-Request-Deadline-Ms, including millisecond counts whose Duration
+// would overflow (one wraps negative, one wraps to about 0.45 ms).
 func TestInvalidDeadlineHeaderRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, bad := range []string{"zero", "0", "-5", "1.5"} {
+	for _, bad := range []string{"zero", "0", "-5", "1.5", "9223372036855", "18446744073710"} {
 		hreq, _ := http.NewRequest(http.MethodPost, solveURL(ts.URL, "path"),
 			bytes.NewReader([]byte(`{"instance":"path","nocert":true}`)))
 		hreq.Header.Set(deadlineHeader, bad)

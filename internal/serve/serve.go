@@ -89,8 +89,8 @@ type Config struct {
 	DisableCancellation bool
 
 	// Chaos, when non-nil, injects deterministic faults (solver stalls,
-	// panics at the solve-slot boundary, slow engine rounds) into every
-	// solve — the test-only hook behind the chaos harness and
+	// panics behind the worker's panic barrier, slow engine rounds) into
+	// every solve — the test-only hook behind the chaos harness and
 	// `dsfserve -chaos-smoke`. Production configs leave it nil.
 	Chaos *chaos.Injector
 }
@@ -196,19 +196,19 @@ type Server struct {
 	abortCtx    context.Context
 	abortCancel context.CancelFunc
 
-	// solveSlots runs one solve as a one-slot batch; tests swap it to
+	// solveFn runs one solve (steinerforest.SolveCtx); tests swap it to
 	// hold a worker without a real solver run.
-	solveSlots func(ins []*steinerforest.Instance, specs []steinerforest.Spec, ctxs []context.Context, workers int, run steinerforest.SlotFunc) ([]steinerforest.SlotResult, error)
+	solveFn func(context.Context, *steinerforest.Instance, steinerforest.Spec) (*steinerforest.Result, error)
 }
 
 // New returns a started Server (its workers are running; requests can
 // be admitted as soon as an instance is resident).
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:        cfg.withDefaults(),
-		metrics:    newMetrics(),
-		instances:  make(map[string]*entry),
-		solveSlots: steinerforest.SolveBatchSlots,
+		cfg:       cfg.withDefaults(),
+		metrics:   newMetrics(),
+		instances: make(map[string]*entry),
+		solveFn:   steinerforest.SolveCtx,
 	}
 	s.abortCtx, s.abortCancel = context.WithCancel(context.Background())
 	s.policy, s.policyErr = steinerforest.ParsePolicy(s.cfg.Policy)

@@ -52,7 +52,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // blockSolves swaps srv's solver for a stub that holds every worker:
 // each solve signals started, waits for release, and answers with an
-// empty forest without running a solver (so solve_ns stays 0). Jobs
+// empty forest without running a solver (the wait counts as solve_ns). Jobs
 // admitted meanwhile stay queued. release is idempotent and also runs at
 // cleanup, ahead of newTestServer's Shutdown.
 func blockSolves(t *testing.T, srv *Server) (started chan struct{}, release func()) {
@@ -63,20 +63,16 @@ func blockSolves(t *testing.T, srv *Server) (started chan struct{}, release func
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
-	srv.solveSlots = func(ins []*steinerforest.Instance, specs []steinerforest.Spec, ctxs []context.Context, workers int, run steinerforest.SlotFunc) ([]steinerforest.SlotResult, error) {
+	srv.solveFn = func(_ context.Context, ins *steinerforest.Instance, spec steinerforest.Spec) (*steinerforest.Result, error) {
 		select {
 		case started <- struct{}{}:
 		default:
 		}
 		<-gate
-		results := make([]steinerforest.SlotResult, len(ins))
-		for i := range ins {
-			results[i] = steinerforest.SlotResult{Res: &steinerforest.Result{
-				Solution:  steiner.NewSolution(ins[i].G),
-				Algorithm: specs[i].Algorithm,
-			}}
-		}
-		return results, nil
+		return &steinerforest.Result{
+			Solution:  steiner.NewSolution(ins.G),
+			Algorithm: spec.Algorithm,
+		}, nil
 	}
 	return started, release
 }

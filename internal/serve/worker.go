@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
+	"runtime/debug"
 	"time"
 
 	steinerforest "steinerforest"
@@ -14,6 +16,11 @@ import (
 // after repeated solver panics (mapped to 503 quarantined).
 var errQuarantined = errors.New("serve: instance quarantined after repeated solver panics")
 
+// errSolverPanic marks a solve whose run panicked: the panic is
+// recovered in runSolve, the request answers 500 with the panic value,
+// and the stack goes to the server log only.
+var errSolverPanic = errors.New("solver panicked")
+
 // errIsCancel reports whether err means "the requester stopped caring":
 // an engine round-boundary abort, a fired context observed before or
 // after the solve, or a queue eviction wrapping either.
@@ -23,13 +30,20 @@ func errIsCancel(err error) bool {
 		errors.Is(err, context.DeadlineExceeded))
 }
 
+// solveResult is one solve job's outcome: exactly one of res and err is
+// meaningful (err == nil means res != nil).
+type solveResult struct {
+	res *steinerforest.Result
+	err error
+}
+
 // job is one admitted request waiting for a worker: a solve, or (when
 // update is set) a demand update.
 type job struct {
 	ins      *steinerforest.Instance
 	spec     steinerforest.Spec
 	admitted time.Time
-	done     chan steinerforest.SlotResult // buffered(1): a worker never blocks on a gone client
+	done     chan solveResult // buffered(1): a worker never blocks on a gone client
 
 	// ctx is the request's merged lifecycle context (client disconnect +
 	// deadline + server force-abort); entry backs quarantine checks and
@@ -102,68 +116,71 @@ func (s *Server) work() {
 // solve runs one solve job and answers it. Before any solver time is
 // spent it refuses jobs on quarantined instances and evicts jobs whose
 // context already fired (client gone, deadline passed, or force-abort
-// while queued). The run itself goes through SolveBatchSlots as a
-// one-slot batch, which recovers a panic into ErrSolverPanic.
+// while queued). The run itself goes through runSolve, which recovers a
+// panic into errSolverPanic.
 func (s *Server) solve(j *job) {
 	if j.entry.state.quarantined.Load() {
-		s.finish(j, steinerforest.SlotResult{Err: errQuarantined})
+		s.finish(j, solveResult{err: errQuarantined})
 		return
 	}
 	if !s.cfg.DisableCancellation && j.ctx.Err() != nil {
 		s.metrics.incEvicted()
-		s.finish(j, steinerforest.SlotResult{Err: fmt.Errorf("serve: evicted from queue: %w", context.Cause(j.ctx))})
+		s.finish(j, solveResult{err: fmt.Errorf("serve: evicted from queue: %w", context.Cause(j.ctx))})
 		return
 	}
+	ctx := j.ctx
+	if s.cfg.DisableCancellation {
+		ctx = context.Background()
+	}
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	res, solveNs, err := s.runSolve(ctx, j)
+	s.noteOutcome(j.entry.state, err)
+	s.metrics.addSolveNs(solveNs, errIsCancel(err) || j.ctx.Err() != nil)
+	s.finish(j, solveResult{res: res, err: err})
+}
+
+// runSolve is the panic barrier around one solve: it applies the chaos
+// stall and panic decisions, then solves with s.solveFn under ctx. A
+// panic anywhere below is recovered into errSolverPanic carrying the
+// panic value; its stack goes to the server log with the instance name,
+// never to the client. solveNs is the solver's wall time: it starts
+// after an injected stall (which holds the worker but is not solver
+// work) and is set even when the run panics.
+func (s *Server) runSolve(ctx context.Context, j *job) (res *steinerforest.Result, solveNs int64, err error) {
+	name := j.entry.info.Name
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("serve: solve of instance %q panicked: %v\n%s", name, r, debug.Stack())
+			res, err = nil, fmt.Errorf("%w: %v", errSolverPanic, r)
+		}
+	}()
 	spec := j.spec
 	if hooks := s.cfg.Chaos.Hooks(); hooks != nil {
 		spec.Hooks = hooks
 	}
-	var ctxs []context.Context
-	if !s.cfg.DisableCancellation {
-		ctxs = []context.Context{j.ctx}
+	act := s.cfg.Chaos.Slot(name)
+	if act.Stall > 0 {
+		stallCtx(ctx, act.Stall)
 	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-
-	var solveNs int64
-	run := func(ctx context.Context, _ int, ins *steinerforest.Instance, spec steinerforest.Spec) (*steinerforest.Result, error) {
-		name := j.entry.info.Name
-		act := s.cfg.Chaos.Slot(name)
-		if act.Stall > 0 {
-			stallCtx(ctx, act.Stall)
-		}
-		// Solver time starts after an injected stall, which holds the
-		// worker but is not solver work. The deferred store runs even
-		// when the run panics.
-		start := time.Now()
-		defer func() { solveNs = time.Since(start).Nanoseconds() }()
-		if act.Panic {
-			panic(fmt.Sprintf("chaos: injected panic (instance %q)", name))
-		}
-		return steinerforest.SolveCtx(ctx, ins, spec)
+	start := time.Now()
+	defer func() { solveNs = time.Since(start).Nanoseconds() }()
+	if act.Panic {
+		panic(fmt.Sprintf("chaos: injected panic (instance %q)", name))
 	}
-	results, err := s.solveSlots([]*steinerforest.Instance{j.ins}, []steinerforest.Spec{spec}, ctxs, 1, run)
-	if err != nil {
-		// Only argument-shape errors reach here (slot failures are
-		// per-slot); answer with it rather than hanging the client.
-		s.finish(j, steinerforest.SlotResult{Err: err})
-		return
-	}
-	r := results[0]
-	s.noteSlot(j.entry.state, r.Err)
-	s.metrics.addSolveNs(solveNs, errIsCancel(r.Err) || j.ctx.Err() != nil)
-	s.finish(j, r)
+	res, err = s.solveFn(ctx, j.ins, spec)
+	return // the deferred store sets solveNs
 }
 
-// noteSlot updates an instance's panic streak from one solve's outcome:
+// noteOutcome updates an instance's panic streak from one solve's outcome:
 // a recovered panic extends it (quarantining the instance at
 // Config.QuarantineAfter), a success resets it, and cancellations leave
 // it untouched (they say nothing about the instance). Workers call it
 // concurrently; the streak is atomic, so the panic that brings it to the
 // threshold is the one that quarantines.
-func (s *Server) noteSlot(st *instanceState, err error) {
+func (s *Server) noteOutcome(st *instanceState, err error) {
 	switch {
-	case err != nil && errors.Is(err, steinerforest.ErrSolverPanic):
+	case errors.Is(err, errSolverPanic):
 		s.metrics.incPanic()
 		if n := st.streak.Add(1); s.cfg.QuarantineAfter > 0 && n >= int64(s.cfg.QuarantineAfter) {
 			st.quarantined.Store(true)
@@ -184,17 +201,17 @@ func stallCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-func (s *Server) finish(j *job, r steinerforest.SlotResult) {
-	s.metrics.recordDone(time.Since(j.admitted), r.Err != nil)
+func (s *Server) finish(j *job, r solveResult) {
+	s.metrics.recordDone(time.Since(j.admitted), r.err != nil)
 	if j.flight != nil {
 		outcome := flightSolved
 		switch {
-		case errIsCancel(r.Err):
+		case errIsCancel(r.err):
 			outcome = flightCancelled
-		case r.Err != nil:
+		case r.err != nil:
 			outcome = flightError
 		}
-		j.cache.complete(j.cacheKey, j.flight, outcome, r.Res, r.Err)
+		j.cache.complete(j.cacheKey, j.flight, outcome, r.res, r.err)
 	}
 	j.done <- r
 }

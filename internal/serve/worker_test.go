@@ -157,14 +157,12 @@ func TestConcurrentUpdatesOneInstance(t *testing.T) {
 func TestConcurrentPanicsQuarantineAtThreshold(t *testing.T) {
 	const after = 4
 	srv, ts := newTestServer(t, Config{Workers: 4, DisableCache: true, QuarantineAfter: after})
-	// Odd seeds panic inside the solve slot; even seeds solve normally.
-	srv.solveSlots = func(ins []*steinerforest.Instance, specs []steinerforest.Spec, ctxs []context.Context, workers int, run steinerforest.SlotFunc) ([]steinerforest.SlotResult, error) {
-		if specs[0].Seed%2 == 1 {
-			run = func(context.Context, int, *steinerforest.Instance, steinerforest.Spec) (*steinerforest.Result, error) {
-				panic("injected")
-			}
+	// Odd seeds panic inside the solve; even seeds solve normally.
+	srv.solveFn = func(ctx context.Context, ins *steinerforest.Instance, spec steinerforest.Spec) (*steinerforest.Result, error) {
+		if spec.Seed%2 == 1 {
+			panic("injected")
 		}
-		return steinerforest.SolveBatchSlots(ins, specs, ctxs, workers, run)
+		return steinerforest.SolveCtx(ctx, ins, spec)
 	}
 	seed := int64(1)
 	panicking := func(count int) {

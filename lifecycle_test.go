@@ -89,83 +89,3 @@ func TestSolveCtxCancelsCertificate(t *testing.T) {
 		t.Errorf("err = %v, want the certificate stage named", err)
 	}
 }
-
-// TestSolveBatchSlotsPanicIsolation pins the per-slot panic boundary: a
-// slot whose solver panics yields ErrSolverPanic on that slot alone, and
-// every other slot stays bit-identical to a standalone SolveCtx.
-func TestSolveBatchSlotsPanicIsolation(t *testing.T) {
-	instances := batchInstances(t, 5)
-	specs := make([]steinerforest.Spec, len(instances))
-	for i := range specs {
-		specs[i] = steinerforest.Spec{Algorithm: "det", Seed: int64(20 + i)}
-	}
-	const victim = 2
-	run := func(ctx context.Context, slot int, ins *steinerforest.Instance, spec steinerforest.Spec) (*steinerforest.Result, error) {
-		if slot == victim {
-			panic("injected slot panic")
-		}
-		return steinerforest.SolveCtx(ctx, ins, spec)
-	}
-	for _, workers := range []int{1, 4} {
-		results, err := steinerforest.SolveBatchSlots(instances, specs, nil, workers, run)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, r := range results {
-			if i == victim {
-				if !errors.Is(r.Err, steinerforest.ErrSolverPanic) {
-					t.Fatalf("workers=%d: slot %d err = %v, want ErrSolverPanic", workers, i, r.Err)
-				}
-				if !strings.Contains(r.Err.Error(), "injected slot panic") {
-					t.Errorf("workers=%d: slot %d err %q does not carry the panic value", workers, i, r.Err)
-				}
-				continue
-			}
-			if r.Err != nil {
-				t.Fatalf("workers=%d: slot %d unexpectedly failed: %v", workers, i, r.Err)
-			}
-			want, err := steinerforest.Solve(instances[i], specs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(r.Res, want) {
-				t.Errorf("workers=%d: slot %d diverged from standalone Solve beside a panicking slot", workers, i)
-			}
-		}
-	}
-}
-
-// TestSolveBatchSlotsPerSlotCancel checks slot independence under
-// cancellation: one pre-fired slot context cancels that slot only.
-func TestSolveBatchSlotsPerSlotCancel(t *testing.T) {
-	instances := batchInstances(t, 3)
-	specs := make([]steinerforest.Spec, len(instances))
-	for i := range specs {
-		specs[i] = steinerforest.Spec{Algorithm: "det", Seed: int64(30 + i)}
-	}
-	fired, cancel := context.WithCancel(context.Background())
-	cancel()
-	ctxs := []context.Context{nil, fired, nil}
-	results, err := steinerforest.SolveBatchSlots(instances, specs, ctxs, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if i == 1 {
-			if !errors.Is(r.Err, congest.ErrCancelled) {
-				t.Fatalf("slot 1 err = %v, want congest.ErrCancelled", r.Err)
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("slot %d unexpectedly failed: %v", i, r.Err)
-		}
-		want, err := steinerforest.Solve(instances[i], specs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r.Res, want) {
-			t.Errorf("slot %d diverged from standalone Solve beside a cancelled slot", i)
-		}
-	}
-}
