@@ -10,8 +10,8 @@
 #   make bench-gate       - bench smoke + committed-snapshot drift gate
 #   make smoke            - end-to-end CLI smoke (local ci only)
 #   make serve-smoke      - dsfserve self-test: closed-loop trace over HTTP
-#   make chaos-smoke      - dsfserve robustness self-test: deterministic
-#                           panic/deadline/cancel-storm fault injection
+#   make chaos-smoke      - robustness gate: dsfbench's R1 table (cancel
+#                           storms, panic quarantine, deadlines) over HTTP
 #   make perf-selfcheck   - perfbench self-check: every workload twice
 #                           against a live dsfserve, exact repeats required
 
@@ -89,7 +89,6 @@ bench-smoke:
 	$(GO) run ./cmd/dsfbench -quick -table s1 -json >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table s2 -json >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table d1 -json >/dev/null
-	$(GO) run ./cmd/dsfbench -quick -table r1 -json >/dev/null
 
 # Gate perf changes against the committed snapshots: the correctness
 # columns (rounds, weights, ratios, feasibility) must match exactly; the
@@ -137,12 +136,13 @@ smoke:
 serve-smoke:
 	$(GO) run ./cmd/dsfserve -smoke -smokereqs 64 -smokep99 5000
 
-# Robustness self-test: deterministic fault injection (internal/chaos)
-# against live servers — panic isolation + quarantine, deadline eviction,
-# and a seeded cancel storm, with post-fault answers asserted
-# bit-identical to a chaos-free reference.
+# Robustness gate: dsfbench's R1 table replays seeded chaos schedules
+# (internal/chaos) against live servers over loopback HTTP — the
+# cancellation wasted-work A/B, panic isolation + quarantine, a cancel
+# storm whose survivors must match standalone Solve, and deadline
+# eviction. dsfbench exits 1 when the table fails its assertion.
 chaos-smoke:
-	$(GO) run ./cmd/dsfserve -chaos-smoke
+	$(GO) run ./cmd/dsfbench -quick -table r1 -json >/dev/null
 
 # Benchmark self-check: builds dsfserve and perfbench from this checkout
 # (artifacts under .bench_build/), runs every workload twice, and fails

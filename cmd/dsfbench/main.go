@@ -144,7 +144,12 @@ func run() int {
 	}
 	for _, tab := range tables {
 		if tab.Failed {
-			fmt.Fprintf(os.Stderr, "dsfbench: table %s failed its built-in assertion (see the 'identical' column)\n", tab.ID)
+			// The notes name the failed check; repeat them on stderr so a
+			// -json run piped to /dev/null (make chaos-smoke) still says why.
+			fmt.Fprintf(os.Stderr, "dsfbench: table %s failed its built-in assertion (its 'identical' or 'ok' column); notes:\n", tab.ID)
+			for _, note := range tab.Notes {
+				fmt.Fprintln(os.Stderr, "  "+note)
+			}
 			return 1
 		}
 	}

@@ -13,9 +13,8 @@
 //	         [-preload gnp,planted] [-n 64] [-k 3] [-maxw 64] [-seed 1]
 //	         [-in a.sfi,b.sfi]
 //	dsfserve -smoke [-smokereqs 64] [-smokep99 2000]
-//	dsfserve -chaos-smoke [-chaos-seed 1]
 //
-// Endpoints (versioned; the unversioned paths remain as aliases):
+// Endpoints (all under /v1; unversioned paths answer 404):
 //
 //	POST /v1/instances/{name}/solve    {"algorithm": "det", "eps": "1/2",
 //	                                    "seed": 7, "nocert": true}
@@ -50,13 +49,9 @@
 // loopback port, replays a closed-loop trace over real HTTP, drives one
 // demand update and asserts the post-update solve is not served from the
 // stale cache, and exits nonzero unless every request succeeded (no
-// errors, no rejections) with p99 below -smokep99 milliseconds.
-//
-// -chaos-smoke is the robustness self-test: deterministic fault
-// injection (internal/chaos, seeded by -chaos-seed) replays
-// panic-quarantine, deadline-eviction, and cancel-storm scenarios
-// against live servers and asserts post-fault answers bit-identical to
-// a chaos-free reference.
+// errors, no rejections) with p99 below -smokep99 milliseconds. The
+// robustness scenarios (panic quarantine, deadline eviction, cancel
+// storm) are checked end to end by dsfbench's R1 table instead.
 //
 // On SIGINT/SIGTERM the server drains: new requests get 503, every
 // admitted request is answered, then the process exits. The drain is
@@ -111,13 +106,7 @@ func run() int {
 	smoke := flag.Bool("smoke", false, "self-test: serve on an ephemeral port, replay a closed-loop trace, assert p99 and zero errors")
 	smokeReqs := flag.Int("smokereqs", 64, "with -smoke: trace length")
 	smokeP99 := flag.Float64("smokep99", 2000, "with -smoke: max acceptable p99 latency in ms")
-	chaosSmoke := flag.Bool("chaos-smoke", false, "robustness self-test: deterministic panic/quarantine, deadline, and cancel-storm phases against in-process servers")
-	chaosSeed := flag.Int64("chaos-seed", 1, "with -chaos-smoke: fault-injection seed")
 	flag.Parse()
-
-	if *chaosSmoke {
-		return runChaosSmoke(*chaosSeed)
-	}
 
 	// Fail fast on a bad policy name instead of deferring to the first
 	// demand update.

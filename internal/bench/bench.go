@@ -29,8 +29,9 @@ type Table struct {
 	Rows      [][]string `json:"rows"`
 	Notes     []string   `json:"notes,omitempty"`
 	ElapsedMS float64    `json:"elapsed_ms"` // filled by timed runners (dsfbench)
-	// Failed marks a table whose built-in assertion (an "identical"
-	// column) did not hold; dsfbench exits nonzero when any table failed.
+	// Failed marks a table whose built-in assertion (an "identical" or
+	// "ok" column) did not hold; dsfbench exits nonzero when any table
+	// failed.
 	Failed bool `json:"failed,omitempty"`
 }
 

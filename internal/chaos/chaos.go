@@ -1,11 +1,11 @@
 // Package chaos provides seed-deterministic fault injectors for the
 // serve layer's robustness harness: solver stalls and injected panics at
-// the solve-slot boundary, slow-round delays inside the engine, and the
-// cancel-delay schedules client-side storm drivers replay. Every decision
-// is a pure function of (seed, site, counter), so a chaos run is exactly
-// reproducible — the R1 bench table, the `dsfserve -chaos-smoke` CI
-// self-test, and the -race stress tests all replay identical fault
-// sequences for a given seed.
+// the serve worker's solve boundary, slow-round delays inside the engine,
+// and the cancel-delay schedules client-side storm drivers replay. Every
+// decision is a pure function of (seed, site, counter), so a chaos run is
+// exactly reproducible — the R1 bench table (the `make chaos-smoke` CI
+// gate) and the -race stress tests all replay identical fault sequences
+// for a given seed.
 //
 // Injection points are test-only hooks: a nil *Injector (the production
 // configuration) costs nothing anywhere.

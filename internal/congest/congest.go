@@ -385,48 +385,15 @@ func (h *Host) SleepUntil(round int) []Recv {
 	return h.park(round, true)
 }
 
-// Relay parks the node as a broadcast pipeline stage: every message
+// RelayStream parks the node as a broadcast pipeline stage: every message
 // arriving on srcPort is re-sent by the engine on every port in dstPorts
 // one round later, with the node itself parked. A CONGEST port delivers at
 // most one message per round, so the relayed stream accumulates in arrival
-// order; the node wakes when a message of kind endKind arrives on srcPort
-// (accumulated, not forwarded) or when a round delivers mail on any other
-// port. Relay returns the accumulated rounds split in two: relayed holds
-// the clean-round messages, already forwarded downstream; last holds the
-// waking round's full inbox (port-sorted), whose forwarding is again the
-// node's business. It is equivalent to
-//
-//	var fwd []Send
-//	for {
-//	    in := h.Exchange(fwd)
-//	    fwd = nil
-//	    for _, rc := range in {
-//	        if rc.Port != srcPort || rc.Wire.Kind == endKind {
-//	            return relayed, in // deviation: nothing from in forwarded
-//	        }
-//	        for _, p := range dstPorts { fwd = append(fwd, resend(p, rc)) }
-//	        relayed = append(relayed, rc)
-//	    }
-//	}
-//
-// and turns an entire pipelined broadcast — the hot inner loop of the
-// collect primitives — into engine-internal table work for every node
-// that is neither the stream's source nor a point of deviation.
-//
-// dstPorts must be strictly ascending (which also guarantees one send per
-// port per round); the run fails on a violation.
-// Like Exchange's inbox, relayed and last alias engine-owned buffers that
-// are reused: they are valid only until this node's next blocking call.
-func (h *Host) Relay(srcPort int, dstPorts []int, endKind uint16) (relayed, last []Recv) {
-	return h.relay(srcPort, dstPorts, endKind, false)
-}
-
-// RelayStream is Relay for a stage whose stream-terminating marker is
-// itself part of the pipeline: the engine consumes a clean endKind arrival
-// like any other item — accumulating it as the stream's final element and
-// forwarding it on dstPorts one round later — and wakes the node only
-// after that final forward (or on arrival when dstPorts is empty), exactly
-// when the loop
+// order. The stream-terminating marker (kind endKind) is part of the
+// pipeline: it is accumulated and forwarded like any other item, and the
+// node wakes one round after that final forward (on the marker's arrival
+// when dstPorts is empty), or earlier when a round delivers mail on any
+// other port. It is equivalent to
 //
 //	var fwd []Send
 //	for {
@@ -447,21 +414,26 @@ func (h *Host) Relay(srcPort int, dstPorts []int, endKind uint16) (relayed, last
 //	    }
 //	}
 //
-// would have returned. relayed therefore ends with the marker on a normal
-// stream end, and last holds only the waking round's extra mail
-// (stragglers during the marker's forward round, or a deviating inbox as
-// in Relay). Because the stage neither wakes nor exchanges per stream
-// element — marker included — an entire pipelined broadcast whose source
-// has gone quiet is relay-only traffic: the engine forwards it hop by hop
-// without resuming a single stage until its stream ends.
+// relayed therefore holds the clean-round messages, already forwarded
+// downstream, and ends with the marker on a normal stream end; last holds
+// the waking round's extra mail (port-sorted): stragglers during the
+// marker's forward round, or a deviating inbox, whose forwarding is again
+// the node's business. Because the stage neither wakes nor exchanges per
+// stream element — marker included — an entire pipelined broadcast whose
+// source has gone quiet is relay-only traffic: the engine forwards it hop
+// by hop without resuming a single stage until its stream ends. This
+// turns the hot inner loop of the collect primitives into engine-internal
+// table work for every node that is neither the stream's source nor a
+// point of deviation.
+//
+// dstPorts must be strictly ascending (which also guarantees one send per
+// port per round); the run fails on a violation.
+// Like Exchange's inbox, relayed and last alias engine-owned buffers that
+// are reused: they are valid only until this node's next blocking call.
 func (h *Host) RelayStream(srcPort int, dstPorts []int, endKind uint16) (relayed, last []Recv) {
-	return h.relay(srcPort, dstPorts, endKind, true)
-}
-
-func (h *Host) relay(srcPort int, dstPorts []int, endKind uint16, through bool) (relayed, last []Recv) {
 	for i, p := range dstPorts {
 		if p < 0 || (i > 0 && p <= dstPorts[i-1]) {
-			panic(fmt.Sprintf("congest: Relay destination ports %v not ascending", dstPorts))
+			panic(fmt.Sprintf("congest: RelayStream destination ports %v not ascending", dstPorts))
 		}
 	}
 	if !h.fast {
@@ -471,7 +443,7 @@ func (h *Host) relay(srcPort int, dstPorts []int, endKind uint16, through bool) 
 			in := h.Exchange(fwd)
 			fwd = nil
 			for _, rc := range in {
-				if rc.Port != srcPort || (!through && rc.Wire.Kind == endKind) {
+				if rc.Port != srcPort {
 					return acc, in
 				}
 			}
@@ -480,7 +452,7 @@ func (h *Host) relay(srcPort int, dstPorts []int, endKind uint16, through bool) 
 					fwd = append(fwd, Send{Port: p, Wire: rc.Wire})
 				}
 				acc = append(acc, rc)
-				if through && rc.Wire.Kind == endKind {
+				if rc.Wire.Kind == endKind {
 					if len(dstPorts) == 0 {
 						return acc, nil
 					}
@@ -489,7 +461,7 @@ func (h *Host) relay(srcPort int, dstPorts []int, endKind uint16, through bool) 
 			}
 		}
 	}
-	h.ext = subExt{relaySrc: srcPort, relayDst: dstPorts, relayEnd: endKind, relayThrough: through}
+	h.ext = subExt{relaySrc: srcPort, relayDst: dstPorts, relayEnd: endKind}
 	in := h.transact(submission{node: h.id, kind: subRelay, ext: &h.ext})
 	h.round = h.wokeRound
 	cut := len(in) - h.relayLastN
@@ -534,12 +506,11 @@ type submission struct {
 }
 
 type subExt struct {
-	wakeAt       int // subPark: resume at this completed-round count; -1 = none
-	wakeOnMsg    bool
-	relaySrc     int    // subRelay: the port whose stream is forwarded
-	relayDst     []int  // subRelay: forwarding ports, ascending
-	relayEnd     uint16 // subRelay: stream-terminating wire kind
-	relayThrough bool   // subRelay: forward the end marker too (RelayStream)
+	wakeAt    int // subPark: resume at this completed-round count; -1 = none
+	wakeOnMsg bool
+	relaySrc  int    // subRelay: the port whose stream is forwarded
+	relayDst  []int  // subRelay: forwarding ports, ascending
+	relayEnd  uint16 // subRelay: stream-terminating wire kind
 }
 
 // nodeMode is a node's scheduler state. Every live node is either runnable
@@ -561,17 +532,15 @@ type relayDest struct {
 	edge    int32
 }
 
-// relaying is a parked node's pipeline-stage order: the engine forwards
-// each clean srcPort arrival to dsts one round later and accumulates the
-// stream in buf until the node wakes — on a deviating inbox, on the end
-// kind's arrival (plain Relay), or one round later when the end marker has
-// itself been forwarded (through orders, Host.RelayStream).
+// relaying is a parked node's pipeline-stage order (Host.RelayStream):
+// the engine forwards each clean srcPort arrival to dsts one round later
+// and accumulates the stream in buf until the node wakes — on a deviating
+// inbox, or one round after the end marker has itself been forwarded.
 type relaying struct {
 	srcPort   int32
 	endKind   uint16
-	through   bool // RelayStream: the end marker is forwarded, then wake
 	hasPend   bool
-	finalPend bool // the pending forward is the end marker (through only)
+	finalPend bool // the pending forward is the end marker
 	finalSent bool // the end marker went out this round: wake at round end
 	pendBits  int32
 	pendWire  Wire
@@ -860,7 +829,6 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 				rl := &e.relays[v]
 				rl.srcPort = int32(x.relaySrc)
 				rl.endKind = x.relayEnd
-				rl.through = x.relayThrough
 				rl.hasPend = false
 				rl.finalPend = false
 				rl.finalSent = false
@@ -1038,7 +1006,7 @@ func (e *engine) emitRelays() {
 			e.deliver(int(d.dst), int(d.dstPort), int(d.edge), int(rl.pendBits), &rl.pendWire)
 		}
 		if rl.finalPend {
-			// A through order's end marker went out: the node wakes at the
+			// The order's end marker went out: the node wakes at the
 			// end of this round, its stream complete; put it in front of
 			// checkRelayers even if the forward round delivers it nothing.
 			rl.finalPend = false
@@ -1059,12 +1027,11 @@ var nodeResumes atomic.Int64
 var coroSwitches atomic.Int64
 
 // checkRelayers advances every relaying node after a round: a clean
-// arrival (one message, on the source port, not a waking end kind) is
-// accumulated and scheduled for forwarding next round; a deviating inbox —
-// or, for plain orders, the end kind — wakes the node with the accumulated
-// stream plus the waking round's inbox. A through order whose end marker
-// was emitted this round (finalSent) wakes with its complete stream plus
-// whatever stray mail the forward round delivered.
+// arrival (one message, on the source port) is accumulated and scheduled
+// for forwarding next round; a deviating inbox wakes the node with the
+// accumulated stream plus the waking round's inbox. An order whose end
+// marker was emitted this round (finalSent) wakes with its complete
+// stream plus whatever stray mail the forward round delivered.
 func (e *engine) checkRelayers() {
 	gen := e.gen
 	for _, v32 := range e.hitRelay {
@@ -1080,31 +1047,28 @@ func (e *engine) checkRelayers() {
 		if len(touched) == 1 && touched[0] == rl.srcPort && !rl.finalSent {
 			rc := e.slots[e.base[v]+rl.srcPort]
 			isEnd := rc.Wire.Kind == rl.endKind
-			if !isEnd || rl.through {
-				rl.buf = append(rl.buf, rc)
-				if len(rl.dsts) > 0 {
-					b, _ := wireBits(rc.Wire)
-					rl.pendBits = int32(b)
-					rl.pendWire = rc.Wire
-					rl.hasPend = true
-					rl.finalPend = isEnd
-					e.relPend++
-					e.pendList = append(e.pendList, v32)
-					continue
-				}
-				if !isEnd {
-					continue
-				}
-				// Through order with nothing to forward: the stream is
-				// complete on arrival; wake with it and no extra mail.
-				e.hosts[v].relayLastN = 0
-				e.wakeRun(v, e.stats.Rounds, rl.buf)
+			rl.buf = append(rl.buf, rc)
+			if len(rl.dsts) > 0 {
+				b, _ := wireBits(rc.Wire)
+				rl.pendBits = int32(b)
+				rl.pendWire = rc.Wire
+				rl.hasPend = true
+				rl.finalPend = isEnd
+				e.relPend++
+				e.pendList = append(e.pendList, v32)
 				continue
 			}
+			if !isEnd {
+				continue
+			}
+			// Nothing to forward: the stream is complete on arrival; wake
+			// with it and no extra mail.
+			e.hosts[v].relayLastN = 0
+			e.wakeRun(v, e.stats.Rounds, rl.buf)
+			continue
 		}
-		// Deviation, a plain order's end of stream, or a through order's
-		// completed final forward: hand over the accumulated messages plus
-		// this round's inbox.
+		// Deviation, or the completed final forward: hand over the
+		// accumulated messages plus this round's inbox.
 		rl.finalSent = false
 		final := e.inbox(v)
 		out := append(rl.buf, final...)

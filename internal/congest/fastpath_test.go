@@ -176,53 +176,6 @@ func TestAllAsleepFails(t *testing.T) {
 	}
 }
 
-// TestRelayPipeline: a chain relays a stream end to end inside the engine,
-// every hop adding one round of latency, with the data intact.
-func TestRelayPipeline(t *testing.T) {
-	const hops = 5
-	g := graph.Path(hops, graph.UnitWeights)
-	items := []int64{7, 11, 13}
-	stats := both(t, g, func(h *Host) {
-		if h.ID() == 0 {
-			for _, v := range items {
-				h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: v}}})
-			}
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireEnd}}})
-			h.Idle(hops - 2)
-			return
-		}
-		var dst []int
-		if h.ID() < hops-1 {
-			dst = []int{1} // port 1 leads to the next hop
-		}
-		src, _ := h.PortOf(h.ID() - 1)
-		relayed, last := h.Relay(src, dst, testWireEnd)
-		if len(relayed) != len(items) {
-			panic("relay lost items")
-		}
-		for i, rc := range relayed {
-			if rc.Wire.C != items[i] {
-				panic("relay reordered items")
-			}
-		}
-		if len(last) != 1 || last[0].Wire.Kind != testWireEnd {
-			panic("relay end marker missing")
-		}
-		// End arrived h.ID() rounds after node 0 sent it.
-		if h.Round() != len(items)+1+h.ID()-1 {
-			panic("relay latency wrong")
-		}
-		if len(dst) > 0 {
-			h.Exchange([]Send{{Port: 1, Wire: Wire{Kind: testWireEnd}}})
-		}
-		h.Idle(len(items) + hops - 1 - h.Round())
-	})
-	// (items+end) messages per hop.
-	if stats.Messages != int64((len(items)+1)*(hops-1)) {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
 // TestRelayDrain: once the stream source goes quiet, the in-flight items
 // drain through a chain of parked relays in rounds whose only traffic is
 // relay forwards. The three variants mix other events into those rounds:
@@ -325,7 +278,7 @@ func TestRelayDeviation(t *testing.T) {
 			h.Idle(1)
 		case 1:
 			src, _ := h.PortOf(0)
-			relayed, last := h.Relay(src, nil, testWireEnd)
+			relayed, last := h.RelayStream(src, nil, testWireEnd)
 			if len(relayed) != 1 || relayed[0].Wire.C != 1 {
 				panic("clean prefix wrong")
 			}

@@ -129,8 +129,8 @@ func TestSchedulerStress(t *testing.T) {
 	}
 }
 
-// TestSchedulerStressStandingOrders drives the relay orders — Relay and
-// RelayStream stages, relay-only drains, and deviation wakes — through a
+// TestSchedulerStressStandingOrders drives the relay orders — RelayStream
+// stages, relay-only drains, and deviation wakes — through a
 // randomized tree broadcast interleaved with stray pokes (over tree and
 // cross edges), again requiring identical behavior across the
 // configuration grid.
@@ -203,7 +203,6 @@ func TestSchedulerStressStandingOrders(t *testing.T) {
 						last = h.Exchange([]Send{{Port: rng.Intn(h.Degree()), Wire: poke(rng)}})
 						fold(last)
 					}
-					through := rng.Intn(4) > 0
 					for done := false; ; {
 						for {
 							fwd, fin := resend(last)
@@ -218,12 +217,8 @@ func TestSchedulerStressStandingOrders(t *testing.T) {
 							break
 						}
 						var relayed []Recv
-						if through {
-							relayed, last = h.RelayStream(src, down, end.Kind)
-							done = len(relayed) > 0 && relayed[len(relayed)-1].Wire == end
-						} else {
-							relayed, last = h.Relay(src, down, end.Kind)
-						}
+						relayed, last = h.RelayStream(src, down, end.Kind)
+						done = len(relayed) > 0 && relayed[len(relayed)-1].Wire == end
 						fold(relayed)
 						fold(last)
 					}

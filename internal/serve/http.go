@@ -12,6 +12,7 @@ import (
 	"time"
 
 	steinerforest "steinerforest"
+	"steinerforest/internal/congest"
 	"steinerforest/internal/workload"
 )
 
@@ -129,7 +130,7 @@ type DemandUpdateResponse struct {
 // Error envelope codes. Every non-2xx response uses the same shape:
 // {"error":{"code","message","retry_after_s"}}.
 const (
-	codeBadRequest  = "bad_request"       // 400: malformed body, unknown knob, invalid event
+	codeBadRequest  = "bad_request"       // 400: malformed body, unknown knob, invalid event, client budget too small
 	codeTooLarge    = "payload_too_large" // 413: request body over maxBodyBytes
 	codeNotFound    = "not_found"         // 404: no resident instance by that name
 	codeQueueFull   = "queue_full"        // 429: admission queue full; retry_after_s set
@@ -342,7 +343,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 			// follower waits on its own merged ctx, so its cancellation or
 			// deadline detaches it without touching the leader's run.
 			s.metrics.incCollapsed()
-			s.waitFlight(w, ctx, req.Instance, found, start)
+			s.waitFlight(w, ctx, req.Instance, canon, found, start)
 			return
 		default:
 			s.metrics.incMiss()
@@ -381,7 +382,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 	select {
 	case out := <-j.done:
 		if out.err != nil {
-			s.writeSolveError(w, out.err)
+			s.writeSolveError(w, canon, out.err)
 			return
 		}
 		s.writeSolveResult(w, req.Instance, out.res, false, start)
@@ -397,9 +398,15 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 
 // writeSolveError maps a worker-reported solve error onto the
 // envelope: quarantine and cancellation are service conditions (503/504),
-// everything else — including recovered solver panics — is a 500.
-func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
+// a run that outgrew a bandwidth or round budget the request itself set
+// is the client's mistake (400), and everything else — including
+// recovered solver panics, and those budget errors under the default
+// knobs, where they would be solver bugs — is a 500.
+func (s *Server) writeSolveError(w http.ResponseWriter, spec steinerforest.Spec, err error) {
 	switch {
+	case spec.Bandwidth != 0 && errors.Is(err, congest.ErrBandwidth),
+		spec.MaxRounds != 0 && errors.Is(err, congest.ErrRoundLimit):
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 	case errors.Is(err, errQuarantined):
 		writeError(w, http.StatusServiceUnavailable, codeQuarantined, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
@@ -515,7 +522,7 @@ func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
 // the same overload and never held queue depth of its own). The follower
 // waits under its own merged context: if that fires first it detaches
 // with 503/504 and the leader's run is untouched.
-func (s *Server) waitFlight(w http.ResponseWriter, ctx context.Context, instance string, fl *flight, start time.Time) {
+func (s *Server) waitFlight(w http.ResponseWriter, ctx context.Context, instance string, spec steinerforest.Spec, fl *flight, start time.Time) {
 	select {
 	case <-fl.done:
 	case <-ctx.Done():
@@ -528,7 +535,7 @@ func (s *Server) waitFlight(w http.ResponseWriter, ctx context.Context, instance
 		s.writeSolveResult(w, instance, fl.res, false, start)
 	case flightError, flightCancelled:
 		s.metrics.recordDone(time.Since(start), true)
-		s.writeSolveError(w, fl.err)
+		s.writeSolveError(w, spec, fl.err)
 	case flightRejected:
 		s.metrics.incRejected()
 		s.writeRejected(w)

@@ -90,8 +90,8 @@ type Config struct {
 
 	// Chaos, when non-nil, injects deterministic faults (solver stalls,
 	// panics behind the worker's panic barrier, slow engine rounds) into
-	// every solve — the test-only hook behind the chaos harness and
-	// `dsfserve -chaos-smoke`. Production configs leave it nil.
+	// every solve — the test-only hook behind the serve robustness tests
+	// and dsfbench's R1 table. Production configs leave it nil.
 	Chaos *chaos.Injector
 }
 

@@ -16,6 +16,7 @@ import (
 
 	steinerforest "steinerforest"
 	"steinerforest/internal/chaos"
+	"steinerforest/internal/congest"
 	"steinerforest/internal/graph"
 	"steinerforest/internal/steiner"
 )
@@ -280,7 +281,8 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 
 // TestSolveValidation pins the request-validation status codes: unknown
 // instances are 404, malformed specs (bad epsilon, unknown algorithm,
-// negative knobs) are 400 with the strict parser/validator messages.
+// negative knobs) are 400 with the strict parser/validator messages, and
+// so is a bandwidth or round cap the request set that its run outgrows.
 func TestSolveValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -294,6 +296,8 @@ func TestSolveValidation(t *testing.T) {
 		{"zero-den eps", SolveRequest{Instance: "path", Eps: "1/0"}, http.StatusBadRequest},
 		{"unknown algorithm", SolveRequest{Instance: "path", Algorithm: "magic"}, http.StatusBadRequest},
 		{"negative max rounds", SolveRequest{Instance: "path", MaxRounds: -1}, http.StatusBadRequest},
+		{"bandwidth below widest message", SolveRequest{Instance: "path", Bandwidth: 8, NoCert: true}, http.StatusBadRequest},
+		{"round cap outgrown", SolveRequest{Instance: "path", MaxRounds: 1, NoCert: true}, http.StatusBadRequest},
 		{"ok", SolveRequest{Instance: "path", NoCert: true}, http.StatusOK},
 	}
 	for _, c := range cases {
@@ -310,6 +314,30 @@ func TestSolveValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed JSON: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestBudgetErrorsUnderDefaultKnobsAre500: a bandwidth or round-limit
+// error from a run whose request left that knob at its default is a
+// solver bug, so it stays 500 internal (TestSolveValidation pins the 400
+// for a budget the request set). The stubbed solver fails with each
+// error; the last request set only the other knob.
+func TestBudgetErrorsUnderDefaultKnobsAre500(t *testing.T) {
+	srv, ts := newTestServer(t, Config{DisableCache: true})
+	for _, c := range []struct {
+		req SolveRequest
+		err error
+	}{
+		{SolveRequest{Instance: "path", NoCert: true}, congest.ErrBandwidth},
+		{SolveRequest{Instance: "path", NoCert: true}, congest.ErrRoundLimit},
+		{SolveRequest{Instance: "path", MaxRounds: 100000, NoCert: true}, congest.ErrBandwidth},
+	} {
+		srv.solveFn = func(context.Context, *steinerforest.Instance, steinerforest.Spec) (*steinerforest.Result, error) {
+			return nil, fmt.Errorf("steinerforest: %w", c.err)
+		}
+		if resp, body := postSolve(t, ts.URL, c.req); resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("%+v failing with %v: status %d (body %s), want 500", c.req, c.err, resp.StatusCode, body)
+		}
 	}
 }
 
