@@ -1,6 +1,6 @@
 // Command dsfbench regenerates the paper's evaluation: one table per claim
-// (see DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-// results), plus the E1 engine-scaling, B1 batch-throughput and E2
+// (see the README's Commands section for the snapshot format and the
+// committed BENCH_*.json snapshots that record the results), plus the E1 engine-scaling, B1 batch-throughput and E2
 // event-driven-scheduler experiments.
 //
 // Usage:

@@ -1,10 +1,10 @@
-// Package bench defines the experiments of EXPERIMENTS.md: for every claim
-// of the paper's evaluation (its theorems and the Figure 1 lower-bound
-// constructions) a workload generator, a parameter sweep, and a table
-// renderer that prints the measured series next to the paper's predicted
-// shape. All solver invocations go through the root package's unified
-// Spec/registry pipeline, so the experiments exercise exactly the code
-// path users call.
+// Package bench defines the experiments behind dsfbench's tables: for
+// every claim of the paper's evaluation (its theorems and the Figure 1
+// lower-bound constructions) a workload generator, a parameter sweep,
+// and a table renderer that prints the measured series next to the
+// paper's predicted shape. All solver invocations go through the root
+// package's unified Spec/registry pipeline, so the experiments exercise
+// exactly the code path users call.
 package bench
 
 import (

@@ -25,16 +25,16 @@ type Config struct {
 	// Seed drives the phase offsets and jitter (0 = 1).
 	Seed int64
 
-	// StallEvery makes every Nth solve slot stall for Stall before
-	// solving — a held-up worker (0 = never); the serve layer does not
-	// count the stall as solver time. Stalls respect the slot's context:
-	// a cancelled slot stops stalling immediately.
+	// StallEvery makes every Nth solve stall for Stall before solving —
+	// a held-up worker (0 = never); the serve layer does not count the
+	// stall as solver time. Stalls respect the solve's context: a
+	// cancelled solve stops stalling immediately.
 	StallEvery int
 	Stall      time.Duration
 
-	// PanicEvery makes every Nth solve slot panic instead of solving
-	// (0 = never), exercising the recover-at-slot-boundary path.
-	// PanicTarget restricts panics to slots solving the named instance
+	// PanicEvery makes every Nth solve panic instead of solving (0 =
+	// never), exercising the serve worker's panic barrier around each
+	// solve. PanicTarget restricts panics to solves of the named instance
 	// ("" = all instances) — the quarantine tests use this to poison one
 	// resident instance while its neighbors stay healthy.
 	PanicEvery  int
@@ -49,15 +49,15 @@ type Config struct {
 
 // Stats counts the faults an Injector actually fired.
 type Stats struct {
-	Slots      int64 `json:"slots"`       // slot decisions taken
-	Stalls     int64 `json:"stalls"`      // slots that stalled
-	Panics     int64 `json:"panics"`      // slots that panicked
+	Solves     int64 `json:"solves"`      // solve decisions taken
+	Stalls     int64 `json:"stalls"`      // solves that stalled
+	Panics     int64 `json:"panics"`      // solves that panicked
 	SlowRounds int64 `json:"slow_rounds"` // engine rounds delayed
 }
 
 // Injector hands out fault decisions. Safe for concurrent use: the
-// decision counters are atomic, so concurrent solve slots take distinct
-// decisions (which decision lands on which slot follows the order the
+// decision counters are atomic, so concurrent solves take distinct
+// decisions (which decision lands on which solve follows the order the
 // workers reach them — deterministic whenever the harness serializes
 // its solves, as the quarantine rows and tests do).
 type Injector struct {
@@ -66,7 +66,7 @@ type Injector struct {
 	panicPhase int64
 	roundPhase int64
 
-	slots      atomic.Int64
+	solves     atomic.Int64
 	rounds     atomic.Int64
 	stalls     atomic.Int64
 	panics     atomic.Int64
@@ -91,22 +91,22 @@ func New(cfg Config) *Injector {
 	return in
 }
 
-// SlotAction is the decision for one solve slot: stall this long (0 =
+// SolveAction is the decision for one solve: stall this long (0 =
 // don't), then panic instead of solving (false = solve normally).
-type SlotAction struct {
+type SolveAction struct {
 	Stall time.Duration
 	Panic bool
 }
 
-// Slot takes the next slot decision for a solve of the named instance.
-// Nil receivers decide "no fault", so callers can thread an optional
+// Solve takes the next decision for a solve of the named instance. Nil
+// receivers decide "no fault", so callers can thread an optional
 // injector without guarding.
-func (in *Injector) Slot(instance string) SlotAction {
+func (in *Injector) Solve(instance string) SolveAction {
 	if in == nil {
-		return SlotAction{}
+		return SolveAction{}
 	}
-	n := in.slots.Add(1) - 1
-	var act SlotAction
+	n := in.solves.Add(1) - 1
+	var act SolveAction
 	if e := int64(in.cfg.StallEvery); e > 0 && n%e == in.stallPhase {
 		act.Stall = in.cfg.Stall
 		in.stalls.Add(1)
@@ -141,7 +141,7 @@ func (in *Injector) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Slots:      in.slots.Load(),
+		Solves:     in.solves.Load(),
 		Stalls:     in.stalls.Load(),
 		Panics:     in.panics.Load(),
 		SlowRounds: in.slowRounds.Load(),

@@ -10,7 +10,7 @@ import (
 // *Injector decides "no fault" everywhere without guarding.
 func TestNilInjectorIsNoFault(t *testing.T) {
 	var in *Injector
-	if act := in.Slot("x"); act.Stall != 0 || act.Panic {
+	if act := in.Solve("x"); act.Stall != 0 || act.Panic {
 		t.Errorf("nil injector decided %+v, want no fault", act)
 	}
 	if h := in.Hooks(); h != nil {
@@ -21,18 +21,18 @@ func TestNilInjectorIsNoFault(t *testing.T) {
 	}
 }
 
-// TestSlotDecisionsDeterministic pins reproducibility: two injectors
+// TestSolveDecisionsDeterministic pins reproducibility: two injectors
 // with the same config take identical decision sequences, and a
 // different seed shifts the phase (so distinct storms hit distinct
-// slots) without changing the cadence.
-func TestSlotDecisionsDeterministic(t *testing.T) {
+// solves) without changing the cadence.
+func TestSolveDecisionsDeterministic(t *testing.T) {
 	cfg := Config{Seed: 7, StallEvery: 3, Stall: time.Millisecond, PanicEvery: 4}
 	a, b := New(cfg), New(cfg)
 	const n = 48
-	var seqA, seqB []SlotAction
+	var seqA, seqB []SolveAction
 	for i := 0; i < n; i++ {
-		seqA = append(seqA, a.Slot("ins"))
-		seqB = append(seqB, b.Slot("ins"))
+		seqA = append(seqA, a.Solve("ins"))
+		seqB = append(seqB, b.Solve("ins"))
 	}
 	if !reflect.DeepEqual(seqA, seqB) {
 		t.Fatal("same config, different decision sequences")
@@ -47,17 +47,17 @@ func TestSlotDecisionsDeterministic(t *testing.T) {
 		}
 	}
 	if stalls != n/cfg.StallEvery || panics != n/cfg.PanicEvery {
-		t.Errorf("cadence: %d stalls, %d panics over %d slots, want %d and %d",
+		t.Errorf("cadence: %d stalls, %d panics over %d solves, want %d and %d",
 			stalls, panics, n, n/cfg.StallEvery, n/cfg.PanicEvery)
 	}
 	st := a.Stats()
-	if st.Slots != n || st.Stalls != int64(stalls) || st.Panics != int64(panics) {
-		t.Errorf("stats = %+v, want slots=%d stalls=%d panics=%d", st, n, stalls, panics)
+	if st.Solves != n || st.Stalls != int64(stalls) || st.Panics != int64(panics) {
+		t.Errorf("stats = %+v, want solves=%d stalls=%d panics=%d", st, n, stalls, panics)
 	}
 }
 
 // TestPanicTargetFilters pins the quarantine harness's poisoning: with
-// PanicTarget set, only slots solving that instance panic.
+// PanicTarget set, only solves of that instance panic.
 func TestPanicTargetFilters(t *testing.T) {
 	in := New(Config{Seed: 3, PanicEvery: 1, PanicTarget: "poisoned"})
 	for i := 0; i < 8; i++ {
@@ -65,9 +65,9 @@ func TestPanicTargetFilters(t *testing.T) {
 		if i%2 == 0 {
 			name = "poisoned"
 		}
-		act := in.Slot(name)
+		act := in.Solve(name)
 		if act.Panic != (name == "poisoned") {
-			t.Fatalf("slot %d (%s): panic=%v", i, name, act.Panic)
+			t.Fatalf("solve %d (%s): panic=%v", i, name, act.Panic)
 		}
 	}
 	if st := in.Stats(); st.Panics != 4 {

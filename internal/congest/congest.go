@@ -26,14 +26,14 @@
 //
 // A program can go further and hand a stretch of itself to the scheduler
 // as data: Host.Drive(first, d) runs a Driver, whose Next returns the
-// node's next blocking call as a Request (Exchange, SleepUntil, Sleep or
-// Idle). The scheduler then calls Next directly each time a request
-// completes — a driven node-round costs a method call, not a coroutine
-// switch — and switches back into the program only when Next reports
-// done. dist.RunQuiet, the quiescence loop under Bellman-Ford and the
-// other run-to-quiescence primitives, runs this way. Drive is defined as
-// the blocking loop over those requests, which is also how it runs with
-// the fast paths off.
+// node's next blocking call as a Request (Exchange, SleepUntil, Sleep,
+// Idle or RelayStream). The scheduler then calls Next directly each time
+// a request completes — a driven node-round costs a method call, not a
+// coroutine switch — and switches back into the program only when Next
+// reports done. Every dist primitive (the BFS tree build, the quiescence
+// loop under Bellman-Ford, the collect pipelines) runs this way. Drive is
+// defined as the blocking loop over those requests, which is also how it
+// runs with the fast paths off.
 //
 // The round scheduler is event-driven and allocation-free on its hot path.
 // Nodes that have nothing to say park instead of spinning: Host.Idle(k)
@@ -431,41 +431,62 @@ func (h *Host) SleepUntil(round int) []Recv {
 // Like Exchange's inbox, relayed and last alias engine-owned buffers that
 // are reused: they are valid only until this node's next blocking call.
 func (h *Host) RelayStream(srcPort int, dstPorts []int, endKind uint16) (relayed, last []Recv) {
-	for i, p := range dstPorts {
-		if p < 0 || (i > 0 && p <= dstPorts[i-1]) {
-			panic(fmt.Sprintf("congest: RelayStream destination ports %v not ascending", dstPorts))
-		}
-	}
-	if !h.fast {
-		var acc []Recv
-		var fwd []Send
-		for {
-			in := h.Exchange(fwd)
-			fwd = nil
-			for _, rc := range in {
-				if rc.Port != srcPort {
-					return acc, in
-				}
-			}
-			for _, rc := range in {
-				for _, p := range dstPorts {
-					fwd = append(fwd, Send{Port: p, Wire: rc.Wire})
-				}
-				acc = append(acc, rc)
-				if rc.Wire.Kind == endKind {
-					if len(dstPorts) == 0 {
-						return acc, nil
-					}
-					return acc, h.Exchange(fwd)
-				}
-			}
-		}
-	}
-	h.ext = subExt{relaySrc: srcPort, relayDst: dstPorts, relayEnd: endKind}
-	in := h.transact(submission{node: h.id, kind: subRelay, ext: &h.ext})
-	h.round = h.wokeRound
+	return h.RelaySplit(h.relay(RelayStream(srcPort, dstPorts, endKind)))
+}
+
+// RelaySplit splits the result of the node's last relay request into
+// RelayStream's two results: the relayed stream and the extra mail.
+func (h *Host) RelaySplit(in []Recv) (relayed, last []Recv) {
 	cut := len(in) - h.relayLastN
 	return in[:cut], in[cut:]
+}
+
+// relay performs a relay request as a blocking call, returning the
+// relayed stream and the extra mail as one slice (see RelaySplit).
+func (h *Host) relay(r Request) []Recv {
+	h.setRelay(r)
+	if h.fast {
+		in := h.transact(submission{node: h.id, kind: subRelay, ext: &h.ext})
+		h.round = h.wokeRound
+		return in
+	}
+	var acc []Recv
+	var fwd []Send
+	for {
+		in := h.Exchange(fwd)
+		fwd = nil
+		for _, rc := range in {
+			if rc.Port != r.round {
+				h.relayLastN = len(in)
+				return append(acc, in...)
+			}
+		}
+		for _, rc := range in {
+			for _, p := range r.dst {
+				fwd = append(fwd, Send{Port: p, Wire: rc.Wire})
+			}
+			acc = append(acc, rc)
+			if rc.Wire.Kind == r.end {
+				var last []Recv
+				if len(r.dst) > 0 {
+					last = h.Exchange(fwd)
+				}
+				h.relayLastN = len(last)
+				return append(acc, last...)
+			}
+		}
+	}
+}
+
+// setRelay checks a relay request's destination ports and loads it into
+// the host's parameter block.
+func (h *Host) setRelay(r Request) {
+	for i, p := range r.dst {
+		if p < 0 || (i > 0 && p <= r.dst[i-1]) {
+			panic(fmt.Sprintf("congest: RelayStream destination ports %v not ascending", r.dst))
+		}
+	}
+	h.ext = subExt{relaySrc: r.round, relayDst: r.dst, relayEnd: r.end}
 }
 
 // park submits a park request and suspends until the engine wakes this

@@ -4,11 +4,14 @@ import "fmt"
 
 // Request is one blocking Host call expressed as data — what a Driver
 // asks the scheduler to do next on its node's behalf. Build one with
-// Exchange, Sleep, SleepUntil or Idle; the zero value is not a request.
+// Exchange, Sleep, SleepUntil, Idle or RelayStream; the zero value is not
+// a request.
 type Request struct {
 	kind  uint8
 	out   []Send
-	round int // SleepUntil: the absolute round; Idle: the round count
+	round int    // SleepUntil: the absolute round; Idle: the round count; RelayStream: the source port
+	dst   []int  // RelayStream: the forwarding ports
+	end   uint16 // RelayStream: the stream-terminating wire kind
 }
 
 const (
@@ -16,6 +19,7 @@ const (
 	reqSleep
 	reqSleepUntil
 	reqIdle
+	reqRelay
 )
 
 // Exchange is the request form of Host.Exchange: send out (nil sends
@@ -34,6 +38,14 @@ func SleepUntil(round int) Request { return Request{kind: reqSleepUntil, round: 
 // Idle is the request form of Host.Idle: advance k rounds, discarding any
 // mail unread; the result is nil.
 func Idle(k int) Request { return Request{kind: reqIdle, round: k} }
+
+// RelayStream is the request form of Host.RelayStream: park as a pipeline
+// stage forwarding srcPort's stream to dstPorts. The result is the relayed
+// stream followed by the waking round's extra mail; Host.RelaySplit
+// separates the two.
+func RelayStream(srcPort int, dstPorts []int, endKind uint16) Request {
+	return Request{kind: reqRelay, round: srcPort, dst: dstPorts, end: endKind}
+}
 
 // Driver is a node program's tail written as a continuation: Next
 // receives the result of the previous request and returns the next one,
@@ -99,6 +111,8 @@ func (h *Host) do(r Request) []Recv {
 	case reqIdle:
 		h.Idle(r.round)
 		return nil
+	case reqRelay:
+		return h.relay(r)
 	}
 	panic(fmt.Sprintf("congest: invalid Request kind %d", r.kind))
 }
@@ -123,6 +137,9 @@ func (h *Host) submissionOf(r Request) (sub submission, ok bool) {
 			return submission{}, false
 		}
 		h.ext = subExt{wakeAt: h.round + r.round, wakeOnMsg: false}
+	case reqRelay:
+		h.setRelay(r)
+		return submission{node: h.id, kind: subRelay, ext: &h.ext}, true
 	default:
 		panic(fmt.Sprintf("congest: invalid Request kind %d", r.kind))
 	}

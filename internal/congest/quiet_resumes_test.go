@@ -1,7 +1,9 @@
 package congest_test
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"steinerforest/internal/congest"
 	"steinerforest/internal/dist"
@@ -95,4 +97,99 @@ func TestRunQuietDrivenSwitchBudget(t *testing.T) {
 	if budget := int64(2 * g.N()); quiet > budget {
 		t.Fatalf("RunQuiet cost %d coroutine switches, budget %d (2 per node)", quiet, budget)
 	}
+}
+
+// itemKind is the collect payload of TestCollectDrivenSwitchBudget,
+// ordered by C.
+const itemKind uint16 = 131
+
+func init() { congest.RegisterWireKind(itemKind, 2+64) }
+
+func itemCmp(a, b congest.Wire) int { return int(a.C - b.C) }
+
+// TestCollectDrivenSwitchBudget pins what BuildBFS and the collect
+// primitives cost in coroutine switches: each runs as a Driver, so a node
+// switches into its program once per call, at the exit, however many
+// rounds the call spans. On the broom every node upcasts three items
+// through a count-cap filter with a stopAfter cut, and the root
+// broadcasts 64; with a switch per submission (Drive on its blocking
+// loop) each call exceeds the budget of 2 per node.
+func TestCollectDrivenSwitchBudget(t *testing.T) {
+	g := broom()
+	items := func(h *congest.Host, k int) []congest.Wire {
+		out := make([]congest.Wire, k)
+		for i := range out {
+			out[i] = congest.Wire{Kind: itemKind, C: int64(h.ID()*k + i)}
+		}
+		return out
+	}
+	calls := []struct {
+		name string
+		run  func(h *congest.Host, tr *dist.Tree)
+	}{
+		{"UpcastBroadcast", func(h *congest.Host, tr *dist.Tree) {
+			// At most two items per residue class mod 5: a count cap,
+			// hence monotone.
+			capped := func() dist.Filter {
+				var seen [5]int
+				return func(w congest.Wire) bool { seen[w.C%5]++; return seen[w.C%5] <= 2 }
+			}
+			stop := func(w congest.Wire) bool { return w.C >= 200 }
+			dist.UpcastBroadcast(h, tr, items(h, 3), itemCmp, capped, stop)
+		}},
+		{"BroadcastList", func(h *congest.Host, tr *dist.Tree) {
+			var list []congest.Wire
+			if tr.IsRoot() {
+				list = items(h, 64)
+			}
+			dist.BroadcastList(h, tr, list)
+		}},
+		{"Max", func(h *congest.Host, tr *dist.Tree) { dist.Max(h, tr, int64(h.ID())) }},
+	}
+	budget := int64(2 * g.N())
+	empty := switchesOf(t, g, func(*congest.Host) {})
+	bfsOnly := switchesOf(t, g, func(h *congest.Host) { dist.BuildBFS(h) })
+	check := func(name string, sw int64) {
+		t.Logf("%s: %d coroutine switches (%.1f per node)", name, sw, float64(sw)/float64(g.N()))
+		if sw > budget {
+			t.Errorf("%s cost %d coroutine switches, budget %d (2 per node)", name, sw, budget)
+		}
+	}
+	check("BuildBFS", bfsOnly-empty)
+	for _, c := range calls {
+		check(c.name, switchesOf(t, g, func(h *congest.Host) { c.run(h, dist.BuildBFS(h)) })-bfsOnly)
+	}
+}
+
+// TestPooledArenaDropsTrees: every dist primitive caches its driver on
+// the node's Tree, and the driver points back at it. Once a pooled run
+// ends, the arena must reference none of them — no host's driver or
+// parameter block, no stale submission — so every node's tree is
+// collected while the pool lives on. (Weak pointers, not finalizers: a
+// tree and its drivers form a cycle.)
+func TestPooledArenaDropsTrees(t *testing.T) {
+	g := broom()
+	pool := congest.NewArenaPool()
+	trees := make([]weak.Pointer[dist.Tree], g.N())
+	_, err := congest.Run(g, func(h *congest.Host) {
+		tr := dist.BuildBFS(h)
+		trees[h.ID()] = weak.Make(tr)
+		dist.Max(h, tr, int64(h.ID()))
+		dist.BroadcastList(h, tr, nil)
+		dist.UpcastBroadcast(h, tr, []congest.Wire{{Kind: itemKind, C: int64(h.ID())}}, itemCmp, nil, nil)
+	}, congest.WithArenaPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	live := 0
+	for _, w := range trees {
+		if w.Value() != nil {
+			live++
+		}
+	}
+	if live > 0 {
+		t.Fatalf("%d of %d trees still live; the pooled arena retains them", live, g.N())
+	}
+	runtime.KeepAlive(pool)
 }

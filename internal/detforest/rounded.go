@@ -17,7 +17,8 @@ import (
 // threshold checks and merges involving inactive moats (Definition 4.19),
 // giving a (2+ε)-approximation with O(log_{1+ε/2} WD) growth phases.
 //
-// Scope note (see DESIGN.md): the growth phases, rounded thresholds and
+// Scope note (see the README's "Scope notes" under The Spec / registry
+// pipeline): the growth phases, rounded thresholds and
 // activity rechecks are implemented faithfully; the small/large-moat local
 // matching of Appendix F.1 (Cole-Vishkin over moat spanning trees) is
 // subsumed by the same pipelined filtered collection as Section 4.1, which

@@ -33,6 +33,10 @@ import (
 // (at the root) until the upcast completes. Parked stretches of the down
 // stream run as engine-side relay orders, which forward each item without
 // resuming the stage.
+//
+// The pipeline runs as a congest.Driver (upcast) whose state is cached on
+// t, so on the continuation scheduler the node's program is switched into
+// once, at the exit, and filter and stopAfter run from the scheduler.
 func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) []congest.Wire {
 	slices.SortStableFunc(local, cmp)
 	var filter Filter
@@ -52,247 +56,322 @@ func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, ne
 		}
 		return acc
 	}
+	u := t.upcast(h)
+	u.local, u.cmp, u.filter, u.stopAfter = local, cmp, filter, stopAfter
+	first := congest.Sleep() // the root collects asleep between deliveries
+	u.state = upRootCollect
+	if !t.IsRoot() {
+		first = u.upLoop()
+	}
+	h.Drive(first, u)
+	result := u.result
+	u.local, u.cmp, u.filter, u.stopAfter, u.result = nil, nil, nil, nil, nil
+	return result
+}
 
-	root := t.IsRoot()
+// upcast states: the request the node is waiting on.
+const (
+	upRootCollect = uint8(iota) // root: asleep until an upcast delivery
+	upRootStream                // root: one round of the downward stream
+	upRound                     // an upcast send round, or asleep on a lagging child
+	upRelay                     // a single-child passthrough relay order
+	downExchange                // a downward forward round, before the marker
+	downRelay                   // a relay order on the parent's stream
+	downTail                    // a downward forward round after the marker
+	upIdle                      // the idle-out to the common exit round
+)
+
+// upcast is UpcastBroadcast's per-node state machine: the blocking
+// pipeline split at its blocking points. It is built once per tree and
+// reset per call; its child and forward queues keep their capacity across
+// calls.
+type upcast struct {
+	h         *congest.Host
+	t         *Tree
+	childOf   []int // port -> child index, -1 otherwise
+	parent    [1]int
+	kids      []childStream  // per child, in ChildPorts order
+	fwd       []congest.Wire // interior: forward queue for the broadcast, from fwdHead
+	fwdHead   int
+	local     []congest.Wire
+	cmp       Cmp
+	filter    Filter
+	stopAfter func(congest.Wire) bool
+
+	state      uint8
+	ownNext    int
+	result     []congest.Wire // the broadcast stream (root: accepted)
+	streamed   int            // root: result items sent down
+	fwdEnd     bool
+	sawDown    bool
+	upDoneSent bool
+	exitRound  int
+}
+
+// upcast returns t's cached UpcastBroadcast driver, reset for a call.
+func (t *Tree) upcast(h *congest.Host) *upcast {
+	u := t.up
 	nc := len(t.ChildPorts)
-	childOf := make([]int, h.Degree()) // port -> child index, -1 otherwise
-	for p := range childOf {
-		childOf[p] = -1
+	if u == nil {
+		u = &upcast{h: h, t: t, childOf: make([]int, h.Degree()), kids: make([]childStream, nc)}
+		u.parent[0] = t.ParentPort
+		for p := range u.childOf {
+			u.childOf[p] = -1
+		}
+		for i, p := range t.ChildPorts {
+			u.childOf[p] = i
+		}
+		t.up = u
 	}
-	for i, p := range t.ChildPorts {
-		childOf[p] = i
+	for i := range u.kids {
+		k := &u.kids[i]
+		k.items, k.head, k.done = k.items[:0], 0, false
 	}
-	queues := make([][]congest.Wire, nc) // per-child pending items, ascending
-	done := make([]bool, nc)
-	ownNext := 0
+	u.fwd, u.fwdHead = u.fwd[:0], 0
+	u.ownNext, u.streamed = 0, 0
+	u.fwdEnd, u.sawDown, u.upDoneSent = false, false, false
+	u.exitRound = -1
+	return u
+}
 
-	// canPop reports whether the smallest remaining item of this subtree is
-	// determined: every child stream has a visible head or has ended, and
-	// at least one item is available.
-	canPop := func() bool {
-		any := ownNext < len(local)
-		for i := 0; i < nc; i++ {
-			if len(queues[i]) > 0 {
-				any = true
-			} else if !done[i] {
-				return false
-			}
-		}
-		return any
-	}
-	popMin := func() congest.Wire {
-		best := -1 // -1 = own list
-		var bestIt congest.Wire
-		has := false
-		if ownNext < len(local) {
-			bestIt, has = local[ownNext], true
-		}
-		for i := 0; i < nc; i++ {
-			if len(queues[i]) == 0 {
-				continue
-			}
-			if !has || cmp(queues[i][0], bestIt) < 0 {
-				best, bestIt, has = i, queues[i][0], true
-			}
-		}
-		if best < 0 {
-			ownNext++
-		} else {
-			queues[best] = queues[best][1:]
-		}
-		return bestIt
-	}
-	allEnded := func() bool {
-		if ownNext < len(local) {
+// childStream is one child's upcast stream as seen by its parent.
+type childStream struct {
+	items []congest.Wire // received, ascending; pending from head on
+	head  int
+	done  bool // the child's end marker arrived
+}
+
+func (k *childStream) pending() []congest.Wire { return k.items[k.head:] }
+
+// canPop reports whether the smallest remaining item of this subtree is
+// determined: every child stream has a visible head or has ended, and at
+// least one item is available.
+func (u *upcast) canPop() bool {
+	any := u.ownNext < len(u.local)
+	for i := range u.kids {
+		if len(u.kids[i].pending()) > 0 {
+			any = true
+		} else if !u.kids[i].done {
 			return false
 		}
-		for i := 0; i < nc; i++ {
-			if !done[i] || len(queues[i]) > 0 {
-				return false
-			}
-		}
-		return true
 	}
+	return any
+}
 
-	var result []congest.Wire // the broadcast stream (root: accepted)
-	var fwd []congest.Wire    // interior: forward queue for the broadcast
-	fwdEnd := false
-	sawDown := false
-	exitRound := -1
-	// process folds one round's inbox into the upcast and downcast state.
-	process := func(in []congest.Recv) {
-		for _, rc := range in {
-			switch rc.Wire.Kind {
-			case wireUpDone:
-				done[childOf[rc.Port]] = true
-			case wireDownEnd:
-				sawDown = true
+func (u *upcast) popMin() congest.Wire {
+	best := -1 // -1 = own list
+	var bestIt congest.Wire
+	has := false
+	if u.ownNext < len(u.local) {
+		bestIt, has = u.local[u.ownNext], true
+	}
+	for i := range u.kids {
+		q := u.kids[i].pending()
+		if len(q) == 0 {
+			continue
+		}
+		if !has || u.cmp(q[0], bestIt) < 0 {
+			best, bestIt, has = i, q[0], true
+		}
+	}
+	if best < 0 {
+		u.ownNext++
+	} else {
+		u.kids[best].head++
+	}
+	return bestIt
+}
+
+func (u *upcast) allEnded() bool {
+	if u.ownNext < len(u.local) {
+		return false
+	}
+	for i := range u.kids {
+		if !u.kids[i].done || len(u.kids[i].pending()) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// process folds one round's inbox into the upcast and downcast state.
+func (u *upcast) process(in []congest.Recv) {
+	t, nc := u.t, len(u.t.ChildPorts)
+	for _, rc := range in {
+		switch rc.Wire.Kind {
+		case wireUpDone:
+			u.kids[u.childOf[rc.Port]].done = true
+		case wireDownEnd:
+			u.sawDown = true
+			if nc > 0 {
+				u.fwdEnd = true
+			}
+			u.exitRound = u.h.Round() + t.Height - t.Depth
+		default:
+			if rc.Port == t.ParentPort {
+				u.sawDown = true
+				u.result = append(u.result, rc.Wire)
 				if nc > 0 {
-					fwdEnd = true
+					u.fwd = append(u.fwd, rc.Wire)
 				}
-				exitRound = h.Round() + t.Height - t.Depth
-			default:
-				if rc.Port == t.ParentPort {
-					sawDown = true
-					result = append(result, rc.Wire)
-					if nc > 0 {
-						fwd = append(fwd, rc.Wire)
-					}
-				} else {
-					ci := childOf[rc.Port]
-					queues[ci] = append(queues[ci], rc.Wire)
-				}
+			} else {
+				k := &u.kids[u.childOf[rc.Port]]
+				k.items = append(k.items, rc.Wire)
 			}
 		}
 	}
+}
 
-	if root {
+// Next completes the request the node was waiting on and returns the
+// next one.
+func (u *upcast) Next(in []congest.Recv) (congest.Request, bool) {
+	switch u.state {
+	case upRootCollect:
 		// Collect until the stream is decided, asleep between deliveries
 		// (consumption is local, so a round without mail changes nothing).
+		u.process(in)
 		finalized := false
-		for !finalized {
-			process(h.Sleep())
-			for canPop() {
-				it := popMin()
-				if filter != nil && !filter(it) {
-					continue
-				}
-				result = append(result, it)
-				if stopAfter != nil && stopAfter(it) {
-					finalized = true
-					break
-				}
+		for u.canPop() {
+			it := u.popMin()
+			if u.filter != nil && !u.filter(it) {
+				continue
 			}
-			if !finalized && allEnded() {
+			u.result = append(u.result, it)
+			if u.stopAfter != nil && u.stopAfter(it) {
 				finalized = true
+				break
 			}
 		}
+		if !finalized && !u.allEnded() {
+			return congest.Sleep(), true
+		}
+		u.state = upRootStream
+		fallthrough
+	case upRootStream:
 		// Stream the accepted items down, one per round, then the end
 		// marker; the wave reaches the deepest node Height-1 rounds later.
 		// Stragglers may still be upcasting (a stopAfter cut): their items
 		// arrive during the stream and are ignored.
-		out := make([]congest.Send, 0, nc)
-		for _, it := range result {
-			out = out[:0]
-			for _, p := range t.ChildPorts {
-				out = append(out, congest.Send{Port: p, Wire: it})
-			}
-			h.Exchange(out)
+		switch {
+		case u.streamed < len(u.result):
+			u.streamed++
+			return congest.Exchange(u.t.toChildren(u.result[u.streamed-1])), true
+		case u.streamed == len(u.result):
+			u.streamed++
+			return congest.Exchange(u.t.toChildren(congest.Wire{Kind: wireDownEnd})), true
 		}
-		out = out[:0]
-		for _, p := range t.ChildPorts {
-			out = append(out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireDownEnd}})
+		u.state = upIdle
+		return congest.Idle(u.t.Height - 1), true
+	case upRound:
+		u.process(in)
+		return u.upLoop(), true
+	case upRelay:
+		stream, last := u.h.RelaySplit(in)
+		if k := len(stream); k > 0 && stream[k-1].Wire.Kind == wireUpDone {
+			// The engine forwarded the marker: our wireUpDone is sent.
+			u.kids[0].done = true
+			u.upDoneSent = true
 		}
-		h.Exchange(out)
-		h.Idle(t.Height - 1)
-		return result
-	}
-
-	// Non-root upcast: one accepted item (or the end marker) per round, as
-	// soon as the subtree's next minimum is determined; sleep while blocked
-	// on a lagging child. The phase ends when our stream is exhausted or
-	// the broadcast already started (the root finalized early on a
-	// stopAfter cut).
-	upDoneSent := false
-	var sendBuf [1]congest.Send
-	for !upDoneSent && !sawDown {
-		var out []congest.Send
-		for canPop() {
-			it := popMin()
-			if filter == nil || filter(it) {
-				sendBuf[0] = congest.Send{Port: t.ParentPort, Wire: it}
-				out = sendBuf[:]
+		u.process(last)
+		return u.upLoop(), true
+	case downExchange:
+		u.process(in)
+		return u.downLoop(), true
+	case downRelay:
+		stream, last := u.h.RelaySplit(in)
+		u.result = slices.Grow(u.result, len(stream))
+		ended := false
+		for _, rc := range stream {
+			// Already forwarded by the engine: record, don't queue.
+			if rc.Wire.Kind == wireDownEnd {
+				ended = true
 				break
 			}
+			u.result = append(u.result, rc.Wire)
 		}
-		if out == nil && allEnded() {
-			sendBuf[0] = congest.Send{Port: t.ParentPort, Wire: congest.Wire{Kind: wireUpDone}}
-			out = sendBuf[:]
-			upDoneSent = true
-		}
-		if out != nil {
-			process(h.Exchange(out))
-		} else if filter == nil && nc == 1 && ownNext >= len(local) &&
-			len(queues[0]) == 0 && !done[0] {
-			// Single-child passthrough: nothing of our own left and exactly
-			// one stream to merge, so the rest of the upcast is a pure relay.
-			// A RelayStream order forwards the child's items — end marker
-			// included — to the parent with the same one-round latency the
-			// loop gives them, without resuming this node per item. Only a
-			// deviating round (the broadcast starting early on a stopAfter
-			// cut) hands an inbox back before the marker's forward.
-			stream, last := h.RelayStream(t.ChildPorts[0], []int{t.ParentPort}, wireUpDone)
-			if k := len(stream); k > 0 && stream[k-1].Wire.Kind == wireUpDone {
-				// The engine forwarded the marker: our wireUpDone is sent.
-				done[0] = true
-				upDoneSent = true
+		if ended {
+			// The marker arrived one round before its forward when we
+			// have children, in the waking round otherwise; stray mail of
+			// the forward round (last) is ignored, as the loop's
+			// discarded Exchange result would have been.
+			arrived := u.h.Round()
+			if len(u.t.ChildPorts) > 0 {
+				arrived--
 			}
-			process(last)
+			u.exitRound = arrived + u.t.Height - u.t.Depth
 		} else {
-			process(h.Sleep())
+			u.process(last)
+		}
+		return u.downLoop(), true
+	case downTail:
+		return u.downLoop(), true
+	}
+	return congest.Request{}, false // upIdle: the common exit round
+}
+
+// upLoop returns the next request of a non-root node's upcast: one
+// accepted item (or the end marker) per round, as soon as the subtree's
+// next minimum is determined; asleep while blocked on a lagging child.
+// The upcast ends when our stream is exhausted or the broadcast already
+// started (the root finalized early on a stopAfter cut).
+func (u *upcast) upLoop() congest.Request {
+	if u.upDoneSent || u.sawDown {
+		return u.downLoop()
+	}
+	u.state = upRound
+	for u.canPop() {
+		it := u.popMin()
+		if u.filter == nil || u.filter(it) {
+			return congest.Exchange(u.t.toParent(it))
 		}
 	}
-	// Wait for the broadcast to reach us and relay it, end marker included,
-	// toward the children. With nothing queued the whole pipeline stage
-	// runs inside the engine: a RelayStream order forwards the parent's
-	// stream, waking us once, after the marker's own forward. Only a
-	// straggler's upcast item (possible after a stopAfter cut) wakes us
-	// early, whose round we handle by hand before parking again.
-	dnBuf := make([]congest.Send, 0, nc)
-	for exitRound < 0 {
-		if len(fwd) > 0 {
-			it := fwd[0]
-			fwd = fwd[1:]
-			out := dnBuf[:0]
-			for _, p := range t.ChildPorts {
-				out = append(out, congest.Send{Port: p, Wire: it})
-			}
-			process(h.Exchange(out))
-		} else {
-			stream, last := h.RelayStream(t.ParentPort, t.ChildPorts, wireDownEnd)
-			result = slices.Grow(result, len(stream))
-			ended := false
-			for _, rc := range stream {
-				// Already forwarded by the engine: record, don't queue.
-				if rc.Wire.Kind == wireDownEnd {
-					ended = true
-					break
-				}
-				result = append(result, rc.Wire)
-			}
-			if ended {
-				// The marker arrived one round before its forward when we
-				// have children, in the waking round otherwise; stray mail
-				// of the forward round (last) is ignored, as the loop's
-				// discarded Exchange result would have been.
-				arrived := h.Round()
-				if nc > 0 {
-					arrived--
-				}
-				exitRound = arrived + t.Height - t.Depth
-			} else {
-				process(last)
-			}
-		}
+	if u.allEnded() {
+		u.upDoneSent = true
+		return congest.Exchange(u.t.toParent(congest.Wire{Kind: wireUpDone}))
 	}
-	for len(fwd) > 0 || fwdEnd {
-		out := dnBuf[:0]
-		if len(fwd) > 0 {
-			it := fwd[0]
-			fwd = fwd[1:]
-			for _, p := range t.ChildPorts {
-				out = append(out, congest.Send{Port: p, Wire: it})
-			}
-		} else {
-			fwdEnd = false
-			for _, p := range t.ChildPorts {
-				out = append(out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireDownEnd}})
-			}
-		}
-		h.Exchange(out)
+	if u.filter == nil && len(u.kids) == 1 && u.ownNext >= len(u.local) &&
+		len(u.kids[0].pending()) == 0 && !u.kids[0].done {
+		// Single-child passthrough: nothing of our own left and exactly
+		// one stream to merge, so the rest of the upcast is a pure relay.
+		// A relay order forwards the child's items — end marker included
+		// — to the parent with the same one-round latency the loop gives
+		// them, without a Next call per item. Only a deviating round (the
+		// broadcast starting early on a stopAfter cut) hands an inbox back
+		// before the marker's forward.
+		u.state = upRelay
+		return congest.RelayStream(u.t.ChildPorts[0], u.parent[:], wireUpDone)
 	}
-	h.Idle(exitRound - h.Round())
-	return result
+	return congest.Sleep()
+}
+
+// downLoop returns the next request of a non-root node's downcast: wait
+// for the broadcast to reach us and relay it, end marker included, toward
+// the children, then idle to the common exit round. With nothing queued
+// the whole pipeline stage runs inside the engine: a relay order forwards
+// the parent's stream, completing once, after the marker's own forward.
+// Only a straggler's upcast item (possible after a stopAfter cut)
+// completes it early, whose round we handle here before parking again.
+func (u *upcast) downLoop() congest.Request {
+	if u.exitRound < 0 {
+		if u.fwdHead < len(u.fwd) {
+			u.fwdHead++
+			u.state = downExchange
+			return congest.Exchange(u.t.toChildren(u.fwd[u.fwdHead-1]))
+		}
+		u.state = downRelay
+		return congest.RelayStream(u.t.ParentPort, u.t.ChildPorts, wireDownEnd)
+	}
+	u.state = downTail
+	switch {
+	case u.fwdHead < len(u.fwd):
+		u.fwdHead++
+		return congest.Exchange(u.t.toChildren(u.fwd[u.fwdHead-1]))
+	case u.fwdEnd:
+		u.fwdEnd = false
+		return congest.Exchange(u.t.toChildren(congest.Wire{Kind: wireDownEnd}))
+	}
+	u.state = upIdle
+	return congest.Idle(u.exitRound - u.h.Round())
 }
 
 // BroadcastList delivers the root's item list to every node: the root
@@ -301,108 +380,195 @@ func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, ne
 // exit in the same round. Non-root callers pass nil (their argument is
 // ignored); every node returns the root's list in order. Nodes sleep until
 // the stream reaches them; fully parked stretches of the pipeline drain
-// as engine-side relay forwards.
+// as engine-side relay forwards. Like UpcastBroadcast it runs as a
+// congest.Driver (broadcast) cached on t.
 func BroadcastList(h *congest.Host, t *Tree, items []congest.Wire) []congest.Wire {
 	if h.N() <= 1 {
 		return items
 	}
-	nc := len(t.ChildPorts)
+	b := t.broadcast(h)
 	if t.IsRoot() {
-		out := make([]congest.Send, 0, nc)
-		for _, it := range items {
-			out = out[:0]
-			for _, p := range t.ChildPorts {
-				out = append(out, congest.Send{Port: p, Wire: it})
-			}
-			h.Exchange(out)
-		}
-		out = out[:0]
-		for _, p := range t.ChildPorts {
-			out = append(out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireBcastEnd}})
-		}
-		h.Exchange(out)
-		h.Idle(t.Height - 1)
+		b.items = items
+		h.Drive(b.stream(), b)
+		b.items = nil
 		return items
 	}
-
-	// The whole stage runs inside the engine: one RelayStream order
-	// forwards the parent's stream, end marker included, and wakes us once
-	// it has passed — deviations cannot occur in this primitive, so the
-	// drain is pure relay traffic.
-	var result []congest.Wire
-	stream, _ := h.RelayStream(t.ParentPort, t.ChildPorts, wireBcastEnd)
-	if len(stream) > 1 {
-		result = make([]congest.Wire, 0, len(stream)-1) // all but the marker
-	}
-	for _, rc := range stream {
-		if rc.Wire.Kind == wireBcastEnd {
-			break
-		}
-		result = append(result, rc.Wire)
-	}
-	// The marker arrived one round before its forward when we have
-	// children, in the waking round at a leaf.
-	arrived := h.Round()
-	if nc > 0 {
-		arrived--
-	}
-	h.Idle(arrived + t.Height - t.Depth - h.Round())
+	// The whole stage runs inside the engine: one relay order forwards
+	// the parent's stream, end marker included, and completes once it has
+	// passed — deviations cannot occur in this primitive, so the drain is
+	// pure relay traffic.
+	b.state = bcastRelay
+	h.Drive(congest.RelayStream(t.ParentPort, t.ChildPorts, wireBcastEnd), b)
+	result := b.items
+	b.items = nil
 	return result
+}
+
+// broadcast states: the request the node is waiting on.
+const (
+	bcastStream = uint8(iota) // root: one round of the stream
+	bcastRelay                // non-root: the relay order on the parent's stream
+	bcastIdle                 // the idle-out to the common exit round
+)
+
+// broadcast is BroadcastList's per-node state machine.
+type broadcast struct {
+	h     *congest.Host
+	t     *Tree
+	state uint8
+	items []congest.Wire // root: the list; non-root: the received list
+	sent  int            // root: items sent, the end marker counting last
+}
+
+// broadcast returns t's cached BroadcastList driver, reset for a call.
+func (t *Tree) broadcast(h *congest.Host) *broadcast {
+	if t.bcast == nil {
+		t.bcast = &broadcast{h: h, t: t}
+	}
+	t.bcast.state, t.bcast.sent = bcastStream, 0
+	return t.bcast
+}
+
+// stream returns the root's next request: the next item, the end marker,
+// then the idle-out, by which the wave has reached the deepest node.
+func (b *broadcast) stream() congest.Request {
+	switch b.sent++; {
+	case b.sent <= len(b.items):
+		return congest.Exchange(b.t.toChildren(b.items[b.sent-1]))
+	case b.sent == len(b.items)+1:
+		return congest.Exchange(b.t.toChildren(congest.Wire{Kind: wireBcastEnd}))
+	}
+	b.state = bcastIdle
+	return congest.Idle(b.t.Height - 1)
+}
+
+// Next completes the request the node was waiting on and returns the
+// next one.
+func (b *broadcast) Next(in []congest.Recv) (congest.Request, bool) {
+	switch b.state {
+	case bcastStream:
+		return b.stream(), true
+	case bcastRelay:
+		stream, _ := b.h.RelaySplit(in)
+		if len(stream) > 1 {
+			b.items = make([]congest.Wire, 0, len(stream)-1) // all but the marker
+		}
+		for _, rc := range stream {
+			if rc.Wire.Kind == wireBcastEnd {
+				break
+			}
+			b.items = append(b.items, rc.Wire)
+		}
+		// The marker arrived one round before its forward when we have
+		// children, in the waking round at a leaf.
+		arrived := b.h.Round()
+		if len(b.t.ChildPorts) > 0 {
+			arrived--
+		}
+		b.state = bcastIdle
+		return congest.Idle(arrived + b.t.Height - b.t.Depth - b.h.Round()), true
+	}
+	return congest.Request{}, false // bcastIdle: the common exit round
 }
 
 // Max computes the global maximum of the nodes' values by a convergecast up
 // the BFS tree and a synchronized broadcast of the result; every node
 // returns the maximum in the same round. Interior nodes sleep while their
-// subtrees aggregate; everyone idles out to the common exit round.
+// subtrees aggregate; everyone idles out to the common exit round. It runs
+// as a congest.Driver (maxAgg) cached on t.
 func Max(h *congest.Host, t *Tree, v int64) int64 {
 	if h.N() <= 1 {
 		return v
 	}
-	best := v
-	nc := len(t.ChildPorts)
-	if nc == 0 {
-		// Leaves detect their (empty) subtree in the first round and send
-		// in the second, matching the generic detect-then-send cadence.
-		h.Exchange(nil)
-	} else {
-		for pending := nc; pending > 0; {
-			for _, rc := range h.Sleep() {
-				if rc.Wire.Kind == wireMaxUp {
-					if rc.Wire.C > best {
-						best = rc.Wire.C
-					}
-					pending--
-				}
+	m := t.maxAgg(h)
+	m.best = v
+	// Leaves detect their (empty) subtree in the first round and send in
+	// the second, matching the generic detect-then-send cadence.
+	first := congest.Exchange(nil)
+	m.state = maxLeaf
+	if nc := len(t.ChildPorts); nc > 0 {
+		first = congest.Sleep()
+		m.state, m.pending = maxUp, nc
+	}
+	h.Drive(first, m)
+	return m.best
+}
+
+// maxAgg states: the request the node is waiting on.
+const (
+	maxLeaf    = uint8(iota) // a leaf's detection round
+	maxUp                    // asleep until every child's partial arrived
+	maxSentUp                // the partial's round
+	maxDown                  // asleep until the maximum arrives
+	maxForward               // the maximum's forward round
+	maxIdle                  // the idle-out to the common exit round
+)
+
+// maxAgg is Max's per-node state machine.
+type maxAgg struct {
+	h       *congest.Host
+	t       *Tree
+	state   uint8
+	best    int64
+	pending int
+	exit    int // the common exit round
+}
+
+// maxAgg returns t's cached Max driver.
+func (t *Tree) maxAgg(h *congest.Host) *maxAgg {
+	if t.agg == nil {
+		t.agg = &maxAgg{h: h, t: t}
+	}
+	return t.agg
+}
+
+// Next completes the request the node was waiting on and returns the
+// next one.
+func (m *maxAgg) Next(in []congest.Recv) (congest.Request, bool) {
+	h, t := m.h, m.t
+	switch m.state {
+	case maxUp:
+		for _, rc := range in {
+			if rc.Wire.Kind == wireMaxUp {
+				m.best = max(m.best, rc.Wire.C)
+				m.pending--
 			}
 		}
-	}
-	if t.IsRoot() {
-		out := make([]congest.Send, 0, nc)
-		for _, p := range t.ChildPorts {
-			out = append(out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireMaxDown, C: best}})
+		if m.pending > 0 {
+			return congest.Sleep(), true
 		}
-		h.Exchange(out)
-		h.Idle(t.Height - 1)
-		return best
-	}
-	h.Exchange([]congest.Send{{Port: t.ParentPort, Wire: congest.Wire{Kind: wireMaxUp, C: best}}})
-	got := false
-	for !got {
-		for _, rc := range h.Sleep() {
+		fallthrough
+	case maxLeaf:
+		if t.IsRoot() {
+			m.exit = h.Round() + t.Height
+			m.state = maxForward
+			return congest.Exchange(t.toChildren(congest.Wire{Kind: wireMaxDown, C: m.best})), true
+		}
+		m.state = maxSentUp
+		return congest.Exchange(t.toParent(congest.Wire{Kind: wireMaxUp, C: m.best})), true
+	case maxSentUp:
+		m.state = maxDown
+		return congest.Sleep(), true
+	case maxDown:
+		got := false
+		for _, rc := range in {
 			if rc.Wire.Kind == wireMaxDown {
-				best = rc.Wire.C
+				m.best = rc.Wire.C
 				got = true
 			}
 		}
-	}
-	exitRound := h.Round() + t.Height - t.Depth
-	if nc > 0 {
-		out := make([]congest.Send, 0, nc)
-		for _, p := range t.ChildPorts {
-			out = append(out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireMaxDown, C: best}})
+		if !got {
+			return congest.Sleep(), true
 		}
-		h.Exchange(out)
+		m.exit = h.Round() + t.Height - t.Depth
+		if len(t.ChildPorts) > 0 {
+			m.state = maxForward
+			return congest.Exchange(t.toChildren(congest.Wire{Kind: wireMaxDown, C: m.best})), true
+		}
+		fallthrough
+	case maxForward:
+		m.state = maxIdle
+		return congest.Idle(m.exit - h.Round()), true
 	}
-	h.Idle(exitRound - h.Round())
-	return best
+	return congest.Request{}, false // maxIdle: the common exit round
 }

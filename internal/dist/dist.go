@@ -19,11 +19,15 @@
 // a node whose role in the current phase is over (an unjoined BFS node, a
 // subtree that finished its upcast, a settled Bellman-Ford region, which
 // sleeps straight to the next quiescence-control slot it must drive)
-// parks with Host.Sleep/SleepUntil/Idle instead of spinning through empty
-// exchanges. The message schedule is exactly the one the
+// parks with a Sleep, SleepUntil or Idle request instead of spinning
+// through empty exchanges. The message schedule is exactly the one the
 // plain Exchange loops would produce — the parked rounds are rounds the
 // node would have spent exchanging nothing — so round counts, message
-// counts and bit counts are unchanged by the fast paths.
+// counts and bit counts are unchanged by the fast paths. Each primitive
+// is a congest.Driver run with Host.Drive, its per-node state cached on
+// the Tree: the scheduler completes every request by calling the
+// driver's Next, so a call costs the node's program one coroutine
+// switch, at its exit.
 //
 // All primitives assume a connected graph (as the paper does); on a
 // disconnected graph the unreachable side never learns the tree and the

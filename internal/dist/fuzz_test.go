@@ -55,19 +55,71 @@ func FuzzRunQuiet(f *testing.F) {
 	})
 }
 
+// FuzzBuildBFS decodes its input into a small network — a random tree or
+// a GNP graph, n <= 24 — and an entry round common to every node, and
+// requires the scheduler-driven BuildBFS to match the per-round engine
+// (WithFastPath(false)) exactly: Stats, every node's exit round, and every
+// node's Tree.
+func FuzzBuildBFS(f *testing.F) {
+	f.Add([]byte{0, 10, 1, 0})
+	f.Add([]byte{1, 22, 5, 3})
+	f.Add([]byte{0, 0, 7, 0}) // n = 2
+	f.Add([]byte{1, 16, 200, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		n := 2 + int(data[1])%23
+		rng := rand.New(rand.NewSource(int64(data[2])))
+		g := graph.RandomTree(n, graph.UnitWeights, rng)
+		if data[0]%2 == 1 {
+			g = graph.GNP(n, 0.15, graph.UnitWeights, rng)
+		}
+		enter := int(data[3]) % 8
+		observe := func(opts ...congest.Option) (*congest.Stats, []int, []Tree) {
+			exit, trees := make([]int, n), make([]Tree, n)
+			stats, err := congest.Run(g, func(h *congest.Host) {
+				h.Idle(enter)
+				tr := BuildBFS(h)
+				exit[h.ID()] = h.Round()
+				trees[h.ID()] = Tree{Root: tr.Root, Depth: tr.Depth, Height: tr.Height, ParentPort: tr.ParentPort, ChildPorts: tr.ChildPorts}
+			}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats, exit, trees
+		}
+		wantStats, wantExit, wantTrees := observe(congest.WithFastPath(false))
+		stats, exit, trees := observe()
+		if !reflect.DeepEqual(stats, wantStats) {
+			t.Fatalf("stats %+v, reference %+v", *stats, *wantStats)
+		}
+		for v := range wantExit {
+			if exit[v] != wantExit[v] {
+				t.Fatalf("node %d exited at round %d, reference %d", v, exit[v], wantExit[v])
+			}
+			if !reflect.DeepEqual(trees[v], wantTrees[v]) {
+				t.Fatalf("node %d tree %+v, reference %+v", v, trees[v], wantTrees[v])
+			}
+		}
+	})
+}
+
 // FuzzCollect decodes its input into a small network — a random tree or a
 // GNP graph, n <= 24 — and random per-node items, and runs one collect
 // pipeline on it: UpcastBroadcast without a filter, with a count-cap
-// filter, or with the filter plus a stopAfter cut, or BroadcastList of
-// the root's items. The fast-path run must match the per-round engine
-// (WithFastPath(false)) exactly: Stats, every node's exit round, and every
-// node's received items.
+// filter, or with the filter plus a stopAfter cut, BroadcastList of the
+// root's items, or Max of each node's largest item. The fast-path run
+// must match the per-round engine (WithFastPath(false)) exactly: Stats,
+// every node's exit round, and every node's received items.
 func FuzzCollect(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 3, 7, 1, 200, 40})     // tree, no filter
 	f.Add([]byte{3, 22, 5, 4, 0, 0, 9, 2, 6})     // GNP, filter
 	f.Add([]byte{4, 16, 90, 2, 2, 2, 150, 60, 3}) // tree, filter + stop
 	f.Add([]byte{5, 23, 120, 12, 200, 31, 7})     // GNP, filter + stop
 	f.Add([]byte{7, 23, 9, 3, 255, 255, 0, 0, 3}) // GNP, broadcast
+	f.Add([]byte{8, 20, 33, 1, 90, 4, 250, 17})   // tree, max
+	f.Add([]byte{9, 23, 61, 0, 0, 5, 3, 200, 2})  // GNP, max
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -78,7 +130,7 @@ func FuzzCollect(f *testing.F) {
 		if data[0]%2 == 1 {
 			g = graph.GNP(n, 0.15, graph.UnitWeights, rng)
 		}
-		mode := (data[0] >> 1) % 4
+		mode := (data[0] >> 1) % 5
 		stopAt := int64(data[2])
 		sched := data[3:]
 		program := func(h *congest.Host, tr *Tree) []congest.Wire {
@@ -87,11 +139,18 @@ func FuzzCollect(f *testing.F) {
 			for i := range local {
 				local[i] = intItem(s.Intn(256))
 			}
-			if mode == 3 {
+			switch mode {
+			case 3:
 				if !tr.IsRoot() {
 					local = nil
 				}
 				return BroadcastList(h, tr, local)
+			case 4:
+				v := int64(-1)
+				for _, it := range local {
+					v = max(v, it.C)
+				}
+				return []congest.Wire{intItem(int(Max(h, tr, v)))}
 			}
 			var newFilter func() Filter
 			var stop func(congest.Wire) bool

@@ -1,7 +1,5 @@
 package graph
 
-import "container/heap"
-
 // Infinity is the sentinel distance for unreachable nodes.
 const Infinity = int64(1) << 62
 
@@ -82,25 +80,57 @@ type pqItem struct {
 	hops int
 }
 
+// less is the queue order (dist, hops, node). It is total, so the pop
+// sequence, and with it every SSSPResult, does not depend on the heap's
+// internal layout.
+func (a pqItem) less(b pqItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	if a.hops != b.hops {
+		return a.hops < b.hops
+	}
+	return a.node < b.node
+}
+
+// pq is a binary min-heap of pqItems, typed so that no item is boxed.
 type pq []pqItem
 
-func (p pq) Len() int { return len(p) }
-func (p pq) Less(i, j int) bool {
-	if p[i].dist != p[j].dist {
-		return p[i].dist < p[j].dist
+func (p *pq) push(it pqItem) {
+	h := append(*p, it)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].less(h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
 	}
-	if p[i].hops != p[j].hops {
-		return p[i].hops < p[j].hops
-	}
-	return p[i].node < p[j].node
+	*p = h
 }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
+
+func (p *pq) pop() pqItem {
+	h := *p
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*p = h
+	return top
 }
 
 // Dijkstra computes weighted shortest paths from src with (weight, hops,
@@ -121,8 +151,8 @@ func (g *Graph) Dijkstra(src int) *SSSPResult {
 	res.Hops[src] = 0
 	q := pq{{node: src}}
 	done := make([]bool, g.n)
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	for len(q) > 0 {
+		it := q.pop()
 		u := it.node
 		if done[u] {
 			continue
@@ -138,7 +168,7 @@ func (g *Graph) Dijkstra(src int) *SSSPResult {
 				res.Dist[v] = nd
 				res.Hops[v] = nh
 				res.Parent[v] = u
-				heap.Push(&q, pqItem{node: v, dist: nd, hops: nh})
+				q.push(pqItem{node: v, dist: nd, hops: nh})
 			}
 		}
 	}
@@ -213,8 +243,8 @@ func (g *Graph) minHopSSSP(src int) *SSSPResult {
 	res.Dist[src] = 0
 	res.Hops[src] = 0
 	q := pq{{node: src}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	for len(q) > 0 {
+		it := q.pop()
 		u := it.node
 		if it.dist > res.Dist[u] || (it.dist == res.Dist[u] && it.hops > res.Hops[u]) {
 			continue
@@ -226,7 +256,7 @@ func (g *Graph) minHopSSSP(src int) *SSSPResult {
 				res.Dist[v] = nd
 				res.Hops[v] = nh
 				res.Parent[v] = u
-				heap.Push(&q, pqItem{node: v, dist: nd, hops: nh})
+				q.push(pqItem{node: v, dist: nd, hops: nh})
 			}
 		}
 	}

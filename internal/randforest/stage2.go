@@ -17,7 +17,8 @@ import (
 // The paper solves the reduced instance with the spanner-based algorithm of
 // [17], which has no public implementation. We substitute a
 // Voronoi/Mehlhorn-style metric sketch with the same O~(√n + k + D) round
-// shape (documented in DESIGN.md): the graph is partitioned into Voronoi
+// shape (see the README's "Scope notes" under The Spec / registry
+// pipeline): the graph is partitioned into Voronoi
 // cells around the surviving super-terminals, the lightest boundary edges
 // forming a spanning forest of the cell graph are collected with a
 // Kruskal-filtered upcast and broadcast (≤ √n items), every node then runs

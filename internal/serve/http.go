@@ -12,7 +12,6 @@ import (
 	"time"
 
 	steinerforest "steinerforest"
-	"steinerforest/internal/congest"
 	"steinerforest/internal/workload"
 )
 
@@ -334,7 +333,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 		switch {
 		case res != nil:
 			s.metrics.incHit()
-			s.metrics.recordDone(time.Since(start), false)
+			s.metrics.recordDone(time.Since(start), succeeded)
 			s.writeSolveResult(w, req.Instance, res, true, start)
 			return
 		case !leader:
@@ -404,8 +403,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 // knobs, where they would be solver bugs — is a 500.
 func (s *Server) writeSolveError(w http.ResponseWriter, spec steinerforest.Spec, err error) {
 	switch {
-	case spec.Bandwidth != 0 && errors.Is(err, congest.ErrBandwidth),
-		spec.MaxRounds != 0 && errors.Is(err, congest.ErrRoundLimit):
+	case clientBudgetErr(spec, err):
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 	case errors.Is(err, errQuarantined):
 		writeError(w, http.StatusServiceUnavailable, codeQuarantined, "%v", err)
@@ -531,10 +529,10 @@ func (s *Server) waitFlight(w http.ResponseWriter, ctx context.Context, instance
 	}
 	switch fl.outcome {
 	case flightSolved:
-		s.metrics.recordDone(time.Since(start), false)
+		s.metrics.recordDone(time.Since(start), succeeded)
 		s.writeSolveResult(w, instance, fl.res, false, start)
 	case flightError, flightCancelled:
-		s.metrics.recordDone(time.Since(start), true)
+		s.metrics.recordDone(time.Since(start), failureOf(spec, fl.err))
 		s.writeSolveError(w, spec, fl.err)
 	case flightRejected:
 		s.metrics.incRejected()

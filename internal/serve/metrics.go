@@ -17,7 +17,18 @@ type Stats struct {
 	Rejected  uint64 `json:"rejected"`  // 429: queue full
 	Drained   uint64 `json:"drained"`   // 503: draining at admission time
 	Completed uint64 `json:"completed"` // solved and answered
-	Errors    uint64 `json:"errors"`    // failed in the solver
+
+	// Solve requests that ended in an error after admission (or after
+	// collapsing onto an admitted one), split by cause so that an alarm
+	// on solver faults does not fire on client mistakes or load shedding. Errors counts solver faults: recovered panics and any
+	// other error the run itself produced (500). ClientErrors counts runs
+	// that outgrew a bandwidth or round budget the request itself set
+	// (400). Shed counts requests dropped for a service reason: refused
+	// on a quarantined instance, evicted from the queue, cancelled, or
+	// past their deadline (503/504).
+	Errors       uint64 `json:"errors"`
+	ClientErrors uint64 `json:"client_errors"`
+	Shed         uint64 `json:"shed"`
 
 	// Result cache: hits answer without touching the queue, misses start
 	// a solver run, collapsed requests attached to an identical in-flight
@@ -80,14 +91,16 @@ type Stats struct {
 // exact under benchmark-scale load and still sane under long-lived
 // service load).
 type metrics struct {
-	accepted    atomic.Uint64
-	rejected    atomic.Uint64
-	drained     atomic.Uint64
-	completed   atomic.Uint64
-	errors      atomic.Uint64
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	collapsed   atomic.Uint64
+	accepted     atomic.Uint64
+	rejected     atomic.Uint64
+	drained      atomic.Uint64
+	completed    atomic.Uint64
+	errors       atomic.Uint64
+	clientErrors atomic.Uint64
+	shed         atomic.Uint64
+	cacheHits    atomic.Uint64
+	cacheMisses  atomic.Uint64
+	collapsed    atomic.Uint64
 
 	cancelled        atomic.Uint64
 	deadlineExceeded atomic.Uint64
@@ -120,6 +133,8 @@ func (m *metrics) reset() {
 	m.drained.Store(0)
 	m.completed.Store(0)
 	m.errors.Store(0)
+	m.clientErrors.Store(0)
+	m.shed.Store(0)
 	m.cacheHits.Store(0)
 	m.cacheMisses.Store(0)
 	m.collapsed.Store(0)
@@ -165,12 +180,20 @@ func (m *metrics) incDemandUpdate(events int) {
 	m.demandEvents.Add(uint64(events))
 }
 
-// recordDone records one finished request: its latency when it succeeded,
-// an error count otherwise. Cache hits and collapsed followers report
-// through here too, so Completed matches the client-observed OK count.
-func (m *metrics) recordDone(latency time.Duration, failed bool) {
-	if failed {
+// recordDone records one finished request: its latency when it succeeded
+// (f == succeeded), the error counter of its cause otherwise. Cache hits
+// and collapsed followers report through here too, so Completed matches
+// the client-observed OK count.
+func (m *metrics) recordDone(latency time.Duration, f failure) {
+	switch f {
+	case failSolver:
 		m.errors.Add(1)
+		return
+	case failClient:
+		m.clientErrors.Add(1)
+		return
+	case failShed:
+		m.shed.Add(1)
 		return
 	}
 	m.completed.Add(1)
@@ -216,7 +239,7 @@ func (m *metrics) snapshot(queueDepth, inFlight int) Stats {
 	completed := m.completed.Load()
 	s := Stats{
 		Accepted: m.accepted.Load(), Rejected: m.rejected.Load(), Drained: m.drained.Load(),
-		Completed: completed, Errors: m.errors.Load(),
+		Completed: completed, Errors: m.errors.Load(), ClientErrors: m.clientErrors.Load(), Shed: m.shed.Load(),
 		CacheHits: m.cacheHits.Load(), CacheMisses: m.cacheMisses.Load(), Collapsed: m.collapsed.Load(),
 		Cancelled: m.cancelled.Load(), DeadlineExceeded: m.deadlineExceeded.Load(),
 		Evicted: m.evicted.Load(), SolverPanics: m.solverPanics.Load(),

@@ -15,6 +15,7 @@ import (
 
 	steinerforest "steinerforest"
 	"steinerforest/internal/chaos"
+	"steinerforest/internal/congest"
 )
 
 // postSolveCtx posts one solve under ctx, optionally with a millisecond
@@ -471,4 +472,111 @@ func TestShutdownTimeoutForceAborts(t *testing.T) {
 		t.Fatalf("ShutdownWithTimeout took %v against a 30s stall; the force-abort did not fire", elapsed)
 	}
 	<-done
+}
+
+// TestStatszErrorsByCause pins the split of failed requests in statsz:
+// errors counts solver faults only (an error from the run, a recovered
+// panic), client_errors the runs that outgrew a budget the request set,
+// and shed the requests dropped for a service reason (cancelled, evicted
+// from the queue, refused on an instance quarantined while they waited).
+func TestStatszErrorsByCause(t *testing.T) {
+	wantCounts := func(t *testing.T, srv *Server, errs, client, shed uint64) {
+		t.Helper()
+		if st := srv.Statsz(); st.Errors != errs || st.ClientErrors != client || st.Shed != shed {
+			t.Errorf("statsz errors=%d client_errors=%d shed=%d, want %d, %d and %d",
+				st.Errors, st.ClientErrors, st.Shed, errs, client, shed)
+		}
+	}
+	wantStatus := func(t *testing.T, status int, env *ErrorEnvelope, wantStatus int, wantCode string) {
+		t.Helper()
+		if status != wantStatus || env == nil || env.Error.Code != wantCode {
+			t.Fatalf("status %d envelope %+v, want %d %s", status, env, wantStatus, wantCode)
+		}
+	}
+	req := SolveRequest{Instance: "path", NoCert: true}
+
+	t.Run("solver", func(t *testing.T) {
+		inj := chaos.New(chaos.Config{PanicEvery: 2})
+		srv, ts := newTestServer(t, Config{DisableCache: true, Chaos: inj})
+		srv.solveFn = func(context.Context, *steinerforest.Instance, steinerforest.Spec) (*steinerforest.Result, error) {
+			return nil, fmt.Errorf("solver fault")
+		}
+		for i := 0; i < 2; i++ { // one injected panic, one solver error
+			status, _, env := postSolveCtx(t, nil, ts.URL, req, 0)
+			wantStatus(t, status, env, http.StatusInternalServerError, codeInternal)
+		}
+		wantCounts(t, srv, 2, 0, 0)
+	})
+
+	t.Run("client", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{DisableCache: true})
+		for _, r := range []SolveRequest{
+			{Instance: "path", Bandwidth: 8, NoCert: true},
+			{Instance: "path", MaxRounds: 1, NoCert: true},
+		} {
+			status, _, env := postSolveCtx(t, nil, ts.URL, r, 0)
+			wantStatus(t, status, env, http.StatusBadRequest, codeBadRequest)
+		}
+		wantCounts(t, srv, 0, 2, 0)
+	})
+
+	t.Run("shed", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{QueueDepth: 8, Workers: 1, DisableCache: true, QuarantineAfter: 1})
+
+		// Cancelled in the engine.
+		srv.solveFn = func(context.Context, *steinerforest.Instance, steinerforest.Spec) (*steinerforest.Result, error) {
+			return nil, fmt.Errorf("steinerforest: %w", congest.ErrCancelled)
+		}
+		status, _, env := postSolveCtx(t, nil, ts.URL, req, 0)
+		wantStatus(t, status, env, http.StatusServiceUnavailable, codeCancelled)
+
+		// Evicted: past its deadline while the only worker is held.
+		started, release := blockSolves(t, srv)
+		held := make(chan struct{})
+		go func() {
+			defer close(held)
+			postSolveCtx(t, nil, ts.URL, req, 0)
+		}()
+		<-started
+		status, _, env = postSolveCtx(t, nil, ts.URL, req, 10)
+		wantStatus(t, status, env, http.StatusGatewayTimeout, codeDeadline)
+		release()
+		<-held
+		for deadline := time.Now().Add(5 * time.Second); srv.Statsz().Evicted < 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the expired request was never evicted")
+			}
+		}
+
+		// Quarantined while queued: the held solve panics, quarantining
+		// the instance, and the job admitted behind it is refused.
+		gate := make(chan struct{})
+		srv.solveFn = func(context.Context, *steinerforest.Instance, steinerforest.Spec) (*steinerforest.Result, error) {
+			started <- struct{}{}
+			<-gate
+			panic("poisoned")
+		}
+		accepted := srv.Statsz().Accepted
+		statuses := make(chan int, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				status, _, _ := postSolveCtx(t, nil, ts.URL, req, 0)
+				statuses <- status
+			}()
+			if i == 0 {
+				<-started
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); srv.Statsz().Accepted < accepted+2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the second request was never admitted")
+			}
+		}
+		close(gate)
+		got := []int{<-statuses, <-statuses}
+		if got[0]+got[1] != http.StatusInternalServerError+http.StatusServiceUnavailable {
+			t.Fatalf("statuses %v, want one 500 and one 503", got)
+		}
+		wantCounts(t, srv, 1, 0, 3)
+	})
 }

@@ -16,6 +16,10 @@ import (
 // after repeated solver panics (mapped to 503 quarantined).
 var errQuarantined = errors.New("serve: instance quarantined after repeated solver panics")
 
+// errEvicted marks a job dropped from the queue because its context had
+// already fired; it wraps the context's cause.
+var errEvicted = errors.New("serve: evicted from queue")
+
 // errSolverPanic marks a solve whose run panicked: the panic is
 // recovered in runSolve, the request answers 500 with the panic value,
 // and the stack goes to the server log only.
@@ -28,6 +32,38 @@ func errIsCancel(err error) bool {
 	return err != nil && (errors.Is(err, congest.ErrCancelled) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded))
+}
+
+// failure is the statsz cause of a finished request's error.
+type failure uint8
+
+const (
+	succeeded  failure = iota
+	failSolver         // a solver fault: errors
+	failClient         // the request's own budget was too small: client_errors
+	failShed           // quarantined, evicted, cancelled or past its deadline: shed
+)
+
+// failureOf classifies a solve's outcome, under the spec it ran with, by
+// the cause statsz counts it under.
+func failureOf(spec steinerforest.Spec, err error) failure {
+	switch {
+	case err == nil:
+		return succeeded
+	case clientBudgetErr(spec, err):
+		return failClient
+	case errors.Is(err, errQuarantined), errors.Is(err, errEvicted), errIsCancel(err):
+		return failShed
+	}
+	return failSolver
+}
+
+// clientBudgetErr reports whether err is a run outgrowing a bandwidth or
+// round budget the request itself set — the client's mistake. Under the
+// default budgets the same errors would be solver bugs.
+func clientBudgetErr(spec steinerforest.Spec, err error) bool {
+	return spec.Bandwidth != 0 && errors.Is(err, congest.ErrBandwidth) ||
+		spec.MaxRounds != 0 && errors.Is(err, congest.ErrRoundLimit)
 }
 
 // solveResult is one solve job's outcome: exactly one of res and err is
@@ -125,7 +161,7 @@ func (s *Server) solve(j *job) {
 	}
 	if !s.cfg.DisableCancellation && j.ctx.Err() != nil {
 		s.metrics.incEvicted()
-		s.finish(j, solveResult{err: fmt.Errorf("serve: evicted from queue: %w", context.Cause(j.ctx))})
+		s.finish(j, solveResult{err: fmt.Errorf("%w: %w", errEvicted, context.Cause(j.ctx))})
 		return
 	}
 	ctx := j.ctx
@@ -159,7 +195,7 @@ func (s *Server) runSolve(ctx context.Context, j *job) (res *steinerforest.Resul
 	if hooks := s.cfg.Chaos.Hooks(); hooks != nil {
 		spec.Hooks = hooks
 	}
-	act := s.cfg.Chaos.Slot(name)
+	act := s.cfg.Chaos.Solve(name)
 	if act.Stall > 0 {
 		stallCtx(ctx, act.Stall)
 	}
@@ -202,7 +238,7 @@ func stallCtx(ctx context.Context, d time.Duration) {
 }
 
 func (s *Server) finish(j *job, r solveResult) {
-	s.metrics.recordDone(time.Since(j.admitted), r.err != nil)
+	s.metrics.recordDone(time.Since(j.admitted), failureOf(j.spec, r.err))
 	if j.flight != nil {
 		outcome := flightSolved
 		switch {

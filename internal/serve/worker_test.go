@@ -22,7 +22,7 @@ func TestStalledSolveDoesNotDelayOtherInstance(t *testing.T) {
 	// Stall every second solve decision, phased so the first one (the
 	// solve on "path") stalls and the second (on "other") does not.
 	cfg := chaos.Config{StallEvery: 2, Stall: time.Minute}
-	for cfg.Seed = 1; chaos.New(cfg).Slot("").Stall == 0; cfg.Seed++ {
+	for cfg.Seed = 1; chaos.New(cfg).Solve("").Stall == 0; cfg.Seed++ {
 	}
 	inj := chaos.New(cfg)
 	srv, ts := newTestServer(t, Config{Workers: 2, DisableCache: true, Chaos: inj})
