@@ -5,9 +5,9 @@
 #   make build vet test   - compile, vet, full test suite
 #   make fmt              - fail on any file gofmt would rewrite
 #   make race             - test suite under the race detector
-#   make fuzz-smoke       - ~35s fresh-input fuzz of six targets: instance
+#   make fuzz-smoke       - ~40s fresh-input fuzz of seven targets: instance
 #                           parser, wire codec, graph freeze, RunQuiet,
-#                           BuildBFS, collect
+#                           BuildBFS, collect, the driven det/rounded solves
 #   make bench-gate       - bench smoke + committed-snapshot drift gate
 #   make smoke            - end-to-end CLI smoke (local ci only)
 #   make serve-smoke      - dsfserve self-test: closed-loop trace over HTTP
@@ -56,9 +56,10 @@ race:
 
 # Short fuzz smoke: the instance parser and the wire item codec must
 # survive fresh fuzz input on every CI run, not just the checked-in
-# corpus and seeds, and the scheduler-driven RunQuiet, BuildBFS and the
-# collect pipelines must match the per-round engine on fresh networks,
-# activity schedules and item sets.
+# corpus and seeds, and the scheduler-driven RunQuiet, BuildBFS, the
+# collect pipelines and the coroutine-free det and rounded solves must
+# match the per-round engine on fresh networks, activity schedules, item
+# sets and instances.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadInstance -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzCandWire -fuzztime 5s ./internal/detforest
@@ -66,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRunQuiet -fuzztime 5s ./internal/dist
 	$(GO) test -run xxx -fuzz FuzzBuildBFS -fuzztime 5s ./internal/dist
 	$(GO) test -run xxx -fuzz FuzzCollect -fuzztime 5s ./internal/dist
+	$(GO) test -run xxx -fuzz FuzzDetDriven -fuzztime 5s ./internal/detforest
 
 # Benchmark suite: experiment tables at reduced scale plus the engine
 # allocation profile (BenchmarkEngineFlood reports allocs/op).

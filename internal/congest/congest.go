@@ -12,17 +12,18 @@
 // program returns).
 //
 // Execution is continuation-based, not goroutine-based: each node program
-// runs inside a runtime coroutine (iter.Pull) and every blocking call —
-// Exchange, Idle, Sleep, SleepUntil, the relay orders — yields an
-// explicit continuation state back to the scheduler: the submission,
-// carrying what the node sent plus its resume condition (round reply, wake
-// deadline, wake-on-mail, relay order). The scheduler drives all runnable
-// nodes for a round in-place by switching directly into their suspended
-// stacks, so a coroutine-hosted active node-round costs two coroutine
-// switches and no channel operations, no runtime-scheduler wakeups, and no
-// futex traffic. All node programs of one run execute on the goroutine
-// that called Run, one at a time: each round the scheduler validates and
-// delivers every send, then resumes the recipients, in a single pass.
+// of a Run executes inside a runtime coroutine (iter.Pull), and every
+// blocking call — Exchange, Idle, Sleep, SleepUntil, the relay orders —
+// yields an explicit continuation state back to the scheduler: the
+// submission, carrying what the node sent plus its resume condition (round
+// reply, wake deadline, wake-on-mail, relay order). The scheduler drives
+// all runnable nodes for a round in-place by switching directly into their
+// suspended stacks, so a coroutine-hosted active node-round costs two
+// coroutine switches and no channel operations, no runtime-scheduler
+// wakeups, and no futex traffic. All node programs of one run execute on
+// the goroutine that called Run, one at a time: each round the scheduler
+// validates and delivers every send, then resumes the recipients, in a
+// single pass.
 //
 // A program can go further and hand a stretch of itself to the scheduler
 // as data: Host.Drive(first, d) runs a Driver, whose Next returns the
@@ -34,6 +35,13 @@
 // loop under Bellman-Ford, the collect pipelines) runs this way. Drive is
 // defined as the blocking loop over those requests, which is also how it
 // runs with the fast paths off.
+//
+// A program that is a Driver from its first request to its end runs with
+// RunDriven instead, and then takes no coroutine at all: the scheduler
+// starts each node itself, calls Next for every request, and finishes the
+// node when Next reports done — no coroutine switch, and no program stack
+// kept per node for the garbage collector to scan. The deterministic
+// solvers run this way.
 //
 // The round scheduler is event-driven and allocation-free on its hot path.
 // Nodes that have nothing to say park instead of spinning: Host.Idle(k)
@@ -500,8 +508,9 @@ func (h *Host) park(wakeAt int, wakeOnMsg bool) []Recv {
 
 type abortSentinel struct{}
 
-// errBlockingInNext is the panic of a Driver whose Next calls a blocking
-// Host method instead of returning it as a Request.
+// errBlockingInNext is the panic of a Driver whose Next (or a RunDriven
+// start) calls a blocking Host method instead of returning it as a
+// Request.
 const errBlockingInNext = "congest: blocking Host call inside Driver.Next"
 
 const (
@@ -684,6 +693,30 @@ type engine struct {
 // It returns an error if a program panics, violates the model (bandwidth,
 // duplicate port sends, bad port), or the round cap is reached.
 func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
+	return run(g, program, nil, opts)
+}
+
+// RunDriven executes a node program written wholly as a Driver: start
+// returns each node's first request and the driver that continues from
+// it, and the node terminates when the driver reports done. It is defined
+// as
+//
+//	Run(g, func(h *Host) { first, d := start(h); h.Drive(first, d) }, opts...)
+//
+// which is also how it runs with the fast paths off. With them on, no
+// node gets a coroutine at all: the scheduler calls start itself, submits
+// the first request as Drive would, and finishes the node when Next
+// reports done, so the run takes no coroutine switch and leaves no
+// program stack for the garbage collector to scan. start and Next must not
+// call the Host's blocking methods (including Drive); a panic in either
+// fails the run as a panic in a program does.
+func RunDriven(g *graph.Graph, start func(*Host) (Request, Driver), opts ...Option) (*Stats, error) {
+	return run(g, func(h *Host) { h.Drive(start(h)) }, start, opts)
+}
+
+// run is Run, and RunDriven when start is set: on the fast path each node
+// is then started by startDriven instead of by program in a coroutine.
+func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), opts []Option) (*Stats, error) {
 	o := options{
 		maxRounds: 2_000_000,
 		seed:      1,
@@ -709,6 +742,9 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	}
 	if n == 0 {
 		return stats, nil
+	}
+	if o.noFastPath {
+		start = nil // the reference path: program's Drive loop in a coroutine
 	}
 	e := &engine{
 		n:        n,
@@ -775,6 +811,11 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 			rngSeed: o.seed + int64(v)*0x9E3779B9,
 			fast:    !o.noFastPath,
 		}
+		if start != nil {
+			h.yield = noCoroutine
+			e.next[v], e.stopFn[v] = nil, nil
+			continue
+		}
 		e.next[v], e.stopFn[v] = iter.Pull(nodeSeq(h, program))
 	}
 	if pool != nil {
@@ -787,10 +828,14 @@ func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
 	}
 
 	// Start every program, running each up to its first submission. From
-	// here on the nodes are suspended continuations that the round loop
-	// resumes in-place.
+	// here on the nodes are suspended continuations (or drivers) that the
+	// round loop resumes in-place.
 	for v := 0; v < n; v++ {
-		e.resume(v, 0, nil)
+		if start != nil {
+			e.startDriven(v, start)
+		} else {
+			e.resume(v, 0, nil)
+		}
 	}
 
 	resumes := 0 // one submission per node resume; published on success
@@ -1217,6 +1262,11 @@ func (e *engine) resume(v, wokeRound int, in []Recv) {
 			return
 		}
 	}
+	if e.next[v] == nil {
+		// A RunDriven node: its driver was its whole program.
+		e.pending = append(e.pending, submission{node: v, kind: subDone})
+		return
+	}
 	h.wokeRound = wokeRound
 	h.resumeIn = in
 	e.switches++
@@ -1224,6 +1274,31 @@ func (e *engine) resume(v, wokeRound int, in []Recv) {
 		e.pending = append(e.pending, sub)
 	}
 }
+
+// startDriven starts RunDriven node v on the engine's own stack: it calls
+// start and records the submission of the driver's first request, as
+// Drive would yield it, or the node's subDone when the driver finishes
+// without taking a round. A panic in start or Next becomes the node's
+// subErr.
+func (e *engine) startDriven(v int, start func(*Host) (Request, Driver)) {
+	h := &e.hosts[v]
+	sub := submission{node: v, kind: subDone}
+	defer func() {
+		if r := recover(); r != nil {
+			h.drv = nil
+			sub = panicked(v, r)
+		}
+		e.pending = append(e.pending, sub)
+	}()
+	if s, ok := h.begin(start(h)); ok {
+		sub = s
+	}
+}
+
+// noCoroutine is the yield of a RunDriven node on the fast path, which has
+// no coroutine to suspend: a blocking call from its start fails the node
+// as one from Driver.Next does.
+func noCoroutine(submission) bool { panic(errBlockingInNext) }
 
 // release finishes a completed node's coroutine: the pending terminal
 // yield returns false and the sequence function exits.

@@ -82,20 +82,32 @@ func (h *Host) Drive(first Request, d Driver) {
 	if h.drv != nil {
 		panic(errBlockingInNext)
 	}
-	// Requests that take no rounds complete here, on the program's
-	// stack; the first one that parks or exchanges goes to the scheduler.
-	sub, ok := h.submissionOf(first)
-	for !ok {
-		req, more := d.Next(nil)
-		if !more {
-			return
-		}
-		sub, ok = h.submissionOf(req)
+	sub, ok := h.begin(first, d)
+	if !ok {
+		return
 	}
-	h.drv = d
-	h.drvExch = sub.kind == subExchange
 	if !h.yield(sub) {
 		panic(abortSentinel{})
+	}
+}
+
+// begin installs d as the node's driver and translates req into the
+// submission its blocking call would yield. Requests that take no round
+// complete here, on the caller's stack, with d.Next(nil) asked for the
+// next; ok is false when d reports done before any request takes a round,
+// which uninstalls it.
+func (h *Host) begin(req Request, d Driver) (sub submission, ok bool) {
+	h.drv = d
+	for {
+		if sub, ok = h.submissionOf(req); ok {
+			h.drvExch = sub.kind == subExchange
+			return sub, true
+		}
+		more := false
+		if req, more = d.Next(nil); !more {
+			h.drv = nil
+			return submission{}, false
+		}
 	}
 }
 
@@ -149,13 +161,14 @@ func (h *Host) submissionOf(r Request) (sub submission, ok bool) {
 // driveNext completes a driven node's pending request with in — syncing the
 // round counter as the blocking call would have — and asks the driver for
 // the next one. more is false once the driver is done; the caller then
-// switches back into the program, whose Drive returns. A panic in Next
-// becomes the node's subErr, worded as runProtected words a program's.
+// switches back into the program, whose Drive returns, or finishes a
+// RunDriven node. A panic in Next becomes the node's subErr, worded as
+// runProtected words a program's.
 func (h *Host) driveNext(wokeRound int, in []Recv) (sub submission, more bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			h.drv = nil
-			sub, more = submission{node: h.id, kind: subErr, err: fmt.Errorf("congest: node %d panicked: %v", h.id, r)}, true
+			sub, more = panicked(h.id, r), true
 		}
 	}()
 	if h.drvExch {
@@ -163,16 +176,16 @@ func (h *Host) driveNext(wokeRound int, in []Recv) (sub submission, more bool) {
 	} else {
 		h.round = wokeRound
 	}
-	for {
-		req, more := h.drv.Next(in)
-		if !more {
-			h.drv = nil
-			return submission{}, false
-		}
-		if sub, ok := h.submissionOf(req); ok {
-			h.drvExch = sub.kind == subExchange
-			return sub, true
-		}
-		in = nil
+	req, more := h.drv.Next(in)
+	if !more {
+		h.drv = nil
+		return submission{}, false
 	}
+	return h.begin(req, h.drv)
+}
+
+// panicked is the subErr of node v whose program, start or Next panicked
+// with r.
+func panicked(v int, r any) submission {
+	return submission{node: v, kind: subErr, err: fmt.Errorf("congest: node %d panicked: %v", v, r)}
 }

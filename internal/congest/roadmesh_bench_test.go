@@ -15,11 +15,12 @@ import (
 // time only — the A/B handle for scheduler changes such as RunQuiet's
 // parking and driving. Besides rounds it reports the scheduler's work per
 // solve: submissions (one per blocking call) and the coroutine switches
-// they took (submissions a Driver produced take none). With every dist
-// primitive driven, a solve switches once per node per primitive call
-// and per solver-side blocking call: 8,192 / 37,888 / 86,016 switches
-// for det / rand / rounded against 43,820 / 257,219 / 497,218
-// submissions.
+// they took (submissions a Driver produced take none). det and rounded
+// are one congest.RunDriven driver each, so they take no switch at all;
+// rand, a blocking program over the driven dist primitives, switches
+// once per node per primitive call and per solver-side blocking call:
+// 0 / 37,888 / 0 switches for det / rand / rounded against 43,820 /
+// 257,219 / 497,218 submissions.
 func BenchmarkSolveRoadmesh(b *testing.B) {
 	gen, err := workload.Generate("roadmesh", workload.Params{N: 1024, K: 4, Seed: 1})
 	if err != nil {

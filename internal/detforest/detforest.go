@@ -21,6 +21,19 @@
 //     and mark its physical edges by walking tokens up the region trees
 //     (Step 5 of the algorithm in Appendix E.1).
 //
+// The node program is one congest.Driver run by congest.RunDriven, so no
+// node has a coroutine: its stages are
+//
+//	bfs → terms → { cov exchange → BF → view exchange → collect } → mark
+//
+// with the braced stages once per merge phase. The BFS, the two
+// collections, Bellman-Ford and the marking walk are the dist primitives'
+// start forms, driven to completion in turn; the two exchanges are single
+// rounds. The rounded variant is the same driver with a growth cap per
+// phase (the stream also stops at the first candidate beyond it) and its
+// threshold bookkeeping at each phase's end; it starts from the
+// minimalized labels, the exact one from the raw ones.
+//
 // Every protocol message of the hot phases — terminal announcements,
 // candidate merges, coverage and region-view exchanges, marking tokens —
 // travels as an inline congest.Wire value, so a merge phase performs no
@@ -33,6 +46,7 @@
 package detforest
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -55,35 +69,43 @@ type Result struct {
 // Solve runs the Section 4.1 deterministic algorithm on ins and returns the
 // selected 2-approximate forest with simulation statistics.
 func Solve(ins *steiner.Instance, opts ...congest.Option) (*Result, error) {
-	return solve(ins, opts)
-}
-
-func solve(ins *steiner.Instance, opts []congest.Option) (*Result, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
+	return solve(ins, [2]int64{}, opts)
+}
+
+// solve runs the node program on ins — the rounded variant when eps is
+// set — and verifies the marked forest against the minimalized instance.
+func solve(ins *steiner.Instance, eps [2]int64, opts []congest.Option) (*Result, error) {
 	work := ins.Minimalize()
-	out := &sharedOutput{selected: steiner.NewSolution(ins.G)}
-	var phases, merges int
-	var once sync.Once
-	program := func(h *congest.Host) {
-		// Nodes see the raw labels; singleton components are discovered
-		// and dropped distributedly (Lemma 2.4) during the announcement.
-		ns := newNodeState(h, ins.Label[h.ID()])
-		ns.run(out)
-		once.Do(func() {
-			phases = ns.phase
-			merges = len(ns.allMerges)
-		})
+	// Section 4.1's nodes see the raw labels; singleton components are
+	// discovered and dropped distributedly (Lemma 2.4) during the
+	// announcement. The rounded variant starts from the minimalized ones.
+	labels := ins.Label
+	if eps[1] != 0 {
+		labels = work.Label
 	}
-	stats, err := congest.Run(ins.G, program, opts...)
+	out := &sharedOutput{selected: steiner.NewSolution(ins.G)}
+	var node0 *nodeState // every node replays the same phases and merges
+	stats, err := congest.RunDriven(ins.G, func(h *congest.Host) (congest.Request, congest.Driver) {
+		ns := newNodeState(h, out, labels[h.ID()], eps)
+		if h.ID() == 0 {
+			node0 = ns
+		}
+		return ns.start()
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
 	if err := steiner.Verify(work, out.selected); err != nil {
 		return nil, fmt.Errorf("detforest: produced infeasible output: %w", err)
 	}
-	return &Result{Solution: out.selected, Stats: stats, Phases: phases, Merges: merges}, nil
+	res := &Result{Solution: out.selected, Stats: stats}
+	if node0 != nil {
+		res.Phases, res.Merges = node0.phase, len(node0.allMerges)
+	}
+	return res, nil
 }
 
 // sharedOutput gathers each node's incident selected edges; it is the
@@ -208,22 +230,45 @@ func termCmp(a, b congest.Wire) int {
 	return 0
 }
 
+// nodeState is one node's program: the driver whose stages the package
+// doc lists. A stage that is a dist primitive runs as sub until it is
+// done; Next then moves on to the next stage.
 type nodeState struct {
 	h     *congest.Host
-	t     *dist.Tree
+	out   *sharedOutput
+	tree  dist.Tree
 	label int
 
-	terms []termInfo
-	tIdx  map[int]int // node id -> terminal index
+	terms []termInfo // sorted by node id
 	book  *moat.Book
 
 	owner      int // owning terminal index, -1 if unclaimed
 	parentPort int // port toward the region root, -1 at roots/unclaimed
 	cov        []rational.Q
 
-	eps       [2]int64 // ε as a fraction (rounded variant only)
+	// The rounded variant (Section 4.2, eps = ε as a fraction; zero for
+	// Section 4.1): the cumulative moat growth Σµ, the threshold µ̂, and
+	// the current phase's growth cap µ̂ - Σµ.
+	eps       [2]int64
+	total     rational.Q
+	threshold int64
+	cap       rational.Q
+
 	phase     int
 	allMerges []candItem
+
+	stage uint8
+	sub   congest.Driver // the running dist primitive, nil between them
+
+	// The current phase's proposal view: claimed nodes keep their owner
+	// with dhat 0; unclaimed nodes tentatively adopt the decomposition's
+	// winner. ender replays the collected stream to find the phase-ending
+	// merge.
+	myOwner    int
+	myActive   bool
+	myDhat     rational.Q
+	tentParent int
+	ender      *moat.Book
 
 	// Per-phase scratch, allocated at the first phase and reused: the merge
 	// loop runs O(t) phases and every buffer here is degree-sized, so the
@@ -234,6 +279,133 @@ type nodeState struct {
 	view    []congest.Send
 	nbr     []nbrView
 	cands   []congest.Wire
+
+	walk tokenWalk
+
+	// Method values bound once, handed to the primitives every phase.
+	weightFn func(port int) rational.Q
+	filterFn func() dist.Filter
+	stopFn   func(congest.Wire) bool
+}
+
+// nodeState stages: the step the node's current request belongs to.
+const (
+	stageBFS     = uint8(iota) // building the BFS tree
+	stageTerms                 // collecting the terminal announcements
+	stageCov                   // the coverage exchange round
+	stageBF                    // Bellman-Ford under the reduced weights
+	stageView                  // the region-view exchange round
+	stageCollect               // the filtered candidate collection
+	stageMark                  // the token walk marking the forest
+)
+
+func newNodeState(h *congest.Host, out *sharedOutput, label int, eps [2]int64) *nodeState {
+	ns := &nodeState{
+		h:         h,
+		out:       out,
+		label:     label,
+		owner:     -1,
+		cov:       make([]rational.Q, h.Degree()),
+		eps:       eps,
+		threshold: 1,
+	}
+	ns.weightFn = ns.reducedWeight
+	ns.filterFn = ns.newFilter
+	ns.stopFn = ns.stopAfter
+	return ns
+}
+
+func (ns *nodeState) rounded() bool { return ns.eps[1] != 0 }
+
+// start returns the node's first request, the BFS build's.
+func (ns *nodeState) start() (congest.Request, congest.Driver) {
+	first, bfs := dist.StartBFS(ns.h, &ns.tree)
+	ns.stage, ns.sub = stageBFS, bfs
+	return first, ns
+}
+
+// drive makes d the running primitive, starting with first.
+func (ns *nodeState) drive(first congest.Request, d congest.Driver) (congest.Request, bool) {
+	ns.sub = d
+	return first, true
+}
+
+// Next completes the request the node was waiting on — forwarding it to
+// the running primitive while there is one — and returns the next one.
+func (ns *nodeState) Next(in []congest.Recv) (congest.Request, bool) {
+	if ns.sub != nil {
+		if req, more := ns.sub.Next(in); more {
+			return req, true
+		}
+		ns.sub = nil
+	}
+	switch ns.stage {
+	case stageBFS:
+		return ns.announce()
+	case stageTerms:
+		ns.installTerms(ns.tree.Collected())
+		if len(ns.terms) == 0 {
+			return congest.Request{}, false
+		}
+		return ns.nextPhase()
+	case stageCov:
+		return ns.decompose(in)
+	case stageBF:
+		return ns.exchangeView()
+	case stageView:
+		return ns.collect(in)
+	case stageCollect:
+		ns.endPhase()
+		return ns.nextPhase()
+	}
+	return congest.Request{}, false // stageMark: the forest is marked
+}
+
+// announce starts Step 1: make all terminals and labels globally known.
+func (ns *nodeState) announce() (congest.Request, bool) {
+	var local []congest.Wire
+	if ns.label != steiner.NoLabel {
+		local = append(local, congest.Wire{Kind: wireTerm, A: uint32(ns.h.ID()), B: uint32(ns.label)})
+	}
+	ns.stage = stageTerms
+	return ns.drive(dist.StartUpcastBroadcast(ns.h, &ns.tree, local, termCmp, nil, nil))
+}
+
+// installTerms builds the terminal table and moat bookkeeping from the
+// globally broadcast terminal announcements, discarding singleton input
+// components (the distributed counterpart of Lemma 2.4: after the
+// announcement every node knows each label's multiplicity). all arrives
+// sorted by node id (termCmp), so the table is too, and a label's
+// multiplicity is its run in a sorted copy of the labels.
+func (ns *nodeState) installTerms(all []congest.Wire) {
+	buf := make([]int, 2*len(all))
+	sorted, labels := buf[:len(all)], buf[len(all):len(all)]
+	for i, x := range all {
+		sorted[i] = int(x.B)
+	}
+	slices.Sort(sorted)
+	ns.terms = slices.Grow(ns.terms[:0], len(all))
+	for _, x := range all {
+		l := int(x.B)
+		if i, _ := slices.BinarySearch(sorted, l); i+1 == len(sorted) || sorted[i+1] != l {
+			continue
+		}
+		ns.terms = append(ns.terms, termInfo{node: int(x.A), label: l})
+		labels = append(labels, l)
+	}
+	ns.book = moat.NewBook(labels)
+	if ns.rounded() {
+		ns.book.SetRounded()
+	}
+	if idx, ok := ns.termIndex(ns.h.ID()); ok {
+		ns.owner = idx
+		ns.parentPort = -1
+	}
+}
+
+// termIndex returns the terminal index of node, if it is a terminal.
+func (ns *nodeState) termIndex(node int) (int, bool) {
+	return slices.BinarySearchFunc(ns.terms, node, func(ti termInfo, node int) int { return cmp.Compare(ti.node, node) })
 }
 
 // phaseScratch resets (lazily allocating) the per-phase buffers.
@@ -255,140 +427,90 @@ func (ns *nodeState) phaseScratch(deg int) {
 	}
 }
 
-// installTerms builds the terminal table and moat bookkeeping from the
-// globally broadcast terminal announcements, discarding singleton input
-// components (the distributed counterpart of Lemma 2.4: after the
-// announcement every node knows each label's multiplicity).
-func (ns *nodeState) installTerms(all []congest.Wire) {
-	counts := make(map[int]int, len(all))
-	for _, x := range all {
-		counts[int(x.B)]++
+// nextPhase opens the next merge phase (Step 3) while any moat is active,
+// with (a) the coverage exchange that agrees on the reduced edge weights
+// Ŵj; once none is, it moves on to Steps 4+5. A rounded phase's growth is
+// capped at the threshold budget µ̂ - Σµ.
+func (ns *nodeState) nextPhase() (congest.Request, bool) {
+	if !ns.book.AnyActive() {
+		return ns.markEdges()
 	}
-	ns.terms = slices.Grow(ns.terms[:0], len(all))
-	ns.tIdx = make(map[int]int, len(all))
-	labels := make([]int, 0, len(all))
-	for _, x := range all {
-		ti := termInfo{node: int(x.A), label: int(x.B)}
-		if counts[ti.label] < 2 {
-			continue
-		}
-		ns.tIdx[ti.node] = len(ns.terms)
-		ns.terms = append(ns.terms, ti)
-		labels = append(labels, ti.label)
+	ns.phase++
+	if ns.rounded() {
+		ns.cap = rational.FromInt(ns.threshold).Sub(ns.total)
 	}
-	ns.book = moat.NewBook(labels)
-}
-
-func newNodeState(h *congest.Host, label int) *nodeState {
-	return &nodeState{
-		h:     h,
-		label: label,
-		owner: -1,
-		cov:   make([]rational.Q, h.Degree()),
-	}
-}
-
-func (ns *nodeState) run(out *sharedOutput) {
-	h := ns.h
-	ns.t = dist.BuildBFS(h)
-
-	// Step 1: make all terminals and labels globally known.
-	var local []congest.Wire
-	if ns.label != steiner.NoLabel {
-		local = append(local, congest.Wire{Kind: wireTerm, A: uint32(h.ID()), B: uint32(ns.label)})
-	}
-	all := dist.UpcastBroadcast(h, ns.t, local, termCmp, nil, nil)
-	ns.installTerms(all)
-	if idx, ok := ns.tIdx[h.ID()]; ok {
-		ns.owner = idx
-		ns.parentPort = -1
-	}
-	if len(ns.terms) == 0 {
-		return
-	}
-
-	// Step 3: merge phases.
-	for ns.book.AnyActive() {
-		ns.phase++
-		ns.runPhase()
-		if ns.phase > 2*len(ns.terms)+2 {
-			panic("detforest: merge phases exceed bound (protocol bug)")
-		}
-	}
-
-	// Steps 4+5: select the minimal subforest and mark its edges.
-	ns.markEdges(out)
-}
-
-// runPhase executes one merge phase: decomposition, candidate collection,
-// replay, and region growth.
-func (ns *nodeState) runPhase() {
-	h := ns.h
-	deg := h.Degree()
-
-	// (a) Exchange coverage to agree on reduced edge weights Ŵj.
+	deg := ns.h.Degree()
 	ns.phaseScratch(deg)
-	covOut := ns.covOut
 	for p := 0; p < deg; p++ {
 		b, c := dist.EncodeQ(ns.cov[p])
-		covOut = append(covOut, congest.Send{Port: p, Wire: congest.Wire{Kind: wireCov, B: b, C: c}})
+		ns.covOut = append(ns.covOut, congest.Send{Port: p, Wire: congest.Wire{Kind: wireCov, B: b, C: c}})
 	}
-	nbrCov := ns.nbrCov
-	for _, rc := range h.Exchange(covOut) {
-		nbrCov[rc.Port] = dist.DecodeQ(rc.Wire.B, rc.Wire.C)
-	}
-	reduced := ns.reduced
-	for p := 0; p < deg; p++ {
-		w := rational.FromInt(h.Weight(p)).Sub(ns.cov[p]).Sub(nbrCov[p])
-		reduced[p] = rational.Max(w, rational.Q{})
-	}
+	ns.stage = stageCov
+	return congest.Exchange(ns.covOut), true
+}
 
-	// (b) Terminal decomposition via multi-source Bellman-Ford with active
-	// regions as sources (Lemma 4.8).
-	activeOwned := ns.owner >= 0 && ns.book.Active(ns.owner)
-	bf := dist.BellmanFord(h, ns.t, dist.BFConfig{
-		IsSource:   activeOwned,
+// decompose reads the coverage exchange and starts (b): the terminal
+// decomposition via multi-source Bellman-Ford with active regions as
+// sources (Lemma 4.8).
+func (ns *nodeState) decompose(in []congest.Recv) (congest.Request, bool) {
+	h := ns.h
+	for _, rc := range in {
+		ns.nbrCov[rc.Port] = dist.DecodeQ(rc.Wire.B, rc.Wire.C)
+	}
+	for p := 0; p < h.Degree(); p++ {
+		w := rational.FromInt(h.Weight(p)).Sub(ns.cov[p]).Sub(ns.nbrCov[p])
+		ns.reduced[p] = rational.Max(w, rational.Q{})
+	}
+	ns.stage = stageBF
+	return ns.drive(dist.StartBellmanFord(h, &ns.tree, dist.BFConfig{
+		IsSource:   ns.owner >= 0 && ns.book.Active(ns.owner),
 		SourceID:   ns.ownerNode(),
-		EdgeWeight: func(port int) rational.Q { return reduced[port] },
-	})
+		EdgeWeight: ns.weightFn,
+	}))
+}
 
-	// Effective proposal view: claimed nodes keep their owner with dhat 0;
-	// unclaimed nodes tentatively adopt the decomposition's winner.
-	myOwner, myActive, myDhat := ns.owner, false, rational.Q{}
-	tentParent := -1
+func (ns *nodeState) reducedWeight(port int) rational.Q { return ns.reduced[port] }
+
+// exchangeView settles the phase's proposal view from the decomposition
+// and starts (c): telling the neighbors.
+func (ns *nodeState) exchangeView() (congest.Request, bool) {
+	ns.myOwner, ns.myActive, ns.myDhat, ns.tentParent = ns.owner, false, rational.Q{}, -1
 	if ns.owner >= 0 {
-		myActive = ns.book.Active(ns.owner)
-	} else if bf.Reached {
-		myOwner = ns.tIdx[bf.Source]
-		myActive = true
-		myDhat = bf.Dist
-		tentParent = bf.ParentPort
+		ns.myActive = ns.book.Active(ns.owner)
+	} else if bf := ns.tree.BF(); bf.Reached {
+		ns.myOwner, _ = ns.termIndex(bf.Source)
+		ns.myActive = true
+		ns.myDhat = bf.Dist
+		ns.tentParent = bf.ParentPort
 	}
+	w := nbrWire(ns.myOwner, ns.myActive, ns.myDhat)
+	for p := 0; p < ns.h.Degree(); p++ {
+		ns.view = append(ns.view, congest.Send{Port: p, Wire: w})
+	}
+	ns.stage = stageView
+	return congest.Exchange(ns.view), true
+}
 
-	// (c) Tell neighbors the view.
-	view := ns.view
-	for p := 0; p < deg; p++ {
-		view = append(view, congest.Send{Port: p, Wire: nbrWire(myOwner, myActive, myDhat)})
+// collect reads the neighbors' views, (d) proposes candidate merges on
+// region boundary edges, and starts (e): their filtered collection,
+// stopping at the phase-ending merge (Corollary 4.16).
+func (ns *nodeState) collect(in []congest.Recv) (congest.Request, bool) {
+	h := ns.h
+	for _, rc := range in {
+		ns.nbr[rc.Port] = nbrFromWire(rc.Wire)
 	}
-	nbr := ns.nbr
-	for _, rc := range h.Exchange(view) {
-		nbr[rc.Port] = nbrFromWire(rc.Wire)
-	}
-
-	// (d) Propose candidate merges on region boundary edges.
-	cands := ns.cands
-	if myOwner >= 0 && myActive {
-		for p := 0; p < deg; p++ {
-			o := nbr[p]
-			if o.ownerIdx < 0 || o.ownerIdx == myOwner {
+	if ns.myOwner >= 0 && ns.myActive {
+		for p := 0; p < h.Degree(); p++ {
+			o := ns.nbr[p]
+			if o.ownerIdx < 0 || o.ownerIdx == ns.myOwner {
 				continue
 			}
-			gap := myDhat.Add(reduced[p]).Add(o.dhat)
+			gap := ns.myDhat.Add(ns.reduced[p]).Add(o.dhat)
 			weight := gap
 			if o.active {
 				weight = gap.Half()
 			}
-			v, w := myOwner, o.ownerIdx
+			v, w := ns.myOwner, o.ownerIdx
 			if v > w {
 				v, w = w, v
 			}
@@ -396,52 +518,94 @@ func (ns *nodeState) runPhase() {
 			if eu > ev {
 				eu, ev = ev, eu
 			}
-			cands = append(cands, candItem{Weight: weight, U: v, V: w, EU: eu, EV: ev}.Wire(wireCand))
+			ns.cands = append(ns.cands, candItem{Weight: weight, U: v, V: w, EU: eu, EV: ev}.Wire(wireCand))
 		}
 	}
+	ns.ender = ns.book.Clone()
+	ns.stage = stageCollect
+	return ns.drive(dist.StartUpcastBroadcast(h, &ns.tree, ns.cands, dist.EdgeItemCmp, ns.filterFn, ns.stopFn))
+}
 
-	// (e) Filtered collection, stopping at the phase-ending merge
-	// (Corollary 4.16).
-	newFilter := func() dist.Filter {
-		spec := ns.book.Clone()
-		return func(x congest.Wire) bool {
-			v, w := dist.EdgeItemPair(x)
-			if spec.SameMoat(v, w) {
-				return false
-			}
-			spec.Merge(v, w)
-			return true
+// newFilter is the collection's filter factory: each replica drops a
+// candidate that would close a cycle among the moats it has accepted.
+func (ns *nodeState) newFilter() dist.Filter {
+	spec := ns.book.Clone()
+	return func(x congest.Wire) bool {
+		v, w := dist.EdgeItemPair(x)
+		if spec.SameMoat(v, w) {
+			return false
 		}
+		spec.Merge(v, w)
+		return true
 	}
-	ender := ns.book.Clone()
-	stopAfter := func(x congest.Wire) bool {
-		return ender.Merge(dist.EdgeItemPair(x))
-	}
-	accepted := dist.UpcastBroadcast(h, ns.t, cands, dist.EdgeItemCmp, newFilter, stopAfter)
-	if len(accepted) == 0 {
-		panic("detforest: active phase produced no merges (infeasible instance?)")
-	}
+}
 
-	// (f) Replay on the local replica; µ(j) is the phase-ender's weight.
-	mu := dist.EdgeItemFromWire(accepted[len(accepted)-1]).Weight
+// stopAfter ends the stream at the first activity-changing merge or, in a
+// rounded phase, at the first candidate beyond the growth cap.
+func (ns *nodeState) stopAfter(x congest.Wire) bool {
+	if ns.rounded() && ns.cap.Less(dist.DecodeQ(x.B&0xff, x.C)) {
+		return true // over the threshold: phase ends at µ̂
+	}
+	return ns.ender.Merge(dist.EdgeItemPair(x))
+}
+
+// endPhase (f) replays the accepted merges on the local replica and
+// (g) grows the regions by the phase's growth µ: claim newly covered
+// nodes, extend edge coverage.
+func (ns *nodeState) endPhase() {
+	ns.ender = nil
+	mu, accepted, hitThreshold := ns.growth(ns.tree.Collected())
 	ns.allMerges = slices.Grow(ns.allMerges, len(accepted))
 	for _, x := range accepted {
 		c := dist.EdgeItemFromWire(x)
 		ns.book.Merge(c.U, c.V)
 		ns.allMerges = append(ns.allMerges, c)
 	}
-
-	// (g) Grow regions: claim newly covered nodes, extend edge coverage.
-	if ns.owner < 0 && myOwner >= 0 && myDhat.LessEq(mu) {
-		ns.owner = myOwner
-		ns.parentPort = tentParent
+	if ns.owner < 0 && ns.myOwner >= 0 && ns.myDhat.LessEq(mu) {
+		ns.owner = ns.myOwner
+		ns.parentPort = ns.tentParent
 	}
-	for p := 0; p < deg; p++ {
-		o := nbr[p]
-		growMine := myOwner >= 0 && myActive
+	for p := 0; p < ns.h.Degree(); p++ {
+		o := ns.nbr[p]
+		growMine := ns.myOwner >= 0 && ns.myActive
 		growNbr := o.ownerIdx >= 0 && o.active
-		ns.cov[p] = ns.cov[p].Add(coverGrowth(mu, myDhat, o.dhat, reduced[p], growMine, growNbr))
+		ns.cov[p] = ns.cov[p].Add(coverGrowth(mu, ns.myDhat, o.dhat, ns.reduced[p], growMine, growNbr))
 	}
+	if !ns.rounded() {
+		if ns.phase > 2*len(ns.terms)+2 {
+			panic("detforest: merge phases exceed bound (protocol bug)")
+		}
+		return
+	}
+	ns.total = ns.total.Add(mu)
+	if hitThreshold {
+		ns.book.RecheckActivity()
+		ns.threshold = nextThreshold(ns.threshold, ns.eps)
+	}
+	if ns.phase > 64*(len(ns.terms)+64) {
+		panic("detforest: rounded run does not terminate (protocol bug)")
+	}
+}
+
+// growth decides a phase's growth µ from its accepted stream and returns
+// the merges to replay. In Section 4.1, µ(j) is the phase-ender's weight.
+// In a rounded phase, an over-cap tail item means the threshold was hit:
+// the item is deferred to a later phase and the moats grow to the cap.
+func (ns *nodeState) growth(accepted []congest.Wire) (mu rational.Q, merges []congest.Wire, hitThreshold bool) {
+	if !ns.rounded() {
+		if len(accepted) == 0 {
+			panic("detforest: active phase produced no merges (infeasible instance?)")
+		}
+		return dist.EdgeItemFromWire(accepted[len(accepted)-1]).Weight, accepted, false
+	}
+	if len(accepted) == 0 {
+		return ns.cap, nil, true // no candidates at all: grow to the threshold
+	}
+	last := dist.EdgeItemFromWire(accepted[len(accepted)-1])
+	if ns.cap.Less(last.Weight) {
+		return ns.cap, accepted[:len(accepted)-1], true
+	}
+	return last.Weight, accepted, false
 }
 
 // coverGrowth computes how much of an edge's remaining (reduced) length the
@@ -468,16 +632,15 @@ func (ns *nodeState) ownerNode() int {
 	return ns.terms[ns.owner].node
 }
 
-// markEdges performs Steps 4-5: every node computes the minimal solving
+// markEdges starts Steps 4-5: every node computes the minimal solving
 // subforest Fmin of the candidate forest locally, then the inducing edges'
 // endpoints start tokens that walk up the region trees marking physical
 // edges.
-func (ns *nodeState) markEdges(out *sharedOutput) {
-	h := ns.h
-	fmin := out.fmin(ns.terms, ns.allMerges)
-
-	w := &tokenWalk{h: h, out: out, parentPort: ns.parentPort}
-	for _, c := range fmin {
+func (ns *nodeState) markEdges() (congest.Request, bool) {
+	h, out := ns.h, ns.out
+	w := &ns.walk
+	*w = tokenWalk{h: h, out: out, parentPort: ns.parentPort}
+	for _, c := range out.fmin(ns.terms, ns.allMerges) {
 		if h.ID() == c.EU || h.ID() == c.EV {
 			other := c.EU
 			if h.ID() == c.EU {
@@ -492,14 +655,13 @@ func (ns *nodeState) markEdges(out *sharedOutput) {
 			}
 		}
 	}
-	dist.RunQuiet(h, ns.t, w.step)
+	ns.stage = stageMark
+	return ns.drive(dist.StartQuiet(h, &ns.tree, w.step))
 }
 
 // tokenWalk is markEdges' RunQuiet step: the first token to reach a node
 // (or to start there) moves one hop up its region tree per round, marking
-// every edge it crosses; later tokens are absorbed. It copies what it
-// reads of the node state instead of pointing at it, so the driver that
-// holds the step does not move the node state to the heap.
+// every edge it crosses; later tokens are absorbed.
 type tokenWalk struct {
 	h          *congest.Host
 	out        *sharedOutput

@@ -2,11 +2,8 @@ package detforest
 
 import (
 	"fmt"
-	"sync"
 
 	"steinerforest/internal/congest"
-	"steinerforest/internal/dist"
-	"steinerforest/internal/rational"
 	"steinerforest/internal/steiner"
 )
 
@@ -31,201 +28,15 @@ func SolveRounded(ins *steiner.Instance, epsNum, epsDen int64, opts ...congest.O
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
-	work := ins.Minimalize()
-	out := &sharedOutput{selected: steiner.NewSolution(ins.G)}
-	var phases, merges int
-	var once sync.Once
-	program := func(h *congest.Host) {
-		ns := newNodeState(h, work.Label[h.ID()])
-		ns.eps = [2]int64{epsNum, epsDen}
-		ns.runRounded(out)
-		once.Do(func() {
-			phases = ns.phase
-			merges = len(ns.allMerges)
-		})
-	}
-	stats, err := congest.Run(ins.G, program, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := steiner.Verify(work, out.selected); err != nil {
-		return nil, fmt.Errorf("detforest: produced infeasible output: %w", err)
-	}
-	return &Result{Solution: out.selected, Stats: stats, Phases: phases, Merges: merges}, nil
+	return solve(ins, [2]int64{epsNum, epsDen}, opts)
 }
 
-// runRounded is the Algorithm 2 counterpart of run.
-func (ns *nodeState) runRounded(out *sharedOutput) {
-	h := ns.h
-	ns.t = dist.BuildBFS(h)
-
-	var local []congest.Wire
-	if ns.label != steiner.NoLabel {
-		local = append(local, congest.Wire{Kind: wireTerm, A: uint32(h.ID()), B: uint32(ns.label)})
+// nextThreshold advances the rounded threshold: µ̂ = max(µ̂+1,
+// ⌈µ̂(1+ε/2)⌉).
+func nextThreshold(threshold int64, eps [2]int64) int64 {
+	next := (threshold*(2*eps[1]) + threshold*eps[0] + 2*eps[1] - 1) / (2 * eps[1])
+	if next <= threshold {
+		next = threshold + 1
 	}
-	all := dist.UpcastBroadcast(h, ns.t, local, termCmp, nil, nil)
-	ns.installTerms(all)
-	ns.book.SetRounded()
-	if idx, ok := ns.tIdx[h.ID()]; ok {
-		ns.owner = idx
-		ns.parentPort = -1
-	}
-	if len(ns.terms) == 0 {
-		return
-	}
-
-	total := rational.Q{} // cumulative moat growth Σµ
-	threshold := int64(1) // µ̂
-	guard := 0
-	for ns.book.AnyActive() {
-		ns.phase++
-		grown, hitThreshold := ns.runRoundedPhase(rational.FromInt(threshold).Sub(total))
-		total = total.Add(grown)
-		if hitThreshold {
-			ns.book.RecheckActivity()
-			// Advance µ̂ = max(µ̂+1, ceil(µ̂(1+ε/2))).
-			next := (threshold*(2*ns.eps[1]) + threshold*ns.eps[0] + 2*ns.eps[1] - 1) / (2 * ns.eps[1])
-			if next <= threshold {
-				next = threshold + 1
-			}
-			threshold = next
-		}
-		if guard++; guard > 64*(len(ns.terms)+64) {
-			panic("detforest: rounded run does not terminate (protocol bug)")
-		}
-	}
-	ns.markEdges(out)
-}
-
-// runRoundedPhase is runPhase with a growth cap: the candidate stream stops
-// at the first activity-changing merge or the first candidate beyond the
-// remaining threshold budget, whichever comes first. It reports the growth
-// performed and whether the threshold was hit.
-func (ns *nodeState) runRoundedPhase(cap rational.Q) (rational.Q, bool) {
-	h := ns.h
-	deg := h.Degree()
-
-	ns.phaseScratch(deg)
-	covOut := ns.covOut
-	for p := 0; p < deg; p++ {
-		b, c := dist.EncodeQ(ns.cov[p])
-		covOut = append(covOut, congest.Send{Port: p, Wire: congest.Wire{Kind: wireCov, B: b, C: c}})
-	}
-	nbrCov := ns.nbrCov
-	for _, rc := range h.Exchange(covOut) {
-		nbrCov[rc.Port] = dist.DecodeQ(rc.Wire.B, rc.Wire.C)
-	}
-	reduced := ns.reduced
-	for p := 0; p < deg; p++ {
-		w := rational.FromInt(h.Weight(p)).Sub(ns.cov[p]).Sub(nbrCov[p])
-		reduced[p] = rational.Max(w, rational.Q{})
-	}
-
-	activeOwned := ns.owner >= 0 && ns.book.Active(ns.owner)
-	bf := dist.BellmanFord(h, ns.t, dist.BFConfig{
-		IsSource:   activeOwned,
-		SourceID:   ns.ownerNode(),
-		EdgeWeight: func(port int) rational.Q { return reduced[port] },
-	})
-
-	myOwner, myActive, myDhat := ns.owner, false, rational.Q{}
-	tentParent := -1
-	if ns.owner >= 0 {
-		myActive = ns.book.Active(ns.owner)
-	} else if bf.Reached {
-		myOwner = ns.tIdx[bf.Source]
-		myActive = true
-		myDhat = bf.Dist
-		tentParent = bf.ParentPort
-	}
-
-	view := ns.view
-	for p := 0; p < deg; p++ {
-		view = append(view, congest.Send{Port: p, Wire: nbrWire(myOwner, myActive, myDhat)})
-	}
-	nbr := ns.nbr
-	for _, rc := range h.Exchange(view) {
-		nbr[rc.Port] = nbrFromWire(rc.Wire)
-	}
-
-	cands := ns.cands
-	if myOwner >= 0 && myActive {
-		for p := 0; p < deg; p++ {
-			o := nbr[p]
-			if o.ownerIdx < 0 || o.ownerIdx == myOwner {
-				continue
-			}
-			gap := myDhat.Add(reduced[p]).Add(o.dhat)
-			weight := gap
-			if o.active {
-				weight = gap.Half()
-			}
-			v, w := myOwner, o.ownerIdx
-			if v > w {
-				v, w = w, v
-			}
-			eu, ev := h.ID(), h.Neighbor(p)
-			if eu > ev {
-				eu, ev = ev, eu
-			}
-			cands = append(cands, candItem{Weight: weight, U: v, V: w, EU: eu, EV: ev}.Wire(wireCand))
-		}
-	}
-
-	newFilter := func() dist.Filter {
-		spec := ns.book.Clone()
-		return func(x congest.Wire) bool {
-			v, w := dist.EdgeItemPair(x)
-			if spec.SameMoat(v, w) {
-				return false
-			}
-			spec.Merge(v, w)
-			return true
-		}
-	}
-	ender := ns.book.Clone()
-	stopAfter := func(x congest.Wire) bool {
-		if cap.Less(dist.DecodeQ(x.B&0xff, x.C)) {
-			return true // over the threshold: phase ends at µ̂
-		}
-		return ender.Merge(dist.EdgeItemPair(x))
-	}
-	accepted := dist.UpcastBroadcast(h, ns.t, cands, dist.EdgeItemCmp, newFilter, stopAfter)
-
-	// Decide the phase outcome: an over-cap tail item means the threshold
-	// was hit and the item is deferred to a later phase.
-	hitThreshold := false
-	if len(accepted) > 0 {
-		if last := dist.EdgeItemFromWire(accepted[len(accepted)-1]); cap.Less(last.Weight) {
-			hitThreshold = true
-			accepted = accepted[:len(accepted)-1]
-		}
-	} else {
-		hitThreshold = true // no candidates at all: grow to the threshold
-	}
-	if len(accepted) == 0 && !hitThreshold {
-		panic("detforest: empty phase without threshold (protocol bug)")
-	}
-
-	mu := cap
-	if !hitThreshold {
-		mu = dist.EdgeItemFromWire(accepted[len(accepted)-1]).Weight
-	}
-	for _, x := range accepted {
-		c := dist.EdgeItemFromWire(x)
-		ns.book.Merge(c.U, c.V)
-		ns.allMerges = append(ns.allMerges, c)
-	}
-
-	if ns.owner < 0 && myOwner >= 0 && myDhat.LessEq(mu) {
-		ns.owner = myOwner
-		ns.parentPort = tentParent
-	}
-	for p := 0; p < deg; p++ {
-		o := nbr[p]
-		growMine := myOwner >= 0 && myActive
-		growNbr := o.ownerIdx >= 0 && o.active
-		ns.cov[p] = ns.cov[p].Add(coverGrowth(mu, myDhat, o.dhat, reduced[p], growMine, growNbr))
-	}
-	return mu, hitThreshold
+	return next
 }

@@ -44,6 +44,14 @@ type BFResult struct {
 // send buffer; the relaxation state is cached on t, so repeated runs on
 // one tree allocate nothing. Settled nodes park between control slots.
 func BellmanFord(h *congest.Host, t *Tree, cfg BFConfig) BFResult {
+	h.Drive(StartBellmanFord(h, t, cfg))
+	return t.BF()
+}
+
+// StartBellmanFord is BellmanFord's start form: it returns the first
+// request and the driver of the run (StartQuiet's, over the relaxation
+// step). t.BF() is the node's result once the driver is done.
+func StartBellmanFord(h *congest.Host, t *Tree, cfg BFConfig) (congest.Request, congest.Driver) {
 	deg := h.Degree()
 	bf := t.bf
 	if bf == nil {
@@ -76,9 +84,11 @@ func BellmanFord(h *congest.Host, t *Tree, cfg BFConfig) BFResult {
 		bf.res = BFResult{Reached: true, Source: cfg.SourceID, ParentPort: -1}
 		bf.pending = true
 	}
-	RunQuiet(h, t, bf.stepFn)
-	return bf.res
+	return StartQuiet(h, t, bf.stepFn)
 }
+
+// BF returns the node's result of the tree's latest Bellman-Ford run.
+func (t *Tree) BF() BFResult { return t.bf.res }
 
 // bellmanFord is one node's relaxation state: BellmanFord's RunQuiet
 // step, cached on the node's tree.

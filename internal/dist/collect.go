@@ -38,36 +38,45 @@ import (
 // t, so on the continuation scheduler the node's program is switched into
 // once, at the exit, and filter and stopAfter run from the scheduler.
 func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) []congest.Wire {
+	h.Drive(StartUpcastBroadcast(h, t, local, cmp, newFilter, stopAfter))
+	return t.Collected()
+}
+
+// StartUpcastBroadcast is UpcastBroadcast's start form: it sorts local and
+// returns the first request and the driver of the pipeline, which releases
+// local, cmp and the filters once it is done. t.Collected() is the
+// node's accepted stream from then on. On a single-node network the
+// stream is decided here.
+func StartUpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) (congest.Request, congest.Driver) {
 	slices.SortStableFunc(local, cmp)
 	var filter Filter
 	if newFilter != nil {
 		filter = newFilter()
 	}
+	u := t.upcast(h)
 	if h.N() <= 1 {
-		var acc []congest.Wire
 		for _, it := range local {
 			if filter != nil && !filter(it) {
 				continue
 			}
-			acc = append(acc, it)
+			u.result = append(u.result, it)
 			if stopAfter != nil && stopAfter(it) {
 				break
 			}
 		}
-		return acc
+		return congest.Idle(0), finished{}
 	}
-	u := t.upcast(h)
 	u.local, u.cmp, u.filter, u.stopAfter = local, cmp, filter, stopAfter
-	first := congest.Sleep() // the root collects asleep between deliveries
 	u.state = upRootCollect
 	if !t.IsRoot() {
-		first = u.upLoop()
+		return u.upLoop(), u
 	}
-	h.Drive(first, u)
-	result := u.result
-	u.local, u.cmp, u.filter, u.stopAfter, u.result = nil, nil, nil, nil, nil
-	return result
+	return congest.Sleep(), u // the root collects asleep between deliveries
 }
+
+// Collected returns the node's accepted stream of the tree's latest
+// UpcastBroadcast.
+func (t *Tree) Collected() []congest.Wire { return t.up.result }
 
 // upcast states: the request the node is waiting on.
 const (
@@ -128,6 +137,7 @@ func (t *Tree) upcast(h *congest.Host) *upcast {
 		k.items, k.head, k.done = k.items[:0], 0, false
 	}
 	u.fwd, u.fwdHead = u.fwd[:0], 0
+	u.result = nil
 	u.ownNext, u.streamed = 0, 0
 	u.fwdEnd, u.sawDown, u.upDoneSent = false, false, false
 	u.exitRound = -1
@@ -306,7 +316,9 @@ func (u *upcast) Next(in []congest.Recv) (congest.Request, bool) {
 	case downTail:
 		return u.downLoop(), true
 	}
-	return congest.Request{}, false // upIdle: the common exit round
+	// upIdle: the common exit round.
+	u.local, u.cmp, u.filter, u.stopAfter = nil, nil, nil, nil
+	return congest.Request{}, false
 }
 
 // upLoop returns the next request of a non-root node's upcast: one

@@ -24,10 +24,15 @@
 // plain Exchange loops would produce — the parked rounds are rounds the
 // node would have spent exchanging nothing — so round counts, message
 // counts and bit counts are unchanged by the fast paths. Each primitive
-// is a congest.Driver run with Host.Drive, its per-node state cached on
-// the Tree: the scheduler completes every request by calling the
-// driver's Next, so a call costs the node's program one coroutine
-// switch, at its exit.
+// is a congest.Driver, its per-node state cached on the Tree: the
+// scheduler completes every request by calling the driver's Next, so a
+// blocking call (which runs the driver with Host.Drive) costs the node's
+// program one coroutine switch, at its exit. BuildBFS, UpcastBroadcast,
+// BellmanFord and RunQuiet also have start forms (StartBFS, ...) that
+// return the first request and the driver instead of running them, with
+// the result read from the Tree afterwards; each blocking form is its
+// start form plus Drive. A node program that chains start forms inside a
+// driver of its own runs under congest.RunDriven with no coroutine at all.
 //
 // All primitives assume a connected graph (as the paper does); on a
 // disconnected graph the unreachable side never learns the tree and the

@@ -44,17 +44,26 @@ type Step func(round int, in []congest.Recv) ([]congest.Send, bool)
 //
 // The slot loop is written as a congest.Driver — a four-state machine
 // (parked, payload, control, idle) whose Next returns each slot's blocking
-// call as a request — and run with Host.Drive. On the continuation
-// scheduler the node's program therefore suspends once, on entry, and is
-// switched back into once, at the exit; every payload, control and park
-// round in between is a direct Next call from the scheduler, so step runs
-// there too and must not call the Host's blocking methods. Rounds,
-// messages and step calls are those of the plain Exchange loop under
-// every engine configuration. The driver and its buffers are cached on t,
-// so repeated calls on one tree allocate nothing of their own.
+// call as a request. StartQuiet returns it; RunQuiet runs it with
+// Host.Drive. On the continuation scheduler the node's program therefore
+// suspends once, on entry, and is switched back into once, at the exit
+// (and, in a congest.RunDriven program, not at all); every payload,
+// control and park round in between is a direct Next call from the
+// scheduler, so step runs there too and must not call the Host's blocking
+// methods. Rounds, messages and step calls are those of the plain
+// Exchange loop under every engine configuration. The driver and its
+// buffers are cached on t, so repeated calls on one tree allocate nothing
+// of their own.
 //
 // The step's round counter counts payload rounds only.
 func RunQuiet(h *congest.Host, t *Tree, step Step) {
+	h.Drive(StartQuiet(h, t, step))
+}
+
+// StartQuiet is RunQuiet's start form: it returns the first request and
+// the driver of the quiescence loop. The driver releases step once it is
+// done. On a single-node network the loop runs to completion here.
+func StartQuiet(h *congest.Host, t *Tree, step Step) (congest.Request, congest.Driver) {
 	if h.N() <= 1 {
 		for p := 0; ; p++ {
 			out, active := step(p, nil)
@@ -62,15 +71,14 @@ func RunQuiet(h *congest.Host, t *Tree, step Step) {
 				panic("dist: RunQuiet step sent on an edgeless graph")
 			}
 			if !active {
-				return
+				return congest.Idle(0), finished{}
 			}
 		}
 	}
 	q := t.quietDriver(h)
 	q.step = step
 	q.out, q.active = step(0, nil)
-	h.Drive(q.slot(), q)
-	q.step, q.out = nil, nil // release the step's captures
+	return q.slot(), q
 }
 
 // quietDriver states: the request the node is waiting on.
@@ -145,7 +153,7 @@ func (q *quietDriver) Next(in []congest.Recv) (congest.Request, bool) {
 		return q.payload(in), true
 	case qControl:
 		if q.control(in) {
-			return congest.Request{}, false
+			return q.done()
 		}
 		if q.exitAt >= 0 && q.s >= q.sendExitAt && len(q.out) == 0 && !q.active {
 			// The exit wave is forwarded and the network is globally
@@ -159,7 +167,13 @@ func (q *quietDriver) Next(in []congest.Recv) (congest.Request, bool) {
 		q.s++
 		return q.slot(), true
 	}
-	return congest.Request{}, false // qIdle: the common exit round
+	return q.done() // qIdle: the common exit round
+}
+
+// done ends the call, releasing the step's captures.
+func (q *quietDriver) done() (congest.Request, bool) {
+	q.step, q.out = nil, nil
+	return congest.Request{}, false
 }
 
 // slot opens payload slot s, whose step output is already in out/active,
@@ -212,7 +226,7 @@ func (q *quietDriver) woke(in []congest.Recv) (congest.Request, bool) {
 	// latch the arrivals, which take effect from slot s+1. The node parked
 	// quiet, so out/active still say so.
 	if q.control(in) {
-		return congest.Request{}, false
+		return q.done()
 	}
 	q.s++
 	return q.slot(), true

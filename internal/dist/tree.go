@@ -59,21 +59,36 @@ func (t *Tree) toParent(w congest.Wire) []congest.Send {
 // unjoined node has nothing to say until the flood reaches it, and a
 // joined one nothing between its accepts and its subtree completions.
 //
-// The schedule runs as a congest.Driver (bfsBuild), so on the continuation
-// scheduler the node's program is switched into once, at the exit.
+// BuildBFS is StartBFS run with Host.Drive.
 func BuildBFS(h *congest.Host) *Tree {
-	t := &Tree{Root: 0, ParentPort: -1}
+	t := new(Tree)
+	h.Drive(StartBFS(h, t))
+	return t
+}
+
+// StartBFS is BuildBFS's start form: it resets t and returns the first
+// request and the driver of the build, a congest.Driver (bfsBuild), so on
+// the continuation scheduler the node's program is switched into at most
+// once, at the exit. t is the node's BFS tree once the driver is done.
+func StartBFS(h *congest.Host, t *Tree) (congest.Request, congest.Driver) {
+	*t = Tree{Root: 0, ParentPort: -1}
 	if h.N() <= 1 {
-		return t
+		return congest.Idle(0), finished{}
 	}
 	b := &bfsBuild{h: h, t: t, r0: h.Round()}
 	first := congest.Sleep() // until the explore flood arrives
 	if h.ID() == 0 {
 		first = b.flood()
 	}
-	h.Drive(first, b)
-	return t
+	return first, b
 }
+
+// finished is the driver of a primitive that completed in its start form
+// without a round (the single-node network): its first request, Idle(0),
+// takes no round, and its Next reports done.
+type finished struct{}
+
+func (finished) Next([]congest.Recv) (congest.Request, bool) { return congest.Request{}, false }
 
 // bfsBuild states: the request the node is waiting on.
 const (

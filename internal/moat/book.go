@@ -1,6 +1,11 @@
 package moat
 
-import "steinerforest/internal/graph"
+import (
+	"cmp"
+	"slices"
+
+	"steinerforest/internal/graph"
+)
 
 // Book is the moat bookkeeping of Algorithm 1 over terminal indices: which
 // terminals share a moat, each moat's (merged) component label, and each
@@ -47,15 +52,25 @@ func NewBook(labels []int) *Book {
 		active:     make([]bool, n),
 		labelMoats: make([]int32, n),
 	}
-	firstOf := make(map[int]int)
-	for i, l := range labels {
-		if f, ok := firstOf[l]; ok {
-			b.lblOf[i] = f
+	// A label's canonical handle is its first terminal: order the
+	// terminals by (label, index), and each run's head is that terminal.
+	// (No map: every node of a distributed run builds its own Book.) The
+	// order borrows labelMoats, which is counted from zero below.
+	order := b.labelMoats
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		return cmp.Or(cmp.Compare(labels[x], labels[y]), cmp.Compare(x, y))
+	})
+	for k, i := range order {
+		if k > 0 && labels[order[k-1]] == labels[i] {
+			b.lblOf[i] = b.lblOf[order[k-1]]
 		} else {
-			firstOf[l] = i
-			b.lblOf[i] = i
+			b.lblOf[i] = int(i)
 		}
 	}
+	clear(order)
 	for i := range labels {
 		b.active[i] = true
 		b.labelMoats[b.lblOf[i]]++ // labels is fresh: Find(lblOf[i]) == lblOf[i]
