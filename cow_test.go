@@ -8,9 +8,10 @@ import (
 	"steinerforest/internal/workload"
 )
 
-// TestCoWBookMatchesEagerClones pins the copy-on-write moat.Book against
-// its plainest possible semantics: forcing every Clone to deep-copy
-// immediately (moat.EagerClones) must not change a single observable of
+// TestCoWBookMatchesEagerClones pins the borrow-first (copy-on-write)
+// moat.Book replicas against their plainest possible semantics: forcing
+// every CloneInto to copy immediately (moat.EagerClones) must not change
+// a single observable of
 // any solver on any family — same forest, same weight, same certificate
 // bound, same distributed Stats. The certificate stays on so the central
 // AKR oracle's Book usage is exercised too, not just the solvers'.

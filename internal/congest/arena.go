@@ -135,6 +135,7 @@ type arena struct {
 
 	// Growable round buffers: length reset on reuse, capacity kept.
 	wake     wakeHeap
+	lane     []wakeEntry
 	hitRelay []int32
 	pendList []int32
 	pendFree []int32
@@ -181,6 +182,7 @@ func (ar *arena) reset() {
 		ar.gen = 0
 	}
 	ar.wake = ar.wake[:0]
+	ar.lane = ar.lane[:0]
 	ar.hitRelay = ar.hitRelay[:0]
 	ar.pendList = ar.pendList[:0]
 	ar.pendFree = ar.pendFree[:0]
@@ -197,7 +199,7 @@ func (ar *arena) attach(e *engine) {
 	e.relays = ar.relays
 	e.sentGen, e.slots, e.slotGen = ar.sentGen, ar.slots, ar.slotGen
 	e.touchBuf, e.outArena, e.returnPort = ar.touchBuf, ar.outArena, ar.returnPort
-	e.wake, e.hitRelay = ar.wake, ar.hitRelay
+	e.wake, e.lane, e.hitRelay = ar.wake, ar.lane, ar.hitRelay
 	e.pendList, e.pendFree = ar.pendList, ar.pendFree
 	e.pending = ar.pending
 	e.gen = ar.gen + 1
@@ -213,7 +215,7 @@ func (ar *arena) attach(e *engine) {
 // pooled arena keeps none of a finished run's memory alive.
 func (ar *arena) detach(e *engine) {
 	ar.relays = e.relays
-	ar.wake, ar.hitRelay = e.wake, e.hitRelay
+	ar.wake, ar.lane, ar.hitRelay = e.wake, e.lane, e.hitRelay
 	ar.pendList, ar.pendFree = e.pendList, e.pendFree
 	ar.pending = e.pending
 	ar.gen = e.gen

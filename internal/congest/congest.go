@@ -50,11 +50,18 @@
 // node wake it that same round, via a generation-stamped wake queue), and
 // when every live node is parked the engine advances the round counter in
 // bulk to the next deadline — rounds in which nobody speaks cost no
-// channel traffic at all. Messages travel as inline Wire values, never
-// boxed, return ports come from a table precomputed at Run setup rather
-// than a per-message binary search, and duplicate-send/liveness
-// tracking uses generation-stamped arrays, so a steady-state round
-// performs no heap allocation. The fast paths are observationally
+// channel traffic at all. Deadlines live in a min-heap, except those due
+// in the very round about to run (SleepUntil(Round()+1), Idle(1):
+// RunQuiet's silent payload and control slots park this way), which go
+// to a FIFO wake lane, kept in the arena, that the round's wake pass
+// drains before the heap; the commonest park costs an append instead of
+// a heap push and pop. The lane changes only the order in which one
+// round's wakes resume, which no result depends on.
+//
+// Messages travel as inline Wire values, never boxed, return ports come
+// from a table precomputed at Run setup rather than a per-message binary
+// search, and duplicate-send/liveness tracking uses generation-stamped
+// arrays, so a steady-state round performs no heap allocation. The fast paths are observationally
 // identical to plain Exchange loops (WithFastPath(false) forces the
 // loops): Stats and every delivered message are bit-for-bit the same.
 //
@@ -658,11 +665,12 @@ type engine struct {
 	parkStamp []uint32 // bumped on every park/wake; validates wake entries
 	wakeAt    []int    // parked node's deadline (-1 = none)
 	wake      wakeHeap
-	relays    []relaying // per node: relay order (valid when modeRelay); lazy
-	relPend   int        // relayers holding a forward due next round
-	pendList  []int32    // those relayers, in staging order (= relPend entries)
-	pendFree  []int32    // spare buffer pendList rotates through per round
-	hitRelay  []int32    // relayers delivered to this round, plus final-forward
+	lane      []wakeEntry // parks due in the round about to run, FIFO; drained before wake
+	relays    []relaying  // per node: relay order (valid when modeRelay); lazy
+	relPend   int         // relayers holding a forward due next round
+	pendList  []int32     // those relayers, in staging order (= relPend entries)
+	pendFree  []int32     // spare buffer pendList rotates through per round
+	hitRelay  []int32     // relayers delivered to this round, plus final-forward
 	//                      completions — the only ones checkRelayers must visit
 	runnable int // live nodes that will submit this round
 	live     int
@@ -880,7 +888,12 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 				e.parkStamp[s.node]++
 				e.wakeAt[s.node] = x.wakeAt
 				if x.wakeAt >= 0 {
-					e.wake.push(wakeEntry{round: x.wakeAt, node: int32(s.node), stamp: e.parkStamp[s.node]})
+					w := wakeEntry{round: x.wakeAt, node: int32(s.node), stamp: e.parkStamp[s.node]}
+					if x.wakeAt == stats.Rounds+1 {
+						e.lane = append(e.lane, w) // due in the round about to run
+					} else {
+						e.wake.push(w)
+					}
 				}
 			case subRelay:
 				v := s.node
@@ -1153,8 +1166,14 @@ func (e *engine) checkRelayers() {
 }
 
 // nextWake peeks the earliest still-valid deadline, discarding entries for
-// nodes that were woken early or finished.
+// nodes that were woken early or finished. A valid lane entry is due in
+// the round about to run, which no heap deadline precedes.
 func (e *engine) nextWake() (int, bool) {
+	for _, w := range e.lane {
+		if e.wakeValid(w) {
+			return w.round, true
+		}
+	}
 	for len(e.wake) > 0 {
 		top := e.wake[0]
 		if !e.wakeValid(top) {
@@ -1166,8 +1185,19 @@ func (e *engine) nextWake() (int, bool) {
 	return 0, false
 }
 
-// wakeDue wakes every parked node whose deadline has arrived.
+// wakeDue wakes every parked node whose deadline has arrived: the lane's,
+// in park order, then the heap's. Every lane entry is due by now (it was
+// parked for the round that just ran, or the clock jumped to it); one
+// whose node mail woke meanwhile is stale and skipped. The wakes only
+// refill pending, so the lane does not grow while it drains.
 func (e *engine) wakeDue(round int) {
+	for _, w := range e.lane {
+		if e.wakeValid(w) {
+			v := int(w.node)
+			e.wakeRun(v, e.wakeAt[v], nil)
+		}
+	}
+	e.lane = e.lane[:0]
 	for len(e.wake) > 0 {
 		top := e.wake[0]
 		if !e.wakeValid(top) {

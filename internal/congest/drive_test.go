@@ -18,6 +18,15 @@ type driveCall struct {
 	in    int64
 }
 
+// digest is the inbox digest of a logged Next call.
+func digest(in []Recv) int64 {
+	dig := int64(len(in))
+	for _, rc := range in {
+		dig = dig*1000003 + int64(rc.Port)<<20 + rc.Wire.C
+	}
+	return dig
+}
+
 // scriptDriver issues a seeded random script of requests — exchanges
 // with and without sends, interruptible and plain parks, and requests
 // that complete without a round (SleepUntil of the current round, Idle(0))
@@ -30,11 +39,7 @@ type scriptDriver struct {
 }
 
 func (d *scriptDriver) Next(in []Recv) (Request, bool) {
-	dig := int64(len(in))
-	for _, rc := range in {
-		dig = dig*1000003 + int64(rc.Port)<<20 + rc.Wire.C
-	}
-	*d.calls = append(*d.calls, driveCall{round: d.h.Round(), in: dig})
+	*d.calls = append(*d.calls, driveCall{round: d.h.Round(), in: digest(in)})
 	if d.left == 0 {
 		return Request{}, false
 	}

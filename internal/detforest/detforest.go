@@ -262,13 +262,21 @@ type nodeState struct {
 
 	// The current phase's proposal view: claimed nodes keep their owner
 	// with dhat 0; unclaimed nodes tentatively adopt the decomposition's
-	// winner. ender replays the collected stream to find the phase-ending
-	// merge.
+	// winner.
 	myOwner    int
 	myActive   bool
 	myDhat     rational.Q
 	tentParent int
-	ender      *moat.Book
+
+	// The collection's moat-book replicas, re-borrowed from book every
+	// phase (moat.Book.CloneInto), so their arrays are allocated once per
+	// run: spec is the filter's speculative replica, ender replays the
+	// accepted stream at the root to find the phase-ending merge. Only the
+	// root evaluates stopAfter, so only the root allocates an ender, and
+	// fills it on its first call of the phase (enderSet).
+	spec     moat.Book
+	ender    *moat.Book
+	enderSet bool
 
 	// Per-phase scratch, allocated at the first phase and reused: the merge
 	// loop runs O(t) phases and every buffer here is degree-sized, so the
@@ -285,6 +293,7 @@ type nodeState struct {
 	// Method values bound once, handed to the primitives every phase.
 	weightFn func(port int) rational.Q
 	filterFn func() dist.Filter
+	acceptFn dist.Filter
 	stopFn   func(congest.Wire) bool
 }
 
@@ -311,6 +320,7 @@ func newNodeState(h *congest.Host, out *sharedOutput, label int, eps [2]int64) *
 	}
 	ns.weightFn = ns.reducedWeight
 	ns.filterFn = ns.newFilter
+	ns.acceptFn = ns.accept
 	ns.stopFn = ns.stopAfter
 	return ns
 }
@@ -394,6 +404,9 @@ func (ns *nodeState) installTerms(all []congest.Wire) {
 		labels = append(labels, l)
 	}
 	ns.book = moat.NewBook(labels)
+	// The accepted merges form a forest over the terminals: at most t-1,
+	// so one allocation holds every phase's merges.
+	ns.allMerges = make([]candItem, 0, max(len(ns.terms)-1, 0))
 	if ns.rounded() {
 		ns.book.SetRounded()
 	}
@@ -521,23 +534,27 @@ func (ns *nodeState) collect(in []congest.Recv) (congest.Request, bool) {
 			ns.cands = append(ns.cands, candItem{Weight: weight, U: v, V: w, EU: eu, EV: ev}.Wire(wireCand))
 		}
 	}
-	ns.ender = ns.book.Clone()
+	ns.enderSet = false
 	ns.stage = stageCollect
 	return ns.drive(dist.StartUpcastBroadcast(h, &ns.tree, ns.cands, dist.EdgeItemCmp, ns.filterFn, ns.stopFn))
 }
 
-// newFilter is the collection's filter factory: each replica drops a
-// candidate that would close a cycle among the moats it has accepted.
+// newFilter is the collection's filter factory: it re-borrows the node's
+// speculative replica from the committed book and returns accept.
 func (ns *nodeState) newFilter() dist.Filter {
-	spec := ns.book.Clone()
-	return func(x congest.Wire) bool {
-		v, w := dist.EdgeItemPair(x)
-		if spec.SameMoat(v, w) {
-			return false
-		}
-		spec.Merge(v, w)
-		return true
+	ns.book.CloneInto(&ns.spec)
+	return ns.acceptFn
+}
+
+// accept is the node's filter: it drops a candidate that would close a
+// cycle among the moats the replica has accepted.
+func (ns *nodeState) accept(x congest.Wire) bool {
+	v, w := dist.EdgeItemPair(x)
+	if ns.spec.SameMoat(v, w) {
+		return false
 	}
+	ns.spec.Merge(v, w)
+	return true
 }
 
 // stopAfter ends the stream at the first activity-changing merge or, in a
@@ -546,6 +563,13 @@ func (ns *nodeState) stopAfter(x congest.Wire) bool {
 	if ns.rounded() && ns.cap.Less(dist.DecodeQ(x.B&0xff, x.C)) {
 		return true // over the threshold: phase ends at µ̂
 	}
+	if !ns.enderSet {
+		if ns.ender == nil {
+			ns.ender = new(moat.Book)
+		}
+		ns.book.CloneInto(ns.ender)
+		ns.enderSet = true
+	}
 	return ns.ender.Merge(dist.EdgeItemPair(x))
 }
 
@@ -553,9 +577,7 @@ func (ns *nodeState) stopAfter(x congest.Wire) bool {
 // (g) grows the regions by the phase's growth µ: claim newly covered
 // nodes, extend edge coverage.
 func (ns *nodeState) endPhase() {
-	ns.ender = nil
 	mu, accepted, hitThreshold := ns.growth(ns.tree.Collected())
-	ns.allMerges = slices.Grow(ns.allMerges, len(accepted))
 	for _, x := range accepted {
 		c := dist.EdgeItemFromWire(x)
 		ns.book.Merge(c.U, c.V)

@@ -37,8 +37,12 @@ import (
 // The pipeline runs as a congest.Driver (upcast) whose state is cached on
 // t, so on the continuation scheduler the node's program is switched into
 // once, at the exit, and filter and stopAfter run from the scheduler.
+//
+// The returned stream is the caller's to keep: the tree's next collect
+// starts on a fresh buffer.
 func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) []congest.Wire {
 	h.Drive(StartUpcastBroadcast(h, t, local, cmp, newFilter, stopAfter))
+	t.up.kept = true
 	return t.Collected()
 }
 
@@ -47,6 +51,10 @@ func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, ne
 // local, cmp and the filters once it is done. t.Collected() is the
 // node's accepted stream from then on. On a single-node network the
 // stream is decided here.
+//
+// The stream lives in a buffer the tree reuses: t.Collected() is valid
+// until the tree's next collect, which overwrites it. A caller that keeps
+// the stream longer copies it, or uses the blocking UpcastBroadcast.
 func StartUpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) (congest.Request, congest.Driver) {
 	slices.SortStableFunc(local, cmp)
 	var filter Filter
@@ -75,7 +83,8 @@ func StartUpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cm
 }
 
 // Collected returns the node's accepted stream of the tree's latest
-// UpcastBroadcast.
+// UpcastBroadcast. After a StartUpcastBroadcast it aliases the tree's
+// stream buffer, valid until the tree's next collect.
 func (t *Tree) Collected() []congest.Wire { return t.up.result }
 
 // upcast states: the request the node is waiting on.
@@ -92,8 +101,8 @@ const (
 
 // upcast is UpcastBroadcast's per-node state machine: the blocking
 // pipeline split at its blocking points. It is built once per tree and
-// reset per call; its child and forward queues keep their capacity across
-// calls.
+// reset per call; its child and forward queues and its stream buffer keep
+// their capacity across calls.
 type upcast struct {
 	h         *congest.Host
 	t         *Tree
@@ -110,6 +119,7 @@ type upcast struct {
 	state      uint8
 	ownNext    int
 	result     []congest.Wire // the broadcast stream (root: accepted)
+	kept       bool           // a blocking caller kept result: start the next on a fresh buffer
 	streamed   int            // root: result items sent down
 	fwdEnd     bool
 	sawDown    bool
@@ -137,7 +147,11 @@ func (t *Tree) upcast(h *congest.Host) *upcast {
 		k.items, k.head, k.done = k.items[:0], 0, false
 	}
 	u.fwd, u.fwdHead = u.fwd[:0], 0
-	u.result = nil
+	if u.kept {
+		u.result, u.kept = nil, false
+	} else {
+		u.result = u.result[:0]
+	}
 	u.ownNext, u.streamed = 0, 0
 	u.fwdEnd, u.sawDown, u.upDoneSent = false, false, false
 	u.exitRound = -1

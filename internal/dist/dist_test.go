@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -142,6 +144,52 @@ func TestUpcastBroadcastCollectsSorted(t *testing.T) {
 				t.Fatalf("node %d disagrees with node 0 at %d", v, i)
 			}
 		}
+	}
+}
+
+// TestCollectStreamOwnership pins who owns a collected stream. A blocking
+// UpcastBroadcast's result is the caller's: the tree's next collect (of
+// either form) leaves it unchanged. The start form's stream lives in the
+// tree's reused buffer: a second driven collect that fits refills the same
+// array rather than allocating one.
+func TestCollectStreamOwnership(t *testing.T) {
+	g := graph.Grid(3, 4, graph.UnitWeights)
+	var mu sync.Mutex
+	var bad []string
+	fail := func(v int, msg string) {
+		mu.Lock()
+		bad = append(bad, fmt.Sprintf("node %d: %s", v, msg))
+		mu.Unlock()
+	}
+	_, err := congest.Run(g, func(h *congest.Host) {
+		tr := BuildBFS(h)
+		v := h.ID()
+		kept := UpcastBroadcast(h, tr, []congest.Wire{intItem(v), intItem(50 + v)}, intItemCmp, nil, nil)
+		snap := slices.Clone(kept)
+		// A driven collect and then a blocking one, both over other items.
+		h.Drive(StartUpcastBroadcast(h, tr, []congest.Wire{intItem(200 + v)}, intItemCmp, nil, nil))
+		driven := tr.Collected()
+		if len(driven) != g.N() || driven[0].C != 200 {
+			fail(v, fmt.Sprintf("driven stream %v", driven))
+		}
+		if !slices.Equal(kept, snap) {
+			fail(v, "a driven collect overwrote the blocking result")
+		}
+		first := &driven[0]
+		h.Drive(StartUpcastBroadcast(h, tr, []congest.Wire{intItem(300 + v)}, intItemCmp, nil, nil))
+		if again := tr.Collected(); len(again) != g.N() || &again[0] != first {
+			fail(v, "the driven collect did not reuse the tree's stream buffer")
+		}
+		UpcastBroadcast(h, tr, []congest.Wire{intItem(400 + v)}, intItemCmp, nil, nil)
+		if !slices.Equal(kept, snap) {
+			fail(v, "a blocking collect overwrote the earlier blocking result")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		t.Error(b)
 	}
 }
 

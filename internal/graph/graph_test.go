@@ -307,10 +307,19 @@ func TestUnionFind(t *testing.T) {
 	if !uf.Connected(0, 1) || uf.Connected(0, 2) {
 		t.Error("connectivity wrong")
 	}
-	c := uf.Clone()
+	c := NewUnionFind(9) // a larger copy target: its arrays are reused
+	c.Union(4, 5)
+	parent := &c.parent[0]
+	c.CopyFrom(uf)
+	if &c.parent[0] != parent || len(c.parent) != 5 {
+		t.Error("CopyFrom did not reuse the target's arrays")
+	}
+	if c.Connected(4, 3) || !c.Connected(2, 3) {
+		t.Error("copy does not match the original")
+	}
 	c.Union(0, 2)
 	if uf.Connected(0, 2) {
-		t.Error("clone mutated original")
+		t.Error("copy mutated original")
 	}
 	if uf.Sets() != 3 || c.Sets() != 2 {
 		t.Errorf("sets = %d, %d", uf.Sets(), c.Sets())

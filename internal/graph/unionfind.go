@@ -55,11 +55,10 @@ func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) 
 // Sets returns the current number of disjoint sets.
 func (uf *UnionFind) Sets() int { return uf.sets }
 
-// Clone returns an independent copy of uf.
-func (uf *UnionFind) Clone() *UnionFind {
-	return &UnionFind{
-		parent: append([]int(nil), uf.parent...),
-		rank:   append([]int8(nil), uf.rank...),
-		sets:   uf.sets,
-	}
+// CopyFrom makes uf an independent copy of src, reusing uf's arrays when
+// they are large enough.
+func (uf *UnionFind) CopyFrom(src *UnionFind) {
+	uf.parent = append(uf.parent[:0], src.parent...)
+	uf.rank = append(uf.rank[:0], src.rank...)
+	uf.sets = src.sets
 }

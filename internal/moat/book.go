@@ -19,25 +19,37 @@ import (
 // handles go stale after merges but are never read — every lookup goes
 // through a union-find Find first.
 //
-// Clone is copy-on-write: a clone shares the parent's arrays until its
-// first mutating call (Merge, RecheckActivity), which copies them. The
-// stream filters that clone speculate strictly between two mutations of
-// the parent and are discarded before the parent's next mutation, so a
-// borrowed clone never observes a parent write; the contract is that a
-// clone must not be used after its parent mutates.
+// A replica is reusable. b.CloneInto(dst) makes dst a copy of b that
+// borrows b's arrays until dst's first mutating call (Merge,
+// RecheckActivity), which copies them into arrays dst kept from its
+// earlier use as a replica, allocating only when it has none large enough
+// yet. So a node that re-borrows the same replica every merge phase
+// allocates once, not once per phase, and a replica that only reads
+// copies nothing. The stream
+// filters speculate strictly between two mutations of the parent, so the
+// contract is that a borrowing replica must not be used after its parent
+// mutates; one that has mutated since its CloneInto owns its state.
 type Book struct {
 	moats      *graph.UnionFind
 	labels     *graph.UnionFind // label aliasing, keyed by terminal index handles
-	lblOf      []int            // terminal index -> its label's canonical handle
+	lblOf      []int            // terminal index -> its label's canonical handle (never written after NewBook: replicas share it)
 	active     []bool           // moat root -> active (stale off-root entries unread)
 	labelMoats []int32          // canonical label handle -> #moats holding it
 	rounded    bool             // Algorithm 2: merges never deactivate
-	borrowed   bool             // CoW: state shared with the clone's parent
+	borrowed   bool             // the mutable arrays are the CloneInto source's
+	own        bookArrays       // this Book's own mutable arrays, kept while it borrows
 }
 
-// EagerClones forces Clone to deep-copy immediately instead of
-// copy-on-write. Test hook: the property suite pins that both modes are
-// observationally identical across solvers and workload families.
+// bookArrays is the mutable state a replica copies on its first mutation.
+type bookArrays struct {
+	moats, labels graph.UnionFind
+	active        []bool
+	labelMoats    []int32
+}
+
+// EagerClones forces CloneInto to copy immediately instead of borrowing.
+// Test hook: the property suite pins that both modes are observationally
+// identical across solvers and workload families.
 var EagerClones bool
 
 // NewBook initializes the bookkeeping for terminals with the given input
@@ -46,12 +58,15 @@ var EagerClones bool
 func NewBook(labels []int) *Book {
 	n := len(labels)
 	b := &Book{
-		moats:      graph.NewUnionFind(n),
-		labels:     graph.NewUnionFind(n),
-		lblOf:      make([]int, n),
-		active:     make([]bool, n),
-		labelMoats: make([]int32, n),
+		own: bookArrays{
+			moats:      *graph.NewUnionFind(n),
+			labels:     *graph.NewUnionFind(n),
+			active:     make([]bool, n),
+			labelMoats: make([]int32, n),
+		},
+		lblOf: make([]int, n),
 	}
+	b.useOwn()
 	// A label's canonical handle is its first terminal: order the
 	// terminals by (label, index), and each run's head is that terminal.
 	// (No map: every node of a distributed run builds its own Book.) The
@@ -95,17 +110,13 @@ func (b *Book) AnyActive() bool {
 	return false
 }
 
-// ActiveCount returns the number of active moats.
+// ActiveCount returns the number of active moats: the moat roots whose
+// activity bit is set.
 func (b *Book) ActiveCount() int {
-	seen := make([]bool, len(b.lblOf))
 	n := 0
 	for i := range b.lblOf {
-		r := b.moats.Find(i)
-		if !seen[r] {
-			seen[r] = true
-			if b.active[r] {
-				n++
-			}
+		if b.active[i] && b.moats.Find(i) == i {
+			n++
 		}
 	}
 	return n
@@ -117,20 +128,28 @@ func (b *Book) SameMoat(i, j int) bool { return b.moats.Connected(i, j) }
 // MoatOf returns the canonical moat handle of terminal i.
 func (b *Book) MoatOf(i int) int { return b.moats.Find(i) }
 
-// ensureOwned makes b's state private before a mutation: a borrowed clone
-// copies the shared arrays exactly once, on its first mutating call.
-// (Find's path compression also writes shared arrays, but only to shortcut
-// parent chains — it never changes any set, so sharing it is harmless.)
+// useOwn points the mutable state at b's own arrays.
+func (b *Book) useOwn() {
+	b.moats, b.labels = &b.own.moats, &b.own.labels
+	b.active, b.labelMoats = b.own.active, b.own.labelMoats
+	b.borrowed = false
+}
+
+// ensureOwned makes b's state private before a mutation: a borrowing
+// replica copies the shared arrays into its own exactly once, on its first
+// mutating call. (Find's path compression also writes shared arrays, but
+// only to shortcut parent chains — it never changes any set, so sharing it
+// is harmless.)
 func (b *Book) ensureOwned() {
 	if !b.borrowed {
 		return
 	}
-	b.borrowed = false
-	b.moats = b.moats.Clone()
-	b.labels = b.labels.Clone()
-	b.lblOf = append([]int(nil), b.lblOf...)
-	b.active = append([]bool(nil), b.active...)
-	b.labelMoats = append([]int32(nil), b.labelMoats...)
+	o := &b.own
+	o.moats.CopyFrom(b.moats)
+	o.labels.CopyFrom(b.labels)
+	o.active = append(o.active[:0], b.active...)
+	o.labelMoats = append(o.labelMoats[:0], b.labelMoats...)
+	b.useOwn()
 }
 
 // Merge joins the moats of terminals i and j per Algorithm 1 lines 20-33
@@ -172,17 +191,15 @@ func (b *Book) RecheckActivity() {
 	}
 }
 
-// Clone returns an independent copy (used by stream filters that must
-// speculate ahead of the committed state). The copy is lazy: state is
-// shared until the clone's first mutation, so a clone that only reads —
-// the common case for the phase-ender replica away from the root — costs
-// one small allocation. The clone must be discarded before the parent's
-// next mutation.
-func (b *Book) Clone() *Book {
-	c := *b
-	c.borrowed = true
+// CloneInto makes dst a replica of b (used by stream filters that must
+// speculate ahead of the committed state), keeping dst's own arrays for
+// its first mutation to copy into; see Book. dst must not be b.
+func (b *Book) CloneInto(dst *Book) {
+	own := dst.own
+	*dst = *b
+	dst.own = own
+	dst.borrowed = true
 	if EagerClones {
-		c.ensureOwned()
+		dst.ensureOwned()
 	}
-	return &c
 }

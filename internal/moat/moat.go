@@ -119,6 +119,11 @@ type moatState struct {
 	book *Book        // moat/label/activity bookkeeping (Algorithm 1 lines 20-33)
 	rad  []rational.Q // per terminal index
 
+	// nextEvent's per-event scratch: each terminal's moat and activity,
+	// looked up once per event instead of once per pair.
+	moatOf []int
+	active []bool
+
 	connF *graph.UnionFind // node connectivity under the selected forest
 }
 
@@ -212,6 +217,8 @@ func newMoatState(ctx context.Context, ins *steiner.Instance, rounded bool) (*mo
 		tIndex:    make(map[int]int, len(ts)),
 		book:      NewBook(termLabels),
 		rad:       make([]rational.Q, len(ts)),
+		moatOf:    make([]int, len(ts)),
+		active:    make([]bool, len(ts)),
 		connF:     graph.NewUnionFind(ins.G.N()),
 	}
 	if rounded {
@@ -262,13 +269,16 @@ func (st *moatState) activeCount() int { return st.book.ActiveCount() }
 // nextEvent scans all terminal pairs for the earliest meeting event,
 // breaking ties by terminal node IDs.
 func (st *moatState) nextEvent() (mu rational.Q, v, w int, ok bool) {
+	for i := range st.terminals {
+		st.moatOf[i], st.active[i] = st.book.MoatOf(i), st.book.Active(i)
+	}
 	found := false
 	for i := range st.terminals {
 		for j := i + 1; j < len(st.terminals); j++ {
-			if st.book.SameMoat(i, j) || st.wd[i][j] == graph.Infinity {
+			if st.moatOf[i] == st.moatOf[j] || st.wd[i][j] == graph.Infinity {
 				continue
 			}
-			ai, aj := st.book.Active(i), st.book.Active(j)
+			ai, aj := st.active[i], st.active[j]
 			if !ai && !aj {
 				continue
 			}
