@@ -5,10 +5,11 @@
 #   make build vet test   - compile, vet, full test suite
 #   make fmt              - fail on any file gofmt would rewrite
 #   make race             - test suite under the race detector
-#   make fuzz-smoke       - ~45s fresh-input fuzz of eight targets: instance
+#   make fuzz-smoke       - ~50s fresh-input fuzz of nine targets: instance
 #                           parser, wire codec, graph freeze, RunQuiet,
 #                           BuildBFS, collect, the driven det/rounded solves,
-#                           dyadic arithmetic
+#                           the driven rand/trunc/khan solves, dyadic
+#                           arithmetic
 #   make bench-gate       - bench smoke + committed-snapshot drift gate
 #   make smoke            - end-to-end CLI smoke (local ci only)
 #   make serve-smoke      - dsfserve self-test: closed-loop trace over HTTP
@@ -58,10 +59,11 @@ race:
 # Short fuzz smoke: the instance parser and the wire item codec must
 # survive fresh fuzz input on every CI run, not just the checked-in
 # corpus and seeds, the scheduler-driven RunQuiet, BuildBFS, the
-# collect pipelines and the coroutine-free det and rounded solves must
-# match the per-round engine on fresh networks, activity schedules, item
-# sets and instances, and the shift-based dyadic arithmetic must match
-# math/big, panicking exactly when a result leaves its range.
+# collect pipelines and the coroutine-free det, rounded, rand, trunc and
+# khan solves must match the per-round engine on fresh networks,
+# activity schedules, item sets and instances, and the shift-based dyadic
+# arithmetic must match math/big, panicking exactly when a result leaves
+# its range.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadInstance -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzCandWire -fuzztime 5s ./internal/detforest
@@ -70,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBuildBFS -fuzztime 5s ./internal/dist
 	$(GO) test -run xxx -fuzz FuzzCollect -fuzztime 5s ./internal/dist
 	$(GO) test -run xxx -fuzz FuzzDetDriven -fuzztime 5s ./internal/detforest
+	$(GO) test -run xxx -fuzz FuzzRandDriven -fuzztime 5s ./internal/randforest
 	$(GO) test -run xxx -fuzz FuzzDyadic -fuzztime 5s ./internal/rational
 
 # Benchmark suite: experiment tables at reduced scale plus the engine

@@ -40,8 +40,9 @@
 // RunDriven instead, and then takes no coroutine at all: the scheduler
 // starts each node itself, calls Next for every request, and finishes the
 // node when Next reports done — no coroutine switch, and no program stack
-// kept per node for the garbage collector to scan. The deterministic
-// solvers run this way.
+// kept per node for the garbage collector to scan. Every solver runs this
+// way: the deterministic ones (det, rounded) and the randomized ones
+// (rand, trunc, khan).
 //
 // The round scheduler is event-driven and allocation-free on its hot path.
 // Nodes that have nothing to say park instead of spinning: Host.Idle(k)
@@ -65,9 +66,10 @@
 // identical to plain Exchange loops (WithFastPath(false) forces the
 // loops): Stats and every delivered message are bit-for-bit the same.
 //
-// Runs are deterministic: inboxes are sorted by port, per-node RNGs are
-// seeded from (seed, node ID), and node programs see only local information
-// (their ID, n, their incident edges) plus whatever messages they receive.
+// Runs are deterministic: inboxes are sorted by port, per-node RNGs draw
+// math/rand's stream for a seed derived from (seed, node ID) (see
+// Host.Rand), and node programs see only local information (their ID, n,
+// their incident edges) plus whatever messages they receive.
 package congest
 
 import (
@@ -244,7 +246,7 @@ type Host struct {
 	id         int
 	n          int
 	ports      []graph.Half // incident edges sorted by neighbor ID
-	rng        *rand.Rand   // lazily created on first Rand call
+	rng        *rand.Rand   // created on first Rand call, over a lazySource
 	rngSeed    int64
 	round      int
 	fast       bool
@@ -321,11 +323,16 @@ func (h *Host) EdgeIndex(port int) int { return int(h.ports[port].Index) }
 func (h *Host) Round() int { return h.round }
 
 // Rand returns this node's private random source, seeded deterministically
-// from (run seed, node ID). It is created on first use, so protocols that
-// never draw randomness pay no seeding cost.
+// from (run seed, node ID). Its stream is math/rand's: every draw, by
+// every method, equals that of rand.New(rand.NewSource(s)) for the node's
+// seed s. It is created on first use and seeded lazily (see lazySource):
+// a node that never draws pays nothing, and one that draws a few values
+// pays two small allocations instead of a full math/rand source.
 func (h *Host) Rand() *rand.Rand {
 	if h.rng == nil {
-		h.rng = rand.New(rand.NewSource(h.rngSeed))
+		src := new(lazySource)
+		src.Seed(h.rngSeed)
+		h.rng = rand.New(src)
 	}
 	return h.rng
 }

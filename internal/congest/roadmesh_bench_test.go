@@ -15,21 +15,25 @@ import (
 // time only — the A/B handle for scheduler changes such as RunQuiet's
 // parking and driving. Besides rounds it reports the scheduler's work per
 // solve: submissions (one per blocking call) and the coroutine switches
-// they took (submissions a Driver produced take none). det and rounded
-// are one congest.RunDriven driver each, so they take no switch at all;
-// rand, a blocking program over the driven dist primitives, switches
-// once per node per primitive call and per solver-side blocking call:
-// 0 / 37,888 / 0 switches for det / rand / rounded against 43,820 /
-// 257,219 / 497,218 submissions.
+// they took (submissions a Driver produced take none). Every solver is
+// one congest.RunDriven driver, so none takes a switch: 0 switches for
+// det / rand / rounded against 43,820 / 257,219 / 497,218 submissions.
+// rand took 37,888 while it was a blocking program over the driven dist
+// primitives, switching once per node per primitive call and per
+// solver-side blocking call.
 //
 // B/op and allocs/op show the merge loop's per-phase cost. rounded runs 20
 // merge phases here against det's 1, yet allocates what det does (5.63 MB
 // and about 42k allocations each on a 2-vCPU VM with go1.24): every node
 // re-borrows its moat-book replicas and its collect stream buffer each
 // phase instead of allocating them. Before that, rounded took 14.24 MB
-// and 197,916 allocations, against det's 5.75 MB and 48,414. rand, a
-// blocking program whose collected streams are its own to keep, takes
-// 16.39 MB.
+// and 197,916 allocations, against det's 5.75 MB and 48,414. rand takes
+// 5.91 MB and about 53k allocations: its driven collects reuse the
+// tree's stream buffer, each node's random source computes its one or
+// two draws without building math/rand's 4.9 KB state (see
+// congest.Host.Rand), each node's LE list is a slice, not two maps, and
+// each node reuses one census filter. As a blocking program with a full
+// math/rand source per node it took 16.39 MB and 141k allocations.
 func BenchmarkSolveRoadmesh(b *testing.B) {
 	gen, err := workload.Generate("roadmesh", workload.Params{N: 1024, K: 4, Seed: 1})
 	if err != nil {

@@ -408,27 +408,39 @@ func (u *upcast) downLoop() congest.Request {
 // the stream reaches them; fully parked stretches of the pipeline drain
 // as engine-side relay forwards. Like UpcastBroadcast it runs as a
 // congest.Driver (broadcast) cached on t.
+//
+// The returned list is the caller's to keep: the tree's next broadcast
+// starts on a fresh buffer.
 func BroadcastList(h *congest.Host, t *Tree, items []congest.Wire) []congest.Wire {
-	if h.N() <= 1 {
-		return items
-	}
+	h.Drive(StartBroadcastList(h, t, items))
+	t.bcast.kept = true
+	return t.Broadcasted()
+}
+
+// StartBroadcastList is BroadcastList's start form: it returns the first
+// request and the driver of the broadcast. t.Broadcasted() is the node's
+// list once the driver is done: the root's own items, or, elsewhere, the
+// received stream in a buffer the tree reuses, valid until its next
+// broadcast.
+func StartBroadcastList(h *congest.Host, t *Tree, items []congest.Wire) (congest.Request, congest.Driver) {
 	b := t.broadcast(h)
-	if t.IsRoot() {
+	if h.N() <= 1 || t.IsRoot() {
 		b.items = items
-		h.Drive(b.stream(), b)
-		b.items = nil
-		return items
+		if h.N() <= 1 {
+			return congest.Idle(0), finished{}
+		}
+		return b.stream(), b
 	}
 	// The whole stage runs inside the engine: one relay order forwards
 	// the parent's stream, end marker included, and completes once it has
 	// passed — deviations cannot occur in this primitive, so the drain is
 	// pure relay traffic.
 	b.state = bcastRelay
-	h.Drive(congest.RelayStream(t.ParentPort, t.ChildPorts, wireBcastEnd), b)
-	result := b.items
-	b.items = nil
-	return result
+	return congest.RelayStream(t.ParentPort, t.ChildPorts, wireBcastEnd), b
 }
+
+// Broadcasted returns the node's list of the tree's latest BroadcastList.
+func (t *Tree) Broadcasted() []congest.Wire { return t.bcast.items }
 
 // broadcast states: the request the node is waiting on.
 const (
@@ -443,16 +455,23 @@ type broadcast struct {
 	t     *Tree
 	state uint8
 	items []congest.Wire // root: the list; non-root: the received list
+	recv  []congest.Wire // non-root: the receive buffer, reused across calls
+	kept  bool           // a blocking caller kept recv: start the next on a fresh buffer
 	sent  int            // root: items sent, the end marker counting last
 }
 
 // broadcast returns t's cached BroadcastList driver, reset for a call.
 func (t *Tree) broadcast(h *congest.Host) *broadcast {
-	if t.bcast == nil {
-		t.bcast = &broadcast{h: h, t: t}
+	b := t.bcast
+	if b == nil {
+		b = &broadcast{h: h, t: t}
+		t.bcast = b
 	}
-	t.bcast.state, t.bcast.sent = bcastStream, 0
-	return t.bcast
+	if b.kept {
+		b.recv, b.kept = nil, false
+	}
+	b.state, b.sent, b.items = bcastStream, 0, nil
+	return b
 }
 
 // stream returns the root's next request: the next item, the end marker,
@@ -476,14 +495,15 @@ func (b *broadcast) Next(in []congest.Recv) (congest.Request, bool) {
 		return b.stream(), true
 	case bcastRelay:
 		stream, _ := b.h.RelaySplit(in)
-		if len(stream) > 1 {
-			b.items = make([]congest.Wire, 0, len(stream)-1) // all but the marker
-		}
+		b.recv = b.recv[:0]
 		for _, rc := range stream {
 			if rc.Wire.Kind == wireBcastEnd {
 				break
 			}
-			b.items = append(b.items, rc.Wire)
+			b.recv = append(b.recv, rc.Wire)
+		}
+		if len(b.recv) > 0 {
+			b.items = b.recv
 		}
 		// The marker arrived one round before its forward when we have
 		// children, in the waking round at a leaf.
@@ -503,22 +523,31 @@ func (b *broadcast) Next(in []congest.Recv) (congest.Request, bool) {
 // subtrees aggregate; everyone idles out to the common exit round. It runs
 // as a congest.Driver (maxAgg) cached on t.
 func Max(h *congest.Host, t *Tree, v int64) int64 {
-	if h.N() <= 1 {
-		return v
-	}
+	h.Drive(StartMax(h, t, v))
+	return t.Maximum()
+}
+
+// StartMax is Max's start form: it returns the first request and the
+// driver of the aggregate. t.Maximum() is the global maximum once the
+// driver is done.
+func StartMax(h *congest.Host, t *Tree, v int64) (congest.Request, congest.Driver) {
 	m := t.maxAgg(h)
 	m.best = v
+	if h.N() <= 1 {
+		return congest.Idle(0), finished{}
+	}
 	// Leaves detect their (empty) subtree in the first round and send in
 	// the second, matching the generic detect-then-send cadence.
-	first := congest.Exchange(nil)
 	m.state = maxLeaf
 	if nc := len(t.ChildPorts); nc > 0 {
-		first = congest.Sleep()
 		m.state, m.pending = maxUp, nc
+		return congest.Sleep(), m
 	}
-	h.Drive(first, m)
-	return m.best
+	return congest.Exchange(nil), m
 }
+
+// Maximum returns the result of the tree's latest Max.
+func (t *Tree) Maximum() int64 { return t.agg.best }
 
 // maxAgg states: the request the node is waiting on.
 const (

@@ -27,11 +27,12 @@
 // is a congest.Driver, its per-node state cached on the Tree: the
 // scheduler completes every request by calling the driver's Next, so a
 // blocking call (which runs the driver with Host.Drive) costs the node's
-// program one coroutine switch, at its exit. BuildBFS, UpcastBroadcast,
-// BellmanFord and RunQuiet also have start forms (StartBFS, ...) that
-// return the first request and the driver instead of running them, with
-// the result read from the Tree afterwards; each blocking form is its
-// start form plus Drive. A node program that chains start forms inside a
+// program one coroutine switch, at its exit. Every primitive also has a
+// start form (StartBFS, StartUpcastBroadcast, StartBroadcastList,
+// StartMax, StartBellmanFord, StartQuiet) that returns the first request
+// and the driver instead of running them, with the result read from the
+// Tree afterwards (the tree itself, Collected, Broadcasted, Maximum, BF);
+// each blocking form is its start form plus Drive. A node program that chains start forms inside a
 // driver of its own runs under congest.RunDriven with no coroutine at all.
 //
 // All primitives assume a connected graph (as the paper does); on a

@@ -16,6 +16,7 @@
 package embed
 
 import (
+	"slices"
 	"sort"
 
 	"steinerforest/internal/congest"
@@ -146,8 +147,20 @@ type Options struct {
 // Build constructs the embedding at every node: β broadcast from the BFS
 // root, L derived from a max-weight aggregate, optionally the high-rank set
 // S, then the pipelined LE-list computation run to global quiescence.
+//
+// Build is StartBuild run with Host.Drive.
 func Build(h *congest.Host, t *dist.Tree, opts Options) *Embedding {
-	emb := &Embedding{
+	emb := new(Embedding)
+	h.Drive(StartBuild(h, t, opts, emb))
+	return emb
+}
+
+// StartBuild is Build's start form: it draws the node's rank (and, at the
+// root, β) and returns the first request and the driver of the
+// construction, which runs the dist primitives' start forms in turn. emb
+// is the node's embedding once the driver is done.
+func StartBuild(h *congest.Host, t *dist.Tree, opts Options, emb *Embedding) (congest.Request, congest.Driver) {
+	*emb = Embedding{
 		Rank:    Rank{Value: h.Rand().Int63(), Node: h.ID()},
 		NextHop: make(map[int]int),
 	}
@@ -156,108 +169,184 @@ func Build(h *congest.Host, t *dist.Tree, opts Options) *Embedding {
 	if t.IsRoot() {
 		items = []congest.Wire{{Kind: wireBeta, C: h.Rand().Int63n(1024)}}
 	}
-	got := dist.BroadcastList(h, t, items)
-	emb.Beta = rational.FromInt(1).Add(rational.New(got[0].C, 1024))
-	// L = ceil(log2(n * maxW)) bounds log2 of the weighted diameter.
-	var maxW int64 = 1
-	for p := 0; p < h.Degree(); p++ {
-		if w := h.Weight(p); w > maxW {
-			maxW = w
-		}
-	}
-	maxW = dist.Max(h, t, maxW)
-	emb.L = 1
-	for bound := int64(h.N()) * maxW; int64(1)<<uint(emb.L) < bound; emb.L++ {
-	}
-
-	if opts.Truncate {
-		buildS(h, t, emb)
-	}
-
-	runLELists(h, t, emb)
-	return emb
+	b := &construction{h: h, t: t, emb: emb, truncate: opts.Truncate, stage: stageBeta}
+	var first congest.Request
+	first, b.sub = dist.StartBroadcastList(h, t, items)
+	return first, b
 }
 
-// buildS elects the ceil(sqrt(n)) highest-rank nodes as S and computes each
-// node's nearest S member via weighted multi-source Bellman-Ford.
-func buildS(h *congest.Host, t *dist.Tree, emb *Embedding) {
+// construction stages: the primitive the node's current request belongs to.
+const (
+	stageBeta  = uint8(iota) // the β broadcast
+	stageMax                 // the max-weight aggregate
+	stageSRank               // the S election (truncated only)
+	stageSBF                 // Bellman-Ford from S (truncated only)
+	stageLE                  // the LE-list relaxation
+)
+
+// construction is StartBuild's per-node driver: Build's primitives in turn,
+// each driven to completion as sub before Next starts the next stage's.
+type construction struct {
+	h        *congest.Host
+	t        *dist.Tree
+	emb      *Embedding
+	truncate bool
+	inS      bool // a member of S (truncated only)
+	stage    uint8
+	sub      congest.Driver
+	le       *leLists
+}
+
+// drive makes d the running primitive, starting with first.
+func (b *construction) drive(first congest.Request, d congest.Driver) (congest.Request, bool) {
+	b.sub = d
+	return first, true
+}
+
+// Next completes the request the node was waiting on — forwarding it to
+// the running primitive until that is done — and returns the next one.
+func (b *construction) Next(in []congest.Recv) (congest.Request, bool) {
+	if req, more := b.sub.Next(in); more {
+		return req, true
+	}
+	h, t, emb := b.h, b.t, b.emb
+	switch b.stage {
+	case stageBeta:
+		emb.Beta = rational.FromInt(1).Add(rational.New(t.Broadcasted()[0].C, 1024))
+		// L = ceil(log2(n * maxW)) bounds log2 of the weighted diameter.
+		var maxW int64 = 1
+		for p := 0; p < h.Degree(); p++ {
+			if w := h.Weight(p); w > maxW {
+				maxW = w
+			}
+		}
+		b.stage = stageMax
+		return b.drive(dist.StartMax(h, t, maxW))
+	case stageMax:
+		emb.L = 1
+		for bound := int64(h.N()) * t.Maximum(); int64(1)<<uint(emb.L) < bound; emb.L++ {
+		}
+		if b.truncate {
+			b.stage = stageSRank
+			return b.drive(b.electS())
+		}
+	case stageSRank:
+		b.stage = stageSBF
+		return b.drive(b.nearestS())
+	case stageSBF:
+		b.installS()
+	case stageLE:
+		b.le.finish()
+		b.sub, b.le = nil, nil
+		return congest.Request{}, false
+	}
+	b.stage = stageLE
+	return b.drive(b.startLELists())
+}
+
+// electS starts the election of the ceil(sqrt(n)) highest-rank nodes as
+// S: a descending upcast cut after the target count.
+func (b *construction) electS() (congest.Request, congest.Driver) {
+	h := b.h
 	target := 1
 	for target*target < h.N() {
 		target++
 	}
 	count := 0
-	sItems := dist.UpcastBroadcast(h, t,
-		[]congest.Wire{{Kind: wireSRank, A: uint32(h.ID()), C: emb.Rank.Value}}, sRankCmp, nil,
+	return dist.StartUpcastBroadcast(h, b.t,
+		[]congest.Wire{{Kind: wireSRank, A: uint32(h.ID()), C: b.emb.Rank.Value}}, sRankCmp, nil,
 		func(congest.Wire) bool { count++; return count >= target })
-	inS := false
-	for _, it := range sItems {
+}
+
+// nearestS records S and starts the weighted multi-source Bellman-Ford
+// from it that finds each node's nearest S member.
+func (b *construction) nearestS() (congest.Request, congest.Driver) {
+	h, emb := b.h, b.emb
+	for _, it := range b.t.Collected() {
 		node := int(it.A)
 		emb.S = append(emb.S, node)
 		if node == h.ID() {
-			inS = true
+			b.inS = true
 		}
 	}
 	sort.Ints(emb.S)
-	bf := dist.BellmanFord(h, t, dist.BFConfig{IsSource: inS, SourceID: h.ID()})
+	return dist.StartBellmanFord(h, b.t, dist.BFConfig{IsSource: b.inS, SourceID: h.ID()})
+}
+
+// installS records the node's nearest S member.
+func (b *construction) installS() {
+	emb, bf := b.emb, b.t.BF()
 	emb.Truncated = true
 	emb.NearS = bf.Source
 	emb.DistS = bf.Dist.Int()
 	emb.PortS = bf.ParentPort
-	if inS {
+	if b.inS {
 		emb.DistS = 0
-		emb.NearS = h.ID()
+		emb.NearS = b.h.ID()
 		emb.PortS = -1
 	}
 }
 
-// runLELists runs the pipelined LE-list relaxation to quiescence: each
-// accepted or improved entry is queued and re-announced to all neighbors,
-// one entry per edge per round.
-func runLELists(h *congest.Host, t *dist.Tree, emb *Embedding) {
-	le := &leLists{
-		h:      h,
-		emb:    emb,
-		list:   map[int]listEntry{h.ID(): {rank: emb.Rank, dist: 0, port: -1}},
-		queue:  []int{h.ID()},
-		queued: map[int]bool{h.ID(): true},
-		out:    make([]congest.Send, 0, h.Degree()),
+// startLELists starts the pipelined LE-list relaxation, run to
+// quiescence: each accepted or improved entry is queued and re-announced
+// to all neighbors, one entry per edge per round.
+func (b *construction) startLELists() (congest.Request, congest.Driver) {
+	h, emb := b.h, b.emb
+	b.le = &leLists{
+		h:     h,
+		emb:   emb,
+		list:  []Entry{{Node: h.ID(), Rank: emb.Rank, Dist: 0, NextHop: -1}},
+		queue: []int{h.ID()},
+		out:   make([]congest.Send, 0, h.Degree()),
 	}
 	emb.NextHop[h.ID()] = -1
-	dist.RunQuiet(h, t, le.step)
-
-	emb.List = make([]Entry, 0, len(le.list))
-	for id, ent := range le.list {
-		emb.List = append(emb.List, Entry{Node: id, Rank: ent.rank, Dist: ent.dist, NextHop: ent.port})
-	}
-	sort.Slice(emb.List, func(i, j int) bool { return emb.List[i].Dist < emb.List[j].Dist })
+	return dist.StartQuiet(h, b.t, b.le.step)
 }
 
-type listEntry struct {
-	rank Rank
-	dist int64
-	port int
+// finish makes the relaxed list the embedding's, by ascending distance.
+// No two entries share a distance (the nearer or equal one of higher
+// rank dominates the other), so the order is unique.
+func (le *leLists) finish() {
+	sort.Slice(le.list, func(i, j int) bool { return le.list[i].Dist < le.list[j].Dist })
+	le.emb.List = le.list
 }
 
-// leLists is a node's LE-list relaxation state, runLELists' RunQuiet
-// step.
+// leLists is a node's LE-list relaxation state, startLELists' RunQuiet
+// step. A list holds O(log n) entries w.h.p., so it is a plain slice,
+// unordered until finish, searched linearly.
 type leLists struct {
-	h      *congest.Host
-	emb    *Embedding
-	list   map[int]listEntry
-	queue  []int // entries to re-announce, one per round
-	queued map[int]bool
-	out    []congest.Send // reused announcement buffer
+	h     *congest.Host
+	emb   *Embedding
+	list  []Entry
+	queue []int // entries to re-announce, one per round, from head on
+	head  int
+	out   []congest.Send // reused announcement buffer
 }
 
 func (le *leLists) censored(d int64) bool {
 	return le.emb.Truncated && d >= le.emb.DistS && d > 0
 }
 
+// find returns the index of node's entry, or -1.
+func (le *leLists) find(node int) int {
+	for i := range le.list {
+		if le.list[i].Node == node {
+			return i
+		}
+	}
+	return -1
+}
+
+// queued reports whether node waits in the announcement queue.
+func (le *leLists) queued(node int) bool {
+	return slices.Contains(le.queue[le.head:], node)
+}
+
 // dominated reports whether candidate (rank, dist) is dominated by the
 // current list: some entry at distance <= dist with rank >= rank.
 func (le *leLists) dominated(rank Rank, d int64) bool {
 	for _, ent := range le.list {
-		if ent.dist <= d && rank.Less(ent.rank) {
+		if ent.Dist <= d && rank.Less(ent.Rank) {
 			return true
 		}
 	}
@@ -265,53 +354,56 @@ func (le *leLists) dominated(rank Rank, d int64) bool {
 }
 
 func (le *leLists) step(_ int, in []congest.Recv) ([]congest.Send, bool) {
-	h, list := le.h, le.list
+	h := le.h
 	for _, rc := range in {
 		if rc.Wire.Kind != wireLE {
 			continue
 		}
 		node := int(rc.Wire.A)
-		cand := listEntry{
-			rank: Rank{Value: rc.Wire.C, Node: node},
-			dist: rc.Wire.D + h.Weight(rc.Port),
-			port: rc.Port,
+		cand := Entry{
+			Node:    node,
+			Rank:    Rank{Value: rc.Wire.C, Node: node},
+			Dist:    rc.Wire.D + h.Weight(rc.Port),
+			NextHop: rc.Port,
 		}
-		if le.censored(cand.dist) {
+		if le.censored(cand.Dist) {
 			continue
 		}
-		cur, present := list[node]
-		if present && cur.dist <= cand.dist {
+		cur := le.find(node)
+		if cur >= 0 && le.list[cur].Dist <= cand.Dist {
 			continue
 		}
-		if le.dominated(cand.rank, cand.dist) {
+		if le.dominated(cand.Rank, cand.Dist) {
 			continue
 		}
 		// Accept: insert/improve, prune entries it dominates.
-		list[node] = cand
-		le.emb.NextHop[node] = cand.port
-		for id, ent := range list {
-			if id != node && cand.dist <= ent.dist && ent.rank.Less(cand.rank) {
-				delete(list, id)
-			}
+		if cur >= 0 {
+			le.list[cur] = cand
+		} else {
+			le.list = append(le.list, cand)
 		}
-		if !le.queued[node] {
-			le.queued[node] = true
+		le.emb.NextHop[node] = cand.NextHop
+		le.list = slices.DeleteFunc(le.list, func(ent Entry) bool {
+			return ent.Node != node && cand.Dist <= ent.Dist && ent.Rank.Less(cand.Rank)
+		})
+		if !le.queued(node) {
 			le.queue = append(le.queue, node)
 		}
 	}
-	if len(le.queue) == 0 {
+	if le.head == len(le.queue) {
+		le.queue, le.head = le.queue[:0], 0
 		return nil, false
 	}
-	id := le.queue[0]
-	le.queue = le.queue[1:]
-	le.queued[id] = false
-	ent, ok := list[id]
-	if !ok {
+	id := le.queue[le.head]
+	le.head++
+	cur := le.find(id)
+	if cur < 0 {
 		return nil, true // pruned while queued; stay active to flush queue
 	}
+	ent := le.list[cur]
 	le.out = le.out[:0]
 	for p := 0; p < h.Degree(); p++ {
-		le.out = append(le.out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireLE, A: uint32(id), C: ent.rank.Value, D: ent.dist}})
+		le.out = append(le.out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireLE, A: uint32(id), C: ent.Rank.Value, D: ent.Dist}})
 	}
 	return le.out, true
 }

@@ -79,7 +79,7 @@ func SolveAKR(ins *steiner.Instance) (*Result, error) {
 // wrapping the context's cause. A context that never fires leaves the
 // result bit-identical to SolveAKR's.
 func SolveAKRCtx(ctx context.Context, ins *steiner.Instance) (*Result, error) {
-	return solve(ctx, ins, nil)
+	return solve(ctx, ins, nil, (*moatState).nextEvent)
 }
 
 // SolveRounded runs Algorithm 2 with ε = epsNum/epsDen, deferring merges to
@@ -90,7 +90,7 @@ func SolveRounded(ins *steiner.Instance, epsNum, epsDen int64) (*Result, error) 
 	if epsNum <= 0 || epsDen <= 0 {
 		return nil, fmt.Errorf("moat: invalid epsilon %d/%d", epsNum, epsDen)
 	}
-	return solve(context.Background(), ins, &thresholds{num: epsNum, den: epsDen, current: 1})
+	return solve(context.Background(), ins, &thresholds{num: epsNum, den: epsDen, current: 1}, (*moatState).nextEvent)
 }
 
 // thresholds implements Algorithm 2's rounded radii; nil means Algorithm 1.
@@ -116,13 +116,23 @@ type moatState struct {
 	wd    [][]int64 // terminal-terminal distances
 	paths []*graph.SSSPResult
 
-	book *Book        // moat/label/activity bookkeeping (Algorithm 1 lines 20-33)
-	rad  []rational.Q // per terminal index
+	book  *Book        // moat/label/activity bookkeeping (Algorithm 1 lines 20-33)
+	rad   []rational.Q // per terminal index
+	total rational.Q   // Σµ, the cumulative growth
 
-	// nextEvent's per-event scratch: each terminal's moat and activity,
-	// looked up once per event instead of once per pair.
-	moatOf []int
-	active []bool
+	// nextEvent's state. moatOf and active are each terminal's moat and
+	// activity at the latest event (primed once the first event set them).
+	// Every active moat grows at the same rate, so a pair's meeting point
+	// in cumulative growth — Σµ plus its gap (halved when both grow) —
+	// stays fixed until an activity status changes: meet[i*t+j] (i < j)
+	// holds it for every pair that can meet, recomputed only when some
+	// status changed, and rowBest[i] the row's earliest pair (its j, -1 if
+	// none), recomputed when a merge joined that j to i's moat.
+	moatOf  []int
+	active  []bool
+	primed  bool
+	meet    []rational.Q
+	rowBest []int
 
 	connF *graph.UnionFind // node connectivity under the selected forest
 }
@@ -133,7 +143,9 @@ func cancelled(ctx context.Context) error {
 	return fmt.Errorf("moat: oracle cancelled: %w", context.Cause(ctx))
 }
 
-func solve(ctx context.Context, ins *steiner.Instance, th *thresholds) (*Result, error) {
+// solve runs Algorithm 1, or Algorithm 2 when th is set, taking each
+// merge event from next (nextEvent; the tests pass the reference scan).
+func solve(ctx context.Context, ins *steiner.Instance, th *thresholds, next func(*moatState) (rational.Q, int, int, bool)) (*Result, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
@@ -154,21 +166,19 @@ func solve(ctx context.Context, ins *steiner.Instance, th *thresholds) (*Result,
 	if err := st.checkFeasible(); err != nil {
 		return nil, err
 	}
-	total := rational.Q{} // Σ µ so far
 	for st.anyActive() {
 		if ctx.Err() != nil {
 			return nil, cancelled(ctx)
 		}
-		mu, v, w, ok := st.nextEvent()
+		mu, v, w, ok := next(st)
 		if th != nil {
-			cap := rational.FromInt(th.current).Sub(total)
+			cap := rational.FromInt(th.current).Sub(st.total)
 			// With rounded radii, a lone surviving moat has no merge
 			// partner (ok == false); it keeps growing until the next
 			// threshold check deactivates it, exactly as in Algorithm 2.
 			if !ok || cap.Cmp(mu) <= 0 {
 				st.grow(cap)
 				res.DualSum = res.DualSum.Add(cap.MulInt(int64(st.activeCount())))
-				total = total.Add(cap)
 				st.recheckActivity()
 				th.advance()
 				res.GrowthPhases++
@@ -181,7 +191,6 @@ func solve(ctx context.Context, ins *steiner.Instance, th *thresholds) (*Result,
 		act := st.activeCount()
 		st.grow(mu)
 		res.DualSum = res.DualSum.Add(mu.MulInt(int64(act)))
-		total = total.Add(mu)
 		changed := st.merge(v, w, res.Raw)
 		res.Merges = append(res.Merges, MergeEvent{
 			V:           st.terminals[v],
@@ -219,6 +228,8 @@ func newMoatState(ctx context.Context, ins *steiner.Instance, rounded bool) (*mo
 		rad:       make([]rational.Q, len(ts)),
 		moatOf:    make([]int, len(ts)),
 		active:    make([]bool, len(ts)),
+		meet:      make([]rational.Q, len(ts)*len(ts)),
+		rowBest:   make([]int, len(ts)),
 		connF:     graph.NewUnionFind(ins.G.N()),
 	}
 	if rounded {
@@ -266,42 +277,83 @@ func (st *moatState) anyActive() bool { return st.book.AnyActive() }
 
 func (st *moatState) activeCount() int { return st.book.ActiveCount() }
 
-// nextEvent scans all terminal pairs for the earliest meeting event,
-// breaking ties by terminal node IDs.
+// nextEvent returns the earliest meeting event, ties broken by the
+// smallest terminal index pair (i, j): the least candidate growth of a
+// pair in distinct moats, one of them active, with a finite distance.
+// The candidate is the pair's meeting point less Σµ; every event grows by
+// the least candidate, so none is ever negative, and the clamp to 0
+// never binds.
 func (st *moatState) nextEvent() (mu rational.Q, v, w int, ok bool) {
-	for i := range st.terminals {
-		st.moatOf[i], st.active[i] = st.book.MoatOf(i), st.book.Active(i)
+	t := len(st.terminals)
+	changed := !st.primed
+	for i := range t {
+		m, a := st.book.MoatOf(i), st.book.Active(i)
+		changed = changed || a != st.active[i]
+		st.moatOf[i], st.active[i] = m, a
 	}
-	found := false
-	for i := range st.terminals {
-		for j := i + 1; j < len(st.terminals); j++ {
-			if st.moatOf[i] == st.moatOf[j] || st.wd[i][j] == graph.Infinity {
-				continue
-			}
-			ai, aj := st.active[i], st.active[j]
-			if !ai && !aj {
-				continue
-			}
-			gap := rational.FromInt(st.wd[i][j]).Sub(st.rad[i]).Sub(st.rad[j])
-			var cand rational.Q
-			if ai && aj {
-				cand = gap.Half()
-			} else {
-				cand = gap
-			}
-			if cand.Sign() < 0 {
-				cand = rational.Q{}
-			}
-			if !found || cand.Less(mu) {
-				found = true
-				mu, v, w = cand, i, j
-			}
+	st.primed = true
+	if changed {
+		for i := range t {
+			st.meetRow(i)
 		}
 	}
-	return mu, v, w, found
+	var at rational.Q
+	for i := range t {
+		j := st.rowBest[i]
+		if j >= 0 && st.moatOf[i] == st.moatOf[j] {
+			j = st.bestOf(i)
+		}
+		if j >= 0 && (!ok || st.meet[i*t+j].Less(at)) {
+			ok, at, v, w = true, st.meet[i*t+j], i, j
+		}
+	}
+	if !ok {
+		return rational.Q{}, 0, 0, false
+	}
+	if mu = at.Sub(st.total); mu.Sign() < 0 {
+		mu = rational.Q{}
+	}
+	return mu, v, w, true
+}
+
+// canMeet reports whether terminals i and j can meet under the current
+// moats and activity statuses.
+func (st *moatState) canMeet(i, j int) bool {
+	return st.moatOf[i] != st.moatOf[j] && st.wd[i][j] != graph.Infinity && (st.active[i] || st.active[j])
+}
+
+// meetRow recomputes row i's meeting points, then its earliest pair.
+func (st *moatState) meetRow(i int) {
+	t := len(st.terminals)
+	for j := i + 1; j < t; j++ {
+		if !st.canMeet(i, j) {
+			continue
+		}
+		gap := rational.FromInt(st.wd[i][j]).Sub(st.rad[i]).Sub(st.rad[j])
+		if st.active[i] && st.active[j] {
+			gap = gap.Half()
+		}
+		st.meet[i*t+j] = st.total.Add(gap)
+	}
+	st.bestOf(i)
+}
+
+// bestOf sets and returns row i's earliest pair from its stored meeting
+// points, the smallest j on ties; -1 when no pair of the row can meet.
+func (st *moatState) bestOf(i int) int {
+	t := len(st.terminals)
+	best := -1
+	for j := i + 1; j < t; j++ {
+		if st.canMeet(i, j) && (best < 0 || st.meet[i*t+j].Less(st.meet[i*t+best])) {
+			best = j
+		}
+	}
+	st.rowBest[i] = best
+	return best
 }
 
 func (st *moatState) grow(mu rational.Q) {
+	st.total = st.total.Add(mu)
 	for i := range st.terminals {
 		if st.book.Active(i) {
 			st.rad[i] = st.rad[i].Add(mu)

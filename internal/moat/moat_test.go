@@ -357,8 +357,12 @@ func (c *countingCtx) Err() error {
 // context is checked at least once per merge event (and per setup
 // shortest-path run), and a check that finds it fired returns an error
 // wrapping the cause — so a cancelled oracle stops within one event.
+//
+// The instance is sized for the wall-clock clause: planted n=800 (t=264)
+// runs the oracle for about 85 ms on a 2-vCPU VM, so a 5 ms timer that
+// the host delays by tens of milliseconds still fires mid-run.
 func TestSolveAKRCtxCancelsWithinOneEvent(t *testing.T) {
-	gen, err := workload.Generate("planted", workload.Params{N: 400, K: 3, Seed: 1})
+	gen, err := workload.Generate("planted", workload.Params{N: 800, K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

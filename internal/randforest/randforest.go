@@ -19,7 +19,9 @@
 // selection — labels processed sequentially with no cross-label
 // multiplexing — as the O~(sk) comparison baseline of experiment T4.
 //
-// The per-round routing machinery is allocation-light: label sets are
+// The node program is one congest.Driver run by congest.RunDriven, so no
+// node has a coroutine (see nodeState for its stages). The per-round
+// routing machinery is allocation-light: label sets are
 // sorted int slices (their sorted iteration is also what makes round and
 // message counts deterministic under a fixed seed), per-port queues are
 // indexed slices of wire values, and the route/delegate/token messages
@@ -64,23 +66,27 @@ func Solve(ins *steiner.Instance, mode Mode, opts ...congest.Option) (*Result, e
 	}
 	work := ins.Minimalize()
 	out := &sharedOutput{selected: steiner.NewSolution(ins.G)}
-	var levels int
-	var once sync.Once
-	program := func(h *congest.Host) {
+	var node0 *nodeState // every node derives the same L
+	stats, err := congest.RunDriven(ins.G, func(h *congest.Host) (congest.Request, congest.Driver) {
 		// Raw labels: singleton components are detected and dropped by the
 		// distributed label census (Step 3a / Lemma 2.4).
 		ns := &nodeState{h: h, label: ins.Label[h.ID()], mode: mode, out: out}
-		ns.run()
-		once.Do(func() { levels = ns.emb.L + 1 })
-	}
-	stats, err := congest.Run(ins.G, program, opts...)
+		if h.ID() == 0 {
+			node0 = ns
+		}
+		return ns.start()
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
 	if err := steiner.Verify(work, out.selected); err != nil {
 		return nil, fmt.Errorf("randforest: infeasible output: %w", err)
 	}
-	return &Result{Solution: out.selected, Stats: stats, Levels: levels}, nil
+	res := &Result{Solution: out.selected, Stats: stats}
+	if node0 != nil {
+		res.Levels = node0.emb.L + 1
+	}
+	return res, nil
 }
 
 type sharedOutput struct {
@@ -150,86 +156,169 @@ func pairCmp(a, b congest.Wire) int {
 	return 0
 }
 
+// nodeState is one node's program, a congest.Driver run by
+// congest.RunDriven, so no node has a coroutine. Its stages are
+//
+//	bfs → embed → labels → { census → route → back } → stageTwo
+//
+// with the braced stages once per virtual-tree level of a pass: one pass
+// over the node's own label, or in ModeKhanBaseline one per label, and
+// the second stage (stage2.go) in ModeTruncated only. A stage that is a
+// dist primitive or the embedding runs as sub until it is done; Next then
+// moves on to the next stage.
 type nodeState struct {
 	h     *congest.Host
-	t     *dist.Tree
+	tree  dist.Tree
 	label int
 	mode  Mode
 	out   *sharedOutput
 
-	emb *embed.Embedding
-	inF map[int]bool // ports whose edges this node added to F
+	emb embed.Embedding
+	inF []bool // per port: this node added the port's edge to F
 
-	labels  []int            // global sorted label set
-	sendBuf []congest.Send   // reused per-round flush buffer
-	queues  [][]congest.Wire // per-port pending sends, reused across levels
-	rt      *router          // stageOne's routing state, reused across levels
+	labels   []int            // global sorted label set
+	sendBuf  []congest.Send   // reused per-round flush buffer
+	queues   [][]congest.Wire // per-port pending sends, reused across levels
+	rt       *router          // the first stage's routing state, reused across levels
+	local    []congest.Wire   // the census items, reused across levels
+	labelCap labelCap         // the census filter, reused across censuses
+
+	stage uint8
+	sub   congest.Driver // the running primitive, nil between them
+
+	// The first stage's progress: passes started, the current pass's
+	// level, and the labels this node holds at it (ascending).
+	pass  int
+	level int
+	held  []int
+
+	two *stageTwo // the second stage's state (ModeTruncated)
 }
 
-func (ns *nodeState) run() {
-	h := ns.h
-	ns.t = dist.BuildBFS(h)
-	ns.emb = embed.Build(h, ns.t, embed.Options{Truncate: ns.mode == ModeTruncated})
-	ns.inF = make(map[int]bool)
-	ns.sendBuf = make([]congest.Send, 0, h.Degree())
-	ns.queues = make([][]congest.Wire, h.Degree())
+// nodeState stages: the step the node's current request belongs to.
+const (
+	stageBFS      = uint8(iota) // building the BFS tree
+	stageEmbed                  // building the virtual-tree embedding
+	stageLabels                 // the global label census
+	stageCensus                 // a level's Step 3a census
+	stageRoute                  // a level's Step 3c routing
+	stageBack                   // a level's Step 3d delegation
+	stageFrag                   // stageTwo: the super-terminal fragments
+	stagePairs                  // stageTwo: the (cell, label) collection
+	stageVoronoi                // stageTwo: the Voronoi decomposition
+	stageBoundary               // stageTwo: the boundary exchange round
+	stageProps                  // stageTwo: the boundary collection
+	stageMark                   // stageTwo: the token walks
+)
 
-	// Global label census (2 witnesses per label), also the basis of the
-	// singleton deletions in every phase's Step 3a.
-	ns.collectLabels()
-
-	switch ns.mode {
-	case ModeKhanBaseline:
-		for _, lbl := range ns.labels {
-			var mine []int
-			if ns.label == lbl {
-				mine = []int{lbl}
-			}
-			ns.stageOne(mine)
-		}
-	default:
-		var mine []int
-		if ns.label != steiner.NoLabel {
-			mine = []int{ns.label}
-		}
-		ns.stageOne(mine)
-	}
-
-	if ns.mode == ModeTruncated {
-		ns.stageTwo()
-	}
+// start returns the node's first request, the BFS build's.
+func (ns *nodeState) start() (congest.Request, congest.Driver) {
+	ns.labelCap.bind()
+	first, bfs := dist.StartBFS(ns.h, &ns.tree)
+	ns.stage, ns.sub = stageBFS, bfs
+	return first, ns
 }
 
-// capTwoPerLabel filters a (lbl, node)-sorted label stream down to at most
-// two witnesses per label. The stream order lets a run-length counter
-// replace the per-item map the filter used to keep.
-func capTwoPerLabel() dist.Filter {
-	first := true
-	last, run := uint32(0), 0
-	return func(x congest.Wire) bool {
-		lbl := x.A
-		if first || lbl != last {
-			first, last, run = false, lbl, 1
-			return true
+// drive makes d the running primitive, starting with first.
+func (ns *nodeState) drive(first congest.Request, d congest.Driver) (congest.Request, bool) {
+	ns.sub = d
+	return first, true
+}
+
+// Next completes the request the node was waiting on — forwarding it to
+// the running primitive while there is one — and returns the next one.
+func (ns *nodeState) Next(in []congest.Recv) (congest.Request, bool) {
+	if ns.sub != nil {
+		if req, more := ns.sub.Next(in); more {
+			return req, true
 		}
-		if run >= 2 {
-			return false
-		}
-		run++
+		ns.sub = nil
+	}
+	switch ns.stage {
+	case stageBFS:
+		ns.stage = stageEmbed
+		return ns.drive(embed.StartBuild(ns.h, &ns.tree, embed.Options{Truncate: ns.mode == ModeTruncated}, &ns.emb))
+	case stageEmbed:
+		deg := ns.h.Degree()
+		ns.inF = make([]bool, deg)
+		ns.sendBuf = make([]congest.Send, 0, deg)
+		ns.queues = make([][]congest.Wire, deg)
+		return ns.collectLabels()
+	case stageLabels:
+		ns.installLabels()
+		return ns.nextPass()
+	case stageCensus:
+		return ns.route()
+	case stageRoute:
+		return ns.delegate()
+	case stageBack:
+		ns.held = ns.rt.next
+		sort.Ints(ns.held)
+		ns.level++
+		return ns.census()
+	case stageFrag:
+		return ns.two.collectPairs()
+	case stagePairs:
+		return ns.two.voronoi()
+	case stageVoronoi:
+		return ns.two.exchange()
+	case stageBoundary:
+		return ns.two.collectBoundary(in)
+	case stageProps:
+		return ns.two.solve()
+	}
+	ns.two.finish() // stageMark: the walks are over
+	return congest.Request{}, false
+}
+
+// labelCap filters a (lbl, node)-sorted label stream down to at most two
+// witnesses per label. The stream order lets a run-length counter replace
+// a per-item map. A node keeps one, reset by its filter factory (newFn)
+// for each census, so a census allocates no filter.
+type labelCap struct {
+	last     uint32
+	run      int // witnesses of last passed; 0 before the stream's first item
+	newFn    func() dist.Filter
+	acceptFn dist.Filter
+}
+
+// bind binds the factory and the filter once.
+func (c *labelCap) bind() { c.newFn, c.acceptFn = c.reset, c.accept }
+
+// reset starts a new stream.
+func (c *labelCap) reset() dist.Filter {
+	c.run = 0
+	return c.acceptFn
+}
+
+func (c *labelCap) accept(x congest.Wire) bool {
+	if c.run == 0 || x.A != c.last {
+		c.last, c.run = x.A, 1
 		return true
 	}
+	if c.run >= 2 {
+		return false
+	}
+	c.run++
+	return true
 }
 
-// collectLabels learns the global label set with at most two witnesses per
-// label (O(k + D) rounds).
-func (ns *nodeState) collectLabels() {
+// collectLabels starts the census of the global label set with at most
+// two witnesses per label (O(k + D) rounds), also the basis of the
+// singleton deletions in every level's Step 3a.
+func (ns *nodeState) collectLabels() (congest.Request, bool) {
 	var local []congest.Wire
 	if ns.label != steiner.NoLabel {
 		local = append(local, congest.Wire{Kind: wireLabel, A: uint32(ns.label), B: uint32(ns.h.ID())})
 	}
-	got := dist.UpcastBroadcast(ns.h, ns.t, local, pairCmp, capTwoPerLabel, nil)
-	// The stream is (lbl, node)-sorted: one pass over its runs yields the
-	// ascending label set.
+	ns.stage = stageLabels
+	return ns.drive(dist.StartUpcastBroadcast(ns.h, &ns.tree, local, pairCmp, ns.labelCap.newFn, nil))
+}
+
+// installLabels reads the global label set off the census stream, which
+// is (lbl, node)-sorted: one pass over its runs yields the ascending set.
+func (ns *nodeState) installLabels() {
+	got := ns.tree.Collected()
 	for i := 0; i < len(got); {
 		lbl := got[i].A
 		for i < len(got) && got[i].A == lbl {
@@ -253,85 +342,130 @@ func sortedLabels(m map[int]bool) []int {
 	return labels
 }
 
-// stageOne runs the level phases of the first stage with the given initial
-// label set (ascending) and marks all traversed edges into F.
-func (ns *nodeState) stageOne(l []int) {
-	h := ns.h
-	for i := 0; i <= ns.emb.L; i++ {
-		// Step 3a: drop labels held by a single node. The collected stream
-		// is (lbl, node)-sorted, so the census is a run-length pass and the
-		// surviving set an in-place sorted intersection — no per-level maps.
-		local := make([]congest.Wire, 0, len(l))
-		for _, lbl := range l {
-			local = append(local, congest.Wire{Kind: wireLabel, A: uint32(lbl), B: uint32(h.ID())})
+// nextPass starts the first stage's next pass over the virtual-tree
+// levels, or, once the passes are over, the second stage (ModeTruncated)
+// or the end. There is one pass over the node's own label; the baseline
+// (ModeKhanBaseline) runs one per global label, holding it at level 0
+// only where it is the node's own.
+func (ns *nodeState) nextPass() (congest.Request, bool) {
+	var mine []int
+	switch {
+	case ns.mode == ModeKhanBaseline:
+		if ns.pass == len(ns.labels) {
+			return ns.endStageOne()
 		}
-		got := dist.UpcastBroadcast(h, ns.t, local, pairCmp, capTwoPerLabel, nil)
-		anyLive := false
-		kept := l[:0] // in-place: writes trail the read cursor
-		li := 0
-		for i2 := 0; i2 < len(got); {
-			lbl := int(got[i2].A)
-			j := i2
-			for j < len(got) && int(got[j].A) == lbl {
-				j++
-			}
-			if j-i2 >= 2 {
-				anyLive = true
-				for li < len(l) && l[li] < lbl {
-					li++
-				}
-				if li < len(l) && l[li] == lbl {
-					kept = append(kept, lbl)
-					li++
-				}
-			}
-			i2 = j
+		if lbl := ns.labels[ns.pass]; ns.label == lbl {
+			mine = []int{lbl}
 		}
-		if !anyLive {
-			return // every label satisfied; all nodes agree and exit together
-		}
-		l = kept
-
-		// Step 3b: aim each held label at the level-i ancestor.
-		anc, _ := ns.emb.Ancestor(i)
-		rt := ns.router()
-		for _, lbl := range l {
-			key := chainKey{lbl: lbl, dst: anc.Node}
-			rt.originated[key] = true
-			if anc.Node == h.ID() {
-				rt.gather(key)
-				continue
-			}
-			rt.push(ns.routePort(anc.Node, anc.NextHop),
-				congest.Wire{Kind: wireRoute, A: uint32(anc.Node), C: int64(lbl)})
-		}
-
-		// Step 3c: route with per-chain dedup until quiescence.
-		dist.RunQuiet(h, ns.t, rt.routeStep)
-
-		// Step 3d: each ancestor delegates its gathered labels to the
-		// originator of the first chain that reached it.
-		if len(rt.gatherOrder) > 0 {
-			pick := rt.gatherOrder[0]
-			if rt.originated[pick] {
-				rt.next = append(rt.next, sortedLabels(rt.gathered)...)
-			} else {
-				back := rt.firstFrom[pick]
-				for _, lbl := range sortedLabels(rt.gathered) {
-					rt.push(back, delegWire(pick.lbl, pick.dst, lbl))
-				}
-			}
-		}
-		dist.RunQuiet(h, ns.t, rt.backStep)
-		l = rt.next
-		sort.Ints(l)
+	case ns.pass > 0:
+		return ns.endStageOne()
+	case ns.label != steiner.NoLabel:
+		mine = []int{ns.label}
 	}
+	ns.pass++
+	ns.level, ns.held = 0, mine
+	return ns.census()
+}
+
+// endStageOne moves on from the first stage: to the second in
+// ModeTruncated, else to the end.
+func (ns *nodeState) endStageOne() (congest.Request, bool) {
+	if ns.mode == ModeTruncated {
+		return ns.startStageTwo()
+	}
+	return congest.Request{}, false
+}
+
+// census starts level ns.level's Step 3a, which drops labels held by a
+// single node, or ends the pass after the last level.
+func (ns *nodeState) census() (congest.Request, bool) {
+	if ns.level > ns.emb.L {
+		return ns.nextPass()
+	}
+	ns.local = ns.local[:0]
+	for _, lbl := range ns.held {
+		ns.local = append(ns.local, congest.Wire{Kind: wireLabel, A: uint32(lbl), B: uint32(ns.h.ID())})
+	}
+	ns.stage = stageCensus
+	return ns.drive(dist.StartUpcastBroadcast(ns.h, &ns.tree, ns.local, pairCmp, ns.labelCap.newFn, nil))
+}
+
+// route finishes Step 3a and starts Steps 3b-3c, or ends the pass when
+// every label is satisfied (all nodes agree and leave together). The
+// collected stream is (lbl, node)-sorted, so the census is a run-length
+// pass and the surviving set an in-place sorted intersection — no
+// per-level maps.
+func (ns *nodeState) route() (congest.Request, bool) {
+	h, l := ns.h, ns.held
+	got := ns.tree.Collected()
+	anyLive := false
+	kept := l[:0] // in-place: writes trail the read cursor
+	li := 0
+	for i := 0; i < len(got); {
+		lbl := int(got[i].A)
+		j := i
+		for j < len(got) && int(got[j].A) == lbl {
+			j++
+		}
+		if j-i >= 2 {
+			anyLive = true
+			for li < len(l) && l[li] < lbl {
+				li++
+			}
+			if li < len(l) && l[li] == lbl {
+				kept = append(kept, lbl)
+				li++
+			}
+		}
+		i = j
+	}
+	if !anyLive {
+		return ns.nextPass()
+	}
+	ns.held = kept
+
+	// Step 3b: aim each held label at the level-i ancestor.
+	anc, _ := ns.emb.Ancestor(ns.level)
+	rt := ns.router()
+	for _, lbl := range ns.held {
+		key := chainKey{lbl: lbl, dst: anc.Node}
+		rt.originated[key] = true
+		if anc.Node == h.ID() {
+			rt.gather(key)
+			continue
+		}
+		rt.push(ns.routePort(anc.Node, anc.NextHop),
+			congest.Wire{Kind: wireRoute, A: uint32(anc.Node), C: int64(lbl)})
+	}
+
+	// Step 3c: route with per-chain dedup until quiescence.
+	ns.stage = stageRoute
+	return ns.drive(dist.StartQuiet(h, &ns.tree, rt.routeStep))
+}
+
+// delegate is Step 3d: each ancestor delegates its gathered labels to the
+// originator of the first chain that reached it.
+func (ns *nodeState) delegate() (congest.Request, bool) {
+	rt := ns.rt
+	if len(rt.gatherOrder) > 0 {
+		pick := rt.gatherOrder[0]
+		if rt.originated[pick] {
+			rt.next = append(rt.next, sortedLabels(rt.gathered)...)
+		} else {
+			back := rt.firstFrom[pick]
+			for _, lbl := range sortedLabels(rt.gathered) {
+				rt.push(back, delegWire(pick.lbl, pick.dst, lbl))
+			}
+		}
+	}
+	ns.stage = stageBack
+	return ns.drive(dist.StartQuiet(ns.h, &ns.tree, rt.backStep))
 }
 
 // chainKey names one routing chain: a label aimed at an ancestor.
 type chainKey struct{ lbl, dst int }
 
-// router is a node's Step 3c/3d state for one level of stageOne. It is
+// router is a node's Step 3c/3d state for one level of the first stage. It is
 // built once per node and reset per level, and its two RunQuiet steps
 // are bound once, so a level allocates only what its maps outgrow.
 type router struct {
@@ -363,7 +497,7 @@ func (ns *nodeState) router() *router {
 	clear(rt.originated)
 	clear(rt.gathered)
 	rt.gatherOrder = rt.gatherOrder[:0]
-	rt.next = nil // becomes the caller's label set
+	rt.next = nil // becomes the next level's held set
 	for p := range ns.queues {
 		ns.queues[p] = ns.queues[p][:0]
 	}

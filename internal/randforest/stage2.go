@@ -51,76 +51,114 @@ func vorWireBits(w congest.Wire) int {
 	return 24 + dist.EncodedQBits(w.B, w.C)
 }
 
-func (ns *nodeState) stageTwo() {
-	h := ns.h
+// stageTwo is a node's second-stage state, kept across the stage's
+// primitives.
+type stageTwo struct {
+	ns      *nodeState
+	cell    int // the node's super-terminal fragment, -1 if none
+	comp    *graph.UnionFind
+	cellSet map[int]bool // the cells hosting reduced terminals
+	cells   []int        // cellSet, ascending
+	vor     dist.BFResult
 
-	// (a) Super-terminal fragments T_v: Bellman-Ford from S restricted to
-	// the selected edge set F.
-	isS := ns.inSSet(h.ID())
-	frag := dist.BellmanFord(h, ns.t, dist.BFConfig{
-		IsSource: isS,
-		SourceID: h.ID(),
+	// The token walk's state (walk).
+	tokens  int
+	seen    bool
+	sendBuf [1]congest.Send
+}
+
+// startStageTwo starts (a), the super-terminal fragments T_v:
+// Bellman-Ford from S restricted to the selected edge set F.
+func (ns *nodeState) startStageTwo() (congest.Request, bool) {
+	ns.two = &stageTwo{ns: ns}
+	ns.stage = stageFrag
+	return ns.drive(dist.StartBellmanFord(ns.h, &ns.tree, dist.BFConfig{
+		IsSource: ns.inSSet(ns.h.ID()),
+		SourceID: ns.h.ID(),
 		UsePort:  func(p int) bool { return ns.inF[p] },
-	})
-	cell := -1
-	switch {
-	case isS:
-		cell = h.ID()
-	case frag.Reached:
-		cell = frag.Source
-	}
+	}))
+}
 
-	// (b) Reduced labels λ̂ via the bipartite (cell, label) forest.
-	lblIdx := make(map[int]int, len(ns.labels))
-	for i, l := range ns.labels {
-		lblIdx[l] = i
+// collectPairs reads the fragments and starts (b): the reduced labels λ̂
+// via the bipartite (cell, label) forest.
+func (st *stageTwo) collectPairs() (congest.Request, bool) {
+	ns := st.ns
+	h := ns.h
+	st.cell = -1
+	switch frag := ns.tree.BF(); {
+	case ns.inSSet(h.ID()):
+		st.cell = h.ID()
+	case frag.Reached:
+		st.cell = frag.Source
 	}
 	var local []congest.Wire
-	if ns.label != steiner.NoLabel && cell >= 0 {
-		local = append(local, congest.Wire{Kind: wireCellLabel, A: uint32(cell), B: uint32(lblIdx[ns.label])})
+	if ns.label != steiner.NoLabel && st.cell >= 0 {
+		// ns.labels is ascending: the label's index is its rank there.
+		idx := sort.SearchInts(ns.labels, ns.label)
+		local = append(local, congest.Wire{Kind: wireCellLabel, A: uint32(st.cell), B: uint32(idx)})
 	}
-	n := h.N()
+	n, nl := h.N(), len(ns.labels)
 	newFilter := func() dist.Filter {
-		uf := graph.NewUnionFind(n + len(ns.labels))
+		uf := graph.NewUnionFind(n + nl)
 		return func(x congest.Wire) bool {
 			return uf.Union(int(x.A), n+int(x.B))
 		}
 	}
-	pairs := dist.UpcastBroadcast(h, ns.t, local, pairCmp, newFilter, nil)
-	comp := graph.NewUnionFind(n + len(ns.labels))
-	cellSet := map[int]bool{}
-	for _, x := range pairs {
-		comp.Union(int(x.A), n+int(x.B))
-		cellSet[int(x.A)] = true
-	}
-	cells := make([]int, 0, len(cellSet))
-	for c := range cellSet {
-		cells = append(cells, c)
-	}
-	sort.Ints(cells)
-	if len(cells) < 2 {
-		return // nothing left to connect
-	}
+	ns.stage = stagePairs
+	return ns.drive(dist.StartUpcastBroadcast(h, &ns.tree, local, pairCmp, newFilter, nil))
+}
 
-	// (c) Voronoi decomposition of G around the reduced terminals.
-	vor := dist.BellmanFord(h, ns.t, dist.BFConfig{
-		IsSource: cell >= 0 && cellSet[cell],
-		SourceID: cell,
-	})
-	if !vor.Reached {
+// voronoi reads the (cell, label) forest and starts (c): the Voronoi
+// decomposition of G around the reduced terminals. With fewer than two
+// cells there is nothing left to connect, and the node is done.
+func (st *stageTwo) voronoi() (congest.Request, bool) {
+	ns := st.ns
+	n := ns.h.N()
+	st.comp = graph.NewUnionFind(n + len(ns.labels))
+	st.cellSet = map[int]bool{}
+	for _, x := range ns.tree.Collected() {
+		st.comp.Union(int(x.A), n+int(x.B))
+		st.cellSet[int(x.A)] = true
+	}
+	st.cells = make([]int, 0, len(st.cellSet))
+	for c := range st.cellSet {
+		st.cells = append(st.cells, c)
+	}
+	sort.Ints(st.cells)
+	if len(st.cells) < 2 {
+		return congest.Request{}, false
+	}
+	ns.stage = stageVoronoi
+	return ns.drive(dist.StartBellmanFord(ns.h, &ns.tree, dist.BFConfig{
+		IsSource: st.cell >= 0 && st.cellSet[st.cell],
+		SourceID: st.cell,
+	}))
+}
+
+// exchange starts the boundary discovery: one exchange of (cell, dist).
+func (st *stageTwo) exchange() (congest.Request, bool) {
+	ns := st.ns
+	st.vor = ns.tree.BF()
+	if !st.vor.Reached {
 		panic("randforest: Voronoi decomposition did not reach every node")
 	}
-
-	// Boundary discovery: one exchange of (cell, dist), then propose the
-	// induced inter-cell connections.
-	deg := h.Degree()
+	deg := ns.h.Degree()
 	out := make([]congest.Send, 0, deg)
-	vb, vc := dist.EncodeQ(vor.Dist)
+	vb, vc := dist.EncodeQ(st.vor.Dist)
 	for p := 0; p < deg; p++ {
-		out = append(out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireVor, A: uint32(vor.Source), B: vb, C: vc}})
+		out = append(out, congest.Send{Port: p, Wire: congest.Wire{Kind: wireVor, A: uint32(st.vor.Source), B: vb, C: vc}})
 	}
+	ns.stage = stageBoundary
+	return congest.Exchange(out), true
+}
+
+// collectBoundary proposes the induced inter-cell connections and starts
+// their Kruskal-filtered collection.
+func (st *stageTwo) collectBoundary(in []congest.Recv) (congest.Request, bool) {
+	ns := st.ns
+	h, vor := ns.h, st.vor
 	var props []congest.Wire
-	for _, rc := range h.Exchange(out) {
+	for _, rc := range in {
 		mcell := int(rc.Wire.A)
 		if mcell == vor.Source {
 			continue
@@ -137,20 +175,30 @@ func (ns *nodeState) stageTwo() {
 		}
 		props = append(props, boundaryItem{Weight: w, U: cu, V: cv, EU: eu, EV: ev}.Wire(wireBoundary))
 	}
+	n := h.N()
 	bFilter := func() dist.Filter {
 		uf := graph.NewUnionFind(n)
 		return func(x congest.Wire) bool {
 			return uf.Union(int(x.A), int(x.B>>8))
 		}
 	}
-	boundary := dist.UpcastBroadcast(h, ns.t, props, dist.EdgeItemCmp, bFilter, nil)
+	ns.stage = stageProps
+	return ns.drive(dist.StartUpcastBroadcast(h, &ns.tree, props, dist.EdgeItemCmp, bFilter, nil))
+}
 
-	// (d) Identical local solve of the reduced instance on the cell metric.
-	cellIdx := make(map[int]int, len(cells))
-	for i, c := range cells {
+// solve is (d), the identical local solve of the reduced instance on the
+// cell metric, and starts (e): marking the chosen connections, whose
+// inducing edges each endpoint marks itself, by token walks up the
+// Voronoi trees from both endpoints.
+func (st *stageTwo) solve() (congest.Request, bool) {
+	ns := st.ns
+	h := ns.h
+	cellIdx := make(map[int]int, len(st.cells))
+	for i, c := range st.cells {
 		cellIdx[c] = i
 	}
-	cg := graph.New(len(cells))
+	boundary := ns.tree.Collected()
+	cg := graph.New(len(st.cells))
 	type viaEdge struct{ eu, ev int }
 	via := make(map[int]viaEdge, len(boundary))
 	for _, x := range boundary {
@@ -168,17 +216,14 @@ func (ns *nodeState) stageTwo() {
 		via[idx] = viaEdge{eu: it.EU, ev: it.EV}
 	}
 	rins := steiner.NewInstance(cg)
-	for i, c := range cells {
-		rins.Label[i] = comp.Find(c)
+	for i, c := range st.cells {
+		rins.Label[i] = st.comp.Find(c)
 	}
 	solved, err := moat.SolveAKR(rins)
 	if err != nil {
 		panic("randforest: reduced instance unsolvable: " + err.Error())
 	}
 
-	// (e) Mark the chosen connections: inducing edges plus token walks up
-	// the Voronoi trees from both endpoints.
-	tokens := 0
 	for _, ei := range solved.Pruned.Edges() {
 		ve := via[ei]
 		if h.ID() == ve.eu || h.ID() == ve.ev {
@@ -189,36 +234,44 @@ func (ns *nodeState) stageTwo() {
 			if p, ok := h.PortOf(other); ok {
 				ns.out.mark(h.EdgeIndex(p))
 			}
-			tokens = 1
+			st.tokens = 1
 		}
 	}
-	seen := tokens > 0
-	var sendBuf [1]congest.Send
-	step := func(r int, in []congest.Recv) ([]congest.Send, bool) {
-		got := false
-		for _, rc := range in {
-			if rc.Wire.Kind == wireToken {
-				got = true
-			}
-		}
-		if got && !seen {
-			seen = true
-			tokens = 1
-		}
-		if tokens > 0 && vor.ParentPort >= 0 {
-			tokens = 0
-			ns.out.mark(h.EdgeIndex(vor.ParentPort))
-			sendBuf[0] = congest.Send{Port: vor.ParentPort, Wire: congest.Wire{Kind: wireToken}}
-			return sendBuf[:], true
-		}
-		tokens = 0
-		return nil, got
-	}
-	dist.RunQuiet(h, ns.t, step)
+	st.seen = st.tokens > 0
+	ns.stage = stageMark
+	return ns.drive(dist.StartQuiet(h, &ns.tree, st.walk))
+}
 
-	// The walks end at fragment nodes; the fragments themselves are glued
-	// by F edges, which every member knows locally.
-	for p := range ns.inF {
-		ns.out.mark(h.EdgeIndex(p))
+// walk is the token walks' RunQuiet step: a node holding a token marks
+// its Voronoi parent edge and passes the token up, once.
+func (st *stageTwo) walk(_ int, in []congest.Recv) ([]congest.Send, bool) {
+	got := false
+	for _, rc := range in {
+		if rc.Wire.Kind == wireToken {
+			got = true
+		}
+	}
+	if got && !st.seen {
+		st.seen = true
+		st.tokens = 1
+	}
+	if pp := st.vor.ParentPort; st.tokens > 0 && pp >= 0 {
+		st.tokens = 0
+		st.ns.out.mark(st.ns.h.EdgeIndex(pp))
+		st.sendBuf[0] = congest.Send{Port: pp, Wire: congest.Wire{Kind: wireToken}}
+		return st.sendBuf[:], true
+	}
+	st.tokens = 0
+	return nil, got
+}
+
+// finish marks F: the walks end at fragment nodes, and the fragments
+// themselves are glued by F edges, which every member knows locally.
+func (st *stageTwo) finish() {
+	ns := st.ns
+	for p, in := range ns.inF {
+		if in {
+			ns.out.mark(ns.h.EdgeIndex(p))
+		}
 	}
 }
