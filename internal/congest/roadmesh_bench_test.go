@@ -17,13 +17,18 @@ import (
 // solve: submissions (one per blocking call) and the coroutine switches
 // they took (submissions a Driver produced take none). Every solver is
 // one congest.RunDriven driver, so none takes a switch: 0 switches for
-// det / rand / rounded against 43,820 / 257,219 / 497,218 submissions.
+// det / rand / rounded against 43,820 / 257,219 / 136,457 submissions.
 // rand took 37,888 while it was a blocking program over the driven dist
 // primitives, switching once per node per primitive call and per
 // solver-side blocking call.
 //
-// B/op and allocs/op show the merge loop's per-phase cost. rounded runs 20
-// merge phases here against det's 1, yet allocates what det does (5.63 MB
+// rounded runs 5 merge phases here for 19 threshold checks: it skips the
+// phases its collected streams prove empty, which took it from 20 phases,
+// 3,392 rounds, 497,218 submissions and 183–201 ms per solve to 1,013
+// rounds, 136,457 submissions and 55–61 ms (2-vCPU VM, go1.24).
+//
+// B/op and allocs/op show the merge loop's per-phase cost. rounded runs
+// more merge phases than det's 1, yet allocates what det does (5.63 MB
 // and about 42k allocations each on a 2-vCPU VM with go1.24): every node
 // re-borrows its moat-book replicas and its collect stream buffer each
 // phase instead of allocating them. Before that, rounded took 14.24 MB

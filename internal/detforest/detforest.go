@@ -31,8 +31,10 @@
 // start forms, driven to completion in turn; the two exchanges are single
 // rounds. The rounded variant is the same driver with a growth cap per
 // phase (the stream also stops at the first candidate beyond it) and its
-// threshold bookkeeping at each phase's end; it starts from the
-// minimalized labels, the exact one from the raw ones.
+// threshold bookkeeping at each phase's end, where a stream that proves
+// the next phases empty lets every node grow past them without running
+// them (checkThreshold); it starts from the minimalized labels, the exact
+// one from the raw ones.
 //
 // Every protocol message of the hot phases — terminal announcements,
 // candidate merges, coverage and region-view exchanges, marking tokens —
@@ -41,8 +43,12 @@
 // (denominator exponent in a few bits of B, numerator in C) and the two
 // 24-bit id pairs pack into A/B and D.
 //
-// The output forest has, on tie-free instances, exactly the weight of the
-// centralized oracle's output, which the test suite asserts.
+// On tie-free instances the nodes accept the centralized oracle's merges,
+// and the output forest is a subforest of the oracle's unpruned forest
+// (moat.Result.Raw): usually exactly its pruned output, but Fmin prunes
+// whole merges, not single physical edges, so an edge that two needed
+// merge paths share and no demand needs stays in (TestSolveKeepsWholeMerges
+// pins such an instance).
 package detforest
 
 import (
@@ -62,7 +68,7 @@ import (
 type Result struct {
 	Solution *steiner.Solution
 	Stats    *congest.Stats
-	Phases   int // merge phases executed (bounded by 2k, Lemma 4.4)
+	Phases   int // merge phases run (≤ 2k, Lemma 4.4; rounded: ≤ 6t, see SolveRounded)
 	Merges   int // candidate merges selected across all phases
 }
 
@@ -573,15 +579,19 @@ func (ns *nodeState) stopAfter(x congest.Wire) bool {
 	return ns.ender.Merge(dist.EdgeItemPair(x))
 }
 
-// endPhase (f) replays the accepted merges on the local replica and
-// (g) grows the regions by the phase's growth µ: claim newly covered
-// nodes, extend edge coverage.
+// endPhase (f) replays the accepted merges on the local replica, runs a
+// capped rounded phase's threshold check, and (g) grows the regions by the
+// phase's growth µ: claim newly covered nodes, extend edge coverage.
 func (ns *nodeState) endPhase() {
-	mu, accepted, hitThreshold := ns.growth(ns.tree.Collected())
+	stream := ns.tree.Collected()
+	mu, accepted, hitThreshold := ns.growth(stream)
 	for _, x := range accepted {
 		c := dist.EdgeItemFromWire(x)
 		ns.book.Merge(c.U, c.V)
 		ns.allMerges = append(ns.allMerges, c)
+	}
+	if hitThreshold {
+		mu = ns.checkThreshold(stream)
 	}
 	if ns.owner < 0 && ns.myOwner >= 0 && ns.myDhat.LessEq(mu) {
 		ns.owner = ns.myOwner
@@ -600,19 +610,51 @@ func (ns *nodeState) endPhase() {
 		return
 	}
 	ns.total = ns.total.Add(mu)
-	if hitThreshold {
-		ns.book.RecheckActivity()
-		ns.threshold = nextThreshold(ns.threshold, ns.eps)
-	}
-	if ns.phase > 64*(len(ns.terms)+64) {
+	// A run phase that neither merges nor deactivates a moat ended at its
+	// cap with a no-op check and a tail (a stream is empty only when no
+	// active moat borders another moat's region, so no other moat holds
+	// its label, and the check deactivates it). So checkThreshold skipped
+	// to the threshold that holds the tail, and the next phase merges it.
+	// Each run phase is thus charged to a merge or deactivation in itself
+	// or its successor: at most t-1 merges and, since moats only
+	// deactivate at checks and each of the at most 2t-1 moats does so at
+	// most once, 2t-1 deactivations, so at most 2(3t-2) < 6t phases run.
+	if ns.phase > 6*len(ns.terms) {
 		panic("detforest: rounded run does not terminate (protocol bug)")
 	}
+}
+
+// checkThreshold runs the threshold check that ends a capped rounded phase
+// and returns the phase's growth µ: its cap, plus the caps of every later
+// phase the collected stream already proves empty. Those phases are
+// skipped, not run. When the stream ends in an over-cap tail candidate
+// and the check changed no moat's activity, the next phase would compute
+// the same decomposition and the same candidates, each nearer by the
+// growth, so the tail stays the stream's first candidate: every threshold
+// below its meeting point ends a phase with no merge and a no-op check.
+// Every node holds the stream, so every node skips alike; the
+// decomposition stays valid across the longer growth as it does in a long
+// Section 4.1 phase. A candidate exactly at a threshold belongs to that
+// threshold's phase (stopAfter's tie rule).
+func (ns *nodeState) checkThreshold(stream []congest.Wire) rational.Q {
+	end := ns.threshold
+	changed := ns.book.RecheckActivity()
+	ns.threshold = nextThreshold(ns.threshold, ns.eps)
+	if len(stream) > 0 && !changed {
+		at := ns.total.Add(dist.EdgeItemFromWire(stream[len(stream)-1]).Weight)
+		for rational.FromInt(ns.threshold).Less(at) {
+			end = ns.threshold
+			ns.threshold = nextThreshold(ns.threshold, ns.eps)
+		}
+	}
+	return rational.FromInt(end).Sub(ns.total)
 }
 
 // growth decides a phase's growth µ from its accepted stream and returns
 // the merges to replay. In Section 4.1, µ(j) is the phase-ender's weight.
 // In a rounded phase, an over-cap tail item means the threshold was hit:
-// the item is deferred to a later phase and the moats grow to the cap.
+// the item is deferred to a later phase and the moats grow to the cap,
+// or further when checkThreshold skips the phases before that item's.
 func (ns *nodeState) growth(accepted []congest.Wire) (mu rational.Q, merges []congest.Wire, hitThreshold bool) {
 	if !ns.rounded() {
 		if len(accepted) == 0 {

@@ -2,6 +2,7 @@ package detforest
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"steinerforest/internal/graph"
@@ -84,8 +85,9 @@ func TestSolveStarComponents(t *testing.T) {
 }
 
 func TestSolveMatchesCentralizedOracle(t *testing.T) {
-	// The central correctness claim: on tie-free instances the distributed
-	// emulation selects a forest of exactly the oracle's weight.
+	// On these tie-free instances the distributed emulation selects a
+	// forest of exactly the oracle's weight. That is not so on every
+	// tie-free instance: see TestSolveKeepsWholeMerges.
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 25; trial++ {
 		n := 8 + rng.Intn(17)
@@ -112,6 +114,59 @@ func TestSolveMatchesCentralizedOracle(t *testing.T) {
 		}
 		if got.Phases > 2*k {
 			t.Fatalf("trial %d: %d phases > 2k=%d", trial, got.Phases, 2*k)
+		}
+	}
+}
+
+// TestSolveKeepsWholeMerges pins a tie-free instance (distinct edge
+// weights, distinct terminal distances) on which the emulation's forest
+// is heavier than the oracle's output. Both accept the merges 1–7, 1–4,
+// 4–6 and 3–4, and Fmin needs all four, so det and rounded mark every
+// merge path: the oracle's unpruned Raw forest, weight 17,174. The merge
+// paths 1–2–4 and 3–2–4 share edge 2–4, which links label 1's terminals
+// to label 0's but connects no demand, and the oracle's Prune, which
+// works on physical edges rather than merges, drops it: 16,490.
+func TestSolveKeepsWholeMerges(t *testing.T) {
+	g := graph.New(9)
+	for _, e := range []graph.Edge{
+		{U: 0, V: 1, Weight: 2547}, {U: 1, V: 2, Weight: 3808}, {U: 2, V: 3, Weight: 6236},
+		{U: 2, V: 4, Weight: 684}, {U: 3, V: 5, Weight: 9352}, {U: 0, V: 6, Weight: 7048},
+		{U: 1, V: 7, Weight: 1607}, {U: 5, V: 8, Weight: 2175}, {U: 2, V: 6, Weight: 6447},
+		{U: 3, V: 8, Weight: 2096}, {U: 4, V: 6, Weight: 4839}, {U: 4, V: 7, Weight: 8929},
+	} {
+		g.AddEdge(e.U, e.V, e.Weight)
+	}
+	ins := steiner.NewInstance(g)
+	ins.SetComponent(0, 1, 3, 7)
+	ins.SetComponent(1, 4, 6)
+	seen := make(map[int64]bool)
+	for i, u := range ins.Terminals() {
+		sp := g.Dijkstra(u)
+		for _, v := range ins.Terminals()[i+1:] {
+			if seen[sp.Dist[v]] {
+				t.Fatalf("tied terminal distance %d", sp.Dist[v])
+			}
+			seen[sp.Dist[v]] = true
+		}
+	}
+	oracle, err := moat.SolveAKR(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := oracle.Raw.Weight(g); oracle.Weight != 16490 || raw != 17174 {
+		t.Fatalf("oracle pruned %d, raw %d; want 16490, 17174", oracle.Weight, raw)
+	}
+	det, err := Solve(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounded, err := SolveRounded(ins, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*Result{"det": det, "rounded": rounded} {
+		if !reflect.DeepEqual(res.Solution.Edges(), oracle.Raw.Edges()) || res.Merges != 4 {
+			t.Errorf("%s: forest %v with %d merges, want the oracle's Raw %v with 4", name, res.Solution.Edges(), res.Merges, oracle.Raw.Edges())
 		}
 	}
 }
@@ -255,21 +310,26 @@ func TestSolveRoundedFeasibleAndBounded(t *testing.T) {
 	}
 }
 
+// TestSolveRoundedMatchesCentralizedRounded runs each ε from fine to
+// coarse thresholds: the coarser they are, the more phases the rounded
+// emulation skips as already proven empty (see checkThreshold).
 func TestSolveRoundedMatchesCentralizedRounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 10; trial++ {
-		n := 8 + rng.Intn(12)
-		ins := randomInstance(rng, n, 2, 500)
-		want, err := moat.SolveRounded(ins, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SolveRounded(ins, 1, 2)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if gw := got.Solution.Weight(ins.G); gw != want.Weight {
-			t.Fatalf("trial %d: distributed rounded weight %d != oracle %d", trial, gw, want.Weight)
+	for _, eps := range [][2]int64{{1, 4}, {1, 2}, {1, 1}, {2, 1}} {
+		rng := rand.New(rand.NewSource(67))
+		for trial := 0; trial < 40; trial++ {
+			n := 8 + rng.Intn(12)
+			ins := randomInstance(rng, n, 2, 500)
+			want, err := moat.SolveRounded(ins, eps[0], eps[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SolveRounded(ins, eps[0], eps[1])
+			if err != nil {
+				t.Fatalf("eps %d/%d trial %d: %v", eps[0], eps[1], trial, err)
+			}
+			if gw := got.Solution.Weight(ins.G); gw != want.Weight {
+				t.Fatalf("eps %d/%d trial %d: distributed rounded weight %d != oracle %d", eps[0], eps[1], trial, gw, want.Weight)
+			}
 		}
 	}
 }

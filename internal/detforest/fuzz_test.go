@@ -25,6 +25,9 @@ func FuzzDetDriven(f *testing.F) {
 	f.Add([]byte{5, 3, 9, 200, 2, 1, 1, 0, 0, 0, 0, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1}) // n = 1
 	f.Add([]byte{1, 4, 1, 3, 1, 1, 1, 1})
+	// Heavy weights, 3 groups, ε = 1/2: a threshold check deactivates a
+	// moat, and later rounded phases are skipped as proven empty.
+	f.Add([]byte{15, 3, 2, 255, 0, 1, 1, 0, 2, 0, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 7 {
 			return

@@ -14,6 +14,14 @@ import (
 // threshold checks and merges involving inactive moats (Definition 4.19),
 // giving a (2+ε)-approximation with O(log_{1+ε/2} WD) growth phases.
 //
+// A phase whose collected stream ends in a candidate beyond its cap, and
+// whose threshold check changes no moat's activity, proves every later
+// phase empty up to the threshold that holds that candidate: each node
+// grows past them locally instead of running their Bellman-Ford and
+// collection. The forest is the one the full phase sequence selects, and
+// Result.Phases counts the phases run, not the threshold checks (at most
+// 6t with t terminals; moat.Result.GrowthPhases counts the checks).
+//
 // Scope note (see the README's "Scope notes" under The Spec / registry
 // pipeline): the growth phases, rounded thresholds and
 // activity rechecks are implemented faithfully; the small/large-moat local

@@ -182,13 +182,18 @@ func (b *Book) Merge(i, j int) bool {
 }
 
 // RecheckActivity recomputes every moat's status per Algorithm 2's
-// threshold check: active iff another moat shares its label.
-func (b *Book) RecheckActivity() {
+// threshold check: active iff another moat shares its label. It reports
+// whether any moat's status changed.
+func (b *Book) RecheckActivity() bool {
 	b.ensureOwned()
+	changed := false
 	for i := range b.lblOf {
 		r := b.moats.Find(i)
-		b.active[r] = b.labelMoats[b.labels.Find(b.lblOf[i])] > 1
+		a := b.labelMoats[b.labels.Find(b.lblOf[i])] > 1
+		changed = changed || a != b.active[r]
+		b.active[r] = a
 	}
+	return changed
 }
 
 // CloneInto makes dst a replica of b (used by stream filters that must

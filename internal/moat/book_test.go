@@ -6,13 +6,12 @@ import (
 )
 
 // bookOp is one mutating call on a Book: Merge(i, j), or RecheckActivity
-// when i < 0.
+// when i < 0. apply returns the call's report.
 type bookOp struct{ i, j int }
 
 func (op bookOp) apply(b *Book) bool {
 	if op.i < 0 {
-		b.RecheckActivity()
-		return false
+		return b.RecheckActivity()
 	}
 	return b.Merge(op.i, op.j)
 }
@@ -65,7 +64,8 @@ func sameObservables(t *testing.T, ctx string, got, want *Book) {
 // the parent mutates between phases; within a phase the replica takes a
 // random Merge/RecheckActivity sequence. After every step the replica
 // matches a fresh copy (the parent's ops replayed on a new Book, then the
-// phase's replica ops) on every observable, including Merge's return,
+// phase's replica ops) on every observable, including Merge's and
+// RecheckActivity's returns,
 // and the parent never sees the replica's writes. Both copy modes —
 // borrow-first and EagerClones — and both Algorithm 1 and 2 semantics.
 func TestReplicaMatchesFreshCopy(t *testing.T) {
@@ -120,5 +120,62 @@ func TestReplicaReuseAllocatesNothing(t *testing.T) {
 	phase()
 	if allocs := testing.AllocsPerRun(20, phase); allocs != 0 {
 		t.Errorf("a re-borrowed replica allocates %.1f per phase, want 0", allocs)
+	}
+}
+
+// TestRecheckActivityReportsChange pins RecheckActivity's return: true
+// exactly when some terminal's Active status differs across the call.
+// Under Algorithm 2 a merge leaves the merged moat active even when its
+// label is complete, so the next check deactivates it; a second check
+// right after changes nothing.
+func TestRecheckActivityReportsChange(t *testing.T) {
+	b := NewBook([]int{0, 0, 1, 1})
+	b.SetRounded()
+	if b.RecheckActivity() {
+		t.Fatal("check on a fresh book reported a change")
+	}
+	b.Merge(0, 1) // completes label 0, still active under Algorithm 2
+	if !b.Active(0) {
+		t.Fatal("rounded merge deactivated its moat")
+	}
+	if !b.RecheckActivity() || b.Active(0) || !b.Active(2) {
+		t.Fatal("check did not report deactivating the complete moat")
+	}
+	if b.RecheckActivity() {
+		t.Fatal("repeated check reported a change")
+	}
+	b.Merge(1, 2) // an inactive moat joins an active one: active again
+	if b.RecheckActivity() {
+		t.Fatal("check after a reactivating merge reported a change (the merged label still spans two moats)")
+	}
+
+	for _, rounded := range []bool{false, true} {
+		for seed := int64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := 2 + rng.Intn(12)
+			labels := make([]int, n)
+			for i := range labels {
+				labels[i] = rng.Intn(1 + n/2)
+			}
+			b := replay(labels, rounded)
+			before := make([]bool, n)
+			for step := 0; step < 30; step++ {
+				op := randomOp(rng, n)
+				for i := range before {
+					before[i] = b.Active(i)
+				}
+				got := op.apply(b)
+				if op.i >= 0 {
+					continue
+				}
+				want := false
+				for i := range before {
+					want = want || before[i] != b.Active(i)
+				}
+				if got != want {
+					t.Fatalf("rounded=%v seed %d step %d: RecheckActivity() = %v, statuses changed: %v", rounded, seed, step, got, want)
+				}
+			}
+		}
 	}
 }

@@ -5,7 +5,10 @@
 // The implementation is an exact event-driven emulation over the terminal
 // metric using dyadic rational arithmetic, so it serves as the correctness
 // oracle for the distributed algorithm of Section 4: on tie-free instances
-// the distributed emulation must select a forest of identical weight.
+// the distributed emulation accepts the same merges and selects a
+// subforest of Raw. That forest is no lighter than Pruned, and usually
+// equal to it, since the emulation prunes whole merges while Prune drops
+// single physical edges.
 //
 // Besides the solution, every run reports the dual lower bound
 // Σᵢ actᵢ·µᵢ ≤ OPT of Lemma C.4, which certifies the approximation ratio of

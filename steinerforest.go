@@ -73,8 +73,9 @@ type Result struct {
 	// Algorithm is the registry name of the solver that produced this
 	// result.
 	Algorithm string
-	// Phases counts the merge phases of the moat-growing solvers
-	// (bounded by 2k, Lemma 4.4); Merges the accepted candidate merges.
+	// Phases counts the merge phases the moat-growing solvers run
+	// (bounded by 2k, Lemma 4.4; for rounded, the phases run, not its
+	// threshold checks); Merges the accepted candidate merges.
 	Phases, Merges int
 	// Levels counts the virtual-tree levels L+1 of the randomized solvers.
 	Levels int
