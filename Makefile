@@ -39,8 +39,14 @@ ci: build vet fmt test race fuzz-smoke smoke serve-smoke chaos-smoke bench-gate 
 build:
 	$(GO) build ./...
 
+# vet also keeps the engine to one execution model: internal/congest runs
+# every node as a Driver, and importing iter (the coroutine machinery of
+# the deleted blocking path) from its code or its tests fails the step.
 vet:
 	$(GO) vet ./...
+	@if $(GO) list -f '{{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./internal/congest | tr ' ' '\n' | grep -qx iter; then \
+		echo "vet: internal/congest imports iter; the engine runs drivers only"; exit 1; \
+	fi
 
 # The source directories are named explicitly: perfbench/run.sh leaves a
 # Go build cache under .bench_build/ that gofmt must not walk.
@@ -58,9 +64,9 @@ race:
 
 # Short fuzz smoke: the instance parser and the wire item codec must
 # survive fresh fuzz input on every CI run, not just the checked-in
-# corpus and seeds, the scheduler-driven RunQuiet, BuildBFS, the
-# collect pipelines and the coroutine-free det, rounded, rand, trunc and
-# khan solves must match the per-round engine on fresh networks,
+# corpus and seeds, the quiescence loop, the BFS build, the collect
+# pipelines and the det, rounded, rand, trunc and khan solves must match
+# the plain-loop reference (WithFastPath(false)) on fresh networks,
 # activity schedules, item sets and instances, and the shift-based dyadic
 # arithmetic must match math/big, panicking exactly when a result leaves
 # its range.

@@ -35,7 +35,6 @@ func BenchmarkT4KhanComparison(b *testing.B)       { benchTable(b, bench.T4) }
 func BenchmarkT5MSTSpecialization(b *testing.B)    { benchTable(b, bench.T5) }
 func BenchmarkT6TruncationCrossover(b *testing.B)  { benchTable(b, bench.T6) }
 func BenchmarkF1LowerBoundGadgets(b *testing.B)    { benchTable(b, bench.F1) }
-func BenchmarkA1FilteringAblation(b *testing.B)    { benchTable(b, bench.A1) }
 
 // Micro-benchmarks of the load-bearing substrates.
 

@@ -324,7 +324,7 @@ func T4(sc Scale) *Table {
 	tab := &Table{
 		ID:     "T4",
 		Title:  "pipelined selection vs Khan et al. baseline",
-		Claim:  "Section 5: second phase O~(s+k) vs O~(sk) => speedup grows with k",
+		Claim:  "Section 5: second phase O~(s+k) vs O~(sk) => speedup grows with k; khan is the ablation of the paper's label filtering and multiplexing, so the speedup column is exactly what that idea buys",
 		Header: []string{"k", "rounds(ours)", "rounds(khan)", "speedup", "w(ours)", "w(khan)"},
 	}
 	g := graph.Caterpillar(n/3, 2, graph.RandomWeights(rng, 16))
@@ -476,20 +476,6 @@ func F1(sc Scale) *Table {
 	return tab
 }
 
-// A1 is the ablation of the paper's round-robin/filtered routing: the
-// baseline mode is the same algorithm without cross-label pipelining.
-func A1(sc Scale) *Table {
-	t4 := T4(sc)
-	return &Table{
-		ID:     "A1",
-		Title:  "ablation: label filtering & multiplexing off (= T4 baseline column)",
-		Claim:  "the speedup column of T4 is exactly the value of the paper's pipelining idea",
-		Header: t4.Header,
-		Rows:   t4.Rows,
-		Notes:  []string{"see T4; kept as a named ablation for the experiment index"},
-	}
-}
-
 // Experiment pairs a table's selector key with its runner.
 type Experiment struct {
 	Key string
@@ -500,7 +486,7 @@ type Experiment struct {
 // for All and for cmd/dsfbench's table selection.
 var Index = []Experiment{
 	{"t1", T1}, {"t1b", T1b}, {"t2", T2}, {"t3", T3}, {"t4", T4},
-	{"t5", T5}, {"t6", T6}, {"f1", F1}, {"a1", A1}, {"e1", E1},
+	{"t5", T5}, {"t6", T6}, {"f1", F1}, {"e1", E1},
 	{"b1", B1}, {"e2", E2}, {"e5", E5},
 	{"s1", S1}, {"s2", S2}, {"d1", D1}, {"r1", R1},
 }

@@ -30,7 +30,7 @@ func TestAllTablesRenderAtQuickScale(t *testing.T) {
 		}
 	}
 	out := RenderAll(tables)
-	for _, id := range []string{"T1", "T1b", "T2", "T3", "T4", "T5", "T6", "F1", "A1", "E1", "B1"} {
+	for _, id := range []string{"T1", "T1b", "T2", "T3", "T4", "T5", "T6", "F1", "E1", "B1"} {
 		if !strings.Contains(out, "== "+id+":") {
 			t.Errorf("rendered report missing %s", id)
 		}

@@ -26,9 +26,9 @@ func timingColumn(tableID, header string) bool {
 		strings.Contains(header, "ns/") || strings.Contains(header, "allocs") {
 		return true
 	}
-	// T4/A1's "speedup" is a round-count ratio (deterministic); B1's and
+	// T4's "speedup" is a round-count ratio (deterministic); B1's and
 	// E2's are wall-clock ratios.
-	if header == "speedup" && tableID != "T4" && tableID != "A1" {
+	if header == "speedup" && tableID != "T4" {
 		return true
 	}
 	// S1's admission outcomes depend on real-time load (how many arrivals

@@ -29,17 +29,8 @@ func E1(sc Scale) *Table {
 			side = 8
 		}
 		g := graph.Grid(side, side, graph.UnitWeights)
-		program := func(h *congest.Host) {
-			out := make([]congest.Send, h.Degree())
-			for r := 0; r < rounds; r++ {
-				for p := 0; p < h.Degree(); p++ {
-					out[p] = congest.Send{Port: p, Wire: congest.Wire{Kind: benchWireKind, C: int64(r + h.ID())}}
-				}
-				h.Exchange(out)
-			}
-		}
 		start := time.Now()
-		stats, err := congest.Run(g, program)
+		stats, err := congest.RunDriven(g, startFlood(rounds, 0))
 		ms := float64(time.Since(start).Microseconds()) / 1000.0
 		if err != nil {
 			tab.Notes = append(tab.Notes, err.Error())
@@ -123,16 +114,7 @@ func E2(sc Scale) *Table {
 	}
 	g := graph.Grid(side, side, graph.UnitWeights)
 	addRow("idle+wireflood", g.N(), func(noFast bool) (*congest.Stats, error) {
-		return congest.Run(g, func(h *congest.Host) {
-			out := make([]congest.Send, h.Degree())
-			for cycle := 0; cycle < 12; cycle++ {
-				h.Idle(199)
-				for p := 0; p < h.Degree(); p++ {
-					out[p] = congest.Send{Port: p, Wire: congest.Wire{Kind: benchWireKind, C: int64(cycle)}}
-				}
-				h.Exchange(out)
-			}
-		}, congest.WithFastPath(!noFast))
+		return congest.RunDriven(g, startFlood(12, 199), congest.WithFastPath(!noFast))
 	})
 
 	solverRow := func(algo string, n, k int) {
@@ -161,8 +143,9 @@ func E2(sc Scale) *Table {
 	if Large {
 		// Opt-in large-scale rows (dsfbench -large): the scheduler's
 		// speedup and the allocs/node-round floor at n = 2048+, cheap to
-		// run now that a parked node costs one coroutine stack. Excluded
-		// from the committed snapshots (the compare needs stable rows).
+		// run because a parked node costs a few cells of flat engine
+		// tables. Excluded from the committed snapshots (the compare
+		// needs stable rows).
 		solverRow("det", 2048, 6)
 		solverRow("rand", 2048, 8)
 		// One n=10^5 engine-level smoke row: the idle workload at E5
@@ -175,20 +158,11 @@ func E2(sc Scale) *Table {
 		}
 		hg := graph.Grid(hside, hside, graph.UnitWeights)
 		addRow("idle+wireflood", hg.N(), func(noFast bool) (*congest.Stats, error) {
-			return congest.Run(hg, func(h *congest.Host) {
-				out := make([]congest.Send, h.Degree())
-				for cycle := 0; cycle < 2; cycle++ {
-					h.Idle(199)
-					for p := 0; p < h.Degree(); p++ {
-						out[p] = congest.Send{Port: p, Wire: congest.Wire{Kind: benchWireKind, C: int64(cycle)}}
-					}
-					h.Exchange(out)
-				}
-			}, congest.WithFastPath(!noFast))
+			return congest.RunDriven(hg, startFlood(2, 199), congest.WithFastPath(!noFast))
 		})
 	}
 	tab.Notes = append(tab.Notes,
-		"fast off = WithFastPath(false): Idle/Sleep/Relay degrade to per-round exchanges; identical=true pins bit-equal Stats",
+		"fast off = WithFastPath(false): each node's driver runs in a plain-loop driver that expands every Idle/Sleep/SleepUntil/Relay request into the exchange loop defining it; identical=true pins bit-equal Stats",
 		"allocs/node-rnd is the fast run's whole-process malloc count per simulated node-round (engine + solver + GC noise)")
 	return tab
 }
@@ -198,3 +172,35 @@ func E2(sc Scale) *Table {
 const benchWireKind uint16 = 100
 
 func init() { congest.RegisterWireKind(benchWireKind, 64) }
+
+// startFlood is the node program of the engine workloads: cycles rounds
+// of a full-degree flood, each after idle parked rounds (none for 0).
+func startFlood(cycles, idle int) func(h *congest.Host) (congest.Request, congest.Driver) {
+	return func(h *congest.Host) (congest.Request, congest.Driver) {
+		return congest.Idle(0), &flood{cycles: cycles, idle: idle, out: make([]congest.Send, h.Degree())}
+	}
+}
+
+// flood is startFlood's driver.
+type flood struct {
+	cycles, idle int
+	cycle        int
+	parked       bool // the pending request is the cycle's Idle
+	out          []congest.Send
+}
+
+func (d *flood) Next([]congest.Recv) (congest.Request, bool) {
+	if d.cycle == d.cycles {
+		return congest.Request{}, false
+	}
+	if d.idle > 0 && !d.parked {
+		d.parked = true
+		return congest.Idle(d.idle), true
+	}
+	d.parked = false
+	for p := range d.out {
+		d.out[p] = congest.Send{Port: p, Wire: congest.Wire{Kind: benchWireKind, C: int64(d.cycle)}}
+	}
+	d.cycle++
+	return congest.Exchange(d.out), true
+}

@@ -27,16 +27,16 @@ var Huge bool
 func E5(sc Scale) *Table {
 	tab := &Table{
 		ID:    "E5",
-		Title: "million-node engine: flat CSR + arena tables at n=10^5..10^6",
+		Title: "large-network engine: flat CSR + arena tables at n=10^5 (10^6 with -huge)",
 		Claim: "engineering: graph and scheduler state are flat arrays indexed by CSR offsets, so node count scales by RAM, not allocator throughput",
 		Header: []string{"workload", "n", "m", "rounds", "ms",
 			"ns/node-rnd", "allocs/node-rnd", "peakRSS_MB"},
 	}
-	row := func(name string, g *graph.Graph, program func(h *congest.Host)) {
+	row := func(name string, g *graph.Graph, program func(h *congest.Host) (congest.Request, congest.Driver)) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		stats, err := congest.Run(g, program)
+		stats, err := congest.RunDriven(g, program)
 		ms := float64(time.Since(start).Microseconds()) / 1000.0
 		runtime.ReadMemStats(&after)
 		if err != nil {
@@ -68,27 +68,22 @@ func E5(sc Scale) *Table {
 		}
 		g := graph.Grid(side, side, graph.UnitWeights)
 		g.Freeze()
-		row("parked+flood", g, func(h *congest.Host) {
-			out := make([]congest.Send, h.Degree())
-			for cycle := 0; cycle < 6; cycle++ {
-				h.Idle(199)
-				for p := 0; p < h.Degree(); p++ {
-					out[p] = congest.Send{Port: p, Wire: congest.Wire{Kind: benchWireKind, C: int64(cycle)}}
-				}
-				h.Exchange(out)
-			}
-		})
-		row("bfs+max+bcast", g, func(h *congest.Host) {
-			tr := dist.BuildBFS(h)
-			dist.Max(h, tr, int64(h.ID()))
-			var items []congest.Wire
-			if tr.IsRoot() {
-				items = make([]congest.Wire, 32)
-				for i := range items {
-					items[i] = congest.Wire{Kind: benchWireKind, C: int64(i)}
-				}
-			}
-			dist.BroadcastList(h, tr, items)
+		row("parked+flood", g, startFlood(6, 199))
+		row("bfs+max+bcast", g, func(h *congest.Host) (congest.Request, congest.Driver) {
+			tr := new(dist.Tree)
+			return congest.Chain(
+				func() (congest.Request, congest.Driver) { return dist.StartBFS(h, tr) },
+				func() (congest.Request, congest.Driver) { return dist.StartMax(h, tr, int64(h.ID())) },
+				func() (congest.Request, congest.Driver) {
+					var items []congest.Wire
+					if tr.IsRoot() {
+						items = make([]congest.Wire, 32)
+						for i := range items {
+							items[i] = congest.Wire{Kind: benchWireKind, C: int64(i)}
+						}
+					}
+					return dist.StartBroadcastList(h, tr, items)
+				})
 		})
 	}
 	tab.Notes = append(tab.Notes,

@@ -7,7 +7,7 @@ import (
 
 // ArenaPool recycles the engine's flat scheduler tables — inbox slots,
 // generation stamps, staging buffers, return ports, host blocks — across
-// runs instead of reallocating them per Run. A run acquires an arena at
+// runs instead of reallocating them per run. A run acquires an arena at
 // setup and returns it on exit; a warm arena is reset by continuing its
 // generation counter (stale stamped cells can then never match the live
 // generation) plus one memclr of the per-node mode bytes, so warm setup
@@ -35,13 +35,13 @@ type ArenaPool struct {
 // borrow from any pool: shape-mismatched arenas are simply not reused.
 func NewArenaPool() *ArenaPool { return &ArenaPool{} }
 
-// WithArenaPool makes Run acquire its scheduler tables from p and return
+// WithArenaPool makes RunDriven acquire its scheduler tables from p and return
 // them when the run ends.
 func WithArenaPool(p *ArenaPool) Option { return func(o *options) { o.pool = p } }
 
 // ArenaPoolStats counts the pool's traffic: how many runs found a warm
 // arena vs allocated cold, and the total engine-setup time spent on each
-// side (acquisition through host init, before the first program step).
+// side (acquisition through host init, before the first node starts).
 type ArenaPoolStats struct {
 	WarmGets    uint64
 	ColdGets    uint64
@@ -122,8 +122,6 @@ type arena struct {
 	touchN    []int32
 	tGen      []uint32
 	subs      []submission
-	next      []func() (submission, bool)
-	stopFn    []func()
 	relays    []relaying
 
 	// P-sized per-(node, port) tables.
@@ -155,8 +153,6 @@ func newArena(n, P int) *arena {
 		touchN:     make([]int32, n),
 		tGen:       make([]uint32, n),
 		subs:       make([]submission, n),
-		next:       make([]func() (submission, bool), n),
-		stopFn:     make([]func(), n),
 		sentGen:    make([]uint32, P),
 		slots:      make([]Recv, P),
 		slotGen:    make([]uint32, P),
@@ -195,7 +191,7 @@ func (ar *arena) reset() {
 func (ar *arena) attach(e *engine) {
 	e.hosts, e.mode, e.parkStamp, e.wakeAt = ar.hosts, ar.mode, ar.parkStamp, ar.wakeAt
 	e.touchN, e.tGen = ar.touchN, ar.tGen
-	e.subs, e.next, e.stopFn = ar.subs, ar.next, ar.stopFn
+	e.subs = ar.subs
 	e.relays = ar.relays
 	e.sentGen, e.slots, e.slotGen = ar.sentGen, ar.slots, ar.slotGen
 	e.touchBuf, e.outArena, e.returnPort = ar.touchBuf, ar.outArena, ar.returnPort
@@ -209,7 +205,7 @@ func (ar *arena) attach(e *engine) {
 // backing arrays may have been reallocated by append), the lazily
 // allocated relay table, and the generation high-water mark the next
 // reuse will continue from. It also drops the run's references into node
-// programs — the host blocks' coroutine hooks and driver, and the stale
+// programs — the host blocks' drivers, and the stale
 // submissions, whose send slices point into protocol state — and the relay
 // stream buffers, keeping only their capacities as sizing hints, so a
 // pooled arena keeps none of a finished run's memory alive.

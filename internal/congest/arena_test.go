@@ -12,19 +12,15 @@ import (
 // arenaProgram is a small but non-trivial workload for pool tests: seeded
 // randomness, full-degree exchanges, and enough rounds to populate the
 // standing/relay-free engine paths the arena recycles.
-func arenaProgram(g *graph.Graph, out []int64) Program {
-	return func(h *Host) {
+func arenaProgram(g *graph.Graph, out []int64) func(h *Host) (Request, Driver) {
+	return func(h *Host) (Request, Driver) {
 		x := h.Rand().Int63n(1 << 20)
-		for r := 0; r < 6; r++ {
-			sends := make([]Send, 0, h.Degree())
-			for p := 0; p < h.Degree(); p++ {
-				sends = append(sends, Send{Port: p, Wire: msg(x)})
-			}
-			for _, rc := range h.Exchange(sends) {
+		return rounds(6, func(int) []Send { return toAll(h, msg(x)) }, func(_ int, in []Recv) {
+			for _, rc := range in {
 				x = (x*31 + rc.Wire.C) % 1000003
 			}
-		}
-		out[h.ID()] = x
+			out[h.ID()] = x
+		})
 	}
 }
 
@@ -34,7 +30,7 @@ func arenaProgram(g *graph.Graph, out []int64) Program {
 func TestArenaPoolReuseBitIdentical(t *testing.T) {
 	g := graph.Grid(5, 5, graph.UnitWeights)
 	fresh := make([]int64, g.N())
-	want, err := Run(g, arenaProgram(g, fresh), WithSeed(7))
+	want, err := RunDriven(g, arenaProgram(g, fresh), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +38,7 @@ func TestArenaPoolReuseBitIdentical(t *testing.T) {
 	pool := NewArenaPool()
 	for run := 0; run < 3; run++ {
 		got := make([]int64, g.N())
-		stats, err := Run(g, arenaProgram(g, got), WithSeed(7), WithArenaPool(pool))
+		stats, err := RunDriven(g, arenaProgram(g, got), WithSeed(7), WithArenaPool(pool))
 		if err != nil {
 			t.Fatalf("pooled run %d: %v", run, err)
 		}
@@ -73,14 +69,14 @@ func TestArenaPoolShapeAndGraphIdentity(t *testing.T) {
 	pool := NewArenaPool()
 	gridA := graph.Grid(4, 4, graph.UnitWeights)
 	out := make([]int64, gridA.N())
-	if _, err := Run(gridA, arenaProgram(gridA, out), WithArenaPool(pool)); err != nil {
+	if _, err := RunDriven(gridA, arenaProgram(gridA, out), WithArenaPool(pool)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Different shape: must not reuse the parked 4x4 arena.
 	path := graph.Path(8, graph.UnitWeights)
 	pout := make([]int64, path.N())
-	if _, err := Run(path, arenaProgram(path, pout), WithArenaPool(pool)); err != nil {
+	if _, err := RunDriven(path, arenaProgram(path, pout), WithArenaPool(pool)); err != nil {
 		t.Fatal(err)
 	}
 	if ps := pool.Stats(); ps.ColdGets != 2 || ps.WarmGets != 0 {
@@ -90,12 +86,12 @@ func TestArenaPoolShapeAndGraphIdentity(t *testing.T) {
 	// Same shape, different Graph object: warm reuse, identical results.
 	gridB := graph.Grid(4, 4, graph.UnitWeights)
 	freshB := make([]int64, gridB.N())
-	want, err := Run(gridB, arenaProgram(gridB, freshB), WithSeed(3))
+	want, err := RunDriven(gridB, arenaProgram(gridB, freshB), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotB := make([]int64, gridB.N())
-	stats, err := Run(gridB, arenaProgram(gridB, gotB), WithSeed(3), WithArenaPool(pool))
+	stats, err := RunDriven(gridB, arenaProgram(gridB, gotB), WithSeed(3), WithArenaPool(pool))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +114,7 @@ func TestArenaPoolShapeAndGraphIdentity(t *testing.T) {
 func TestArenaPoolConcurrent(t *testing.T) {
 	g := graph.Grid(5, 5, graph.UnitWeights)
 	fresh := make([]int64, g.N())
-	want, err := Run(g, arenaProgram(g, fresh), WithSeed(7))
+	want, err := RunDriven(g, arenaProgram(g, fresh), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +125,7 @@ func TestArenaPoolConcurrent(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		outs[i] = make([]int64, g.N())
 		go func(out []int64) {
-			stats, err := Run(g, arenaProgram(g, out), WithSeed(7), WithArenaPool(pool))
+			stats, err := RunDriven(g, arenaProgram(g, out), WithSeed(7), WithArenaPool(pool))
 			if err == nil && (stats.Messages != want.Messages || stats.Rounds != want.Rounds) {
 				t.Errorf("concurrent pooled stats diverged: %+v vs %+v", stats, want)
 			}
@@ -156,7 +152,7 @@ func TestArenaPoolConcurrent(t *testing.T) {
 
 // benchSetupProgram returns immediately: the run is pure engine setup and
 // teardown, which is exactly what the warm/cold A/B below measures.
-func benchSetupProgram(h *Host) {}
+func benchSetupProgram(h *Host) (Request, Driver) { return Idle(0), done }
 
 // BenchmarkArenaSetup is the committed A/B for the acceptance criterion:
 // on a resident n=10^5 instance, warm acquisitions must allocate far less
@@ -170,20 +166,20 @@ func BenchmarkArenaSetup(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(g, benchSetupProgram); err != nil {
+			if _, err := RunDriven(g, benchSetupProgram); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		pool := NewArenaPool()
-		if _, err := Run(g, benchSetupProgram, WithArenaPool(pool)); err != nil {
+		if _, err := RunDriven(g, benchSetupProgram, WithArenaPool(pool)); err != nil {
 			b.Fatal(err) // prime one arena so every timed run is warm
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(g, benchSetupProgram, WithArenaPool(pool)); err != nil {
+			if _, err := RunDriven(g, benchSetupProgram, WithArenaPool(pool)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -200,11 +196,11 @@ func TestArenaPoolDropsRunState(t *testing.T) {
 	g := graph.Grid(3, 3, graph.UnitWeights)
 	pool := NewArenaPool()
 	var freed atomic.Int32
-	_, err := Run(g, func(h *Host) {
+	_, err := RunDriven(g, func(h *Host) (Request, Driver) {
 		st := &nodeState{}
 		runtime.SetFinalizer(st, func(*nodeState) { freed.Add(1) })
 		st.sends[0] = Send{Port: 0, Wire: msg(1)}
-		h.Drive(Exchange(st.sends[:1]), &lastExchange{out: st.sends[:1]})
+		return Exchange(st.sends[:1]), &lastExchange{out: st.sends[:1]}
 	}, WithArenaPool(pool))
 	if err != nil {
 		t.Fatal(err)
@@ -241,31 +237,35 @@ func TestRelayBufferReuse(t *testing.T) {
 	sizes := []int{3, 9, 2} // items per stream: grow, then refill
 	pool := NewArenaPool()
 	run := func() (heads []*Recv, caps []int) {
-		_, err := Run(g, func(h *Host) {
-			switch h.ID() {
-			case 0:
-				for _, k := range sizes {
+		_, err := RunDriven(g, func(h *Host) (Request, Driver) {
+			var steps []any
+			for _, k := range sizes {
+				switch h.ID() {
+				case 0:
 					for i := 0; i < k; i++ {
-						h.Exchange([]Send{{Port: 0, Wire: msg(int64(i))}})
+						steps = append(steps, Exchange([]Send{{Port: 0, Wire: msg(int64(i))}}))
 					}
-					h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireEnd}}})
-					h.Idle(3) // until both stages have placed their next order
-				}
-			case 1:
-				for _, k := range sizes {
-					stream, _ := h.RelayStream(0, []int{1}, testWireEnd)
-					if len(stream) != k+1 || stream[k-1].Wire.C != int64(k-1) {
-						panic("relay stream corrupted")
-					}
-					heads, caps = append(heads, &stream[0]), append(caps, cap(stream))
-				}
-			case 2:
-				for _, k := range sizes {
-					if stream, _ := h.RelayStream(0, nil, testWireEnd); len(stream) != k+1 {
-						panic("relay stream corrupted")
-					}
+					steps = append(steps, Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireEnd}}}),
+						Idle(3)) // until both stages have placed their next order
+				case 1:
+					steps = append(steps, RelayStream(0, []int{1}, testWireEnd), func(in []Recv) Request {
+						stream, _ := h.RelaySplit(in)
+						if len(stream) != k+1 || stream[k-1].Wire.C != int64(k-1) {
+							panic("relay stream corrupted")
+						}
+						heads, caps = append(heads, &stream[0]), append(caps, cap(stream))
+						return Request{}
+					})
+				case 2:
+					steps = append(steps, RelayStream(0, nil, testWireEnd), func(in []Recv) Request {
+						if stream, _ := h.RelaySplit(in); len(stream) != k+1 {
+							panic("relay stream corrupted")
+						}
+						return Request{}
+					})
 				}
 			}
+			return script(steps...)
 		}, WithArenaPool(pool))
 		if err != nil {
 			t.Fatal(err)

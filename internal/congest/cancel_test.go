@@ -14,22 +14,37 @@ import (
 // neighbor flooding with a per-node accumulator. onRound (may be nil) is
 // called by node 0 at the top of each round — the cancellation tests use
 // it to fire a context from inside the run.
-func floodProgram(rounds int, onRound func(r int)) Program {
-	return func(h *Host) {
-		x := int64(h.ID() + 1)
-		for r := 0; r < rounds; r++ {
-			if h.ID() == 0 && onRound != nil {
-				onRound(r)
-			}
-			out := make([]Send, 0, h.Degree())
-			for p := 0; p < h.Degree(); p++ {
-				out = append(out, Send{Port: p, Wire: msg(x)})
-			}
-			for _, rc := range h.Exchange(out) {
-				x = (x*31 + rc.Wire.C) % 1000003
-			}
-		}
+func floodProgram(rounds int, onRound func(r int)) func(h *Host) (Request, Driver) {
+	return func(h *Host) (Request, Driver) {
+		return Idle(0), &floodNext{h: h, left: rounds, x: int64(h.ID() + 1), onRound: onRound}
 	}
+}
+
+// floodNext is floodProgram's driver.
+type floodNext struct {
+	h       *Host
+	r, left int
+	x       int64
+	out     []Send
+	onRound func(r int)
+}
+
+func (d *floodNext) Next(in []Recv) (Request, bool) {
+	for _, rc := range in {
+		d.x = (d.x*31 + rc.Wire.C) % 1000003
+	}
+	if d.r == d.left {
+		return Request{}, false
+	}
+	if d.h.ID() == 0 && d.onRound != nil {
+		d.onRound(d.r)
+	}
+	d.r++
+	d.out = d.out[:0]
+	for p := 0; p < d.h.Degree(); p++ {
+		d.out = append(d.out, Send{Port: p, Wire: msg(d.x)})
+	}
+	return Exchange(d.out), true
 }
 
 // TestCancelAbortsBothSchedulers cancels a run mid-flood.
@@ -45,7 +60,7 @@ func TestCancelAbortsBothSchedulers(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			opts := append([]Option{WithContext(ctx), WithMaxRounds(10000)}, tc.opts...)
-			_, err := Run(g, floodProgram(5000, func(r int) {
+			_, err := RunDriven(g, floodProgram(5000, func(r int) {
 				if r == 40 {
 					cancel()
 				}
@@ -66,7 +81,7 @@ func TestCancelPreFiredContext(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeights)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(g, floodProgram(100, nil), WithContext(ctx), WithMaxRounds(1000))
+	_, err := RunDriven(g, floodProgram(100, nil), WithContext(ctx), WithMaxRounds(1000))
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled for a pre-fired context", err)
 	}
@@ -79,7 +94,7 @@ func TestDeadlineAbortsRun(t *testing.T) {
 	// A slow-round hook guarantees the deadline expires mid-run without
 	// depending on machine speed.
 	hooks := &RunHooks{Round: func(int) { time.Sleep(time.Millisecond) }}
-	_, err := Run(g, floodProgram(5000, nil),
+	_, err := RunDriven(g, floodProgram(5000, nil),
 		WithContext(ctx), WithRunHooks(hooks), WithMaxRounds(10000))
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
@@ -102,13 +117,13 @@ func TestContextNeutralWhenNotFired(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := append([]Option{WithSeed(11), WithMaxRounds(1000)}, tc.opts...)
-			plain, err := Run(g, floodProgram(50, nil), base...)
+			plain, err := RunDriven(g, floodProgram(50, nil), base...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			withCtx, err := Run(g, floodProgram(50, nil), append(base, WithContext(ctx))...)
+			withCtx, err := RunDriven(g, floodProgram(50, nil), append(base, WithContext(ctx))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +143,7 @@ func TestArenaPoolReuseAfterAbort(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := Run(g, floodProgram(5000, func(r int) {
+	_, err := RunDriven(g, floodProgram(5000, func(r int) {
 		if r == 25 {
 			cancel()
 		}
@@ -140,7 +155,7 @@ func TestArenaPoolReuseAfterAbort(t *testing.T) {
 		t.Fatal("aborted run did not return its arena to the pool")
 	}
 
-	warm, err := Run(g, floodProgram(60, nil),
+	warm, err := RunDriven(g, floodProgram(60, nil),
 		WithArenaPool(pool), WithMaxRounds(1000), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +163,7 @@ func TestArenaPoolReuseAfterAbort(t *testing.T) {
 	if got := pool.Stats().WarmGets; got == 0 {
 		t.Fatal("follow-up run did not reuse the aborted run's arena")
 	}
-	cold, err := Run(g, floodProgram(60, nil), WithMaxRounds(1000), WithSeed(3))
+	cold, err := RunDriven(g, floodProgram(60, nil), WithMaxRounds(1000), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

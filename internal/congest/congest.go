@@ -4,67 +4,50 @@
 // performs arbitrary local computation and sends at most one B-bit message
 // over each incident edge (B = O(log n)).
 //
-// Node programs are ordinary sequential Go functions; Host.Exchange is the
-// synchronous round barrier. This keeps multi-phase algorithms readable —
-// per-node code looks like the paper's pseudocode — while the engine
-// enforces the model: one message per edge direction per round, per-message
-// bit budgets, and explicit termination (the run ends when every node's
-// program returns).
+// A node program is a Driver: a state machine whose Next receives the
+// result of the node's previous request and returns the next one — an
+// Exchange (send, then receive the round's inbox), a park (Sleep,
+// SleepUntil, Idle) or a relay order (RelayStream). Per-node code reads
+// like the paper's pseudocode split at its round barriers, while the
+// engine enforces the model: one message per edge direction per round,
+// per-message bit budgets, and explicit termination (the run ends when
+// every node's driver reports done).
 //
-// Execution is continuation-based, not goroutine-based: each node program
-// of a Run executes inside a runtime coroutine (iter.Pull), and every
-// blocking call — Exchange, Idle, Sleep, SleepUntil, the relay orders —
-// yields an explicit continuation state back to the scheduler: the
-// submission, carrying what the node sent plus its resume condition (round
-// reply, wake deadline, wake-on-mail, relay order). The scheduler drives
-// all runnable nodes for a round in-place by switching directly into their
-// suspended stacks, so a coroutine-hosted active node-round costs two
-// coroutine switches and no channel operations, no runtime-scheduler
-// wakeups, and no futex traffic. All node programs of one run execute on
-// the goroutine that called Run, one at a time: each round the scheduler
-// validates and delivers every send, then resumes the recipients, in a
-// single pass.
-//
-// A program can go further and hand a stretch of itself to the scheduler
-// as data: Host.Drive(first, d) runs a Driver, whose Next returns the
-// node's next blocking call as a Request (Exchange, SleepUntil, Sleep,
-// Idle or RelayStream). The scheduler then calls Next directly each time
-// a request completes — a driven node-round costs a method call, not a
-// coroutine switch — and switches back into the program only when Next
-// reports done. Every dist primitive (the BFS tree build, the quiescence
-// loop under Bellman-Ford, the collect pipelines) runs this way. Drive is
-// defined as the blocking loop over those requests, which is also how it
-// runs with the fast paths off.
-//
-// A program that is a Driver from its first request to its end runs with
-// RunDriven instead, and then takes no coroutine at all: the scheduler
-// starts each node itself, calls Next for every request, and finishes the
-// node when Next reports done — no coroutine switch, and no program stack
-// kept per node for the garbage collector to scan. Every solver runs this
-// way: the deterministic ones (det, rounded) and the randomized ones
-// (rand, trunc, khan).
+// RunDriven is the one way to run a network. It starts every node's
+// driver and then runs the rounds on the calling goroutine, one node at a
+// time: each round it validates and delivers every send, then calls Next
+// of every node whose request completed, in a single pass. A node-round
+// costs a method call; no node has a goroutine or a stack of its own, so
+// a node's whole state between rounds is its driver plus a few cells of
+// the engine's flat tables. Chain runs several drivers in turn as one,
+// which is how a node program strings primitives together.
 //
 // The round scheduler is event-driven and allocation-free on its hot path.
-// Nodes that have nothing to say park instead of spinning: Host.Idle(k)
-// registers a wake round, Host.Sleep parks until a message arrives and
-// Host.SleepUntil until a message or a deadline (messages to a sleeping
+// Nodes that have nothing to say park instead of spinning: Idle(k)
+// registers a wake round, Sleep parks until a message arrives and
+// SleepUntil until a message or a deadline (messages to a sleeping
 // node wake it that same round, via a generation-stamped wake queue), and
 // when every live node is parked the engine advances the round counter in
 // bulk to the next deadline — rounds in which nobody speaks cost no
-// channel traffic at all. Deadlines live in a min-heap, except those due
+// scheduler work at all. Deadlines live in a min-heap, except those due
 // in the very round about to run (SleepUntil(Round()+1), Idle(1):
-// RunQuiet's silent payload and control slots park this way), which go
+// the quiescence loop's silent payload and control slots park this way), which go
 // to a FIFO wake lane, kept in the arena, that the round's wake pass
 // drains before the heap; the commonest park costs an append instead of
 // a heap push and pop. The lane changes only the order in which one
 // round's wakes resume, which no result depends on.
 //
 // Messages travel as inline Wire values, never boxed, return ports come
-// from a table precomputed at Run setup rather than a per-message binary
+// from a table precomputed at run setup rather than a per-message binary
 // search, and duplicate-send/liveness tracking uses generation-stamped
-// arrays, so a steady-state round performs no heap allocation. The fast paths are observationally
-// identical to plain Exchange loops (WithFastPath(false) forces the
-// loops): Stats and every delivered message are bit-for-bit the same.
+// arrays, so a steady-state round performs no heap allocation.
+//
+// Every request other than Exchange is defined as a loop of plain
+// exchanges (see Sleep, SleepUntil, Idle and RelayStream), and the fast
+// paths are observationally identical to those loops: WithFastPath(false)
+// runs each node's driver inside a plain-loop driver that expands every
+// request into its loop, so the engine sees nothing but exchanges, and
+// Stats and every delivered message are bit-for-bit the same.
 //
 // Runs are deterministic: inboxes are sorted by port, per-node RNGs draw
 // math/rand's stream for a seed derived from (seed, node ID) (see
@@ -76,7 +59,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -102,11 +84,6 @@ type Recv struct {
 	Wire Wire
 }
 
-// Program is the code run by every node. It must eventually return; the
-// simulation terminates when all programs have returned (the CONGEST notion
-// of explicit termination).
-type Program func(h *Host)
-
 // Stats aggregates a completed run.
 type Stats struct {
 	// Rounds is the number of communication rounds until the last node
@@ -118,9 +95,9 @@ type Stats struct {
 	Bits int64
 	// MaxMessageBits is the largest single message observed.
 	MaxMessageBits int
-	// DroppedToTerminated counts messages sent to nodes whose program had
-	// already returned (they are silently discarded, matching terminated
-	// processes).
+	// DroppedToTerminated counts messages sent to nodes whose driver had
+	// already reported done (they are silently discarded, matching
+	// terminated processes).
 	DroppedToTerminated int64
 	// EdgeBits, when edge tracking is enabled, holds cumulative bits per
 	// graph edge index (both directions combined). It is the instrument
@@ -165,12 +142,12 @@ func cancelErr(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", ErrCancelled, context.Cause(ctx))
 }
 
-// Option configures Run.
+// Option configures RunDriven.
 type Option func(*options)
 
 // WithBandwidth sets the per-edge per-round bit budget. A value of 0
 // disables enforcement (the default budget is 32 machine words scaled by
-// log n; see DefaultBandwidth). Run validates the budget against the
+// log n; see DefaultBandwidth). RunDriven validates the budget against the
 // widest fixed-width wire kind in the process-wide registry — every
 // linked protocol package's registrations, not just the kinds this run
 // will send — and fails at setup when the budget cannot carry them; a
@@ -187,10 +164,12 @@ func WithSeed(s int64) Option { return func(o *options) { o.seed = s } }
 // WithEdgeTracking enables per-edge bit counters in Stats.EdgeBits.
 func WithEdgeTracking() Option { return func(o *options) { o.trackEdges = true } }
 
-// WithFastPath enables (default) or disables the idle/sleep scheduler fast
-// paths. Disabled, Idle/Sleep/SleepUntil degrade to their defining
-// Exchange(nil) loops; the observable behavior — Stats and delivered
-// messages — is identical either way, which the equivalence tests pin.
+// WithFastPath enables (default) or disables the scheduler fast paths.
+// Disabled, every node's driver runs inside a plain-loop driver that
+// expands each Sleep, SleepUntil, Idle and RelayStream request into the
+// Exchange loop that defines it, so the engine runs nothing but
+// exchanges; the observable behavior — Stats and delivered messages — is
+// identical either way, which the equivalence tests pin.
 func WithFastPath(on bool) Option { return func(o *options) { o.noFastPath = !on } }
 
 // WithContext attaches a cancellation context to the run. The engine
@@ -199,8 +178,8 @@ func WithFastPath(on bool) Option { return func(o *options) { o.noFastPath = !on
 // when it fires. A run that is never cancelled is
 // bit-identical to one without a context: the check reads a channel
 // non-blockingly and touches no engine state (the equivalence suite pins
-// this). Cancellation is cooperative at round granularity: a node program
-// blocked inside one round's work is not preempted, exactly like the
+// this). Cancellation is cooperative at round granularity: a node's
+// driver busy inside one round's work is not preempted, exactly like the
 // MaxRounds budget.
 func WithContext(ctx context.Context) Option {
 	return func(o *options) {
@@ -241,7 +220,7 @@ func DefaultBandwidth(n int) int {
 }
 
 // Host is a node's handle to the simulation. All methods are to be called
-// only from that node's program.
+// only from that node's driver.
 type Host struct {
 	id         int
 	n          int
@@ -249,44 +228,19 @@ type Host struct {
 	rng        *rand.Rand   // created on first Rand call, over a lazySource
 	rngSeed    int64
 	round      int
-	fast       bool
-	wokeRound  int // written by the engine before a park wake-up resume
-	relayLastN int // written by the engine: trailing inbox size of a relay wake
+	relayLastN int // the trailing extra-mail count of the last relay result
 
 	// ext is the reusable parameter block for this node's parking
-	// submissions. The engine consumes a submission before resuming its
-	// node and each node has at most one in flight, so one block per host
-	// replaces a heap allocation per park/relay call.
+	// submissions. The engine consumes a submission before calling its
+	// node's Next and each node has at most one in flight, so one block
+	// per host replaces a heap allocation per park/relay request.
 	ext subExt
 
-	// yield suspends the program mid-call, handing the submission to the
-	// scheduler; resumeIn carries the inbox of the resume that follows.
-	yield    func(submission) bool
-	resumeIn []Recv
-
-	// Driven continuation (Drive): while drv is set the scheduler calls
-	// drv.Next itself instead of switching into the program; drvExch
-	// records whether the pending request is an exchange (the clock
-	// advances by one) or a park (it syncs to the wake round).
+	// drv is the node's driver; drvExch records whether its pending
+	// request is an exchange (the clock advances by one) or a park (it
+	// syncs to the wake round).
 	drv     Driver
 	drvExch bool
-}
-
-// transact hands one submission to the scheduler and suspends the node's
-// program until the engine resumes it, returning the resume inbox. This is
-// a direct coroutine switch: yield parks the program's whole stack as the
-// continuation and returns the submission to the scheduler's next(); the
-// engine writes the inbox into resumeIn before switching back in. A false
-// yield means the run is failing; the program unwinds via the abort
-// sentinel.
-func (h *Host) transact(sub submission) []Recv {
-	if h.drv != nil {
-		panic(errBlockingInNext)
-	}
-	if !h.yield(sub) {
-		panic(abortSentinel{})
-	}
-	return h.resumeIn
 }
 
 // ID returns this node's identifier.
@@ -337,196 +291,6 @@ func (h *Host) Rand() *rand.Rand {
 	return h.rng
 }
 
-// Exchange sends out and blocks until the round completes, returning the
-// messages received (sorted by port). Passing nil sends nothing. Sending
-// two messages on one port in a single round panics: the model allows one.
-//
-// The returned slice aliases an engine-owned buffer that is reused: it is
-// valid only until this node's next call to Exchange.
-func (h *Host) Exchange(out []Send) []Recv {
-	in := h.transact(submission{node: h.id, kind: subExchange, out: out})
-	h.round++
-	return in
-}
-
-// Idle advances the node through the given number of rounds without
-// sending; anything delivered to it meanwhile is discarded unread, exactly
-// as an Exchange(nil) loop that ignores its results would. On the fast
-// path the node parks once and the scheduler skips it until the wake
-// round.
-func (h *Host) Idle(rounds int) {
-	if rounds <= 0 {
-		return
-	}
-	if !h.fast {
-		for i := 0; i < rounds; i++ {
-			h.Exchange(nil)
-		}
-		return
-	}
-	h.park(h.round+rounds, false)
-}
-
-// Sleep parks the node until a round delivers it at least one message and
-// returns that round's inbox (port-sorted), behaving exactly like
-//
-//	for { if in := h.Exchange(nil); len(in) > 0 { return in } }
-//
-// but without per-round scheduler work. A protocol in which every live
-// node sleeps unboundedly with no message in flight is reported as
-// ErrAsleep (the Exchange-loop equivalent would spin into the round cap).
-func (h *Host) Sleep() []Recv {
-	if !h.fast {
-		for {
-			if in := h.Exchange(nil); len(in) > 0 {
-				return in
-			}
-		}
-	}
-	return h.park(-1, true)
-}
-
-// SleepUntil parks the node until either a round delivers it a message
-// (returning that round's inbox) or the node's completed-round count
-// reaches round (returning nil). It is the message-interruptible Idle:
-//
-//	for h.Round() < round { if in := h.Exchange(nil); len(in) > 0 { return in } }
-//	return nil
-func (h *Host) SleepUntil(round int) []Recv {
-	if round <= h.round {
-		return nil
-	}
-	if !h.fast {
-		for h.round < round {
-			if in := h.Exchange(nil); len(in) > 0 {
-				return in
-			}
-		}
-		return nil
-	}
-	return h.park(round, true)
-}
-
-// RelayStream parks the node as a broadcast pipeline stage: every message
-// arriving on srcPort is re-sent by the engine on every port in dstPorts
-// one round later, with the node itself parked. A CONGEST port delivers at
-// most one message per round, so the relayed stream accumulates in arrival
-// order. The stream-terminating marker (kind endKind) is part of the
-// pipeline: it is accumulated and forwarded like any other item, and the
-// node wakes one round after that final forward (on the marker's arrival
-// when dstPorts is empty), or earlier when a round delivers mail on any
-// other port. It is equivalent to
-//
-//	var fwd []Send
-//	for {
-//	    in := h.Exchange(fwd)
-//	    fwd = nil
-//	    for _, rc := range in {
-//	        if rc.Port != srcPort {
-//	            return relayed, in // deviation: nothing from in forwarded
-//	        }
-//	    }
-//	    for _, rc := range in {
-//	        for _, p := range dstPorts { fwd = append(fwd, resend(p, rc)) }
-//	        relayed = append(relayed, rc)
-//	        if rc.Wire.Kind == endKind {
-//	            if len(dstPorts) == 0 { return relayed, nil }
-//	            return relayed, h.Exchange(fwd)
-//	        }
-//	    }
-//	}
-//
-// relayed therefore holds the clean-round messages, already forwarded
-// downstream, and ends with the marker on a normal stream end; last holds
-// the waking round's extra mail (port-sorted): stragglers during the
-// marker's forward round, or a deviating inbox, whose forwarding is again
-// the node's business. Because the stage neither wakes nor exchanges per
-// stream element — marker included — an entire pipelined broadcast whose
-// source has gone quiet is relay-only traffic: the engine forwards it hop
-// by hop without resuming a single stage until its stream ends. This
-// turns the hot inner loop of the collect primitives into engine-internal
-// table work for every node that is neither the stream's source nor a
-// point of deviation.
-//
-// dstPorts must be strictly ascending (which also guarantees one send per
-// port per round); the run fails on a violation.
-// Like Exchange's inbox, relayed and last alias engine-owned buffers that
-// are reused: they are valid only until this node's next blocking call.
-func (h *Host) RelayStream(srcPort int, dstPorts []int, endKind uint16) (relayed, last []Recv) {
-	return h.RelaySplit(h.relay(RelayStream(srcPort, dstPorts, endKind)))
-}
-
-// RelaySplit splits the result of the node's last relay request into
-// RelayStream's two results: the relayed stream and the extra mail.
-func (h *Host) RelaySplit(in []Recv) (relayed, last []Recv) {
-	cut := len(in) - h.relayLastN
-	return in[:cut], in[cut:]
-}
-
-// relay performs a relay request as a blocking call, returning the
-// relayed stream and the extra mail as one slice (see RelaySplit).
-func (h *Host) relay(r Request) []Recv {
-	h.setRelay(r)
-	if h.fast {
-		in := h.transact(submission{node: h.id, kind: subRelay, ext: &h.ext})
-		h.round = h.wokeRound
-		return in
-	}
-	var acc []Recv
-	var fwd []Send
-	for {
-		in := h.Exchange(fwd)
-		fwd = nil
-		for _, rc := range in {
-			if rc.Port != r.round {
-				h.relayLastN = len(in)
-				return append(acc, in...)
-			}
-		}
-		for _, rc := range in {
-			for _, p := range r.dst {
-				fwd = append(fwd, Send{Port: p, Wire: rc.Wire})
-			}
-			acc = append(acc, rc)
-			if rc.Wire.Kind == r.end {
-				var last []Recv
-				if len(r.dst) > 0 {
-					last = h.Exchange(fwd)
-				}
-				h.relayLastN = len(last)
-				return append(acc, last...)
-			}
-		}
-	}
-}
-
-// setRelay checks a relay request's destination ports and loads it into
-// the host's parameter block.
-func (h *Host) setRelay(r Request) {
-	for i, p := range r.dst {
-		if p < 0 || (i > 0 && p <= r.dst[i-1]) {
-			panic(fmt.Sprintf("congest: RelayStream destination ports %v not ascending", r.dst))
-		}
-	}
-	h.ext = subExt{relaySrc: r.round, relayDst: r.dst, relayEnd: r.end}
-}
-
-// park submits a park request and suspends until the engine wakes this
-// node, syncing the local round counter to the wake round.
-func (h *Host) park(wakeAt int, wakeOnMsg bool) []Recv {
-	h.ext = subExt{wakeAt: wakeAt, wakeOnMsg: wakeOnMsg}
-	in := h.transact(submission{node: h.id, kind: subPark, ext: &h.ext})
-	h.round = h.wokeRound
-	return in
-}
-
-type abortSentinel struct{}
-
-// errBlockingInNext is the panic of a Driver whose Next (or a RunDriven
-// start) calls a blocking Host method instead of returning it as a
-// Request.
-const errBlockingInNext = "congest: blocking Host call inside Driver.Next"
-
 const (
 	subExchange = uint8(iota)
 	subPark
@@ -535,12 +299,11 @@ const (
 	subErr
 )
 
-// submission is one node's per-round message to the scheduler: the
-// continuation state a suspended program yields — what it sent plus its
-// resume condition. The hot case (an exchange) must stay small — it is
-// copied by value for every node round — so the parameters of the rare
-// parking kinds live behind a pointer into the host's reusable parameter
-// block.
+// submission is one node's per-round message to the scheduler: its
+// pending request — what it sent plus its resume condition. The hot case
+// (an exchange) must stay small — it is copied by value for every node
+// round — so the parameters of the rare parking kinds live behind a
+// pointer into the host's reusable parameter block.
 type submission struct {
 	node int
 	kind uint8
@@ -576,7 +339,7 @@ type relayDest struct {
 	edge    int32
 }
 
-// relaying is a parked node's pipeline-stage order (Host.RelayStream):
+// relaying is a parked node's pipeline-stage order (a RelayStream request):
 // the engine forwards each clean srcPort arrival to dsts one round later
 // and accumulates the stream in buf until the node wakes — on a deviating
 // inbox, or one round after the end marker has itself been forwarded.
@@ -590,7 +353,7 @@ type relaying struct {
 	pendWire  Wire
 	dsts      []relayDest
 	// buf accumulates the stream. The node reads it before its next
-	// blocking call, so every later order of the run refills the same
+	// request, so every later order of the run refills the same
 	// buffer; bufHint carries its capacity over to the arena's next run,
 	// whose first order allocates that much at once.
 	buf     []Recv
@@ -660,13 +423,9 @@ type engine struct {
 	stats *Stats
 	hosts []Host // host arena: one in-place block per node
 
-	// Per-node resume/stop handles of the suspended programs, the
-	// submissions the resumes record (in resume order) for the next round
-	// loop pass to process, and the coroutine switches those resumes took.
-	next     []func() (submission, bool)
-	stopFn   []func()
-	pending  []submission
-	switches int
+	// The submissions the resumes record (in resume order) for the next
+	// round loop pass to process.
+	pending []submission
 
 	mode      []nodeMode
 	parkStamp []uint32 // bumped on every park/wake; validates wake entries
@@ -704,34 +463,14 @@ type engine struct {
 	returnPort []int32 // [base[v]+port]: the far endpoint's port back to v
 }
 
-// Run executes program on every node of g and returns aggregate statistics.
-// It returns an error if a program panics, violates the model (bandwidth,
-// duplicate port sends, bad port), or the round cap is reached.
-func Run(g *graph.Graph, program Program, opts ...Option) (*Stats, error) {
-	return run(g, program, nil, opts)
-}
-
-// RunDriven executes a node program written wholly as a Driver: start
-// returns each node's first request and the driver that continues from
-// it, and the node terminates when the driver reports done. It is defined
-// as
-//
-//	Run(g, func(h *Host) { first, d := start(h); h.Drive(first, d) }, opts...)
-//
-// which is also how it runs with the fast paths off. With them on, no
-// node gets a coroutine at all: the scheduler calls start itself, submits
-// the first request as Drive would, and finishes the node when Next
-// reports done, so the run takes no coroutine switch and leaves no
-// program stack for the garbage collector to scan. start and Next must not
-// call the Host's blocking methods (including Drive); a panic in either
-// fails the run as a panic in a program does.
+// RunDriven runs a node program written as a Driver on every node of g
+// and returns aggregate statistics: start returns each node's first
+// request and the driver that continues from it, and the node terminates
+// when the driver reports done. start and Next run on the calling
+// goroutine, one node at a time. RunDriven returns an error if start or
+// Next panics, a node violates the model (bandwidth, duplicate port
+// sends, bad port, a malformed relay order), or the round cap is reached.
 func RunDriven(g *graph.Graph, start func(*Host) (Request, Driver), opts ...Option) (*Stats, error) {
-	return run(g, func(h *Host) { h.Drive(start(h)) }, start, opts)
-}
-
-// run is Run, and RunDriven when start is set: on the fast path each node
-// is then started by startDriven instead of by program in a coroutine.
-func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), opts []Option) (*Stats, error) {
 	o := options{
 		maxRounds: 2_000_000,
 		seed:      1,
@@ -759,7 +498,7 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 		return stats, nil
 	}
 	if o.noFastPath {
-		start = nil // the reference path: program's Drive loop in a coroutine
+		start = plainStart(start)
 	}
 	e := &engine{
 		n:        n,
@@ -790,10 +529,6 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 		ar = newArena(n, P)
 	}
 	ar.attach(e)
-	// Belt and braces: release any still-suspended continuation on the way
-	// out (normal exits and fails have already done so; this keeps an
-	// engine bug from leaking parked coroutine stacks).
-	defer e.stopAll()
 	// Precompute the return-port table: for the edge at (v, port), the port
 	// of the far endpoint that leads back to v. One pass over all halves,
 	// pairing the two sides of each edge by its index, replaces the
@@ -818,39 +553,22 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 	for v := 0; v < n; v++ {
 		h := &e.hosts[v]
 		// Full struct reset: on a warm arena the block still carries the
-		// previous run's rng, round counter, and continuation hooks.
+		// previous run's rng, round counter, and driver.
 		*h = Host{
 			id:      v,
 			n:       n,
 			ports:   g.Neighbors(v),
 			rngSeed: o.seed + int64(v)*0x9E3779B9,
-			fast:    !o.noFastPath,
 		}
-		if start != nil {
-			h.yield = noCoroutine
-			e.next[v], e.stopFn[v] = nil, nil
-			continue
-		}
-		e.next[v], e.stopFn[v] = iter.Pull(nodeSeq(h, program))
 	}
 	if pool != nil {
 		pool.recordSetup(warmArena, int64(time.Since(setupStart)))
 	}
 
-	fail := func(err error) (*Stats, error) {
-		e.stopAll()
-		return nil, err
-	}
-
-	// Start every program, running each up to its first submission. From
-	// here on the nodes are suspended continuations (or drivers) that the
-	// round loop resumes in-place.
+	// Start every node, running each up to its first submission. From
+	// here on the nodes are drivers that the round loop resumes in place.
 	for v := 0; v < n; v++ {
-		if start != nil {
-			e.startDriven(v, start)
-		} else {
-			e.resume(v, 0, nil)
-		}
+		e.start(v, start)
 	}
 
 	resumes := 0 // one submission per node resume; published on success
@@ -860,7 +578,7 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 		if o.ctxDone != nil {
 			select {
 			case <-o.ctxDone:
-				return fail(cancelErr(o.ctx))
+				return nil, cancelErr(o.ctx)
 			default:
 			}
 		}
@@ -877,13 +595,12 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 			s := subsIn[si]
 			switch s.kind {
 			case subErr:
-				return fail(s.err)
+				return nil, s.err
 			case subDone:
 				e.live--
 				e.runnable--
 				e.mode[s.node] = modeDone
 				e.parkStamp[s.node]++
-				e.release(s.node)
 			case subPark:
 				x := s.ext
 				e.runnable--
@@ -907,7 +624,7 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 				x := s.ext
 				h := &e.hosts[v]
 				if x.relaySrc < 0 || x.relaySrc >= len(h.ports) {
-					return fail(fmt.Errorf("congest: node %d relaying from invalid port %d", v, x.relaySrc))
+					return nil, fmt.Errorf("congest: node %d relaying from invalid port %d", v, x.relaySrc)
 				}
 				if e.relays == nil {
 					e.relays = make([]relaying, n)
@@ -926,7 +643,7 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 				prev := -1
 				for _, p := range x.relayDst {
 					if p < 0 || p >= len(h.ports) || p <= prev {
-						return fail(fmt.Errorf("congest: node %d relaying to invalid ports %v", v, x.relayDst))
+						return nil, fmt.Errorf("congest: node %d relaying to invalid ports %v", v, x.relayDst)
 					}
 					prev = p
 					rl.dsts = append(rl.dsts, relayDest{
@@ -954,17 +671,17 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 			// exchanged nothing.
 			r, ok := e.nextWake()
 			if !ok {
-				return fail(ErrAsleep)
+				return nil, ErrAsleep
 			}
 			if r > o.maxRounds {
-				return fail(fmt.Errorf("%w (%d)", ErrRoundLimit, o.maxRounds))
+				return nil, fmt.Errorf("%w (%d)", ErrRoundLimit, o.maxRounds)
 			}
 			stats.Rounds = r
 			e.wakeDue(r)
 			continue
 		}
 		if stats.Rounds >= o.maxRounds {
-			return fail(fmt.Errorf("%w (%d)", ErrRoundLimit, o.maxRounds))
+			return nil, fmt.Errorf("%w (%d)", ErrRoundLimit, o.maxRounds)
 		}
 		e.emitRelays()
 		// Validate, account, and place every send. All stats are
@@ -979,31 +696,31 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 			for si := range outs {
 				snd := &outs[si] // by pointer: Send is 5 words
 				if snd.Port < 0 || snd.Port >= len(h.ports) {
-					return fail(fmt.Errorf("congest: node %d sent on invalid port %d", v, snd.Port))
+					return nil, fmt.Errorf("congest: node %d sent on invalid port %d", v, snd.Port)
 				}
 				pb := e.base[v] + int32(snd.Port)
 				if e.sentGen[pb] == e.gen {
-					return fail(fmt.Errorf("congest: node %d sent twice on port %d in one round", v, snd.Port))
+					return nil, fmt.Errorf("congest: node %d sent twice on port %d in one round", v, snd.Port)
 				}
 				e.sentGen[pb] = e.gen
 				if snd.Wire.Kind == 0 {
-					return fail(fmt.Errorf("congest: node %d sent nil message", v))
+					return nil, fmt.Errorf("congest: node %d sent nil message", v)
 				}
 				b, ok := wireBits(snd.Wire)
 				if !ok {
-					return fail(fmt.Errorf("congest: node %d sent unregistered wire kind %d", v, snd.Wire.Kind))
+					return nil, fmt.Errorf("congest: node %d sent unregistered wire kind %d", v, snd.Wire.Kind)
 				}
 				if b > o.bandwidth {
-					return fail(fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, o.bandwidth, v))
+					return nil, fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, o.bandwidth, v)
 				}
 				e.deliver(int(h.ports[snd.Port].To), int(e.returnPort[pb]),
 					int(h.ports[snd.Port].Index), b, &snd.Wire)
 			}
 		}
 		stats.Rounds++
-		// Delivery is execution: switch into each exchanging node, then each
+		// Delivery is execution: resume each exchanging node, then each
 		// sleeper this round's mail woke, with its port-ordered inbox, and
-		// record the submission it yields next.
+		// record the submission it makes next.
 		for _, v32 := range e.exchanged {
 			e.resume(int(v32), stats.Rounds, e.inbox(int(v32)))
 		}
@@ -1018,7 +735,6 @@ func run(g *graph.Graph, program Program, start func(*Host) (Request, Driver), o
 		e.wakeDue(stats.Rounds)
 	}
 	nodeResumes.Add(int64(resumes))
-	coroSwitches.Add(int64(e.switches))
 	return stats, nil
 }
 
@@ -1102,15 +818,10 @@ func (e *engine) emitRelays() {
 	}
 }
 
-// nodeResumes counts node-program resumes (one per submission) across all
+// nodeResumes counts node resumes (one per submission) across all
 // completed runs — a test-only observability hook for the parking paths,
-// published once per Run.
+// published once per run.
 var nodeResumes atomic.Int64
-
-// coroSwitches counts the resumes that switched into a node's coroutine —
-// every submission a Driver did not produce — across all completed runs:
-// the test-only companion of nodeResumes, published once per Run.
-var coroSwitches atomic.Int64
 
 // checkRelayers advances every relaying node after a round: a clean
 // arrival (one message, on the source port) is accumulated and scheduled
@@ -1282,42 +993,24 @@ func (e *engine) inbox(v int) []Recv {
 	return buf
 }
 
-// resume hands node v the given inbox and records in pending the
-// submission it makes next. A driven node's Driver produces it directly, without a
-// coroutine switch; otherwise — or once the Driver is done — resume
-// switches into the node's suspended program. wokeRound is the
-// completed-round count a park wake syncs the node's clock to (Exchange
-// returns ignore it and count rounds themselves). The ok=false branch is
-// unreachable while the run is live: the node sequence always yields a
-// terminal subDone or subErr before returning, and finished nodes are
-// never resumed.
+// resume completes node v's pending request with the given inbox and
+// records in pending the submission its driver makes next, or the node's
+// subDone once the driver is done. wokeRound is the completed-round count
+// a park wake syncs the node's clock to (exchanges count rounds
+// themselves).
 func (e *engine) resume(v, wokeRound int, in []Recv) {
-	h := &e.hosts[v]
-	if h.drv != nil {
-		if sub, more := h.driveNext(wokeRound, in); more {
-			e.pending = append(e.pending, sub)
-			return
-		}
+	sub, more := e.hosts[v].driveNext(wokeRound, in)
+	if !more {
+		sub = submission{node: v, kind: subDone}
 	}
-	if e.next[v] == nil {
-		// A RunDriven node: its driver was its whole program.
-		e.pending = append(e.pending, submission{node: v, kind: subDone})
-		return
-	}
-	h.wokeRound = wokeRound
-	h.resumeIn = in
-	e.switches++
-	if sub, ok := e.next[v](); ok {
-		e.pending = append(e.pending, sub)
-	}
+	e.pending = append(e.pending, sub)
 }
 
-// startDriven starts RunDriven node v on the engine's own stack: it calls
-// start and records the submission of the driver's first request, as
-// Drive would yield it, or the node's subDone when the driver finishes
+// start starts node v: it calls start and records the submission of the
+// driver's first request, or the node's subDone when the driver finishes
 // without taking a round. A panic in start or Next becomes the node's
 // subErr.
-func (e *engine) startDriven(v int, start func(*Host) (Request, Driver)) {
+func (e *engine) start(v int, start func(*Host) (Request, Driver)) {
 	h := &e.hosts[v]
 	sub := submission{node: v, kind: subDone}
 	defer func() {
@@ -1330,64 +1023,4 @@ func (e *engine) startDriven(v int, start func(*Host) (Request, Driver)) {
 	if s, ok := h.begin(start(h)); ok {
 		sub = s
 	}
-}
-
-// noCoroutine is the yield of a RunDriven node on the fast path, which has
-// no coroutine to suspend: a blocking call from its start fails the node
-// as one from Driver.Next does.
-func noCoroutine(submission) bool { panic(errBlockingInNext) }
-
-// release finishes a completed node's coroutine: the pending terminal
-// yield returns false and the sequence function exits.
-func (e *engine) release(v int) {
-	if e.stopFn[v] != nil {
-		e.stopFn[v]()
-		e.stopFn[v] = nil
-		e.next[v] = nil
-	}
-}
-
-// stopAll unwinds every still-suspended program (each sees its pending
-// yield return false and panics the abort sentinel through the node
-// code). Used by the fail path; idempotent.
-func (e *engine) stopAll() {
-	for v := range e.stopFn {
-		e.release(v)
-	}
-}
-
-// errAborted marks a program unwound by an engine abort; its sequence
-// exits without a terminal submission.
-var errAborted = errors.New("congest: aborted")
-
-// nodeSeq adapts a node program to the scheduler: the program runs inside a runtime coroutine, yielding one submission per blocking
-// call, plus a terminal subDone (or subErr) when it returns (or panics).
-func nodeSeq(h *Host, program Program) func(func(submission) bool) {
-	return func(yield func(submission) bool) {
-		h.yield = yield
-		switch err := runProtected(h, program); {
-		case err == nil:
-			yield(submission{node: h.id, kind: subDone})
-		case errors.Is(err, errAborted):
-			// Engine already failing; exit without yielding.
-		default:
-			yield(submission{node: h.id, kind: subErr, err: err})
-		}
-	}
-}
-
-// runProtected executes the node program, converting panics to errors (the
-// abort sentinel to errAborted).
-func runProtected(h *Host, program Program) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, isAbort := r.(abortSentinel); isAbort {
-				err = errAborted
-				return
-			}
-			err = fmt.Errorf("congest: node %d panicked: %v", h.id, r)
-		}
-	}()
-	program(h)
-	return nil
 }

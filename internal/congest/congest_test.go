@@ -20,22 +20,16 @@ func TestFloodMaxID(t *testing.T) {
 	// Every node floods the max ID it has seen; after D rounds all agree.
 	g := graph.Path(8, graph.UnitWeights)
 	results := make([]int64, g.N())
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		best := int64(h.ID())
-		for r := 0; r < g.N(); r++ {
-			out := make([]Send, 0, h.Degree())
-			for p := 0; p < h.Degree(); p++ {
-				out = append(out, Send{Port: p, Wire: msg(best)})
+		return rounds(g.N(), func(int) []Send { return toAll(h, msg(best)) }, func(r int, in []Recv) {
+			for _, rc := range in {
+				best = max(best, rc.Wire.C)
 			}
-			for _, rc := range h.Exchange(out) {
-				if v := rc.Wire.C; v > best {
-					best = v
-				}
-			}
-		}
-		results[h.ID()] = best
+			results[h.ID()] = best
+		})
 	}
-	stats, err := Run(g, program)
+	stats, err := RunDriven(g, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,23 +48,19 @@ func TestFloodMaxID(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := graph.Grid(4, 4, graph.UnitWeights)
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		x := h.Rand().Int63n(1000)
-		for r := 0; r < 5; r++ {
-			out := make([]Send, 0, h.Degree())
-			for p := 0; p < h.Degree(); p++ {
-				out = append(out, Send{Port: p, Wire: msg(x)})
-			}
-			for _, rc := range h.Exchange(out) {
+		return rounds(5, func(int) []Send { return toAll(h, msg(x)) }, func(_ int, in []Recv) {
+			for _, rc := range in {
 				x = (x + rc.Wire.C) % 1000003
 			}
-		}
+		})
 	}
-	s1, err := Run(g, program, WithSeed(7))
+	s1, err := RunDriven(g, start, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Run(g, program, WithSeed(7))
+	s2, err := RunDriven(g, start, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,35 +71,36 @@ func TestDeterminism(t *testing.T) {
 
 func TestInboxSortedByPort(t *testing.T) {
 	g := graph.Star(5, graph.UnitWeights)
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		if h.ID() == 0 {
-			in := h.Exchange(nil)
-			prev := -1
-			for _, rc := range in {
-				if rc.Port <= prev {
-					panic("inbox not sorted")
+			return script(Exchange(nil), func(in []Recv) Request {
+				prev := -1
+				for _, rc := range in {
+					if rc.Port <= prev {
+						panic("inbox not sorted")
+					}
+					prev = rc.Port
 				}
-				prev = rc.Port
-			}
-			if len(in) != 4 {
-				panic("missing messages")
-			}
-			return
+				if len(in) != 4 {
+					panic("missing messages")
+				}
+				return Request{}
+			})
 		}
 		p, ok := h.PortOf(0)
 		if !ok {
 			panic("leaf lacks port to center")
 		}
-		h.Exchange([]Send{{Port: p, Wire: msg(int64(h.ID()))}})
+		return script(Exchange([]Send{{Port: p, Wire: msg(int64(h.ID()))}}))
 	}
-	if _, err := Run(g, program); err != nil {
+	if _, err := RunDriven(g, start); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestHostAccessors(t *testing.T) {
 	g := graph.Path(3, func(u, v int) int64 { return int64(u + v) })
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		if h.N() != 3 {
 			panic("wrong n")
 		}
@@ -133,26 +124,27 @@ func TestHostAccessors(t *testing.T) {
 		if h.Round() != 0 {
 			panic("initial round")
 		}
-		h.Idle(2)
-		if h.Round() != 2 {
-			panic("round after idle")
-		}
+		return script(Idle(2), func([]Recv) Request {
+			if h.Round() != 2 {
+				panic("round after idle")
+			}
+			return Request{}
+		})
 	}
-	if _, err := Run(g, program); err != nil {
+	if _, err := RunDriven(g, start); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBandwidthEnforced(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		if h.ID() == 0 {
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireDyn, C: 100000}}})
-		} else {
-			h.Exchange(nil)
+			return script(Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireDyn, C: 100000}}}))
 		}
+		return script(Exchange(nil))
 	}
-	_, err := Run(g, program)
+	_, err := RunDriven(g, start)
 	if !errors.Is(err, ErrBandwidth) {
 		t.Fatalf("err = %v, want ErrBandwidth", err)
 	}
@@ -160,37 +152,36 @@ func TestBandwidthEnforced(t *testing.T) {
 
 func TestDuplicatePortSendFails(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		if h.ID() == 0 {
-			h.Exchange([]Send{{Port: 0, Wire: msg(1)}, {Port: 0, Wire: msg(2)}})
-		} else {
-			h.Exchange(nil)
+			return script(Exchange([]Send{{Port: 0, Wire: msg(1)}, {Port: 0, Wire: msg(2)}}))
 		}
+		return script(Exchange(nil))
 	}
-	if _, err := Run(g, program); err == nil || !strings.Contains(err.Error(), "twice") {
+	if _, err := RunDriven(g, start); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestInvalidPortFails(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	program := func(h *Host) {
-		h.Exchange([]Send{{Port: 5, Wire: msg(1)}})
+	start := func(h *Host) (Request, Driver) {
+		return script(Exchange([]Send{{Port: 5, Wire: msg(1)}}))
 	}
-	if _, err := Run(g, program); err == nil || !strings.Contains(err.Error(), "invalid port") {
+	if _, err := RunDriven(g, start); err == nil || !strings.Contains(err.Error(), "invalid port") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestNodePanicPropagates(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights)
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		if h.ID() == 1 {
 			panic("boom")
 		}
-		h.Idle(10)
+		return script(Idle(10))
 	}
-	_, err := Run(g, program)
+	_, err := RunDriven(g, start)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
 	}
@@ -198,12 +189,10 @@ func TestNodePanicPropagates(t *testing.T) {
 
 func TestRoundLimit(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	program := func(h *Host) {
-		for {
-			h.Exchange(nil)
-		}
+	start := func(h *Host) (Request, Driver) {
+		return script(loop(func([]Recv) Request { return Exchange(nil) }))
 	}
-	_, err := Run(g, program, WithMaxRounds(50))
+	_, err := RunDriven(g, start, WithMaxRounds(50))
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
@@ -212,15 +201,13 @@ func TestRoundLimit(t *testing.T) {
 func TestStaggeredTerminationDropsMail(t *testing.T) {
 	// Node 1 exits immediately; node 0 keeps sending to it.
 	g := graph.Path(2, graph.UnitWeights)
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		if h.ID() == 1 {
-			return
+			return script()
 		}
-		for r := 0; r < 3; r++ {
-			h.Exchange([]Send{{Port: 0, Wire: msg(9)}})
-		}
+		return rounds(3, func(int) []Send { return []Send{{Port: 0, Wire: msg(9)}} }, nil)
 	}
-	stats, err := Run(g, program)
+	stats, err := RunDriven(g, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +218,13 @@ func TestStaggeredTerminationDropsMail(t *testing.T) {
 
 func TestEdgeTracking(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights)
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		if h.ID() == 0 {
-			h.Exchange([]Send{{Port: 0, Wire: msg(1)}})
-			return
+			return script(Exchange([]Send{{Port: 0, Wire: msg(1)}}))
 		}
-		h.Exchange(nil)
+		return script(Exchange(nil))
 	}
-	stats, err := Run(g, program, WithEdgeTracking())
+	stats, err := RunDriven(g, start, WithEdgeTracking())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +237,7 @@ func TestEdgeTracking(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	stats, err := Run(graph.New(0), func(h *Host) {})
+	stats, err := RunDriven(graph.New(0), func(h *Host) (Request, Driver) { return script() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +248,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestIsolatedNodes(t *testing.T) {
 	g := graph.New(3) // no edges at all
-	stats, err := Run(g, func(h *Host) { h.Idle(2) })
+	stats, err := RunDriven(g, func(h *Host) (Request, Driver) { return script(Idle(2)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +269,11 @@ func TestDefaultBandwidth(t *testing.T) {
 func TestPerNodeRandDiffers(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeights)
 	vals := make([]int64, 4)
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		vals[h.ID()] = h.Rand().Int63()
+		return script()
 	}
-	if _, err := Run(g, program, WithSeed(3)); err != nil {
+	if _, err := RunDriven(g, start, WithSeed(3)); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int64]bool{}
@@ -300,10 +287,10 @@ func TestPerNodeRandDiffers(t *testing.T) {
 
 func TestNilMessageFails(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	program := func(h *Host) {
-		h.Exchange([]Send{{Port: 0}})
+	start := func(h *Host) (Request, Driver) {
+		return script(Exchange([]Send{{Port: 0}}))
 	}
-	if _, err := Run(g, program); err == nil || !strings.Contains(err.Error(), "nil message") {
+	if _, err := RunDriven(g, start); err == nil || !strings.Contains(err.Error(), "nil message") {
 		t.Fatalf("err = %v", err)
 	}
 }

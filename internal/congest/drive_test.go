@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"steinerforest/internal/graph"
@@ -61,11 +60,11 @@ func (d *scriptDriver) Next(in []Recv) (Request, bool) {
 	return Exchange(nil), true
 }
 
-// TestDriveMatchesBlockingLoop pins Drive to its definition: on the
-// continuation scheduler, where Next runs from the scheduler without a
-// coroutine switch, every Next call sees the same round and inbox as
-// under the blocking loop (WithFastPath(false)), the program resumes after
-// Drive at the same round, and Stats match.
+// TestDriveMatchesBlockingLoop pins a chained program to its plain-loop
+// definition: a scriptDriver run by Chain and followed by one more
+// exchange sees, in every Next call, the same round and inbox on the fast
+// path as under the plain-loop reference (WithFastPath(false)), its
+// follow-up stage starts at the same round, and Stats match.
 func TestDriveMatchesBlockingLoop(t *testing.T) {
 	g := graph.GNP(30, 0.12, graph.UnitWeights, newRand(3))
 	type observed struct {
@@ -75,11 +74,14 @@ func TestDriveMatchesBlockingLoop(t *testing.T) {
 	}
 	observe := func(opts ...Option) observed {
 		o := observed{calls: make([][]driveCall, g.N()), after: make([]int, g.N())}
-		stats, err := Run(g, func(h *Host) {
+		stats, err := RunDriven(g, func(h *Host) (Request, Driver) {
 			d := &scriptDriver{h: h, rng: rand.New(rand.NewSource(int64(h.ID()))), left: 10 + h.ID()%7, calls: &o.calls[h.ID()]}
-			h.Drive(Idle(h.ID()%2), d)
-			o.after[h.ID()] = h.Round()
-			h.Exchange(nil)
+			return Chain(
+				func() (Request, Driver) { return Idle(h.ID() % 2), d },
+				func() (Request, Driver) {
+					o.after[h.ID()] = h.Round()
+					return Exchange(nil), done
+				})
 		}, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -89,28 +91,7 @@ func TestDriveMatchesBlockingLoop(t *testing.T) {
 	}
 	ref := observe(WithFastPath(false))
 	if got := observe(); !reflect.DeepEqual(got, ref) {
-		t.Errorf("driven run differs from the blocking loop:\n got %+v\nwant %+v", got, ref)
-	}
-}
-
-// blockingDriver calls a blocking Host method from Next — a misuse.
-type blockingDriver struct{ h *Host }
-
-func (d blockingDriver) Next([]Recv) (Request, bool) {
-	d.h.Exchange(nil)
-	return Request{}, false
-}
-
-// TestDriveRejectsBlockingNext: a Next that blocks itself, instead of
-// returning the call as a Request, fails the run with a clear error on the
-// continuation scheduler rather than switching coroutines from the
-// scheduler's stack.
-func TestDriveRejectsBlockingNext(t *testing.T) {
-	_, err := Run(graph.Path(3, graph.UnitWeights), func(h *Host) {
-		h.Drive(Exchange(nil), blockingDriver{h})
-	})
-	if err == nil || !strings.Contains(err.Error(), errBlockingInNext) {
-		t.Fatalf("err = %v, want one containing %q", err, errBlockingInNext)
+		t.Errorf("driven run differs from the plain loop:\n got %+v\nwant %+v", got, ref)
 	}
 }
 
@@ -124,10 +105,10 @@ func scriptStart(calls [][]driveCall) func(h *Host) (Request, Driver) {
 	}
 }
 
-// TestRunDrivenMatchesReference pins RunDriven to its definition, Run
-// over Drive, which is how it runs with the fast path off: with it on,
-// where no node has a coroutine, Stats and every Next call's round and
-// inbox are identical, and the run takes no coroutine switch.
+// TestRunDrivenMatchesReference pins RunDriven to its definition, the
+// plain Exchange loops the reference (WithFastPath(false)) expands every
+// request into: on the fast path Stats and every Next call's round and
+// inbox are identical.
 func TestRunDrivenMatchesReference(t *testing.T) {
 	g := graph.GNP(30, 0.12, graph.UnitWeights, newRand(5))
 	observe := func(opts ...Option) (*Stats, [][]driveCall) {
@@ -139,11 +120,7 @@ func TestRunDrivenMatchesReference(t *testing.T) {
 		return stats, calls
 	}
 	refStats, refCalls := observe(WithFastPath(false))
-	sw := coroSwitches.Load()
 	stats, calls := observe()
-	if d := coroSwitches.Load() - sw; d != 0 {
-		t.Errorf("driven run took %d coroutine switches, want 0", d)
-	}
 	if !reflect.DeepEqual(stats, refStats) {
 		t.Errorf("stats %+v, reference %+v", *stats, *refStats)
 	}
@@ -152,13 +129,61 @@ func TestRunDrivenMatchesReference(t *testing.T) {
 	}
 }
 
-// nextFunc adapts a function to a Driver.
-type nextFunc func(in []Recv) (Request, bool)
-
-func (f nextFunc) Next(in []Recv) (Request, bool) { return f(in) }
-
-// done is a driver that is over at its first Next.
-var done = nextFunc(func([]Recv) (Request, bool) { return Request{}, false })
+// TestReferenceIsPlainLoop pins the reference as the naive loop: under
+// WithFastPath(false) every live node exchanges in every round and no
+// park or relay order reaches the engine. The program chains a
+// scriptDriver (exchanges, interruptible and plain parks, requests that
+// take no round), sleeps to a common round, and runs TestRelayDrain's
+// chain (relay orders, sleeps, idles). A node then submits once per round
+// up to its exit round, plus once when it is done, so the run's
+// submissions (NodeResumes) are the sum of the exit rounds plus n. The
+// fast path, which parks, submits fewer, with equal Stats.
+func TestReferenceIsPlainLoop(t *testing.T) {
+	g := graph.Path(relayHops, graph.UnitWeights)
+	const sync = 100 // past every scriptDriver's end
+	var exits []int
+	start := func(h *Host) (Request, Driver) {
+		d := &scriptDriver{h: h, rng: rand.New(rand.NewSource(int64(h.ID()))), left: 10 + h.ID()%7, calls: new([]driveCall)}
+		return Chain(
+			func() (Request, Driver) { return Idle(h.ID() % 2), d },
+			func() (Request, Driver) {
+				return script(loop(func([]Recv) Request {
+					if h.Round() < sync {
+						return SleepUntil(sync)
+					}
+					return Request{}
+				}))
+			},
+			func() (Request, Driver) { return relayChain(h, sync, h.ID() == relayHops-1, h.ID() == 0) },
+			func() (Request, Driver) {
+				exits[h.ID()] = h.Round()
+				return Request{}, nil
+			})
+	}
+	run := func(opts ...Option) (stats *Stats, subs, sum int64) {
+		exits = make([]int, g.N())
+		before := nodeResumes.Load()
+		stats, err := RunDriven(g, start, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range exits {
+			sum += int64(r)
+		}
+		return stats, nodeResumes.Load() - before, sum
+	}
+	ref, refSubs, sum := run(WithFastPath(false))
+	if want := sum + int64(g.N()); refSubs != want {
+		t.Errorf("reference made %d submissions, want %d (exit rounds %d + n)", refSubs, want, sum)
+	}
+	fast, fastSubs, _ := run()
+	if !statsEqual(fast, ref) {
+		t.Errorf("fast path %+v, reference %+v", *fast, *ref)
+	}
+	if fastSubs >= refSubs {
+		t.Errorf("fast path made %d submissions, the reference %d: nothing parked", fastSubs, refSubs)
+	}
+}
 
 // TestRunDrivenPanics: a panic in start, in a Next that runs from start
 // (its first request took no round) or in a later Next fails the run with
@@ -197,26 +222,6 @@ func TestRunDrivenPanics(t *testing.T) {
 	}
 }
 
-// TestRunDrivenRejectsBlockingStart: on the fast path a RunDriven node has
-// no coroutine to block in, so a blocking Host call from start — a plain
-// one or a Drive — fails the run as one from Next does, not with a nil
-// function call.
-func TestRunDrivenRejectsBlockingStart(t *testing.T) {
-	for name, block := range map[string]func(h *Host){
-		"Exchange": func(h *Host) { h.Exchange(nil) },
-		"Sleep":    func(h *Host) { h.Sleep() },
-		"Drive":    func(h *Host) { h.Drive(Exchange(nil), done) },
-	} {
-		_, err := RunDriven(graph.Path(3, graph.UnitWeights), func(h *Host) (Request, Driver) {
-			block(h)
-			return Exchange(nil), done
-		})
-		if err == nil || !strings.Contains(err.Error(), errBlockingInNext) {
-			t.Errorf("%s in start: err = %v, want one containing %q", name, err, errBlockingInNext)
-		}
-	}
-}
-
 // TestRunDrivenDoneAtFirstRequest: drivers that finish before any request
 // takes a round end the run at round 0 on both paths.
 func TestRunDrivenDoneAtFirstRequest(t *testing.T) {
@@ -237,49 +242,17 @@ func TestRunDrivenDoneAtFirstRequest(t *testing.T) {
 	}
 }
 
-// floodNext is floodProgram as a Driver: rounds of neighbor flooding
-// with a per-node accumulator, onRound called by node 0 at the top of
-// each round.
-type floodNext struct {
-	h       *Host
-	r, left int
-	x       int64
-	out     []Send
-	onRound func(r int)
-}
-
-func (d *floodNext) Next(in []Recv) (Request, bool) {
-	for _, rc := range in {
-		d.x = (d.x*31 + rc.Wire.C) % 1000003
-	}
-	if d.r == d.left {
-		return Request{}, false
-	}
-	if d.h.ID() == 0 && d.onRound != nil {
-		d.onRound(d.r)
-	}
-	d.r++
-	d.out = d.out[:0]
-	for p := 0; p < d.h.Degree(); p++ {
-		d.out = append(d.out, Send{Port: p, Wire: msg(d.x)})
-	}
-	return Exchange(d.out), true
-}
-
 // TestRunDrivenCancel cancels a driven flood from inside its own Next; the
 // run aborts with the cancel error on both paths.
 func TestRunDrivenCancel(t *testing.T) {
 	g := graph.Grid(4, 4, graph.UnitWeights)
 	for _, fast := range []bool{true, false} {
 		ctx, cancel := context.WithCancel(context.Background())
-		_, err := RunDriven(g, func(h *Host) (Request, Driver) {
-			d := &floodNext{h: h, left: 5000, x: int64(h.ID() + 1), onRound: func(r int) {
-				if r == 40 {
-					cancel()
-				}
-			}}
-			return Idle(0), d
-		}, WithContext(ctx), WithMaxRounds(10000), WithFastPath(fast))
+		_, err := RunDriven(g, floodProgram(5000, func(r int) {
+			if r == 40 {
+				cancel()
+			}
+		}), WithContext(ctx), WithMaxRounds(10000), WithFastPath(fast))
 		cancel()
 		if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
 			t.Errorf("fast path %v: err = %v, want ErrCancelled wrapping context.Canceled", fast, err)

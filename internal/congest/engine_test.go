@@ -12,20 +12,22 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // chatterProgram is a deterministic workload that exercises every engine
 // path: full-degree exchanges, RNG draws, staggered termination, and mail
 // sent to nodes that have already terminated.
-func chatterProgram(rounds int) Program {
-	return func(h *Host) {
+func chatterProgram(k int) func(h *Host) (Request, Driver) {
+	return func(h *Host) (Request, Driver) {
 		x := h.Rand().Int63n(1 << 20)
-		for r := 0; r < rounds+h.ID()%3; r++ {
+		return rounds(k+h.ID()%3, func(r int) []Send {
 			out := make([]Send, 0, h.Degree())
 			for p := 0; p < h.Degree(); p++ {
 				if (r+p+h.ID())%3 != 0 {
 					out = append(out, Send{Port: p, Wire: msg(x)})
 				}
 			}
-			for _, rc := range h.Exchange(out) {
+			return out
+		}, func(_ int, in []Recv) {
+			for _, rc := range in {
 				x = (x + rc.Wire.C) % 1000003
 			}
-		}
+		})
 	}
 }
 
@@ -38,12 +40,12 @@ func statsEqual(a, b *Stats) bool {
 // Stats on repeated runs.
 func TestDeterminismGoldenAcrossRuns(t *testing.T) {
 	g := graph.Grid(5, 5, graph.UnitWeights)
-	first, err := Run(g, chatterProgram(12), WithSeed(5))
+	first, err := RunDriven(g, chatterProgram(12), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := Run(g, chatterProgram(12), WithSeed(5))
+		again, err := RunDriven(g, chatterProgram(12), WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +57,10 @@ func TestDeterminismGoldenAcrossRuns(t *testing.T) {
 
 // TestZeroAndSingleNode covers the degenerate graphs.
 func TestZeroAndSingleNode(t *testing.T) {
-	stats, err := Run(graph.New(0), func(h *Host) { t.Error("program ran on empty graph") })
+	stats, err := RunDriven(graph.New(0), func(h *Host) (Request, Driver) {
+		t.Error("program ran on empty graph")
+		return script()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +68,12 @@ func TestZeroAndSingleNode(t *testing.T) {
 		t.Errorf("empty graph stats: %+v", stats)
 	}
 	ran := false
-	stats, err = Run(graph.New(1), func(h *Host) {
+	stats, err = RunDriven(graph.New(1), func(h *Host) (Request, Driver) {
 		ran = true
 		if h.Degree() != 0 || h.N() != 1 {
 			t.Error("wrong topology view")
 		}
-		h.Idle(3)
+		return script(Idle(3))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,21 +90,17 @@ func TestZeroAndSingleNode(t *testing.T) {
 // per message, still accounted in Messages/Bits, and never delivered.
 func TestDroppedToTerminatedAccounting(t *testing.T) {
 	g := graph.Star(5, graph.UnitWeights)
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		if h.ID() != 0 {
-			return // leaves terminate immediately
+			return script() // leaves terminate immediately
 		}
-		for r := 0; r < 4; r++ {
-			out := make([]Send, 0, h.Degree())
-			for q := 0; q < h.Degree(); q++ {
-				out = append(out, Send{Port: q, Wire: msg(1)})
-			}
-			if in := h.Exchange(out); len(in) != 0 {
+		return rounds(4, func(int) []Send { return toAll(h, msg(1)) }, func(_ int, in []Recv) {
+			if len(in) != 0 {
 				panic("terminated neighbors delivered mail")
 			}
-		}
+		})
 	}
-	stats, err := Run(g, program)
+	stats, err := RunDriven(g, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestDroppedToTerminatedAccounting(t *testing.T) {
 // adjacency lists.
 func TestPortOfBinarySearch(t *testing.T) {
 	g := graph.GNP(25, 0.3, graph.UnitWeights, newRand(7))
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		seen := make(map[int]bool)
 		for p := 0; p < h.Degree(); p++ {
 			nb := h.Neighbor(p)
@@ -130,8 +131,9 @@ func TestPortOfBinarySearch(t *testing.T) {
 				panic("PortOf phantom or missing neighbor")
 			}
 		}
+		return script()
 	}
-	if _, err := Run(g, program); err != nil {
+	if _, err := RunDriven(g, start); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -140,19 +142,19 @@ func TestPortOfBinarySearch(t *testing.T) {
 // flood on a grid, the allocation profile of the routing hot path.
 func BenchmarkEngineFlood(b *testing.B) {
 	g := graph.Grid(20, 20, graph.UnitWeights)
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
 		out := make([]Send, h.Degree())
-		for r := 0; r < 30; r++ {
-			for p := 0; p < h.Degree(); p++ {
+		return rounds(30, func(r int) []Send {
+			for p := range out {
 				out[p] = Send{Port: p, Wire: msg(int64(r))}
 			}
-			h.Exchange(out)
-		}
+			return out
+		}, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, program); err != nil {
+		if _, err := RunDriven(g, start); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -165,29 +167,33 @@ func BenchmarkRelayDrain(b *testing.B) {
 	const hops, items = 1024, 64
 	g := graph.Path(hops, graph.UnitWeights)
 	exitRound := items + hops
-	program := func(h *Host) {
+	start := func(h *Host) (Request, Driver) {
+		idleOut := func([]Recv) Request { return Idle(exitRound - h.Round()) }
 		if h.ID() == 0 {
-			for v := 0; v < items; v++ {
-				h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: benchWire, C: int64(v)}}})
-			}
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: benchEndWire}}})
-			h.Idle(exitRound - h.Round())
-			return
+			return Chain(func() (Request, Driver) {
+				return rounds(items+1, func(r int) []Send {
+					if r == items {
+						return []Send{{Port: 0, Wire: Wire{Kind: benchEndWire}}}
+					}
+					return []Send{{Port: 0, Wire: Wire{Kind: benchWire, C: int64(r)}}}
+				}, nil)
+			}, func() (Request, Driver) { return script(idleOut) })
 		}
 		var dst []int
 		if h.ID() < hops-1 {
 			dst = []int{1}
 		}
 		src, _ := h.PortOf(h.ID() - 1)
-		stream, _ := h.RelayStream(src, dst, benchEndWire)
-		if len(stream) != items+1 {
-			panic("drain lost items")
-		}
-		h.Idle(exitRound - h.Round())
+		return script(RelayStream(src, dst, benchEndWire), func(in []Recv) Request {
+			if stream, _ := h.RelaySplit(in); len(stream) != items+1 {
+				panic("drain lost items")
+			}
+			return idleOut(nil)
+		})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, program); err != nil {
+		if _, err := RunDriven(g, start); err != nil {
 			b.Fatal(err)
 		}
 	}

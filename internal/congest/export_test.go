@@ -1,9 +1,6 @@
 package congest
 
-// NodeResumes reports the node-program resumes of every completed run so
-// far (see nodeResumes), for the external tests that drive dist protocols.
+// NodeResumes reports the node resumes (one per submission) of every
+// completed run so far (see nodeResumes), for the external tests that
+// drive dist protocols and solvers.
 func NodeResumes() int64 { return nodeResumes.Load() }
-
-// CoroSwitches reports the coroutine switches of every completed run so
-// far (see coroSwitches).
-func CoroSwitches() int64 { return coroSwitches.Load() }

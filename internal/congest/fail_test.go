@@ -42,48 +42,56 @@ func (d *floodDriver) Next([]Recv) (Request, bool) {
 }
 
 // faultProgram keeps the nodes in three different engine states when a
-// fault fires: a third flood from their own coroutines, a third flood
-// through a Driver, and a third sleep until mail or a deadline. At round
+// fault fires: a third flood from a script loop, a third flood through
+// floodDriver, and a third sleep until mail or a deadline. At round
 // failRound node failNode sends fault(h) instead of its flood (fault may
 // also panic); a nil fault sends the flood. Every node runs tail after
-// its flood (nil: return).
-func faultProgram(fault func(h *Host) []Send, tail func(h *Host)) Program {
-	return func(h *Host) {
+// its flood (nil: done).
+func faultProgram(fault func(h *Host) []Send, tail func(h *Host) (Request, Driver)) func(h *Host) (Request, Driver) {
+	return func(h *Host) (Request, Driver) {
 		var out []Send
-		switch h.ID() % 3 {
-		case 0:
-			for h.Round() < failFloodRounds {
-				out = failFlood(h, out)
-				if h.ID() == failNode && h.Round() == failRound && fault != nil {
-					out = fault(h)
+		flood := func() (Request, Driver) {
+			switch h.ID() % 3 {
+			case 0:
+				return script(loop(func([]Recv) Request {
+					if h.Round() >= failFloodRounds {
+						return Request{}
+					}
+					out = failFlood(h, out)
+					if h.ID() == failNode && h.Round() == failRound && fault != nil {
+						out = fault(h)
+					}
+					return Exchange(out)
+				}))
+			case 1:
+				return Exchange(failFlood(h, nil)), &floodDriver{h: h}
+			}
+			return script(loop(func([]Recv) Request {
+				if h.Round() < failFloodRounds {
+					return SleepUntil(h.Round() + 3)
 				}
-				h.Exchange(out)
-			}
-		case 1:
-			h.Drive(Exchange(failFlood(h, nil)), &floodDriver{h: h})
-		default:
-			for h.Round() < failFloodRounds {
-				h.SleepUntil(h.Round() + 3)
-			}
+				return Request{}
+			}))
 		}
-		if tail != nil {
-			tail(h)
+		if tail == nil {
+			return flood()
 		}
+		return Chain(flood, func() (Request, Driver) { return tail(h) })
 	}
 }
 
 // TestFailPathsReleaseEverything drives every way a run can fail — a node
 // panic, a bandwidth violation, a duplicate port send, the round limit and
-// ErrAsleep — with nodes suspended in Exchange, in Drive and parked when
-// the fault fires. Each failed run must return its error, leave no node
-// coroutine behind, and hand its arena back to the pool; a clean run on
-// that warm arena must then match a cold one.
+// ErrAsleep — with nodes exchanging, driven and parked when the fault
+// fires. Each failed run must return its error, leave no goroutine
+// behind, and hand its arena back to the pool; a clean run on that warm
+// arena must then match a cold one.
 func TestFailPathsReleaseEverything(t *testing.T) {
 	g := graph.Grid(6, 6, graph.UnitWeights)
 	cases := []struct {
 		name  string
 		fault func(h *Host) []Send
-		tail  func(h *Host)
+		tail  func(h *Host) (Request, Driver)
 		opts  []Option
 		want  func(error) bool
 	}{
@@ -110,17 +118,15 @@ func TestFailPathsReleaseEverything(t *testing.T) {
 		},
 		{
 			name: "round limit",
-			tail: func(h *Host) {
-				for {
-					h.Exchange(nil)
-				}
+			tail: func(h *Host) (Request, Driver) {
+				return script(loop(func([]Recv) Request { return Exchange(nil) }))
 			},
 			opts: []Option{WithMaxRounds(40)},
 			want: func(err error) bool { return errors.Is(err, ErrRoundLimit) },
 		},
 		{
 			name: "asleep",
-			tail: func(h *Host) { h.Sleep() },
+			tail: func(h *Host) (Request, Driver) { return script(Sleep()) },
 			want: func(err error) bool { return errors.Is(err, ErrAsleep) },
 		},
 	}
@@ -129,7 +135,7 @@ func TestFailPathsReleaseEverything(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			pool := NewArenaPool()
 			opts := append([]Option{WithArenaPool(pool)}, tc.opts...)
-			if _, err := Run(g, faultProgram(tc.fault, tc.tail), opts...); !tc.want(err) {
+			if _, err := RunDriven(g, faultProgram(tc.fault, tc.tail), opts...); !tc.want(err) {
 				t.Fatalf("err = %v", err)
 			}
 			deadline := time.Now().Add(5 * time.Second)
@@ -137,19 +143,19 @@ func TestFailPathsReleaseEverything(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			if n := runtime.NumGoroutine(); n > baseline {
-				t.Fatalf("%d goroutines after the failed run, baseline %d: programs leaked", n, baseline)
+				t.Fatalf("%d goroutines after the failed run, baseline %d: the run leaked some", n, baseline)
 			}
 			if free := pool.Stats().Free; free != 1 {
 				t.Fatalf("pool holds %d arenas after the failed run, want 1", free)
 			}
-			warm, err := Run(g, faultProgram(nil, nil), WithArenaPool(pool))
+			warm, err := RunDriven(g, faultProgram(nil, nil), WithArenaPool(pool))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ps := pool.Stats(); ps.WarmGets != 1 {
 				t.Fatalf("follow-up run did not reuse the failed run's arena: %+v", ps)
 			}
-			cold, err := Run(g, faultProgram(nil, nil))
+			cold, err := RunDriven(g, faultProgram(nil, nil))
 			if err != nil {
 				t.Fatal(err)
 			}

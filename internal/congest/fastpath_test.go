@@ -25,13 +25,13 @@ func init() {
 
 // both runs a program with the fast paths on and off, requiring identical
 // Stats.
-func both(t *testing.T, g *graph.Graph, program Program, opts ...Option) *Stats {
+func both(t *testing.T, g *graph.Graph, start func(h *Host) (Request, Driver), opts ...Option) *Stats {
 	t.Helper()
-	fast, err := Run(g, program, opts...)
+	fast, err := RunDriven(g, start, opts...)
 	if err != nil {
 		t.Fatalf("fast: %v", err)
 	}
-	slow, err := Run(g, program, append(opts, WithFastPath(false))...)
+	slow, err := RunDriven(g, start, append(opts, WithFastPath(false))...)
 	if err != nil {
 		t.Fatalf("no-fast: %v", err)
 	}
@@ -45,19 +45,19 @@ func both(t *testing.T, g *graph.Graph, program Program, opts ...Option) *Stats 
 // message reaches it, with the correct inbox and round counter.
 func TestSleepWakesOnMessage(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	stats := both(t, g, func(h *Host) {
+	stats := both(t, g, func(h *Host) (Request, Driver) {
 		if h.ID() == 0 {
-			h.Idle(7)
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireFixed, C: 42}}})
-			return
+			return script(Idle(7), Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireFixed, C: 42}}}))
 		}
-		in := h.Sleep()
-		if len(in) != 1 || in[0].Wire.C != 42 || h.Neighbor(in[0].Port) != 0 {
-			panic("wrong wake inbox")
-		}
-		if h.Round() != 8 {
-			panic("sleeper woke at the wrong round")
-		}
+		return script(Sleep(), func(in []Recv) Request {
+			if len(in) != 1 || in[0].Wire.C != 42 || h.Neighbor(in[0].Port) != 0 {
+				panic("wrong wake inbox")
+			}
+			if h.Round() != 8 {
+				panic("sleeper woke at the wrong round")
+			}
+			return Request{}
+		})
 	})
 	if stats.Rounds != 8 || stats.Messages != 1 || stats.Bits != 48 {
 		t.Fatalf("stats = %+v", stats)
@@ -68,17 +68,27 @@ func TestSleepWakesOnMessage(t *testing.T) {
 // the earliest wake round in one step and staggered wake-ups line up.
 func TestIdleAcrossBulkAdvance(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights)
-	stats := both(t, g, func(h *Host) {
-		h.Idle(100 + 50*h.ID()) // deadlines 100, 150, 200
-		if h.Round() != 100+50*h.ID() {
-			panic("idle returned at the wrong round")
-		}
-		h.Idle(200 - h.Round()) // realign
-		if h.ID() == 1 {
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireFixed}}, {Port: 1, Wire: Wire{Kind: testWireFixed}}})
-		} else if len(h.Sleep()) != 1 {
-			panic("no message after bulk advance")
-		}
+	stats := both(t, g, func(h *Host) (Request, Driver) {
+		return script(
+			Idle(100+50*h.ID()), // deadlines 100, 150, 200
+			func([]Recv) Request {
+				if h.Round() != 100+50*h.ID() {
+					panic("idle returned at the wrong round")
+				}
+				return Idle(200 - h.Round()) // realign
+			},
+			func([]Recv) Request {
+				if h.ID() == 1 {
+					return Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireFixed}}, {Port: 1, Wire: Wire{Kind: testWireFixed}}})
+				}
+				return Sleep()
+			},
+			func(in []Recv) Request {
+				if h.ID() != 1 && len(in) != 1 {
+					panic("no message after bulk advance")
+				}
+				return Request{}
+			})
 	})
 	if stats.Rounds != 201 || stats.Messages != 2 {
 		t.Fatalf("stats = %+v", stats)
@@ -89,19 +99,21 @@ func TestIdleAcrossBulkAdvance(t *testing.T) {
 // message arrives, and the inbox when one does.
 func TestSleepUntilDeadline(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	both(t, g, func(h *Host) {
+	both(t, g, func(h *Host) (Request, Driver) {
 		if h.ID() == 0 {
-			if in := h.SleepUntil(5); in != nil || h.Round() != 5 {
-				panic("deadline sleep misbehaved")
+			return script(SleepUntil(5), func(in []Recv) Request {
+				if in != nil || h.Round() != 5 {
+					panic("deadline sleep misbehaved")
+				}
+				return Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireFixed, C: 7}}})
+			})
+		}
+		return script(SleepUntil(50), func(in []Recv) Request { // message at round 5 interrupts
+			if len(in) != 1 || in[0].Wire.C != 7 || h.Round() != 6 {
+				panic("message did not interrupt SleepUntil")
 			}
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireFixed, C: 7}}})
-			return
-		}
-		in := h.SleepUntil(50) // message at round 5 interrupts
-		if len(in) != 1 || in[0].Wire.C != 7 || h.Round() != 6 {
-			panic("message did not interrupt SleepUntil")
-		}
-		h.Idle(44)
+			return Idle(44)
+		})
 	})
 }
 
@@ -109,13 +121,13 @@ func TestSleepUntilDeadline(t *testing.T) {
 // and the bandwidth ceiling.
 func TestWireBitsAccounting(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	stats := both(t, g, func(h *Host) {
+	stats := both(t, g, func(h *Host) (Request, Driver) {
 		if h.ID() != 0 {
-			h.Idle(2)
-			return
+			return script(Idle(2))
 		}
-		h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireFixed}}})
-		h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireDyn, C: 100}}})
+		return script(
+			Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireFixed}}}),
+			Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireDyn, C: 100}}}))
 	})
 	if stats.Bits != 48+108 || stats.MaxMessageBits != 108 {
 		t.Fatalf("wire bit accounting: %+v", stats)
@@ -123,8 +135,8 @@ func TestWireBitsAccounting(t *testing.T) {
 	if (Wire{Kind: testWireDyn, C: 1}).Bits() != 9 {
 		t.Fatal("Wire.Bits dynamic lookup")
 	}
-	_, err := Run(g, func(h *Host) {
-		h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireDyn, C: 1 << 20}}})
+	_, err := RunDriven(g, func(h *Host) (Request, Driver) {
+		return script(Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireDyn, C: 1 << 20}}}))
 	})
 	if !errors.Is(err, ErrBandwidth) {
 		t.Fatalf("oversized wire: %v", err)
@@ -132,12 +144,13 @@ func TestWireBitsAccounting(t *testing.T) {
 }
 
 // TestBandwidthValidatedAtSetup: a budget below the widest registered
-// fixed-width wire kind fails Run immediately with a clear error, instead
-// of erroring (or worse) deep into the protocol at the first wide send.
+// fixed-width wire kind fails the run immediately with a clear error,
+// instead of erroring (or worse) deep into the protocol at the first wide
+// send.
 func TestBandwidthValidatedAtSetup(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
 	ran := false
-	_, err := Run(g, func(h *Host) { ran = true }, WithBandwidth(4))
+	_, err := RunDriven(g, func(h *Host) (Request, Driver) { ran = true; return script() }, WithBandwidth(4))
 	if !errors.Is(err, ErrBandwidth) || err == nil || !strings.Contains(err.Error(), "widest registered wire kind") {
 		t.Fatalf("setup validation: %v", err)
 	}
@@ -145,7 +158,7 @@ func TestBandwidthValidatedAtSetup(t *testing.T) {
 		t.Fatal("programs ran despite an unusable bandwidth budget")
 	}
 	// A budget that fits every registered kind passes setup (and the run).
-	if _, err := Run(g, func(h *Host) {}, WithBandwidth(256)); err != nil {
+	if _, err := RunDriven(g, func(h *Host) (Request, Driver) { return script() }, WithBandwidth(256)); err != nil {
 		t.Fatalf("valid budget rejected: %v", err)
 	}
 }
@@ -153,8 +166,8 @@ func TestBandwidthValidatedAtSetup(t *testing.T) {
 // TestWireSendValidation: unregistered kinds fail.
 func TestWireSendValidation(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	_, err := Run(g, func(h *Host) {
-		h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: 250}}})
+	_, err := RunDriven(g, func(h *Host) (Request, Driver) {
+		return script(Exchange([]Send{{Port: 0, Wire: Wire{Kind: 250}}}))
 	})
 	if err == nil || !strings.Contains(err.Error(), "unregistered wire kind") {
 		t.Fatalf("unregistered kind: %v", err)
@@ -165,15 +178,90 @@ func TestWireSendValidation(t *testing.T) {
 // protocol bug the fast path reports instead of spinning.
 func TestAllAsleepFails(t *testing.T) {
 	g := graph.Path(2, graph.UnitWeights)
-	_, err := Run(g, func(h *Host) { h.Sleep() })
+	sleep := func(h *Host) (Request, Driver) { return script(Sleep()) }
+	_, err := RunDriven(g, sleep)
 	if !errors.Is(err, ErrAsleep) {
 		t.Fatalf("err = %v, want ErrAsleep", err)
 	}
 	// The Exchange-loop equivalent runs into the round cap instead.
-	_, err = Run(g, func(h *Host) { h.Sleep() }, WithFastPath(false), WithMaxRounds(64))
+	_, err = RunDriven(g, sleep, WithFastPath(false), WithMaxRounds(64))
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
+}
+
+// Shape of TestRelayDrain's stream: items, then the end marker, down a
+// path of relayHops nodes.
+const relayHops = 12
+
+var relayItems = []int64{1, 4, 7, 10, 13, 16, 19, 22}
+
+// relayChain is TestRelayDrain's program, started at round r0 (the same
+// on every node): node 0 streams relayItems and the end marker down the
+// path, and every other node relays it as a pipeline stage, except the
+// chain's end when lastSleeps, which consumes the stream awake, every
+// arrival a sleeper wake. With rootNaps node 0 then idles to the exit in
+// one-round naps, so every drain round ends with a deadline wake. Every
+// node checks what it sees and idles out to the common exit round.
+func relayChain(h *Host, r0 int, lastSleeps, rootNaps bool) (Request, Driver) {
+	items := relayItems
+	streamEnd := r0 + len(items) + 1 // round after node 0's end marker
+	exitRound := r0 + len(items) + relayHops - 1
+	idleOut := func([]Recv) Request { return Idle(exitRound - h.Round()) }
+	switch {
+	case h.ID() == 0:
+		steps := make([]any, 0, len(items)+2)
+		for _, v := range items {
+			steps = append(steps, Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: v}}}))
+		}
+		steps = append(steps, Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireEnd}}}))
+		if rootNaps {
+			return script(append(steps, loop(func([]Recv) Request {
+				if h.Round() < exitRound {
+					return Idle(1)
+				}
+				return Request{}
+			}))...)
+		}
+		return script(append(steps, idleOut)...)
+	case h.ID() == relayHops-1 && lastSleeps:
+		got := 0
+		return script(Sleep(), loop(func(in []Recv) Request {
+			if got += len(in); got <= len(items) {
+				return Sleep()
+			}
+			return Request{}
+		}), idleOut)
+	}
+	var dst []int
+	if h.ID() < relayHops-1 {
+		dst = []int{1}
+	}
+	src, _ := h.PortOf(h.ID() - 1)
+	return script(RelayStream(src, dst, testWireEnd), func(in []Recv) Request {
+		stream, last := h.RelaySplit(in)
+		if len(stream) != len(items)+1 || stream[len(stream)-1].Wire.Kind != testWireEnd {
+			panic("relay drain lost the stream")
+		}
+		for i, rc := range stream[:len(items)] {
+			if rc.Wire.C != items[i] {
+				panic("relay drain reordered items")
+			}
+		}
+		if len(last) != 0 {
+			panic("unexpected straggler mail")
+		}
+		// Interior stages wake in the round of their end-marker
+		// forward; the chain's end on its arrival round.
+		wantRound := streamEnd + h.ID()
+		if h.ID() == relayHops-1 {
+			wantRound--
+		}
+		if h.Round() != wantRound {
+			panic("relay drain latency wrong")
+		}
+		return idleOut(nil)
+	})
 }
 
 // TestRelayDrain: once the stream source goes quiet, the in-flight items
@@ -183,69 +271,7 @@ func TestAllAsleepFails(t *testing.T) {
 // that wakes on every arrival, and an idle deadline firing every drain
 // round. Stats must be identical with the fast paths off (via both).
 func TestRelayDrain(t *testing.T) {
-	const hops = 12
-	items := make([]int64, 8)
-	for i := range items {
-		items[i] = int64(3*i + 1)
-	}
-	g := graph.Path(hops, graph.UnitWeights)
-	streamEnd := len(items) + 1 // round after node 0's end marker
-	exitRound := len(items) + hops - 1
-
-	chain := func(h *Host, lastSleeps, rootNaps bool) {
-		switch {
-		case h.ID() == 0:
-			for _, v := range items {
-				h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: v}}})
-			}
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireEnd}}})
-			if rootNaps {
-				// One-round naps: every drain round ends with a deadline
-				// wake.
-				for h.Round() < exitRound {
-					h.Idle(1)
-				}
-			} else {
-				h.Idle(exitRound - h.Round())
-			}
-		case h.ID() == hops-1 && lastSleeps:
-			// The chain's end consumes the stream awake: every arrival is
-			// a sleeper wake.
-			got := 0
-			for got <= len(items) {
-				got += len(h.Sleep())
-			}
-			h.Idle(exitRound - h.Round())
-		default:
-			var dst []int
-			if h.ID() < hops-1 {
-				dst = []int{1}
-			}
-			src, _ := h.PortOf(h.ID() - 1)
-			stream, last := h.RelayStream(src, dst, testWireEnd)
-			if len(stream) != len(items)+1 || stream[len(stream)-1].Wire.Kind != testWireEnd {
-				panic("relay drain lost the stream")
-			}
-			for i, rc := range stream[:len(items)] {
-				if rc.Wire.C != items[i] {
-					panic("relay drain reordered items")
-				}
-			}
-			if len(last) != 0 {
-				panic("unexpected straggler mail")
-			}
-			// Interior stages wake in the round of their end-marker
-			// forward; the chain's end on its arrival round.
-			wantRound := streamEnd + h.ID()
-			if h.ID() == hops-1 {
-				wantRound--
-			}
-			if h.Round() != wantRound {
-				panic("relay drain latency wrong")
-			}
-			h.Idle(exitRound - h.Round())
-		}
-	}
+	g := graph.Path(relayHops, graph.UnitWeights)
 	for _, v := range []struct {
 		name                 string
 		lastSleeps, rootNaps bool
@@ -255,11 +281,11 @@ func TestRelayDrain(t *testing.T) {
 		{"deadline-breaks", false, true},
 	} {
 		t.Run(v.name, func(t *testing.T) {
-			stats := both(t, g, func(h *Host) { chain(h, v.lastSleeps, v.rootNaps) })
-			if stats.Messages != int64((len(items)+1)*(hops-1)) {
+			stats := both(t, g, func(h *Host) (Request, Driver) { return relayChain(h, 0, v.lastSleeps, v.rootNaps) })
+			if stats.Messages != int64((len(relayItems)+1)*(relayHops-1)) {
 				t.Fatalf("stats = %+v", stats)
 			}
-			if stats.Rounds != exitRound {
+			if exitRound := len(relayItems) + relayHops - 1; stats.Rounds != exitRound {
 				t.Fatalf("rounds = %d, want %d", stats.Rounds, exitRound)
 			}
 		})
@@ -270,27 +296,27 @@ func TestRelayDrain(t *testing.T) {
 // clean prefix split from the deviating inbox.
 func TestRelayDeviation(t *testing.T) {
 	g := graph.Path(3, graph.UnitWeights)
-	both(t, g, func(h *Host) {
+	both(t, g, func(h *Host) (Request, Driver) {
 		switch h.ID() {
 		case 0:
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: 1}}})
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: 2}}})
-			h.Idle(1)
+			return script(
+				Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: 1}}}),
+				Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: 2}}}),
+				Idle(1))
 		case 1:
 			src, _ := h.PortOf(0)
-			relayed, last := h.RelayStream(src, nil, testWireEnd)
-			if len(relayed) != 1 || relayed[0].Wire.C != 1 {
-				panic("clean prefix wrong")
-			}
-			// Deviating round: item 2 from node 0 plus the poke from 2.
-			if len(last) != 2 || last[0].Wire.C != 2 || h.Neighbor(last[1].Port) != 2 {
-				panic("deviating inbox wrong")
-			}
-			h.Idle(1)
-		case 2:
-			h.Idle(1)
-			h.Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: 9}}})
-			h.Idle(1)
+			return script(RelayStream(src, nil, testWireEnd), func(in []Recv) Request {
+				relayed, last := h.RelaySplit(in)
+				if len(relayed) != 1 || relayed[0].Wire.C != 1 {
+					panic("clean prefix wrong")
+				}
+				// Deviating round: item 2 from node 0 plus the poke from 2.
+				if len(last) != 2 || last[0].Wire.C != 2 || h.Neighbor(last[1].Port) != 2 {
+					panic("deviating inbox wrong")
+				}
+				return Idle(1)
+			})
 		}
+		return script(Idle(1), Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: 9}}}), Idle(1))
 	})
 }

@@ -31,31 +31,33 @@ func broom() *graph.Graph {
 }
 
 // resumesOf runs program on g and returns its node resumes and Stats.
-func resumesOf(t *testing.T, g *graph.Graph, program congest.Program) (int64, *congest.Stats) {
+func resumesOf(t *testing.T, g *graph.Graph, program func(h *congest.Host) (congest.Request, congest.Driver)) (int64, *congest.Stats) {
 	t.Helper()
 	before := congest.NodeResumes()
-	stats, err := congest.Run(g, program)
+	stats, err := congest.RunDriven(g, program)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return congest.NodeResumes() - before, stats
 }
 
-// switchesOf runs program on g and returns its coroutine switches.
-func switchesOf(t *testing.T, g *graph.Graph, program congest.Program) int64 {
-	t.Helper()
-	before := congest.CoroSwitches()
-	if _, err := congest.Run(g, program); err != nil {
-		t.Fatal(err)
+// bfsThen runs the BFS build, then the stage that then starts on the tree
+// (none for nil).
+func bfsThen(then func(h *congest.Host, tr *dist.Tree) (congest.Request, congest.Driver)) func(h *congest.Host) (congest.Request, congest.Driver) {
+	return func(h *congest.Host) (congest.Request, congest.Driver) {
+		tr := new(dist.Tree)
+		bfs := func() (congest.Request, congest.Driver) { return dist.StartBFS(h, tr) }
+		if then == nil {
+			return bfs()
+		}
+		return congest.Chain(bfs, func() (congest.Request, congest.Driver) { return then(h, tr) })
 	}
-	return congest.CoroSwitches() - before
 }
 
-// burstQuiet is one RunQuiet call after the BFS: every node floods one
+// burstQuiet is one quiescence loop after the BFS: every node floods one
 // burst in slot 0 and stays quiet from then on.
-func burstQuiet(h *congest.Host) {
-	tr := dist.BuildBFS(h)
-	dist.RunQuiet(h, tr, func(s int, _ []congest.Recv) ([]congest.Send, bool) {
+var burstQuiet = bfsThen(func(h *congest.Host, tr *dist.Tree) (congest.Request, congest.Driver) {
+	return dist.StartQuiet(h, tr, func(s int, _ []congest.Recv) ([]congest.Send, bool) {
 		if s > 0 {
 			return nil, false
 		}
@@ -65,7 +67,7 @@ func burstQuiet(h *congest.Host) {
 		}
 		return out, false
 	})
-}
+})
 
 // TestRunQuietResumeBudget pins what a quiet stretch costs the scheduler:
 // after one burst, RunQuiet parks every node until the next control slot
@@ -74,7 +76,7 @@ func burstQuiet(h *congest.Host) {
 // node; the budget is 16.
 func TestRunQuietResumeBudget(t *testing.T) {
 	g := broom()
-	bfsOnly, _ := resumesOf(t, g, func(h *congest.Host) { dist.BuildBFS(h) })
+	bfsOnly, _ := resumesOf(t, g, bfsThen(nil))
 	total, stats := resumesOf(t, g, burstQuiet)
 	quiet := total - bfsOnly
 	t.Logf("RunQuiet: %d resumes (%.1f per node); run: %d rounds, %d messages",
@@ -84,82 +86,13 @@ func TestRunQuietResumeBudget(t *testing.T) {
 	}
 }
 
-// TestRunQuietDrivenSwitchBudget pins what RunQuiet costs in coroutine
-// switches: the scheduler drives its slots through the Driver, so a node
-// switches into its program once, at the exit, however many submissions
-// the call makes. With a switch per submission (~8 per node on the broom)
-// the budget of 2 per node fails.
-func TestRunQuietDrivenSwitchBudget(t *testing.T) {
-	g := broom()
-	bfsOnly := switchesOf(t, g, func(h *congest.Host) { dist.BuildBFS(h) })
-	quiet := switchesOf(t, g, burstQuiet) - bfsOnly
-	t.Logf("RunQuiet: %d coroutine switches (%.1f per node)", quiet, float64(quiet)/float64(g.N()))
-	if budget := int64(2 * g.N()); quiet > budget {
-		t.Fatalf("RunQuiet cost %d coroutine switches, budget %d (2 per node)", quiet, budget)
-	}
-}
-
-// itemKind is the collect payload of TestCollectDrivenSwitchBudget,
-// ordered by C.
+// itemKind is the collect payload of TestPooledArenaDropsTrees, ordered
+// by C.
 const itemKind uint16 = 131
 
 func init() { congest.RegisterWireKind(itemKind, 2+64) }
 
 func itemCmp(a, b congest.Wire) int { return int(a.C - b.C) }
-
-// TestCollectDrivenSwitchBudget pins what BuildBFS and the collect
-// primitives cost in coroutine switches: each runs as a Driver, so a node
-// switches into its program once per call, at the exit, however many
-// rounds the call spans. On the broom every node upcasts three items
-// through a count-cap filter with a stopAfter cut, and the root
-// broadcasts 64; with a switch per submission (Drive on its blocking
-// loop) each call exceeds the budget of 2 per node.
-func TestCollectDrivenSwitchBudget(t *testing.T) {
-	g := broom()
-	items := func(h *congest.Host, k int) []congest.Wire {
-		out := make([]congest.Wire, k)
-		for i := range out {
-			out[i] = congest.Wire{Kind: itemKind, C: int64(h.ID()*k + i)}
-		}
-		return out
-	}
-	calls := []struct {
-		name string
-		run  func(h *congest.Host, tr *dist.Tree)
-	}{
-		{"UpcastBroadcast", func(h *congest.Host, tr *dist.Tree) {
-			// At most two items per residue class mod 5: a count cap,
-			// hence monotone.
-			capped := func() dist.Filter {
-				var seen [5]int
-				return func(w congest.Wire) bool { seen[w.C%5]++; return seen[w.C%5] <= 2 }
-			}
-			stop := func(w congest.Wire) bool { return w.C >= 200 }
-			dist.UpcastBroadcast(h, tr, items(h, 3), itemCmp, capped, stop)
-		}},
-		{"BroadcastList", func(h *congest.Host, tr *dist.Tree) {
-			var list []congest.Wire
-			if tr.IsRoot() {
-				list = items(h, 64)
-			}
-			dist.BroadcastList(h, tr, list)
-		}},
-		{"Max", func(h *congest.Host, tr *dist.Tree) { dist.Max(h, tr, int64(h.ID())) }},
-	}
-	budget := int64(2 * g.N())
-	empty := switchesOf(t, g, func(*congest.Host) {})
-	bfsOnly := switchesOf(t, g, func(h *congest.Host) { dist.BuildBFS(h) })
-	check := func(name string, sw int64) {
-		t.Logf("%s: %d coroutine switches (%.1f per node)", name, sw, float64(sw)/float64(g.N()))
-		if sw > budget {
-			t.Errorf("%s cost %d coroutine switches, budget %d (2 per node)", name, sw, budget)
-		}
-	}
-	check("BuildBFS", bfsOnly-empty)
-	for _, c := range calls {
-		check(c.name, switchesOf(t, g, func(h *congest.Host) { c.run(h, dist.BuildBFS(h)) })-bfsOnly)
-	}
-}
 
 // TestPooledArenaDropsTrees: every dist primitive caches its driver on
 // the node's Tree, and the driver points back at it. Once a pooled run
@@ -171,12 +104,16 @@ func TestPooledArenaDropsTrees(t *testing.T) {
 	g := broom()
 	pool := congest.NewArenaPool()
 	trees := make([]weak.Pointer[dist.Tree], g.N())
-	_, err := congest.Run(g, func(h *congest.Host) {
-		tr := dist.BuildBFS(h)
+	_, err := congest.RunDriven(g, func(h *congest.Host) (congest.Request, congest.Driver) {
+		tr := new(dist.Tree)
 		trees[h.ID()] = weak.Make(tr)
-		dist.Max(h, tr, int64(h.ID()))
-		dist.BroadcastList(h, tr, nil)
-		dist.UpcastBroadcast(h, tr, []congest.Wire{{Kind: itemKind, C: int64(h.ID())}}, itemCmp, nil, nil)
+		return congest.Chain(
+			func() (congest.Request, congest.Driver) { return dist.StartBFS(h, tr) },
+			func() (congest.Request, congest.Driver) { return dist.StartMax(h, tr, int64(h.ID())) },
+			func() (congest.Request, congest.Driver) { return dist.StartBroadcastList(h, tr, nil) },
+			func() (congest.Request, congest.Driver) {
+				return dist.StartUpcastBroadcast(h, tr, []congest.Wire{{Kind: itemKind, C: int64(h.ID())}}, itemCmp, nil, nil)
+			})
 	}, congest.WithArenaPool(pool))
 	if err != nil {
 		t.Fatal(err)

@@ -12,15 +12,10 @@ import (
 // roadmesh instance (n=1024, k=4, seed 1: a single-phase instance of the
 // kind the solve-det workload serves) through a warm arena pool and
 // without the certificate oracle, so the figure is simulator and solver
-// time only — the A/B handle for scheduler changes such as RunQuiet's
-// parking and driving. Besides rounds it reports the scheduler's work per
-// solve: submissions (one per blocking call) and the coroutine switches
-// they took (submissions a Driver produced take none). Every solver is
-// one congest.RunDriven driver, so none takes a switch: 0 switches for
-// det / rand / rounded against 43,820 / 257,219 / 136,457 submissions.
-// rand took 37,888 while it was a blocking program over the driven dist
-// primitives, switching once per node per primitive call and per
-// solver-side blocking call.
+// time only — the A/B handle for scheduler changes such as the quiescence
+// loop's parking. Besides rounds it reports the scheduler's work per
+// solve, its submissions (one per request): 43,820 / 257,219 / 136,457
+// for det / rand / rounded.
 //
 // rounded runs 5 merge phases here for 19 threshold checks: it skips the
 // phases its collected streams prove empty, which took it from 20 phases,
@@ -51,7 +46,7 @@ func BenchmarkSolveRoadmesh(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			subs0, sw0 := congest.NodeResumes(), congest.CoroSwitches()
+			subs0 := congest.NodeResumes()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := steinerforest.Solve(gen.Instance, spec); err != nil {
@@ -61,7 +56,6 @@ func BenchmarkSolveRoadmesh(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(res.Stats.Rounds), "rounds/op")
 			b.ReportMetric(float64(congest.NodeResumes()-subs0)/float64(b.N), "submissions/op")
-			b.ReportMetric(float64(congest.CoroSwitches()-sw0)/float64(b.N), "switches/op")
 		})
 	}
 }

@@ -29,8 +29,8 @@ func init() {
 // stressProgram follows a per-node seeded random schedule of exchanges,
 // idles and interruptible sleeps, folding everything it observes — inbox
 // contents and the rounds at which it observes them — into trace[ID].
-func stressProgram(trace []uint64, steps int, seed int64) Program {
-	return func(h *Host) {
+func stressProgram(trace []uint64, steps int, seed int64) func(h *Host) (Request, Driver) {
+	return func(h *Host) (Request, Driver) {
 		rng := rand.New(rand.NewSource(seed + int64(h.ID())*0x9E3779B9))
 		acc := uint64(h.ID())*0x9E3779B97F4A7C15 + 1
 		fold := func(v uint64) { acc = (acc ^ v) * 1099511628211 }
@@ -51,25 +51,39 @@ func stressProgram(trace []uint64, steps int, seed int64) Program {
 			}
 			return out
 		}
-		for s := 0; s < steps; s++ {
+		s, idled := 0, false
+		return Idle(0), nextFunc(func(in []Recv) (Request, bool) {
+			if s > 0 {
+				// Complete the previous step: an idle observes only its
+				// round, everything else its inbox as well.
+				if idled {
+					fold(uint64(h.Round()))
+				} else {
+					record(in)
+				}
+			}
+			if s == steps {
+				trace[h.ID()] = acc
+				return Request{}, false
+			}
+			s++
+			idled = false
 			switch rng.Intn(8) {
 			case 0, 1, 2:
-				record(h.Exchange(sendSome()))
+				return Exchange(sendSome()), true
 			case 3:
-				record(h.Exchange(nil))
+				return Exchange(nil), true
 			case 4, 5:
-				h.Idle(1 + rng.Intn(4))
-				fold(uint64(h.Round()))
+				idled = true
+				return Idle(1 + rng.Intn(4)), true
 			case 6:
 				// Interruptible park: mail from a neighbor cuts it short.
-				record(h.SleepUntil(h.Round() + 1 + rng.Intn(6)))
-			case 7:
-				// Longer park; on dense graphs this is usually interrupted,
-				// exercising the sleep wake queue and stamp invalidation.
-				record(h.SleepUntil(h.Round() + 10))
+				return SleepUntil(h.Round() + 1 + rng.Intn(6)), true
 			}
-		}
-		trace[h.ID()] = acc
+			// Longer park; on dense graphs this is usually interrupted,
+			// exercising the sleep wake queue and stamp invalidation.
+			return SleepUntil(h.Round() + 10), true
+		})
 	}
 }
 
@@ -106,7 +120,7 @@ func TestSchedulerStress(t *testing.T) {
 				var refTrace []uint64
 				for _, cfg := range stressConfigs {
 					trace := make([]uint64, tg.g.N())
-					stats, err := Run(tg.g, stressProgram(trace, steps, seed), cfg.opts...)
+					stats, err := RunDriven(tg.g, stressProgram(trace, steps, seed), cfg.opts...)
 					if err != nil {
 						t.Fatalf("%s: %v", cfg.name, err)
 					}
@@ -154,8 +168,8 @@ func TestSchedulerStressStandingOrders(t *testing.T) {
 				}
 			}
 		}
-		program := func(trace []uint64) Program {
-			return func(h *Host) {
+		program := func(trace []uint64) func(h *Host) (Request, Driver) {
+			return func(h *Host) (Request, Driver) {
 				rng := rand.New(rand.NewSource(seed + int64(h.ID())*7919))
 				acc := uint64(h.ID() + 1)
 				fold := func(in []Recv) {
@@ -186,50 +200,89 @@ func TestSchedulerStressStandingOrders(t *testing.T) {
 					}
 					return fwd, done
 				}
-				if src < 0 {
-					// Root: the stream source.
-					for i := 4 + rng.Intn(12); i >= 0; i-- {
-						item := Wire{Kind: stressWireKind, C: int64(rng.Intn(1 << 16))}
-						fold(h.Exchange(sendAll(down, item)))
-					}
-					fold(h.Exchange(sendAll(down, end)))
-				} else {
-					// A stage: relay until the end marker has gone through,
-					// forwarding whatever a deviation wake left pending.
-					// Some stages open with a poke, which deviates a parked
-					// neighbor that is not its child.
-					var last []Recv
-					if rng.Intn(3) == 0 {
-						last = h.Exchange([]Send{{Port: rng.Intn(h.Degree()), Wire: poke(rng)}})
-						fold(last)
-					}
-					for done := false; ; {
-						for {
-							fwd, fin := resend(last)
-							done = done || fin
-							if len(fwd) == 0 {
-								break
-							}
-							last = h.Exchange(fwd)
-							fold(last)
-						}
-						if done {
-							break
-						}
-						var relayed []Recv
-						relayed, last = h.RelayStream(src, down, end.Kind)
-						done = len(relayed) > 0 && relayed[len(relayed)-1].Wire == end
-						fold(relayed)
-						fold(last)
-					}
-				}
+				// The request the node waits on.
+				const (
+					sStart   = iota
+					sItem    // root: a stream item's round
+					sEnd     // root: the end marker's round
+					sForward // stage: an opening poke, or a forward of pending items
+					sRelay   // stage: a relay order
+					sIdle    // the idle before a stray poke
+					sPoke    // a stray poke's round
+				)
+				state, items, pokes := sStart, 0, -1
+				var last []Recv
+				done := false
 				// Stray pokes at random neighbors: deviations for stages
 				// still relaying, drops for finished ones.
-				for i := rng.Intn(4); i > 0; i-- {
-					h.Idle(rng.Intn(2 * n))
-					fold(h.Exchange([]Send{{Port: rng.Intn(h.Degree()), Wire: poke(rng)}}))
+				strays := func() (Request, bool) {
+					if pokes < 0 {
+						pokes = rng.Intn(4)
+					}
+					if pokes == 0 {
+						trace[h.ID()] = acc
+						return Request{}, false
+					}
+					pokes--
+					state = sIdle
+					return Idle(rng.Intn(2 * n)), true
 				}
-				trace[h.ID()] = acc
+				// A stage relays until the end marker has gone through,
+				// forwarding whatever a deviation wake left pending.
+				forward := func() (Request, bool) {
+					fwd, fin := resend(last)
+					done = done || fin
+					switch {
+					case len(fwd) > 0:
+						state = sForward
+						return Exchange(fwd), true
+					case done:
+						return strays()
+					}
+					state = sRelay
+					return RelayStream(src, down, end.Kind), true
+				}
+				return Idle(0), nextFunc(func(in []Recv) (Request, bool) {
+					switch state {
+					case sStart:
+						if src < 0 {
+							// Root: the stream source.
+							items, state = 4+rng.Intn(12), sItem
+							return Exchange(sendAll(down, Wire{Kind: stressWireKind, C: int64(rng.Intn(1 << 16))})), true
+						}
+						// Some stages open with a poke, which deviates a
+						// parked neighbor that is not its child.
+						if rng.Intn(3) == 0 {
+							state = sForward
+							return Exchange([]Send{{Port: rng.Intn(h.Degree()), Wire: poke(rng)}}), true
+						}
+						return forward()
+					case sItem:
+						fold(in)
+						if items--; items >= 0 {
+							return Exchange(sendAll(down, Wire{Kind: stressWireKind, C: int64(rng.Intn(1 << 16))})), true
+						}
+						state = sEnd
+						return Exchange(sendAll(down, end)), true
+					case sEnd, sPoke:
+						fold(in)
+						return strays()
+					case sForward:
+						last = in
+						fold(last)
+						return forward()
+					case sRelay:
+						relayed, rest := h.RelaySplit(in)
+						done = len(relayed) > 0 && relayed[len(relayed)-1].Wire == end
+						fold(relayed)
+						fold(rest)
+						last = rest
+						return forward()
+					}
+					// sIdle
+					state = sPoke
+					return Exchange([]Send{{Port: rng.Intn(h.Degree()), Wire: poke(rng)}}), true
+				})
 			}
 		}
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -237,7 +290,7 @@ func TestSchedulerStressStandingOrders(t *testing.T) {
 			var refTrace []uint64
 			for _, cfg := range stressConfigs {
 				trace := make([]uint64, g.N())
-				stats, err := Run(g, program(trace), cfg.opts...)
+				stats, err := RunDriven(g, program(trace), cfg.opts...)
 				if err != nil {
 					t.Fatalf("%s: %v", cfg.name, err)
 				}

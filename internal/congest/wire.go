@@ -41,7 +41,7 @@ var (
 )
 
 // RegisterWireKind declares a wire kind with a fixed encoded width. It
-// must be called before any Run that sends the kind (package init is the
+// must be called before any run that sends the kind (package init is the
 // natural place); duplicate or invalid registrations panic.
 func RegisterWireKind(kind uint16, bits int) {
 	checkWireReg(kind)
@@ -82,7 +82,7 @@ func (w Wire) Bits() int {
 }
 
 // widestWireKind returns the widest registered fixed-width kind and its
-// width. Run validates the bandwidth budget against it at setup, so a
+// width. RunDriven validates the bandwidth budget against it at setup, so a
 // protocol whose registered messages cannot fit the budget fails
 // immediately with a clear error instead of deep into the run. Kinds with
 // payload-dependent widths cannot be pre-validated; they are still checked

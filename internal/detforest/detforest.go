@@ -21,8 +21,8 @@
 //     and mark its physical edges by walking tokens up the region trees
 //     (Step 5 of the algorithm in Appendix E.1).
 //
-// The node program is one congest.Driver run by congest.RunDriven, so no
-// node has a coroutine: its stages are
+// The node program is one congest.Driver run by congest.RunDriven; its
+// stages are
 //
 //	bfs → terms → { cov exchange → BF → view exchange → collect } → mark
 //
@@ -723,7 +723,7 @@ func (ns *nodeState) markEdges() (congest.Request, bool) {
 	return ns.drive(dist.StartQuiet(h, &ns.tree, w.step))
 }
 
-// tokenWalk is markEdges' RunQuiet step: the first token to reach a node
+// tokenWalk is markEdges' StartQuiet step: the first token to reach a node
 // (or to start there) moves one hop up its region tree per round, marking
 // every edge it crosses; later tokens are absorbed.
 type tokenWalk struct {

@@ -31,8 +31,8 @@ type BFResult struct {
 	ParentPort int        // port toward the predecessor; -1 at sources/unreached
 }
 
-// BellmanFord runs multi-source Bellman-Ford under the configured weights
-// to global quiescence (Lemma 4.8's terminal decomposition device): every
+// StartBellmanFord runs multi-source Bellman-Ford under the configured
+// weights to global quiescence (Lemma 4.8's terminal decomposition device): every
 // node learns its distance to the nearest source, the source's identity,
 // and its parent port on the winning path. Ties are broken by smaller
 // (distance, source id, predecessor id), so the result is deterministic.
@@ -43,14 +43,10 @@ type BFResult struct {
 // into the denominator-exponent/numerator slots) and the flush reuses one
 // send buffer; the relaxation state is cached on t, so repeated runs on
 // one tree allocate nothing. Settled nodes park between control slots.
-func BellmanFord(h *congest.Host, t *Tree, cfg BFConfig) BFResult {
-	h.Drive(StartBellmanFord(h, t, cfg))
-	return t.BF()
-}
-
-// StartBellmanFord is BellmanFord's start form: it returns the first
-// request and the driver of the run (StartQuiet's, over the relaxation
-// step). t.BF() is the node's result once the driver is done.
+//
+// StartBellmanFord returns the first request and the driver of the run
+// (StartQuiet's, over the relaxation step); t.BF() is the node's result
+// once the driver is done.
 func StartBellmanFord(h *congest.Host, t *Tree, cfg BFConfig) (congest.Request, congest.Driver) {
 	deg := h.Degree()
 	bf := t.bf
@@ -90,8 +86,8 @@ func StartBellmanFord(h *congest.Host, t *Tree, cfg BFConfig) (congest.Request, 
 // BF returns the node's result of the tree's latest Bellman-Ford run.
 func (t *Tree) BF() BFResult { return t.bf.res }
 
-// bellmanFord is one node's relaxation state: BellmanFord's RunQuiet
-// step, cached on the node's tree.
+// bellmanFord is one node's relaxation state: StartBellmanFord's
+// StartQuiet step, cached on the node's tree.
 type bellmanFord struct {
 	h        *congest.Host
 	isSource bool

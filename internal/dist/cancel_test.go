@@ -13,10 +13,9 @@ import (
 )
 
 // TestCancelWhileDriven cancels a run while every node is inside a
-// Bellman-Ford — suspended in congest.Host.Drive while the scheduler runs
-// its RunQuiet driver — and requires ErrCancelled plus a clean unwind: the
-// abort must release every coroutine parked in Drive, so the goroutine
-// count returns to its baseline.
+// Bellman-Ford — its quiescence driver run by the scheduler — and
+// requires ErrCancelled plus a clean unwind: the goroutine count returns
+// to its baseline.
 func TestCancelWhileDriven(t *testing.T) {
 	g := graph.Path(120, graph.UnitWeights) // one source at an end: ~240 rounds of relaxation
 	for _, tc := range []struct {
@@ -38,14 +37,14 @@ func TestCancelWhileDriven(t *testing.T) {
 				}
 			}}
 			opts := append([]congest.Option{congest.WithContext(ctx), congest.WithRunHooks(hooks)}, tc.opts...)
-			_, err := congest.Run(g, func(h *congest.Host) {
-				tr := BuildBFS(h)
+			_, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
 				if h.ID() == 0 {
 					bfStart.Store(int64(h.Round()))
 				}
-				BellmanFord(h, tr, BFConfig{IsSource: h.ID() == 0})
+				return StartBellmanFord(h, tr, BFConfig{IsSource: h.ID() == 0})
+			}, then(func(h *congest.Host, _ *Tree) {
 				t.Errorf("node %d finished Bellman-Ford in a cancelled run", h.ID())
-			}, opts...)
+			})), opts...)
 			if !errors.Is(err, congest.ErrCancelled) {
 				t.Fatalf("err = %v, want ErrCancelled", err)
 			}
@@ -57,7 +56,7 @@ func TestCancelWhileDriven(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			if n := runtime.NumGoroutine(); n > baseline {
-				t.Fatalf("%d goroutines after the cancelled run, baseline %d: parked programs leaked", n, baseline)
+				t.Fatalf("%d goroutines after the cancelled run, baseline %d: the run leaked some", n, baseline)
 			}
 		})
 	}

@@ -6,13 +6,13 @@ import (
 	"steinerforest/internal/congest"
 )
 
-// UpcastBroadcast collects the nodes' local items into one globally sorted,
-// filtered stream known to every node (the paper's pipelined upcast +
+// StartUpcastBroadcast collects the nodes' local items into one globally
+// sorted, filtered stream known to every node (the paper's pipelined upcast +
 // broadcast, Lemma 4.14): items flow up the BFS tree in ascending order,
 // one per tree edge per round, interior nodes merge their children's
 // streams with their own and prune them through a speculative replica of
 // the filter (Corollary 4.16), and the root's accepted stream is pipelined
-// back down. Every node returns the identical accepted slice, in order.
+// back down. Every node ends with the identical accepted stream, in order.
 //
 // Items are congest.Wire values of one registered kind, ordered by cmp (a
 // strict total order with content tie-breaking); direction needs no
@@ -34,27 +34,15 @@ import (
 // stream run as engine-side relay orders, which forward each item without
 // resuming the stage.
 //
-// The pipeline runs as a congest.Driver (upcast) whose state is cached on
-// t, so on the continuation scheduler the node's program is switched into
-// once, at the exit, and filter and stopAfter run from the scheduler.
-//
-// The returned stream is the caller's to keep: the tree's next collect
-// starts on a fresh buffer.
-func UpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) []congest.Wire {
-	h.Drive(StartUpcastBroadcast(h, t, local, cmp, newFilter, stopAfter))
-	t.up.kept = true
-	return t.Collected()
-}
-
-// StartUpcastBroadcast is UpcastBroadcast's start form: it sorts local and
-// returns the first request and the driver of the pipeline, which releases
-// local, cmp and the filters once it is done. t.Collected() is the
-// node's accepted stream from then on. On a single-node network the
-// stream is decided here.
+// StartUpcastBroadcast sorts local and returns the first request and the
+// driver of the pipeline (upcast, cached on t), which releases local, cmp
+// and the filters once it is done. t.Collected() is the node's accepted
+// stream from then on. On a single-node network the stream is decided
+// here.
 //
 // The stream lives in a buffer the tree reuses: t.Collected() is valid
 // until the tree's next collect, which overwrites it. A caller that keeps
-// the stream longer copies it, or uses the blocking UpcastBroadcast.
+// the stream longer copies it.
 func StartUpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) (congest.Request, congest.Driver) {
 	slices.SortStableFunc(local, cmp)
 	var filter Filter
@@ -83,8 +71,8 @@ func StartUpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cm
 }
 
 // Collected returns the node's accepted stream of the tree's latest
-// UpcastBroadcast. After a StartUpcastBroadcast it aliases the tree's
-// stream buffer, valid until the tree's next collect.
+// StartUpcastBroadcast. It aliases the tree's stream buffer, valid until
+// the tree's next collect.
 func (t *Tree) Collected() []congest.Wire { return t.up.result }
 
 // upcast states: the request the node is waiting on.
@@ -99,8 +87,8 @@ const (
 	upIdle                      // the idle-out to the common exit round
 )
 
-// upcast is UpcastBroadcast's per-node state machine: the blocking
-// pipeline split at its blocking points. It is built once per tree and
+// upcast is StartUpcastBroadcast's per-node state machine: the pipeline
+// split at its round barriers. It is built once per tree and
 // reset per call; its child and forward queues and its stream buffer keep
 // their capacity across calls.
 type upcast struct {
@@ -119,7 +107,6 @@ type upcast struct {
 	state      uint8
 	ownNext    int
 	result     []congest.Wire // the broadcast stream (root: accepted)
-	kept       bool           // a blocking caller kept result: start the next on a fresh buffer
 	streamed   int            // root: result items sent down
 	fwdEnd     bool
 	sawDown    bool
@@ -127,7 +114,7 @@ type upcast struct {
 	exitRound  int
 }
 
-// upcast returns t's cached UpcastBroadcast driver, reset for a call.
+// upcast returns t's cached StartUpcastBroadcast driver, reset for a call.
 func (t *Tree) upcast(h *congest.Host) *upcast {
 	u := t.up
 	nc := len(t.ChildPorts)
@@ -147,11 +134,7 @@ func (t *Tree) upcast(h *congest.Host) *upcast {
 		k.items, k.head, k.done = k.items[:0], 0, false
 	}
 	u.fwd, u.fwdHead = u.fwd[:0], 0
-	if u.kept {
-		u.result, u.kept = nil, false
-	} else {
-		u.result = u.result[:0]
-	}
+	u.result = u.result[:0]
 	u.ownNext, u.streamed = 0, 0
 	u.fwdEnd, u.sawDown, u.upDoneSent = false, false, false
 	u.exitRound = -1
@@ -400,28 +383,18 @@ func (u *upcast) downLoop() congest.Request {
 	return congest.Idle(u.exitRound - u.h.Round())
 }
 
-// BroadcastList delivers the root's item list to every node: the root
-// streams its items down the BFS tree one per round followed by an end
-// marker, interior nodes forward with one round of latency, and all nodes
-// exit in the same round. Non-root callers pass nil (their argument is
-// ignored); every node returns the root's list in order. Nodes sleep until
-// the stream reaches them; fully parked stretches of the pipeline drain
-// as engine-side relay forwards. Like UpcastBroadcast it runs as a
-// congest.Driver (broadcast) cached on t.
+// StartBroadcastList delivers the root's item list to every node: the
+// root streams its items down the BFS tree one per round followed by an
+// end marker, interior nodes forward with one round of latency, and all
+// nodes exit in the same round. Non-root callers pass nil (their argument
+// is ignored). Nodes sleep until the stream reaches them; fully parked
+// stretches of the pipeline drain as engine-side relay forwards.
 //
-// The returned list is the caller's to keep: the tree's next broadcast
-// starts on a fresh buffer.
-func BroadcastList(h *congest.Host, t *Tree, items []congest.Wire) []congest.Wire {
-	h.Drive(StartBroadcastList(h, t, items))
-	t.bcast.kept = true
-	return t.Broadcasted()
-}
-
-// StartBroadcastList is BroadcastList's start form: it returns the first
-// request and the driver of the broadcast. t.Broadcasted() is the node's
-// list once the driver is done: the root's own items, or, elsewhere, the
-// received stream in a buffer the tree reuses, valid until its next
-// broadcast.
+// StartBroadcastList returns the first request and the driver of the
+// broadcast (broadcast, cached on t). t.Broadcasted() is the node's list,
+// the root's in order, once the driver is done: the root's own items, or,
+// elsewhere, the received stream in a buffer the tree reuses, valid until
+// its next broadcast.
 func StartBroadcastList(h *congest.Host, t *Tree, items []congest.Wire) (congest.Request, congest.Driver) {
 	b := t.broadcast(h)
 	if h.N() <= 1 || t.IsRoot() {
@@ -439,7 +412,8 @@ func StartBroadcastList(h *congest.Host, t *Tree, items []congest.Wire) (congest
 	return congest.RelayStream(t.ParentPort, t.ChildPorts, wireBcastEnd), b
 }
 
-// Broadcasted returns the node's list of the tree's latest BroadcastList.
+// Broadcasted returns the node's list of the tree's latest
+// StartBroadcastList.
 func (t *Tree) Broadcasted() []congest.Wire { return t.bcast.items }
 
 // broadcast states: the request the node is waiting on.
@@ -449,26 +423,23 @@ const (
 	bcastIdle                 // the idle-out to the common exit round
 )
 
-// broadcast is BroadcastList's per-node state machine.
+// broadcast is StartBroadcastList's per-node state machine.
 type broadcast struct {
 	h     *congest.Host
 	t     *Tree
 	state uint8
 	items []congest.Wire // root: the list; non-root: the received list
 	recv  []congest.Wire // non-root: the receive buffer, reused across calls
-	kept  bool           // a blocking caller kept recv: start the next on a fresh buffer
 	sent  int            // root: items sent, the end marker counting last
 }
 
-// broadcast returns t's cached BroadcastList driver, reset for a call.
+// broadcast returns t's cached StartBroadcastList driver, reset for a
+// call.
 func (t *Tree) broadcast(h *congest.Host) *broadcast {
 	b := t.bcast
 	if b == nil {
 		b = &broadcast{h: h, t: t}
 		t.bcast = b
-	}
-	if b.kept {
-		b.recv, b.kept = nil, false
 	}
 	b.state, b.sent, b.items = bcastStream, 0, nil
 	return b
@@ -517,19 +488,13 @@ func (b *broadcast) Next(in []congest.Recv) (congest.Request, bool) {
 	return congest.Request{}, false // bcastIdle: the common exit round
 }
 
-// Max computes the global maximum of the nodes' values by a convergecast up
-// the BFS tree and a synchronized broadcast of the result; every node
-// returns the maximum in the same round. Interior nodes sleep while their
-// subtrees aggregate; everyone idles out to the common exit round. It runs
-// as a congest.Driver (maxAgg) cached on t.
-func Max(h *congest.Host, t *Tree, v int64) int64 {
-	h.Drive(StartMax(h, t, v))
-	return t.Maximum()
-}
-
-// StartMax is Max's start form: it returns the first request and the
-// driver of the aggregate. t.Maximum() is the global maximum once the
-// driver is done.
+// StartMax computes the global maximum of the nodes' values by a
+// convergecast up the BFS tree and a synchronized broadcast of the
+// result; every node learns the maximum in the same round. Interior nodes
+// sleep while their subtrees aggregate; everyone idles out to the common
+// exit round. StartMax returns the first request and the driver of the
+// aggregate (maxAgg, cached on t); t.Maximum() is the global maximum once
+// the driver is done.
 func StartMax(h *congest.Host, t *Tree, v int64) (congest.Request, congest.Driver) {
 	m := t.maxAgg(h)
 	m.best = v
@@ -546,7 +511,7 @@ func StartMax(h *congest.Host, t *Tree, v int64) (congest.Request, congest.Drive
 	return congest.Exchange(nil), m
 }
 
-// Maximum returns the result of the tree's latest Max.
+// Maximum returns the result of the tree's latest StartMax.
 func (t *Tree) Maximum() int64 { return t.agg.best }
 
 // maxAgg states: the request the node is waiting on.
@@ -559,7 +524,7 @@ const (
 	maxIdle                  // the idle-out to the common exit round
 )
 
-// maxAgg is Max's per-node state machine.
+// maxAgg is StartMax's per-node state machine.
 type maxAgg struct {
 	h       *congest.Host
 	t       *Tree
@@ -569,7 +534,7 @@ type maxAgg struct {
 	exit    int // the common exit round
 }
 
-// maxAgg returns t's cached Max driver.
+// maxAgg returns t's cached StartMax driver.
 func (t *Tree) maxAgg(h *congest.Host) *maxAgg {
 	if t.agg == nil {
 		t.agg = &maxAgg{h: h, t: t}

@@ -8,8 +8,8 @@
 //
 // Every primitive is globally synchronized: all nodes of the network enter
 // it in the same communication round and leave it in the same round, so a
-// node program can call a sequence of primitives and plain Host.Exchange
-// rounds without any cross-primitive message confusion. Synchronous exits
+// node program can run a sequence of primitives and plain exchange rounds
+// without any cross-primitive message confusion. Synchronous exits
 // are scheduled from the globally known BFS tree height: a node receiving
 // the closing control message at round R and depth d leaves at round
 // R + height - d, the round by which the message has reached the deepest
@@ -24,16 +24,13 @@
 // plain Exchange loops would produce — the parked rounds are rounds the
 // node would have spent exchanging nothing — so round counts, message
 // counts and bit counts are unchanged by the fast paths. Each primitive
-// is a congest.Driver, its per-node state cached on the Tree: the
-// scheduler completes every request by calling the driver's Next, so a
-// blocking call (which runs the driver with Host.Drive) costs the node's
-// program one coroutine switch, at its exit. Every primitive also has a
-// start form (StartBFS, StartUpcastBroadcast, StartBroadcastList,
-// StartMax, StartBellmanFord, StartQuiet) that returns the first request
-// and the driver instead of running them, with the result read from the
-// Tree afterwards (the tree itself, Collected, Broadcasted, Maximum, BF);
-// each blocking form is its start form plus Drive. A node program that chains start forms inside a
-// driver of its own runs under congest.RunDriven with no coroutine at all.
+// is a congest.Driver, its per-node state cached on the Tree, started by
+// its start function (StartBFS, StartUpcastBroadcast, StartBroadcastList,
+// StartMax, StartBellmanFord, StartQuiet), which returns the first
+// request and the driver; the result is read from the Tree once the
+// driver is done (the tree itself, Collected, Broadcasted, Maximum, BF).
+// A node program chains start functions inside a driver of its own (or
+// with congest.Chain) and runs under congest.RunDriven.
 //
 // All primitives assume a connected graph (as the paper does); on a
 // disconnected graph the unreachable side never learns the tree and the
@@ -48,7 +45,7 @@ import (
 )
 
 // Collected items are congest.Wire values: the collect pipelines
-// (UpcastBroadcast, BroadcastList) are the per-round hot phase of the
+// (StartUpcastBroadcast, StartBroadcastList) are the per-round hot phase of the
 // deterministic solver, and carrying the items inline keeps every hop of
 // every stream off the heap. An item kind is registered by its owning
 // package (congest.RegisterWireKind/Func) with a width of payload + 2
@@ -64,7 +61,7 @@ import (
 type Cmp func(a, b congest.Wire) int
 
 // Filter decides whether an item of a sorted stream is accepted given the
-// items accepted before it. Filters are stateful; UpcastBroadcast
+// items accepted before it. Filters are stateful; StartUpcastBroadcast
 // instantiates a fresh one per node via its factory argument, letting
 // interior tree nodes prune their partial streams speculatively
 // (Corollary 4.16). For that pruning to be sound the filter must be
@@ -83,14 +80,14 @@ const (
 	wireBcastEnd uint16 = 3  // broadcast stream exhausted
 	wireMaxUp    uint16 = 4  // C = partial maximum
 	wireMaxDown  uint16 = 5  // C = global maximum
-	wireQuiet    uint16 = 6  // RunQuiet: subtree-quiet bit turned on
-	wireExit     uint16 = 7  // RunQuiet synchronized exit wave
+	wireQuiet    uint16 = 6  // StartQuiet: subtree-quiet bit turned on
+	wireExit     uint16 = 7  // StartQuiet synchronized exit wave
 	wireBF       uint16 = 8  // A = source id, (B, C) = encoded distance
 	wireExplore  uint16 = 9  // BFS flood
 	wireAccept   uint16 = 10 // BFS child registration
 	wireDoneUp   uint16 = 11 // BFS completion convergecast; C = max depth
 	wireFinish   uint16 = 12 // BFS finish broadcast; C = tree height
-	wireQuietOff uint16 = 13 // RunQuiet: subtree-quiet bit turned off
+	wireQuietOff uint16 = 13 // StartQuiet: subtree-quiet bit turned off
 )
 
 func init() {

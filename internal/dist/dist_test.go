@@ -64,12 +64,11 @@ func TestBuildBFSTreeShape(t *testing.T) {
 		graph.New(1),
 	} {
 		res := newResults()
-		_, err := congest.Run(g, func(h *congest.Host) {
-			tr := BuildBFS(h)
+		_, err := congest.RunDriven(g, onTree(then(func(h *congest.Host, tr *Tree) {
 			res.mu.Lock()
 			res.trees[h.ID()] = tr
 			res.mu.Unlock()
-		})
+		})))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -117,14 +116,14 @@ func TestBuildBFSTreeShape(t *testing.T) {
 func TestUpcastBroadcastCollectsSorted(t *testing.T) {
 	g := graph.Grid(4, 4, graph.UnitWeights)
 	res := newResults()
-	_, err := congest.Run(g, func(h *congest.Host) {
-		tr := BuildBFS(h)
+	_, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
 		local := []congest.Wire{intItem(100 - h.ID()), intItem(h.ID())}
-		got := UpcastBroadcast(h, tr, local, intItemCmp, nil, nil)
+		return StartUpcastBroadcast(h, tr, local, intItemCmp, nil, nil)
+	}, then(func(h *congest.Host, tr *Tree) {
 		res.mu.Lock()
-		res.items[h.ID()] = got
+		res.items[h.ID()] = slices.Clone(tr.Collected())
 		res.mu.Unlock()
-	})
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +146,10 @@ func TestUpcastBroadcastCollectsSorted(t *testing.T) {
 	}
 }
 
-// TestCollectStreamOwnership pins who owns a collected stream. A blocking
-// UpcastBroadcast's result is the caller's: the tree's next collect (of
-// either form) leaves it unchanged. The start form's stream lives in the
-// tree's reused buffer: a second driven collect that fits refills the same
-// array rather than allocating one.
+// TestCollectStreamOwnership pins who owns a collected stream: it lives
+// in the tree's reused buffer, so a second collect that fits refills the
+// same array rather than allocating one, and a caller that keeps a stream
+// past the tree's next collect copies it.
 func TestCollectStreamOwnership(t *testing.T) {
 	g := graph.Grid(3, 4, graph.UnitWeights)
 	var mu sync.Mutex
@@ -161,30 +159,27 @@ func TestCollectStreamOwnership(t *testing.T) {
 		bad = append(bad, fmt.Sprintf("node %d: %s", v, msg))
 		mu.Unlock()
 	}
-	_, err := congest.Run(g, func(h *congest.Host) {
-		tr := BuildBFS(h)
-		v := h.ID()
-		kept := UpcastBroadcast(h, tr, []congest.Wire{intItem(v), intItem(50 + v)}, intItemCmp, nil, nil)
-		snap := slices.Clone(kept)
-		// A driven collect and then a blocking one, both over other items.
-		h.Drive(StartUpcastBroadcast(h, tr, []congest.Wire{intItem(200 + v)}, intItemCmp, nil, nil))
-		driven := tr.Collected()
-		if len(driven) != g.N() || driven[0].C != 200 {
-			fail(v, fmt.Sprintf("driven stream %v", driven))
+	collect := func(base int) stage {
+		return func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
+			return StartUpcastBroadcast(h, tr, []congest.Wire{intItem(base + h.ID())}, intItemCmp, nil, nil)
 		}
-		if !slices.Equal(kept, snap) {
-			fail(v, "a driven collect overwrote the blocking result")
-		}
-		first := &driven[0]
-		h.Drive(StartUpcastBroadcast(h, tr, []congest.Wire{intItem(300 + v)}, intItemCmp, nil, nil))
-		if again := tr.Collected(); len(again) != g.N() || &again[0] != first {
-			fail(v, "the driven collect did not reuse the tree's stream buffer")
-		}
-		UpcastBroadcast(h, tr, []congest.Wire{intItem(400 + v)}, intItemCmp, nil, nil)
-		if !slices.Equal(kept, snap) {
-			fail(v, "a blocking collect overwrote the earlier blocking result")
-		}
-	})
+	}
+	firsts := make([]*congest.Wire, g.N())
+	_, err := congest.RunDriven(g, onTree(
+		collect(200),
+		then(func(h *congest.Host, tr *Tree) {
+			driven := tr.Collected()
+			if len(driven) != g.N() || driven[0].C != 200 {
+				fail(h.ID(), fmt.Sprintf("stream %v", driven))
+			}
+			firsts[h.ID()] = &driven[0]
+		}),
+		collect(300),
+		then(func(h *congest.Host, tr *Tree) {
+			if again := tr.Collected(); len(again) != g.N() || &again[0] != firsts[h.ID()] || again[0].C != 300 {
+				fail(h.ID(), "the second collect did not refill the tree's stream buffer")
+			}
+		})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,19 +191,19 @@ func TestCollectStreamOwnership(t *testing.T) {
 func TestUpcastBroadcastFilterAndStop(t *testing.T) {
 	g := graph.Path(10, graph.UnitWeights)
 	res := newResults()
-	_, err := congest.Run(g, func(h *congest.Host) {
-		tr := BuildBFS(h)
+	_, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
 		local := []congest.Wire{intItem(h.ID())}
 		// Filter: drop odd values; stop after (and including) value 6.
 		newFilter := func() Filter {
 			return func(x congest.Wire) bool { return x.C%2 == 0 }
 		}
 		stop := func(x congest.Wire) bool { return x.C >= 6 }
-		got := UpcastBroadcast(h, tr, local, intItemCmp, newFilter, stop)
+		return StartUpcastBroadcast(h, tr, local, intItemCmp, newFilter, stop)
+	}, then(func(h *congest.Host, tr *Tree) {
 		res.mu.Lock()
-		res.items[h.ID()] = got
+		res.items[h.ID()] = slices.Clone(tr.Collected())
 		res.mu.Unlock()
-	})
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,19 +224,23 @@ func TestUpcastBroadcastFilterAndStop(t *testing.T) {
 func TestMaxAndBroadcastList(t *testing.T) {
 	g := graph.Grid(3, 5, graph.UnitWeights)
 	res := newResults()
-	_, err := congest.Run(g, func(h *congest.Host) {
-		tr := BuildBFS(h)
-		m := Max(h, tr, int64(h.ID()*h.ID()))
+	_, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
+		return StartMax(h, tr, int64(h.ID()*h.ID()))
+	}, func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
+		res.mu.Lock()
+		res.vals[h.ID()] = tr.Maximum()
+		res.mu.Unlock()
 		var items []congest.Wire
 		if tr.IsRoot() {
 			items = []congest.Wire{intItem(41), intItem(7)}
 		}
-		got := BroadcastList(h, tr, items)
+		return StartBroadcastList(h, tr, items)
+	}, then(func(h *congest.Host, tr *Tree) {
+		got := tr.Broadcasted()
 		res.mu.Lock()
-		res.vals[h.ID()] = m
 		res.items[h.ID()] = []congest.Wire{got[0], got[1]}
 		res.mu.Unlock()
-	})
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,13 +261,13 @@ func TestBellmanFordMatchesDijkstra(t *testing.T) {
 		g := graph.GNP(18, 0.25, graph.RandomWeights(rng, 30), rng)
 		sources := map[int]bool{0: true, 5: true}
 		res := newResults()
-		_, err := congest.Run(g, func(h *congest.Host) {
-			tr := BuildBFS(h)
-			bf := BellmanFord(h, tr, BFConfig{IsSource: sources[h.ID()], SourceID: h.ID()})
+		_, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
+			return StartBellmanFord(h, tr, BFConfig{IsSource: sources[h.ID()], SourceID: h.ID()})
+		}, then(func(h *congest.Host, tr *Tree) {
 			res.mu.Lock()
-			res.bfs[h.ID()] = bf
+			res.bfs[h.ID()] = tr.BF()
 			res.mu.Unlock()
-		})
+		})))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -295,33 +294,34 @@ func TestBellmanFordMatchesDijkstra(t *testing.T) {
 func TestRunQuietTokenDiffusion(t *testing.T) {
 	g := graph.Path(12, graph.UnitWeights)
 	res := newResults()
-	_, err := congest.Run(g, func(h *congest.Host) {
-		tr := BuildBFS(h)
+	has := make([]bool, g.N())
+	_, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
 		// A token starts at node 0 and hops to the right end, one edge per
 		// payload round; quiescence must not fire before it arrives.
-		has := h.ID() == 0
+		has[h.ID()] = h.ID() == 0
 		step := func(_ int, in []congest.Recv) ([]congest.Send, bool) {
 			for _, rc := range in {
 				if rc.Wire.Kind == testTokKind {
-					has = true
+					has[h.ID()] = true
 				}
 			}
-			if !has {
+			if !has[h.ID()] {
 				return nil, false
 			}
 			if p, ok := h.PortOf(h.ID() + 1); ok {
-				has = false
+				has[h.ID()] = false
 				return []congest.Send{{Port: p, Wire: congest.Wire{Kind: testTokKind, C: 1}}}, false
 			}
 			return nil, false // right end: keep it
 		}
-		RunQuiet(h, tr, step)
+		return StartQuiet(h, tr, step)
+	}, then(func(h *congest.Host, tr *Tree) {
 		res.mu.Lock()
-		if has {
+		if has[h.ID()] {
 			res.vals[h.ID()] = 1
 		}
 		res.mu.Unlock()
-	})
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func (s *byteSched) Intn(n int) int {
 
 // FuzzRunQuiet decodes its input into a small network — a random tree or
 // a GNP graph, n <= 24 — and a bursty per-node activity schedule, and
-// requires the scheduler-driven RunQuiet to match the per-round engine
+// requires StartQuiet on the fast path to match the per-round reference
 // (WithFastPath(false)) exactly: Stats, every node's exit round, and every
 // node's step calls.
 func FuzzRunQuiet(f *testing.F) {
@@ -50,14 +50,14 @@ func FuzzRunQuiet(f *testing.F) {
 		mk := func(h *congest.Host, calls *[]stepCall) Step {
 			return burstyStepFrom(h, &byteSched{b: sched, i: 7 * h.ID()}, lone, calls)
 		}
-		want := observeSteps(t, g, mk, RunQuiet, congest.WithFastPath(false))
-		sameRun(t, "driven", observeSteps(t, g, mk, RunQuiet), want)
+		want := observeSteps(t, g, mk, StartQuiet, congest.WithFastPath(false))
+		sameRun(t, "driven", observeSteps(t, g, mk, StartQuiet), want)
 	})
 }
 
 // FuzzBuildBFS decodes its input into a small network — a random tree or
 // a GNP graph, n <= 24 — and an entry round common to every node, and
-// requires the scheduler-driven BuildBFS to match the per-round engine
+// requires StartBFS on the fast path to match the per-round reference
 // (WithFastPath(false)) exactly: Stats, every node's exit round, and every
 // node's Tree.
 func FuzzBuildBFS(f *testing.F) {
@@ -78,11 +78,16 @@ func FuzzBuildBFS(f *testing.F) {
 		enter := int(data[3]) % 8
 		observe := func(opts ...congest.Option) (*congest.Stats, []int, []Tree) {
 			exit, trees := make([]int, n), make([]Tree, n)
-			stats, err := congest.Run(g, func(h *congest.Host) {
-				h.Idle(enter)
-				tr := BuildBFS(h)
-				exit[h.ID()] = h.Round()
-				trees[h.ID()] = Tree{Root: tr.Root, Depth: tr.Depth, Height: tr.Height, ParentPort: tr.ParentPort, ChildPorts: tr.ChildPorts}
+			stats, err := congest.RunDriven(g, func(h *congest.Host) (congest.Request, congest.Driver) {
+				tr := new(Tree)
+				return congest.Chain(
+					func() (congest.Request, congest.Driver) { return congest.Idle(enter), finished{} },
+					func() (congest.Request, congest.Driver) { return StartBFS(h, tr) },
+					func() (congest.Request, congest.Driver) {
+						exit[h.ID()] = h.Round()
+						trees[h.ID()] = Tree{Root: tr.Root, Depth: tr.Depth, Height: tr.Height, ParentPort: tr.ParentPort, ChildPorts: tr.ChildPorts}
+						return congest.Request{}, nil
+					})
 			}, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -107,11 +112,12 @@ func FuzzBuildBFS(f *testing.F) {
 
 // FuzzCollect decodes its input into a small network — a random tree or a
 // GNP graph, n <= 24 — and random per-node items, and runs one collect
-// pipeline on it: UpcastBroadcast without a filter, with a count-cap
-// filter, or with the filter plus a stopAfter cut, BroadcastList of the
-// root's items, or Max of each node's largest item. The fast-path run
-// must match the per-round engine (WithFastPath(false)) exactly: Stats,
-// every node's exit round, and every node's received items.
+// pipeline on it: StartUpcastBroadcast without a filter, with a
+// count-cap filter, or with the filter plus a stopAfter cut,
+// StartBroadcastList of the root's items, or StartMax of each node's
+// largest item. The fast-path run must match the per-round reference
+// (WithFastPath(false)) exactly: Stats, every node's exit round, and
+// every node's received items.
 func FuzzCollect(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 3, 7, 1, 200, 40})     // tree, no filter
 	f.Add([]byte{3, 22, 5, 4, 0, 0, 9, 2, 6})     // GNP, filter
@@ -133,7 +139,7 @@ func FuzzCollect(f *testing.F) {
 		mode := (data[0] >> 1) % 5
 		stopAt := int64(data[2])
 		sched := data[3:]
-		program := func(h *congest.Host, tr *Tree) []congest.Wire {
+		program := func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver, func() []congest.Wire) {
 			s := &byteSched{b: sched, i: 7 * h.ID()}
 			local := make([]congest.Wire, s.Intn(4))
 			for i := range local {
@@ -144,13 +150,15 @@ func FuzzCollect(f *testing.F) {
 				if !tr.IsRoot() {
 					local = nil
 				}
-				return BroadcastList(h, tr, local)
+				req, d := StartBroadcastList(h, tr, local)
+				return req, d, tr.Broadcasted
 			case 4:
 				v := int64(-1)
 				for _, it := range local {
 					v = max(v, it.C)
 				}
-				return []congest.Wire{intItem(int(Max(h, tr, v)))}
+				req, d := StartMax(h, tr, v)
+				return req, d, func() []congest.Wire { return []congest.Wire{intItem(int(tr.Maximum()))} }
 			}
 			var newFilter func() Filter
 			var stop func(congest.Wire) bool
@@ -168,7 +176,8 @@ func FuzzCollect(f *testing.F) {
 			if mode == 2 {
 				stop = func(x congest.Wire) bool { return x.C >= stopAt }
 			}
-			return UpcastBroadcast(h, tr, local, intItemCmp, newFilter, stop)
+			req, d := StartUpcastBroadcast(h, tr, local, intItemCmp, newFilter, stop)
+			return req, d, tr.Collected
 		}
 		want := observeCollect(t, g, program, congest.WithFastPath(false))
 		got := observeCollect(t, g, program)
@@ -193,14 +202,19 @@ type collectRun struct {
 }
 
 // observeCollect runs program after a BFS tree build on every node of g
-// and records Stats, each node's exit round and the items it returned.
-func observeCollect(t *testing.T, g *graph.Graph, program func(*congest.Host, *Tree) []congest.Wire, opts ...congest.Option) collectRun {
+// and records Stats, each node's exit round and the items its result
+// function reads once the program's driver is done.
+func observeCollect(t *testing.T, g *graph.Graph, program func(*congest.Host, *Tree) (congest.Request, congest.Driver, func() []congest.Wire), opts ...congest.Option) collectRun {
 	t.Helper()
 	r := collectRun{exit: make([]int, g.N()), items: make([][]congest.Wire, g.N())}
-	stats, err := congest.Run(g, func(h *congest.Host) {
-		got := program(h, BuildBFS(h))
-		r.exit[h.ID()], r.items[h.ID()] = h.Round(), slices.Clone(got)
-	}, opts...)
+	result := make([]func() []congest.Wire, g.N())
+	stats, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
+		req, d, res := program(h, tr)
+		result[h.ID()] = res
+		return req, d
+	}, then(func(h *congest.Host, _ *Tree) {
+		r.exit[h.ID()], r.items[h.ID()] = h.Round(), slices.Clone(result[h.ID()]())
+	})), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,15 @@ package dist
 
 import "steinerforest/internal/congest"
 
-// Step is one round of a RunQuiet protocol: it receives the payload
+// Step is one round of a StartQuiet protocol: it receives the payload
 // messages delivered last round and returns this round's sends plus an
 // activity flag. A step that returns no sends and reports inactive must
 // stay that way under empty input (no spontaneous reactivation) — receipt
 // of a message may reactivate it. The driver relies on this contract to
-// skip step calls (and park the node) through quiet stretches. A step
-// computes locally: it must not call the Host's blocking methods.
+// skip step calls (and park the node) through quiet stretches.
 type Step func(round int, in []congest.Recv) ([]congest.Send, bool)
 
-// RunQuiet drives step until the whole network is quiescent — every node
+// StartQuiet drives step until the whole network is quiescent — every node
 // inactive with nothing to send and no payload in flight — and returns on
 // all nodes in the same round. Communication rounds alternate between
 // payload rounds (even) and control rounds (odd): on control rounds, a
@@ -42,33 +41,22 @@ type Step func(round int, in []congest.Recv) ([]congest.Send, bool)
 // and a root with some child latch off waits for the arrival that
 // completes the set, which is also the wake that lets it detect.
 //
-// The slot loop is written as a congest.Driver — a four-state machine
-// (parked, payload, control, idle) whose Next returns each slot's blocking
-// call as a request. StartQuiet returns it; RunQuiet runs it with
-// Host.Drive. On the continuation scheduler the node's program therefore
-// suspends once, on entry, and is switched back into once, at the exit
-// (and, in a congest.RunDriven program, not at all); every payload,
-// control and park round in between is a direct Next call from the
-// scheduler, so step runs there too and must not call the Host's blocking
-// methods. Rounds, messages and step calls are those of the plain
-// Exchange loop under every engine configuration. The driver and its
-// buffers are cached on t, so repeated calls on one tree allocate nothing
-// of their own.
+// The slot loop is a congest.Driver — a four-state machine (parked,
+// payload, control, idle) whose Next returns each slot's request.
+// Rounds, messages and step calls are those of the plain Exchange loop
+// under every engine configuration. The driver and its buffers are cached
+// on t, so repeated calls on one tree allocate nothing of their own.
 //
-// The step's round counter counts payload rounds only.
-func RunQuiet(h *congest.Host, t *Tree, step Step) {
-	h.Drive(StartQuiet(h, t, step))
-}
-
-// StartQuiet is RunQuiet's start form: it returns the first request and
-// the driver of the quiescence loop. The driver releases step once it is
-// done. On a single-node network the loop runs to completion here.
+// The step's round counter counts payload rounds only. StartQuiet returns
+// the first request and the driver of the quiescence loop, which releases
+// step once it is done. On a single-node network the loop runs to
+// completion here.
 func StartQuiet(h *congest.Host, t *Tree, step Step) (congest.Request, congest.Driver) {
 	if h.N() <= 1 {
 		for p := 0; ; p++ {
 			out, active := step(p, nil)
 			if len(out) > 0 {
-				panic("dist: RunQuiet step sent on an edgeless graph")
+				panic("dist: StartQuiet step sent on an edgeless graph")
 			}
 			if !active {
 				return congest.Idle(0), finished{}
@@ -89,8 +77,8 @@ const (
 	qIdle                  // the idle-out to the common exit round
 )
 
-// quietDriver is RunQuiet's per-node state machine: the slot loop of its
-// defining Exchange loop, split at its four blocking points. The fields
+// quietDriver is StartQuiet's per-node state machine: the slot loop of its
+// defining Exchange loop, split at its four round barriers. The fields
 // up to ctrlBuf depend on the tree only and are reused by every call; the
 // rest is reset per call.
 type quietDriver struct {
@@ -119,7 +107,7 @@ type quietDriver struct {
 	sendExitAt, exitAt int
 }
 
-// quietDriver returns t's cached RunQuiet driver, reset for a call
+// quietDriver returns t's cached StartQuiet driver, reset for a call
 // starting now.
 func (t *Tree) quietDriver(h *congest.Host) *quietDriver {
 	q := t.quiet

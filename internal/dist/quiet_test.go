@@ -11,32 +11,51 @@ import (
 	"steinerforest/internal/graph"
 )
 
-// runQuietRef is RunQuiet's defining loop: the same edge-triggered
+// quietRef is StartQuiet's defining loop: the same edge-triggered
 // convergecast, but every node exchanges in every payload and control
-// round — no parking, no window reconstruction, no idle-out. RunQuiet
+// round — no parking, no window reconstruction, no idle-out. StartQuiet
 // must be observationally identical to it: the same Stats, the same exit
 // round, and the same step calls with the same inputs.
-func runQuietRef(h *congest.Host, t *Tree, step Step) {
-	root, nc := t.IsRoot(), len(t.ChildPorts)
-	lag := t.Height - t.Depth
-	var hist []bool // own quiet bit per payload slot
-	latched := map[int]bool{}
-	sent := false
-	exitAt, sendExitAt := -1, -1
-	out, active := step(0, nil)
-	for s := 0; ; s++ {
-		quiet := len(out) == 0 && !active
-		hist = append(hist, quiet)
-		pin := h.Exchange(out)
-		if quiet && len(pin) == 0 {
-			out, active = nil, false
+type quietRef struct {
+	h                  *congest.Host
+	t                  *Tree
+	step               Step
+	hist               []bool // own quiet bit per payload slot
+	latched            map[int]bool
+	sent               bool
+	exitAt, sendExitAt int
+	out                []congest.Send
+	active             bool
+	s                  int
+	control            bool // the pending exchange is slot s's control round
+}
+
+func startQuietRef(h *congest.Host, t *Tree, step Step) (congest.Request, congest.Driver) {
+	r := &quietRef{h: h, t: t, step: step, latched: map[int]bool{}, exitAt: -1, sendExitAt: -1}
+	r.out, r.active = step(0, nil)
+	return r.payload(), r
+}
+
+// payload returns slot s's payload round.
+func (r *quietRef) payload() congest.Request {
+	r.hist = append(r.hist, len(r.out) == 0 && !r.active)
+	r.control = false
+	return congest.Exchange(r.out)
+}
+
+func (r *quietRef) Next(in []congest.Recv) (congest.Request, bool) {
+	t, s := r.t, r.s
+	root, nc, lag := t.IsRoot(), len(t.ChildPorts), t.Height-t.Depth
+	if !r.control {
+		if r.hist[s] && len(in) == 0 {
+			r.out, r.active = nil, false
 		} else {
-			out, active = step(s+1, pin)
+			r.out, r.active = r.step(s+1, in)
 		}
 		var ctrl []congest.Send
-		if !root && exitAt < 0 && s >= lag {
-			if bit := hist[s-lag] && len(latched) == nc; bit != sent {
-				sent = bit
+		if !root && r.exitAt < 0 && s >= lag {
+			if bit := r.hist[s-lag] && len(r.latched) == nc; bit != r.sent {
+				r.sent = bit
 				k := wireQuietOff
 				if bit {
 					k = wireQuiet
@@ -44,28 +63,32 @@ func runQuietRef(h *congest.Host, t *Tree, step Step) {
 				ctrl = append(ctrl, congest.Send{Port: t.ParentPort, Wire: congest.Wire{Kind: k}})
 			}
 		}
-		if s == sendExitAt {
+		if s == r.sendExitAt {
 			for _, p := range t.ChildPorts {
 				ctrl = append(ctrl, congest.Send{Port: p, Wire: congest.Wire{Kind: wireExit}})
 			}
 		}
-		for _, rc := range h.Exchange(ctrl) {
-			switch rc.Wire.Kind {
-			case wireQuiet:
-				latched[rc.Port] = true
-			case wireQuietOff:
-				delete(latched, rc.Port)
-			case wireExit:
-				exitAt, sendExitAt = s+lag, s+1
-			}
-		}
-		if root && exitAt < 0 && s >= t.Height-1 && len(latched) == nc && hist[s-t.Height+1] {
-			exitAt, sendExitAt = s+t.Height, s+1
-		}
-		if exitAt >= 0 && s >= exitAt {
-			return
+		r.control = true
+		return congest.Exchange(ctrl), true
+	}
+	for _, rc := range in {
+		switch rc.Wire.Kind {
+		case wireQuiet:
+			r.latched[rc.Port] = true
+		case wireQuietOff:
+			delete(r.latched, rc.Port)
+		case wireExit:
+			r.exitAt, r.sendExitAt = s+lag, s+1
 		}
 	}
+	if root && r.exitAt < 0 && s >= t.Height-1 && len(r.latched) == nc && r.hist[s-t.Height+1] {
+		r.exitAt, r.sendExitAt = s+t.Height, s+1
+	}
+	if r.exitAt >= 0 && s >= r.exitAt {
+		return congest.Request{}, false
+	}
+	r.s++
+	return r.payload(), true
 }
 
 // stepCall is one observed call of a bursty step: its slot and engine
@@ -134,7 +157,7 @@ func burstyStepFrom(h *congest.Host, rng intner, lone bool, calls *[]stepCall) S
 	}
 }
 
-// quietRun is one node-by-node observation of a RunQuiet execution.
+// quietRun is one node-by-node observation of a quiescence loop.
 type quietRun struct {
 	stats *congest.Stats
 	exit  []int
@@ -142,21 +165,22 @@ type quietRun struct {
 	trees []*Tree
 }
 
-func observeQuiet(t *testing.T, g *graph.Graph, seed int64, run func(*congest.Host, *Tree, Step), opts ...congest.Option) quietRun {
+func observeQuiet(t *testing.T, g *graph.Graph, seed int64, run func(*congest.Host, *Tree, Step) (congest.Request, congest.Driver), opts ...congest.Option) quietRun {
 	t.Helper()
 	return observeSteps(t, g, func(h *congest.Host, calls *[]stepCall) Step { return burstyStep(h, seed, calls) }, run, opts...)
 }
 
-// observeSteps runs BuildBFS and then run with the step mk builds on every
-// node of g, recording each node's step calls and exit round.
-func observeSteps(t *testing.T, g *graph.Graph, mk func(*congest.Host, *[]stepCall) Step, run func(*congest.Host, *Tree, Step), opts ...congest.Option) quietRun {
+// observeSteps builds the BFS tree and then starts run with the step mk
+// builds on every node of g, recording each node's step calls and exit
+// round.
+func observeSteps(t *testing.T, g *graph.Graph, mk func(*congest.Host, *[]stepCall) Step, run func(*congest.Host, *Tree, Step) (congest.Request, congest.Driver), opts ...congest.Option) quietRun {
 	t.Helper()
 	r := quietRun{exit: make([]int, g.N()), calls: make([][]stepCall, g.N()), trees: make([]*Tree, g.N())}
-	stats, err := congest.Run(g, func(h *congest.Host) {
-		tr := BuildBFS(h)
-		run(h, tr, mk(h, &r.calls[h.ID()]))
+	stats, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
+		return run(h, tr, mk(h, &r.calls[h.ID()]))
+	}, then(func(h *congest.Host, tr *Tree) {
 		r.exit[h.ID()], r.trees[h.ID()] = h.Round(), tr
-	}, opts...)
+	})), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +231,8 @@ func (r quietRun) reactivatedTwiceInWindow() bool {
 
 // TestRunQuietMultiTransitionEquivalence drives bursty steps whose bits
 // toggle several times per reporting window, on broom, grid and GNP
-// graphs, and requires RunQuiet to match its defining loop exactly under
-// the default engine (RunQuiet driven by the scheduler) and the per-round
-// engine (WithFastPath(false)).
+// graphs, and requires StartQuiet to match its defining loop exactly under
+// the default engine and the per-round reference (WithFastPath(false)).
 func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 	broom := graph.New(45) // a 24-edge handle off node 0 plus 20 leaves
 	for v := 1; v < 45; v++ {
@@ -238,10 +261,10 @@ func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 		toggled := false
 		for seed := int64(0); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tg.name, seed), func(t *testing.T) {
-				ref := observeQuiet(t, tg.g, seed, runQuietRef)
+				ref := observeQuiet(t, tg.g, seed, startQuietRef)
 				toggled = toggled || ref.reactivatedTwiceInWindow()
 				for _, cfg := range configs {
-					sameRun(t, cfg.name, observeQuiet(t, tg.g, seed, RunQuiet, cfg.opts...), ref)
+					sameRun(t, cfg.name, observeQuiet(t, tg.g, seed, StartQuiet, cfg.opts...), ref)
 				}
 			})
 		}
@@ -251,10 +274,10 @@ func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunQuietStepPanic pins the driven path's failure mode: a step that
-// panics mid-RunQuiet — on the program's stack in slot 0, or inside the
-// scheduler's Driver call later — fails the run with the same error text
-// under every engine configuration.
+// TestRunQuietStepPanic pins the quiescence loop's failure mode: a step
+// that panics — in StartQuiet itself in slot 0, or inside a later Next —
+// fails the run with the same error text under every engine
+// configuration.
 func TestRunQuietStepPanic(t *testing.T) {
 	g := graph.Grid(4, 5, graph.UnitWeights)
 	configs := []struct {
@@ -267,15 +290,14 @@ func TestRunQuietStepPanic(t *testing.T) {
 	for _, slot := range []int{0, 3} {
 		const want = "congest: node 7 panicked: dist test: step panic"
 		for _, cfg := range configs {
-			_, err := congest.Run(g, func(h *congest.Host) {
-				tr := BuildBFS(h)
-				RunQuiet(h, tr, func(s int, _ []congest.Recv) ([]congest.Send, bool) {
+			_, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
+				return StartQuiet(h, tr, func(s int, _ []congest.Recv) ([]congest.Send, bool) {
 					if h.ID() == 7 && s == slot {
 						panic("dist test: step panic")
 					}
 					return nil, s < 5 // active through slot 4, sending nothing
 				})
-			}, cfg.opts...)
+			}), cfg.opts...)
 			if err == nil || err.Error() != want {
 				t.Errorf("slot %d, %s: err = %v, want %q", slot, cfg.name, err, want)
 			}

@@ -44,7 +44,7 @@ func (t *Tree) toParent(w congest.Wire) []congest.Send {
 	return t.sendBuf
 }
 
-// BuildBFS constructs the BFS spanning tree rooted at node 0 in O(D)
+// StartBFS constructs the BFS spanning tree rooted at node 0 in O(D)
 // rounds: a layered explore/accept flood builds levels and child sets, a
 // completion convergecast carries the maximum depth to the root, and a
 // final finish broadcast delivers the height with a synchronized exit (all
@@ -59,17 +59,8 @@ func (t *Tree) toParent(w congest.Wire) []congest.Send {
 // unjoined node has nothing to say until the flood reaches it, and a
 // joined one nothing between its accepts and its subtree completions.
 //
-// BuildBFS is StartBFS run with Host.Drive.
-func BuildBFS(h *congest.Host) *Tree {
-	t := new(Tree)
-	h.Drive(StartBFS(h, t))
-	return t
-}
-
-// StartBFS is BuildBFS's start form: it resets t and returns the first
-// request and the driver of the build, a congest.Driver (bfsBuild), so on
-// the continuation scheduler the node's program is switched into at most
-// once, at the exit. t is the node's BFS tree once the driver is done.
+// StartBFS resets t and returns the first request and the driver of the
+// build (bfsBuild); t is the node's BFS tree once the driver is done.
 func StartBFS(h *congest.Host, t *Tree) (congest.Request, congest.Driver) {
 	*t = Tree{Root: 0, ParentPort: -1}
 	if h.N() <= 1 {
@@ -102,8 +93,8 @@ const (
 	bfsIdle                  // the idle-out to the common exit round
 )
 
-// bfsBuild is BuildBFS's per-node state machine: its blocking schedule
-// split at the blocking points.
+// bfsBuild is StartBFS's per-node state machine: the build's schedule
+// split at its round barriers.
 type bfsBuild struct {
 	h        *congest.Host
 	t        *Tree

@@ -144,21 +144,13 @@ type Options struct {
 	Truncate bool
 }
 
-// Build constructs the embedding at every node: β broadcast from the BFS
-// root, L derived from a max-weight aggregate, optionally the high-rank set
-// S, then the pipelined LE-list computation run to global quiescence.
-//
-// Build is StartBuild run with Host.Drive.
-func Build(h *congest.Host, t *dist.Tree, opts Options) *Embedding {
-	emb := new(Embedding)
-	h.Drive(StartBuild(h, t, opts, emb))
-	return emb
-}
-
-// StartBuild is Build's start form: it draws the node's rank (and, at the
-// root, β) and returns the first request and the driver of the
-// construction, which runs the dist primitives' start forms in turn. emb
-// is the node's embedding once the driver is done.
+// StartBuild constructs the embedding at every node: β broadcast from the
+// BFS root, L derived from a max-weight aggregate, optionally the
+// high-rank set S, then the pipelined LE-list computation run to global
+// quiescence. It draws the node's rank (and, at the root, β) and returns
+// the first request and the driver of the construction, which runs the
+// dist primitives' start functions in turn. emb is the node's embedding
+// once the driver is done.
 func StartBuild(h *congest.Host, t *dist.Tree, opts Options, emb *Embedding) (congest.Request, congest.Driver) {
 	*emb = Embedding{
 		Rank:    Rank{Value: h.Rand().Int63(), Node: h.ID()},
@@ -184,7 +176,7 @@ const (
 	stageLE                  // the LE-list relaxation
 )
 
-// construction is StartBuild's per-node driver: Build's primitives in turn,
+// construction is StartBuild's per-node driver: its primitives in turn,
 // each driven to completion as sub before Next starts the next stage's.
 type construction struct {
 	h        *congest.Host
@@ -311,7 +303,7 @@ func (le *leLists) finish() {
 	le.emb.List = le.list
 }
 
-// leLists is a node's LE-list relaxation state, startLELists' RunQuiet
+// leLists is a node's LE-list relaxation state, startLELists' StartQuiet
 // step. A list holds O(log n) entries w.h.p., so it is a plain slice,
 // unordered until finish, searched linearly.
 type leLists struct {

@@ -3,7 +3,6 @@ package embed
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"steinerforest/internal/congest"
@@ -12,25 +11,22 @@ import (
 	"steinerforest/internal/rational"
 )
 
-type sink struct {
-	mu   sync.Mutex
-	embs map[int]*Embedding
-}
-
-func buildAll(t *testing.T, g *graph.Graph, opts Options, seed int64) map[int]*Embedding {
+// buildAll builds the BFS tree and then the embedding on every node of g
+// and returns each node's embedding.
+func buildAll(t *testing.T, g *graph.Graph, opts Options, seed int64) []*Embedding {
 	t.Helper()
-	s := &sink{embs: make(map[int]*Embedding)}
-	_, err := congest.Run(g, func(h *congest.Host) {
-		tr := dist.BuildBFS(h)
-		e := Build(h, tr, opts)
-		s.mu.Lock()
-		s.embs[h.ID()] = e
-		s.mu.Unlock()
+	embs := make([]*Embedding, g.N())
+	_, err := congest.RunDriven(g, func(h *congest.Host) (congest.Request, congest.Driver) {
+		tr, emb := new(dist.Tree), new(Embedding)
+		embs[h.ID()] = emb
+		return congest.Chain(
+			func() (congest.Request, congest.Driver) { return dist.StartBFS(h, tr) },
+			func() (congest.Request, congest.Driver) { return StartBuild(h, tr, opts, emb) })
 	}, congest.WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.embs
+	return embs
 }
 
 func TestLEListsMatchBruteForce(t *testing.T) {

@@ -19,8 +19,8 @@
 // selection — labels processed sequentially with no cross-label
 // multiplexing — as the O~(sk) comparison baseline of experiment T4.
 //
-// The node program is one congest.Driver run by congest.RunDriven, so no
-// node has a coroutine (see nodeState for its stages). The per-round
+// The node program is one congest.Driver run by congest.RunDriven (see
+// nodeState for its stages). The per-round
 // routing machinery is allocation-light: label sets are
 // sorted int slices (their sorted iteration is also what makes round and
 // message counts deterministic under a fixed seed), per-port queues are
@@ -157,7 +157,7 @@ func pairCmp(a, b congest.Wire) int {
 }
 
 // nodeState is one node's program, a congest.Driver run by
-// congest.RunDriven, so no node has a coroutine. Its stages are
+// congest.RunDriven. Its stages are
 //
 //	bfs → embed → labels → { census → route → back } → stageTwo
 //
@@ -466,7 +466,7 @@ func (ns *nodeState) delegate() (congest.Request, bool) {
 type chainKey struct{ lbl, dst int }
 
 // router is a node's Step 3c/3d state for one level of the first stage. It is
-// built once per node and reset per level, and its two RunQuiet steps
+// built once per node and reset per level, and its two StartQuiet steps
 // are bound once, so a level allocates only what its maps outgrow.
 type router struct {
 	ns          *nodeState

@@ -242,7 +242,7 @@ func (st *stageTwo) solve() (congest.Request, bool) {
 	return ns.drive(dist.StartQuiet(h, &ns.tree, st.walk))
 }
 
-// walk is the token walks' RunQuiet step: a node holding a token marks
+// walk is the token walks' StartQuiet step: a node holding a token marks
 // its Voronoi parent edge and passes the token up, once.
 func (st *stageTwo) walk(_ int, in []congest.Recv) ([]congest.Send, bool) {
 	got := false

@@ -24,7 +24,7 @@ type Spec struct {
 	//	rounded  Section 4.2 rounded radii, (2+ε)-approximation
 	//	rand     Section 5 randomized O(log n)-approximation
 	//	trunc    rand with the virtual tree cut at √n (the s > √n regime)
-	//	khan     the [14]-style sequential baseline (T4/A1 ablation)
+	//	khan     the [14]-style sequential baseline (T4 ablation)
 	//	central  centralized moat-growing oracle (no simulation)
 	Algorithm string
 
@@ -44,10 +44,12 @@ type Spec struct {
 	// EdgeTracking records per-edge traffic in Stats.EdgeBits.
 	EdgeTracking bool
 
-	// NoFastPath forces the simulator's idle/sleep fast paths off, making
-	// parked nodes spin through plain exchanges instead. Results are
-	// identical either way (the equivalence tests pin this); the knob
-	// exists for those tests and for perf A/B runs.
+	// NoFastPath runs the simulator's plain-loop reference: every node's
+	// driver runs inside a plain-loop driver that expands each park and
+	// relay request into the Exchange loop defining it, so every live node
+	// exchanges in every round. Results are identical either way (the
+	// equivalence tests pin this); the knob exists for those tests and for
+	// perf A/B runs.
 	NoFastPath bool
 
 	// NoCertificate skips the centralized dual-oracle run that computes
