@@ -10,7 +10,8 @@
 #                           BuildBFS, collect, the driven det/rounded solves,
 #                           the driven rand/trunc/khan solves, dyadic
 #                           arithmetic
-#   make bench-gate       - bench smoke + committed-snapshot drift gate
+#   make bench-gate       - bench smoke + committed-snapshot drift gate +
+#                           HEAD's fresh tables against the snapshot
 #   make smoke            - end-to-end CLI smoke (local ci only)
 #   make serve-smoke      - dsfserve self-test: closed-loop trace over HTTP
 #   make chaos-smoke      - robustness gate: dsfbench's R1 table (cancel
@@ -32,7 +33,7 @@ TOLERANCE ?= 25
 # past this.
 MEMTOLERANCE ?= 25
 
-.PHONY: ci build vet fmt test race fuzz-smoke bench baseline snapshot bench-smoke bench-compare bench-gate smoke serve-smoke chaos-smoke perf-selfcheck
+.PHONY: ci build vet fmt test race fuzz-smoke bench baseline snapshot bench-smoke bench-compare bench-head bench-gate smoke serve-smoke chaos-smoke perf-selfcheck
 
 ci: build vet fmt test race fuzz-smoke smoke serve-smoke chaos-smoke bench-gate perf-selfcheck
 
@@ -131,8 +132,33 @@ bench-compare:
 	rm -f bench-gate.bin; \
 	exit $$status
 
-# The CI bench job: fresh scheduler-identity smoke plus the snapshot gate.
-bench-gate: bench-smoke bench-compare
+# Gate HEAD itself, not just the committed pair: a fresh full dsfbench run
+# (about 15 s) compared against BENCH_pr10.json, with one dsfbench build
+# for both. Every correctness cell (rounds, messages, weights, ratios,
+# feasibility) must match the committed snapshot exactly, so a change
+# that moves a paper-table cell without re-recording the snapshots fails
+# here (exit 1). The fresh run's timing and memory come from whatever
+# machine runs the gate, so a timing-only trip (exit 3) is reported on
+# one line and passes; the committed pair above gates timing.
+bench-head:
+	@$(GO) build -o bench-head.bin ./cmd/dsfbench; \
+	./bench-head.bin -json > bench-head.json; \
+	status=$$?; \
+	if [ $$status -eq 0 ]; then \
+		./bench-head.bin -compare -tolerance $(TOLERANCE) -memtolerance $(MEMTOLERANCE) -report bench-head-report.txt BENCH_pr10.json bench-head.json > /dev/null 2>&1; \
+		status=$$?; \
+	fi; \
+	rm -f bench-head.bin; \
+	case $$status in \
+	0) echo "bench-head: HEAD reproduces BENCH_pr10.json";; \
+	3) echo "bench-head: correctness cells match BENCH_pr10.json; timing/memory check skipped (fresh run vs a snapshot from another run; see bench-head-report.txt)"; status=0;; \
+	*) echo "bench-head: HEAD drifts from BENCH_pr10.json (exit $$status); see bench-head-report.txt"; cat bench-head-report.txt 2>/dev/null;; \
+	esac; \
+	exit $$status
+
+# The CI bench job: fresh scheduler-identity smoke, the committed-pair
+# snapshot gate, and HEAD's correctness against the committed snapshot.
+bench-gate: bench-smoke bench-compare bench-head
 
 # Quick end-to-end smoke: the evaluation tables at reduced scale, one
 # full dsfrun through the Spec pipeline, and an instance-file round trip.

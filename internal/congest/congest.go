@@ -31,7 +31,7 @@
 // bulk to the next deadline — rounds in which nobody speaks cost no
 // scheduler work at all. Deadlines live in a min-heap, except those due
 // in the very round about to run (SleepUntil(Round()+1), Idle(1):
-// the quiescence loop's silent payload and control slots park this way), which go
+// the quiescence loop's silent slots park this way), which go
 // to a FIFO wake lane, kept in the arena, that the round's wake pass
 // drains before the heap; the commonest park costs an append instead of
 // a heap push and pop. The lane changes only the order in which one
@@ -484,10 +484,12 @@ func RunDriven(g *graph.Graph, start func(*Host) (Request, Driver), opts ...Opti
 	// Validate the budget against the registered wire kinds up front: a
 	// protocol whose fixed-shape messages cannot fit the budget would
 	// otherwise fail deep into the run, at the first send of the widest
-	// kind. (Payload-dependent kinds are still checked per message.)
-	if kind, bits := widestWireKind(); bits > o.bandwidth {
-		return nil, fmt.Errorf("%w: bandwidth %d bits is below the widest registered wire kind %d (%d bits); raise the budget to at least %d",
-			ErrBandwidth, o.bandwidth, kind, bits, bits)
+	// kind. Any payload may carry a control code, so the widest kind
+	// counts with its CtlBits. (Payload-dependent kinds are still checked
+	// per message.)
+	if kind, bits := widestWireKind(); bits+CtlBits > o.bandwidth {
+		return nil, fmt.Errorf("%w: bandwidth %d bits is below the widest registered wire kind %d (%d bits) plus its %d control bits; raise the budget to at least %d",
+			ErrBandwidth, o.bandwidth, kind, bits, CtlBits, bits+CtlBits)
 	}
 	n := g.N()
 	stats := &Stats{}
@@ -708,6 +710,9 @@ func RunDriven(g *graph.Graph, start func(*Host) (Request, Driver), opts ...Opti
 				}
 				b, ok := wireBits(snd.Wire)
 				if !ok {
+					if snd.Wire.Ctl >= 1<<CtlBits {
+						return nil, fmt.Errorf("congest: node %d sent control code %d, beyond %d bits", v, snd.Wire.Ctl, CtlBits)
+					}
 					return nil, fmt.Errorf("congest: node %d sent unregistered wire kind %d", v, snd.Wire.Kind)
 				}
 				if b > o.bandwidth {

@@ -174,6 +174,37 @@ func TestWireSendValidation(t *testing.T) {
 	}
 }
 
+// TestWireCtlBits: a control code rides on its payload message for
+// CtlBits more bits and no extra message, on the fast path and off; a
+// code beyond CtlBits fails the run.
+func TestWireCtlBits(t *testing.T) {
+	w := Wire{Kind: testWireFixed, Ctl: 3}
+	if got := w.Bits(); got != 48+CtlBits {
+		t.Fatalf("Bits with a control code = %d, want %d", got, 48+CtlBits)
+	}
+	g := graph.Path(2, graph.UnitWeights)
+	var got []Recv
+	stats := both(t, g, func(h *Host) (Request, Driver) {
+		return rounds(1, func(int) []Send { return []Send{{Port: 0, Wire: w}} }, func(_ int, in []Recv) {
+			if h.ID() == 1 {
+				got = append(got[:0], in...)
+			}
+		})
+	})
+	if stats.Messages != 2 || stats.Bits != 2*(48+CtlBits) || stats.MaxMessageBits != 48+CtlBits {
+		t.Fatalf("stats %+v, want 2 messages of %d bits", *stats, 48+CtlBits)
+	}
+	if len(got) != 1 || got[0].Wire != w {
+		t.Fatalf("delivered %v, want the wire with its code", got)
+	}
+	_, err := RunDriven(g, func(h *Host) (Request, Driver) {
+		return script(Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireFixed, Ctl: 1 << CtlBits}}}))
+	})
+	if err == nil || !strings.Contains(err.Error(), "control code") {
+		t.Fatalf("oversized control code: %v", err)
+	}
+}
+
 // TestAllAsleepFails: a network where every node sleeps unboundedly is a
 // protocol bug the fast path reports instead of spinning.
 func TestAllAsleepFails(t *testing.T) {

@@ -70,9 +70,9 @@ var burstQuiet = bfsThen(func(h *congest.Host, tr *dist.Tree) (congest.Request, 
 })
 
 // TestRunQuietResumeBudget pins what a quiet stretch costs the scheduler:
-// after one burst, RunQuiet parks every node until the next control slot
-// it must drive, instead of resuming it once per slot while its reporting
-// window drains. On the broom the per-slot ramp-down cost ~70 resumes per
+// after one burst, RunQuiet parks every node until the next slot it must
+// act in, instead of resuming it once per slot while its reporting window
+// drains. On the broom the per-slot ramp-down cost ~70 resumes per
 // node; the budget is 16.
 func TestRunQuietResumeBudget(t *testing.T) {
 	g := broom()
@@ -83,6 +83,35 @@ func TestRunQuietResumeBudget(t *testing.T) {
 		quiet, float64(quiet)/float64(g.N()), stats.Rounds, stats.Messages)
 	if budget := int64(16 * g.N()); quiet > budget {
 		t.Fatalf("RunQuiet cost %d resumes, budget %d (16 per node)", quiet, budget)
+	}
+}
+
+// TestRunQuietFloor pins the rounds of a quiescence loop that is quiet
+// from slot 0, on the broom (height h = 63): the deepest node reports
+// slot 0 in slot 0, each level up one slot later, so the root detects at
+// the end of slot h-1, and its exit wave reaches depth h by the end of
+// slot 2h-1: 2h = 126 rounds, one per slot.
+func TestRunQuietFloor(t *testing.T) {
+	g := broom()
+	const h = 63
+	bfs, err := congest.RunDriven(g, bfsThen(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent := bfsThen(func(host *congest.Host, tr *dist.Tree) (congest.Request, congest.Driver) {
+		if tr.Height != h {
+			t.Errorf("broom height %d, want %d", tr.Height, h)
+		}
+		return dist.StartQuiet(host, tr, func(int, []congest.Recv) ([]congest.Send, bool) { return nil, false })
+	})
+	for _, fast := range []bool{true, false} {
+		stats, err := congest.RunDriven(g, silent, congest.WithFastPath(fast))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.Rounds - bfs.Rounds; got != 2*h {
+			t.Errorf("fast path %v: quiet StartQuiet took %d rounds, want 2h = %d", fast, got, 2*h)
+		}
 	}
 }
 

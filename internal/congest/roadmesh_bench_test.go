@@ -14,8 +14,12 @@ import (
 // without the certificate oracle, so the figure is simulator and solver
 // time only — the A/B handle for scheduler changes such as the quiescence
 // loop's parking. Besides rounds it reports the scheduler's work per
-// solve, its submissions (one per request): 43,820 / 257,219 / 136,457
-// for det / rand / rounded.
+// solve, its submissions (one per request): 35,577 / 188,194 / 104,424
+// for det / rand / rounded, in 292 / 1,822 / 694 rounds. With a control
+// round after every payload round of the quiescence loop they took
+// 43,820 / 257,219 / 136,457 submissions and 397 / 2,916 / 1,013 rounds
+// (rand's then also ran a level-0 census, which now reads the label
+// census's stream instead).
 //
 // rounded runs 5 merge phases here for 19 threshold checks: it skips the
 // phases its collected streams prove empty, which took it from 20 phases,
@@ -23,12 +27,12 @@ import (
 // rounds, 136,457 submissions and 55–61 ms (2-vCPU VM, go1.24).
 //
 // B/op and allocs/op show the merge loop's per-phase cost. rounded runs
-// more merge phases than det's 1, yet allocates what det does (5.63 MB
+// more merge phases than det's 1, yet allocates what det does (5.60 MB
 // and about 42k allocations each on a 2-vCPU VM with go1.24): every node
 // re-borrows its moat-book replicas and its collect stream buffer each
 // phase instead of allocating them. Before that, rounded took 14.24 MB
 // and 197,916 allocations, against det's 5.75 MB and 48,414. rand takes
-// 5.91 MB and about 53k allocations: its driven collects reuse the
+// 5.86 MB and about 53k allocations: its driven collects reuse the
 // tree's stream buffer, each node's random source computes its one or
 // two draws without building math/rand's 4.9 KB state (see
 // congest.Host.Rand), each node's LE list is a slice, not two maps, and

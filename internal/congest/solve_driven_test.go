@@ -48,19 +48,19 @@ func checkSubmissions(t *testing.T, cases []solveCase) {
 }
 
 // TestDetSolveSubmissions pins the scheduler work of the Section 4
-// solvers, each one congest.RunDriven driver: det's 2,616 submissions
-// (one per request) on this instance, and rounded's 8,954, those of its
+// solvers, each one congest.RunDriven driver: det's 2,140 submissions
+// (one per request) on this instance, and rounded's 6,863, those of its
 // 6 run phases (it skips the threshold phases its collected streams
 // prove empty, which once ran as 18 phases and 25,011 submissions). Their
 // Stats match the per-round reference (WithFastPath(false)), which
-// submits far more (8,384 and 23,936): with the fast path off every park
+// submits far more (6,208 and 16,384): with the fast path off every park
 // is a loop of plain exchanges.
 func TestDetSolveSubmissions(t *testing.T) {
-	checkSubmissions(t, []solveCase{{"det", 2616}, {"rounded", 8954}})
+	checkSubmissions(t, []solveCase{{"det", 2140}, {"rounded", 6863}})
 }
 
 // TestRandSolveSubmissions pins the Section 5 solvers the same way:
-// rand, trunc and khan make 13,139, 20,603 and 31,473 submissions.
+// rand, trunc and khan make 9,893, 15,679 and 24,500 submissions.
 func TestRandSolveSubmissions(t *testing.T) {
-	checkSubmissions(t, []solveCase{{"rand", 13139}, {"trunc", 20603}, {"khan", 31473}})
+	checkSubmissions(t, []solveCase{{"rand", 9893}, {"trunc", 15679}, {"khan", 24500}})
 }

@@ -14,6 +14,15 @@ import "fmt"
 // which is what lets the collect pipelines' candidate items (a dyadic
 // weight plus an inducing edge plus a terminal pair) travel inline.
 //
+// Ctl is an in-band control code that rides on a payload message: a
+// protocol whose control plane runs alongside its payload rounds (the
+// quiescence loop's quiet transitions and exit wave in internal/dist)
+// attaches a code to a payload going out on the same port in the same
+// round instead of sending a message of its own. Codes lie in
+// [0, 1<<CtlBits), 0 meaning none; a nonzero code costs CtlBits bits on
+// top of the kind's width, in Bits() and in the engine's bandwidth check.
+// The field sits in the struct's padding, so a Wire is no larger for it.
+//
 // Every Kind must be registered before use (RegisterWireKind /
 // RegisterWireKindFunc); its entry in the width table defines Bits().
 // Kind 0 is reserved to mean "no wire message". To keep registrations
@@ -27,9 +36,13 @@ import "fmt"
 //	100+    tests and benchmarks
 type Wire struct {
 	Kind uint16
+	Ctl  uint8
 	A, B uint32
 	C, D int64
 }
+
+// CtlBits is the width of a nonzero Wire.Ctl code.
+const CtlBits = 2
 
 // maxWireKinds bounds the kind space; the width table is a flat array so
 // the per-message lookup is one indexed load.
@@ -72,17 +85,22 @@ func checkWireReg(kind uint16) {
 	}
 }
 
-// Bits returns the registered encoded width of w. It panics on
-// unregistered kinds.
+// Bits returns the registered encoded width of w, plus CtlBits when it
+// carries a control code. It panics on unregistered kinds and on codes
+// out of range.
 func (w Wire) Bits() int {
 	if b, ok := wireBits(w); ok {
 		return b
+	}
+	if w.Ctl >= 1<<CtlBits {
+		panic(fmt.Sprintf("congest: wire control code %d out of range", w.Ctl))
 	}
 	panic(fmt.Sprintf("congest: wire kind %d not registered", w.Kind))
 }
 
 // widestWireKind returns the widest registered fixed-width kind and its
-// width. RunDriven validates the bandwidth budget against it at setup, so a
+// width. RunDriven validates the bandwidth budget against it plus CtlBits
+// (any payload may carry a control code) at setup, so a
 // protocol whose registered messages cannot fit the budget fails
 // immediately with a clear error instead of deep into the run. Kinds with
 // payload-dependent widths cannot be pre-validated; they are still checked
@@ -103,11 +121,18 @@ func wireBits(w Wire) (int, bool) {
 	if w.Kind == 0 || w.Kind >= maxWireKinds {
 		return 0, false
 	}
+	ctl := 0
+	if w.Ctl != 0 {
+		if w.Ctl >= 1<<CtlBits {
+			return 0, false
+		}
+		ctl = CtlBits
+	}
 	if b := wireFixed[w.Kind]; b > 0 {
-		return int(b), true
+		return int(b) + ctl, true
 	}
 	if fn := wireFn[w.Kind]; fn != nil {
-		return fn(w), true
+		return fn(w) + ctl, true
 	}
 	return 0, false
 }

@@ -118,6 +118,64 @@ func TestSolveMatchesCentralizedOracle(t *testing.T) {
 	}
 }
 
+// tieFree reports whether ins has distinct edge weights and distinct
+// shortest-path distances between its terminals.
+func tieFree(ins *steiner.Instance) bool {
+	seen := make(map[int64]bool)
+	for _, e := range ins.G.Edges() {
+		if seen[e.Weight] {
+			return false
+		}
+		seen[e.Weight] = true
+	}
+	clear(seen)
+	ts := ins.Terminals()
+	for i, u := range ts {
+		sp := ins.G.Dijkstra(u)
+		for _, v := range ts[i+1:] {
+			if seen[sp.Dist[v]] {
+				return false
+			}
+			seen[sp.Dist[v]] = true
+		}
+	}
+	return true
+}
+
+// TestSolveWithinOracleForest pins what det guarantees against the
+// centralized oracle on every tie-free instance: its forest is a subset
+// of the oracle's unpruned Raw forest, and its weight lies between the
+// oracle's pruned output and Raw. (It equals the pruned weight on most
+// instances but not all; see TestSolveKeepsWholeMerges.) 500 random
+// connected instances, n = 8..24, k = 1..3.
+func TestSolveWithinOracleForest(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 500; {
+		n := 8 + rng.Intn(17)
+		ins := randomInstance(rng, n, 1+rng.Intn(3), 1_000_000)
+		if !ins.G.Connected() || !tieFree(ins) {
+			continue
+		}
+		trial++
+		oracle, err := moat.SolveAKR(ins)
+		if err != nil {
+			t.Fatalf("trial %d oracle: %v", trial, err)
+		}
+		got, err := Solve(ins)
+		if err != nil {
+			t.Fatalf("trial %d distributed: %v", trial, err)
+		}
+		for _, e := range got.Solution.Edges() {
+			if !oracle.Raw.Contains(e) {
+				t.Fatalf("trial %d (n=%d): edge %d is not in the oracle's Raw forest %v", trial, n, e, oracle.Raw.Edges())
+			}
+		}
+		if w, raw := got.Solution.Weight(ins.G), oracle.Raw.Weight(ins.G); w < oracle.Weight || w > raw {
+			t.Fatalf("trial %d (n=%d): weight %d outside [pruned %d, raw %d]", trial, n, w, oracle.Weight, raw)
+		}
+	}
+}
+
 // TestSolveKeepsWholeMerges pins a tie-free instance (distinct edge
 // weights, distinct terminal distances) on which the emulation's forest
 // is heavier than the oracle's output. Both accept the merges 1–7, 1–4,
@@ -139,15 +197,8 @@ func TestSolveKeepsWholeMerges(t *testing.T) {
 	ins := steiner.NewInstance(g)
 	ins.SetComponent(0, 1, 3, 7)
 	ins.SetComponent(1, 4, 6)
-	seen := make(map[int64]bool)
-	for i, u := range ins.Terminals() {
-		sp := g.Dijkstra(u)
-		for _, v := range ins.Terminals()[i+1:] {
-			if seen[sp.Dist[v]] {
-				t.Fatalf("tied terminal distance %d", sp.Dist[v])
-			}
-			seen[sp.Dist[v]] = true
-		}
+	if !tieFree(ins) {
+		t.Fatal("the instance has a tied edge weight or terminal distance")
 	}
 	oracle, err := moat.SolveAKR(ins)
 	if err != nil {

@@ -42,7 +42,8 @@ type BFResult struct {
 // Offers travel as wire values (source id plus the dyadic distance packed
 // into the denominator-exponent/numerator slots) and the flush reuses one
 // send buffer; the relaxation state is cached on t, so repeated runs on
-// one tree allocate nothing. Settled nodes park between control slots.
+// one tree allocate nothing. Settled nodes park between the quiescence
+// slots they must act in.
 //
 // StartBellmanFord returns the first request and the driver of the run
 // (StartQuiet's, over the relaxation step); t.BF() is the node's result

@@ -18,7 +18,7 @@
 // The primitives are written against the engine's event-driven fast paths:
 // a node whose role in the current phase is over (an unjoined BFS node, a
 // subtree that finished its upcast, a settled Bellman-Ford region, which
-// sleeps straight to the next quiescence-control slot it must drive)
+// sleeps straight to the next quiescence slot it must act in)
 // parks with a Sleep, SleepUntil or Idle request instead of spinning
 // through empty exchanges. The message schedule is exactly the one the
 // plain Exchange loops would produce — the parked rounds are rounds the

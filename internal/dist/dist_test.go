@@ -297,7 +297,7 @@ func TestRunQuietTokenDiffusion(t *testing.T) {
 	has := make([]bool, g.N())
 	_, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
 		// A token starts at node 0 and hops to the right end, one edge per
-		// payload round; quiescence must not fire before it arrives.
+		// slot; quiescence must not fire before it arrives.
 		has[h.ID()] = h.ID() == 0
 		step := func(_ int, in []congest.Recv) ([]congest.Send, bool) {
 			for _, rc := range in {

@@ -27,14 +27,18 @@ func (s *byteSched) Intn(n int) int {
 
 // FuzzRunQuiet decodes its input into a small network — a random tree or
 // a GNP graph, n <= 24 — and a bursty per-node activity schedule, and
-// requires StartQuiet on the fast path to match the per-round reference
-// (WithFastPath(false)) exactly: Stats, every node's exit round, and every
-// node's step calls.
+// requires StartQuiet on the fast path and under the per-round reference
+// (WithFastPath(false)) to match its defining loop (quietRef) exactly:
+// Stats, every node's exit round, and every node's step calls.
 func FuzzRunQuiet(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 0, 3, 7, 1})
 	f.Add([]byte{1, 22, 5, 4, 0, 0, 9, 2, 6})
 	f.Add([]byte{2, 16, 3})
 	f.Add([]byte{3, 0, 0, 12, 200, 31})
+	// A transition rides on a payload to the parent: a random tree, and a
+	// GNP graph.
+	f.Add([]byte{0, 15, 5, 0, 3, 7, 1, 2, 5})
+	f.Add([]byte{1, 9, 4, 0, 3, 7, 1, 2, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -50,7 +54,8 @@ func FuzzRunQuiet(f *testing.F) {
 		mk := func(h *congest.Host, calls *[]stepCall) Step {
 			return burstyStepFrom(h, &byteSched{b: sched, i: 7 * h.ID()}, lone, calls)
 		}
-		want := observeSteps(t, g, mk, StartQuiet, congest.WithFastPath(false))
+		want := observeSteps(t, g, mk, startQuietRef)
+		sameRun(t, "nofast", observeSteps(t, g, mk, StartQuiet, congest.WithFastPath(false)), want)
 		sameRun(t, "driven", observeSteps(t, g, mk, StartQuiet), want)
 	})
 }

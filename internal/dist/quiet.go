@@ -12,45 +12,45 @@ type Step func(round int, in []congest.Recv) ([]congest.Send, bool)
 
 // StartQuiet drives step until the whole network is quiescent — every node
 // inactive with nothing to send and no payload in flight — and returns on
-// all nodes in the same round. Communication rounds alternate between
-// payload rounds (even) and control rounds (odd): on control rounds, a
-// pipelined convergecast of per-round quietness bits flows up the BFS tree
-// (a node at depth d reports payload round rr at control slot
-// rr + height - d, so the root sees a consistent global snapshot of every
-// payload round), and once the root observes a globally quiet round it
-// broadcasts a synchronized exit.
+// all nodes in the same round. Each slot is one communication round: the
+// step's payload and, in the same round, a pipelined convergecast of
+// per-slot quietness bits up the BFS tree (a node at depth d reports
+// payload slot rr at slot rr + height - d, so the root sees a consistent
+// global snapshot of every payload slot); once the root observes a
+// globally quiet slot it broadcasts a synchronized exit. A P-slot run
+// therefore takes about P + 2·height rounds.
 //
 // Quietness reporting is edge-triggered: the conceptual per-slot bit
 // stream between a node and its parent is transmitted as its transitions
-// only — wireQuiet when the subtree's bit turns on, wireQuietOff when it
-// turns off — and the parent latches the current value per child. The
-// latched counts reproduce the level-triggered per-slot counts exactly, so
-// the detection and exit slots (hence Stats.Rounds) are unchanged, while a
-// quiet subtree stops paying one message per control slot: in a steady
-// state, control traffic is zero.
+// only — quiet when the subtree's bit turns on, quiet-off when it turns
+// off — and the parent latches the current value per child. The latched
+// counts reproduce the level-triggered per-slot counts exactly, while a
+// quiet subtree pays nothing for the slots in which its bit holds.
+//
+// Transitions and the exit wave ride on their port's payload message as
+// its Wire.Ctl code (congest.CtlBits more bits, no extra message), or go
+// as a control-only wire on a port without one. The step sees its inbox
+// with the codes stripped and the control-only wires dropped.
 //
 // The edge-triggering is also what lets nodes park: between transitions a
-// node has nothing to send. A payload-quiet node computes the next control
-// slot it must drive assuming no mail arrives — its next bit transition
-// as its reporting window drains, or, at the root, the detection slot —
-// and sleeps until that slot's payload round, instead of stepping through
-// the empty slots before it. Mail (payload, a child's transition, the exit
-// wave) wakes it early; it marks the parked slots quiet and plans again.
-// With no due slot at all it sleeps unboundedly: a quiet subtree whose
-// latest transition is on the wire costs nothing until something changes,
-// and a root with some child latch off waits for the arrival that
-// completes the set, which is also the wake that lets it detect.
+// node has nothing to send. A payload-quiet node computes the next slot
+// it must act in assuming no mail arrives — its next bit transition as
+// its reporting window drains, or, at the root, the slot after its
+// detection — and sleeps until that slot starts, instead of stepping
+// through the empty slots before it. Mail (payload, a child's transition,
+// the exit wave) wakes it early; it marks the parked slots quiet and plans
+// again. With no due slot at all it sleeps unboundedly: a quiet subtree
+// whose latest transition is on the wire costs nothing until something
+// changes, and a root with some child latch off waits for the arrival
+// that completes the set, which is also the wake that lets it detect.
 //
-// The slot loop is a congest.Driver — a four-state machine (parked,
-// payload, control, idle) whose Next returns each slot's request.
-// Rounds, messages and step calls are those of the plain Exchange loop
-// under every engine configuration. The driver and its buffers are cached
-// on t, so repeated calls on one tree allocate nothing of their own.
-//
-// The step's round counter counts payload rounds only. StartQuiet returns
-// the first request and the driver of the quiescence loop, which releases
-// step once it is done. On a single-node network the loop runs to
-// completion here.
+// The slot loop is a congest.Driver whose Next ends the slot whose round
+// just completed (one resume per slot the node is awake in) and returns
+// the next slot's request. Rounds, messages and step calls are those of
+// the plain Exchange loop under every engine configuration. The driver is
+// cached on t and releases step once it is done. The step's round counter
+// counts slots. StartQuiet returns the first request and the driver; on a
+// single-node network the loop runs to completion here.
 func StartQuiet(h *congest.Host, t *Tree, step Step) (congest.Request, congest.Driver) {
 	if h.N() <= 1 {
 		for p := 0; ; p++ {
@@ -69,36 +69,37 @@ func StartQuiet(h *congest.Host, t *Tree, step Step) (congest.Request, congest.D
 	return q.slot(), q
 }
 
-// quietDriver states: the request the node is waiting on.
+// The quiescence loop's control codes, carried as a payload's Wire.Ctl;
+// ctlKind maps each to the control-only wire kind it travels as on a port
+// without payload.
 const (
-	qParked  = uint8(iota) // a park through quiet slots
-	qPayload               // slot s's payload round
-	qControl               // slot s's control round
-	qIdle                  // the idle-out to the common exit round
+	ctlQuiet    = uint8(1 + iota) // the subtree's quiet bit turned on
+	ctlQuietOff                   // the subtree's quiet bit turned off
+	ctlExit                       // the synchronized exit wave
 )
 
-// quietDriver is StartQuiet's per-node state machine: the slot loop of its
-// defining Exchange loop, split at its four round barriers. The fields
-// up to ctrlBuf depend on the tree only and are reused by every call; the
-// rest is reset per call.
+var ctlKind = [...]uint16{ctlQuiet: wireQuiet, ctlQuietOff: wireQuietOff, ctlExit: wireExit}
+
+// quietDriver is StartQuiet's per-node state machine. The fields up to
+// buf0 are reused by every call; the rest is reset per call.
 type quietDriver struct {
 	h    *congest.Host
 	t    *Tree
 	step Step
 
-	lag     int             // height - depth: the reporting delay of own bits
-	d       int             // the delay nextDue scans: lag, or height-1 at the root
-	hist    []bool          // ownQuiet for payload slots s-lag..s
-	chq     []bool          // per port: the child's latched quiet bit
-	ctrl    []congest.Send  // the control round's sends
-	ctrlBuf [4]congest.Send // ctrl's initial backing
+	lag  int             // height - depth: the reporting delay of own bits
+	d    int             // the delay nextDue scans: lag, or height-1 at the root
+	hist []bool          // ownQuiet for payload slots s-lag..s
+	chq  []bool          // per port: the child's latched quiet bit
+	buf  []congest.Send  // a slot's payload with its control codes merged in
+	buf0 [4]congest.Send // buf's initial backing
 
-	state  uint8
 	r0     int
-	s      int
+	s      int            // the slot opened last
 	out    []congest.Send // step(s, ...)'s sends and activity
 	active bool
 	quiet  bool // slot s's own quiet bit
+	idle   bool // idling out to the common exit round
 	count  int  // = number of set latches
 	sent   bool // the bit our parent currently latches for us
 	// exitAt is the slot this node returns at, set once the exit wave
@@ -115,7 +116,7 @@ func (t *Tree) quietDriver(h *congest.Host) *quietDriver {
 		q = &quietDriver{h: h, t: t, lag: t.Height - t.Depth}
 		bits := make([]bool, q.lag+1+h.Degree())
 		q.hist, q.chq = bits[:q.lag+1], bits[q.lag+1:]
-		q.ctrl = q.ctrlBuf[:0]
+		q.buf = q.buf0[:0]
 		q.d = q.lag
 		if t.IsRoot() {
 			q.d = t.Height - 1 // depth-1 children report payload slot t-height+1
@@ -125,37 +126,53 @@ func (t *Tree) quietDriver(h *congest.Host) *quietDriver {
 		clear(q.hist)
 		clear(q.chq)
 	}
-	q.r0, q.s = h.Round(), 0
+	q.r0, q.s, q.idle = h.Round(), 0, false
 	q.count, q.sent = 0, false
 	q.sendExitAt, q.exitAt = -1, -1
 	return q
 }
 
-// Next completes the request the node was waiting on and returns the
-// next one.
+// Next ends the slot whose round just completed — slots the node parked
+// through were payload-silent — and returns the next slot's request.
 func (q *quietDriver) Next(in []congest.Recv) (congest.Request, bool) {
-	switch q.state {
-	case qParked:
-		return q.woke(in)
-	case qPayload:
-		return q.payload(in), true
-	case qControl:
-		if q.control(in) {
-			return q.done()
-		}
-		if q.exitAt >= 0 && q.s >= q.sendExitAt && len(q.out) == 0 && !q.active {
-			// The exit wave is forwarded and the network is globally
-			// quiet: the remaining slots are pure waiting for the deepest
-			// nodes to be reached. Idle straight to the common exit round
-			// — stray child transitions arriving meanwhile are discarded
-			// unread, which is what the loop would have done with them.
-			q.state = qIdle
-			return congest.Idle(q.r0 + 2*q.exitAt + 2 - q.h.Round()), true
-		}
-		q.s++
-		return q.slot(), true
+	if q.idle {
+		return q.done() // the common exit round
 	}
-	return q.done() // qIdle: the common exit round
+	se := q.h.Round() - q.r0 - 1
+	// Parked slots were payload-silent: mark them quiet.
+	for j := q.s + 1; j <= se && j <= q.s+q.lag+1; j++ {
+		q.hist[j%(q.lag+1)] = true
+	}
+	q.s = se
+	// Latch the control, step on the payload unless the Step contract
+	// says a quiet node stays quiet, then run the root's detection.
+	pin := q.control(in)
+	if q.quiet && len(pin) == 0 {
+		q.out, q.active = nil, false
+	} else {
+		q.out, q.active = q.step(q.s+1, pin)
+	}
+	if q.t.IsRoot() && q.exitAt < 0 {
+		// Children (depth 1) report payload slot s-(height-1) in slot s.
+		if rrc := q.s - q.d; rrc >= 0 && q.count == len(q.t.ChildPorts) && q.hist[rrc%(q.lag+1)] {
+			q.sendExitAt, q.exitAt = q.s+1, q.s+q.t.Height
+		}
+	}
+	if q.exitAt >= 0 && q.s >= q.exitAt {
+		return q.done()
+	}
+	if q.exitAt >= 0 && (q.s >= q.sendExitAt || len(q.t.ChildPorts) == 0) && len(q.out) == 0 && !q.active {
+		// The exit wave is forwarded (a leaf has none to forward) and the
+		// network is globally quiet: the remaining slots are pure waiting
+		// for the deepest nodes to be reached. Idle straight to the common
+		// exit round — stray child transitions arriving meanwhile are
+		// discarded unread, which is what the loop would have done with
+		// them.
+		q.idle = true
+		return congest.Idle(q.r0 + q.exitAt + 1 - q.h.Round()), true
+	}
+	q.s++
+	return q.slot(), true
 }
 
 // done ends the call, releasing the step's captures.
@@ -164,135 +181,116 @@ func (q *quietDriver) done() (congest.Request, bool) {
 	return congest.Request{}, false
 }
 
-// slot opens payload slot s, whose step output is already in out/active,
-// and returns the request for its payload round.
-//
-// Steady state: a payload-quiet node parks until the next control round
-// it must drive — its next bit transition, or the root's detection — or
-// until mail (payload, a child's transition, the exit wave) changes that
-// schedule. Every slot in between would be an empty payload round and a
-// silent control round, so sleeping through them is exactly the loop's
-// behavior.
+// slot opens slot s, whose step output is already in out/active, and
+// returns the request for its round: the payload with this slot's control
+// merged in, a silent round, or, for a payload-quiet node with nothing
+// due, a park until the slot nextDue names or until mail arrives. Every
+// slot in between would be a silent round, so sleeping through them is
+// exactly the loop's behavior.
 func (q *quietDriver) slot() congest.Request {
 	q.quiet = len(q.out) == 0 && !q.active
 	q.hist[q.s%(q.lag+1)] = q.quiet
-	due := q.s
 	if q.quiet && q.exitAt < 0 {
-		due = q.nextDue(q.s)
-	}
-	if due != q.s {
-		q.state = qParked
-		if due < 0 {
-			return congest.Sleep()
+		if due := q.nextDue(q.s); due != q.s {
+			if due < 0 {
+				return congest.Sleep()
+			}
+			return congest.SleepUntil(q.r0 + due)
 		}
-		return congest.SleepUntil(q.r0 + 2*due + 1)
 	}
-	q.state = qPayload
-	if len(q.out) > 0 {
-		return congest.Exchange(q.out)
+	if out := q.sends(); len(out) > 0 {
+		return congest.Exchange(out)
 	}
 	return congest.SleepUntil(q.h.Round() + 1)
 }
 
-// woke resumes a parked node in the round that ended its park.
-func (q *quietDriver) woke(in []congest.Recv) (congest.Request, bool) {
-	rel := q.h.Round() - q.r0 - 1 // the deviating round, relative
-	sw := rel / 2
-	// Parked slots were payload-silent: mark them quiet, keeping the
-	// surviving older window entries.
-	for j := q.s + 1; j <= sw && j <= q.s+q.lag+1; j++ {
-		q.hist[j%(q.lag+1)] = true
-	}
-	q.s = sw
-	if rel%2 == 0 {
-		// Woken in the payload round of slot s, by payload mail or at the
-		// deadline (in == nil): in is payload input.
-		return q.payload(in), true
-	}
-	// Woken in the control round of slot s (a child's transition, or the
-	// exit wave): s precedes our due slot, so nothing of ours was due;
-	// latch the arrivals, which take effect from slot s+1. The node parked
-	// quiet, so out/active still say so.
-	if q.control(in) {
-		return q.done()
-	}
-	q.s++
-	return q.slot(), true
-}
-
-// payload consumes slot s's payload inbox — stepping unless the Step
-// contract says a quiet node stays quiet — and returns the request for
-// slot s's control round: our bit's transition, if any, and the exit wave
-// when it is due.
-func (q *quietDriver) payload(pin []congest.Recv) congest.Request {
-	if q.quiet && len(pin) == 0 {
-		q.out, q.active = nil, false
-	} else {
-		q.out, q.active = q.step(q.s+1, pin)
-	}
-	q.state = qControl
-	q.ctrl = q.ctrl[:0]
+// sends returns slot s's sends: the step's payload plus our bit's
+// transition for payload slot s-lag, if any, and the exit wave when it is
+// due, each riding on the payload of its port when there is one.
+func (q *quietDriver) sends() []congest.Send {
+	var up uint8
 	if rr := q.s - q.lag; !q.t.IsRoot() && q.exitAt < 0 && rr >= 0 {
 		if bit := q.hist[rr%(q.lag+1)] && q.count == len(q.t.ChildPorts); bit != q.sent {
 			q.sent = bit
-			k := wireQuietOff
+			up = ctlQuietOff
 			if bit {
-				k = wireQuiet
+				up = ctlQuiet
 			}
-			q.ctrl = append(q.ctrl, congest.Send{Port: q.t.ParentPort, Wire: congest.Wire{Kind: k}})
 		}
 	}
-	if q.s == q.sendExitAt {
+	exit := q.s == q.sendExitAt
+	if up == 0 && !exit {
+		return q.out
+	}
+	q.buf = append(q.buf[:0], q.out...)
+	if up != 0 {
+		q.attach(q.t.ParentPort, up)
+	}
+	if exit {
 		for _, p := range q.t.ChildPorts {
-			q.ctrl = append(q.ctrl, congest.Send{Port: p, Wire: congest.Wire{Kind: wireExit}})
+			q.attach(p, ctlExit)
 		}
 	}
-	if len(q.ctrl) > 0 {
-		return congest.Exchange(q.ctrl)
-	}
-	return congest.SleepUntil(q.h.Round() + 1)
+	return q.buf
 }
 
-// control latches slot s's control inbox — child transitions update the
-// per-child bits, the exit wave schedules the exit — runs the root's
-// detection, and reports whether the node returns now.
-func (q *quietDriver) control(in []congest.Recv) bool {
+// attach puts control code c on port's payload in buf, or appends a
+// control-only wire when the port carries none.
+func (q *quietDriver) attach(port int, c uint8) {
+	for i := range q.buf {
+		if q.buf[i].Port == port {
+			q.buf[i].Wire.Ctl = c
+			return
+		}
+	}
+	q.buf = append(q.buf, congest.Send{Port: port, Wire: congest.Wire{Kind: ctlKind[c]}})
+}
+
+// control latches slot s's control arrivals — child transitions update the
+// per-child bits, the exit wave schedules the exit — and returns the
+// payload messages of in, stripped of their codes, in place.
+func (q *quietDriver) control(in []congest.Recv) []congest.Recv {
+	pin := in[:0]
 	for _, rc := range in {
-		switch rc.Wire.Kind {
-		case wireQuiet:
-			if !q.chq[rc.Port] {
-				q.chq[rc.Port] = true
-				q.count++
-			}
-		case wireQuietOff:
-			if q.chq[rc.Port] {
-				q.chq[rc.Port] = false
-				q.count--
+		k := rc.Wire.Kind
+		if c := rc.Wire.Ctl; c != 0 {
+			k, rc.Wire.Ctl = ctlKind[c], 0
+			pin = append(pin, rc)
+		} else if k != wireQuiet && k != wireQuietOff && k != wireExit {
+			pin = append(pin, rc)
+		}
+		switch on := k == wireQuiet; k {
+		case wireQuiet, wireQuietOff:
+			if q.chq[rc.Port] != on {
+				q.chq[rc.Port] = on
+				if on {
+					q.count++
+				} else {
+					q.count--
+				}
 			}
 		case wireExit:
 			q.exitAt, q.sendExitAt = q.s+q.lag, q.s+1
 		}
 	}
-	if q.t.IsRoot() && q.exitAt < 0 {
-		// Children (depth 1) report payload round s-(height-1) at slot s.
-		if rrc := q.s - q.d; rrc >= 0 && q.count == len(q.t.ChildPorts) && q.hist[rrc%(q.lag+1)] {
-			q.sendExitAt, q.exitAt = q.s+1, q.s+q.t.Height
-		}
-	}
-	return q.exitAt >= 0 && q.s >= q.exitAt
+	return pin
 }
 
-// nextDue returns the first slot t >= s whose control round this node
-// must drive, assuming no mail arrives and every payload slot after s is
-// quiet, or -1 if there is none: for a non-root node its next bit
-// transition, for the root its detection slot. Control slot t reports
-// payload slot t-d, and nextDue is only asked at a quiet slot s, so from
-// slot s+d on the reported bit is constant and the scan is bounded.
+// nextDue returns the first slot u >= s this node must act in, assuming
+// no mail arrives and every payload slot after s is quiet, or -1 if there
+// is none: for a non-root node the slot that carries its next bit
+// transition, for the root the slot after its detection slot, whose
+// start is the end of the detection slot. Slot t reports payload slot
+// t-d, and nextDue is only asked at a quiet slot s, so from slot s+d on
+// the reported bit is constant and the scan is bounded.
 func (q *quietDriver) nextDue(s int) int {
 	full, root := q.count == len(q.t.ChildPorts), q.t.IsRoot()
 	for t := max(s, q.d); t <= s+q.d; t++ {
 		bit := full && q.hist[(t-q.d)%(q.lag+1)]
-		if root && bit || !root && bit != q.sent {
+		if root && bit {
+			return t + 1
+		}
+		if !root && bit != q.sent {
 			return t
 		}
 	}

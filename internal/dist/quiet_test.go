@@ -12,10 +12,13 @@ import (
 )
 
 // quietRef is StartQuiet's defining loop: the same edge-triggered
-// convergecast, but every node exchanges in every payload and control
-// round — no parking, no window reconstruction, no idle-out. StartQuiet
-// must be observationally identical to it: the same Stats, the same exit
-// round, and the same step calls with the same inputs.
+// convergecast in one lane, but every node exchanges in every slot — no
+// parking, no window reconstruction, no idle-out. Each slot is one round
+// carrying the step's payload and the slot's control: a transition or
+// the exit wave rides on its port's payload as a Wire.Ctl code, or goes
+// alone when the port has none. StartQuiet must be observationally
+// identical to it: the same Stats, the same exit round, and the same step
+// calls with the same inputs.
 type quietRef struct {
 	h                  *congest.Host
 	t                  *Tree
@@ -27,68 +30,91 @@ type quietRef struct {
 	out                []congest.Send
 	active             bool
 	s                  int
-	control            bool // the pending exchange is slot s's control round
 }
+
+// refCtl is the reference's control-only wire kind per control code.
+var refCtl = map[uint8]uint16{ctlQuiet: wireQuiet, ctlQuietOff: wireQuietOff, ctlExit: wireExit}
+
+// refMerges counts the control codes the reference sent riding on a
+// payload message, so tests can require that their runs exercise the
+// merge.
+var refMerges int
 
 func startQuietRef(h *congest.Host, t *Tree, step Step) (congest.Request, congest.Driver) {
 	r := &quietRef{h: h, t: t, step: step, latched: map[int]bool{}, exitAt: -1, sendExitAt: -1}
 	r.out, r.active = step(0, nil)
-	return r.payload(), r
+	return r.slot(), r
 }
 
-// payload returns slot s's payload round.
-func (r *quietRef) payload() congest.Request {
+// slot returns slot s's exchange: the payload with the slot's control
+// codes merged in per port.
+func (r *quietRef) slot() congest.Request {
+	t, s := r.t, r.s
 	r.hist = append(r.hist, len(r.out) == 0 && !r.active)
-	r.control = false
-	return congest.Exchange(r.out)
+	ctl := map[int]uint8{}
+	if lag := t.Height - t.Depth; !t.IsRoot() && r.exitAt < 0 && s >= lag {
+		if bit := r.hist[s-lag] && len(r.latched) == len(t.ChildPorts); bit != r.sent {
+			r.sent = bit
+			ctl[t.ParentPort] = ctlQuietOff
+			if bit {
+				ctl[t.ParentPort] = ctlQuiet
+			}
+		}
+	}
+	if s == r.sendExitAt {
+		for _, p := range t.ChildPorts {
+			ctl[p] = ctlExit
+		}
+	}
+	var sends []congest.Send
+	for _, snd := range r.out {
+		if snd.Wire.Ctl = ctl[snd.Port]; snd.Wire.Ctl != 0 {
+			refMerges++
+		}
+		delete(ctl, snd.Port)
+		sends = append(sends, snd)
+	}
+	for p, c := range ctl {
+		sends = append(sends, congest.Send{Port: p, Wire: congest.Wire{Kind: refCtl[c]}})
+	}
+	return congest.Exchange(sends)
 }
 
 func (r *quietRef) Next(in []congest.Recv) (congest.Request, bool) {
 	t, s := r.t, r.s
-	root, nc, lag := t.IsRoot(), len(t.ChildPorts), t.Height-t.Depth
-	if !r.control {
-		if r.hist[s] && len(in) == 0 {
-			r.out, r.active = nil, false
-		} else {
-			r.out, r.active = r.step(s+1, in)
-		}
-		var ctrl []congest.Send
-		if !root && r.exitAt < 0 && s >= lag {
-			if bit := r.hist[s-lag] && len(r.latched) == nc; bit != r.sent {
-				r.sent = bit
-				k := wireQuietOff
-				if bit {
-					k = wireQuiet
-				}
-				ctrl = append(ctrl, congest.Send{Port: t.ParentPort, Wire: congest.Wire{Kind: k}})
-			}
-		}
-		if s == r.sendExitAt {
-			for _, p := range t.ChildPorts {
-				ctrl = append(ctrl, congest.Send{Port: p, Wire: congest.Wire{Kind: wireExit}})
-			}
-		}
-		r.control = true
-		return congest.Exchange(ctrl), true
-	}
+	var pin []congest.Recv
 	for _, rc := range in {
-		switch rc.Wire.Kind {
+		k := rc.Wire.Kind
+		switch {
+		case rc.Wire.Ctl != 0:
+			k = refCtl[rc.Wire.Ctl]
+			rc.Wire.Ctl = 0
+			pin = append(pin, rc)
+		case k != wireQuiet && k != wireQuietOff && k != wireExit:
+			pin = append(pin, rc)
+		}
+		switch k {
 		case wireQuiet:
 			r.latched[rc.Port] = true
 		case wireQuietOff:
 			delete(r.latched, rc.Port)
 		case wireExit:
-			r.exitAt, r.sendExitAt = s+lag, s+1
+			r.exitAt, r.sendExitAt = s+t.Height-t.Depth, s+1
 		}
 	}
-	if root && r.exitAt < 0 && s >= t.Height-1 && len(r.latched) == nc && r.hist[s-t.Height+1] {
+	if r.hist[s] && len(pin) == 0 {
+		r.out, r.active = nil, false
+	} else {
+		r.out, r.active = r.step(s+1, pin)
+	}
+	if t.IsRoot() && r.exitAt < 0 && s >= t.Height-1 && len(r.latched) == len(t.ChildPorts) && r.hist[s-t.Height+1] {
 		r.exitAt, r.sendExitAt = s+t.Height, s+1
 	}
 	if r.exitAt >= 0 && s >= r.exitAt {
 		return congest.Request{}, false
 	}
 	r.s++
-	return r.payload(), true
+	return r.slot(), true
 }
 
 // stepCall is one observed call of a bursty step: its slot and engine
@@ -233,6 +259,7 @@ func (r quietRun) reactivatedTwiceInWindow() bool {
 // toggle several times per reporting window, on broom, grid and GNP
 // graphs, and requires StartQuiet to match its defining loop exactly under
 // the default engine and the per-round reference (WithFastPath(false)).
+// Some transition must ride on a payload message.
 func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 	broom := graph.New(45) // a 24-edge handle off node 0 plus 20 leaves
 	for v := 1; v < 45; v++ {
@@ -257,6 +284,7 @@ func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 		{"default", nil},
 		{"nofast", []congest.Option{congest.WithFastPath(false)}},
 	}
+	merged := refMerges
 	for _, tg := range graphs {
 		toggled := false
 		for seed := int64(0); seed <= 4; seed++ {
@@ -271,6 +299,63 @@ func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 		if !toggled {
 			t.Errorf("%s: no node reactivated twice within one reporting window; the test lost its coverage", tg.name)
 		}
+	}
+	if refMerges == merged {
+		t.Error("no transition shared a port and a round with a payload; the test lost its coverage")
+	}
+}
+
+// TestQuietMergesControl pins the one-lane wire format on both ends: a
+// transition to the parent and the exit wave to the children ride on
+// their port's payload as Wire.Ctl codes, a port without payload gets a
+// control-only wire, and the step's own sends are left as they were; the
+// receiver latches every code and hands the step the payload alone, its
+// codes stripped. The exit wave never meets a payload in a run (the root
+// detects only once the network is quiet), so the merge is checked here
+// directly.
+func TestQuietMergesControl(t *testing.T) {
+	tok := func(port int, c int64, ctl uint8) congest.Send {
+		return congest.Send{Port: port, Wire: congest.Wire{Kind: testTokKind, C: c, Ctl: ctl}}
+	}
+	tr := &Tree{Depth: 1, Height: 2, ParentPort: 0, ChildPorts: []int{1, 2}}
+	newQ := func() *quietDriver {
+		return &quietDriver{t: tr, lag: 1, hist: []bool{true, true}, chq: make([]bool, 3), count: 2, s: 1, exitAt: -1, sendExitAt: -1}
+	}
+	for _, tc := range []struct {
+		name      string
+		exit      bool
+		out, want []congest.Send
+	}{
+		{"transition on payload", false, []congest.Send{tok(0, 5, 0), tok(2, 6, 0)}, []congest.Send{tok(0, 5, ctlQuiet), tok(2, 6, 0)}},
+		{"transition alone", false, []congest.Send{tok(1, 5, 0)}, []congest.Send{tok(1, 5, 0), {Port: 0, Wire: congest.Wire{Kind: wireQuiet}}}},
+		{"exit on payload", true, []congest.Send{tok(0, 5, 0), tok(2, 6, 0)}, []congest.Send{tok(0, 5, 0), tok(2, 6, ctlExit), {Port: 1, Wire: congest.Wire{Kind: wireExit}}}},
+	} {
+		q := newQ()
+		if tc.exit {
+			q.exitAt, q.sendExitAt = 2, 1
+		}
+		q.out = slices.Clone(tc.out)
+		if got := q.sends(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: sends %v, want %v", tc.name, got, tc.want)
+		}
+		if !slices.Equal(q.out, tc.out) {
+			t.Errorf("%s: the step's sends became %v", tc.name, q.out)
+		}
+	}
+
+	q := newQ()
+	q.count, q.chq[1] = 1, true
+	in := []congest.Recv{
+		{Port: 0, Wire: congest.Wire{Kind: testTokKind, C: 4, Ctl: ctlExit}},
+		{Port: 1, Wire: congest.Wire{Kind: testTokKind, C: 7, Ctl: ctlQuietOff}},
+		{Port: 2, Wire: congest.Wire{Kind: wireQuiet}},
+	}
+	want := []congest.Recv{{Port: 0, Wire: congest.Wire{Kind: testTokKind, C: 4}}, {Port: 1, Wire: congest.Wire{Kind: testTokKind, C: 7}}}
+	if got := q.control(in); !slices.Equal(got, want) {
+		t.Fatalf("payload %v, want %v", got, want)
+	}
+	if q.count != 1 || q.chq[1] || !q.chq[2] || q.exitAt != 2 || q.sendExitAt != 2 {
+		t.Fatalf("latched count %d, bits %v, exit at %d (send %d); want 1, [false false true], 2 (2)", q.count, q.chq, q.exitAt, q.sendExitAt)
 	}
 }
 

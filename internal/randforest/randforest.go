@@ -163,7 +163,9 @@ func pairCmp(a, b congest.Wire) int {
 //
 // with the braced stages once per virtual-tree level of a pass: one pass
 // over the node's own label, or in ModeKhanBaseline one per label, and
-// the second stage (stage2.go) in ModeTruncated only. A stage that is a
+// the second stage (stage2.go) in ModeTruncated only. Level 0 of a pass
+// over the node's own label runs no census: it routes off the labels
+// stage's stream. A stage that is a
 // dist primitive or the embedding runs as sub until it is done; Next then
 // moves on to the next stage.
 type nodeState struct {
@@ -364,6 +366,12 @@ func (ns *nodeState) nextPass() (congest.Request, bool) {
 	}
 	ns.pass++
 	ns.level, ns.held = 0, mine
+	if ns.mode != ModeKhanBaseline {
+		// Level 0's census would collect exactly the label census's items
+		// (every node's own label) through the same filter, and the tree
+		// still holds that stream: route from it.
+		return ns.route()
+	}
 	return ns.census()
 }
 
