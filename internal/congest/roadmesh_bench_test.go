@@ -13,13 +13,15 @@ import (
 // kind the solve-det workload serves) through a warm arena pool and
 // without the certificate oracle, so the figure is simulator and solver
 // time only — the A/B handle for scheduler changes such as the quiescence
-// loop's parking. Besides rounds it reports the scheduler's work per
-// solve, its submissions (one per request): 35,577 / 188,194 / 104,424
-// for det / rand / rounded, in 292 / 1,822 / 694 rounds. With a control
-// round after every payload round of the quiescence loop they took
-// 43,820 / 257,219 / 136,457 submissions and 397 / 2,916 / 1,013 rounds
-// (rand's then also ran a level-0 census, which now reads the label
-// census's stream instead).
+// loop's parking. Besides rounds and messages it reports the scheduler's
+// work per solve, its submissions (one per request): 35,577 / 140,520 /
+// 104,424 for det / rand / rounded, in 292 / 1,374 / 694 rounds with
+// 46,059 / 203,701 / 127,488 messages. While rand routed and delegated
+// in two quiescence loops per level it took 188,194 submissions, 1,822
+// rounds and 224,126 messages. With a control round after every payload
+// round of the quiescence loop they took 43,820 / 257,219 / 136,457
+// submissions and 397 / 2,916 / 1,013 rounds (rand's then also ran a
+// level-0 census, which now reads the label census's stream instead).
 //
 // rounded runs 5 merge phases here for 19 threshold checks: it skips the
 // phases its collected streams prove empty, which took it from 20 phases,
@@ -32,7 +34,8 @@ import (
 // re-borrows its moat-book replicas and its collect stream buffer each
 // phase instead of allocating them. Before that, rounded took 14.24 MB
 // and 197,916 allocations, against det's 5.75 MB and 48,414. rand takes
-// 5.86 MB and about 53k allocations: its driven collects reuse the
+// 5.83 MB and about 52k allocations (5.86 MB and 53k with its routing
+// and delegation in two loops per level): its driven collects reuse the
 // tree's stream buffer, each node's random source computes its one or
 // two draws without building math/rand's 4.9 KB state (see
 // congest.Host.Rand), each node's LE list is a slice, not two maps, and
@@ -59,6 +62,7 @@ func BenchmarkSolveRoadmesh(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(res.Stats.Rounds), "rounds/op")
+			b.ReportMetric(float64(res.Stats.Messages), "messages/op")
 			b.ReportMetric(float64(congest.NodeResumes()-subs0)/float64(b.N), "submissions/op")
 		})
 	}

@@ -26,20 +26,11 @@ func FuzzRandDriven(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1}) // n = 1
 	f.Add([]byte{1, 4, 1, 3, 2, 1, 1})
 	f.Add([]byte{13, 2, 1, 60, 3, 1, 0, 2, 0, 3, 0, 1, 2})
+	f.Add(contentionFuzzSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 6 {
+		ins, seed, ok := fuzzInstance(data)
+		if !ok {
 			return
-		}
-		n := 1 + int(data[0])%16
-		rng := rand.New(rand.NewSource(int64(data[1])))
-		g := graph.GNP(n, float64(data[2]%8)/10, graph.RandomWeights(rng, 1+int64(data[3])), rng)
-		seed := int64(data[4])
-		groups := data[5:]
-		ins := steiner.NewInstance(g)
-		for v := 0; v < n; v++ {
-			if c := int(groups[v%len(groups)] % 4); c > 0 {
-				ins.SetComponent(c-1, v)
-			}
 		}
 		for _, mode := range []Mode{ModeFull, ModeTruncated, ModeKhanBaseline} {
 			solve := func(opts ...congest.Option) *Result {
@@ -61,4 +52,23 @@ func FuzzRandDriven(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzInstance decodes FuzzRandDriven's input into an instance and a run
+// seed; ok is false when the input is too short.
+func fuzzInstance(data []byte) (ins *steiner.Instance, seed int64, ok bool) {
+	if len(data) < 6 {
+		return nil, 0, false
+	}
+	n := 1 + int(data[0])%16
+	rng := rand.New(rand.NewSource(int64(data[1])))
+	g := graph.GNP(n, float64(data[2]%8)/10, graph.RandomWeights(rng, 1+int64(data[3])), rng)
+	groups := data[5:]
+	ins = steiner.NewInstance(g)
+	for v := 0; v < n; v++ {
+		if c := int(groups[v%len(groups)] % 4); c > 0 {
+			ins.SetComponent(c-1, v)
+		}
+	}
+	return ins, int64(data[4]), true
 }

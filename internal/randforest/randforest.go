@@ -8,7 +8,11 @@
 // per-(λ, destination) filtering and per-edge queueing (the round-robin
 // multiplexing that improves [14]'s O~(sk) second phase to O~(s+k)), and
 // each ancestor delegates all labels it gathered to a single descendant
-// (Steps 3b-3d of the detailed description).
+// (Steps 3b-3d of the detailed description). Routing and delegation share
+// one quiescence loop per level: an ancestor delegates each label as it
+// gathers it, and a delegation waits behind every route wire queued on
+// its port, so the routing — and with it F and the gathered sets — is
+// that of a delegation-free loop.
 //
 // In truncated mode (the paper's s > √n regime) the virtual tree is cut at
 // the √n highest-rank nodes S, the selected edge set F leaves one connected
@@ -24,12 +28,14 @@
 // routing machinery is allocation-light: label sets are
 // sorted int slices (their sorted iteration is also what makes round and
 // message counts deterministic under a fixed seed), per-port queues are
-// indexed slices of wire values, and the route/delegate/token messages
-// travel as inline congest.Wire payloads instead of boxed interfaces.
+// wire slices with the route wires ahead of the delegations, and the
+// route/delegate/token messages travel as inline congest.Wire payloads
+// instead of boxed interfaces.
 package randforest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -159,9 +165,10 @@ func pairCmp(a, b congest.Wire) int {
 // nodeState is one node's program, a congest.Driver run by
 // congest.RunDriven. Its stages are
 //
-//	bfs → embed → labels → { census → route → back } → stageTwo
+//	bfs → embed → labels → { census → route } → stageTwo
 //
-// with the braced stages once per virtual-tree level of a pass: one pass
+// with the braced stages once per virtual-tree level of a pass (route is
+// Steps 3b-3d, the routing and the streamed delegations): one pass
 // over the node's own label, or in ModeKhanBaseline one per label, and
 // the second stage (stage2.go) in ModeTruncated only. Level 0 of a pass
 // over the node's own label runs no census: it routes off the labels
@@ -203,8 +210,7 @@ const (
 	stageEmbed                  // building the virtual-tree embedding
 	stageLabels                 // the global label census
 	stageCensus                 // a level's Step 3a census
-	stageRoute                  // a level's Step 3c routing
-	stageBack                   // a level's Step 3d delegation
+	stageRoute                  // a level's Steps 3c-3d, routing and delegation
 	stageFrag                   // stageTwo: the super-terminal fragments
 	stagePairs                  // stageTwo: the (cell, label) collection
 	stageVoronoi                // stageTwo: the Voronoi decomposition
@@ -252,8 +258,6 @@ func (ns *nodeState) Next(in []congest.Recv) (congest.Request, bool) {
 	case stageCensus:
 		return ns.route()
 	case stageRoute:
-		return ns.delegate()
-	case stageBack:
 		ns.held = ns.rt.next
 		sort.Ints(ns.held)
 		ns.level++
@@ -330,20 +334,6 @@ func (ns *nodeState) installLabels() {
 	}
 }
 
-// sortedLabels returns the label set in ascending order. Every iteration
-// over a label set that feeds messages into the network must be sorted:
-// map order would shuffle per-port queues and upcast pipelines between
-// runs, making round and message counts nondeterministic under a fixed
-// seed.
-func sortedLabels(m map[int]bool) []int {
-	labels := make([]int, 0, len(m))
-	for lbl := range m {
-		labels = append(labels, lbl)
-	}
-	sort.Ints(labels)
-	return labels
-}
-
 // nextPass starts the first stage's next pass over the virtual-tree
 // levels, or, once the passes are over, the second stage (ModeTruncated)
 // or the end. There is one pass over the node's own label; the baseline
@@ -398,11 +388,12 @@ func (ns *nodeState) census() (congest.Request, bool) {
 	return ns.drive(dist.StartUpcastBroadcast(ns.h, &ns.tree, ns.local, pairCmp, ns.labelCap.newFn, nil))
 }
 
-// route finishes Step 3a and starts Steps 3b-3c, or ends the pass when
+// route finishes Step 3a and starts Steps 3b-3d, or ends the pass when
 // every label is satisfied (all nodes agree and leave together). The
 // collected stream is (lbl, node)-sorted, so the census is a run-length
 // pass and the surviving set an in-place sorted intersection — no
-// per-level maps.
+// per-level maps. Held labels are aimed in ascending order, so round and
+// message counts are deterministic under a fixed seed.
 func (ns *nodeState) route() (congest.Request, bool) {
 	h, l := ns.h, ns.held
 	got := ns.tree.Collected()
@@ -442,49 +433,30 @@ func (ns *nodeState) route() (congest.Request, bool) {
 			rt.gather(key)
 			continue
 		}
-		rt.push(ns.routePort(anc.Node, anc.NextHop),
+		ns.pushRoute(ns.routePort(anc.Node, anc.NextHop),
 			congest.Wire{Kind: wireRoute, A: uint32(anc.Node), C: int64(lbl)})
 	}
 
-	// Step 3c: route with per-chain dedup until quiescence.
+	// Steps 3c-3d: route with per-chain dedup, and delegate back down,
+	// until quiescence.
 	ns.stage = stageRoute
-	return ns.drive(dist.StartQuiet(h, &ns.tree, rt.routeStep))
-}
-
-// delegate is Step 3d: each ancestor delegates its gathered labels to the
-// originator of the first chain that reached it.
-func (ns *nodeState) delegate() (congest.Request, bool) {
-	rt := ns.rt
-	if len(rt.gatherOrder) > 0 {
-		pick := rt.gatherOrder[0]
-		if rt.originated[pick] {
-			rt.next = append(rt.next, sortedLabels(rt.gathered)...)
-		} else {
-			back := rt.firstFrom[pick]
-			for _, lbl := range sortedLabels(rt.gathered) {
-				rt.push(back, delegWire(pick.lbl, pick.dst, lbl))
-			}
-		}
-	}
-	ns.stage = stageBack
-	return ns.drive(dist.StartQuiet(ns.h, &ns.tree, rt.backStep))
+	return ns.drive(dist.StartQuiet(h, &ns.tree, rt.step))
 }
 
 // chainKey names one routing chain: a label aimed at an ancestor.
 type chainKey struct{ lbl, dst int }
 
 // router is a node's Step 3c/3d state for one level of the first stage. It is
-// built once per node and reset per level, and its two StartQuiet steps
-// are bound once, so a level allocates only what its maps outgrow.
+// built once per node and reset per level, and its StartQuiet step is
+// bound once, so a level allocates only what its maps outgrow.
 type router struct {
-	ns          *nodeState
-	firstFrom   map[chainKey]int  // first-receipt port per chain
-	originated  map[chainKey]bool // chains this node started
-	gathered    map[int]bool      // l̂: labels gathered here as ancestor
-	gatherOrder []chainKey        // self chains arriving here, in order
-	next        []int             // the labels this node holds next level
-	routeStep   dist.Step
-	backStep    dist.Step
+	ns         *nodeState
+	firstFrom  map[chainKey]int  // first-receipt port per chain
+	originated map[chainKey]bool // chains this node started
+	gathered   map[int]bool      // l̂: labels gathered here as ancestor
+	pick       chainKey          // the first chain gathered here, if any: the delegation chain
+	next       []int             // the labels this node holds next level
+	step       dist.Step
 }
 
 // router returns the node's router, reset for a new level: empty maps,
@@ -498,13 +470,12 @@ func (ns *nodeState) router() *router {
 			originated: map[chainKey]bool{},
 			gathered:   map[int]bool{},
 		}
-		rt.routeStep, rt.backStep = rt.route, rt.back
+		rt.step = rt.route
 		ns.rt = rt
 	}
 	clear(rt.firstFrom)
 	clear(rt.originated)
 	clear(rt.gathered)
-	rt.gatherOrder = rt.gatherOrder[:0]
 	rt.next = nil // becomes the next level's held set
 	for p := range ns.queues {
 		ns.queues[p] = ns.queues[p][:0]
@@ -512,21 +483,52 @@ func (ns *nodeState) router() *router {
 	return rt
 }
 
-func (rt *router) push(port int, w congest.Wire) {
-	rt.ns.queues[port] = append(rt.ns.queues[port], w)
+// pushRoute queues route wire w on port p. A port's queue holds its route
+// wires, then its delegations: a delegation goes only in a round in which
+// the port has no route wire queued, so a level's route wires move exactly
+// as they would with no delegation in flight.
+func (ns *nodeState) pushRoute(p int, w congest.Wire) {
+	q := ns.queues[p]
+	i := len(q)
+	for i > 0 && q[i-1].Kind == wireDeleg {
+		i--
+	}
+	ns.queues[p] = slices.Insert(q, i, w)
 }
 
-// gather records a chain that reached its ancestor here.
+// gather records a chain that reached its ancestor here and delegates the
+// label, if new, down the first chain gathered here: that chain is fixed
+// by its arrival, and its firstFrom ports were set on the way up.
 func (rt *router) gather(key chainKey) {
-	if !rt.gathered[key.lbl] {
-		rt.gathered[key.lbl] = true
-		rt.gatherOrder = append(rt.gatherOrder, key)
+	if rt.gathered[key.lbl] {
+		return
 	}
+	if len(rt.gathered) == 0 {
+		rt.pick = key
+	}
+	rt.gathered[key.lbl] = true
+	rt.delegate(delegWire(rt.pick.lbl, rt.pick.dst, key.lbl))
+}
+
+// delegate passes delegation w one hop down its chain, or adopts its label
+// at the chain's originator.
+func (rt *router) delegate(w congest.Wire) {
+	key := chainKey{lbl: int(w.B), dst: int(w.A)}
+	if rt.originated[key] {
+		rt.next = append(rt.next, int(w.C))
+		return
+	}
+	back, ok := rt.firstFrom[key]
+	if !ok {
+		panic("randforest: delegation chain broken")
+	}
+	rt.ns.queues[back] = append(rt.ns.queues[back], w)
 }
 
 // flush emits the head of every nonempty port queue, in port order, into
-// the reused send buffer, marking the edges into F when markF is set.
-func (rt *router) flush(markF bool) ([]congest.Send, bool) {
+// the reused send buffer, marking the edges into F. A delegation retraces
+// a chain whose edges are in F already.
+func (rt *router) flush() ([]congest.Send, bool) {
 	ns := rt.ns
 	out := ns.sendBuf[:0]
 	for p, q := range ns.queues {
@@ -535,19 +537,22 @@ func (rt *router) flush(markF bool) ([]congest.Send, bool) {
 		}
 		out = append(out, congest.Send{Port: p, Wire: q[0]})
 		ns.queues[p] = q[1:]
-		if markF {
-			ns.markPort(p)
-		}
+		ns.markPort(p)
 	}
 	ns.sendBuf = out
 	return out, len(out) > 0
 }
 
-// route is Step 3c: forward each chain's first arrival toward its
-// ancestor, recording the traversed edges in F.
+// route is Steps 3c-3d: forward each chain's first arrival toward its
+// ancestor, recording the traversed edges in F, and each delegation toward
+// its chain's originator.
 func (rt *router) route(_ int, in []congest.Recv) ([]congest.Send, bool) {
 	ns := rt.ns
 	for _, rc := range in {
+		if rc.Wire.Kind == wireDeleg {
+			rt.delegate(rc.Wire)
+			continue
+		}
 		if rc.Wire.Kind != wireRoute {
 			continue
 		}
@@ -563,30 +568,9 @@ func (rt *router) route(_ int, in []congest.Recv) ([]congest.Send, bool) {
 			rt.gather(key)
 			continue
 		}
-		rt.push(ns.routePort(dst, -2), rc.Wire)
+		ns.pushRoute(ns.routePort(dst, -2), rc.Wire)
 	}
-	return rt.flush(true)
-}
-
-// back is Step 3d: walk each delegation back along its chain to the
-// originator, which adopts the delegated label.
-func (rt *router) back(_ int, in []congest.Recv) ([]congest.Send, bool) {
-	for _, rc := range in {
-		if rc.Wire.Kind != wireDeleg {
-			continue
-		}
-		key := chainKey{lbl: int(rc.Wire.B), dst: int(rc.Wire.A)}
-		if rt.originated[key] {
-			rt.next = append(rt.next, int(rc.Wire.C))
-			continue
-		}
-		back, ok := rt.firstFrom[key]
-		if !ok {
-			panic("randforest: delegation chain broken")
-		}
-		rt.push(back, rc.Wire)
-	}
-	return rt.flush(false)
+	return rt.flush()
 }
 
 // delegWire encodes a delegation. Like the 24-bit id accounting it
