@@ -5,11 +5,11 @@
 #   make build vet test   - compile, vet, full test suite
 #   make fmt              - fail on any file gofmt would rewrite
 #   make race             - test suite under the race detector
-#   make fuzz-smoke       - ~50s fresh-input fuzz of nine targets: instance
+#   make fuzz-smoke       - ~55s fresh-input fuzz of ten targets: instance
 #                           parser, wire codec, graph freeze, RunQuiet,
 #                           BuildBFS, collect, the driven det/rounded solves,
 #                           the driven rand/trunc/khan solves, dyadic
-#                           arithmetic
+#                           arithmetic, the solve-request decoder
 #   make bench-gate       - bench smoke + committed-snapshot drift gate +
 #                           HEAD's fresh tables against the snapshot
 #   make smoke            - end-to-end CLI smoke (local ci only)
@@ -68,9 +68,10 @@ race:
 # corpus and seeds, the quiescence loop, the BFS build, the collect
 # pipelines and the det, rounded, rand, trunc and khan solves must match
 # the plain-loop reference (WithFastPath(false)) on fresh networks,
-# activity schedules, item sets and instances, and the shift-based dyadic
+# activity schedules, item sets and instances, the shift-based dyadic
 # arithmetic must match math/big, panicking exactly when a result leaves
-# its range.
+# its range, and the serve layer's solve-request decoder must never panic
+# and only accept valid specs of known algorithms.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadInstance -fuzztime 10s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzCandWire -fuzztime 5s ./internal/detforest
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDetDriven -fuzztime 5s ./internal/detforest
 	$(GO) test -run xxx -fuzz FuzzRandDriven -fuzztime 5s ./internal/randforest
 	$(GO) test -run xxx -fuzz FuzzDyadic -fuzztime 5s ./internal/rational
+	$(GO) test -run xxx -fuzz FuzzSolveRequest -fuzztime 5s ./internal/serve
 
 # Benchmark suite: experiment tables at reduced scale plus the engine
 # allocation profile (BenchmarkEngineFlood reports allocs/op).
@@ -165,7 +167,6 @@ bench-gate: bench-smoke bench-compare bench-head
 smoke:
 	$(GO) run ./cmd/dsfbench -quick -table t1 >/dev/null
 	$(GO) run ./cmd/dsfbench -quick -table e1 -json >/dev/null
-	$(GO) run ./cmd/dsfbench -quick -table b1 -json >/dev/null
 	$(GO) run ./cmd/dsfrun -n 30 -k 2 -algo det >/dev/null
 	$(GO) run ./cmd/dsfrun -gen planted -n 30 -k 2 -out /tmp/dsf-smoke.sfi >/dev/null
 	$(GO) run ./cmd/dsfrun -in /tmp/dsf-smoke.sfi -algo rand >/dev/null

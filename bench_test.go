@@ -63,7 +63,7 @@ func BenchmarkDistributedDeterministic(b *testing.B) {
 	ins := benchInstance(48, 3, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steinerforest.SolveDeterministic(ins); err != nil {
+		if _, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "det"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func BenchmarkDistributedRandomized(b *testing.B) {
 	ins := benchInstance(48, 3, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steinerforest.SolveRandomized(ins, false, steinerforest.WithSeed(int64(i+1))); err != nil {
+		if _, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "rand", Seed: int64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

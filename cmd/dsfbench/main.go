@@ -1,7 +1,7 @@
 // Command dsfbench regenerates the paper's evaluation: one table per claim
 // (see the README's Commands section for the snapshot format and the
-// committed BENCH_*.json snapshots that record the results), plus the E1 engine-scaling, B1 batch-throughput and E2
-// event-driven-scheduler experiments.
+// committed BENCH_*.json snapshots that record the results), plus the E1
+// engine-scaling and E2 event-driven-scheduler experiments.
 //
 // Usage:
 //

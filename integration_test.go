@@ -29,12 +29,12 @@ func TestQuickAllSolversAgreeOnFeasibility(t *testing.T) {
 		for c := 0; c < k && 2*c+1 < n; c++ {
 			ins.SetComponent(c, perm[2*c], perm[2*c+1])
 		}
-		det, err := steinerforest.SolveDeterministic(ins, steinerforest.WithSeed(seed))
+		det, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "det", Seed: seed})
 		if err != nil {
 			t.Logf("det: %v", err)
 			return false
 		}
-		rounded, err := steinerforest.SolveDeterministicRounded(ins, 1, 2, steinerforest.WithSeed(seed))
+		rounded, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "rounded", EpsNum: 1, EpsDen: 2, Seed: seed})
 		if err != nil {
 			t.Logf("rounded: %v", err)
 			return false
@@ -80,7 +80,7 @@ func TestRequestsPipelineEndToEnd(t *testing.T) {
 		if ins.NumComponents() != 2 {
 			t.Fatalf("trial %d: k = %d, want 2", trial, ins.NumComponents())
 		}
-		res, err := steinerforest.SolveDeterministic(ins, steinerforest.WithSeed(int64(trial)))
+		res, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "det", Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,14 +106,14 @@ func TestSingletonComponentsHandledDistributedly(t *testing.T) {
 	ins.SetComponent(0, 1, 7)
 	ins.SetComponent(1, 3) // singleton: must be ignored, not connected
 	ins.SetComponent(2, 5) // another singleton
-	det, err := steinerforest.SolveDeterministic(ins)
+	det, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "det"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := steinerforest.Verify(ins.Minimalize(), det.Solution); err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := steinerforest.SolveRandomized(ins, false, steinerforest.WithSeed(2))
+	rnd, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "rand", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestBandwidthIsRespectedEndToEnd(t *testing.T) {
 	perm := rng.Perm(20)
 	ins.SetComponent(0, perm[0], perm[1])
 	ins.SetComponent(1, perm[2], perm[3])
-	res, err := steinerforest.SolveDeterministic(ins, steinerforest.WithBandwidth(512))
+	res, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "det", Bandwidth: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -487,7 +487,7 @@ type Experiment struct {
 var Index = []Experiment{
 	{"t1", T1}, {"t1b", T1b}, {"t2", T2}, {"t3", T3}, {"t4", T4},
 	{"t5", T5}, {"t6", T6}, {"f1", F1}, {"e1", E1},
-	{"b1", B1}, {"e2", E2}, {"e5", E5},
+	{"e2", E2}, {"e5", E5},
 	{"s1", S1}, {"s2", S2}, {"d1", D1}, {"r1", R1},
 }
 

@@ -26,8 +26,8 @@ func timingColumn(tableID, header string) bool {
 		strings.Contains(header, "ns/") || strings.Contains(header, "allocs") {
 		return true
 	}
-	// T4's "speedup" is a round-count ratio (deterministic); B1's and
-	// E2's are wall-clock ratios.
+	// T4's "speedup" is a round-count ratio (deterministic); E2's and
+	// S2's are wall-clock ratios.
 	if header == "speedup" && tableID != "T4" {
 		return true
 	}

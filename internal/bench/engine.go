@@ -59,7 +59,7 @@ func E2(sc Scale) *Table {
 		Title: "event-driven scheduler: ns/round and allocs/round, fast paths on vs off",
 		Claim: "engineering: parked nodes cost no scheduler work; wire messages and reused buffers keep steady-state rounds allocation-free",
 		Header: []string{"workload", "n", "rounds", "ms(fast)", "ms(off)",
-			"ns/rnd(fast)", "ns/rnd(off)", "speedup", "allocs/node-rnd", "identical"},
+			"ns/rnd(fast)", "ns/rnd(off)", "speedup", "allocs/node-rnd", "allocs/run", "identical"},
 	}
 	shrink := func(n int) int {
 		n /= int(sc)
@@ -101,6 +101,7 @@ func E2(sc Scale) *Table {
 			name, d(n), d(fast.Rounds), f(msFast), f(msSlow),
 			perRound(msFast), perRound(msSlow), f(msSlow / msFast),
 			fmt.Sprintf("%.3f", allocs/float64(fast.Rounds)/float64(n)),
+			fmt.Sprintf("%.0f", allocs),
 			fmt.Sprintf("%v", same),
 		})
 	}
@@ -163,7 +164,8 @@ func E2(sc Scale) *Table {
 	}
 	tab.Notes = append(tab.Notes,
 		"fast off = WithFastPath(false): each node's driver runs in a plain-loop driver that expands every Idle/Sleep/SleepUntil/Relay request into the exchange loop defining it; identical=true pins bit-equal Stats",
-		"allocs/node-rnd is the fast run's whole-process malloc count per simulated node-round (engine + solver + GC noise)")
+		"allocs/node-rnd is the fast run's whole-process malloc count per simulated node-round (engine + solver + GC noise); allocs/run is the same count per fast run",
+		"to judge an allocation change read allocs/run: allocs/node-rnd divides by simulated rounds, so a change that cuts rounds reads there as an allocation rise")
 	return tab
 }
 

@@ -67,8 +67,24 @@ func (p RetryPolicy) delay(reqIdx, attempt, hintS int) time.Duration {
 	if p.Cap > 0 && d > p.Cap {
 		d = p.Cap
 	}
-	j := uint64(steinerforest.BatchSeed(p.Seed, reqIdx*31+attempt))
+	j := jitter(p.Seed, reqIdx*31+attempt)
 	return d/2 + time.Duration(j%uint64(d))
+}
+
+// jitter is a SplitMix64 mix of (seed, i), seed 0 meaning 1: the
+// deterministic source of RetryPolicy's backoff jitter.
+func jitter(seed int64, i int) uint64 {
+	if seed == 0 {
+		seed = 1
+	}
+	z := uint64(seed) + uint64(i+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	if z == 0 {
+		z = 1
+	}
+	return z
 }
 
 // solveURL is the v1 solve route of the named instance on the server at

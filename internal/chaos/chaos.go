@@ -1,21 +1,18 @@
 // Package chaos provides seed-deterministic fault injectors for the
 // serve layer's robustness harness: solver stalls and injected panics at
-// the serve worker's solve boundary, slow-round delays inside the engine,
-// and the cancel-delay schedules client-side storm drivers replay. Every
-// decision is a pure function of (seed, site, counter), so a chaos run is
-// exactly reproducible — the R1 bench table (the `make chaos-smoke` CI
-// gate) and the -race stress tests all replay identical fault sequences
-// for a given seed.
+// the serve worker's solve boundary, and the cancel-delay schedules
+// client-side storm drivers replay. Every decision is a pure function of
+// (seed, site, counter), so a chaos run is exactly reproducible — the R1
+// bench table (the `make chaos-smoke` CI gate) and the -race stress tests
+// all replay identical fault sequences for a given seed.
 //
-// Injection points are test-only hooks: a nil *Injector (the production
-// configuration) costs nothing anywhere.
+// A nil *Injector (the production configuration) decides "no fault" and
+// costs nothing.
 package chaos
 
 import (
 	"sync/atomic"
 	"time"
-
-	"steinerforest/internal/congest"
 )
 
 // Config selects which faults fire and how often. Every cadence is an
@@ -39,20 +36,13 @@ type Config struct {
 	// resident instance while its neighbors stay healthy.
 	PanicEvery  int
 	PanicTarget string
-
-	// SlowRoundEvery makes every Nth simulated round sleep for SlowRound
-	// (0 = never) via the engine's round hook — in-engine latency that
-	// stretches a solve without changing anything it computes.
-	SlowRoundEvery int
-	SlowRound      time.Duration
 }
 
 // Stats counts the faults an Injector actually fired.
 type Stats struct {
-	Solves     int64 `json:"solves"`      // solve decisions taken
-	Stalls     int64 `json:"stalls"`      // solves that stalled
-	Panics     int64 `json:"panics"`      // solves that panicked
-	SlowRounds int64 `json:"slow_rounds"` // engine rounds delayed
+	Solves int64 `json:"solves"` // solve decisions taken
+	Stalls int64 `json:"stalls"` // solves that stalled
+	Panics int64 `json:"panics"` // solves that panicked
 }
 
 // Injector hands out fault decisions. Safe for concurrent use: the
@@ -64,13 +54,10 @@ type Injector struct {
 	cfg        Config
 	stallPhase int64
 	panicPhase int64
-	roundPhase int64
 
-	solves     atomic.Int64
-	rounds     atomic.Int64
-	stalls     atomic.Int64
-	panics     atomic.Int64
-	slowRounds atomic.Int64
+	solves atomic.Int64
+	stalls atomic.Int64
+	panics atomic.Int64
 }
 
 // New builds an Injector for cfg.
@@ -84,9 +71,6 @@ func New(cfg Config) *Injector {
 	}
 	if cfg.PanicEvery > 0 {
 		in.panicPhase = int64(mix(cfg.Seed, 0x9E) % uint64(cfg.PanicEvery))
-	}
-	if cfg.SlowRoundEvery > 0 {
-		in.roundPhase = int64(mix(cfg.Seed, 0x3B) % uint64(cfg.SlowRoundEvery))
 	}
 	return in
 }
@@ -120,31 +104,15 @@ func (in *Injector) Solve(instance string) SolveAction {
 	return act
 }
 
-// Hooks returns the engine callbacks implementing slow rounds, or nil
-// when the config injects none (so production specs stay hook-free).
-func (in *Injector) Hooks() *congest.RunHooks {
-	if in == nil || in.cfg.SlowRoundEvery <= 0 || in.cfg.SlowRound <= 0 {
-		return nil
-	}
-	return &congest.RunHooks{Round: func(int) {
-		n := in.rounds.Add(1) - 1
-		if n%int64(in.cfg.SlowRoundEvery) == in.roundPhase {
-			in.slowRounds.Add(1)
-			time.Sleep(in.cfg.SlowRound)
-		}
-	}}
-}
-
 // Stats snapshots the fired-fault counters.
 func (in *Injector) Stats() Stats {
 	if in == nil {
 		return Stats{}
 	}
 	return Stats{
-		Solves:     in.solves.Load(),
-		Stalls:     in.stalls.Load(),
-		Panics:     in.panics.Load(),
-		SlowRounds: in.slowRounds.Load(),
+		Solves: in.solves.Load(),
+		Stalls: in.stalls.Load(),
+		Panics: in.panics.Load(),
 	}
 }
 

@@ -13,9 +13,6 @@ func TestNilInjectorIsNoFault(t *testing.T) {
 	if act := in.Solve("x"); act.Stall != 0 || act.Panic {
 		t.Errorf("nil injector decided %+v, want no fault", act)
 	}
-	if h := in.Hooks(); h != nil {
-		t.Errorf("nil injector returned hooks %+v, want nil", h)
-	}
 	if st := in.Stats(); st != (Stats{}) {
 		t.Errorf("nil injector stats = %+v, want zero", st)
 	}
@@ -92,24 +89,5 @@ func TestCancelDelaysDeterministicAndBounded(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, CancelDelays(12, 64, min, max)) {
 		t.Error("seeds 11 and 12 produced identical schedules")
-	}
-}
-
-// TestHooksSlowRounds pins the engine-side injector: the hook sleeps on
-// its cadence and counts what it delayed.
-func TestHooksSlowRounds(t *testing.T) {
-	in := New(Config{Seed: 5, SlowRoundEvery: 4, SlowRound: time.Microsecond})
-	h := in.Hooks()
-	if h == nil || h.Round == nil {
-		t.Fatal("configured injector returned no round hook")
-	}
-	for r := 0; r < 16; r++ {
-		h.Round(r)
-	}
-	if st := in.Stats(); st.SlowRounds != 4 {
-		t.Errorf("slow rounds = %d, want 4", st.SlowRounds)
-	}
-	if New(Config{Seed: 5}).Hooks() != nil {
-		t.Error("injector without slow rounds returned hooks; production specs must stay hook-free")
 	}
 }

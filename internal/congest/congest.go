@@ -190,10 +190,10 @@ func WithContext(ctx context.Context) Option {
 	}
 }
 
-// RunHooks are optional engine callbacks for tests and fault-injection
-// harnesses. Hooks run on the engine goroutine and must not touch engine
-// state; a nil hook (or nil RunHooks) costs nothing. Production paths
-// never set these.
+// RunHooks are optional engine callbacks for tests (the cancellation
+// tests use the Round hook to fire a cancel or deadline mid-run). Hooks
+// run on the engine goroutine and must not touch engine state; a nil hook
+// (or nil RunHooks) costs nothing. Production paths never set these.
 type RunHooks struct {
 	// Round is called once per processed round boundary with the round
 	// number about to be worked. A hook that sleeps simulates slow

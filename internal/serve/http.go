@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"time"
 
@@ -303,10 +302,6 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, req SolveReq
 	// result-neutral, so every observationally-identical request shares
 	// one cache slot and one singleflight.
 	canon := spec.Canonical()
-	if !slices.Contains(steinerforest.Algorithms(), canon.Algorithm) {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "unknown algorithm %q (registered: %v)", canon.Algorithm, steinerforest.Algorithms())
-		return
-	}
 	// Hits and collapsed followers bypass admission entirely, so the
 	// draining check must come first: after Shutdown even a cached answer
 	// is refused, matching the admission path's contract.
@@ -471,10 +466,6 @@ func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	canon := spec.Canonical()
-	if !slices.Contains(steinerforest.Algorithms(), canon.Algorithm) {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "unknown algorithm %q (registered: %v)", canon.Algorithm, steinerforest.Algorithms())
-		return
-	}
 	if s.Draining() {
 		s.metrics.incDrained()
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server draining")

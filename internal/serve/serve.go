@@ -88,10 +88,10 @@ type Config struct {
 	// configs leave it false.
 	DisableCancellation bool
 
-	// Chaos, when non-nil, injects deterministic faults (solver stalls,
-	// panics behind the worker's panic barrier, slow engine rounds) into
-	// every solve — the test-only hook behind the serve robustness tests
-	// and dsfbench's R1 table. Production configs leave it nil.
+	// Chaos, when non-nil, injects deterministic faults (solver stalls and
+	// panics behind the worker's panic barrier) into every solve — the
+	// test-only hook behind the serve robustness tests and dsfbench's R1
+	// table. Production configs leave it nil.
 	Chaos *chaos.Injector
 }
 

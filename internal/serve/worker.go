@@ -191,10 +191,6 @@ func (s *Server) runSolve(ctx context.Context, j *job) (res *steinerforest.Resul
 			res, err = nil, fmt.Errorf("%w: %v", errSolverPanic, r)
 		}
 	}()
-	spec := j.spec
-	if hooks := s.cfg.Chaos.Hooks(); hooks != nil {
-		spec.Hooks = hooks
-	}
 	act := s.cfg.Chaos.Solve(name)
 	if act.Stall > 0 {
 		stallCtx(ctx, act.Stall)
@@ -204,7 +200,7 @@ func (s *Server) runSolve(ctx context.Context, j *job) (res *steinerforest.Resul
 	if act.Panic {
 		panic(fmt.Sprintf("chaos: injected panic (instance %q)", name))
 	}
-	res, err = s.solveFn(ctx, j.ins, spec)
+	res, err = s.solveFn(ctx, j.ins, j.spec)
 	return // the deferred store sets solveNs
 }
 

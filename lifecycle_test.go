@@ -10,13 +10,32 @@ import (
 
 	steinerforest "steinerforest"
 	"steinerforest/internal/congest"
+	"steinerforest/internal/workload"
 )
+
+// mixedInstances draws a mixed bag of instances from the workload
+// registry, cycling through every registered family.
+func mixedInstances(t *testing.T, count int) []*steinerforest.Instance {
+	t.Helper()
+	names := workload.Names()
+	instances := make([]*steinerforest.Instance, 0, count)
+	for i := 0; i < count; i++ {
+		out, err := workload.Generate(names[i%len(names)], workload.Params{
+			N: 20 + i, K: 2, Seed: int64(100 + i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances = append(instances, out.Instance)
+	}
+	return instances
+}
 
 // TestSolveCtxNeutralWhenNotFired pins the SolveCtx contract: a context
 // that never fires is invisible — the result is deep-equal to a plain
 // Solve for every distributed solver.
 func TestSolveCtxNeutralWhenNotFired(t *testing.T) {
-	instances := batchInstances(t, 2)
+	instances := mixedInstances(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, algo := range []string{"det", "rand"} {
@@ -41,7 +60,7 @@ func TestSolveCtxNeutralWhenNotFired(t *testing.T) {
 // aborts the run with an error matching both the engine sentinel and the
 // standard context one.
 func TestSolveCtxCancelled(t *testing.T) {
-	instances := batchInstances(t, 1)
+	instances := mixedInstances(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := steinerforest.SolveCtx(ctx, instances[0], steinerforest.Spec{Algorithm: "det", Seed: 9})
@@ -73,7 +92,7 @@ func (c *countingCtx) Err() error {
 // an error matching both the engine sentinel and the context's cause, as
 // a context firing before the oracle does.
 func TestSolveCtxCancelsCertificate(t *testing.T) {
-	ins := batchInstances(t, 1)[0]
+	ins := mixedInstances(t, 1)[0]
 	spec := steinerforest.Spec{Algorithm: "det", Seed: 9}
 	live := &countingCtx{Context: context.Background(), fireAt: math.MaxInt}
 	if _, err := steinerforest.SolveCtx(live, ins, spec); err != nil {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"steinerforest/internal/graph"
 	"steinerforest/internal/steiner"
@@ -50,49 +49,54 @@ type Policy interface {
 	Step(st PolicyStep) (StepOutcome, error)
 }
 
-// PolicyFactory builds a policy from the argument following the
-// registered name in "-policy name:arg" (empty when absent).
-type PolicyFactory func(arg string) (Policy, error)
+// policyFactory builds a policy from the argument following its name in
+// "-policy name:arg" (empty when absent).
+type policyFactory func(arg string) (Policy, error)
 
-var policyRegistry = struct {
-	sync.RWMutex
-	m map[string]PolicyFactory
-}{m: make(map[string]PolicyFactory)}
-
-// RegisterPolicy adds a named re-solve policy factory to the registry,
-// mirroring the solver registry. It errors on empty names and
-// duplicates.
-func RegisterPolicy(name string, f PolicyFactory) error {
-	if name == "" || f == nil {
-		return fmt.Errorf("steinerforest: invalid policy registration %q", name)
-	}
-	policyRegistry.Lock()
-	defer policyRegistry.Unlock()
-	if _, dup := policyRegistry.m[name]; dup {
-		return fmt.Errorf("steinerforest: policy %q already registered", name)
-	}
-	policyRegistry.m[name] = f
-	return nil
+// policies maps each re-solve policy name to its factory.
+var policies = map[string]policyFactory{
+	"full": func(arg string) (Policy, error) {
+		if arg != "" {
+			return nil, fmt.Errorf("takes no argument, got %q", arg)
+		}
+		return fullPolicy{}, nil
+	},
+	"repair": func(arg string) (Policy, error) {
+		if arg != "" {
+			return nil, fmt.Errorf("takes no argument, got %q", arg)
+		}
+		return repairPolicy{}, nil
+	},
+	"every-k": func(arg string) (Policy, error) {
+		if arg == "" {
+			return nil, fmt.Errorf("needs a batch size (e.g. every-k:4)")
+		}
+		k, err := strconv.Atoi(arg)
+		if err != nil || k < 1 {
+			return nil, fmt.Errorf("bad batch size %q (want an integer >= 1)", arg)
+		}
+		return everyKPolicy{k: k}, nil
+	},
 }
 
-// Policies returns the registered policy names, sorted.
+// Policies returns the policy names, sorted.
 func Policies() []string {
-	policyRegistry.RLock()
-	defer policyRegistry.RUnlock()
-	names := make([]string, 0, len(policyRegistry.m))
-	for name := range policyRegistry.m {
+	names := make([]string, 0, len(policies))
+	for name := range policies {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// NewPolicy instantiates the named policy with arg. Unknown names list
-// the registered options, so a CLI can hand the error straight back.
-func NewPolicy(name, arg string) (Policy, error) {
-	policyRegistry.RLock()
-	f := policyRegistry.m[name]
-	policyRegistry.RUnlock()
+// ParsePolicy is the shared -policy flag parser: "name" or "name:arg"
+// (e.g. "full", "repair", "every-k:4"). Every cmd uses it identically,
+// so flag semantics and error messages cannot drift between binaries;
+// unknown names list the known ones, so a CLI can hand the error
+// straight back.
+func ParsePolicy(s string) (Policy, error) {
+	name, arg, _ := strings.Cut(s, ":")
+	f := policies[name]
 	if f == nil {
 		return nil, fmt.Errorf("steinerforest: unknown policy %q (registered: %v)", name, Policies())
 	}
@@ -103,48 +107,9 @@ func NewPolicy(name, arg string) (Policy, error) {
 	return p, nil
 }
 
-// ParsePolicy is the shared -policy flag parser: "name" or "name:arg"
-// (e.g. "full", "repair", "every-k:4"). Every cmd uses it identically,
-// so flag semantics and error messages cannot drift between binaries.
-func ParsePolicy(s string) (Policy, error) {
-	name, arg, _ := strings.Cut(s, ":")
-	return NewPolicy(name, arg)
-}
-
 // PolicyUsage is the one-line flag help for -policy.
 func PolicyUsage() string {
 	return strings.Join(Policies(), "|") + " (every-k takes a batch size, e.g. every-k:4)"
-}
-
-func mustRegisterPolicy(name string, f PolicyFactory) {
-	if err := RegisterPolicy(name, f); err != nil {
-		panic(err)
-	}
-}
-
-func init() {
-	mustRegisterPolicy("full", func(arg string) (Policy, error) {
-		if arg != "" {
-			return nil, fmt.Errorf("takes no argument, got %q", arg)
-		}
-		return fullPolicy{}, nil
-	})
-	mustRegisterPolicy("repair", func(arg string) (Policy, error) {
-		if arg != "" {
-			return nil, fmt.Errorf("takes no argument, got %q", arg)
-		}
-		return repairPolicy{}, nil
-	})
-	mustRegisterPolicy("every-k", func(arg string) (Policy, error) {
-		if arg == "" {
-			return nil, fmt.Errorf("needs a batch size (e.g. every-k:4)")
-		}
-		k, err := strconv.Atoi(arg)
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("bad batch size %q (want an integer >= 1)", arg)
-		}
-		return everyKPolicy{k: k}, nil
-	})
 }
 
 // forestConnects reports whether u and v are already connected by the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"steinerforest/internal/congest"
 	"steinerforest/internal/detforest"
@@ -14,11 +13,18 @@ import (
 
 // Spec is the unified solver configuration: one value selects the
 // algorithm and carries every knob of the simulated execution. The zero
-// value runs the deterministic solver with default settings. All entry
-// points — the CLIs, the benchmark harness, the examples, and the
-// SolveXxx convenience wrappers — funnel through Solve(ins, Spec{...}).
+// value runs the deterministic solver with default settings. Every entry
+// point — the CLIs, the serve layer, the benchmark harness and the
+// examples — runs a solver the one way: Solve(ins, Spec{...}).
+//
+// Two fields are not result knobs but stay in Spec because callers reach
+// the simulator through it: Arena (the warm-engine pool that the serve
+// layer and the perf benchmark pass per instance) and NoFastPath (how E2
+// and the equivalence tests select the plain-loop reference). Moving
+// either would need a second entry point beside Solve; Canonical folds
+// both out.
 type Spec struct {
-	// Algorithm names a registered solver ("" = "det"). Built in:
+	// Algorithm names a solver ("" = "det"); Algorithms lists them:
 	//
 	//	det      Section 4.1 deterministic 2-approximation, O(ks+t) rounds
 	//	rounded  Section 4.2 rounded radii, (2+ε)-approximation
@@ -65,24 +71,20 @@ type Spec struct {
 	// this), so Canonical treats the field as result-neutral. The pointer
 	// keeps Spec comparable.
 	Arena *congest.ArenaPool
-
-	// Hooks, when non-nil, attaches test-only engine callbacks to the
-	// simulated runs (see congest.RunHooks) — the chaos harness's
-	// slow-round injection point. Hooks must be observation-neutral (they
-	// may delay wall-clock time, never change what the engine computes),
-	// so Canonical folds the field out like Arena. The pointer keeps Spec
-	// comparable. Production specs leave it nil.
-	Hooks *congest.RunHooks
 }
 
 // Validate rejects Spec values no solver can act on, with errors precise
-// enough to hand straight back to an API client: negative resource knobs
-// (which the option translation would otherwise silently treat as
-// defaults) and half-set or non-positive epsilons (which used to surface
-// only as a confusing late "detforest: invalid epsilon 0/2"). Solve calls
-// it on every request, so the CLIs, SolveBatch, and the serve layer all
-// reject nonsense at the entry point.
+// enough to hand straight back to an API client: an unknown algorithm
+// (the error lists the known ones), negative resource knobs (which the
+// option translation would otherwise silently treat as defaults) and
+// half-set or non-positive epsilons (which used to surface only as a
+// confusing late "detforest: invalid epsilon 0/2"). Solve calls it on
+// every request, so the CLIs and the serve layer reject nonsense at the
+// entry point.
 func (s Spec) Validate() error {
+	if _, ok := solvers[s.Algorithm]; !ok && s.Algorithm != "" {
+		return fmt.Errorf("steinerforest: unknown algorithm %q (registered: %v)", s.Algorithm, Algorithms())
+	}
 	if s.Bandwidth < 0 {
 		return fmt.Errorf("steinerforest: negative Bandwidth %d (want 0 for the default O(log n) budget or a positive bit count)", s.Bandwidth)
 	}
@@ -97,54 +99,42 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// builtinAlgorithms names the solvers registered by this package itself.
-// Canonical only folds knobs whose neutrality it can vouch for, which is
-// exactly these: external registrations may interpret Spec fields however
-// they like.
-var builtinAlgorithms = map[string]bool{
-	"det": true, "rounded": true, "rand": true,
-	"trunc": true, "khan": true, "central": true,
-}
-
 // Canonical returns the spec's canonical form: the representative every
 // observationally-identical spec maps to, which is what makes Specs usable
 // as result-cache keys. Normalizations applied:
 //
 //   - defaults made explicit: Algorithm "" → "det", Seed 0 → 1, and the
 //     rounded solver's epsilon 0/0 → 1/2;
-//   - epsilon zeroed for builtins other than "rounded" (they never read it);
+//   - epsilon zeroed for algorithms other than "rounded" (they never read
+//     it);
 //   - the result-neutral scheduler knob folded out: NoFastPath changes how
 //     the simulator schedules work, never what it computes — the
 //     equivalence suite pins Stats, forests, and per-node traces
-//     bit-identical with it on and off — and Arena and Hooks only recycle
-//     allocations and observe.
+//     bit-identical with it on and off — and Arena only recycles
+//     allocations.
 //
 // Result-determining fields are untouched: Algorithm, Seed, epsilon (for
 // "rounded"), Bandwidth, MaxRounds, EdgeTracking, and NoCertificate all
 // stay distinguishing. Two specs with equal Canonical() values yield
 // bit-identical Solve results; specs with differing results always map to
-// differing canonical values. Non-builtin algorithms only get the
-// scheduler-knob folding, on the strength of the Spec field contracts.
+// differing canonical values.
 func (s Spec) Canonical() Spec {
 	c := s
 	if c.Algorithm == "" {
 		c.Algorithm = "det"
 	}
-	if builtinAlgorithms[c.Algorithm] {
-		if c.Algorithm == "rounded" {
-			if c.EpsNum == 0 && c.EpsDen == 0 {
-				c.EpsNum, c.EpsDen = 1, 2
-			}
-		} else {
-			c.EpsNum, c.EpsDen = 0, 0
+	if c.Algorithm == "rounded" {
+		if c.EpsNum == 0 && c.EpsDen == 0 {
+			c.EpsNum, c.EpsDen = 1, 2
 		}
+	} else {
+		c.EpsNum, c.EpsDen = 0, 0
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	c.NoFastPath = false
 	c.Arena = nil
-	c.Hooks = nil
 	return c
 }
 
@@ -157,9 +147,6 @@ func (s Spec) options(ctx context.Context) []congest.Option {
 	var opts []congest.Option
 	if ctx != nil && ctx.Done() != nil {
 		opts = append(opts, congest.WithContext(ctx))
-	}
-	if s.Hooks != nil {
-		opts = append(opts, congest.WithRunHooks(s.Hooks))
 	}
 	if s.Seed != 0 {
 		opts = append(opts, congest.WithSeed(s.Seed))
@@ -182,42 +169,28 @@ func (s Spec) options(ctx context.Context) []congest.Option {
 	return opts
 }
 
-// SolverFunc runs one algorithm on an instance. Implementations fill the
+// solverFunc runs one algorithm on an instance. Implementations fill the
 // Result's Solution, Weight, Stats and algorithm-specific counters; Solve
 // adds the dual certificate afterwards unless the Spec opts out. The
 // context carries request-lifecycle cancellation: implementations that
-// simulate should thread it into congest.Run (spec.options does this),
-// and must return an error wrapping ctx.Err() — not a partial result —
-// when it fires. Implementations that ignore ctx remain correct, just
-// non-cancellable.
-type SolverFunc func(ctx context.Context, ins *Instance, spec Spec) (*Result, error)
+// simulate thread it into the engine (spec.options does this) and return
+// an error wrapping ctx.Err() — not a partial result — when it fires.
+type solverFunc func(ctx context.Context, ins *Instance, spec Spec) (*Result, error)
 
-var registry = struct {
-	sync.RWMutex
-	m map[string]SolverFunc
-}{m: make(map[string]SolverFunc)}
-
-// Register adds a named solver to the registry. It errors on empty names
-// and duplicates.
-func Register(name string, fn SolverFunc) error {
-	if name == "" || fn == nil {
-		return fmt.Errorf("steinerforest: invalid solver registration %q", name)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[name]; dup {
-		return fmt.Errorf("steinerforest: solver %q already registered", name)
-	}
-	registry.m[name] = fn
-	return nil
+// solvers maps each algorithm name to its solver.
+var solvers = map[string]solverFunc{
+	"det":     solveDet,
+	"rounded": solveRounded,
+	"rand":    randomized(randforest.ModeFull),
+	"trunc":   randomized(randforest.ModeTruncated),
+	"khan":    randomized(randforest.ModeKhanBaseline),
+	"central": solveCentral,
 }
 
-// Algorithms returns the registered solver names, sorted.
+// Algorithms returns the solver names, sorted.
 func Algorithms() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	names := make([]string, 0, len(registry.m))
-	for name := range registry.m {
+	names := make([]string, 0, len(solvers))
+	for name := range solvers {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -252,13 +225,7 @@ func SolveCtx(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
 	if name == "" {
 		name = "det"
 	}
-	registry.RLock()
-	fn := registry.m[name]
-	registry.RUnlock()
-	if fn == nil {
-		return nil, fmt.Errorf("steinerforest: unknown algorithm %q (registered: %v)", name, Algorithms())
-	}
-	res, err := fn(ctx, ins, spec)
+	res, err := solvers[name](ctx, ins, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -287,56 +254,48 @@ func cancelled(ctx context.Context, stage string) error {
 	return fmt.Errorf("steinerforest: %s: %w: %w", stage, congest.ErrCancelled, context.Cause(ctx))
 }
 
-func mustRegister(name string, fn SolverFunc) {
-	if err := Register(name, fn); err != nil {
-		panic(err)
+func solveDet(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
+	r, err := detforest.Solve(ins, spec.options(ctx)...)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Solution: r.Solution, Weight: r.Solution.Weight(ins.G),
+		Stats: r.Stats, Phases: r.Phases, Merges: r.Merges}, nil
+}
+
+func solveRounded(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
+	num, den := spec.EpsNum, spec.EpsDen
+	if num == 0 && den == 0 {
+		num, den = 1, 2
+	}
+	r, err := detforest.SolveRounded(ins, num, den, spec.options(ctx)...)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Solution: r.Solution, Weight: r.Solution.Weight(ins.G),
+		Stats: r.Stats, Phases: r.Phases, Merges: r.Merges}, nil
+}
+
+func randomized(mode randforest.Mode) solverFunc {
+	return func(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
+		r, err := randforest.Solve(ins, mode, spec.options(ctx)...)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Solution: r.Solution, Weight: r.Solution.Weight(ins.G),
+			Stats: r.Stats, Levels: r.Levels}, nil
 	}
 }
 
-func init() {
-	mustRegister("det", func(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
-		r, err := detforest.Solve(ins, spec.options(ctx)...)
-		if err != nil {
-			return nil, err
+func solveCentral(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
+	r, err := moat.SolveAKRCtx(ctx, ins)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, cancelled(ctx, "oracle cancelled")
 		}
-		return &Result{Solution: r.Solution, Weight: r.Solution.Weight(ins.G),
-			Stats: r.Stats, Phases: r.Phases, Merges: r.Merges}, nil
-	})
-	mustRegister("rounded", func(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
-		num, den := spec.EpsNum, spec.EpsDen
-		if num == 0 && den == 0 {
-			num, den = 1, 2
-		}
-		r, err := detforest.SolveRounded(ins, num, den, spec.options(ctx)...)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Solution: r.Solution, Weight: r.Solution.Weight(ins.G),
-			Stats: r.Stats, Phases: r.Phases, Merges: r.Merges}, nil
-	})
-	randomized := func(mode randforest.Mode) SolverFunc {
-		return func(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
-			r, err := randforest.Solve(ins, mode, spec.options(ctx)...)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Solution: r.Solution, Weight: r.Solution.Weight(ins.G),
-				Stats: r.Stats, Levels: r.Levels}, nil
-		}
+		return nil, err
 	}
-	mustRegister("rand", randomized(randforest.ModeFull))
-	mustRegister("trunc", randomized(randforest.ModeTruncated))
-	mustRegister("khan", randomized(randforest.ModeKhanBaseline))
-	mustRegister("central", func(ctx context.Context, ins *Instance, spec Spec) (*Result, error) {
-		r, err := moat.SolveAKRCtx(ctx, ins)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, cancelled(ctx, "oracle cancelled")
-			}
-			return nil, err
-		}
-		return &Result{Solution: r.Pruned, Weight: r.Weight,
-			LowerBound: r.DualSum.Float(), Certified: true,
-			Phases: r.Phases, Merges: len(r.Merges)}, nil
-	})
+	return &Result{Solution: r.Pruned, Weight: r.Weight,
+		LowerBound: r.DualSum.Float(), Certified: true,
+		Phases: r.Phases, Merges: len(r.Merges)}, nil
 }

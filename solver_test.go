@@ -1,9 +1,9 @@
 package steinerforest_test
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	steinerforest "steinerforest"
@@ -38,26 +38,10 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 	if _, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "no-such-solver"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-}
-
-func TestRegisterCustomSolver(t *testing.T) {
-	called := false
-	err := steinerforest.Register("custom-test", func(ctx context.Context, ins *steinerforest.Instance, spec steinerforest.Spec) (*steinerforest.Result, error) {
-		called = true
-		return steinerforest.SolveCtx(ctx, ins, steinerforest.Spec{Algorithm: "central", NoCertificate: spec.NoCertificate})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := steinerforest.Register("custom-test", nil); err == nil {
-		t.Error("nil duplicate registration accepted")
-	}
-	res, err := steinerforest.Solve(specInstance(2, 14, 2), steinerforest.Spec{Algorithm: "custom-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called || res.Algorithm != "custom-test" {
-		t.Errorf("custom solver not routed: called=%v algorithm=%q", called, res.Algorithm)
+	// Validate is the one place that rejects it, naming every solver.
+	err := steinerforest.Spec{Algorithm: "no-such-solver"}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "[central det khan rand rounded trunc]") {
+		t.Errorf("Validate of an unknown algorithm = %v, want an error listing the solvers", err)
 	}
 }
 

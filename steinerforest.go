@@ -14,9 +14,9 @@
 //	ins.SetComponent(0, 0, 5) // connect nodes 0 and 5
 //	res, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "det"})
 //
-// Every solver is a named entry in a registry (see Spec and Register) and
-// is driven by one Spec value; the SolveDeterministic / SolveRandomized /
-// ... functions are convenience wrappers over the same pipeline. The
+// Solve (or SolveCtx, for a cancellable run) is the one way to run a
+// solver: Spec.Algorithm names one of the built-in solvers listed by
+// Algorithms, and the rest of the Spec sets the simulation's knobs. The
 // result carries the selected forest, its weight, round/message counts of
 // the simulated CONGEST execution, and a certified lower bound on OPT from
 // the moat-growing dual (Lemma C.4), so every answer ships with its own
@@ -81,62 +81,5 @@ type Result struct {
 	Levels int
 }
 
-// SolveDeterministic runs the paper's Section 4.1 deterministic distributed
-// algorithm (Theorem 4.17): a 2-approximation in O(ks+t) CONGEST rounds.
-func SolveDeterministic(ins *Instance, opts ...Option) (*Result, error) {
-	return Solve(ins, build(Spec{Algorithm: "det"}, opts))
-}
-
-// SolveDeterministicRounded runs the Section 4.2 rounded-radii variant with
-// ε = epsNum/epsDen: a (2+ε)-approximation organized in growth phases.
-func SolveDeterministicRounded(ins *Instance, epsNum, epsDen int64, opts ...Option) (*Result, error) {
-	return Solve(ins, build(Spec{Algorithm: "rounded", EpsNum: epsNum, EpsDen: epsDen}, opts))
-}
-
-// SolveRandomized runs the Section 5 randomized algorithm: an O(log n)
-// approximation in O~(k + min{s,√n} + D) rounds w.h.p. With truncate set,
-// the virtual tree is cut at the √n highest-rank nodes and the F-reduced
-// second stage runs (the paper's s > √n regime).
-func SolveRandomized(ins *Instance, truncate bool, opts ...Option) (*Result, error) {
-	algo := "rand"
-	if truncate {
-		algo = "trunc"
-	}
-	return Solve(ins, build(Spec{Algorithm: algo}, opts))
-}
-
-// SolveCentralized runs the centralized moat-growing 2-approximation
-// (Algorithm 1 / Agrawal-Klein-Ravi), the oracle the distributed algorithm
-// emulates. No simulation statistics are produced.
-func SolveCentralized(ins *Instance) (*Result, error) {
-	return Solve(ins, Spec{Algorithm: "central"})
-}
-
 // Verify checks that sol connects every input component of ins.
 func Verify(ins *Instance, sol *Solution) error { return steiner.Verify(ins, sol) }
-
-// Option adjusts a Spec; the SolveXxx wrappers accept Options so call
-// sites can stay terse while everything funnels through the one pipeline.
-type Option func(*Spec)
-
-func build(spec Spec, opts []Option) Spec {
-	for _, o := range opts {
-		o(&spec)
-	}
-	return spec
-}
-
-// WithSeed fixes the randomness of the simulation (node ranks, β, ...).
-func WithSeed(seed int64) Option {
-	return func(s *Spec) { s.Seed = seed }
-}
-
-// WithBandwidth overrides the per-edge per-round bit budget.
-func WithBandwidth(bits int) Option {
-	return func(s *Spec) { s.Bandwidth = bits }
-}
-
-// WithEdgeTracking records per-edge traffic in Stats.EdgeBits.
-func WithEdgeTracking() Option {
-	return func(s *Spec) { s.EdgeTracking = true }
-}

@@ -20,7 +20,7 @@ func lineInstance(n int) (*steinerforest.Graph, *steinerforest.Instance) {
 
 func TestPublicDeterministic(t *testing.T) {
 	g, ins := lineInstance(6)
-	res, err := steinerforest.SolveDeterministic(ins, steinerforest.WithSeed(1))
+	res, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "det", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,16 +49,16 @@ func TestPublicRandomizedAndRounded(t *testing.T) {
 
 	for name, solve := range map[string]func() (*steinerforest.Result, error){
 		"randomized": func() (*steinerforest.Result, error) {
-			return steinerforest.SolveRandomized(ins, false, steinerforest.WithSeed(2))
+			return steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "rand", Seed: 2})
 		},
 		"truncated": func() (*steinerforest.Result, error) {
-			return steinerforest.SolveRandomized(ins, true, steinerforest.WithSeed(2))
+			return steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "trunc", Seed: 2})
 		},
 		"rounded": func() (*steinerforest.Result, error) {
-			return steinerforest.SolveDeterministicRounded(ins, 1, 2)
+			return steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "rounded", EpsNum: 1, EpsDen: 2})
 		},
 		"centralized": func() (*steinerforest.Result, error) {
-			return steinerforest.SolveCentralized(ins)
+			return steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "central"})
 		},
 	} {
 		res, err := solve()
@@ -81,7 +81,7 @@ func TestPublicRequests(t *testing.T) {
 	}
 	req := steinerforest.NewRequests(g)
 	req.Add(0, 4)
-	res, err := steinerforest.SolveDeterministic(req.ToInstance())
+	res, err := steinerforest.Solve(req.ToInstance(), steinerforest.Spec{Algorithm: "det"})
 	if err != nil {
 		t.Fatal(err)
 	}
