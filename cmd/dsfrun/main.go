@@ -51,6 +51,21 @@ func validatePairCount(n, k int) error {
 	return nil
 }
 
+// specFromFlags builds the solve spec from the flags and validates it,
+// so a bad -algo or -eps fails before any instance is generated, printed
+// or written. The epsilon parse is strict (shared with dsfserve's request
+// decoding): trailing garbage ("1/2junk", "3/4/5"), 1/0 and negative
+// values are flag errors, not late solver errors.
+func specFromFlags(algo string, seed int64, nocert bool, eps string) (steinerforest.Spec, error) {
+	spec := steinerforest.Spec{Algorithm: algo, Seed: seed, NoCertificate: nocert}
+	num, den, err := steinerforest.ParseEps(eps)
+	if err != nil {
+		return spec, fmt.Errorf("bad -eps %q: want num/den with positive integers, e.g. 1/2", eps)
+	}
+	spec.EpsNum, spec.EpsDen = num, den
+	return spec, spec.Validate()
+}
+
 func main() {
 	n := flag.Int("n", 40, "number of nodes")
 	k := flag.Int("k", 3, "number of input components (2 terminals each)")
@@ -72,20 +87,11 @@ func main() {
 	policyFlag := flag.String("policy", "full", "re-solve policy for timeline mode: "+steinerforest.PolicyUsage())
 	flag.Parse()
 
-	spec := steinerforest.Spec{
-		Algorithm:     *algo,
-		Seed:          *seed,
-		NoCertificate: *nocert,
-	}
-	// Strict epsilon parse at flag time (shared with dsfserve's request
-	// decoding): the old Sscanf accepted trailing garbage ("1/2junk",
-	// "3/4/5") and deferred 1/0 or negative values to a late solver error.
-	num, den, err := steinerforest.ParseEps(*eps)
+	spec, err := specFromFlags(*algo, *seed, *nocert, *eps)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsfrun: bad -eps %q: want num/den with positive integers, e.g. 1/2\n", *eps)
+		fmt.Fprintf(os.Stderr, "dsfrun: %v\n", err)
 		os.Exit(2)
 	}
-	spec.EpsNum, spec.EpsDen = num, den
 
 	if *timeline != "" || *tlin != "" {
 		runTimeline(spec, *timeline, *tlin, *tlout, *policyFlag, workload.TimelineParams{

@@ -228,7 +228,8 @@ type Host struct {
 	rng        *rand.Rand   // created on first Rand call, over a lazySource
 	rngSeed    int64
 	round      int
-	relayLastN int // the trailing extra-mail count of the last relay result
+	relayLastN int  // the trailing extra-mail count of the last relay result
+	relayFirst Wire // the first message of the last RelayStreamFrom order
 
 	// ext is the reusable parameter block for this node's parking
 	// submissions. The engine consumes a submission before calling its
@@ -313,11 +314,12 @@ type submission struct {
 }
 
 type subExt struct {
-	wakeAt    int // subPark: resume at this completed-round count; -1 = none
-	wakeOnMsg bool
-	relaySrc  int    // subRelay: the port whose stream is forwarded
-	relayDst  []int  // subRelay: forwarding ports, ascending
-	relayEnd  uint16 // subRelay: stream-terminating wire kind
+	wakeAt      int // subPark: resume at this completed-round count; -1 = none
+	wakeOnMsg   bool
+	relayJoined bool   // subRelay: a RelayStreamFrom order; its host holds the first message
+	relaySrc    int    // subRelay: the port whose stream is forwarded
+	relayDst    []int  // subRelay: forwarding ports, ascending
+	relayEnd    uint16 // subRelay: stream-terminating wire kind
 }
 
 // nodeMode is a node's scheduler state. Every live node is either runnable
@@ -653,6 +655,20 @@ func RunDriven(g *graph.Graph, start func(*Host) (Request, Driver), opts ...Opti
 						dstPort: e.returnPort[e.base[v]+int32(p)],
 						edge:    h.ports[p].Index,
 					})
+				}
+				if x.relayJoined && len(rl.dsts) > 0 {
+					// A joined stream: its last arrival is this round's
+					// forward, staged as if the order had been running.
+					b, ok := wireBits(h.relayFirst)
+					if !ok {
+						return nil, fmt.Errorf("congest: node %d relaying unregistered wire kind %d", v, h.relayFirst.Kind)
+					}
+					if b > o.bandwidth {
+						return nil, fmt.Errorf("%w: %d bits > budget %d (node %d)", ErrBandwidth, b, o.bandwidth, v)
+					}
+					rl.pendBits, rl.pendWire, rl.hasPend = int32(b), h.relayFirst, true
+					e.relPend++
+					e.pendList = append(e.pendList, int32(v))
 				}
 				e.runnable--
 				e.mode[v] = modeRelay

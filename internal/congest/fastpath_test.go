@@ -323,6 +323,67 @@ func TestRelayDrain(t *testing.T) {
 	}
 }
 
+// TestRelayJoinsStream: every stage of the path sleeps until the stream's
+// first item arrives and then joins the running stream with
+// RelayStreamFrom, which forwards that item in the order's first round.
+// Each stage's relayed stream is the rest, end marker last; rounds and
+// messages are those of TestRelayDrain's clean drain, identical with the
+// fast paths off; and the joined item keeps its control code.
+func TestRelayJoinsStream(t *testing.T) {
+	g := graph.Path(relayHops, graph.UnitWeights)
+	items := relayItems
+	exitRound := len(items) + relayHops - 1
+	stats := both(t, g, func(h *Host) (Request, Driver) {
+		if h.ID() == 0 {
+			steps := []any{Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: items[0], Ctl: 1}}})}
+			for _, v := range items[1:] {
+				steps = append(steps, Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireRelay, C: v}}}))
+			}
+			steps = append(steps, Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireEnd}}}))
+			return script(append(steps, func([]Recv) Request { return Idle(exitRound - h.Round()) })...)
+		}
+		var dst []int
+		if h.ID() < relayHops-1 {
+			dst = []int{1}
+		}
+		src, _ := h.PortOf(h.ID() - 1)
+		return script(Sleep(), func(in []Recv) Request {
+			if len(in) != 1 || in[0].Wire.C != items[0] || in[0].Wire.Ctl != 1 || h.Round() != h.ID() {
+				panic("joined the stream at the wrong item")
+			}
+			return h.RelayStreamFrom(in[0].Wire, src, dst, testWireEnd)
+		}, func(in []Recv) Request {
+			stream, last := h.RelaySplit(in)
+			if len(stream) != len(items) || stream[len(stream)-1].Wire.Kind != testWireEnd || len(last) != 0 {
+				panic("joined relay lost the stream")
+			}
+			for i, rc := range stream[:len(items)-1] {
+				if rc.Wire.C != items[i+1] {
+					panic("joined relay reordered items")
+				}
+			}
+			return Idle(exitRound - h.Round())
+		})
+	})
+	if stats.Messages != int64((len(items)+1)*(relayHops-1)) || stats.Rounds != exitRound {
+		t.Fatalf("stats = %+v", stats)
+	}
+	// The joined message is checked like a send: too wide fails the run.
+	for _, fast := range []bool{true, false} {
+		_, err := RunDriven(graph.Path(3, graph.UnitWeights), func(h *Host) (Request, Driver) {
+			if h.ID() != 1 {
+				return script(Idle(2))
+			}
+			src, _ := h.PortOf(0)
+			dst, _ := h.PortOf(2)
+			return script(h.RelayStreamFrom(Wire{Kind: testWireDyn, C: 1 << 20}, src, []int{dst}, testWireEnd))
+		}, WithFastPath(fast))
+		if !errors.Is(err, ErrBandwidth) {
+			t.Errorf("fast path %v: oversized joined message: %v", fast, err)
+		}
+	}
+}
+
 // TestRelayDeviation: mail off the source port wakes the relay with the
 // clean prefix split from the deviating inbox.
 func TestRelayDeviation(t *testing.T) {

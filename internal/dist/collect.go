@@ -41,8 +41,8 @@ import (
 // here.
 //
 // The stream lives in a buffer the tree reuses: t.Collected() is valid
-// until the tree's next collect, which overwrites it. A caller that keeps
-// the stream longer copies it.
+// until the tree's next collect or exit list, which overwrites it. A
+// caller that keeps the stream longer copies it.
 func StartUpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) (congest.Request, congest.Driver) {
 	slices.SortStableFunc(local, cmp)
 	var filter Filter
@@ -55,7 +55,7 @@ func StartUpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cm
 			if filter != nil && !filter(it) {
 				continue
 			}
-			u.result = append(u.result, it)
+			t.stream = append(t.stream, it)
 			if stopAfter != nil && stopAfter(it) {
 				break
 			}
@@ -72,8 +72,8 @@ func StartUpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cm
 
 // Collected returns the node's accepted stream of the tree's latest
 // StartUpcastBroadcast. It aliases the tree's stream buffer, valid until
-// the tree's next collect.
-func (t *Tree) Collected() []congest.Wire { return t.up.result }
+// the tree's next collect or exit list (StartQuietList).
+func (t *Tree) Collected() []congest.Wire { return t.stream }
 
 // upcast states: the request the node is waiting on.
 const (
@@ -106,8 +106,7 @@ type upcast struct {
 
 	state      uint8
 	ownNext    int
-	result     []congest.Wire // the broadcast stream (root: accepted)
-	streamed   int            // root: result items sent down
+	streamed   int // root: t.stream items sent down
 	fwdEnd     bool
 	sawDown    bool
 	upDoneSent bool
@@ -134,7 +133,7 @@ func (t *Tree) upcast(h *congest.Host) *upcast {
 		k.items, k.head, k.done = k.items[:0], 0, false
 	}
 	u.fwd, u.fwdHead = u.fwd[:0], 0
-	u.result = u.result[:0]
+	t.stream = t.stream[:0] // the broadcast stream (root: accepted)
 	u.ownNext, u.streamed = 0, 0
 	u.fwdEnd, u.sawDown, u.upDoneSent = false, false, false
 	u.exitRound = -1
@@ -217,7 +216,7 @@ func (u *upcast) process(in []congest.Recv) {
 		default:
 			if rc.Port == t.ParentPort {
 				u.sawDown = true
-				u.result = append(u.result, rc.Wire)
+				t.stream = append(t.stream, rc.Wire)
 				if nc > 0 {
 					u.fwd = append(u.fwd, rc.Wire)
 				}
@@ -243,7 +242,7 @@ func (u *upcast) Next(in []congest.Recv) (congest.Request, bool) {
 			if u.filter != nil && !u.filter(it) {
 				continue
 			}
-			u.result = append(u.result, it)
+			u.t.stream = append(u.t.stream, it)
 			if u.stopAfter != nil && u.stopAfter(it) {
 				finalized = true
 				break
@@ -260,10 +259,10 @@ func (u *upcast) Next(in []congest.Recv) (congest.Request, bool) {
 		// Stragglers may still be upcasting (a stopAfter cut): their items
 		// arrive during the stream and are ignored.
 		switch {
-		case u.streamed < len(u.result):
+		case u.streamed < len(u.t.stream):
 			u.streamed++
-			return congest.Exchange(u.t.toChildren(u.result[u.streamed-1])), true
-		case u.streamed == len(u.result):
+			return congest.Exchange(u.t.toChildren(u.t.stream[u.streamed-1])), true
+		case u.streamed == len(u.t.stream):
 			u.streamed++
 			return congest.Exchange(u.t.toChildren(congest.Wire{Kind: wireDownEnd})), true
 		}
@@ -286,7 +285,7 @@ func (u *upcast) Next(in []congest.Recv) (congest.Request, bool) {
 		return u.downLoop(), true
 	case downRelay:
 		stream, last := u.h.RelaySplit(in)
-		u.result = slices.Grow(u.result, len(stream))
+		u.t.stream = slices.Grow(u.t.stream, len(stream))
 		ended := false
 		for _, rc := range stream {
 			// Already forwarded by the engine: record, don't queue.
@@ -294,7 +293,7 @@ func (u *upcast) Next(in []congest.Recv) (congest.Request, bool) {
 				ended = true
 				break
 			}
-			u.result = append(u.result, rc.Wire)
+			u.t.stream = append(u.t.stream, rc.Wire)
 		}
 		if ended {
 			// The marker arrived one round before its forward when we

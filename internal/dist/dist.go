@@ -26,9 +26,10 @@
 // counts and bit counts are unchanged by the fast paths. Each primitive
 // is a congest.Driver, its per-node state cached on the Tree, started by
 // its start function (StartBFS, StartUpcastBroadcast, StartBroadcastList,
-// StartMax, StartBellmanFord, StartQuiet), which returns the first
-// request and the driver; the result is read from the Tree once the
-// driver is done (the tree itself, Collected, Broadcasted, Maximum, BF).
+// StartMax, StartBellmanFord, StartQuiet, StartQuietList), which returns
+// the first request and the driver; the result is read from the Tree
+// once the driver is done (the tree itself, Collected, Broadcasted,
+// Maximum, BF, QuietList).
 // A node program chains start functions inside a driver of its own (or
 // with congest.Chain) and runs under congest.RunDriven.
 //

@@ -29,7 +29,10 @@ func (s *byteSched) Intn(n int) int {
 // a GNP graph, n <= 24 — and a bursty per-node activity schedule, and
 // requires StartQuiet on the fast path and under the per-round reference
 // (WithFastPath(false)) to match its defining loop (quietRef) exactly:
-// Stats, every node's exit round, and every node's step calls.
+// Stats, every node's exit round, and every node's step calls. Bits 2-3
+// of the first byte select a root list for StartQuietList — none, or L =
+// 0, 1 or 2-5 items — whose run must also extend the list-free run by
+// exactly the list (checkExitList).
 func FuzzRunQuiet(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 0, 3, 7, 1})
 	f.Add([]byte{1, 22, 5, 4, 0, 0, 9, 2, 6})
@@ -39,6 +42,12 @@ func FuzzRunQuiet(f *testing.F) {
 	// GNP graph.
 	f.Add([]byte{0, 15, 5, 0, 3, 7, 1, 2, 5})
 	f.Add([]byte{1, 9, 4, 0, 3, 7, 1, 2, 5})
+	// Root lists of 0 items (a tree), 1 item (GNP), 3 items (a tree) and
+	// 2 items (the lone root burst on GNP).
+	f.Add([]byte{4, 10, 1, 0, 3, 7, 1})
+	f.Add([]byte{9, 22, 5, 4, 0, 0, 9, 2, 6})
+	f.Add([]byte{12, 15, 5, 0, 3, 7, 1, 2, 5})
+	f.Add([]byte{15, 0, 0, 12, 200, 31})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -57,6 +66,15 @@ func FuzzRunQuiet(f *testing.F) {
 		want := observeSteps(t, g, mk, startQuietRef)
 		sameRun(t, "nofast", observeSteps(t, g, mk, StartQuiet, congest.WithFastPath(false)), want)
 		sameRun(t, "driven", observeSteps(t, g, mk, StartQuiet), want)
+		if sel := (data[0] >> 2) % 4; sel > 0 {
+			list := exitList(min(int(sel)-1, 1))
+			if sel == 3 {
+				list = exitList(2 + int(data[2])%4)
+			}
+			ref := observeSteps(t, g, mk, withList(startQuietListRef, list))
+			checkExitList(t, "list/nofast", observeSteps(t, g, mk, withList(StartQuietList, list), congest.WithFastPath(false)), ref, want, list)
+			checkExitList(t, "list/driven", observeSteps(t, g, mk, withList(StartQuietList, list)), ref, want, list)
+		}
 	})
 }
 

@@ -18,7 +18,8 @@ type Step func(round int, in []congest.Recv) ([]congest.Send, bool)
 // payload slot rr at slot rr + height - d, so the root sees a consistent
 // global snapshot of every payload slot); once the root observes a
 // globally quiet slot it broadcasts a synchronized exit. A P-slot run
-// therefore takes about P + 2·height rounds.
+// therefore takes about P + 2·height rounds, and L more when the exit
+// wave carries a root list of L items (StartQuietList).
 //
 // Quietness reporting is edge-triggered: the conceptual per-slot bit
 // stream between a node and its parent is transmitted as its transitions
@@ -52,6 +53,31 @@ type Step func(round int, in []congest.Recv) ([]congest.Send, bool)
 // counts slots. StartQuiet returns the first request and the driver; on a
 // single-node network the loop runs to completion here.
 func StartQuiet(h *congest.Host, t *Tree, step Step) (congest.Request, congest.Driver) {
+	return StartQuietList(h, t, step, nil)
+}
+
+// StartQuietList is StartQuiet whose exit wave also delivers a list from
+// the root: a protocol whose step gathers items at the root while it runs
+// (a census riding the payload rounds) hands them to every node without a
+// broadcast of its own. Every node passes a non-nil rootList; the root
+// reads *rootList once, at detection, and the other nodes ignore theirs.
+//
+// A list of L >= 1 items replaces the exit wave's control-only wires: the
+// root sends item 0 with the exit code as its Wire.Ctl, items 1..L-1 in
+// the following slots and then an end marker — the quiet code's wire
+// (wireQuiet), which never travels down otherwise — and every other node
+// forwards the stream with one round of latency, as an engine-side relay
+// order from the first item on (Host.RelayStreamFrom). All nodes return in the same round,
+// detection + height + L slots, holding the list: a run takes about
+// P + 2·height + L rounds. An empty list leaves the exit wave, and so the
+// run's Stats, exactly StartQuiet's. Items are payload wires of a
+// registered kind whose width leaves room for the exit code.
+//
+// t.QuietList() is the node's copy of the list once the driver is done.
+// It lives in the tree's stream buffer, which the list overwrites, so
+// Collected's stream is gone once StartQuietList returns; a plain
+// StartQuiet leaves the buffer alone.
+func StartQuietList(h *congest.Host, t *Tree, step Step, rootList *[]congest.Wire) (congest.Request, congest.Driver) {
 	if h.N() <= 1 {
 		for p := 0; ; p++ {
 			out, active := step(p, nil)
@@ -59,15 +85,22 @@ func StartQuiet(h *congest.Host, t *Tree, step Step) (congest.Request, congest.D
 				panic("dist: StartQuiet step sent on an edgeless graph")
 			}
 			if !active {
+				if rootList != nil {
+					t.stream = append(t.stream[:0], *rootList...)
+				}
 				return congest.Idle(0), finished{}
 			}
 		}
 	}
 	q := t.quietDriver(h)
-	q.step = step
+	q.step, q.list = step, rootList
 	q.out, q.active = step(0, nil)
 	return q.slot(), q
 }
+
+// QuietList returns the node's exit list of the tree's latest
+// StartQuietList, valid until the tree's next collect or exit list.
+func (t *Tree) QuietList() []congest.Wire { return t.stream }
 
 // The quiescence loop's control codes, carried as a payload's Wire.Ctl;
 // ctlKind maps each to the control-only wire kind it travels as on a port
@@ -100,12 +133,17 @@ type quietDriver struct {
 	active bool
 	quiet  bool // slot s's own quiet bit
 	idle   bool // idling out to the common exit round
-	count  int  // = number of set latches
 	sent   bool // the bit our parent currently latches for us
+	// The exit list (StartQuietList): the root streams it from slot
+	// sendExitAt on; a non-root node relays it once item 0, which heads
+	// t.stream, arrived.
+	streaming, relaying bool
+	count               int // = number of set latches
 	// exitAt is the slot this node returns at, set once the exit wave
 	// arrives (or, at the root, on detection); from then on the node
 	// reports nothing.
 	sendExitAt, exitAt int
+	list               *[]congest.Wire // the root's exit list; nil without one
 }
 
 // quietDriver returns t's cached StartQuiet driver, reset for a call
@@ -129,14 +167,21 @@ func (t *Tree) quietDriver(h *congest.Host) *quietDriver {
 	q.r0, q.s, q.idle = h.Round(), 0, false
 	q.count, q.sent = 0, false
 	q.sendExitAt, q.exitAt = -1, -1
+	q.streaming, q.relaying = false, false
 	return q
 }
 
 // Next ends the slot whose round just completed — slots the node parked
 // through were payload-silent — and returns the next slot's request.
 func (q *quietDriver) Next(in []congest.Recv) (congest.Request, bool) {
-	if q.idle {
+	switch {
+	case q.idle:
 		return q.done() // the common exit round
+	case q.streaming:
+		q.s++
+		return q.stream(), true
+	case q.relaying:
+		return q.relayed(in)
 	}
 	se := q.h.Round() - q.r0 - 1
 	// Parked slots were payload-silent: mark them quiet.
@@ -147,6 +192,13 @@ func (q *quietDriver) Next(in []congest.Recv) (congest.Request, bool) {
 	// Latch the control, step on the payload unless the Step contract
 	// says a quiet node stays quiet, then run the root's detection.
 	pin := q.control(in)
+	if q.relaying {
+		// The exit list's item 0: the network is quiet, so the step has
+		// nothing to do; forward it and relay the rest of the list.
+		first := q.t.stream[0]
+		first.Ctl = ctlExit
+		return q.h.RelayStreamFrom(first, q.t.ParentPort, q.t.ChildPorts, wireQuiet), true
+	}
 	if q.quiet && len(pin) == 0 {
 		q.out, q.active = nil, false
 	} else {
@@ -156,6 +208,16 @@ func (q *quietDriver) Next(in []congest.Recv) (congest.Request, bool) {
 		// Children (depth 1) report payload slot s-(height-1) in slot s.
 		if rrc := q.s - q.d; rrc >= 0 && q.count == len(q.t.ChildPorts) && q.hist[rrc%(q.lag+1)] {
 			q.sendExitAt, q.exitAt = q.s+1, q.s+q.t.Height
+			if q.list != nil {
+				if q.t.stream = append(q.t.stream[:0], *q.list...); len(q.t.stream) > 0 {
+					// The network is quiet: stream the list as the exit
+					// wave, then idle out with it.
+					q.exitAt += len(q.t.stream)
+					q.streaming = true
+					q.s++
+					return q.stream(), true
+				}
+			}
 		}
 	}
 	if q.exitAt >= 0 && q.s >= q.exitAt {
@@ -177,8 +239,49 @@ func (q *quietDriver) Next(in []congest.Recv) (congest.Request, bool) {
 
 // done ends the call, releasing the step's captures.
 func (q *quietDriver) done() (congest.Request, bool) {
-	q.step, q.out = nil, nil
+	q.step, q.out, q.list = nil, nil, nil
 	return congest.Request{}, false
+}
+
+// stream returns the root's exit-list request of slot s: item 0 with the
+// exit code, the other items, the end marker, then the idle-out to the
+// common exit round, by which the marker has reached the deepest node.
+func (q *quietDriver) stream() congest.Request {
+	items := q.t.stream
+	switch k := q.s - q.sendExitAt; {
+	case k < len(items):
+		w := items[k]
+		if k == 0 {
+			w.Ctl = ctlExit
+		}
+		return congest.Exchange(q.t.toChildren(w))
+	case k == len(items):
+		return congest.Exchange(q.t.toChildren(congest.Wire{Kind: wireQuiet}))
+	}
+	q.streaming, q.idle = false, true
+	return congest.Idle(q.t.Height - 1)
+}
+
+// relayed ends a non-root node's relay order on the exit list: the
+// stream, end marker last, is complete. The marker arrived one round
+// before its forward when the node has children, in the waking round at
+// a leaf; the node idles out to the common exit round, height - depth
+// rounds after the arrival. Nothing but the list reaches a node once the
+// network is quiet, so a deviating inbox is a broken loop.
+func (q *quietDriver) relayed(in []congest.Recv) (congest.Request, bool) {
+	stream, _ := q.h.RelaySplit(in)
+	if k := len(stream); k == 0 || stream[k-1].Wire.Kind != wireQuiet {
+		panic("dist: mail beside the quiescence loop's exit list")
+	}
+	for _, rc := range stream[:len(stream)-1] {
+		q.t.stream = append(q.t.stream, rc.Wire)
+	}
+	arrived := q.h.Round()
+	if len(q.t.ChildPorts) > 0 {
+		arrived--
+	}
+	q.relaying, q.idle = false, true
+	return congest.Idle(arrived + q.t.Height - q.t.Depth - q.h.Round()), true
 }
 
 // slot opens slot s, whose step output is already in out/active, and
@@ -255,6 +358,12 @@ func (q *quietDriver) control(in []congest.Recv) []congest.Recv {
 		k := rc.Wire.Kind
 		if c := rc.Wire.Ctl; c != 0 {
 			k, rc.Wire.Ctl = ctlKind[c], 0
+			if k == wireExit && q.list != nil {
+				// An exit list's item 0, not payload.
+				q.t.stream = append(q.t.stream[:0], rc.Wire)
+				q.relaying = true
+				continue
+			}
 			pin = append(pin, rc)
 		} else if k != wireQuiet && k != wireQuietOff && k != wireExit {
 			pin = append(pin, rc)
@@ -271,6 +380,9 @@ func (q *quietDriver) control(in []congest.Recv) []congest.Recv {
 			}
 		case wireExit:
 			q.exitAt, q.sendExitAt = q.s+q.lag, q.s+1
+			if q.list != nil {
+				q.t.stream = q.t.stream[:0] // an empty exit list
+			}
 		}
 	}
 	return pin

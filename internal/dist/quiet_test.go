@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -19,6 +20,12 @@ import (
 // alone when the port has none. StartQuiet must be observationally
 // identical to it: the same Stats, the same exit round, and the same step
 // calls with the same inputs.
+//
+// With a root list (startQuietListRef) the root sends the list as the
+// exit wave — item 0 with the exit code, the other items, then the end
+// marker, one per slot — and every other node forwards each list wire
+// from its parent in the next slot, returning height - depth slots after
+// the marker arrived.
 type quietRef struct {
 	h                  *congest.Host
 	t                  *Tree
@@ -30,6 +37,10 @@ type quietRef struct {
 	out                []congest.Send
 	active             bool
 	s                  int
+
+	list *[]congest.Wire // the root's list; nil without one
+	got  []congest.Wire  // the list received (at the root: its own)
+	fwd  congest.Wire    // a list wire to forward to the children this slot
 }
 
 // refCtl is the reference's control-only wire kind per control code.
@@ -41,10 +52,17 @@ var refCtl = map[uint8]uint16{ctlQuiet: wireQuiet, ctlQuietOff: wireQuietOff, ct
 var refMerges int
 
 func startQuietRef(h *congest.Host, t *Tree, step Step) (congest.Request, congest.Driver) {
-	r := &quietRef{h: h, t: t, step: step, latched: map[int]bool{}, exitAt: -1, sendExitAt: -1}
+	return startQuietListRef(h, t, step, nil)
+}
+
+func startQuietListRef(h *congest.Host, t *Tree, step Step, list *[]congest.Wire) (congest.Request, congest.Driver) {
+	r := &quietRef{h: h, t: t, step: step, latched: map[int]bool{}, exitAt: -1, sendExitAt: -1, list: list}
 	r.out, r.active = step(0, nil)
 	return r.slot(), r
 }
+
+// listed reports whether the root streams a nonempty list.
+func (r *quietRef) listed() bool { return r.t.IsRoot() && len(r.got) > 0 }
 
 // slot returns slot s's exchange: the payload with the slot's control
 // codes merged in per port.
@@ -61,12 +79,27 @@ func (r *quietRef) slot() congest.Request {
 			}
 		}
 	}
-	if s == r.sendExitAt {
+	if s == r.sendExitAt && !r.listed() {
 		for _, p := range t.ChildPorts {
 			ctl[p] = ctlExit
 		}
 	}
+	if k := s - r.sendExitAt; r.listed() && k >= 0 && k <= len(r.got) {
+		r.fwd = congest.Wire{Kind: wireQuiet}
+		if k < len(r.got) {
+			r.fwd = r.got[k]
+		}
+		if k == 0 {
+			r.fwd.Ctl = ctlExit
+		}
+	}
 	var sends []congest.Send
+	if r.fwd.Kind != 0 {
+		for _, p := range t.ChildPorts {
+			sends = append(sends, congest.Send{Port: p, Wire: r.fwd})
+		}
+		r.fwd = congest.Wire{}
+	}
 	for _, snd := range r.out {
 		if snd.Wire.Ctl = ctl[snd.Port]; snd.Wire.Ctl != 0 {
 			refMerges++
@@ -86,6 +119,16 @@ func (r *quietRef) Next(in []congest.Recv) (congest.Request, bool) {
 	for _, rc := range in {
 		k := rc.Wire.Kind
 		switch {
+		case r.list != nil && rc.Port == t.ParentPort && (rc.Wire.Ctl == ctlExit && k != wireExit || r.got != nil):
+			// The exit list: item 0 carries the exit code, the marker
+			// ends it.
+			r.fwd, rc.Wire.Ctl = rc.Wire, 0
+			if k == wireQuiet {
+				r.exitAt = s + t.Height - t.Depth
+			} else {
+				r.got, r.exitAt = append(r.got, rc.Wire), math.MaxInt
+			}
+			continue
 		case rc.Wire.Ctl != 0:
 			k = refCtl[rc.Wire.Ctl]
 			rc.Wire.Ctl = 0
@@ -109,8 +152,15 @@ func (r *quietRef) Next(in []congest.Recv) (congest.Request, bool) {
 	}
 	if t.IsRoot() && r.exitAt < 0 && s >= t.Height-1 && len(r.latched) == len(t.ChildPorts) && r.hist[s-t.Height+1] {
 		r.exitAt, r.sendExitAt = s+t.Height, s+1
+		if r.list != nil {
+			r.got = *r.list
+			r.exitAt += len(r.got)
+		}
 	}
 	if r.exitAt >= 0 && s >= r.exitAt {
+		if r.list != nil {
+			t.stream = append(t.stream[:0], r.got...)
+		}
 		return congest.Request{}, false
 	}
 	r.s++
@@ -189,6 +239,7 @@ type quietRun struct {
 	exit  []int
 	calls [][]stepCall
 	trees []*Tree
+	lists [][]congest.Wire // each node's exit list
 }
 
 func observeQuiet(t *testing.T, g *graph.Graph, seed int64, run func(*congest.Host, *Tree, Step) (congest.Request, congest.Driver), opts ...congest.Option) quietRun {
@@ -201,11 +252,11 @@ func observeQuiet(t *testing.T, g *graph.Graph, seed int64, run func(*congest.Ho
 // round.
 func observeSteps(t *testing.T, g *graph.Graph, mk func(*congest.Host, *[]stepCall) Step, run func(*congest.Host, *Tree, Step) (congest.Request, congest.Driver), opts ...congest.Option) quietRun {
 	t.Helper()
-	r := quietRun{exit: make([]int, g.N()), calls: make([][]stepCall, g.N()), trees: make([]*Tree, g.N())}
+	r := quietRun{exit: make([]int, g.N()), calls: make([][]stepCall, g.N()), trees: make([]*Tree, g.N()), lists: make([][]congest.Wire, g.N())}
 	stats, err := congest.RunDriven(g, onTree(func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver) {
 		return run(h, tr, mk(h, &r.calls[h.ID()]))
 	}, then(func(h *congest.Host, tr *Tree) {
-		r.exit[h.ID()], r.trees[h.ID()] = h.Round(), tr
+		r.exit[h.ID()], r.trees[h.ID()], r.lists[h.ID()] = h.Round(), tr, slices.Clone(tr.QuietList())
 	})), opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +266,7 @@ func observeSteps(t *testing.T, g *graph.Graph, mk func(*congest.Host, *[]stepCa
 }
 
 // sameRun fails unless got matches want: Stats, every node's exit round,
-// and every node's step calls.
+// step calls and exit list.
 func sameRun(t *testing.T, name string, got, want quietRun) {
 	t.Helper()
 	if !reflect.DeepEqual(got.stats, want.stats) {
@@ -228,7 +279,54 @@ func sameRun(t *testing.T, name string, got, want quietRun) {
 		if !slices.Equal(got.calls[v], want.calls[v]) {
 			t.Fatalf("%s: node %d step calls diverged:\n got %v\nwant %v", name, v, got.calls[v], want.calls[v])
 		}
+		if !slices.Equal(got.lists[v], want.lists[v]) {
+			t.Fatalf("%s: node %d exit list %v, reference %v", name, v, got.lists[v], want.lists[v])
+		}
 	}
+}
+
+// withList returns run's list form over a copy of list: every node
+// passes its copy, which only the root reads.
+func withList(run func(*congest.Host, *Tree, Step, *[]congest.Wire) (congest.Request, congest.Driver), list []congest.Wire) func(*congest.Host, *Tree, Step) (congest.Request, congest.Driver) {
+	return func(h *congest.Host, tr *Tree, step Step) (congest.Request, congest.Driver) {
+		l := slices.Clone(list)
+		return run(h, tr, step, &l)
+	}
+}
+
+// checkExitList fails unless a run with the root list list matches the
+// reference with it, as sameRun, and extends the run without one, base,
+// by exactly the list: every node holds the list in order and returns
+// len(list) rounds later, all in one round, and each tree edge carries
+// len(list) more messages (the items and the marker in place of the
+// exit wire). An empty list must leave base's Stats unchanged.
+func checkExitList(t *testing.T, name string, got, ref, base quietRun, list []congest.Wire) {
+	t.Helper()
+	sameRun(t, name, got, ref)
+	n, L := len(base.exit), len(list)
+	for v := range got.exit {
+		if !slices.Equal(got.lists[v], list) {
+			t.Fatalf("%s: node %d holds %v, want the root's %v", name, v, got.lists[v], list)
+		}
+		if got.exit[v] != base.exit[v]+L || got.exit[v] != got.exit[0] {
+			t.Fatalf("%s: node %d exited at round %d, want %d (without the list) + %d, node 0's %d", name, v, got.exit[v], base.exit[v], L, got.exit[0])
+		}
+	}
+	want := *base.stats
+	want.Rounds += L
+	want.Messages += int64((n - 1) * L)
+	if got.stats.Rounds != want.Rounds || got.stats.Messages != want.Messages || (L == 0 && !reflect.DeepEqual(got.stats, base.stats)) {
+		t.Fatalf("%s: stats %+v, want those without the list %+v extended by %d items", name, *got.stats, *base.stats, L)
+	}
+}
+
+// exitList returns a list of L distinct items.
+func exitList(L int) []congest.Wire {
+	list := make([]congest.Wire, L)
+	for i := range list {
+		list[i] = intItem(100 + 7*i)
+	}
+	return list
 }
 
 // reactivatedTwiceInWindow reports whether some node went from quiet to
@@ -259,7 +357,9 @@ func (r quietRun) reactivatedTwiceInWindow() bool {
 // toggle several times per reporting window, on broom, grid and GNP
 // graphs, and requires StartQuiet to match its defining loop exactly under
 // the default engine and the per-round reference (WithFastPath(false)).
-// Some transition must ride on a payload message.
+// Some transition must ride on a payload message. With a root list of 0,
+// 1 and 4 items, StartQuietList must match the reference with the list
+// and extend the list-free run by exactly the list (checkExitList).
 func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 	broom := graph.New(45) // a 24-edge handle off node 0 plus 20 leaves
 	for v := 1; v < 45; v++ {
@@ -293,6 +393,14 @@ func TestRunQuietMultiTransitionEquivalence(t *testing.T) {
 				toggled = toggled || ref.reactivatedTwiceInWindow()
 				for _, cfg := range configs {
 					sameRun(t, cfg.name, observeQuiet(t, tg.g, seed, StartQuiet, cfg.opts...), ref)
+				}
+				for _, L := range []int{0, 1, 4} {
+					list := exitList(L)
+					refL := observeQuiet(t, tg.g, seed, withList(startQuietListRef, list))
+					for _, cfg := range configs {
+						got := observeQuiet(t, tg.g, seed, withList(StartQuietList, list), cfg.opts...)
+						checkExitList(t, fmt.Sprintf("%s/L%d", cfg.name, L), got, refL, ref, list)
+					}
 				}
 			})
 		}

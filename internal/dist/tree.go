@@ -20,6 +20,10 @@ type Tree struct {
 	up    *upcast
 	bcast *broadcast
 	agg   *maxAgg
+	// stream holds the node's stream of the latest collect
+	// (StartUpcastBroadcast) or exit list (StartQuietList); every call
+	// refills it, keeping its capacity.
+	stream []congest.Wire
 	// sendBuf holds the sends of the primitives' current round: a node
 	// runs one primitive at a time, and the engine reads a round's sends
 	// before the driver builds the next round's.

@@ -11,7 +11,9 @@ import (
 )
 
 // portSlot is one port's traffic in one slot of a level's route loop:
-// the queue the flush found there, head first. The flush sent its head.
+// the queue the flush found there, head first — the port's route and
+// delegation wires, then, on the parent port, the pending census items.
+// The flush sent its head.
 type portSlot struct {
 	node, pass, level, slot, port int
 	queued                        []congest.Wire
@@ -36,6 +38,9 @@ func solveTraced(t *testing.T, ins *steiner.Instance, mode Mode, seed int64) []p
 			defer mu.Unlock()
 			for _, s := range sends {
 				q := append([]congest.Wire{s.Wire}, ns.queues[s.Port]...)
+				if s.Port == ns.tree.ParentPort {
+					q = append(q, rt.censusQ...)
+				}
 				trace = append(trace, portSlot{h.ID(), ns.pass, ns.level, slot, s.Port, q})
 			}
 			return sends, active
@@ -57,11 +62,14 @@ func solveTraced(t *testing.T, ins *steiner.Instance, mode Mode, seed int64) []p
 }
 
 // checkPortOrder requires every queue in trace to hold its route wires
-// ahead of its delegations, and every delegation that shared its port's
-// queue with a route wire to go in the port's next round with no route
-// wire queued: the port sends one queued route wire per round until then.
-// It returns the number of such contended slots.
-func checkPortOrder(t *testing.T, trace []portSlot) int {
+// ahead of its delegations and those ahead of its census items, so a
+// census item goes on a port only in a round with no route or delegation
+// wire queued there, and every delegation that shared its port's queue
+// with a route wire to go in the port's next round with no route wire
+// queued: the port sends one queued route wire per round until then. It
+// returns the number of such contended slots, and the number of slots in
+// which a census item waited behind a delegation.
+func checkPortOrder(t *testing.T, trace []portSlot) (contended, waited int) {
 	t.Helper()
 	type portKey struct{ node, pass, level, port int }
 	byPort := map[portKey][]portSlot{}
@@ -69,19 +77,24 @@ func checkPortOrder(t *testing.T, trace []portSlot) int {
 		k := portKey{ev.node, ev.pass, ev.level, ev.port}
 		byPort[k] = append(byPort[k], ev)
 	}
-	contended := 0
 	for k, evs := range byPort {
 		for i, ev := range evs {
-			routes := 0
+			routes, delegs := 0, 0
 			for routes < len(ev.queued) && ev.queued[routes].Kind == wireRoute {
 				routes++
 			}
-			for _, w := range ev.queued[routes:] {
-				if w.Kind != wireDeleg {
-					t.Fatalf("%+v slot %d: %v queued behind a delegation", k, ev.slot, w)
+			for routes+delegs < len(ev.queued) && ev.queued[routes+delegs].Kind == wireDeleg {
+				delegs++
+			}
+			for _, w := range ev.queued[routes+delegs:] {
+				if w.Kind != wireLabel {
+					t.Fatalf("%+v slot %d: %v queued behind a census item", k, ev.slot, w)
 				}
 			}
-			if routes == 0 || routes == len(ev.queued) {
+			if delegs > 0 && routes+delegs < len(ev.queued) {
+				waited++
+			}
+			if routes == 0 || delegs == 0 {
 				continue
 			}
 			contended++
@@ -97,7 +110,7 @@ func checkPortOrder(t *testing.T, trace []portSlot) int {
 			}
 		}
 	}
-	return contended
+	return contended, waited
 }
 
 // contentionFuzzSeed is a FuzzRandDriven input whose ModeFull run queues
@@ -111,7 +124,10 @@ var contentionFuzzSeed = []byte{204, 91, 98, 48, 171, 159, 135, 205, 92, 181, 52
 // queues the delegation back to node 1 on its port to node 9 behind a
 // route wire: the route wire goes in slot 2, the delegation in slot 3.
 // Every port of the run, and of FuzzRandDriven's contention seed, keeps
-// its route wires ahead and sends a delegation in its next free round.
+// its route wires ahead and sends a delegation in its next free round;
+// a census item goes only when neither is queued, and in the run some
+// census item waits behind a delegation, so sending census items first
+// (which changes no forest) fails here.
 func TestPortContention(t *testing.T) {
 	g := graph.New(13)
 	for _, e := range [][3]int{
@@ -124,8 +140,12 @@ func TestPortContention(t *testing.T) {
 	ins.SetComponent(0, 0, 1)
 	ins.SetComponent(1, 2, 11)
 	trace := solveTraced(t, ins, ModeFull, 171)
-	if n := checkPortOrder(t, trace); n != 1 {
+	n, w := checkPortOrder(t, trace)
+	if n != 1 {
 		t.Errorf("%d contended slots, want 1", n)
+	}
+	if w == 0 {
+		t.Error("no census item waited behind a delegation")
 	}
 	var sent []congest.Wire // node 12's level-3 sends to node 9, slots 2 and 3
 	for _, ev := range trace {
@@ -139,7 +159,7 @@ func TestPortContention(t *testing.T) {
 	}
 
 	fins, seed, _ := fuzzInstance(contentionFuzzSeed)
-	if n := checkPortOrder(t, solveTraced(t, fins, ModeFull, seed)); n == 0 {
+	if n, _ := checkPortOrder(t, solveTraced(t, fins, ModeFull, seed)); n == 0 {
 		t.Error("fuzz seed: no port queued a delegation with a route wire")
 	}
 }

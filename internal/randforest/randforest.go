@@ -12,7 +12,12 @@
 // one quiescence loop per level: an ancestor delegates each label as it
 // gathers it, and a delegation waits behind every route wire queued on
 // its port, so the routing — and with it F and the gathered sets — is
-// that of a delegation-free loop.
+// that of a delegation-free loop. The next level's Step 3a census, which
+// drops the labels a single node holds, rides the same loop both ways:
+// each gatherer's (label, id) item goes up the BFS tree in rounds its
+// port has no route or delegation wire to send, capped at two per label,
+// and the root's census comes back down on the loop's exit wave
+// (dist.StartQuietList). Level 0 reads the global label census instead.
 //
 // In truncated mode (the paper's s > √n regime) the virtual tree is cut at
 // the √n highest-rank nodes S, the selected edge set F leaves one connected
@@ -21,7 +26,9 @@
 //
 // ModeKhanBaseline reproduces the congestion behaviour of the original [14]
 // selection — labels processed sequentially with no cross-label
-// multiplexing — as the O~(sk) comparison baseline of experiment T4.
+// multiplexing — as the O~(sk) comparison baseline of experiment T4. Its
+// passes keep a collected census at level 0, of the one label they
+// route; their later levels' censuses ride the routing loops too.
 //
 // The node program is one congest.Driver run by congest.RunDriven (see
 // nodeState for its stages). The per-round
@@ -165,16 +172,16 @@ func pairCmp(a, b congest.Wire) int {
 // nodeState is one node's program, a congest.Driver run by
 // congest.RunDriven. Its stages are
 //
-//	bfs → embed → labels → { census → route } → stageTwo
+//	bfs → embed → labels → { [census] → route → route → … } → stageTwo
 //
-// with the braced stages once per virtual-tree level of a pass (route is
-// Steps 3b-3d, the routing and the streamed delegations): one pass
-// over the node's own label, or in ModeKhanBaseline one per label, and
-// the second stage (stage2.go) in ModeTruncated only. Level 0 of a pass
-// over the node's own label runs no census: it routes off the labels
-// stage's stream. A stage that is a
-// dist primitive or the embedding runs as sub until it is done; Next then
-// moves on to the next stage.
+// with the braced stages once per pass and route once per virtual-tree
+// level (Steps 3a-3d: the census read, the routing, the streamed
+// delegations and the next level's census riding along): one pass over
+// the node's own label, whose level 0 reads the labels stage's stream,
+// or in ModeKhanBaseline one per label, each opening with a collected
+// level-0 census; and the second stage (stage2.go) in ModeTruncated
+// only. A stage that is a dist primitive or the embedding runs as sub
+// until it is done; Next then moves on to the next stage.
 type nodeState struct {
 	h     *congest.Host
 	tree  dist.Tree
@@ -189,11 +196,11 @@ type nodeState struct {
 	sendBuf  []congest.Send   // reused per-round flush buffer
 	queues   [][]congest.Wire // per-port pending sends, reused across levels
 	rt       *router          // the first stage's routing state, reused across levels
-	local    []congest.Wire   // the census items, reused across levels
-	labelCap labelCap         // the census filter, reused across censuses
+	labelCap labelCap         // the collected censuses' filter
 
-	stage uint8
-	sub   congest.Driver // the running primitive, nil between them
+	stage    uint8
+	censusOn bool           // the next level's census rides this level's routing loop
+	sub      congest.Driver // the running primitive, nil between them
 
 	// The first stage's progress: passes started, the current pass's
 	// level, and the labels this node holds at it (ascending).
@@ -209,8 +216,8 @@ const (
 	stageBFS      = uint8(iota) // building the BFS tree
 	stageEmbed                  // building the virtual-tree embedding
 	stageLabels                 // the global label census
-	stageCensus                 // a level's Step 3a census
-	stageRoute                  // a level's Steps 3c-3d, routing and delegation
+	stageCensus                 // a baseline pass's level-0 census
+	stageRoute                  // a level's Steps 3c-3d, routing and delegation, and the next level's census
 	stageFrag                   // stageTwo: the super-terminal fragments
 	stagePairs                  // stageTwo: the (cell, label) collection
 	stageVoronoi                // stageTwo: the Voronoi decomposition
@@ -260,8 +267,10 @@ func (ns *nodeState) Next(in []congest.Recv) (congest.Request, bool) {
 	case stageRoute:
 		ns.held = ns.rt.next
 		sort.Ints(ns.held)
-		ns.level++
-		return ns.census()
+		if ns.level++; ns.level > ns.emb.L {
+			return ns.nextPass()
+		}
+		return ns.route()
 	case stageFrag:
 		return ns.two.collectPairs()
 	case stagePairs:
@@ -310,8 +319,8 @@ func (c *labelCap) accept(x congest.Wire) bool {
 }
 
 // collectLabels starts the census of the global label set with at most
-// two witnesses per label (O(k + D) rounds), also the basis of the
-// singleton deletions in every level's Step 3a.
+// two witnesses per label (O(k + D) rounds), also level 0's Step 3a in a
+// pass over the nodes' own labels.
 func (ns *nodeState) collectLabels() (congest.Request, bool) {
 	var local []congest.Wire
 	if ns.label != steiner.NoLabel {
@@ -322,15 +331,21 @@ func (ns *nodeState) collectLabels() (congest.Request, bool) {
 }
 
 // installLabels reads the global label set off the census stream, which
-// is (lbl, node)-sorted: one pass over its runs yields the ascending set.
+// is (lbl, node)-sorted: one pass over its runs yields the ascending set,
+// after a first pass that sizes it.
 func (ns *nodeState) installLabels() {
 	got := ns.tree.Collected()
-	for i := 0; i < len(got); {
-		lbl := got[i].A
-		for i < len(got) && got[i].A == lbl {
-			i++
+	k := 0
+	for i := range got {
+		if i == 0 || got[i].A != got[i-1].A {
+			k++
 		}
-		ns.labels = append(ns.labels, int(lbl))
+	}
+	ns.labels = make([]int, 0, k)
+	for i := range got {
+		if i == 0 || got[i].A != got[i-1].A {
+			ns.labels = append(ns.labels, int(got[i].A))
+		}
 	}
 }
 
@@ -374,29 +389,35 @@ func (ns *nodeState) endStageOne() (congest.Request, bool) {
 	return congest.Request{}, false
 }
 
-// census starts level ns.level's Step 3a, which drops labels held by a
-// single node, or ends the pass after the last level.
+// census starts a baseline pass's level-0 Step 3a, which drops its label
+// if a single node holds it: a collected census of the pass's holders.
+// Every later level's census rides the level below's routing loop, whose
+// census queue is idle meanwhile and holds the item.
 func (ns *nodeState) census() (congest.Request, bool) {
-	if ns.level > ns.emb.L {
-		return ns.nextPass()
+	rt := ns.router()
+	local := rt.censusQ
+	if len(ns.held) > 0 {
+		local = append(local, congest.Wire{Kind: wireLabel, A: uint32(ns.held[0]), B: uint32(ns.h.ID())})
 	}
-	ns.local = ns.local[:0]
-	for _, lbl := range ns.held {
-		ns.local = append(ns.local, congest.Wire{Kind: wireLabel, A: uint32(lbl), B: uint32(ns.h.ID())})
-	}
+	rt.censusQ = local
 	ns.stage = stageCensus
-	return ns.drive(dist.StartUpcastBroadcast(ns.h, &ns.tree, ns.local, pairCmp, ns.labelCap.newFn, nil))
+	return ns.drive(dist.StartUpcastBroadcast(ns.h, &ns.tree, local, pairCmp, ns.labelCap.newFn, nil))
 }
 
 // route finishes Step 3a and starts Steps 3b-3d, or ends the pass when
 // every label is satisfied (all nodes agree and leave together). The
-// collected stream is (lbl, node)-sorted, so the census is a run-length
-// pass and the surviving set an in-place sorted intersection — no
-// per-level maps. Held labels are aimed in ascending order, so round and
-// message counts are deterministic under a fixed seed.
+// census is level 0's collected stream, or the exit list of the level
+// below's routing loop. Either is (lbl, node)-sorted with at most two
+// items per label, so Step 3a is a run-length pass and the surviving set
+// an in-place sorted intersection — no per-level maps. Held labels are
+// aimed in ascending order, so round and message counts are
+// deterministic under a fixed seed.
 func (ns *nodeState) route() (congest.Request, bool) {
 	h, l := ns.h, ns.held
 	got := ns.tree.Collected()
+	if ns.level > 0 {
+		got = ns.tree.QuietList()
+	}
 	anyLive := false
 	kept := l[:0] // in-place: writes trail the read cursor
 	li := 0
@@ -426,6 +447,7 @@ func (ns *nodeState) route() (congest.Request, bool) {
 	// Step 3b: aim each held label at the level-i ancestor.
 	anc, _ := ns.emb.Ancestor(ns.level)
 	rt := ns.router()
+	ns.censusOn = ns.level < ns.emb.L
 	for _, lbl := range ns.held {
 		key := chainKey{lbl: lbl, dst: anc.Node}
 		rt.originated[key] = true
@@ -438,9 +460,10 @@ func (ns *nodeState) route() (congest.Request, bool) {
 	}
 
 	// Steps 3c-3d: route with per-chain dedup, and delegate back down,
-	// until quiescence.
+	// until quiescence; below the top level the next level's census rides
+	// along, up with the routes and down on the exit wave.
 	ns.stage = stageRoute
-	return ns.drive(dist.StartQuiet(h, &ns.tree, rt.step))
+	return ns.drive(dist.StartQuietList(h, &ns.tree, rt.step, &rt.censusQ))
 }
 
 // chainKey names one routing chain: a label aimed at an ancestor.
@@ -457,6 +480,12 @@ type router struct {
 	pick       chainKey          // the first chain gathered here, if any: the delegation chain
 	next       []int             // the labels this node holds next level
 	step       dist.Step
+
+	// The next level's census (see tally): per global label, the items
+	// passed on here, and the items themselves — a stack for the parent
+	// port, or at the root the census, (lbl, node)-sorted.
+	censusN []uint8
+	censusQ []congest.Wire
 }
 
 // router returns the node's router, reset for a new level: empty maps,
@@ -480,6 +509,11 @@ func (ns *nodeState) router() *router {
 	for p := range ns.queues {
 		ns.queues[p] = ns.queues[p][:0]
 	}
+	if rt.censusN == nil {
+		rt.censusN = make([]uint8, len(ns.labels))
+	}
+	clear(rt.censusN)
+	rt.censusQ = rt.censusQ[:0]
 	return rt
 }
 
@@ -498,7 +532,8 @@ func (ns *nodeState) pushRoute(p int, w congest.Wire) {
 
 // gather records a chain that reached its ancestor here and delegates the
 // label, if new, down the first chain gathered here: that chain is fixed
-// by its arrival, and its firstFrom ports were set on the way up.
+// by its arrival, and its firstFrom ports were set on the way up. A new
+// label also enters the next level's census, when one rides the loop.
 func (rt *router) gather(key chainKey) {
 	if rt.gathered[key.lbl] {
 		return
@@ -508,6 +543,37 @@ func (rt *router) gather(key chainKey) {
 	}
 	rt.gathered[key.lbl] = true
 	rt.delegate(delegWire(rt.pick.lbl, rt.pick.dst, key.lbl))
+	if rt.ns.censusOn {
+		rt.tally(congest.Wire{Kind: wireLabel, A: uint32(key.lbl), B: uint32(rt.ns.h.ID())})
+	}
+}
+
+// tally passes census item w — label A gathered at node B — on toward the
+// BFS root, unless two items of its label passed here already: stacked
+// for the parent port (the census is order-free), or, at the root, put in
+// place in the sorted census.
+//
+// The census counts a label's gatherers, and that count is exact for the
+// next level's Step 3a, which needs the label's holders there. Each
+// ancestor that gathers λ delegates it once, to one originator: the
+// originator of its first gathered chain, which adopts λ. A node
+// originates chains only toward its own level-i ancestor, so distinct
+// ancestors delegate to distinct originators. Hence λ has as many holders
+// at level i+1 as gatherers at level i, and it is live there (at least two
+// holders) iff the census holds two items of it; the cap of two per label
+// keeps that count exact.
+func (rt *router) tally(w congest.Wire) {
+	i := sort.SearchInts(rt.ns.labels, int(w.A))
+	if rt.censusN[i] == 2 {
+		return
+	}
+	rt.censusN[i]++
+	if rt.ns.tree.IsRoot() {
+		j, _ := slices.BinarySearchFunc(rt.censusQ, w, pairCmp)
+		rt.censusQ = slices.Insert(rt.censusQ, j, w)
+		return
+	}
+	rt.censusQ = append(rt.censusQ, w)
 }
 
 // delegate passes delegation w one hop down its chain, or adopts its label
@@ -527,12 +593,19 @@ func (rt *router) delegate(w congest.Wire) {
 
 // flush emits the head of every nonempty port queue, in port order, into
 // the reused send buffer, marking the edges into F. A delegation retraces
-// a chain whose edges are in F already.
+// a chain whose edges are in F already. A census item goes on the parent
+// port only in a round with no route or delegation wire queued there, so
+// the routing, the delegations and with them F and the next held sets
+// are those of a census-free loop.
 func (rt *router) flush() ([]congest.Send, bool) {
 	ns := rt.ns
 	out := ns.sendBuf[:0]
 	for p, q := range ns.queues {
 		if len(q) == 0 {
+			if k := len(rt.censusQ); p == ns.tree.ParentPort && k > 0 {
+				out = append(out, congest.Send{Port: p, Wire: rt.censusQ[k-1]})
+				rt.censusQ = rt.censusQ[:k-1]
+			}
 			continue
 		}
 		out = append(out, congest.Send{Port: p, Wire: q[0]})
@@ -549,11 +622,13 @@ func (rt *router) flush() ([]congest.Send, bool) {
 func (rt *router) route(_ int, in []congest.Recv) ([]congest.Send, bool) {
 	ns := rt.ns
 	for _, rc := range in {
-		if rc.Wire.Kind == wireDeleg {
-			rt.delegate(rc.Wire)
-			continue
-		}
-		if rc.Wire.Kind != wireRoute {
+		if k := rc.Wire.Kind; k != wireRoute {
+			switch k {
+			case wireDeleg:
+				rt.delegate(rc.Wire)
+			case wireLabel:
+				rt.tally(rc.Wire)
+			}
 			continue
 		}
 		lbl, dst := int(rc.Wire.C), int(rc.Wire.A)
