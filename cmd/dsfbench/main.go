@@ -9,10 +9,13 @@
 //	         [-cpuprofile f] [-memprofile f]
 //	dsfbench -compare old.json new.json [-tolerance pct] [-memtolerance pct] [-report f]
 //
-// With -json the results are emitted as a machine-readable array of table
-// objects ({id, title, claim, header, rows, notes, elapsed_ms}), so the
-// perf trajectory can be recorded and diffed across revisions. -compare
-// diffs two such snapshots: correctness cells (rounds, weights, ratios,
+// With -json the results are emitted as a machine-readable snapshot,
+// {machine, tables}: the machine fingerprint (nproc, gomaxprocs, go, cpu,
+// commit) and the array of table objects ({id, title, claim, header,
+// rows, notes, elapsed_ms}), so the perf trajectory can be recorded and
+// diffed across revisions. -compare diffs two such snapshots (or bare
+// table arrays, the format before fingerprints), printing both
+// fingerprints first: correctness cells (rounds, weights, ratios,
 // feasibility) must match exactly, timing cells are reported as deltas,
 // and the exit status is nonzero on any correctness drift or on a
 // per-table elapsed-time regression beyond -tolerance percent. Exit codes
@@ -135,7 +138,7 @@ func run() int {
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(tables); err != nil {
+		if err := enc.Encode(bench.Snapshot{Machine: bench.CurrentMachine(), Tables: tables}); err != nil {
 			fmt.Fprintln(os.Stderr, "dsfbench:", err)
 			return 1
 		}
@@ -157,18 +160,18 @@ func run() int {
 }
 
 func runCompare(oldPath, newPath string, tolerance, memTolerance float64, reportPath string) int {
-	load := func(path string) ([]*bench.Table, bool) {
+	load := func(path string) (*bench.Snapshot, bool) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dsfbench:", err)
 			return nil, false
 		}
-		var tabs []*bench.Table
-		if err := json.Unmarshal(data, &tabs); err != nil {
+		snap, err := bench.ParseSnapshot(data)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsfbench: %s: %v\n", path, err)
 			return nil, false
 		}
-		return tabs, true
+		return snap, true
 	}
 	old, ok := load(oldPath)
 	if !ok {
@@ -193,8 +196,8 @@ func runCompare(oldPath, newPath string, tolerance, memTolerance float64, report
 	case res.Regression:
 		// Distinct exit code: every correctness cell matched and only the
 		// timing/memory gate tripped. Same-machine timing noise reaches
-		// ±25-40%, so callers (make bench-compare) retry exactly this case
-		// once before failing; drift is never retried.
+		// ±25-40%, so a caller comparing a fresh run (make bench-head)
+		// reports this case without failing; drift always fails.
 		fmt.Fprintf(os.Stderr, "dsfbench: elapsed-time regression beyond %.0f%% or peak-RSS growth beyond %.0f%%\n", tolerance, memTolerance)
 		return 3
 	}

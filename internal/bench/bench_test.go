@@ -84,6 +84,30 @@ func TestT4SpeedupGrows(t *testing.T) {
 	}
 }
 
+// TestT1bShowsItsClaim requires T1b's instance to show what the table is
+// for: det runs several merge phases, rounded runs fewer phases than
+// there are threshold checks in every row, and the rounded thresholds
+// change the forest in at least one row.
+func TestT1bShowsItsClaim(t *testing.T) {
+	tab := T1b(Scale(3))
+	if len(tab.Rows) != 4 {
+		t.Fatalf("%d rows, want 4 (notes %v)", len(tab.Rows), tab.Notes)
+	}
+	changed := false
+	for _, row := range tab.Rows {
+		det, _ := strconv.Atoi(row[1])
+		run, _ := strconv.Atoi(row[2])
+		checks, _ := strconv.Atoi(row[3])
+		if det < 2 || run >= checks {
+			t.Errorf("eps %s: det %d merge phases, rounded %d phases for %d checks", row[0], det, run, checks)
+		}
+		changed = changed || row[4] != row[5]
+	}
+	if !changed {
+		t.Error("no row's rounded forest differs from det's")
+	}
+}
+
 // TestRetryDelayPinned pins RetryPolicy's backoff schedule, jitter
 // included, to values recorded before the jitter got its own SplitMix64
 // helper, so S1's retry timing is unchanged by that move.

@@ -75,10 +75,13 @@ func memoryColumn(header string) bool {
 // elapsed_ms may not regress by more than tolerance percent, and memory
 // columns (peak RSS) may not grow by more than memTolerance percent.
 // Tables present on only one side are reported but are neither drift nor
-// regression — new experiments are expected to appear over time.
-func Compare(old, new []*Table, tolerance, memTolerance float64) CompareResult {
+// regression — new experiments are expected to appear over time. The
+// report opens with both snapshots' machine fingerprints.
+func Compare(oldSnap, newSnap *Snapshot, tolerance, memTolerance float64) CompareResult {
 	var b strings.Builder
 	res := CompareResult{}
+	fmt.Fprintf(&b, "old machine: %s\nnew machine: %s\n", oldSnap.Machine, newSnap.Machine)
+	old, new := oldSnap.Tables, newSnap.Tables
 	newByID := make(map[string]*Table, len(new))
 	for _, t := range new {
 		newByID[t.ID] = t

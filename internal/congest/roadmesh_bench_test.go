@@ -15,8 +15,8 @@ import (
 // time only — the A/B handle for scheduler changes such as the quiescence
 // loop's parking. Besides rounds and messages it reports the scheduler's
 // work per solve, its submissions (one per request): 35,577 / 104,348 /
-// 104,424 for det / rand / rounded, in 292 / 1,028 / 694 rounds with
-// 46,059 / 183,210 / 127,488 messages. rand's per-level label census
+// 51,694 for det / rand / rounded, in 292 / 1,028 / 391 rounds with
+// 46,059 / 183,210 / 64,883 messages. rand's per-level label census
 // rides its routing loop, up with the routes and down on the loop's exit
 // wave; as a collect of its own after each loop it took 140,520
 // submissions, 1,374 rounds and 203,701 messages. While rand routed and
@@ -27,13 +27,17 @@ import (
 // then also ran a level-0 census, which now reads the label census's
 // stream instead).
 //
-// rounded runs 5 merge phases here for 19 threshold checks: it skips the
-// phases its collected streams prove empty, which took it from 20 phases,
-// 3,392 rounds, 497,218 submissions and 183–201 ms per solve to 1,013
-// rounds, 136,457 submissions and 55–61 ms (2-vCPU VM, go1.24).
+// rounded runs 2 merge phases here for 19 threshold checks: its
+// collected stream runs past every check that changes no moat's
+// activity. Ending a phase at every check whose phase held a merge took
+// 5 phases, 694 rounds, 127,488 messages, 104,424 submissions and
+// 33–34 ms per solve, against 20–22 ms now (2-vCPU VM, go1.24). Before
+// that, skipping only the phases its collected streams proved empty took
+// it from 20 phases, 3,392 rounds, 497,218 submissions and 183–201 ms to
+// 1,013 rounds and 136,457 submissions.
 //
 // B/op and allocs/op show the merge loop's per-phase cost. rounded runs
-// more merge phases than det's 1, yet allocates what det does (5.60 MB
+// more merge phases than det's 1, yet allocates what det does (5.57 MB
 // and about 42k allocations each on a 2-vCPU VM with go1.24): every node
 // re-borrows its moat-book replicas and its collect stream buffer each
 // phase instead of allocating them. Before that, rounded took 14.24 MB

@@ -49,14 +49,16 @@ func checkSubmissions(t *testing.T, cases []solveCase) {
 
 // TestDetSolveSubmissions pins the scheduler work of the Section 4
 // solvers, each one congest.RunDriven driver: det's 2,140 submissions
-// (one per request) on this instance, and rounded's 6,863, those of its
-// 6 run phases (it skips the threshold phases its collected streams
-// prove empty, which once ran as 18 phases and 25,011 submissions). Their
-// Stats match the per-round reference (WithFastPath(false)), which
-// submits far more (6,208 and 16,384): with the fast path off every park
-// is a loop of plain exchanges.
+// (one per request) on this instance, and rounded's 2,987, those of its
+// 2 merge phases (its collected stream runs past every threshold check
+// that changes no moat's activity; ending a phase at every check whose
+// phase held a merge took 6 phases and 6,863 submissions, and a phase
+// per threshold once took 18 phases and 25,011). Their Stats match the
+// per-round reference (WithFastPath(false)), which submits far more
+// (6,208 and 8,320): with the fast path off every park is a loop of
+// plain exchanges.
 func TestDetSolveSubmissions(t *testing.T) {
-	checkSubmissions(t, []solveCase{{"det", 2140}, {"rounded", 6863}})
+	checkSubmissions(t, []solveCase{{"det", 2140}, {"rounded", 2987}})
 }
 
 // TestRandSolveSubmissions pins the Section 5 solvers the same way:

@@ -29,12 +29,12 @@
 // with the braced stages once per merge phase. The BFS, the two
 // collections, Bellman-Ford and the marking walk are the dist primitives'
 // start forms, driven to completion in turn; the two exchanges are single
-// rounds. The rounded variant is the same driver with a growth cap per
-// phase (the stream also stops at the first candidate beyond it) and its
-// threshold bookkeeping at each phase's end, where a stream that proves
-// the next phases empty lets every node grow past them without running
-// them (checkThreshold); it starts from the minimalized labels, the exact
-// one from the raw ones.
+// rounds. The rounded variant is the same driver with Section 4.2's
+// threshold checks interleaved into each phase's stream: the root runs
+// the checks that fall before each candidate and ends the stream only at
+// a check or merge that changes a moat's activity, and every node replays
+// the same checks on its own book (thresholdChecks). It starts from the
+// minimalized labels, the exact one from the raw ones.
 //
 // Every protocol message of the hot phases — terminal announcements,
 // candidate merges, coverage and region-view exchanges, marking tokens —
@@ -68,7 +68,7 @@ import (
 type Result struct {
 	Solution *steiner.Solution
 	Stats    *congest.Stats
-	Phases   int // merge phases run (≤ 2k, Lemma 4.4; rounded: ≤ 6t, see SolveRounded)
+	Phases   int // merge phases run (≤ 2k, Lemma 4.4; rounded: ≤ 3t-2, see SolveRounded)
 	Merges   int // candidate merges selected across all phases
 }
 
@@ -253,12 +253,11 @@ type nodeState struct {
 	cov        []rational.Q
 
 	// The rounded variant (Section 4.2, eps = ε as a fraction; zero for
-	// Section 4.1): the cumulative moat growth Σµ, the threshold µ̂, and
-	// the current phase's growth cap µ̂ - Σµ.
-	eps       [2]int64
-	total     rational.Q
-	threshold int64
-	cap       rational.Q
+	// Section 4.1): the cumulative moat growth Σµ at the phase start and
+	// the threshold checks still ahead.
+	eps    [2]int64
+	total  rational.Q
+	checks thresholdChecks
 
 	phase     int
 	allMerges []candItem
@@ -277,12 +276,14 @@ type nodeState struct {
 	// The collection's moat-book replicas, re-borrowed from book every
 	// phase (moat.Book.CloneInto), so their arrays are allocated once per
 	// run: spec is the filter's speculative replica, ender replays the
-	// accepted stream at the root to find the phase-ending merge. Only the
-	// root evaluates stopAfter, so only the root allocates an ender, and
-	// fills it on its first call of the phase (enderSet).
-	spec     moat.Book
-	ender    *moat.Book
-	enderSet bool
+	// accepted stream at the root, with its own copy of the threshold
+	// checks, to find where the phase ends. Only the root evaluates
+	// stopAfter, so only the root allocates an ender, and fills it on its
+	// first call of the phase (enderSet).
+	spec        moat.Book
+	ender       *moat.Book
+	enderChecks thresholdChecks
+	enderSet    bool
 
 	// Per-phase scratch, allocated at the first phase and reused: the merge
 	// loop runs O(t) phases and every buffer here is degree-sized, so the
@@ -316,13 +317,13 @@ const (
 
 func newNodeState(h *congest.Host, out *sharedOutput, label int, eps [2]int64) *nodeState {
 	ns := &nodeState{
-		h:         h,
-		out:       out,
-		label:     label,
-		owner:     -1,
-		cov:       make([]rational.Q, h.Degree()),
-		eps:       eps,
-		threshold: 1,
+		h:      h,
+		out:    out,
+		label:  label,
+		owner:  -1,
+		cov:    make([]rational.Q, h.Degree()),
+		eps:    eps,
+		checks: thresholdChecks{next: 1},
 	}
 	ns.weightFn = ns.reducedWeight
 	ns.filterFn = ns.newFilter
@@ -448,16 +449,12 @@ func (ns *nodeState) phaseScratch(deg int) {
 
 // nextPhase opens the next merge phase (Step 3) while any moat is active,
 // with (a) the coverage exchange that agrees on the reduced edge weights
-// Ŵj; once none is, it moves on to Steps 4+5. A rounded phase's growth is
-// capped at the threshold budget µ̂ - Σµ.
+// Ŵj; once none is, it moves on to Steps 4+5.
 func (ns *nodeState) nextPhase() (congest.Request, bool) {
 	if !ns.book.AnyActive() {
 		return ns.markEdges()
 	}
 	ns.phase++
-	if ns.rounded() {
-		ns.cap = rational.FromInt(ns.threshold).Sub(ns.total)
-	}
 	deg := ns.h.Degree()
 	ns.phaseScratch(deg)
 	for p := 0; p < deg; p++ {
@@ -564,35 +561,31 @@ func (ns *nodeState) accept(x congest.Wire) bool {
 }
 
 // stopAfter ends the stream at the first activity-changing merge or, in a
-// rounded phase, at the first candidate beyond the growth cap.
+// rounded phase, at the first candidate behind an activity-changing
+// threshold check: that candidate waits for the next phase.
 func (ns *nodeState) stopAfter(x congest.Wire) bool {
-	if ns.rounded() && ns.cap.Less(dist.DecodeQ(x.B&0xff, x.C)) {
-		return true // over the threshold: phase ends at µ̂
-	}
 	if !ns.enderSet {
 		if ns.ender == nil {
 			ns.ender = new(moat.Book)
 		}
 		ns.book.CloneInto(ns.ender)
+		ns.enderChecks = ns.checks
 		ns.enderSet = true
+	}
+	if ns.rounded() {
+		at := ns.total.Add(dist.DecodeQ(x.B&0xff, x.C))
+		if _, changed := ns.enderChecks.beforeMerge(ns.ender, at, ns.eps); changed {
+			return true
+		}
 	}
 	return ns.ender.Merge(dist.EdgeItemPair(x))
 }
 
-// endPhase (f) replays the accepted merges on the local replica, runs a
-// capped rounded phase's threshold check, and (g) grows the regions by the
-// phase's growth µ: claim newly covered nodes, extend edge coverage.
+// endPhase (f) replays the accepted stream on the local replica and (g)
+// grows the regions by the phase's growth µ: claim newly covered nodes,
+// extend edge coverage.
 func (ns *nodeState) endPhase() {
-	stream := ns.tree.Collected()
-	mu, accepted, hitThreshold := ns.growth(stream)
-	for _, x := range accepted {
-		c := dist.EdgeItemFromWire(x)
-		ns.book.Merge(c.U, c.V)
-		ns.allMerges = append(ns.allMerges, c)
-	}
-	if hitThreshold {
-		mu = ns.checkThreshold(stream)
-	}
+	mu := ns.replay(ns.tree.Collected())
 	if ns.owner < 0 && ns.myOwner >= 0 && ns.myDhat.LessEq(mu) {
 		ns.owner = ns.myOwner
 		ns.parentPort = ns.tentParent
@@ -610,66 +603,48 @@ func (ns *nodeState) endPhase() {
 		return
 	}
 	ns.total = ns.total.Add(mu)
-	// A run phase that neither merges nor deactivates a moat ended at its
-	// cap with a no-op check and a tail (a stream is empty only when no
-	// active moat borders another moat's region, so no other moat holds
-	// its label, and the check deactivates it). So checkThreshold skipped
-	// to the threshold that holds the tail, and the next phase merges it.
-	// Each run phase is thus charged to a merge or deactivation in itself
-	// or its successor: at most t-1 merges and, since moats only
-	// deactivate at checks and each of the at most 2t-1 moats does so at
-	// most once, 2t-1 deactivations, so at most 2(3t-2) < 6t phases run.
-	if ns.phase > 6*len(ns.terms) {
+	// Each phase holds a merge or ends at a threshold check that changes a
+	// moat's activity: stopAfter ends a stream before its first candidate
+	// only at such a check, and a stream is empty only when no active moat
+	// borders another moat's region, so no other moat holds its labels and
+	// the check deactivates it. A check only deactivates: it flips a moat
+	// whose labels no other moat holds, and only a merge, which forms a new
+	// moat, can give another moat one. So each phase is charged to one of
+	// the at most t-1 merges or to the deactivation of one of the at most
+	// 2t-1 moats (t terminals, t-1 merges), each of which deactivates at
+	// most once: at most 3t-2 phases run.
+	if ns.phase > 3*len(ns.terms)-2 {
 		panic("detforest: rounded run does not terminate (protocol bug)")
 	}
 }
 
-// checkThreshold runs the threshold check that ends a capped rounded phase
-// and returns the phase's growth µ: its cap, plus the caps of every later
-// phase the collected stream already proves empty. Those phases are
-// skipped, not run. When the stream ends in an over-cap tail candidate
-// and the check changed no moat's activity, the next phase would compute
-// the same decomposition and the same candidates, each nearer by the
-// growth, so the tail stays the stream's first candidate: every threshold
-// below its meeting point ends a phase with no merge and a no-op check.
-// Every node holds the stream, so every node skips alike; the
-// decomposition stays valid across the longer growth as it does in a long
-// Section 4.1 phase. A candidate exactly at a threshold belongs to that
-// threshold's phase (stopAfter's tie rule).
-func (ns *nodeState) checkThreshold(stream []congest.Wire) rational.Q {
-	end := ns.threshold
-	changed := ns.book.RecheckActivity()
-	ns.threshold = nextThreshold(ns.threshold, ns.eps)
-	if len(stream) > 0 && !changed {
-		at := ns.total.Add(dist.EdgeItemFromWire(stream[len(stream)-1]).Weight)
-		for rational.FromInt(ns.threshold).Less(at) {
-			end = ns.threshold
-			ns.threshold = nextThreshold(ns.threshold, ns.eps)
-		}
-	}
-	return rational.FromInt(end).Sub(ns.total)
-}
-
-// growth decides a phase's growth µ from its accepted stream and returns
-// the merges to replay. In Section 4.1, µ(j) is the phase-ender's weight.
-// In a rounded phase, an over-cap tail item means the threshold was hit:
-// the item is deferred to a later phase and the moats grow to the cap,
-// or further when checkThreshold skips the phases before that item's.
-func (ns *nodeState) growth(accepted []congest.Wire) (mu rational.Q, merges []congest.Wire, hitThreshold bool) {
-	if !ns.rounded() {
-		if len(accepted) == 0 {
+// replay merges the accepted stream into the book and returns the phase's
+// growth µ. In Section 4.1, µ(j) is the phase-ender's weight. A rounded
+// phase also runs the threshold checks the stream crosses, as stopAfter
+// did at the root: if one changes a moat's activity, the stream's last
+// candidate lies beyond it and is deferred, and the phase ends at that
+// threshold. Otherwise it ends at its last merge, or, with no candidate
+// at all, at the next threshold's check.
+func (ns *nodeState) replay(stream []congest.Wire) rational.Q {
+	if len(stream) == 0 {
+		if !ns.rounded() {
 			panic("detforest: active phase produced no merges (infeasible instance?)")
 		}
-		return dist.EdgeItemFromWire(accepted[len(accepted)-1]).Weight, accepted, false
+		at, _ := ns.checks.run(ns.book, ns.eps)
+		return rational.FromInt(at).Sub(ns.total)
 	}
-	if len(accepted) == 0 {
-		return ns.cap, nil, true // no candidates at all: grow to the threshold
+	var c candItem
+	for _, x := range stream {
+		c = dist.EdgeItemFromWire(x)
+		if ns.rounded() {
+			if at, changed := ns.checks.beforeMerge(ns.book, ns.total.Add(c.Weight), ns.eps); changed {
+				return rational.FromInt(at).Sub(ns.total)
+			}
+		}
+		ns.book.Merge(c.U, c.V)
+		ns.allMerges = append(ns.allMerges, c)
 	}
-	last := dist.EdgeItemFromWire(accepted[len(accepted)-1])
-	if ns.cap.Less(last.Weight) {
-		return ns.cap, accepted[:len(accepted)-1], true
-	}
-	return last.Weight, accepted, false
+	return c.Weight
 }
 
 // coverGrowth computes how much of an edge's remaining (reduced) length the

@@ -142,36 +142,46 @@ func tieFree(ins *steiner.Instance) bool {
 	return true
 }
 
-// TestSolveWithinOracleForest pins what det guarantees against the
-// centralized oracle on every tie-free instance: its forest is a subset
-// of the oracle's unpruned Raw forest, and its weight lies between the
-// oracle's pruned output and Raw. (It equals the pruned weight on most
-// instances but not all; see TestSolveKeepsWholeMerges.) 500 random
-// connected instances, n = 8..24, k = 1..3.
+// TestSolveWithinOracleForest pins what det and rounded guarantee against
+// their centralized oracles (moat.SolveAKR and moat.SolveRounded at the
+// same ε) on every tie-free instance: the forest is a subset of the
+// oracle's unpruned Raw forest, and its weight lies between the oracle's
+// pruned output and Raw. (It equals the pruned weight on most instances
+// but not all; see TestSolveKeepsWholeMerges.) 500 random connected
+// instances, n = 8..24, k = 1..4, each solved by det and by rounded at
+// four ε.
 func TestSolveWithinOracleForest(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 500; {
 		n := 8 + rng.Intn(17)
-		ins := randomInstance(rng, n, 1+rng.Intn(3), 1_000_000)
+		ins := randomInstance(rng, n, 1+rng.Intn(4), 1_000_000)
 		if !ins.G.Connected() || !tieFree(ins) {
 			continue
 		}
 		trial++
-		oracle, err := moat.SolveAKR(ins)
-		if err != nil {
-			t.Fatalf("trial %d oracle: %v", trial, err)
-		}
-		got, err := Solve(ins)
-		if err != nil {
-			t.Fatalf("trial %d distributed: %v", trial, err)
-		}
-		for _, e := range got.Solution.Edges() {
-			if !oracle.Raw.Contains(e) {
-				t.Fatalf("trial %d (n=%d): edge %d is not in the oracle's Raw forest %v", trial, n, e, oracle.Raw.Edges())
+		for _, sv := range goldenSolvers {
+			var oracle *moat.Result
+			var err error
+			if sv.eps[1] == 0 {
+				oracle, err = moat.SolveAKR(ins)
+			} else {
+				oracle, err = moat.SolveRounded(ins, sv.eps[0], sv.eps[1])
 			}
-		}
-		if w, raw := got.Solution.Weight(ins.G), oracle.Raw.Weight(ins.G); w < oracle.Weight || w > raw {
-			t.Fatalf("trial %d (n=%d): weight %d outside [pruned %d, raw %d]", trial, n, w, oracle.Weight, raw)
+			if err != nil {
+				t.Fatalf("trial %d %s oracle: %v", trial, sv.name, err)
+			}
+			got, err := solveWith(ins, sv.eps)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, sv.name, err)
+			}
+			for _, e := range got.Solution.Edges() {
+				if !oracle.Raw.Contains(e) {
+					t.Fatalf("trial %d %s (n=%d): edge %d is not in the oracle's Raw forest %v", trial, sv.name, n, e, oracle.Raw.Edges())
+				}
+			}
+			if w, raw := got.Solution.Weight(ins.G), oracle.Raw.Weight(ins.G); w < oracle.Weight || w > raw {
+				t.Fatalf("trial %d %s (n=%d): weight %d outside [pruned %d, raw %d]", trial, sv.name, n, w, oracle.Weight, raw)
+			}
 		}
 	}
 }
@@ -362,8 +372,8 @@ func TestSolveRoundedFeasibleAndBounded(t *testing.T) {
 }
 
 // TestSolveRoundedMatchesCentralizedRounded runs each ε from fine to
-// coarse thresholds: the coarser they are, the more phases the rounded
-// emulation skips as already proven empty (see checkThreshold).
+// coarse thresholds: the finer they are, the more threshold checks that
+// change nothing a rounded phase's stream runs past (see thresholdChecks).
 func TestSolveRoundedMatchesCentralizedRounded(t *testing.T) {
 	for _, eps := range [][2]int64{{1, 4}, {1, 2}, {1, 1}, {2, 1}} {
 		rng := rand.New(rand.NewSource(67))

@@ -26,8 +26,13 @@ func FuzzDetDriven(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1}) // n = 1
 	f.Add([]byte{1, 4, 1, 3, 1, 1, 1, 1})
 	// Heavy weights, 3 groups, ε = 1/2: a threshold check deactivates a
-	// moat, and later rounded phases are skipped as proven empty.
+	// moat, and a rounded phase's stream runs past 9 threshold checks
+	// that change no moat's activity.
 	f.Add([]byte{15, 3, 2, 255, 0, 1, 1, 0, 2, 0, 3, 0, 0})
+	// The same groups at ε = 1: the first rounded phase streams all 6
+	// merges past 11 checks that change nothing; the second, with an
+	// empty stream, ends at the check that deactivates the last moat.
+	f.Add([]byte{15, 1, 2, 255, 0, 0, 1, 0, 2, 0, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 7 {
 			return
