@@ -3,8 +3,8 @@ package steinerforest_test
 // One testing.B benchmark per table/figure of the evaluation, wrapping the
 // experiment runners of internal/bench at a reduced scale so `go test
 // -bench=.` regenerates every result quickly; `go run ./cmd/dsfbench`
-// produces the full-size tables recorded in the committed BENCH_*.json
-// snapshots (see the README's Commands section).
+// produces the full-size tables recorded in the committed BENCH_pr10.json
+// snapshot (see the README's Commands section).
 
 import (
 	"math/rand"

@@ -79,11 +79,6 @@ func dashes(widths []int) []string {
 // Scale shrinks sweeps for quick runs (1 = full, 2 = half sizes, ...).
 type Scale int
 
-// Large opts the E2 scheduler table into its n=2048+ rows
-// (dsfbench -large). Off by default: the committed snapshots are recorded
-// without them, and the snapshot compare requires matching row counts.
-var Large bool
-
 // instance builds a random GNP instance with k pair components.
 func pairInstance(rng *rand.Rand, n, k int, maxW int64, p float64) *steiner.Instance {
 	g := graph.GNP(n, p, graph.RandomWeights(rng, maxW), rng)
@@ -491,9 +486,9 @@ type Experiment struct {
 // for All and for cmd/dsfbench's table selection.
 var Index = []Experiment{
 	{"t1", T1}, {"t1b", T1b}, {"t2", T2}, {"t3", T3}, {"t4", T4},
-	{"t5", T5}, {"t6", T6}, {"f1", F1}, {"e1", E1},
+	{"t5", T5}, {"t6", T6}, {"f1", F1},
 	{"e2", E2}, {"e5", E5},
-	{"s1", S1}, {"s2", S2}, {"d1", D1}, {"r1", R1},
+	{"s1", S1}, {"d1", D1}, {"r1", R1},
 }
 
 // All returns every experiment in index order.

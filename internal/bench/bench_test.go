@@ -31,26 +31,31 @@ func TestAllTablesRenderAtQuickScale(t *testing.T) {
 		}
 	}
 	out := RenderAll(tables)
-	for _, id := range []string{"T1", "T1b", "T2", "T3", "T4", "T5", "T6", "F1", "E1"} {
+	for _, id := range []string{"T1", "T1b", "T2", "T3", "T4", "T5", "T6", "F1", "E5"} {
 		if !strings.Contains(out, "== "+id+":") {
 			t.Errorf("rendered report missing %s", id)
 		}
 	}
 }
 
-// TestE1FloodCountsExact: every E1 row floods each edge in both
-// directions for 40 rounds, so its round and message counts are fixed by
-// the grid alone.
-func TestE1FloodCountsExact(t *testing.T) {
-	tab := E1(Scale(4))
-	if len(tab.Rows) == 0 {
-		t.Fatalf("E1 produced no rows (notes: %v)", tab.Notes)
-	}
+// TestE5FloodCountsExact: E5's parked+flood row floods each edge in both
+// directions once per cycle, six cycles of floodIdle+1 rounds, so its
+// round and message counts are fixed by the grid alone.
+func TestE5FloodCountsExact(t *testing.T) {
+	tab := E5(Scale(4))
+	found := false
 	for _, row := range tab.Rows {
-		m, _ := strconv.Atoi(row[1])
-		if row[2] != "40" || row[3] != strconv.Itoa(2*m*40) {
-			t.Errorf("E1 row %v: want 40 rounds and %d messages", row, 2*m*40)
+		if row[0] != "parked+flood" {
+			continue
 		}
+		found = true
+		m, _ := strconv.Atoi(row[2])
+		if row[3] != "1200" || row[4] != strconv.Itoa(12*m) {
+			t.Errorf("E5 row %v: want 1200 rounds and %d messages", row, 12*m)
+		}
+	}
+	if !found {
+		t.Fatalf("E5 produced no parked+flood row (notes: %v)", tab.Notes)
 	}
 }
 

@@ -26,8 +26,8 @@ func timingColumn(tableID, header string) bool {
 		strings.Contains(header, "ns/") || strings.Contains(header, "allocs") {
 		return true
 	}
-	// T4's "speedup" is a round-count ratio (deterministic); E2's and
-	// S2's are wall-clock ratios.
+	// T4's "speedup" is a round-count ratio (deterministic); E2's is a
+	// wall-clock ratio.
 	if header == "speedup" && tableID != "T4" {
 		return true
 	}
@@ -50,13 +50,6 @@ func timingColumn(tableID, header string) bool {
 	// 504-on-miss, bit-identity of survivors) are exact-matched via the
 	// "panics" and "ok" columns.
 	if tableID == "R1" && (header == "answered" || header == "cancelled") {
-		return true
-	}
-	// S2's hit/collapse split depends on which identical requests are in
-	// flight together (a collapsed follower is neither hit nor miss), so
-	// the counters shift with real-time scheduling. The trace itself is
-	// deterministic: requests/uniq/ok/identical stay exact-matched.
-	if tableID == "S2" && (header == "hits" || header == "collapsed") {
 		return true
 	}
 	return false

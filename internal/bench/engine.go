@@ -11,42 +11,6 @@ import (
 	"steinerforest/internal/workload"
 )
 
-// E1 measures the raw engine: a dense full-degree flood on grid networks of
-// growing size. It is the scaling experiment the allocation-free scheduler
-// exists for — the paper's bounds only separate at node counts the old
-// per-round-map engine could not reach.
-func E1(sc Scale) *Table {
-	tab := &Table{
-		ID:     "E1",
-		Title:  "engine throughput: flood msgs/sec vs n",
-		Claim:  "engineering: the round scheduler is allocation-free",
-		Header: []string{"n", "m", "rounds", "messages", "ms", "Mmsg/s"},
-	}
-	const rounds = 40
-	for _, side := range []int{32, 64, 128} {
-		side := side / int(sc)
-		if side < 8 {
-			side = 8
-		}
-		g := graph.Grid(side, side, graph.UnitWeights)
-		start := time.Now()
-		stats, err := congest.RunDriven(g, startFlood(rounds, 0))
-		ms := float64(time.Since(start).Microseconds()) / 1000.0
-		if err != nil {
-			tab.Notes = append(tab.Notes, err.Error())
-			continue
-		}
-		rate := "-"
-		if ms > 0 {
-			rate = f(float64(stats.Messages) / ms / 1000.0)
-		}
-		tab.Rows = append(tab.Rows, []string{
-			d(g.N()), d(g.M()), d(stats.Rounds), d64(stats.Messages), f(ms), rate,
-		})
-	}
-	return tab
-}
-
 // E2 measures the event-driven scheduler end to end: every distributed
 // solver runs the same instances with the idle/sleep fast paths on and
 // off, timing ns per simulated round, plus an engine-level idle workload
@@ -115,7 +79,7 @@ func E2(sc Scale) *Table {
 	}
 	g := graph.Grid(side, side, graph.UnitWeights)
 	addRow("idle+wireflood", g.N(), func(noFast bool) (*congest.Stats, error) {
-		return congest.RunDriven(g, startFlood(12, 199), congest.WithFastPath(!noFast))
+		return congest.RunDriven(g, startFlood(12), congest.WithFastPath(!noFast))
 	})
 
 	solverRow := func(algo string, n, k int) {
@@ -141,27 +105,6 @@ func E2(sc Scale) *Table {
 	solverRow("rand", 192, 6)
 	solverRow("trunc", 192, 6)
 	solverRow("khan", 96, 4)
-	if Large {
-		// Opt-in large-scale rows (dsfbench -large): the scheduler's
-		// speedup and the allocs/node-round floor at n = 2048+, cheap to
-		// run because a parked node costs a few cells of flat engine
-		// tables. Excluded from the committed snapshots (the compare
-		// needs stable rows).
-		solverRow("det", 2048, 6)
-		solverRow("rand", 2048, 8)
-		// One n=10^5 engine-level smoke row: the idle workload at E5
-		// scale, still under the fast-on/off A/B (the off run exchanges
-		// every round on every node, so keep the cycle count low).
-		hugeN := 100_000
-		hside := 1
-		for hside*hside < hugeN {
-			hside++
-		}
-		hg := graph.Grid(hside, hside, graph.UnitWeights)
-		addRow("idle+wireflood", hg.N(), func(noFast bool) (*congest.Stats, error) {
-			return congest.RunDriven(hg, startFlood(2, 199), congest.WithFastPath(!noFast))
-		})
-	}
 	tab.Notes = append(tab.Notes,
 		"fast off = WithFastPath(false): each node's driver runs in a plain-loop driver that expands every Idle/Sleep/SleepUntil/Relay request into the exchange loop defining it; identical=true pins bit-equal Stats",
 		"allocs/node-rnd is the fast run's whole-process malloc count per simulated node-round (engine + solver + GC noise); allocs/run is the same count per fast run",
@@ -169,35 +112,38 @@ func E2(sc Scale) *Table {
 	return tab
 }
 
-// benchWireKind is the 64-bit payload kind of the E1 flood and the E2
-// idle workload.
+// benchWireKind is the 64-bit payload kind of the engine workloads (E2's
+// idle+wireflood, E5's parked+flood and broadcast items).
 const benchWireKind uint16 = 100
 
 func init() { congest.RegisterWireKind(benchWireKind, 64) }
 
+// floodIdle is how many rounds a flood node parks before each exchange,
+// so one flood cycle spans floodIdle+1 rounds.
+const floodIdle = 199
+
 // startFlood is the node program of the engine workloads: cycles rounds
-// of a full-degree flood, each after idle parked rounds (none for 0).
-func startFlood(cycles, idle int) func(h *congest.Host) (congest.Request, congest.Driver) {
+// of a full-degree flood, each after floodIdle parked rounds.
+func startFlood(cycles int) func(h *congest.Host) (congest.Request, congest.Driver) {
 	return func(h *congest.Host) (congest.Request, congest.Driver) {
-		return congest.Idle(0), &flood{cycles: cycles, idle: idle, out: make([]congest.Send, h.Degree())}
+		return congest.Idle(0), &flood{cycles: cycles, out: make([]congest.Send, h.Degree())}
 	}
 }
 
 // flood is startFlood's driver.
 type flood struct {
-	cycles, idle int
-	cycle        int
-	parked       bool // the pending request is the cycle's Idle
-	out          []congest.Send
+	cycles, cycle int
+	parked        bool // the pending request is the cycle's Idle
+	out           []congest.Send
 }
 
 func (d *flood) Next([]congest.Recv) (congest.Request, bool) {
 	if d.cycle == d.cycles {
 		return congest.Request{}, false
 	}
-	if d.idle > 0 && !d.parked {
+	if !d.parked {
 		d.parked = true
-		return congest.Idle(d.idle), true
+		return congest.Idle(floodIdle), true
 	}
 	d.parked = false
 	for p := range d.out {

@@ -21,15 +21,17 @@ var Huge bool
 // idle+flood cycle (the engine's steady state, where a parked node costs
 // bytes in flat tables rather than live objects) and the BFS-tree
 // primitives every solver phase is built from (tree construction,
-// global max, pipelined broadcast). peakRSS_MB is recorded into the
-// snapshot so memory regressions gate CI exactly like time regressions
-// (make bench-gate, MEMTOLERANCE).
+// global max, pipelined broadcast). rounds and messages are exact:
+// parked+flood's six cycles of floodIdle+1 rounds read 1,200 rounds and
+// 12·m messages. allocs/node-rnd shows the scheduler allocation-free in
+// steady state; peakRSS_MB records the process high-water mark, which
+// dsfbench -compare holds to -memtolerance.
 func E5(sc Scale) *Table {
 	tab := &Table{
 		ID:    "E5",
 		Title: "large-network engine: flat CSR + arena tables at n=10^5 (10^6 with -huge)",
 		Claim: "engineering: graph and scheduler state are flat arrays indexed by CSR offsets, so node count scales by RAM, not allocator throughput",
-		Header: []string{"workload", "n", "m", "rounds", "ms",
+		Header: []string{"workload", "n", "m", "rounds", "messages", "ms",
 			"ns/node-rnd", "allocs/node-rnd", "peakRSS_MB"},
 	}
 	row := func(name string, g *graph.Graph, program func(h *congest.Host) (congest.Request, congest.Driver)) {
@@ -47,7 +49,7 @@ func E5(sc Scale) *Table {
 		nodeRounds := float64(g.N()) * float64(stats.Rounds)
 		allocs := float64(after.Mallocs - before.Mallocs)
 		tab.Rows = append(tab.Rows, []string{
-			name, d(g.N()), d(g.M()), d(stats.Rounds), f(ms),
+			name, d(g.N()), d(g.M()), d(stats.Rounds), d64(stats.Messages), f(ms),
 			fmt.Sprintf("%.1f", ms*1e6/nodeRounds),
 			fmt.Sprintf("%.3f", allocs/nodeRounds),
 			fmt.Sprintf("%.1f", peakRSSMB()),
@@ -68,7 +70,7 @@ func E5(sc Scale) *Table {
 		}
 		g := graph.Grid(side, side, graph.UnitWeights)
 		g.Freeze()
-		row("parked+flood", g, startFlood(6, 199))
+		row("parked+flood", g, startFlood(6))
 		row("bfs+max+bcast", g, func(h *congest.Host) (congest.Request, congest.Driver) {
 			tr := new(dist.Tree)
 			return congest.Chain(
@@ -87,7 +89,7 @@ func E5(sc Scale) *Table {
 		})
 	}
 	tab.Notes = append(tab.Notes,
-		"peakRSS_MB is the process high-water mark after the row (monotone down the table); the snapshot compare gates it with -memtolerance",
+		"peakRSS_MB is the process high-water mark after the row (monotone down the table); dsfbench -compare holds it to -memtolerance",
 		"n=10^6 rows are opt-in (dsfbench -huge) and excluded from the committed snapshots")
 	return tab
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -158,14 +157,6 @@ func quantileMS(sorted []float64, q float64) float64 {
 // closed-loop generator). With clients <= the server's queue depth no
 // request can be rejected, so every response is collected.
 func ClosedLoopLoad(url string, reqs []serve.SolveRequest, clients int) LoadResult {
-	return ClosedLoopLoadRetry(url, reqs, clients, RetryPolicy{})
-}
-
-// ClosedLoopLoadRetry is ClosedLoopLoad with a backoff policy: a client
-// whose request is shed (429/503) waits out the policy's jittered delay
-// and re-sends before moving on, so Rejected counts only requests that
-// exhausted their retries.
-func ClosedLoopLoadRetry(url string, reqs []serve.SolveRequest, clients int, pol RetryPolicy) LoadResult {
 	res := LoadResult{Requests: len(reqs), Responses: make([]*serve.SolveResponse, len(reqs))}
 	latencies := make([]float64, len(reqs))
 	client := &http.Client{}
@@ -183,10 +174,9 @@ func ClosedLoopLoadRetry(url string, reqs []serve.SolveRequest, clients int, pol
 					return
 				}
 				t0 := time.Now()
-				out, status, retries, err := postSolveRetry(client, url, reqs[i], pol, i)
+				out, status, _, err := postSolve(client, url, reqs[i])
 				lat := float64(time.Since(t0).Microseconds()) / 1000.0
 				mu.Lock()
-				res.Retries += retries
 				switch {
 				case err != nil || (status != http.StatusOK && status != http.StatusTooManyRequests):
 					res.Errors++
@@ -206,20 +196,15 @@ func ClosedLoopLoadRetry(url string, reqs []serve.SolveRequest, clients int, pol
 	return res
 }
 
-// OpenLoopLoad replays reqs on a fixed arrival schedule — one request
-// every interval, fired regardless of completions (the classical
-// open-loop generator) — so offered load does NOT adapt to capacity:
+// OpenLoopLoadRetry replays reqs on a fixed arrival schedule — one
+// request every interval, fired regardless of completions (the classical
+// open-loop generator) — so offered load does not adapt to capacity:
 // when arrivals outrun the solver pool the admission queue fills and the
-// overflow is answered 429, which is exactly the graceful-degradation
-// behavior the S1 table measures.
-func OpenLoopLoad(url string, reqs []serve.SolveRequest, interval time.Duration) LoadResult {
-	return OpenLoopLoadRetry(url, reqs, interval, RetryPolicy{})
-}
-
-// OpenLoopLoadRetry is OpenLoopLoad with a backoff policy. The arrival
-// schedule is unaffected — each arrival's goroutine retries privately —
-// so offered load still does not adapt to capacity; only the shed
-// requests get their jittered second chances.
+// overflow is answered 429, the graceful-degradation behavior the S1
+// table measures. Each arrival's goroutine retries a shed request
+// privately under the backoff policy, so the arrival schedule is
+// unaffected and only the shed requests get their jittered second
+// chances.
 func OpenLoopLoadRetry(url string, reqs []serve.SolveRequest, interval time.Duration, pol RetryPolicy) LoadResult {
 	res := LoadResult{Requests: len(reqs), Responses: make([]*serve.SolveResponse, len(reqs))}
 	latencies := make([]float64, len(reqs))
@@ -348,20 +333,21 @@ func checkIdentity(reqs []serve.SolveRequest, responses []*serve.SolveResponse,
 	return true, ""
 }
 
-// S1 measures the serve mode under trace-driven load: a closed-loop
-// generator (concurrent clients, load adapts to capacity) and an
-// open-loop generator (fixed arrival rate, overload answered 429) replay
-// a deterministic request trace against an in-process server over real
+// S1 measures the serve mode under overload: an open-loop generator
+// (fixed arrival rate, overflow answered 429 + Retry-After) replays a
+// deterministic request trace against an in-process server over real
 // loopback HTTP, after a warm-up phase. Latency/throughput columns are
-// wall-clock (gated by -tolerance like every timing column); ok/rejected
-// depend on real-time load and are classified load columns; the
-// "identical" column asserts every served answer bit-identical to a
-// standalone Solve of the same request — concurrency must change
-// latency, never answers.
+// wall-clock; ok/rejected/retries depend on real-time load and are
+// classified load columns; the "identical" column asserts every served
+// answer bit-identical to a standalone Solve of the same request —
+// overload must change latency and admission, never answers.
+// Closed-loop serving is measured by perfbench's serve workloads and
+// dsfserve -smoke, and its bit-identity and cache accounting are pinned
+// by internal/serve's TestConcurrentSolvesBitIdentical.
 func S1(sc Scale) *Table {
 	tab := &Table{
 		ID:    "S1",
-		Title: "serve mode: trace-driven load, closed- and open-loop",
+		Title: "serve mode: trace-driven open-loop overload",
 		Claim: "engineering: bounded admission (429 + Retry-After) degrades gracefully under overload; concurrent serving stays bit-identical to per-request solving",
 		Header: []string{"mode", "load", "depth", "requests", "ok", "rejected", "retries",
 			"ms(p50)", "ms(p99)", "req/s", "identical"},
@@ -370,93 +356,70 @@ func S1(sc Scale) *Table {
 	if n < 20 {
 		n = 20
 	}
-	closedReqs := 96 / int(sc)
-	openReqs := 240 / int(sc)
+	reqCount := 240 / int(sc)
 
-	// Closed-loop server: queue deep enough that clients <= depth can
-	// never see 429.
-	row := func(mode, load string, cfg serve.Config, run func(url string, reqs []serve.SolveRequest) LoadResult,
-		reqCount int, wantRejections bool) {
-		srv := serve.New(cfg)
-		defer srv.Shutdown()
-		names, local, err := registerServeInstances(srv, n)
-		if err != nil {
-			tab.Notes = append(tab.Notes, err.Error())
-			tab.Failed = true
-			return
-		}
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
+	// Arrivals at 4000/s against a single solver worker and a depth-4
+	// queue — far past capacity, so the bounded queue must shed load with
+	// 429 instead of collapsing. Shed arrivals honor Retry-After with
+	// jittered exponential backoff (capped to the run's timescale);
+	// sustained overload still exhausts retries, so the rejection regime
+	// survives.
+	const interval, load = 250 * time.Microsecond, "4000/s"
+	cfg := serve.Config{QueueDepth: 4, Workers: 1}
+	pol := RetryPolicy{Max: 2, Base: 2 * time.Millisecond, Cap: 8 * time.Millisecond, Seed: 11}
 
-		// Warm-up: a short closed-loop pass so CSR freezing, pool spin-up
-		// and HTTP connection setup stay out of the measured phase.
-		warm := ServeTrace(names, min(16, reqCount))
-		ClosedLoopLoad(ts.URL, warm, 2)
-		srv.ResetMetrics()
-
-		reqs := ServeTrace(names, reqCount)
-		res := run(ts.URL, reqs)
-
-		identical, why := checkIdentity(reqs, res.Responses, local)
-		ok := identical && res.Errors == 0 && (res.Rejected > 0) == wantRejections
-		if !identical {
-			tab.Notes = append(tab.Notes, "identity violation: "+why)
-		}
-		if res.Errors > 0 {
-			tab.Notes = append(tab.Notes, fmt.Sprintf("%s: %d requests failed", mode, res.Errors))
-		}
-		if (res.Rejected > 0) != wantRejections {
-			tab.Notes = append(tab.Notes, fmt.Sprintf("%s: rejected=%d, want rejections: %v", mode, res.Rejected, wantRejections))
-		}
-		if !ok {
-			tab.Failed = true
-		}
-		tab.Rows = append(tab.Rows, []string{
-			mode, load, d(cfg.QueueDepth), d(res.Requests), d(res.OK), d(res.Rejected), d(res.Retries),
-			f(res.P50), f(res.P99), f(res.PerSec), fmt.Sprintf("%v", ok),
-		})
-
-		// Server-side accounting must agree with the client's view. Every
-		// client retry was provoked by one server-side 429 (S1 never
-		// drains, so 503s cannot inflate the count), hence the sum.
-		st := srv.Statsz()
-		if int(st.Completed) != res.OK || int(st.Rejected) != res.Rejected+res.Retries {
-			tab.Failed = true
-			tab.Notes = append(tab.Notes, fmt.Sprintf(
-				"%s: statsz disagrees with client: completed %d vs %d ok, rejected %d vs %d final + %d retries",
-				mode, st.Completed, res.OK, st.Rejected, res.Rejected, res.Retries))
-		}
+	srv := serve.New(cfg)
+	defer srv.Shutdown()
+	names, local, err := registerServeInstances(srv, n)
+	if err != nil {
+		tab.Notes = append(tab.Notes, err.Error())
+		tab.Failed = true
+		return tab
 	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 
-	closedCfg := serve.Config{QueueDepth: 64, Workers: runtime.NumCPU()}
-	rowClosed := func(clients int) {
-		row("closed", fmt.Sprintf("c=%d", clients), closedCfg,
-			func(url string, reqs []serve.SolveRequest) LoadResult {
-				return ClosedLoopLoad(url, reqs, clients)
-			}, closedReqs, false)
-	}
-	rowClosed(2)
-	rowClosed(8)
+	// Warm-up: a short closed-loop pass so CSR freezing, pool spin-up
+	// and HTTP connection setup stay out of the measured phase.
+	ClosedLoopLoad(ts.URL, ServeTrace(names, 16), 2)
+	srv.ResetMetrics()
 
-	// Open-loop overload: arrivals at 4000/s against a single solver
-	// worker and a depth-4 queue — far past capacity, so the bounded
-	// queue must shed load with 429 instead of collapsing. Shed arrivals
-	// honor Retry-After with jittered exponential backoff (capped to the
-	// run's timescale); sustained overload still exhausts retries, so the
-	// rejection regime survives.
-	openCfg := serve.Config{QueueDepth: 4, Workers: 1}
-	openPol := RetryPolicy{Max: 2, Base: 2 * time.Millisecond, Cap: 8 * time.Millisecond, Seed: 11}
-	rowOpen := func(interval time.Duration, load string) {
-		row("open", load, openCfg,
-			func(url string, reqs []serve.SolveRequest) LoadResult {
-				return OpenLoopLoadRetry(url, reqs, interval, openPol)
-			}, openReqs, true)
+	reqs := ServeTrace(names, reqCount)
+	res := OpenLoopLoadRetry(ts.URL, reqs, interval, pol)
+
+	identical, why := checkIdentity(reqs, res.Responses, local)
+	ok := identical && res.Errors == 0 && res.Rejected > 0
+	if !identical {
+		tab.Notes = append(tab.Notes, "identity violation: "+why)
 	}
-	rowOpen(250*time.Microsecond, "4000/s")
+	if res.Errors > 0 {
+		tab.Notes = append(tab.Notes, fmt.Sprintf("open: %d requests failed", res.Errors))
+	}
+	if res.Rejected == 0 {
+		tab.Notes = append(tab.Notes, "open: rejected=0, want rejections under overload")
+	}
+	if !ok {
+		tab.Failed = true
+	}
+	tab.Rows = append(tab.Rows, []string{
+		"open", load, d(cfg.QueueDepth), d(res.Requests), d(res.OK), d(res.Rejected), d(res.Retries),
+		f(res.P50), f(res.P99), f(res.PerSec), fmt.Sprintf("%v", ok),
+	})
+
+	// Server-side accounting must agree with the client's view. Every
+	// client retry was provoked by one server-side 429 (S1 never drains,
+	// so 503s cannot inflate the count), hence the sum.
+	st := srv.Statsz()
+	if int(st.Completed) != res.OK || int(st.Rejected) != res.Rejected+res.Retries {
+		tab.Failed = true
+		tab.Notes = append(tab.Notes, fmt.Sprintf(
+			"open: statsz disagrees with client: completed %d vs %d ok, rejected %d vs %d final + %d retries",
+			st.Completed, res.OK, st.Rejected, res.Rejected, res.Retries))
+	}
 
 	tab.Notes = append(tab.Notes,
-		"closed-loop: c concurrent clients, next request on completion; open-loop: fixed arrival schedule, overflow answered 429 + Retry-After, retried with capped jittered exponential backoff",
+		"open-loop: fixed arrival schedule, overflow answered 429 + Retry-After, retried with capped jittered exponential backoff",
 		"'identical' asserts every served response bit-equal (weight, edges, rounds, messages, bits) to a standalone Solve of the same request, plus zero errors and the expected rejection regime; statsz counters must match the client's view (server 429s = final rejections + provoked retries)",
-		"ok/rejected/retries are load-dependent columns (excluded from exact-match drift); latency/throughput gate via -tolerance")
+		"ok/rejected/retries are load-dependent columns (excluded from exact-match drift); latency/throughput are timing columns")
 	return tab
 }

@@ -2,10 +2,13 @@ package bench
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strings"
 )
@@ -26,17 +29,19 @@ type Machine struct {
 	Commit     string `json:"commit"`
 }
 
-// CurrentMachine fingerprints this process's host. Commit is the git HEAD
-// of the working directory, suffixed "+dirty" when a tracked Go source or
-// go.mod differs from it (a snapshot being written over a committed one
-// does not count), or "unknown" outside a git checkout.
+// CurrentMachine fingerprints this process's host. Commit names the code,
+// not a git revision: "src-sha256:" and a hash of the Go sources of the
+// module enclosing the working directory (see sourceHash), or "unknown"
+// outside a module. A snapshot committed in the change that records it
+// thus names that change's code, and writing a snapshot over a committed
+// one does not alter the hash.
 func CurrentMachine() *Machine {
 	return &Machine{
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Go:         runtime.Version(),
 		CPU:        cpuModel(),
-		Commit:     gitCommit(),
+		Commit:     sourceHash(moduleRoot()),
 	}
 }
 
@@ -65,16 +70,61 @@ func cpuModel() string {
 	return "unknown"
 }
 
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+// moduleRoot is the nearest directory at or above the working directory
+// that holds a go.mod, or "" when there is none.
+func moduleRoot() string {
+	dir, err := os.Getwd()
+	if err != nil {
+		return ""
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return ""
+		}
+		dir = parent
+	}
+}
+
+// sourceHash hashes every *.go and *.mod file under root, skipping
+// dot-directories, as relative path, NUL, contents, in walk order: the
+// scheme perfbench/context.go falls back to for a plain source export,
+// so both name one tree alike. Any other file (a snapshot, a README)
+// leaves it unchanged.
+func sourceHash(root string) string {
+	if root == "" {
+		return "unknown"
+	}
+	h := sha256.New()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if ext := filepath.Ext(path); ext != ".go" && ext != ".mod" {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		h.Write([]byte(rel + "\x00"))
+		h.Write(b)
+		return nil
+	})
 	if err != nil {
 		return "unknown"
 	}
-	commit := strings.TrimSpace(string(out))
-	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no", "--", "*.go", "go.mod").Output(); err == nil && len(st) > 0 {
-		commit += "+dirty"
-	}
-	return commit
+	return "src-sha256:" + hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // ParseSnapshot decodes a dsfbench -json snapshot. It also reads the bare

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,12 +19,15 @@ import (
 // registered algorithm over every workload family, the second identical
 // request must answer from the cache (Cached=true) and be
 // bit-identical — weight, edges, rounds, messages, bits — to a fresh
-// standalone Solve of the same spec.
+// standalone Solve of the same spec. A hit must also be what the cache is
+// for: over the family × algorithm pairs, the median server-side
+// elapsed_ms of a hit sits at least 10× below that of a miss.
 func TestCacheHitBitIdentical(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		QueueDepth: 16, Workers: 2,
 	})
 	families := []string{"planted", "grid2d", "geometric"}
+	var hitMS, missMS []float64
 	for _, fam := range families {
 		if _, err := srv.GenerateInstance(fam, fam, workload.Params{N: 40, K: 2, Seed: 9}); err != nil {
 			t.Fatalf("%s: %v", fam, err)
@@ -49,6 +53,8 @@ func TestCacheHitBitIdentical(t *testing.T) {
 			if !second.Cached {
 				t.Errorf("%s/%s: second identical request not a cache hit", fam, algo)
 			}
+			missMS = append(missMS, first.ElapsedMS)
+			hitMS = append(hitMS, second.ElapsedMS)
 			spec := steinerforest.Spec{Algorithm: algo, Seed: 5, NoCertificate: true}
 			want, err := steinerforest.Solve(ins, spec.Canonical())
 			if err != nil {
@@ -68,6 +74,11 @@ func TestCacheHitBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	hit, miss := median(hitMS), median(missMS)
+	t.Logf("median elapsed_ms: hit %.3f, miss %.3f", hit, miss)
+	if hit*10 > miss {
+		t.Errorf("median hit %.3f ms is not 10x under median miss %.3f ms", hit, miss)
+	}
 	st := srv.Statsz()
 	if st.CacheHits == 0 || st.CacheMisses == 0 {
 		t.Errorf("cache counters did not move: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
@@ -75,6 +86,16 @@ func TestCacheHitBitIdentical(t *testing.T) {
 	if st.ArenaWarm == 0 {
 		t.Errorf("resident instances never reused a warm arena: %+v", st)
 	}
+}
+
+// median is the middle value of xs (the upper one of an even count); it
+// sorts xs in place.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }
 
 // TestSingleflightCollapse (run under -race in CI) pins the collapse

@@ -167,56 +167,102 @@ func TestOverflowReturns429WithoutBlocking(t *testing.T) {
 // TestConcurrentSolvesBitIdentical is the serving determinism contract:
 // requests solved concurrently on several workers must answer
 // bit-identically to standalone Solve calls with the same instance and
-// spec.
+// spec. The requests cycle det, rand, rounded (ε = 1/2) and trunc over
+// repeated seeds, in two concurrent waves: with the cache on, the first
+// wave's repeats collapse onto in-flight leaders or miss and the second
+// answers from the cache; with it off, every request solves. Under that
+// concurrency statsz must complete every request, count as hits exactly
+// the responses that carried cached=true, and, with the cache on,
+// account for every request once as a hit, a miss or a collapse.
 func TestConcurrentSolvesBitIdentical(t *testing.T) {
-	srv, ts := newTestServer(t, Config{
-		QueueDepth: 64, Workers: 2,
-	})
-	ins := srv.lookup("path").ins
-
-	const reqs = 8
+	variants := []struct{ algo, eps string }{{"det", ""}, {"rand", ""}, {"rounded", "1/2"}, {"trunc", ""}}
+	const waves, perWave = 2, 24 // each of the 12 (variant, seed) specs twice per wave
 	type answer struct {
-		seed int64
+		req  SolveRequest
 		resp SolveResponse
 	}
-	answers := make(chan answer, reqs)
-	var wg sync.WaitGroup
-	for i := 0; i < reqs; i++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			resp, body := postSolve(t, ts.URL, SolveRequest{
-				Instance: "path", Algorithm: "det", Seed: seed,
+	for _, cacheOn := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cache=%v", cacheOn), func(t *testing.T) {
+			// Every solve stalls briefly, so a first-wave repeat finds its
+			// leader still in flight and collapses onto it.
+			inj := chaos.New(chaos.Config{Seed: 1, StallEvery: 1, Stall: 10 * time.Millisecond})
+			srv, ts := newTestServer(t, Config{
+				QueueDepth: 64, Workers: 2, Chaos: inj, DisableCache: !cacheOn,
 			})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("seed %d: status %d (body %s)", seed, resp.StatusCode, body)
-				return
-			}
-			var out SolveResponse
-			if err := json.Unmarshal(body, &out); err != nil {
-				t.Errorf("seed %d: bad response: %v", seed, err)
-				return
-			}
-			answers <- answer{seed, out}
-		}(int64(1 + i%3)) // repeated seeds: identical requests must stay identical
-	}
-	wg.Wait()
-	close(answers)
+			ins := srv.lookup("path").ins
 
-	for a := range answers {
-		want, err := steinerforest.Solve(ins, steinerforest.Spec{Algorithm: "det", Seed: a.seed})
-		if err != nil {
-			t.Fatalf("standalone solve seed %d: %v", a.seed, err)
-		}
-		got := a.resp
-		if got.Weight != want.Weight || got.Edges != want.Solution.Size() ||
-			got.Certified != want.Certified || got.LowerBound != want.LowerBound ||
-			got.Rounds != want.Stats.Rounds || got.Messages != want.Stats.Messages ||
-			got.Bits != want.Stats.Bits {
-			t.Errorf("seed %d: served response diverges from standalone Solve:\n got %+v\nwant weight=%d edges=%d cert=%v lb=%v rounds=%d msgs=%d bits=%d",
-				a.seed, got, want.Weight, want.Solution.Size(), want.Certified,
-				want.LowerBound, want.Stats.Rounds, want.Stats.Messages, want.Stats.Bits)
-		}
+			answers := make(chan answer, waves*perWave)
+			for wave := 0; wave < waves; wave++ {
+				var wg sync.WaitGroup
+				for i := 0; i < perWave; i++ {
+					v := variants[i%len(variants)]
+					req := SolveRequest{Instance: "path", Algorithm: v.algo, Eps: v.eps, Seed: int64(1 + i%3)}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						resp, body := postSolve(t, ts.URL, req)
+						if resp.StatusCode != http.StatusOK {
+							t.Errorf("%+v: status %d (body %s)", req, resp.StatusCode, body)
+							return
+						}
+						var out SolveResponse
+						if err := json.Unmarshal(body, &out); err != nil {
+							t.Errorf("%+v: bad response: %v", req, err)
+							return
+						}
+						answers <- answer{req, out}
+					}()
+				}
+				wg.Wait()
+			}
+			close(answers)
+
+			want := make(map[SolveRequest]*steinerforest.Result)
+			cached := 0
+			for a := range answers {
+				w, ok := want[a.req]
+				if !ok {
+					spec, err := a.req.Spec()
+					if err != nil {
+						t.Fatalf("%+v: %v", a.req, err)
+					}
+					if w, err = steinerforest.Solve(ins, spec); err != nil {
+						t.Fatalf("standalone solve %+v: %v", a.req, err)
+					}
+					want[a.req] = w
+				}
+				got := a.resp
+				if got.Cached {
+					cached++
+				}
+				if got.Weight != w.Weight || got.Edges != w.Solution.Size() ||
+					got.Certified != w.Certified || got.LowerBound != w.LowerBound ||
+					got.Rounds != w.Stats.Rounds || got.Messages != w.Stats.Messages ||
+					got.Bits != w.Stats.Bits {
+					t.Errorf("%+v: served response diverges from standalone Solve:\n got %+v\nwant weight=%d edges=%d cert=%v lb=%v rounds=%d msgs=%d bits=%d",
+						a.req, got, w.Weight, w.Solution.Size(), w.Certified,
+						w.LowerBound, w.Stats.Rounds, w.Stats.Messages, w.Stats.Bits)
+				}
+			}
+			st := srv.Statsz()
+			t.Logf("statsz: %d hits, %d misses, %d collapsed", st.CacheHits, st.CacheMisses, st.Collapsed)
+			if st.Completed != waves*perWave {
+				t.Errorf("statsz completed = %d, want the %d requests", st.Completed, waves*perWave)
+			}
+			if int(st.CacheHits) != cached {
+				t.Errorf("statsz cache_hits = %d, but %d responses carried cached=true", st.CacheHits, cached)
+			}
+			if !cacheOn {
+				return
+			}
+			if got := st.CacheHits + st.CacheMisses + st.Collapsed; got != waves*perWave {
+				t.Errorf("statsz hits %d + misses %d + collapsed %d = %d, want the %d requests",
+					st.CacheHits, st.CacheMisses, st.Collapsed, got, waves*perWave)
+			}
+			if st.CacheHits == 0 {
+				t.Error("the second wave produced no cache hits")
+			}
+		})
 	}
 }
 
