@@ -98,11 +98,9 @@ bench-smoke:
 # feasibility) must match the committed snapshot exactly, so a change
 # that moves a paper-table cell without re-recording the snapshot fails
 # here (exit 1). The fresh run's timing and memory come from whatever
-# machine runs the gate, so a timing-only trip (exit 3, at dsfbench's
-# default tolerances) is reported on one line and passes. The report is
-# also written to a file so CI can attach it as an artifact on failure.
-# The gate runs a built binary, not `go run`, because go run collapses
-# every nonzero child exit to 1 and the 3-vs-1 distinction would be lost.
+# machine runs the gate, so they are reported (the report's timing
+# summary), never judged. The report is also written to a file so CI can
+# attach it as an artifact on failure.
 bench-head:
 	@$(GO) build -o bench-head.bin ./cmd/dsfbench; \
 	./bench-head.bin -json > bench-head.json; \
@@ -114,7 +112,6 @@ bench-head:
 	rm -f bench-head.bin; \
 	case $$status in \
 	0) echo "bench-head: HEAD reproduces BENCH_pr10.json";; \
-	3) echo "bench-head: correctness cells match BENCH_pr10.json; timing/memory check skipped (fresh run vs a snapshot from another run; see bench-head-report.txt)"; status=0;; \
 	*) echo "bench-head: HEAD drifts from BENCH_pr10.json (exit $$status); see bench-head-report.txt"; cat bench-head-report.txt 2>/dev/null;; \
 	esac; \
 	exit $$status

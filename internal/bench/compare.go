@@ -9,9 +9,8 @@ import (
 
 // CompareResult is the outcome of diffing two benchmark snapshots.
 type CompareResult struct {
-	Report     string
-	Drift      bool // a correctness cell changed between the snapshots
-	Regression bool // a shared table's elapsed_ms regressed beyond tolerance
+	Report string
+	Drift  bool // a correctness cell changed between the snapshots
 }
 
 // timingColumn reports whether a column holds wall-clock-derived values,
@@ -57,20 +56,19 @@ func timingColumn(tableID, header string) bool {
 
 // memoryColumn reports whether a column holds peak-RSS values: excluded
 // from the exact-match drift check (allocator and GC timing jitter the
-// exact number) but gated by its own relative tolerance in Compare, so a
-// memory regression fails the snapshot diff like a time regression does.
+// exact number) and reported, like the timing columns, in the summary.
 func memoryColumn(header string) bool {
 	return strings.Contains(header, "RSS")
 }
 
 // Compare diffs two snapshots produced by dsfbench -json: per shared
-// table, every non-timing cell must be identical (drift otherwise),
-// elapsed_ms may not regress by more than tolerance percent, and memory
-// columns (peak RSS) may not grow by more than memTolerance percent.
-// Tables present on only one side are reported but are neither drift nor
-// regression — new experiments are expected to appear over time. The
+// table, every cell but the timing and memory ones must be identical
+// (drift otherwise). Elapsed time and the timing and memory columns are
+// reported as deltas, never judged: two recordings of one build differ by
+// host noise alone. Tables present on only one side are reported but are
+// not drift — new experiments are expected to appear over time. The
 // report opens with both snapshots' machine fingerprints.
-func Compare(oldSnap, newSnap *Snapshot, tolerance, memTolerance float64) CompareResult {
+func Compare(oldSnap, newSnap *Snapshot) CompareResult {
 	var b strings.Builder
 	res := CompareResult{}
 	fmt.Fprintf(&b, "old machine: %s\nnew machine: %s\n", oldSnap.Machine, newSnap.Machine)
@@ -94,7 +92,6 @@ func Compare(oldSnap, newSnap *Snapshot, tolerance, memTolerance float64) Compar
 		if drift > 0 {
 			res.Drift = true
 		}
-		mem := compareMemory(&b, ot, nt, memTolerance)
 		delta := 0.0
 		if ot.ElapsedMS > 0 {
 			delta = (nt.ElapsedMS - ot.ElapsedMS) / ot.ElapsedMS * 100
@@ -102,12 +99,6 @@ func Compare(oldSnap, newSnap *Snapshot, tolerance, memTolerance float64) Compar
 		status := "ok"
 		if drift > 0 {
 			status = fmt.Sprintf("DRIFT (%d cells)", drift)
-		} else if mem > 0 {
-			status = fmt.Sprintf("MEM (%d cells)", mem)
-			res.Regression = true
-		} else if delta > tolerance {
-			status = "SLOWER"
-			res.Regression = true
 		}
 		fmt.Fprintf(&b, "%-3s  %-18s  elapsed %8.1fms -> %8.1fms  (%+.1f%%)\n",
 			ot.ID, status, ot.ElapsedMS, nt.ElapsedMS, delta)
@@ -128,7 +119,7 @@ func Compare(oldSnap, newSnap *Snapshot, tolerance, memTolerance float64) Compar
 // from the compare output (and from CI logs) at a glance without opening
 // the snapshots. Cells that fail to parse as numbers, zero cells, and
 // mismatched rows are skipped — the summary is informative, never a gate
-// (drift and regression are decided by Compare's cell and elapsed checks).
+// (drift is decided by Compare's cell check).
 func summarizeTimings(b *strings.Builder, old []*Table, newByID map[string]*Table) {
 	type line struct {
 		table, column string
@@ -172,37 +163,6 @@ func summarizeTimings(b *strings.Builder, old []*Table, newByID map[string]*Tabl
 	for _, l := range lines {
 		fmt.Fprintf(b, "  %-3s  %-22s  %+7.1f%%  (%d rows)\n", l.table, l.column, l.delta, l.rows)
 	}
-}
-
-// compareMemory checks every memory column of a shared table against the
-// relative tolerance and returns how many cells regressed. Cells that
-// fail to parse or are non-positive on either side (a snapshot recorded
-// on a platform without rusage) are skipped.
-func compareMemory(b *strings.Builder, ot, nt *Table, memTolerance float64) int {
-	if strings.Join(ot.Header, "|") != strings.Join(nt.Header, "|") ||
-		len(ot.Rows) != len(nt.Rows) {
-		return 0 // structural changes are already reported as drift
-	}
-	bad := 0
-	for i := range ot.Rows {
-		orow, nrow := ot.Rows[i], nt.Rows[i]
-		for c, h := range ot.Header {
-			if c >= len(orow) || c >= len(nrow) || !memoryColumn(h) {
-				continue
-			}
-			ov, oerr := strconv.ParseFloat(orow[c], 64)
-			nv, nerr := strconv.ParseFloat(nrow[c], 64)
-			if oerr != nil || nerr != nil || ov <= 0 || nv <= 0 {
-				continue
-			}
-			if nv > ov*(1+memTolerance/100) {
-				bad++
-				fmt.Fprintf(b, "  %s: row %d %q: %.1f -> %.1f (+%.0f%% > %.0f%%)\n",
-					ot.ID, i, h, ov, nv, (nv/ov-1)*100, memTolerance)
-			}
-		}
-	}
-	return bad
 }
 
 // compareTable prints per-cell correctness differences and returns how

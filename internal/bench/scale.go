@@ -25,7 +25,7 @@ var Huge bool
 // parked+flood's six cycles of floodIdle+1 rounds read 1,200 rounds and
 // 12·m messages. allocs/node-rnd shows the scheduler allocation-free in
 // steady state; peakRSS_MB records the process high-water mark, which
-// dsfbench -compare holds to -memtolerance.
+// dsfbench -compare reports in its summary.
 func E5(sc Scale) *Table {
 	tab := &Table{
 		ID:    "E5",
@@ -89,7 +89,7 @@ func E5(sc Scale) *Table {
 		})
 	}
 	tab.Notes = append(tab.Notes,
-		"peakRSS_MB is the process high-water mark after the row (monotone down the table); dsfbench -compare holds it to -memtolerance",
+		"peakRSS_MB is the process high-water mark after the row (monotone down the table); dsfbench -compare reports it in its summary",
 		"n=10^6 rows are opt-in (dsfbench -huge) and excluded from the committed snapshots")
 	return tab
 }

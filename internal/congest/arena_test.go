@@ -248,7 +248,7 @@ func TestRelayBufferReuse(t *testing.T) {
 					steps = append(steps, Exchange([]Send{{Port: 0, Wire: Wire{Kind: testWireEnd}}}),
 						Idle(3)) // until both stages have placed their next order
 				case 1:
-					steps = append(steps, RelayStream(0, []int{1}, testWireEnd), func(in []Recv) Request {
+					steps = append(steps, RelayStream(0, []int{1}, testWireEnd, 0), func(in []Recv) Request {
 						stream, _ := h.RelaySplit(in)
 						if len(stream) != k+1 || stream[k-1].Wire.C != int64(k-1) {
 							panic("relay stream corrupted")
@@ -257,7 +257,7 @@ func TestRelayBufferReuse(t *testing.T) {
 						return Request{}
 					})
 				case 2:
-					steps = append(steps, RelayStream(0, nil, testWireEnd), func(in []Recv) Request {
+					steps = append(steps, RelayStream(0, nil, testWireEnd, 0), func(in []Recv) Request {
 						if stream, _ := h.RelaySplit(in); len(stream) != k+1 {
 							panic("relay stream corrupted")
 						}

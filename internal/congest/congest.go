@@ -320,6 +320,7 @@ type subExt struct {
 	relaySrc    int    // subRelay: the port whose stream is forwarded
 	relayDst    []int  // subRelay: forwarding ports, ascending
 	relayEnd    uint16 // subRelay: stream-terminating wire kind
+	relayEndCtl uint8  // subRelay: stream-terminating control code, 0 for none
 }
 
 // nodeMode is a node's scheduler state. Every live node is either runnable
@@ -348,6 +349,7 @@ type relayDest struct {
 type relaying struct {
 	srcPort   int32
 	endKind   uint16
+	endCtl    uint8
 	hasPend   bool
 	finalPend bool // the pending forward is the end marker
 	finalSent bool // the end marker went out this round: wake at round end
@@ -635,7 +637,7 @@ func RunDriven(g *graph.Graph, start func(*Host) (Request, Driver), opts ...Opti
 				}
 				rl := &e.relays[v]
 				rl.srcPort = int32(x.relaySrc)
-				rl.endKind = x.relayEnd
+				rl.endKind, rl.endCtl = x.relayEnd, x.relayEndCtl
 				rl.hasPend = false
 				rl.finalPend = false
 				rl.finalSent = false
@@ -864,7 +866,7 @@ func (e *engine) checkRelayers() {
 		}
 		if len(touched) == 1 && touched[0] == rl.srcPort && !rl.finalSent {
 			rc := e.slots[e.base[v]+rl.srcPort]
-			isEnd := rc.Wire.Kind == rl.endKind
+			isEnd := relayEnds(rc.Wire, rl.endKind, rl.endCtl)
 			rl.buf = append(rl.buf, rc)
 			if len(rl.dsts) > 0 {
 				b, _ := wireBits(rc.Wire)

@@ -12,6 +12,7 @@ import "fmt"
 type Request struct {
 	kind   uint8
 	joined bool   // RelayStreamFrom: the host holds the joined stream's first message
+	endCtl uint8  // RelayStream: the stream-terminating control code, 0 for none
 	end    uint16 // RelayStream: the stream-terminating wire kind
 	out    []Send
 	round  int   // SleepUntil: the absolute round; Idle: the round count; RelayStream: the source port
@@ -63,8 +64,10 @@ func Idle(k int) Request { return Request{kind: reqIdle, round: k} }
 // arriving on srcPort is re-sent by the engine on every port in dstPorts
 // one round later, with the node itself parked. A CONGEST port delivers
 // at most one message per round, so the relayed stream accumulates in
-// arrival order. The stream-terminating marker (kind endKind) is part of
-// the pipeline: it is accumulated and forwarded like any other item, and
+// arrival order. The stream-terminating marker — a wire of kind endKind,
+// or, when endCtl is nonzero, any wire carrying the control code endCtl
+// (a stream whose last item is its own end mark) — is part of the
+// pipeline: it is accumulated and forwarded like any other item, and
 // the node wakes one round after that final forward (on the marker's
 // arrival when dstPorts is empty), or earlier when a round delivers mail
 // on any other port. It is defined as
@@ -81,7 +84,7 @@ func Idle(k int) Request { return Request{kind: reqIdle, round: k} }
 //	    for _, rc := range in {
 //	        for _, p := range dstPorts { fwd = append(fwd, resend(p, rc)) }
 //	        relayed = append(relayed, rc)
-//	        if rc.Wire.Kind == endKind {
+//	        if rc.Wire.Kind == endKind || (endCtl != 0 && rc.Wire.Ctl == endCtl) {
 //	            if len(dstPorts) == 0 { return relayed, nil }
 //	            return relayed, exchange(fwd)
 //	        }
@@ -103,8 +106,14 @@ func Idle(k int) Request { return Request{kind: reqIdle, round: k} }
 //
 // dstPorts must be strictly ascending (which also guarantees one send per
 // port per round); the run fails on a violation.
-func RelayStream(srcPort int, dstPorts []int, endKind uint16) Request {
-	return Request{kind: reqRelay, round: srcPort, dst: dstPorts, end: endKind}
+func RelayStream(srcPort int, dstPorts []int, endKind uint16, endCtl uint8) Request {
+	return Request{kind: reqRelay, round: srcPort, dst: dstPorts, end: endKind, endCtl: endCtl}
+}
+
+// relayEnds reports whether w ends a relayed stream whose marker is a
+// wire of kind endKind or, with endCtl nonzero, one carrying code endCtl.
+func relayEnds(w Wire, endKind uint16, endCtl uint8) bool {
+	return w.Kind == endKind || (endCtl != 0 && w.Ctl == endCtl)
 }
 
 // RelayStreamFrom is RelayStream for a stage that joins a stream already
@@ -116,9 +125,9 @@ func RelayStream(srcPort int, dstPorts []int, endKind uint16) Request {
 // first must be a message, not the end marker (which a stage forwards
 // itself); the run fails otherwise. The host holds first until the
 // request is taken, which keeps Request small.
-func (h *Host) RelayStreamFrom(first Wire, srcPort int, dstPorts []int, endKind uint16) Request {
+func (h *Host) RelayStreamFrom(first Wire, srcPort int, dstPorts []int, endKind uint16, endCtl uint8) Request {
 	h.relayFirst = first
-	r := RelayStream(srcPort, dstPorts, endKind)
+	r := RelayStream(srcPort, dstPorts, endKind, endCtl)
 	r.joined = true
 	return r
 }
@@ -138,7 +147,7 @@ func checkRelay(r Request, first Wire) {
 			panic(fmt.Sprintf("congest: RelayStream destination ports %v not ascending", r.dst))
 		}
 	}
-	if r.joined && first.Kind == r.end {
+	if r.joined && relayEnds(first, r.end, r.endCtl) {
 		panic("congest: RelayStreamFrom joins at the end marker")
 	}
 }
@@ -224,7 +233,7 @@ func (h *Host) submissionOf(r Request) (sub submission, ok bool) {
 		h.ext = subExt{wakeAt: h.round + r.round, wakeOnMsg: false}
 	case reqRelay:
 		checkRelay(r, h.relayFirst)
-		h.ext = subExt{relaySrc: r.round, relayDst: r.dst, relayEnd: r.end, relayJoined: r.joined}
+		h.ext = subExt{relaySrc: r.round, relayDst: r.dst, relayEnd: r.end, relayEndCtl: r.endCtl, relayJoined: r.joined}
 		return submission{node: h.id, kind: subRelay, ext: &h.ext}, true
 	default:
 		panic(fmt.Sprintf("congest: invalid Request kind %d", r.kind))
@@ -381,7 +390,7 @@ func (l *plainLoop) step(in []Recv) (res []Recv, done bool) {
 			l.fwd = append(l.fwd, Send{Port: p, Wire: rc.Wire})
 		}
 		l.acc = append(l.acc, rc)
-		if rc.Wire.Kind == r.end {
+		if relayEnds(rc.Wire, r.end, r.endCtl) {
 			if len(r.dst) == 0 {
 				l.h.relayLastN = 0
 				return l.acc, true

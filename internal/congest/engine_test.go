@@ -184,7 +184,7 @@ func BenchmarkRelayDrain(b *testing.B) {
 			dst = []int{1}
 		}
 		src, _ := h.PortOf(h.ID() - 1)
-		return script(RelayStream(src, dst, benchEndWire), func(in []Recv) Request {
+		return script(RelayStream(src, dst, benchEndWire, 0), func(in []Recv) Request {
 			if stream, _ := h.RelaySplit(in); len(stream) != items+1 {
 				panic("drain lost items")
 			}

@@ -269,7 +269,7 @@ func relayChain(h *Host, r0 int, lastSleeps, rootNaps bool) (Request, Driver) {
 		dst = []int{1}
 	}
 	src, _ := h.PortOf(h.ID() - 1)
-	return script(RelayStream(src, dst, testWireEnd), func(in []Recv) Request {
+	return script(RelayStream(src, dst, testWireEnd, 0), func(in []Recv) Request {
 		stream, last := h.RelaySplit(in)
 		if len(stream) != len(items)+1 || stream[len(stream)-1].Wire.Kind != testWireEnd {
 			panic("relay drain lost the stream")
@@ -351,7 +351,7 @@ func TestRelayJoinsStream(t *testing.T) {
 			if len(in) != 1 || in[0].Wire.C != items[0] || in[0].Wire.Ctl != 1 || h.Round() != h.ID() {
 				panic("joined the stream at the wrong item")
 			}
-			return h.RelayStreamFrom(in[0].Wire, src, dst, testWireEnd)
+			return h.RelayStreamFrom(in[0].Wire, src, dst, testWireEnd, 0)
 		}, func(in []Recv) Request {
 			stream, last := h.RelaySplit(in)
 			if len(stream) != len(items) || stream[len(stream)-1].Wire.Kind != testWireEnd || len(last) != 0 {
@@ -376,11 +376,67 @@ func TestRelayJoinsStream(t *testing.T) {
 			}
 			src, _ := h.PortOf(0)
 			dst, _ := h.PortOf(2)
-			return script(h.RelayStreamFrom(Wire{Kind: testWireDyn, C: 1 << 20}, src, []int{dst}, testWireEnd))
+			return script(h.RelayStreamFrom(Wire{Kind: testWireDyn, C: 1 << 20}, src, []int{dst}, testWireEnd, 0))
 		}, WithFastPath(fast))
 		if !errors.Is(err, ErrBandwidth) {
 			t.Errorf("fast path %v: oversized joined message: %v", fast, err)
 		}
+	}
+}
+
+// TestRelayEndsOnCtl: a stream whose last item carries the order's end
+// code needs no end marker wire. Every stage of the path relays it with
+// RelayStream(…, endCtl), wakes after forwarding that item (the chain's
+// end on its arrival), holding the whole stream with its codes; another
+// code on an earlier item does not end it. Rounds and messages are
+// TestRelayDrain's clean drain less the marker's, identical with the fast
+// paths off.
+func TestRelayEndsOnCtl(t *testing.T) {
+	g := graph.Path(relayHops, graph.UnitWeights)
+	items := relayItems
+	exitRound := len(items) + relayHops - 2
+	stats := both(t, g, func(h *Host) (Request, Driver) {
+		if h.ID() == 0 {
+			var steps []any
+			for i, v := range items {
+				w := Wire{Kind: testWireRelay, C: v}
+				switch i {
+				case 0:
+					w.Ctl = 1
+				case len(items) - 1:
+					w.Ctl = 2
+				}
+				steps = append(steps, Exchange([]Send{{Port: 0, Wire: w}}))
+			}
+			return script(append(steps, func([]Recv) Request { return Idle(exitRound - h.Round()) })...)
+		}
+		var dst []int
+		if h.ID() < relayHops-1 {
+			dst = []int{1}
+		}
+		src, _ := h.PortOf(h.ID() - 1)
+		return script(RelayStream(src, dst, testWireEnd, 2), func(in []Recv) Request {
+			stream, last := h.RelaySplit(in)
+			if len(stream) != len(items) || len(last) != 0 || stream[0].Wire.Ctl != 1 || stream[len(items)-1].Wire.Ctl != 2 {
+				panic("relay lost the code-ended stream")
+			}
+			for i, rc := range stream {
+				if rc.Wire.C != items[i] {
+					panic("relay reordered items")
+				}
+			}
+			wantRound := len(items) + h.ID()
+			if h.ID() == relayHops-1 {
+				wantRound--
+			}
+			if h.Round() != wantRound {
+				panic("relay woke in the wrong round")
+			}
+			return Idle(exitRound - h.Round())
+		})
+	})
+	if stats.Messages != int64(len(items)*(relayHops-1)) || stats.Rounds != exitRound {
+		t.Fatalf("stats = %+v", stats)
 	}
 }
 
@@ -397,7 +453,7 @@ func TestRelayDeviation(t *testing.T) {
 				Idle(1))
 		case 1:
 			src, _ := h.PortOf(0)
-			return script(RelayStream(src, nil, testWireEnd), func(in []Recv) Request {
+			return script(RelayStream(src, nil, testWireEnd, 0), func(in []Recv) Request {
 				relayed, last := h.RelaySplit(in)
 				if len(relayed) != 1 || relayed[0].Wire.C != 1 {
 					panic("clean prefix wrong")

@@ -14,9 +14,14 @@ import (
 // without the certificate oracle, so the figure is simulator and solver
 // time only — the A/B handle for scheduler changes such as the quiescence
 // loop's parking. Besides rounds and messages it reports the scheduler's
-// work per solve, its submissions (one per request): 35,577 / 104,348 /
-// 51,694 for det / rand / rounded, in 292 / 1,028 / 391 rounds with
-// 46,059 / 183,210 / 64,883 messages. rand's per-level label census
+// work per solve, its submissions (one per request): 29,792 / 99,590 /
+// 44,891 for det / rand / rounded, in 233 / 966 / 330 rounds with
+// 39,605 / 170,934 / 54,021 messages. Every collect is one pass through
+// the tree and the first rides the BFS build; with the first collect
+// after the build, each downcast waiting for its upcast, det's coverage
+// exchanged every phase and an end marker wire after every exit list
+// they took 35,577 / 104,348 / 51,694 submissions, 292 / 1,028 / 391
+// rounds and 46,059 / 183,210 / 64,883 messages. rand's per-level label census
 // rides its routing loop, up with the routes and down on the loop's exit
 // wave; as a collect of its own after each loop it took 140,520
 // submissions, 1,374 rounds and 203,701 messages. While rand routed and
@@ -31,18 +36,22 @@ import (
 // collected stream runs past every check that changes no moat's
 // activity. Ending a phase at every check whose phase held a merge took
 // 5 phases, 694 rounds, 127,488 messages, 104,424 submissions and
-// 33–34 ms per solve, against 20–22 ms now (2-vCPU VM, go1.24). Before
+// 33–34 ms per solve, against 16–22 ms now (2-vCPU VM, go1.24). Before
 // that, skipping only the phases its collected streams proved empty took
 // it from 20 phases, 3,392 rounds, 497,218 submissions and 183–201 ms to
 // 1,013 rounds and 136,457 submissions.
 //
 // B/op and allocs/op show the merge loop's per-phase cost. rounded runs
-// more merge phases than det's 1, yet allocates what det does (5.57 MB
-// and about 42k allocations each on a 2-vCPU VM with go1.24): every node
+// more merge phases than det's 1, yet allocates what det does (5.36 MB
+// and about 39k allocations each on a 2-vCPU VM with go1.24; 5.57 MB and
+// 42k while the terminal announcement was a collect of its own): every node
 // re-borrows its moat-book replicas and its collect stream buffer each
 // phase instead of allocating them. Before that, rounded took 14.24 MB
 // and 197,916 allocations, against det's 5.75 MB and 48,414. rand takes
-// 5.82 MB and about 51k allocations (5.83 MB and 52k with a collected
+// 6.12 MB and about 51k allocations, of which each node's copy of the
+// label census, which the truncated embedding's S election would
+// overwrite in the tree's stream buffer, is about 0.3 MB (5.82 MB while
+// the census followed the embedding; 5.83 MB and 52k with a collected
 // census per level, 5.86 MB and 53k with its routing and delegation in
 // two loops per level): its exit lists and driven collects reuse the
 // tree's stream buffer, each node's random source computes its one or

@@ -48,24 +48,33 @@ func checkSubmissions(t *testing.T, cases []solveCase) {
 }
 
 // TestDetSolveSubmissions pins the scheduler work of the Section 4
-// solvers, each one congest.RunDriven driver: det's 2,140 submissions
-// (one per request) on this instance, and rounded's 2,987, those of its
+// solvers, each one congest.RunDriven driver: det's 1,788 submissions
+// (one per request) on this instance, and rounded's 2,573, those of its
 // 2 merge phases (its collected stream runs past every threshold check
 // that changes no moat's activity; ending a phase at every check whose
 // phase held a merge took 6 phases and 6,863 submissions, and a phase
-// per threshold once took 18 phases and 25,011). Their Stats match the
-// per-round reference (WithFastPath(false)), which submits far more
-// (6,208 and 8,320): with the fast path off every park is a loop of
-// plain exchanges.
+// per threshold once took 18 phases and 25,011). The terminal
+// announcement rides the BFS build, every collect's downcast trails its
+// root's decisions, and det mirrors its neighbors' coverage instead of
+// exchanging it each phase; with the announcement a collect of its own
+// after the build, each downcast waiting for its upcast and the coverage
+// exchanged they took 2,140 and 2,987. Their Stats match the per-round
+// reference (WithFastPath(false)), which submits far more (5,056 and
+// 6,912): with the fast path off every park is a loop of plain
+// exchanges.
 func TestDetSolveSubmissions(t *testing.T) {
-	checkSubmissions(t, []solveCase{{"det", 2140}, {"rounded", 2987}})
+	checkSubmissions(t, []solveCase{{"det", 1788}, {"rounded", 2573}})
 }
 
 // TestRandSolveSubmissions pins the Section 5 solvers the same way:
-// rand, trunc and khan make 5,527, 9,623 and 11,757 submissions. Each
-// level's label census rides the routing loop below it, up with the
-// routes and down on its exit wave as a relay order; as a collect of its
-// own after that loop it took them to 7,370, 12,101 and 17,211.
+// rand, trunc and khan make 5,237, 9,275 and 11,450 submissions. The
+// global label census rides the BFS build, and an exit list's last item
+// carries its end mark; with the census a collect of its own after the
+// embedding and an end marker wire after every exit list they took
+// 5,527, 9,623 and 11,757. Each level's label census rides the routing
+// loop below it, up with the routes and down on its exit wave as a relay
+// order; as a collect of its own after that loop it took them to 7,370,
+// 12,101 and 17,211.
 func TestRandSolveSubmissions(t *testing.T) {
-	checkSubmissions(t, []solveCase{{"rand", 5527}, {"trunc", 9623}, {"khan", 11757}})
+	checkSubmissions(t, []solveCase{{"rand", 5237}, {"trunc", 9275}, {"khan", 11450}})
 }

@@ -240,7 +240,7 @@ func TestSchedulerStressStandingOrders(t *testing.T) {
 						return strays()
 					}
 					state = sRelay
-					return RelayStream(src, down, end.Kind), true
+					return RelayStream(src, down, end.Kind, 0), true
 				}
 				return Idle(0), nextFunc(func(in []Recv) (Request, bool) {
 					switch state {

@@ -6,14 +6,14 @@
 //
 // Structure of the Section 4.1 node program, mirroring Appendix E.1:
 //
-//  1. build a BFS tree; make every terminal's (id, label) globally known
-//     (pipelined upcast + broadcast, O(D+t) rounds);
-//  2. per merge phase: exchange edge-coverage state, run multi-source
-//     Bellman-Ford under reduced weights to extend the terminal
-//     decomposition (Lemma 4.8), propose candidate merges on region
-//     boundary edges (Definition 4.11), and collect them with the
-//     cycle-filtered pipelined upcast of Corollary 4.16, stopping at the
-//     phase-ending (activity-changing) merge;
+//  1. build a BFS tree and, riding its completion and finish waves, make
+//     every terminal's (id, label) globally known (pipelined upcast +
+//     broadcast, O(D+t) rounds);
+//  2. per merge phase: run multi-source Bellman-Ford under reduced
+//     weights to extend the terminal decomposition (Lemma 4.8), propose
+//     candidate merges on region boundary edges (Definition 4.11), and
+//     collect them with the cycle-filtered pipelined upcast of Corollary
+//     4.16, stopping at the phase-ending (activity-changing) merge;
 //  3. replay the accepted merges on every node's replica of the moat
 //     bookkeeping, grow regions by µ(j), and repeat while any moat is
 //     active;
@@ -24,21 +24,25 @@
 // The node program is one congest.Driver run by congest.RunDriven; its
 // stages are
 //
-//	bfs → terms → { cov exchange → BF → view exchange → collect } → mark
+//	bfs+terms → { BF → view exchange → collect } → mark
 //
-// with the braced stages once per merge phase. The BFS, the two
-// collections, Bellman-Ford and the marking walk are the dist primitives'
-// start forms, driven to completion in turn; the two exchanges are single
-// rounds. The rounded variant is the same driver with Section 4.2's
-// threshold checks interleaved into each phase's stream: the root runs
-// the checks that fall before each candidate and ends the stream only at
-// a check or merge that changes a moat's activity, and every node replays
-// the same checks on its own book (thresholdChecks). It starts from the
+// with the braced stages once per merge phase. The BFS build with the
+// terminal announcement riding it (dist.StartBFSCollect), the candidate
+// collection, Bellman-Ford and the marking walk are the dist primitives'
+// start forms, driven to completion in turn; the view exchange is a
+// single round. Each node keeps both sides' edge coverage: the view
+// exchange tells it everything its neighbor's coverage update reads, so
+// it mirrors that update instead of exchanging the result. The rounded
+// variant is the same driver with Section 4.2's threshold checks
+// interleaved into each phase's stream: the root runs the checks that
+// fall before each candidate and ends the stream only at a check or
+// merge that changes a moat's activity, and every node replays the same
+// checks on its own book (thresholdChecks). It starts from the
 // minimalized labels, the exact one from the raw ones.
 //
 // Every protocol message of the hot phases — terminal announcements,
-// candidate merges, coverage and region-view exchanges, marking tokens —
-// travels as an inline congest.Wire value, so a merge phase performs no
+// candidate merges, region-view exchanges, marking tokens — travels as
+// an inline congest.Wire value, so a merge phase performs no
 // boxed-message allocation; the dyadic weights ride the EncodeQ trick
 // (denominator exponent in a few bits of B, numerator in C) and the two
 // 24-bit id pairs pack into A/B and D.
@@ -154,9 +158,6 @@ const (
 	// B = weight denominator exponent | terminal index w << 8,
 	// C = weight numerator, D = edge endpoints eu << 32 | ev.
 	wireCand uint16 = 18
-	// wireCov carries one side's cumulative edge coverage: (B, C) = the
-	// EncodeQ'd dyadic.
-	wireCov uint16 = 19
 	// wireNbr announces a node's post-decomposition region view:
 	// A = owning terminal index (two's complement; -1 if unowned),
 	// B = dhat denominator exponent | active bit << 8, C = dhat numerator.
@@ -167,7 +168,6 @@ func init() {
 	congest.RegisterWireKind(wireToken, 2)
 	congest.RegisterWireKind(wireTerm, 2*24+2)
 	congest.RegisterWireKindFunc(wireCand, candWireBits)
-	congest.RegisterWireKindFunc(wireCov, covWireBits)
 	congest.RegisterWireKindFunc(wireNbr, nbrWireBits)
 }
 
@@ -176,11 +176,6 @@ func init() {
 // 2 envelope bits.
 func candWireBits(w congest.Wire) int {
 	return dist.EdgeItemBits(w) + 2 + 2
-}
-
-// covWireBits: the dyadic coverage + 2 header bits, as covMsg accounted.
-func covWireBits(w congest.Wire) int {
-	return dist.EncodedQBits(w.B, w.C) + 2
 }
 
 // nbrWireBits: 24-bit owner + activity bit + dhat + 2 header bits, as
@@ -250,7 +245,10 @@ type nodeState struct {
 
 	owner      int // owning terminal index, -1 if unclaimed
 	parentPort int // port toward the region root, -1 at roots/unclaimed
-	cov        []rational.Q
+	// cov[p] is the cumulative coverage of port p's edge by this node's
+	// side, nbrCov[p] by the neighbor's, which this node tracks by
+	// mirroring the neighbor's update (endPhase).
+	cov, nbrCov []rational.Q
 
 	// The rounded variant (Section 4.2, eps = ε as a fraction; zero for
 	// Section 4.1): the cumulative moat growth Σµ at the phase start and
@@ -288,8 +286,6 @@ type nodeState struct {
 	// Per-phase scratch, allocated at the first phase and reused: the merge
 	// loop runs O(t) phases and every buffer here is degree-sized, so the
 	// steady-state phase allocates nothing on this node's data plane.
-	covOut  []congest.Send
-	nbrCov  []rational.Q
 	reduced []rational.Q
 	view    []congest.Send
 	nbr     []nbrView
@@ -306,9 +302,7 @@ type nodeState struct {
 
 // nodeState stages: the step the node's current request belongs to.
 const (
-	stageBFS     = uint8(iota) // building the BFS tree
-	stageTerms                 // collecting the terminal announcements
-	stageCov                   // the coverage exchange round
+	stageBFS     = uint8(iota) // building the BFS tree, collecting the terminal announcements
 	stageBF                    // Bellman-Ford under the reduced weights
 	stageView                  // the region-view exchange round
 	stageCollect               // the filtered candidate collection
@@ -316,12 +310,14 @@ const (
 )
 
 func newNodeState(h *congest.Host, out *sharedOutput, label int, eps [2]int64) *nodeState {
+	covs := make([]rational.Q, 2*h.Degree())
 	ns := &nodeState{
 		h:      h,
 		out:    out,
 		label:  label,
 		owner:  -1,
-		cov:    make([]rational.Q, h.Degree()),
+		cov:    covs[:h.Degree()],
+		nbrCov: covs[h.Degree():],
 		eps:    eps,
 		checks: thresholdChecks{next: 1},
 	}
@@ -334,9 +330,15 @@ func newNodeState(h *congest.Host, out *sharedOutput, label int, eps [2]int64) *
 
 func (ns *nodeState) rounded() bool { return ns.eps[1] != 0 }
 
-// start returns the node's first request, the BFS build's.
+// start returns the node's first request: Step 1, the BFS build with
+// the terminal announcement riding it, which makes all terminals and
+// labels globally known.
 func (ns *nodeState) start() (congest.Request, congest.Driver) {
-	first, bfs := dist.StartBFS(ns.h, &ns.tree)
+	var local []congest.Wire
+	if ns.label != steiner.NoLabel {
+		local = append(local, congest.Wire{Kind: wireTerm, A: uint32(ns.h.ID()), B: uint32(ns.label)})
+	}
+	first, bfs := dist.StartBFSCollect(ns.h, &ns.tree, local, termCmp, nil)
 	ns.stage, ns.sub = stageBFS, bfs
 	return first, ns
 }
@@ -358,15 +360,11 @@ func (ns *nodeState) Next(in []congest.Recv) (congest.Request, bool) {
 	}
 	switch ns.stage {
 	case stageBFS:
-		return ns.announce()
-	case stageTerms:
 		ns.installTerms(ns.tree.Collected())
 		if len(ns.terms) == 0 {
 			return congest.Request{}, false
 		}
 		return ns.nextPhase()
-	case stageCov:
-		return ns.decompose(in)
 	case stageBF:
 		return ns.exchangeView()
 	case stageView:
@@ -376,16 +374,6 @@ func (ns *nodeState) Next(in []congest.Recv) (congest.Request, bool) {
 		return ns.nextPhase()
 	}
 	return congest.Request{}, false // stageMark: the forest is marked
-}
-
-// announce starts Step 1: make all terminals and labels globally known.
-func (ns *nodeState) announce() (congest.Request, bool) {
-	var local []congest.Wire
-	if ns.label != steiner.NoLabel {
-		local = append(local, congest.Wire{Kind: wireTerm, A: uint32(ns.h.ID()), B: uint32(ns.label)})
-	}
-	ns.stage = stageTerms
-	return ns.drive(dist.StartUpcastBroadcast(ns.h, &ns.tree, local, termCmp, nil, nil))
 }
 
 // installTerms builds the terminal table and moat bookkeeping from the
@@ -430,49 +418,31 @@ func (ns *nodeState) termIndex(node int) (int, bool) {
 
 // phaseScratch resets (lazily allocating) the per-phase buffers.
 func (ns *nodeState) phaseScratch(deg int) {
-	if ns.nbrCov == nil {
-		ns.covOut = make([]congest.Send, 0, deg)
+	if ns.reduced == nil {
 		ns.view = make([]congest.Send, 0, deg)
 		ns.cands = make([]congest.Wire, 0, deg)
-		ns.nbrCov = make([]rational.Q, deg)
 		ns.reduced = make([]rational.Q, deg)
 		ns.nbr = make([]nbrView, deg)
 	}
-	ns.covOut = ns.covOut[:0]
 	ns.view = ns.view[:0]
 	ns.cands = ns.cands[:0]
 	for p := 0; p < deg; p++ {
-		ns.nbrCov[p] = rational.Q{}
 		ns.nbr[p] = nbrView{ownerIdx: -1}
 	}
 }
 
-// nextPhase opens the next merge phase (Step 3) while any moat is active,
-// with (a) the coverage exchange that agrees on the reduced edge weights
-// Ŵj; once none is, it moves on to Steps 4+5.
+// nextPhase opens the next merge phase (Step 3) while any moat is active;
+// once none is, it moves on to Steps 4+5. A phase starts with (a) the
+// reduced edge weights Ŵj, which both endpoints of an edge derive from
+// the same two coverages, and (b) the terminal decomposition via
+// multi-source Bellman-Ford with active regions as sources (Lemma 4.8).
 func (ns *nodeState) nextPhase() (congest.Request, bool) {
 	if !ns.book.AnyActive() {
 		return ns.markEdges()
 	}
 	ns.phase++
-	deg := ns.h.Degree()
-	ns.phaseScratch(deg)
-	for p := 0; p < deg; p++ {
-		b, c := dist.EncodeQ(ns.cov[p])
-		ns.covOut = append(ns.covOut, congest.Send{Port: p, Wire: congest.Wire{Kind: wireCov, B: b, C: c}})
-	}
-	ns.stage = stageCov
-	return congest.Exchange(ns.covOut), true
-}
-
-// decompose reads the coverage exchange and starts (b): the terminal
-// decomposition via multi-source Bellman-Ford with active regions as
-// sources (Lemma 4.8).
-func (ns *nodeState) decompose(in []congest.Recv) (congest.Request, bool) {
 	h := ns.h
-	for _, rc := range in {
-		ns.nbrCov[rc.Port] = dist.DecodeQ(rc.Wire.B, rc.Wire.C)
-	}
+	ns.phaseScratch(h.Degree())
 	for p := 0; p < h.Degree(); p++ {
 		w := rational.FromInt(h.Weight(p)).Sub(ns.cov[p]).Sub(ns.nbrCov[p])
 		ns.reduced[p] = rational.Max(w, rational.Q{})
@@ -595,6 +565,9 @@ func (ns *nodeState) endPhase() {
 		growMine := ns.myOwner >= 0 && ns.myActive
 		growNbr := o.ownerIdx >= 0 && o.active
 		ns.cov[p] = ns.cov[p].Add(coverGrowth(mu, ns.myDhat, o.dhat, ns.reduced[p], growMine, growNbr))
+		// The neighbor's own update of its side, from the views both
+		// ends exchanged: what its cov holds for this edge from now on.
+		ns.nbrCov[p] = ns.nbrCov[p].Add(coverGrowth(mu, o.dhat, ns.myDhat, ns.reduced[p], growNbr, growMine))
 	}
 	if !ns.rounded() {
 		if ns.phase > 2*len(ns.terms)+2 {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"steinerforest/internal/congest"
 	"steinerforest/internal/graph"
 	"steinerforest/internal/moat"
 	"steinerforest/internal/steiner"
@@ -399,5 +400,47 @@ func TestSolveRoundedRejectsBadEpsilon(t *testing.T) {
 	ins := steiner.NewInstance(graph.Path(3, graph.UnitWeights))
 	if _, err := SolveRounded(ins, 0, 1); err == nil {
 		t.Error("eps=0 accepted")
+	}
+}
+
+// TestMirroredCoverage pins the coverage bookkeeping that replaced the
+// per-phase coverage exchange: after a run, the coverage a node tracks for
+// its neighbor's side of an edge (nbrCov) equals the coverage the neighbor
+// holds for that side (cov), on every edge, in the exact and the rounded
+// variant.
+func TestMirroredCoverage(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	covered := 0
+	for trial := 0; trial < 30; trial++ {
+		ins := randomInstance(rng, 12+rng.Intn(20), 1+rng.Intn(3), 9)
+		for _, eps := range [][2]int64{{}, {1, 2}} {
+			labels := ins.Minimalize().Label
+			if eps[1] == 0 {
+				labels = ins.Label
+			}
+			out := &sharedOutput{selected: steiner.NewSolution(ins.G)}
+			nodes := make([]*nodeState, ins.G.N())
+			if _, err := congest.RunDriven(ins.G, func(h *congest.Host) (congest.Request, congest.Driver) {
+				nodes[h.ID()] = newNodeState(h, out, labels[h.ID()], eps)
+				return nodes[h.ID()].start()
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for u, ns := range nodes {
+				for p := range ns.cov {
+					v := ns.h.Neighbor(p)
+					q, _ := nodes[v].h.PortOf(u)
+					if got, want := ns.nbrCov[p], nodes[v].cov[q]; got.Cmp(want) != 0 {
+						t.Fatalf("trial %d eps %v: node %d tracks %s for node %d's side of their edge, which holds %s", trial, eps, u, got, v, want)
+					}
+					if !ns.cov[p].IsZero() {
+						covered++
+					}
+				}
+			}
+		}
+	}
+	if covered == 0 {
+		t.Fatal("no edge was covered; the test lost its coverage")
 	}
 }

@@ -11,8 +11,10 @@ import (
 // broadcast, Lemma 4.14): items flow up the BFS tree in ascending order,
 // one per tree edge per round, interior nodes merge their children's
 // streams with their own and prune them through a speculative replica of
-// the filter (Corollary 4.16), and the root's accepted stream is pipelined
-// back down. Every node ends with the identical accepted stream, in order.
+// the filter (Corollary 4.16), and the root pipelines each item it
+// accepts back down in the round it decides it, so the downcast runs
+// while the upcast still feeds the root. Every node ends with the
+// identical accepted stream, in order.
 //
 // Items are congest.Wire values of one registered kind, ordered by cmp (a
 // strict total order with content tie-breaking); direction needs no
@@ -25,14 +27,20 @@ import (
 // filter replica; see Filter for the required monotonicity. stopAfter,
 // evaluated at the root over accepted items, ends the stream after (and
 // including) the first item for which it returns true — the "phase-ending
-// merge" device of Section 4. Both may be nil.
+// merge" device of Section 4. Both may be nil. The first down wire the
+// root sends once the stream is cut carries a cut code (Wire.Ctl), on
+// which every node still upcasting stops: the wire reaches each node when
+// the first down wire of a collect whose downcast waits for the cut
+// would, so a cut costs no more upcast messages than that schedule.
 //
-// Rounds: O(height + items surviving the interior filters). Nodes sleep
-// whenever the pipeline gives them nothing to say: while blocked on a
-// lagging child stream, after their subtree's stream is exhausted, and
-// (at the root) until the upcast completes. Parked stretches of the down
-// stream run as engine-side relay orders, which forward each item without
-// resuming the stage.
+// Rounds: about 2·height + the items the root accepts, or decides up to
+// the cut, plus the items the interior filters pass: the downcast trails
+// the root's decisions by one round, and the end marker follows the last
+// of them. Nodes sleep whenever the pipeline gives them nothing to say:
+// while blocked on a lagging child, after their subtree's stream is
+// exhausted, and (at the root) between decisions. Parked stretches run as
+// engine-side relay orders, which forward each item without resuming the
+// stage.
 //
 // StartUpcastBroadcast sorts local and returns the first request and the
 // driver of the pipeline (upcast, cached on t), which releases local, cmp
@@ -44,100 +52,134 @@ import (
 // until the tree's next collect or exit list, which overwrites it. A
 // caller that keeps the stream longer copies it.
 func StartUpcastBroadcast(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) (congest.Request, congest.Driver) {
+	if h.N() <= 1 {
+		t.stream = t.stream[:0]
+		collectAlone(t, local, cmp, newFilter, stopAfter)
+		return congest.Idle(0), finished{}
+	}
+	u := t.upcast(h)
+	u.begin(local, cmp, newFilter, stopAfter)
+	u.state = upRun
+	return u.round(), u
+}
+
+// collectAlone decides a single node's stream: its own sorted, filtered
+// items up to the cut.
+func collectAlone(t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) {
 	slices.SortStableFunc(local, cmp)
 	var filter Filter
 	if newFilter != nil {
 		filter = newFilter()
 	}
-	u := t.upcast(h)
-	if h.N() <= 1 {
-		for _, it := range local {
-			if filter != nil && !filter(it) {
-				continue
-			}
-			t.stream = append(t.stream, it)
-			if stopAfter != nil && stopAfter(it) {
-				break
-			}
+	for _, it := range local {
+		if filter != nil && !filter(it) {
+			continue
 		}
-		return congest.Idle(0), finished{}
+		t.stream = append(t.stream, it)
+		if stopAfter != nil && stopAfter(it) {
+			break
+		}
 	}
-	u.local, u.cmp, u.filter, u.stopAfter = local, cmp, filter, stopAfter
-	u.state = upRootCollect
-	if !t.IsRoot() {
-		return u.upLoop(), u
-	}
-	return congest.Sleep(), u // the root collects asleep between deliveries
 }
 
 // Collected returns the node's accepted stream of the tree's latest
-// StartUpcastBroadcast. It aliases the tree's stream buffer, valid until
-// the tree's next collect or exit list (StartQuietList).
+// StartUpcastBroadcast or StartBFSCollect. It aliases the tree's stream
+// buffer, valid until the tree's next collect or exit list
+// (StartQuietList).
 func (t *Tree) Collected() []congest.Wire { return t.stream }
+
+// ctlCut is the collect's one control code: the root's first down wire
+// after a stopAfter cut carries it, and a node still upcasting stops.
+const ctlCut uint8 = 1
 
 // upcast states: the request the node is waiting on.
 const (
-	upRootCollect = uint8(iota) // root: asleep until an upcast delivery
-	upRootStream                // root: one round of the downward stream
-	upRound                     // an upcast send round, or asleep on a lagging child
-	upRelay                     // a single-child passthrough relay order
-	downExchange                // a downward forward round, before the marker
-	downRelay                   // a relay order on the parent's stream
-	downTail                    // a downward forward round after the marker
-	upIdle                      // the idle-out to the common exit round
+	bfsJoin   = uint8(iota) // StartBFSCollect: asleep until the explore flood arrives
+	bfsFlood                // StartBFSCollect: the flood round
+	bfsAccept               // StartBFSCollect: the round the children's accepts arrive
+	upRun                   // a round of the pipeline, or asleep until mail
+	upRelay                 // a single-child passthrough relay order
+	downRelay               // a relay order on the parent's stream
+	upIdle                  // the idle-out to the common exit round
 )
 
-// upcast is StartUpcastBroadcast's per-node state machine: the pipeline
-// split at its round barriers. It is built once per tree and
-// reset per call; its child and forward queues and its stream buffer keep
-// their capacity across calls.
+// upcast is the per-node state machine of StartUpcastBroadcast and
+// StartBFSCollect: the pipeline split at its round barriers. It is built
+// once per tree and reset per call; its child and forward queues and its
+// stream buffer keep their capacity across calls.
 type upcast struct {
 	h         *congest.Host
 	t         *Tree
 	childOf   []int // port -> child index, -1 otherwise
 	parent    [1]int
 	kids      []childStream  // per child, in ChildPorts order
-	fwd       []congest.Wire // interior: forward queue for the broadcast, from fwdHead
+	fwd       []congest.Wire // non-root: down wires to forward, from fwdHead, codes kept
 	fwdHead   int
 	local     []congest.Wire
 	cmp       Cmp
 	filter    Filter
 	stopAfter func(congest.Wire) bool
 
-	state      uint8
-	ownNext    int
-	streamed   int // root: t.stream items sent down
-	fwdEnd     bool
-	sawDown    bool
-	upDoneSent bool
-	exitRound  int
+	// bfs marks StartBFSCollect: the up stream ends with the build's
+	// completion wire (wireDoneUp, the subtree's maximum depth, maxDepth)
+	// and the down stream with its finish wire (wireFinish, the height);
+	// a plain collect ends them with wireUpDone and wireDownEnd.
+	bfs      bool
+	r0       int // bfs: the entry round
+	maxDepth int
+
+	state     uint8
+	ownNext   int
+	sent      int  // root: t.stream items sent down
+	final     bool // root: the stream is decided
+	cutNext   bool // root: the next down wire carries the cut code
+	upDone    bool // non-root: our up stream ended, or the cut arrived
+	exitRound int
 }
 
-// upcast returns t's cached StartUpcastBroadcast driver, reset for a call.
+// upcast returns t's cached collect driver, binding it to the tree's
+// children on first use.
 func (t *Tree) upcast(h *congest.Host) *upcast {
-	u := t.up
-	nc := len(t.ChildPorts)
-	if u == nil {
-		u = &upcast{h: h, t: t, childOf: make([]int, h.Degree()), kids: make([]childStream, nc)}
-		u.parent[0] = t.ParentPort
-		for p := range u.childOf {
-			u.childOf[p] = -1
-		}
-		for i, p := range t.ChildPorts {
-			u.childOf[p] = i
-		}
-		t.up = u
+	if t.up == nil {
+		u := &upcast{h: h, t: t}
+		u.bind()
+	}
+	return t.up
+}
+
+// bind sizes the driver's per-port and per-child tables for the tree's
+// final child set and caches it on the tree.
+func (u *upcast) bind() {
+	t := u.t
+	u.parent[0] = t.ParentPort
+	u.childOf = make([]int, u.h.Degree())
+	for p := range u.childOf {
+		u.childOf[p] = -1
+	}
+	for i, p := range t.ChildPorts {
+		u.childOf[p] = i
+	}
+	u.kids = make([]childStream, len(t.ChildPorts))
+	t.up = u
+}
+
+// begin resets the driver for a call over local.
+func (u *upcast) begin(local []congest.Wire, cmp Cmp, newFilter func() Filter, stopAfter func(congest.Wire) bool) {
+	slices.SortStableFunc(local, cmp)
+	u.local, u.cmp, u.filter, u.stopAfter = local, cmp, nil, stopAfter
+	if newFilter != nil {
+		u.filter = newFilter()
 	}
 	for i := range u.kids {
 		k := &u.kids[i]
 		k.items, k.head, k.done = k.items[:0], 0, false
 	}
 	u.fwd, u.fwdHead = u.fwd[:0], 0
-	t.stream = t.stream[:0] // the broadcast stream (root: accepted)
-	u.ownNext, u.streamed = 0, 0
-	u.fwdEnd, u.sawDown, u.upDoneSent = false, false, false
+	u.t.stream = u.t.stream[:0] // the broadcast stream (root: accepted)
+	u.bfs, u.maxDepth = false, u.t.Depth
+	u.ownNext, u.sent = 0, 0
+	u.final, u.cutNext, u.upDone = false, false, false
 	u.exitRound = -1
-	return u
 }
 
 // childStream is one child's upcast stream as seen by its parent.
@@ -200,186 +242,251 @@ func (u *upcast) allEnded() bool {
 	return true
 }
 
+// upEnd is the kind of the up stream's end marker, downEnd the down
+// stream's.
+func (u *upcast) upEnd() uint16 {
+	if u.bfs {
+		return wireDoneUp
+	}
+	return wireUpDone
+}
+
+func (u *upcast) downEnd() uint16 {
+	if u.bfs {
+		return wireFinish
+	}
+	return wireDownEnd
+}
+
 // process folds one round's inbox into the upcast and downcast state.
 func (u *upcast) process(in []congest.Recv) {
-	t, nc := u.t, len(u.t.ChildPorts)
+	t := u.t
 	for _, rc := range in {
-		switch rc.Wire.Kind {
-		case wireUpDone:
-			u.kids[u.childOf[rc.Port]].done = true
-		case wireDownEnd:
-			u.sawDown = true
-			if nc > 0 {
-				u.fwdEnd = true
-			}
-			u.exitRound = u.h.Round() + t.Height - t.Depth
-		default:
-			if rc.Port == t.ParentPort {
-				u.sawDown = true
-				t.stream = append(t.stream, rc.Wire)
-				if nc > 0 {
-					u.fwd = append(u.fwd, rc.Wire)
-				}
+		w := rc.Wire
+		if rc.Port != t.ParentPort {
+			k := &u.kids[u.childOf[rc.Port]]
+			if w.Kind == u.upEnd() {
+				k.done = true
+				u.maxDepth = max(u.maxDepth, int(w.C))
 			} else {
-				k := &u.kids[u.childOf[rc.Port]]
-				k.items = append(k.items, rc.Wire)
+				k.items = append(k.items, w)
 			}
+			continue
 		}
+		if len(t.ChildPorts) > 0 {
+			u.fwd = append(u.fwd, w)
+		}
+		if w.Ctl == ctlCut {
+			u.upDone = true
+		}
+		if w.Kind == u.downEnd() {
+			u.ended(w, u.h.Round())
+			continue
+		}
+		w.Ctl = 0
+		t.stream = append(t.stream, w)
 	}
+}
+
+// ended records the down stream's end marker end, which arrived in the
+// round that completed at arrived: the node leaves height - depth rounds
+// later, when the marker reaches the deepest node.
+func (u *upcast) ended(end congest.Wire, arrived int) {
+	if u.bfs {
+		u.t.Height = int(end.C)
+	}
+	u.exitRound = arrived + u.t.Height - u.t.Depth
 }
 
 // Next completes the request the node was waiting on and returns the
 // next one.
 func (u *upcast) Next(in []congest.Recv) (congest.Request, bool) {
+	h, t := u.h, u.t
 	switch u.state {
-	case upRootCollect:
-		// Collect until the stream is decided, asleep between deliveries
-		// (consumption is local, so a round without mail changes nothing).
-		u.process(in)
-		finalized := false
-		for u.canPop() {
-			it := u.popMin()
-			if u.filter != nil && !u.filter(it) {
-				continue
+	case bfsJoin:
+		// The inbox is port-sorted, so the lowest explorer wins the
+		// parent role.
+		t.Depth = h.Round() - u.r0
+		t.ParentPort = in[0].Port
+		return u.flood(), true
+	case bfsFlood:
+		// Accepts arrive exactly one round after the flood (explores from
+		// same-level neighbors may share the inbox).
+		u.state = bfsAccept
+		return congest.Exchange(nil), true
+	case bfsAccept:
+		for _, rc := range in {
+			if rc.Wire.Kind == wireAccept {
+				t.ChildPorts = append(t.ChildPorts, rc.Port)
 			}
-			u.t.stream = append(u.t.stream, it)
-			if u.stopAfter != nil && u.stopAfter(it) {
-				finalized = true
-				break
-			}
 		}
-		if !finalized && !u.allEnded() {
-			return congest.Sleep(), true
-		}
-		u.state = upRootStream
-		fallthrough
-	case upRootStream:
-		// Stream the accepted items down, one per round, then the end
-		// marker; the wave reaches the deepest node Height-1 rounds later.
-		// Stragglers may still be upcasting (a stopAfter cut): their items
-		// arrive during the stream and are ignored.
-		switch {
-		case u.streamed < len(u.t.stream):
-			u.streamed++
-			return congest.Exchange(u.t.toChildren(u.t.stream[u.streamed-1])), true
-		case u.streamed == len(u.t.stream):
-			u.streamed++
-			return congest.Exchange(u.t.toChildren(congest.Wire{Kind: wireDownEnd})), true
-		}
-		u.state = upIdle
-		return congest.Idle(u.t.Height - 1), true
-	case upRound:
+		// The child set is final and port-sorted: the collect starts.
+		u.bind()
+		u.maxDepth = t.Depth
+		u.state = upRun
+	case upRun:
 		u.process(in)
-		return u.upLoop(), true
 	case upRelay:
-		stream, last := u.h.RelaySplit(in)
-		if k := len(stream); k > 0 && stream[k-1].Wire.Kind == wireUpDone {
-			// The engine forwarded the marker: our wireUpDone is sent.
+		stream, last := h.RelaySplit(in)
+		if k := len(stream); k > 0 && stream[k-1].Wire.Kind == u.upEnd() {
+			// The engine forwarded the child's end marker as ours (at a
+			// BFS build, the child's maximum depth is the subtree's).
 			u.kids[0].done = true
-			u.upDoneSent = true
+			u.upDone = true
 		}
 		u.process(last)
-		return u.upLoop(), true
-	case downExchange:
-		u.process(in)
-		return u.downLoop(), true
 	case downRelay:
-		stream, last := u.h.RelaySplit(in)
-		u.t.stream = slices.Grow(u.t.stream, len(stream))
-		ended := false
+		stream, last := h.RelaySplit(in)
+		t.stream = slices.Grow(t.stream, len(stream))
 		for _, rc := range stream {
 			// Already forwarded by the engine: record, don't queue.
-			if rc.Wire.Kind == wireDownEnd {
-				ended = true
+			w := rc.Wire
+			if w.Kind == u.downEnd() {
+				// The marker arrived one round before its forward when
+				// we have children, in the waking round otherwise.
+				arrived := h.Round()
+				if len(t.ChildPorts) > 0 {
+					arrived--
+				}
+				u.ended(w, arrived)
 				break
 			}
-			u.t.stream = append(u.t.stream, rc.Wire)
+			w.Ctl = 0
+			t.stream = append(t.stream, w)
 		}
-		if ended {
-			// The marker arrived one round before its forward when we
-			// have children, in the waking round otherwise; stray mail of
-			// the forward round (last) is ignored, as the loop's
-			// discarded Exchange result would have been.
-			arrived := u.h.Round()
-			if len(u.t.ChildPorts) > 0 {
-				arrived--
-			}
-			u.exitRound = arrived + u.t.Height - u.t.Depth
-		} else {
+		// Stray mail of the marker's forward round is ignored, as the
+		// loop's discarded Exchange result would have been.
+		if u.exitRound < 0 {
 			u.process(last)
 		}
-		return u.downLoop(), true
-	case downTail:
-		return u.downLoop(), true
+	default: // upIdle: the common exit round
+		u.local, u.cmp, u.filter, u.stopAfter = nil, nil, nil, nil
+		return congest.Request{}, false
 	}
-	// upIdle: the common exit round.
-	u.local, u.cmp, u.filter, u.stopAfter = nil, nil, nil, nil
-	return congest.Request{}, false
+	return u.round(), true
 }
 
-// upLoop returns the next request of a non-root node's upcast: one
-// accepted item (or the end marker) per round, as soon as the subtree's
-// next minimum is determined; asleep while blocked on a lagging child.
-// The upcast ends when our stream is exhausted or the broadcast already
-// started (the root finalized early on a stopAfter cut).
-func (u *upcast) upLoop() congest.Request {
-	if u.upDoneSent || u.sawDown {
-		return u.downLoop()
+// round returns the node's next request of the pipeline.
+func (u *upcast) round() congest.Request {
+	if u.t.IsRoot() {
+		return u.rootRound()
 	}
-	u.state = upRound
-	for u.canPop() {
+	return u.nodeRound()
+}
+
+// rootRound decides every item the root's view determines and sends the
+// oldest accepted item not yet sent down: one item per round, the cut
+// code on the first after a cut, then the end marker once the stream is
+// decided (at a BFS build the finish wire, carrying the height), then the
+// idle-out to the common exit round, by which the marker has reached the
+// deepest node. Stragglers still upcasting after a cut deliver items that
+// are ignored.
+func (u *upcast) rootRound() congest.Request {
+	t := u.t
+	for !u.final && u.canPop() {
 		it := u.popMin()
-		if u.filter == nil || u.filter(it) {
-			return congest.Exchange(u.t.toParent(it))
+		if u.filter != nil && !u.filter(it) {
+			continue
+		}
+		t.stream = append(t.stream, it)
+		if u.stopAfter != nil && u.stopAfter(it) {
+			u.final, u.cutNext = true, true
 		}
 	}
-	if u.allEnded() {
-		u.upDoneSent = true
-		return congest.Exchange(u.t.toParent(congest.Wire{Kind: wireUpDone}))
-	}
-	if u.filter == nil && len(u.kids) == 1 && u.ownNext >= len(u.local) &&
-		len(u.kids[0].pending()) == 0 && !u.kids[0].done {
-		// Single-child passthrough: nothing of our own left and exactly
-		// one stream to merge, so the rest of the upcast is a pure relay.
-		// A relay order forwards the child's items — end marker included
-		// — to the parent with the same one-round latency the loop gives
-		// them, without a Next call per item. Only a deviating round (the
-		// broadcast starting early on a stopAfter cut) hands an inbox back
-		// before the marker's forward.
-		u.state = upRelay
-		return congest.RelayStream(u.t.ChildPorts[0], u.parent[:], wireUpDone)
-	}
-	return congest.Sleep()
-}
-
-// downLoop returns the next request of a non-root node's downcast: wait
-// for the broadcast to reach us and relay it, end marker included, toward
-// the children, then idle to the common exit round. With nothing queued
-// the whole pipeline stage runs inside the engine: a relay order forwards
-// the parent's stream, completing once, after the marker's own forward.
-// Only a straggler's upcast item (possible after a stopAfter cut)
-// completes it early, whose round we handle here before parking again.
-func (u *upcast) downLoop() congest.Request {
-	if u.exitRound < 0 {
-		if u.fwdHead < len(u.fwd) {
-			u.fwdHead++
-			u.state = downExchange
-			return congest.Exchange(u.t.toChildren(u.fwd[u.fwdHead-1]))
+	if !u.final && u.allEnded() {
+		u.final = true
+		if u.bfs {
+			t.Height = u.maxDepth
 		}
-		u.state = downRelay
-		return congest.RelayStream(u.t.ParentPort, u.t.ChildPorts, wireDownEnd)
 	}
-	u.state = downTail
 	switch {
-	case u.fwdHead < len(u.fwd):
-		u.fwdHead++
-		return congest.Exchange(u.t.toChildren(u.fwd[u.fwdHead-1]))
-	case u.fwdEnd:
-		u.fwdEnd = false
-		return congest.Exchange(u.t.toChildren(congest.Wire{Kind: wireDownEnd}))
+	case u.sent < len(t.stream):
+		w := t.stream[u.sent]
+		if u.cutNext {
+			w.Ctl, u.cutNext = ctlCut, false
+		}
+		u.sent++
+		return congest.Exchange(t.toChildren(w))
+	case !u.final:
+		return congest.Sleep()
+	case u.exitRound < 0:
+		u.exitRound = u.h.Round() + t.Height
+		return congest.Exchange(t.toChildren(congest.Wire{Kind: u.downEnd(), C: int64(t.Height)}))
 	}
 	u.state = upIdle
 	return congest.Idle(u.exitRound - u.h.Round())
+}
+
+// nodeRound returns a non-root node's next request: this round's up item
+// (or end marker), determined as soon as the subtree's next minimum is,
+// and its forward of the down wire that arrived last round, both in one
+// exchange. With nothing to send it parks: asleep while blocked on a
+// lagging child — as a relay order when the rest of the upcast is a pure
+// single-child passthrough — or, its upcast over, as a relay order on the
+// parent's stream, the whole stage running inside the engine; once the
+// end marker is forwarded it idles out to the common exit round.
+func (u *upcast) nodeRound() congest.Request {
+	t := u.t
+	out := t.sendBuf[:0]
+	if !u.upDone {
+		if w, ok := u.nextUp(); ok {
+			out = append(out, congest.Send{Port: t.ParentPort, Wire: w})
+		}
+	}
+	if u.fwdHead < len(u.fwd) {
+		w := u.fwd[u.fwdHead]
+		u.fwdHead++
+		if len(out) == 0 && u.upDone && u.exitRound < 0 && u.fwdHead == len(u.fwd) {
+			// Nothing else to say until the stream ends: join it as a
+			// relay order that forwards w in its first round.
+			u.state = downRelay
+			return u.h.RelayStreamFrom(w, t.ParentPort, t.ChildPorts, u.downEnd(), 0)
+		}
+		for _, p := range t.ChildPorts {
+			out = append(out, congest.Send{Port: p, Wire: w})
+		}
+	}
+	t.sendBuf = out
+	u.state = upRun
+	switch {
+	case len(out) > 0:
+		return congest.Exchange(out)
+	case !u.upDone:
+		if u.filter == nil && len(u.kids) == 1 && u.ownNext >= len(u.local) &&
+			len(u.kids[0].pending()) == 0 && !u.kids[0].done {
+			// Single-child passthrough: nothing of our own left and
+			// exactly one stream to merge, so the rest of the upcast is a
+			// pure relay. A relay order forwards the child's items — end
+			// marker included — to the parent with the same one-round
+			// latency the loop gives them, without a Next call per item;
+			// a down wire arriving meanwhile hands the inbox back.
+			u.state = upRelay
+			return congest.RelayStream(t.ChildPorts[0], u.parent[:], u.upEnd(), 0)
+		}
+		return congest.Sleep()
+	case u.exitRound < 0:
+		u.state = downRelay
+		return congest.RelayStream(t.ParentPort, t.ChildPorts, u.downEnd(), 0)
+	}
+	u.state = upIdle
+	return congest.Idle(u.exitRound - u.h.Round())
+}
+
+// nextUp pops the subtree's next accepted item, or, once every stream is
+// exhausted, returns the up stream's end marker; ok is false while the
+// next minimum is undetermined.
+func (u *upcast) nextUp() (w congest.Wire, ok bool) {
+	for u.canPop() {
+		it := u.popMin()
+		if u.filter == nil || u.filter(it) {
+			return it, true
+		}
+	}
+	if u.allEnded() {
+		u.upDone = true
+		return congest.Wire{Kind: u.upEnd(), C: int64(u.maxDepth)}, true
+	}
+	return congest.Wire{}, false
 }
 
 // StartBroadcastList delivers the root's item list to every node: the
@@ -408,7 +515,7 @@ func StartBroadcastList(h *congest.Host, t *Tree, items []congest.Wire) (congest
 	// passed — deviations cannot occur in this primitive, so the drain is
 	// pure relay traffic.
 	b.state = bcastRelay
-	return congest.RelayStream(t.ParentPort, t.ChildPorts, wireBcastEnd), b
+	return congest.RelayStream(t.ParentPort, t.ChildPorts, wireBcastEnd, 0), b
 }
 
 // Broadcasted returns the node's list of the tree's latest

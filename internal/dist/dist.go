@@ -6,6 +6,13 @@
 // tree aggregates, and a run-to-global-quiescence driver for ad-hoc message
 // passing protocols.
 //
+// A collect is one pass through the tree: the root sends each item down
+// in the round it decides it, so the downcast overlaps the upcast and the
+// D + t term of the paper's bounds is paid once per collect, not twice. A
+// node program's first collect also rides the tree's construction
+// (StartBFSCollect): the build's completion convergecast is its upcast
+// and the finish wave that delivers the height ends its downcast.
+//
 // Every primitive is globally synchronized: all nodes of the network enter
 // it in the same communication round and leave it in the same round, so a
 // node program can run a sequence of primitives and plain exchange rounds
@@ -25,11 +32,11 @@
 // node would have spent exchanging nothing — so round counts, message
 // counts and bit counts are unchanged by the fast paths. Each primitive
 // is a congest.Driver, its per-node state cached on the Tree, started by
-// its start function (StartBFS, StartUpcastBroadcast, StartBroadcastList,
-// StartMax, StartBellmanFord, StartQuiet, StartQuietList), which returns
-// the first request and the driver; the result is read from the Tree
-// once the driver is done (the tree itself, Collected, Broadcasted,
-// Maximum, BF, QuietList).
+// its start function (StartBFS, StartBFSCollect, StartUpcastBroadcast,
+// StartBroadcastList, StartMax, StartBellmanFord, StartQuiet,
+// StartQuietList), which returns the first request and the driver; the
+// result is read from the Tree once the driver is done (the tree itself,
+// Collected, Broadcasted, Maximum, BF, QuietList).
 // A node program chains start functions inside a driver of its own (or
 // with congest.Chain) and runs under congest.RunDriven.
 //
@@ -76,8 +83,8 @@ type Filter func(congest.Wire) bool
 // path, and the wire form keeps them off the heap. Control headers are
 // accounted at 2 bits, exactly as the boxed forms were.
 const (
-	wireUpDone   uint16 = 1  // upcast stream exhausted
-	wireDownEnd  uint16 = 2  // downcast stream exhausted
+	wireUpDone   uint16 = 1  // upcast stream exhausted (StartBFSCollect: wireDoneUp)
+	wireDownEnd  uint16 = 2  // downcast stream exhausted (StartBFSCollect: wireFinish)
 	wireBcastEnd uint16 = 3  // broadcast stream exhausted
 	wireMaxUp    uint16 = 4  // C = partial maximum
 	wireMaxDown  uint16 = 5  // C = global maximum
@@ -86,8 +93,8 @@ const (
 	wireBF       uint16 = 8  // A = source id, (B, C) = encoded distance
 	wireExplore  uint16 = 9  // BFS flood
 	wireAccept   uint16 = 10 // BFS child registration
-	wireDoneUp   uint16 = 11 // BFS completion convergecast; C = max depth
-	wireFinish   uint16 = 12 // BFS finish broadcast; C = tree height
+	wireDoneUp   uint16 = 11 // BFS completion convergecast, ending its up stream; C = max depth
+	wireFinish   uint16 = 12 // BFS finish broadcast, ending its down stream; C = tree height
 	wireQuietOff uint16 = 13 // StartQuiet: subtree-quiet bit turned off
 )
 

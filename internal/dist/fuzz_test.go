@@ -79,15 +79,23 @@ func FuzzRunQuiet(f *testing.F) {
 }
 
 // FuzzBuildBFS decodes its input into a small network — a random tree or
-// a GNP graph, n <= 24 — and an entry round common to every node, and
-// requires StartBFS on the fast path to match the per-round reference
-// (WithFastPath(false)) exactly: Stats, every node's exit round, and every
-// node's Tree.
+// a GNP graph, n <= 24 — an entry round common to every node and, from
+// its fifth byte on, random per-node items, and requires the build on the
+// fast path to match the per-round reference (WithFastPath(false))
+// exactly: Stats, every node's exit round, its Tree and its stream.
+// Without item bytes the build is StartBFS, whose Stats on the seeds are
+// pinned (bfsPins); with them it is StartBFSCollect, whose stream must be
+// the sorted union of the items on every node. Either must exit within
+// 3·height + S + 2 rounds of entry, S the item count: the collect rides
+// the build's completion and finish waves, so a collect serialized after
+// the build (about 2·height more) fails the bound.
 func FuzzBuildBFS(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 0})
 	f.Add([]byte{1, 22, 5, 3})
 	f.Add([]byte{0, 0, 7, 0}) // n = 2
 	f.Add([]byte{1, 16, 200, 9})
+	f.Add([]byte{0, 20, 3, 2, 3, 7, 1, 200, 40}) // tree, items
+	f.Add([]byte{1, 23, 9, 0, 4, 0, 0, 9, 2, 6}) // GNP, items
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -99,38 +107,84 @@ func FuzzBuildBFS(f *testing.F) {
 			g = graph.GNP(n, 0.15, graph.UnitWeights, rng)
 		}
 		enter := int(data[3]) % 8
-		observe := func(opts ...congest.Option) (*congest.Stats, []int, []Tree) {
-			exit, trees := make([]int, n), make([]Tree, n)
+		sched := data[4:]
+		locals := make([][]congest.Wire, n)
+		var union []congest.Wire
+		if len(sched) > 0 {
+			for v := range locals {
+				s := &byteSched{b: sched, i: 7 * v}
+				for range s.Intn(4) {
+					locals[v] = append(locals[v], intItem(s.Intn(256)))
+				}
+				union = append(union, locals[v]...)
+			}
+			slices.SortFunc(union, intItemCmp)
+		}
+		type run struct {
+			stats   *congest.Stats
+			exit    []int
+			trees   []Tree
+			streams [][]congest.Wire
+		}
+		observe := func(opts ...congest.Option) run {
+			r := run{exit: make([]int, n), trees: make([]Tree, n), streams: make([][]congest.Wire, n)}
 			stats, err := congest.RunDriven(g, func(h *congest.Host) (congest.Request, congest.Driver) {
 				tr := new(Tree)
 				return congest.Chain(
 					func() (congest.Request, congest.Driver) { return congest.Idle(enter), finished{} },
-					func() (congest.Request, congest.Driver) { return StartBFS(h, tr) },
 					func() (congest.Request, congest.Driver) {
-						exit[h.ID()] = h.Round()
-						trees[h.ID()] = Tree{Root: tr.Root, Depth: tr.Depth, Height: tr.Height, ParentPort: tr.ParentPort, ChildPorts: tr.ChildPorts}
+						if len(sched) == 0 {
+							return StartBFS(h, tr)
+						}
+						return StartBFSCollect(h, tr, slices.Clone(locals[h.ID()]), intItemCmp, nil)
+					},
+					func() (congest.Request, congest.Driver) {
+						v := h.ID()
+						r.exit[v] = h.Round()
+						r.trees[v] = Tree{Root: tr.Root, Depth: tr.Depth, Height: tr.Height, ParentPort: tr.ParentPort, ChildPorts: tr.ChildPorts}
+						r.streams[v] = slices.Clone(tr.Collected())
 						return congest.Request{}, nil
 					})
 			}, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return stats, exit, trees
+			r.stats = stats
+			return r
 		}
-		wantStats, wantExit, wantTrees := observe(congest.WithFastPath(false))
-		stats, exit, trees := observe()
-		if !reflect.DeepEqual(stats, wantStats) {
-			t.Fatalf("stats %+v, reference %+v", *stats, *wantStats)
+		want, got := observe(congest.WithFastPath(false)), observe()
+		if !reflect.DeepEqual(got.stats, want.stats) {
+			t.Fatalf("stats %+v, reference %+v", *got.stats, *want.stats)
 		}
-		for v := range wantExit {
-			if exit[v] != wantExit[v] {
-				t.Fatalf("node %d exited at round %d, reference %d", v, exit[v], wantExit[v])
+		if pin, ok := bfsPins[string(data)]; ok && (got.stats.Rounds != pin[0] || got.stats.Messages != int64(pin[1]) || got.stats.Bits != int64(pin[2])) {
+			t.Fatalf("rounds/messages/bits %d/%d/%d, pinned %v", got.stats.Rounds, got.stats.Messages, got.stats.Bits, pin)
+		}
+		height := got.trees[0].Height
+		for v := range want.exit {
+			if got.exit[v] != want.exit[v] {
+				t.Fatalf("node %d exited at round %d, reference %d", v, got.exit[v], want.exit[v])
 			}
-			if !reflect.DeepEqual(trees[v], wantTrees[v]) {
-				t.Fatalf("node %d tree %+v, reference %+v", v, trees[v], wantTrees[v])
+			if !reflect.DeepEqual(got.trees[v], want.trees[v]) {
+				t.Fatalf("node %d tree %+v, reference %+v", v, got.trees[v], want.trees[v])
+			}
+			if !slices.Equal(got.streams[v], union) {
+				t.Fatalf("node %d stream %v, want the sorted union %v", v, got.streams[v], union)
+			}
+			if bound := enter + 3*height + len(union) + 2; got.exit[v] > bound {
+				t.Fatalf("node %d exited at round %d, past 3·height + S + 2 = %d from entry %d", v, got.exit[v], bound, enter)
 			}
 		}
 	})
+}
+
+// bfsPins are StartBFS's Stats (rounds, messages, bits) on FuzzBuildBFS's
+// item-free seeds, recorded when the build was a driver of its own, before
+// it became StartBFSCollect's zero-item case.
+var bfsPins = map[string][3]int{
+	string([]byte{0, 10, 1, 0}):   {17, 44, 616},
+	string([]byte{1, 22, 5, 3}):   {14, 166, 1436},
+	string([]byte{0, 0, 7, 0}):    {5, 4, 56},
+	string([]byte{1, 16, 200, 9}): {12, 110, 1036},
 }
 
 // FuzzCollect decodes its input into a small network — a random tree or a
@@ -140,7 +194,10 @@ func FuzzBuildBFS(f *testing.F) {
 // StartBroadcastList of the root's items, or StartMax of each node's
 // largest item. The fast-path run must match the per-round reference
 // (WithFastPath(false)) exactly: Stats, every node's exit round, and
-// every node's received items.
+// every node's received items. An unfiltered collect must also exit
+// within 2·height + S + 1 rounds of its start, S the item count: the
+// root sends each item down as it decides it, so a downcast that waits
+// for the whole upcast (about S more) fails the bound.
 func FuzzCollect(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 3, 7, 1, 200, 40})     // tree, no filter
 	f.Add([]byte{3, 22, 5, 4, 0, 0, 9, 2, 6})     // GNP, filter
@@ -162,12 +219,15 @@ func FuzzCollect(f *testing.F) {
 		mode := (data[0] >> 1) % 5
 		stopAt := int64(data[2])
 		sched := data[3:]
+		start, items := make([]int, n), 0
 		program := func(h *congest.Host, tr *Tree) (congest.Request, congest.Driver, func() []congest.Wire) {
 			s := &byteSched{b: sched, i: 7 * h.ID()}
 			local := make([]congest.Wire, s.Intn(4))
 			for i := range local {
 				local[i] = intItem(s.Intn(256))
 			}
+			start[h.ID()] = h.Round()
+			items += len(local)
 			switch mode {
 			case 3:
 				if !tr.IsRoot() {
@@ -203,6 +263,7 @@ func FuzzCollect(f *testing.F) {
 			return req, d, tr.Collected
 		}
 		want := observeCollect(t, g, program, congest.WithFastPath(false))
+		items = 0
 		got := observeCollect(t, g, program)
 		if !reflect.DeepEqual(got.stats, want.stats) {
 			t.Fatalf("stats %+v, reference %+v", *got.stats, *want.stats)
@@ -214,14 +275,18 @@ func FuzzCollect(f *testing.F) {
 			if !slices.Equal(got.items[v], want.items[v]) {
 				t.Fatalf("node %d received items diverged:\n got %v\nwant %v", v, got.items[v], want.items[v])
 			}
+			if bound := start[v] + 2*got.height + items + 1; mode == 0 && got.exit[v] > bound {
+				t.Fatalf("node %d exited at round %d, past 2·height + S + 1 = %d from its start %d", v, got.exit[v], bound, start[v])
+			}
 		}
 	})
 }
 
 type collectRun struct {
-	stats *congest.Stats
-	exit  []int
-	items [][]congest.Wire
+	stats  *congest.Stats
+	exit   []int
+	items  [][]congest.Wire
+	height int
 }
 
 // observeCollect runs program after a BFS tree build on every node of g
@@ -235,8 +300,9 @@ func observeCollect(t *testing.T, g *graph.Graph, program func(*congest.Host, *T
 		req, d, res := program(h, tr)
 		result[h.ID()] = res
 		return req, d
-	}, then(func(h *congest.Host, _ *Tree) {
+	}, then(func(h *congest.Host, tr *Tree) {
 		r.exit[h.ID()], r.items[h.ID()] = h.Round(), slices.Clone(result[h.ID()]())
+		r.height = tr.Height
 	})), opts...)
 	if err != nil {
 		t.Fatal(err)

@@ -63,15 +63,18 @@ func StartQuiet(h *congest.Host, t *Tree, step Step) (congest.Request, congest.D
 // reads *rootList once, at detection, and the other nodes ignore theirs.
 //
 // A list of L >= 1 items replaces the exit wave's control-only wires: the
-// root sends item 0 with the exit code as its Wire.Ctl, items 1..L-1 in
-// the following slots and then an end marker — the quiet code's wire
-// (wireQuiet), which never travels down otherwise — and every other node
-// forwards the stream with one round of latency, as an engine-side relay
-// order from the first item on (Host.RelayStreamFrom). All nodes return in the same round,
-// detection + height + L slots, holding the list: a run takes about
-// P + 2·height + L rounds. An empty list leaves the exit wave, and so the
-// run's Stats, exactly StartQuiet's. Items are payload wires of a
-// registered kind whose width leaves room for the exit code.
+// root sends item 0 with the exit code as its Wire.Ctl and items 1..L-1
+// in the following slots, the last of them carrying the quiet code
+// (ctlQuiet, which never travels down otherwise) as the list's end mark;
+// a one-item list, whose item carries the exit code, is followed by an
+// end marker wire (wireQuiet) instead. Every other node forwards the
+// stream with one round of latency, as an engine-side relay order from
+// the first item on (Host.RelayStreamFrom) that ends on either mark. All
+// nodes return in the same round, detection + height + max(L-1, 1)
+// slots, holding the list: a run takes about P + 2·height + L rounds. An
+// empty list leaves the exit wave, and so the run's Stats, exactly
+// StartQuiet's. Items are payload wires of a registered kind whose width
+// leaves room for a control code.
 //
 // t.QuietList() is the node's copy of the list once the driver is done.
 // It lives in the tree's stream buffer, which the list overwrites, so
@@ -197,7 +200,7 @@ func (q *quietDriver) Next(in []congest.Recv) (congest.Request, bool) {
 		// nothing to do; forward it and relay the rest of the list.
 		first := q.t.stream[0]
 		first.Ctl = ctlExit
-		return q.h.RelayStreamFrom(first, q.t.ParentPort, q.t.ChildPorts, wireQuiet), true
+		return q.h.RelayStreamFrom(first, q.t.ParentPort, q.t.ChildPorts, wireQuiet, ctlQuiet), true
 	}
 	if q.quiet && len(pin) == 0 {
 		q.out, q.active = nil, false
@@ -212,7 +215,7 @@ func (q *quietDriver) Next(in []congest.Recv) (congest.Request, bool) {
 				if q.t.stream = append(q.t.stream[:0], *q.list...); len(q.t.stream) > 0 {
 					// The network is quiet: stream the list as the exit
 					// wave, then idle out with it.
-					q.exitAt += len(q.t.stream)
+					q.exitAt += listSlots(len(q.t.stream))
 					q.streaming = true
 					q.s++
 					return q.stream(), true
@@ -243,19 +246,29 @@ func (q *quietDriver) done() (congest.Request, bool) {
 	return congest.Request{}, false
 }
 
+// listSlots is the number of slots an exit list of L >= 1 items adds to
+// the exit wave: the last item carries the end mark, except in a
+// one-item list, whose item carries the exit code and is followed by an
+// end marker wire.
+func listSlots(L int) int { return max(L-1, 1) }
+
 // stream returns the root's exit-list request of slot s: item 0 with the
-// exit code, the other items, the end marker, then the idle-out to the
-// common exit round, by which the marker has reached the deepest node.
+// exit code, the other items, the last one marked as the end (or, after a
+// lone item, the end marker), then the idle-out to the common exit
+// round, by which the end mark has reached the deepest node.
 func (q *quietDriver) stream() congest.Request {
 	items := q.t.stream
 	switch k := q.s - q.sendExitAt; {
 	case k < len(items):
 		w := items[k]
-		if k == 0 {
+		switch k {
+		case 0:
 			w.Ctl = ctlExit
+		case len(items) - 1:
+			w.Ctl = ctlQuiet
 		}
 		return congest.Exchange(q.t.toChildren(w))
-	case k == len(items):
+	case k == 1:
 		return congest.Exchange(q.t.toChildren(congest.Wire{Kind: wireQuiet}))
 	}
 	q.streaming, q.idle = false, true
@@ -263,17 +276,22 @@ func (q *quietDriver) stream() congest.Request {
 }
 
 // relayed ends a non-root node's relay order on the exit list: the
-// stream, end marker last, is complete. The marker arrived one round
-// before its forward when the node has children, in the waking round at
-// a leaf; the node idles out to the common exit round, height - depth
-// rounds after the arrival. Nothing but the list reaches a node once the
+// stream, end mark last, is complete. The mark arrived one round before
+// its forward when the node has children, in the waking round at a leaf;
+// the node idles out to the common exit round, height - depth rounds
+// after the arrival. Nothing but the list reaches a node once the
 // network is quiet, so a deviating inbox is a broken loop.
 func (q *quietDriver) relayed(in []congest.Recv) (congest.Request, bool) {
 	stream, _ := q.h.RelaySplit(in)
-	if k := len(stream); k == 0 || stream[k-1].Wire.Kind != wireQuiet {
+	k := len(stream)
+	if k == 0 || stream[k-1].Wire.Kind != wireQuiet && stream[k-1].Wire.Ctl != ctlQuiet {
 		panic("dist: mail beside the quiescence loop's exit list")
 	}
-	for _, rc := range stream[:len(stream)-1] {
+	if stream[k-1].Wire.Kind == wireQuiet {
+		stream = stream[:k-1]
+	}
+	for _, rc := range stream {
+		rc.Wire.Ctl = 0
 		q.t.stream = append(q.t.stream, rc.Wire)
 	}
 	arrived := q.h.Round()

@@ -22,10 +22,11 @@ import (
 // calls with the same inputs.
 //
 // With a root list (startQuietListRef) the root sends the list as the
-// exit wave — item 0 with the exit code, the other items, then the end
-// marker, one per slot — and every other node forwards each list wire
-// from its parent in the next slot, returning height - depth slots after
-// the marker arrived.
+// exit wave — item 0 with the exit code, then the other items, the last
+// with the quiet code as its end mark (a lone item is followed by an end
+// marker wire), one per slot — and every other node forwards each list
+// wire from its parent in the next slot, returning height - depth slots
+// after the end mark arrived.
 type quietRef struct {
 	h                  *congest.Host
 	t                  *Tree
@@ -84,13 +85,17 @@ func (r *quietRef) slot() congest.Request {
 			ctl[p] = ctlExit
 		}
 	}
-	if k := s - r.sendExitAt; r.listed() && k >= 0 && k <= len(r.got) {
-		r.fwd = congest.Wire{Kind: wireQuiet}
-		if k < len(r.got) {
+	if k := s - r.sendExitAt; r.listed() && k >= 0 {
+		switch {
+		case k < len(r.got):
 			r.fwd = r.got[k]
-		}
-		if k == 0 {
-			r.fwd.Ctl = ctlExit
+			if k == 0 {
+				r.fwd.Ctl = ctlExit
+			} else if k == len(r.got)-1 {
+				r.fwd.Ctl = ctlQuiet
+			}
+		case k == 1:
+			r.fwd = congest.Wire{Kind: wireQuiet}
 		}
 	}
 	var sends []congest.Send
@@ -120,13 +125,15 @@ func (r *quietRef) Next(in []congest.Recv) (congest.Request, bool) {
 		k := rc.Wire.Kind
 		switch {
 		case r.list != nil && rc.Port == t.ParentPort && (rc.Wire.Ctl == ctlExit && k != wireExit || r.got != nil):
-			// The exit list: item 0 carries the exit code, the marker
-			// ends it.
+			// The exit list: item 0 carries the exit code, the quiet
+			// code or the marker ends it.
 			r.fwd, rc.Wire.Ctl = rc.Wire, 0
-			if k == wireQuiet {
+			r.exitAt = math.MaxInt
+			if k != wireQuiet {
+				r.got = append(r.got, rc.Wire)
+			}
+			if k == wireQuiet || r.fwd.Ctl == ctlQuiet {
 				r.exitAt = s + t.Height - t.Depth
-			} else {
-				r.got, r.exitAt = append(r.got, rc.Wire), math.MaxInt
 			}
 			continue
 		case rc.Wire.Ctl != 0:
@@ -153,8 +160,9 @@ func (r *quietRef) Next(in []congest.Recv) (congest.Request, bool) {
 	if t.IsRoot() && r.exitAt < 0 && s >= t.Height-1 && len(r.latched) == len(t.ChildPorts) && r.hist[s-t.Height+1] {
 		r.exitAt, r.sendExitAt = s+t.Height, s+1
 		if r.list != nil {
-			r.got = *r.list
-			r.exitAt += len(r.got)
+			if r.got = *r.list; len(r.got) > 0 {
+				r.exitAt += max(len(r.got)-1, 1)
+			}
 		}
 	}
 	if r.exitAt >= 0 && s >= r.exitAt {
@@ -297,13 +305,17 @@ func withList(run func(*congest.Host, *Tree, Step, *[]congest.Wire) (congest.Req
 // checkExitList fails unless a run with the root list list matches the
 // reference with it, as sameRun, and extends the run without one, base,
 // by exactly the list: every node holds the list in order and returns
-// len(list) rounds later, all in one round, and each tree edge carries
-// len(list) more messages (the items and the marker in place of the
-// exit wire). An empty list must leave base's Stats unchanged.
+// max(len(list)-1, 1) rounds later, all in one round, and each tree edge
+// carries that many more messages (the items, the last one marking the
+// end, in place of the exit wire; a lone item is followed by an end
+// marker). An empty list must leave base's Stats unchanged.
 func checkExitList(t *testing.T, name string, got, ref, base quietRun, list []congest.Wire) {
 	t.Helper()
 	sameRun(t, name, got, ref)
-	n, L := len(base.exit), len(list)
+	n, L := len(base.exit), 0
+	if len(list) > 0 {
+		L = max(len(list)-1, 1)
+	}
 	for v := range got.exit {
 		if !slices.Equal(got.lists[v], list) {
 			t.Fatalf("%s: node %d holds %v, want the root's %v", name, v, got.lists[v], list)
@@ -316,7 +328,7 @@ func checkExitList(t *testing.T, name string, got, ref, base quietRun, list []co
 	want.Rounds += L
 	want.Messages += int64((n - 1) * L)
 	if got.stats.Rounds != want.Rounds || got.stats.Messages != want.Messages || (L == 0 && !reflect.DeepEqual(got.stats, base.stats)) {
-		t.Fatalf("%s: stats %+v, want those without the list %+v extended by %d items", name, *got.stats, *base.stats, L)
+		t.Fatalf("%s: stats %+v, want those without the list %+v extended by %d slots", name, *got.stats, *base.stats, L)
 	}
 }
 

@@ -48,34 +48,60 @@ func (t *Tree) toParent(w congest.Wire) []congest.Send {
 	return t.sendBuf
 }
 
-// StartBFS constructs the BFS spanning tree rooted at node 0 in O(D)
-// rounds: a layered explore/accept flood builds levels and child sets, a
-// completion convergecast carries the maximum depth to the root, and a
-// final finish broadcast delivers the height with a synchronized exit (all
-// nodes return in the same round).
+// StartBFSCollect constructs the BFS spanning tree rooted at node 0 and,
+// riding the same waves, collects the nodes' local items into one sorted,
+// filtered stream known to every node, as StartUpcastBroadcast without a
+// cut: the first collect of a node program costs no rounds of its own
+// beyond its items.
+//
+// A layered explore/accept flood builds levels and child sets; the
+// completion convergecast that carries the maximum depth to the root is
+// the collect's upcast, each node's completion wire ending its up stream;
+// the root sends each accepted item down in the round it decides it, and
+// the finish wave, which delivers the height, ends the down stream, with
+// a synchronized exit (all nodes return in the same round, by which the
+// finish has reached the deepest node).
 //
 // The schedule, with r counting rounds from entry: a node at depth d is
 // woken by the explore flood in round d-1, floods in round d, learns its
-// children from the accepts of round d+1, sends its completion one round
-// after the last subtree completion arrived (round d+2 at the leaves),
-// forwards the finish wave one round after receiving it, and everyone
-// idles out to the common exit round. All waiting is done asleep: an
-// unjoined node has nothing to say until the flood reaches it, and a
-// joined one nothing between its accepts and its subtree completions.
+// children from the accepts of round d+1, and upcasts from round d+2 on
+// (a leaf without items sends its completion then); every node forwards
+// the down stream one round after receiving it and idles out to the
+// common exit round. All waiting is done asleep: an unjoined node has
+// nothing to say until the flood reaches it, and a joined one nothing
+// while blocked on a lagging child. With H the height and S the accepted
+// items, the call takes about 3·H + S rounds.
 //
-// StartBFS resets t and returns the first request and the driver of the
-// build (bfsBuild); t is the node's BFS tree once the driver is done.
-func StartBFS(h *congest.Host, t *Tree) (congest.Request, congest.Driver) {
+// StartBFSCollect resets t and returns the first request and the driver
+// of the build (upcast, cached on t); t is the node's BFS tree and
+// t.Collected() its stream once the driver is done.
+func StartBFSCollect(h *congest.Host, t *Tree, local []congest.Wire, cmp Cmp, newFilter func() Filter) (congest.Request, congest.Driver) {
 	*t = Tree{Root: 0, ParentPort: -1}
 	if h.N() <= 1 {
+		collectAlone(t, local, cmp, newFilter, nil)
 		return congest.Idle(0), finished{}
 	}
-	b := &bfsBuild{h: h, t: t, r0: h.Round()}
-	first := congest.Sleep() // until the explore flood arrives
+	u := &upcast{h: h, t: t}
+	u.begin(local, cmp, newFilter, nil)
+	u.bfs, u.r0 = true, h.Round()
 	if h.ID() == 0 {
-		first = b.flood()
+		return u.flood(), u
 	}
-	return first, b
+	u.state = bfsJoin
+	return congest.Sleep(), u // until the explore flood arrives
+}
+
+// StartBFS constructs the BFS spanning tree rooted at node 0 in O(D)
+// rounds: StartBFSCollect without items, whose completion convergecast
+// and finish wave carry nothing but the maximum depth and the height.
+// A leaf at depth d sends its completion in round d+2, an interior node
+// one round after its last subtree completion arrived, and the root the
+// finish one round after that: the build takes about 3·H rounds.
+//
+// StartBFS resets t and returns the first request and the driver of the
+// build; t is the node's BFS tree once the driver is done.
+func StartBFS(h *congest.Host, t *Tree) (congest.Request, congest.Driver) {
+	return StartBFSCollect(h, t, nil, nil, nil)
 }
 
 // finished is the driver of a primitive that completed in its start form
@@ -85,34 +111,10 @@ type finished struct{}
 
 func (finished) Next([]congest.Recv) (congest.Request, bool) { return congest.Request{}, false }
 
-// bfsBuild states: the request the node is waiting on.
-const (
-	bfsJoin    = uint8(iota) // asleep until the explore flood arrives
-	bfsFlood                 // the flood round
-	bfsAccepts               // the round the children's accepts arrive
-	bfsDoneUp                // asleep until every child's completion arrived
-	bfsSentUp                // the completion's round
-	bfsFinish                // asleep until the finish wave arrives
-	bfsForward               // the finish wave's forward round
-	bfsIdle                  // the idle-out to the common exit round
-)
-
-// bfsBuild is StartBFS's per-node state machine: the build's schedule
-// split at its round barriers.
-type bfsBuild struct {
-	h        *congest.Host
-	t        *Tree
-	state    uint8
-	r0       int
-	pending  int // children whose completion has not arrived
-	maxDepth int
-	exit     int // the common exit round
-}
-
 // flood returns the flood round's request: explore on every port, accept
 // on the parent's.
-func (b *bfsBuild) flood() congest.Request {
-	deg, t := b.h.Degree(), b.t
+func (u *upcast) flood() congest.Request {
+	deg, t := u.h.Degree(), u.t
 	t.sendBuf = make([]congest.Send, 0, deg) // every later round sends on at most deg ports
 	for p := 0; p < deg; p++ {
 		kind := wireExplore
@@ -121,81 +123,6 @@ func (b *bfsBuild) flood() congest.Request {
 		}
 		t.sendBuf = append(t.sendBuf, congest.Send{Port: p, Wire: congest.Wire{Kind: kind}})
 	}
-	b.state = bfsFlood
+	u.state = bfsFlood
 	return congest.Exchange(t.sendBuf)
-}
-
-// Next completes the request the node was waiting on and returns the
-// next one.
-func (b *bfsBuild) Next(in []congest.Recv) (congest.Request, bool) {
-	h, t := b.h, b.t
-	switch b.state {
-	case bfsJoin:
-		// The inbox is port-sorted, so the lowest explorer wins the
-		// parent role.
-		t.Depth = h.Round() - b.r0
-		t.ParentPort = in[0].Port
-		return b.flood(), true
-	case bfsFlood:
-		// Accepts arrive exactly one round after the flood (explores from
-		// same-level neighbors may share the inbox).
-		b.state = bfsAccepts
-		return congest.Exchange(nil), true
-	case bfsAccepts:
-		for _, rc := range in {
-			if rc.Wire.Kind == wireAccept {
-				t.ChildPorts = append(t.ChildPorts, rc.Port)
-			}
-		}
-		b.maxDepth, b.pending = t.Depth, len(t.ChildPorts)
-	case bfsDoneUp:
-		for _, rc := range in {
-			if rc.Wire.Kind == wireDoneUp {
-				b.maxDepth = max(b.maxDepth, int(rc.Wire.C))
-				b.pending--
-			}
-		}
-	case bfsSentUp:
-		b.state = bfsFinish
-		return congest.Sleep(), true
-	case bfsFinish:
-		for _, rc := range in {
-			if rc.Wire.Kind == wireFinish {
-				t.Height = int(rc.Wire.C)
-			}
-		}
-		if t.Height == 0 {
-			return congest.Sleep(), true
-		}
-		// The finish arrived in relative round rf = h.Round()-r0-1;
-		// forward it, then idle to the common exit round
-		// rf + Height - Depth.
-		b.exit = h.Round() + t.Height - t.Depth
-		if len(t.ChildPorts) > 0 {
-			b.state = bfsForward
-			return congest.Exchange(t.toChildren(congest.Wire{Kind: wireFinish, C: int64(t.Height)})), true
-		}
-		fallthrough
-	case bfsForward:
-		b.state = bfsIdle
-		return congest.Idle(b.exit - h.Round()), true
-	default: // bfsIdle: the common exit round
-		return congest.Request{}, false
-	}
-	// After the accepts and each completion: the child set is final and
-	// port-sorted; wait for the remaining subtree completions, then report.
-	if b.pending > 0 {
-		b.state = bfsDoneUp
-		return congest.Sleep(), true
-	}
-	if t.IsRoot() {
-		// The finish wave reaches the deepest node Height-1 rounds after
-		// this send; exit together with it.
-		t.Height = b.maxDepth
-		b.exit = h.Round() + t.Height
-		b.state = bfsForward
-		return congest.Exchange(t.toChildren(congest.Wire{Kind: wireFinish, C: int64(t.Height)})), true
-	}
-	b.state = bfsSentUp
-	return congest.Exchange(t.toParent(congest.Wire{Kind: wireDoneUp, C: int64(b.maxDepth)})), true
 }

@@ -17,7 +17,9 @@
 // each gatherer's (label, id) item goes up the BFS tree in rounds its
 // port has no route or delegation wire to send, capped at two per label,
 // and the root's census comes back down on the loop's exit wave
-// (dist.StartQuietList). Level 0 reads the global label census instead.
+// (dist.StartQuietList). Level 0 reads the global label census instead,
+// which rides the BFS build's completion and finish waves
+// (dist.StartBFSCollect).
 //
 // In truncated mode (the paper's s > √n regime) the virtual tree is cut at
 // the √n highest-rank nodes S, the selected edge set F leaves one connected
@@ -172,15 +174,15 @@ func pairCmp(a, b congest.Wire) int {
 // nodeState is one node's program, a congest.Driver run by
 // congest.RunDriven. Its stages are
 //
-//	bfs → embed → labels → { [census] → route → route → … } → stageTwo
+//	bfs+labels → embed → { [census] → route → route → … } → stageTwo
 //
 // with the braced stages once per pass and route once per virtual-tree
 // level (Steps 3a-3d: the census read, the routing, the streamed
 // delegations and the next level's census riding along): one pass over
-// the node's own label, whose level 0 reads the labels stage's stream,
-// or in ModeKhanBaseline one per label, each opening with a collected
-// level-0 census; and the second stage (stage2.go) in ModeTruncated
-// only. A stage that is a dist primitive or the embedding runs as sub
+// the node's own label, whose level 0 reads the label census that rode
+// the BFS build, or in ModeKhanBaseline one per label, each opening with
+// a collected level-0 census; and the second stage (stage2.go) in
+// ModeTruncated only. A stage that is a dist primitive or the embedding runs as sub
 // until it is done; Next then moves on to the next stage.
 type nodeState struct {
 	h     *congest.Host
@@ -192,11 +194,12 @@ type nodeState struct {
 	emb embed.Embedding
 	inF []bool // per port: this node added the port's edge to F
 
-	labels   []int            // global sorted label set
-	sendBuf  []congest.Send   // reused per-round flush buffer
-	queues   [][]congest.Wire // per-port pending sends, reused across levels
-	rt       *router          // the first stage's routing state, reused across levels
-	labelCap labelCap         // the collected censuses' filter
+	labels      []int            // global sorted label set
+	labelCensus []congest.Wire   // the global label census: a copy, since the embedding's S election reuses the tree's stream
+	sendBuf     []congest.Send   // reused per-round flush buffer
+	queues      [][]congest.Wire // per-port pending sends, reused across levels
+	rt          *router          // the first stage's routing state, reused across levels
+	labelCap    labelCap         // the collected censuses' filter
 
 	stage    uint8
 	censusOn bool           // the next level's census rides this level's routing loop
@@ -213,9 +216,8 @@ type nodeState struct {
 
 // nodeState stages: the step the node's current request belongs to.
 const (
-	stageBFS      = uint8(iota) // building the BFS tree
+	stageBFS      = uint8(iota) // building the BFS tree, with the global label census
 	stageEmbed                  // building the virtual-tree embedding
-	stageLabels                 // the global label census
 	stageCensus                 // a baseline pass's level-0 census
 	stageRoute                  // a level's Steps 3c-3d, routing and delegation, and the next level's census
 	stageFrag                   // stageTwo: the super-terminal fragments
@@ -226,10 +228,17 @@ const (
 	stageMark                   // stageTwo: the token walks
 )
 
-// start returns the node's first request, the BFS build's.
+// start returns the node's first request: the BFS build with the census
+// of the global label set riding it, at most two witnesses per label
+// (O(k + D) rounds), also level 0's Step 3a in a pass over the nodes' own
+// labels.
 func (ns *nodeState) start() (congest.Request, congest.Driver) {
 	ns.labelCap.bind()
-	first, bfs := dist.StartBFS(ns.h, &ns.tree)
+	var local []congest.Wire
+	if ns.label != steiner.NoLabel {
+		local = append(local, congest.Wire{Kind: wireLabel, A: uint32(ns.label), B: uint32(ns.h.ID())})
+	}
+	first, bfs := dist.StartBFSCollect(ns.h, &ns.tree, local, pairCmp, ns.labelCap.newFn)
 	ns.stage, ns.sub = stageBFS, bfs
 	return first, ns
 }
@@ -251,6 +260,7 @@ func (ns *nodeState) Next(in []congest.Recv) (congest.Request, bool) {
 	}
 	switch ns.stage {
 	case stageBFS:
+		ns.installLabels()
 		ns.stage = stageEmbed
 		return ns.drive(embed.StartBuild(ns.h, &ns.tree, embed.Options{Truncate: ns.mode == ModeTruncated}, &ns.emb))
 	case stageEmbed:
@@ -258,9 +268,6 @@ func (ns *nodeState) Next(in []congest.Recv) (congest.Request, bool) {
 		ns.inF = make([]bool, deg)
 		ns.sendBuf = make([]congest.Send, 0, deg)
 		ns.queues = make([][]congest.Wire, deg)
-		return ns.collectLabels()
-	case stageLabels:
-		ns.installLabels()
 		return ns.nextPass()
 	case stageCensus:
 		return ns.route()
@@ -318,23 +325,12 @@ func (c *labelCap) accept(x congest.Wire) bool {
 	return true
 }
 
-// collectLabels starts the census of the global label set with at most
-// two witnesses per label (O(k + D) rounds), also level 0's Step 3a in a
-// pass over the nodes' own labels.
-func (ns *nodeState) collectLabels() (congest.Request, bool) {
-	var local []congest.Wire
-	if ns.label != steiner.NoLabel {
-		local = append(local, congest.Wire{Kind: wireLabel, A: uint32(ns.label), B: uint32(ns.h.ID())})
-	}
-	ns.stage = stageLabels
-	return ns.drive(dist.StartUpcastBroadcast(ns.h, &ns.tree, local, pairCmp, ns.labelCap.newFn, nil))
-}
-
-// installLabels reads the global label set off the census stream, which
-// is (lbl, node)-sorted: one pass over its runs yields the ascending set,
-// after a first pass that sizes it.
+// installLabels keeps the label census and reads the global label set
+// off it: the stream is (lbl, node)-sorted, so one pass over its runs
+// yields the ascending set, after a first pass that sizes it.
 func (ns *nodeState) installLabels() {
-	got := ns.tree.Collected()
+	got := slices.Clone(ns.tree.Collected())
+	ns.labelCensus = got
 	k := 0
 	for i := range got {
 		if i == 0 || got[i].A != got[i-1].A {
@@ -373,8 +369,8 @@ func (ns *nodeState) nextPass() (congest.Request, bool) {
 	ns.level, ns.held = 0, mine
 	if ns.mode != ModeKhanBaseline {
 		// Level 0's census would collect exactly the label census's items
-		// (every node's own label) through the same filter, and the tree
-		// still holds that stream: route from it.
+		// (every node's own label) through the same filter: route from
+		// it.
 		return ns.route()
 	}
 	return ns.census()
@@ -406,17 +402,20 @@ func (ns *nodeState) census() (congest.Request, bool) {
 
 // route finishes Step 3a and starts Steps 3b-3d, or ends the pass when
 // every label is satisfied (all nodes agree and leave together). The
-// census is level 0's collected stream, or the exit list of the level
-// below's routing loop. Either is (lbl, node)-sorted with at most two
+// census is the label census at level 0 (a baseline pass's collected
+// one), or the exit list of the level below's routing loop. Either is (lbl, node)-sorted with at most two
 // items per label, so Step 3a is a run-length pass and the surviving set
 // an in-place sorted intersection — no per-level maps. Held labels are
 // aimed in ascending order, so round and message counts are
 // deterministic under a fixed seed.
 func (ns *nodeState) route() (congest.Request, bool) {
 	h, l := ns.h, ns.held
-	got := ns.tree.Collected()
-	if ns.level > 0 {
+	got := ns.labelCensus
+	switch {
+	case ns.level > 0:
 		got = ns.tree.QuietList()
+	case ns.mode == ModeKhanBaseline:
+		got = ns.tree.Collected()
 	}
 	anyLive := false
 	kept := l[:0] // in-place: writes trail the read cursor
